@@ -9,7 +9,7 @@ package graph
 // Fragments hold *induced* subgraphs: adding a node also adds every edge of
 // the parent between the new node and nodes already present, matching the
 // paper's "subgraph induced by the nodes" (Example 2). InducedEdgeCost lets
-// the caller price an insertion before committing to it.
+// the caller price an insertion before committing to it with AddCost.
 //
 // Membership is a dense bitset over |V|, so Contains is a single word
 // probe with no hashing and no allocation. A fragment can be reused across
@@ -87,10 +87,17 @@ func (f *Fragment) Add(v NodeID) int {
 		return 0
 	}
 	cost := f.InducedEdgeCost(v)
+	f.AddCost(v, cost)
+	return 1 + cost
+}
+
+// AddCost inserts the absent node v given cost = InducedEdgeCost(v), for
+// callers that priced the insertion against a budget and must not pay for
+// the two adjacency scans again.
+func (f *Fragment) AddCost(v NodeID, cost int) {
 	f.member[v>>6] |= 1 << (uint(v) & 63)
 	f.order = append(f.order, v)
 	f.edges += cost
-	return 1 + cost
 }
 
 // Nodes returns the fragment's nodes in insertion order. The slice is

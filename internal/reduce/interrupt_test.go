@@ -65,3 +65,42 @@ func TestInterruptOpenChannelHarmless(t *testing.T) {
 			fragNil.Size(), fragNil.NumNodes(), fragOpen.Size(), fragOpen.NumNodes())
 	}
 }
+
+// TestInterruptStopsWithinOneStrideOfChargedVisits: on a hub-rooted
+// multi-round search every round after the first replays the hub's
+// memoized list and charges its thousands of visits in one step. An
+// Interrupt that fires between rounds must still stop the search within
+// one stride of the visits charged when it fired — the replay is refused
+// and the list re-scanned to the stride boundary — exactly as a first scan
+// (TestInterruptStopsSearchPromptly) is.
+func TestInterruptStopsWithinOneStrideOfChargedVisits(t *testing.T) {
+	g, h := starGraph("P", 4*interrupt.Stride, "C")
+	aux := graph.BuildAux(g)
+	p := chainPattern(t, "P", "C")
+	sem := labelSemantics{g, p}
+	const rounds = 4
+	for fireAfter := 1; fireAfter < rounds; fireAfter++ {
+		// Visits charged by the end of round fireAfter: MaxBound ends the
+		// uncanceled search there.
+		_, upTo := Search(aux, p, h, sem, Options{Alpha: 1.0, MaxBound: 1 + fireAfter})
+		if upTo.Rounds != fireAfter || upTo.Canceled {
+			t.Fatalf("fixture: %+v, want %d uncanceled rounds", upTo, fireAfter)
+		}
+		done := make(chan struct{})
+		_, stats := Search(aux, p, h, sem, Options{
+			Alpha: 1.0, MaxBound: 1 + rounds, Interrupt: done,
+			Trace: func(e Event) {
+				if e.Kind == EventRound && e.Bound == 2+fireAfter {
+					close(done) // fires as round fireAfter+1 begins
+				}
+			},
+		})
+		if !stats.Canceled || stats.VisitsExhausted || stats.Rounds != fireAfter+1 {
+			t.Fatalf("fired after round %d: %+v, want Canceled in round %d", fireAfter, stats, fireAfter+1)
+		}
+		if over := stats.Visited - upTo.Visited; over <= 0 || over > interrupt.Stride {
+			t.Fatalf("fired after round %d at %d charged visits, stopped at %d: want within one stride (%d)",
+				fireAfter, upTo.Visited, stats.Visited, interrupt.Stride)
+		}
+	}
+}

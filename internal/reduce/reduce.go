@@ -15,17 +15,34 @@
 //
 // # Scratch state and pooling
 //
-// The engine keeps no per-round heap state: the per-round (u,v) sets of
-// Fig. 3 ("pushed this round", "expanded this round") are epoch-stamped
-// arrays indexed by pattern-node × data-node — switching to a budget-sized
-// open-addressing pair table when |Q|·|V| exceeds 2^25, so multi-million-
-// node graphs keep the same O(1) reset with no Go map anywhere — and the
-// frontier ranking runs over a reusable candidate buffer with a
-// concrete-type selection of the top-b (no sort.Slice, no reflection). All of it lives in a Scratch that Search borrows from the
-// Aux's scratch pool (graph.ScratchReduce) and returns on exit, so
-// steady-state reductions do not allocate; callers that manage their own
-// pooling (rbsim, rbsub) pass a Scratch and a reusable Fragment to
-// SearchInto directly.
+// The engine keeps no per-round heap state and no Go map. The per-round
+// (u,v) sets of Fig. 3 ("pushed this round", "expanded this round") are
+// epoch-stamped open-addressing tables (pairTable) sized from the budget
+// α|G|, not from |Q|·|V|: a query touches a few thousand pairs, so the
+// tables stay cache-resident on any graph and are emptied by bumping an
+// epoch. The frontier ranking runs over a reusable candidate buffer with
+// a concrete-type selection of the top-b (no sort.Slice, no reflection).
+//
+// Every bound-escalation round restarts from (u_p, v_p) and would re-scan
+// the adjacency lists the earlier rounds already filtered. Pick therefore
+// reads each (v, target, dir) list once per query: the first scan records
+// the neighbors that pass the guarded condition — with their degree and
+// potential — in a per-query memo (one more pairTable, keyed by the list,
+// over an arena of candidates); a later round replays the recorded
+// candidates and charges Visited the whole list at once. The memo needs no invalidation: Guard and Potential are
+// pure functions of the Aux, a query runs against one immutable snapshot,
+// and the memo is emptied when the next query starts. What depends on the
+// round — the pushed set, the cost c(v,u), the random weight — is
+// recomputed at replay, so a replayed round selects exactly what a
+// re-scanned one would.
+//
+// All of it lives in a Scratch that Search borrows from the Aux's scratch
+// pool (graph.ScratchReduce) and returns on exit, so steady-state
+// reductions do not allocate; callers that manage their own pooling
+// (rbsim, rbsub) pass a Scratch and a reusable Fragment to SearchInto
+// directly. Tables and arena that one hub-rooted query grew beyond
+// maxTableEntries are dropped at the next reset instead of staying pinned
+// in the pool.
 //
 // Thread-safety: a Scratch (and the Fragment given to SearchInto) is owned
 // by one goroutine for the duration of the call; the Aux pools hand each
@@ -44,11 +61,14 @@ import (
 )
 
 // Semantics supplies the query-class-specific ingredients of the dynamic
-// reduction. Implementations must be cheap: both methods are evaluated
-// against the offline auxiliary structure, not by traversing G.
+// reduction. Implementations must be cheap and pure: both methods are
+// evaluated against the offline auxiliary structure, not by traversing G,
+// and the engine evaluates each (v,u) at most once per list and query.
 type Semantics interface {
 	// Guard is the guarded condition C(v,u): false means v provably
-	// cannot match u and is pruned from the search.
+	// cannot match u and is pruned from the search. C(v,u) includes label
+	// equality (Section 4.1), so the engine tests the label itself before
+	// asking: Guard is only called for a v that carries u's label.
 	Guard(v graph.NodeID, u pattern.NodeID) bool
 	// Potential is p(v,u), an optimistic estimate of how many matches of
 	// u's pattern neighbors live in N(v).
@@ -127,10 +147,10 @@ type Stats struct {
 	// VisitsExhausted reports whether the visit budget stopped the search.
 	VisitsExhausted bool
 	// PairHighWater is the largest number of live (pattern node, data
-	// node) pairs any per-round stamp held at once. The budget-derived
-	// hint that sizes the huge-graph pair table assumes roughly one pair
-	// per affordable fragment item; this records what a run actually
-	// needed, so the hint can be tuned empirically.
+	// node) pairs the pushed set held in any one round. The budget-derived
+	// hint that sizes the pair tables assumes roughly one pair per
+	// affordable fragment item; this records what a run actually needed,
+	// so the hint can be tuned empirically.
 	PairHighWater int
 	// Canceled reports that Options.Interrupt fired and stopped the
 	// search before a budget did; the fragment holds whatever had been
@@ -143,13 +163,7 @@ type pairKey struct {
 	v graph.NodeID
 }
 
-// maxStampEntries bounds the dense pair-stamp arrays to 4 B × 2^25 =
-// 128 MiB each; beyond that (enormous graph × wide pattern) the stamp
-// switches to a budget-sized open-addressing pair table (see pairTable),
-// which is still reset in O(1) and still map-free.
-const maxStampEntries = 1 << 25
-
-// Pair-table sizing. The table starts at minTableEntries slots, grows by
+// Pair-table sizing. A table starts at minTableEntries slots, grows by
 // doubling when half full, and is re-allocated at its minimum size when a
 // reset finds it larger than maxTableEntries — so one pathological query
 // cannot pin hundreds of MiB inside a long-lived pooled Scratch.
@@ -158,18 +172,25 @@ const (
 	maxTableEntries = 1 << 22
 )
 
-// pairTable is an epoch-stamped open-addressing hash set of (u,v) pairs
-// for the huge-graph regime where the dense array would exceed
-// maxStampEntries. A slot is live when its stamp equals the current
-// epoch, so per-round clearing is a single epoch increment; linear
-// probing treats stale slots as empty, which is sound because an epoch
-// bump invalidates every slot at once. Unlike a Go map it never hashes
-// strings, never allocates per insert, and keeps O(1) reset.
+// pairTable is an epoch-stamped open-addressing hash table keyed by a
+// packed 64-bit pair. The engine's two per-round (u,v) sets use it as a
+// set (has/set) and the per-query list memo as a map to an int32
+// (lookup/put). A slot is live when its stamp equals the current epoch,
+// so clearing is a single epoch increment; linear probing treats stale
+// slots as empty, which is sound because an epoch bump invalidates every
+// slot at once. Key, stamp and value share one 16-byte slot, so a probe
+// touches one cache line. Unlike a Go map it never hashes strings, never
+// allocates per insert, and resets in O(1).
 type pairTable struct {
-	keys  []uint64
-	stamp []int32
+	slots []pairSlot
 	epoch int32
 	live  int // slots claimed this epoch, to trigger growth at 1/2 load
+}
+
+type pairSlot struct {
+	key   uint64
+	stamp int32
+	val   int32
 }
 
 func packPair(k pairKey) uint64 {
@@ -194,146 +215,117 @@ func (t *pairTable) reset(hint int) {
 	for want < 2*hint && want < maxTableEntries {
 		want <<= 1
 	}
-	if len(t.keys) < want || len(t.keys) > maxTableEntries {
-		t.keys = make([]uint64, want)
-		t.stamp = make([]int32, want)
+	if len(t.slots) < want || len(t.slots) > maxTableEntries {
+		t.slots = make([]pairSlot, want)
 		t.epoch = 0
 	}
 	if t.epoch == math.MaxInt32 {
-		clear(t.stamp)
+		clear(t.slots)
 		t.epoch = 0
 	}
 	t.epoch++
 	t.live = 0
 }
 
-func (t *pairTable) has(k pairKey) bool {
-	key := packPair(k)
-	mask := uint64(len(t.keys) - 1)
+// lookup returns the value stored under key this epoch.
+func (t *pairTable) lookup(key uint64) (int32, bool) {
+	mask := uint64(len(t.slots) - 1)
 	for i := pairHash(key) & mask; ; i = (i + 1) & mask {
-		if t.stamp[i] != t.epoch {
-			return false
+		s := &t.slots[i]
+		if s.stamp != t.epoch {
+			return 0, false
 		}
-		if t.keys[i] == key {
-			return true
+		if s.key == key {
+			return s.val, true
 		}
 	}
 }
 
-func (t *pairTable) set(k pairKey) {
-	if 2*t.live >= len(t.keys) {
+// put stores val under key; a key already present keeps its first value
+// (the engine never overwrites: sets ignore the value, the memo records a
+// list once).
+func (t *pairTable) put(key uint64, val int32) {
+	if 2*t.live >= len(t.slots) {
 		t.grow()
 	}
-	t.insert(packPair(k))
-}
-
-func (t *pairTable) insert(key uint64) {
-	mask := uint64(len(t.keys) - 1)
+	mask := uint64(len(t.slots) - 1)
 	for i := pairHash(key) & mask; ; i = (i + 1) & mask {
-		if t.stamp[i] != t.epoch {
-			t.stamp[i] = t.epoch
-			t.keys[i] = key
+		s := &t.slots[i]
+		if s.stamp != t.epoch {
+			*s = pairSlot{key: key, stamp: t.epoch, val: val}
 			t.live++
 			return
 		}
-		if t.keys[i] == key {
+		if s.key == key {
 			return
 		}
 	}
 }
 
-// grow doubles the table mid-round, re-inserting the live epoch's entries.
+// grow doubles the table mid-epoch, re-inserting the live entries.
 func (t *pairTable) grow() {
-	oldKeys, oldStamp, oldEpoch := t.keys, t.stamp, t.epoch
-	t.keys = make([]uint64, 2*len(oldKeys))
-	t.stamp = make([]int32, 2*len(oldStamp))
+	old, oldEpoch := t.slots, t.epoch
+	t.slots = make([]pairSlot, 2*len(old))
 	t.epoch = 1
 	t.live = 0
-	for i, s := range oldStamp {
-		if s == oldEpoch {
-			t.insert(oldKeys[i])
+	for _, s := range old {
+		if s.stamp == oldEpoch {
+			t.put(s.key, s.val)
 		}
 	}
 }
 
-// pairStamp is an epoch-stamped set of (pattern node, data node) pairs.
-// Membership is stamp[u·n+v] == epoch; clearing is epoch++. When the
-// dense array would be too large (|Q|·|V| > maxStampEntries) it switches
-// to the open-addressing pairTable, so even multi-million-node graphs ×
-// wide patterns stay on the allocation-free path. The dense array and the
-// table keep separate epoch counters: dense reallocation resets only the
-// dense epoch, so stale table entries from earlier queries can never
-// collide with a fresh epoch (and vice versa).
-type pairStamp struct {
-	n        int
-	stamp    []int32
-	epoch    int32
-	live     int // pairs stamped this epoch (dense path; the table counts its own)
-	table    pairTable
-	useTable bool
+func (t *pairTable) has(k pairKey) bool {
+	_, ok := t.lookup(packPair(k))
+	return ok
 }
 
-// reset prepares the stamp for a pattern of nq nodes over n data nodes
-// and empties it; hint estimates how many distinct pairs the round may
-// stamp (used to size the table in the huge-graph regime).
-func (s *pairStamp) reset(nq, n, hint int) {
-	need := nq * n
-	if s.useTable = need > maxStampEntries || need < 0; s.useTable {
-		s.table.reset(hint)
-		return
-	}
-	s.n = n
-	if need > len(s.stamp) {
-		s.stamp = make([]int32, need)
-		s.epoch = 0
-	}
-	if s.epoch == math.MaxInt32 {
-		clear(s.stamp)
-		s.epoch = 0
-	}
-	s.epoch++
-	s.live = 0
+func (t *pairTable) set(k pairKey) { t.put(packPair(k), 0) }
+
+// listKey packs the memo key of v's dir-adjacency list filtered for query
+// node target.
+func listKey(v graph.NodeID, target pattern.NodeID, dir graph.Direction) uint64 {
+	return uint64(uint32(target)<<1|uint32(dir))<<32 | uint64(uint32(v))
 }
 
-// count returns how many pairs are live this epoch. Both engine call
-// sites probe has() before set(), so the dense path can count sets
-// directly without re-checking membership.
-func (s *pairStamp) count() int {
-	if s.useTable {
-		return s.table.live
-	}
-	return s.live
-}
-
-func (s *pairStamp) has(k pairKey) bool {
-	if s.useTable {
-		return s.table.has(k)
-	}
-	return s.stamp[int(k.u)*s.n+int(k.v)] == s.epoch
-}
-
-func (s *pairStamp) set(k pairKey) {
-	if s.useTable {
-		s.table.set(k)
-		return
-	}
-	s.stamp[int(k.u)*s.n+int(k.v)] = s.epoch
-	s.live++
+// memoList is one memoized adjacency list: its guard-passing neighbors
+// are arena[off:off+n], in adjacency order; the guard rejected the rest.
+type memoList struct {
+	off, n int32
 }
 
 // Scratch carries every transient buffer a reduction run needs. A zero
 // Scratch is ready to use; reuse across runs (on the same graph) makes the
 // engine allocation-free in steady state. Not safe for concurrent use.
 type Scratch struct {
-	onStack  pairStamp
-	expanded pairStamp
+	onStack  pairTable // pairs pushed this round
+	expanded pairTable // pairs expanded this round
 	stack    []pairKey
-	cands    []scored
+	cands    []scored        // the top-b of the list being picked
 	plabels  []graph.LabelID // pattern labels resolved to the graph's ids
+
+	// The per-query list memo: memo maps listKey to an index into lists;
+	// arena holds every list's candidates, w being the potential p(v,u).
+	memo  pairTable
+	lists []memoList
+	arena []scored
 }
 
 // NewScratch returns an empty Scratch.
 func NewScratch() *Scratch { return &Scratch{} }
+
+// resetMemo empties the list memo for a new query, dropping an arena or
+// list index that a hub-heavy query grew beyond the pair tables' own cap.
+func (sc *Scratch) resetMemo(hint int) {
+	sc.memo.reset(hint)
+	sc.lists, sc.arena = sc.lists[:0], sc.arena[:0]
+	if cap(sc.lists) > maxTableEntries {
+		sc.lists = nil
+	}
+	if cap(sc.arena) > maxTableEntries {
+		sc.arena = nil
+	}
+}
 
 type engine struct {
 	g    *graph.Graph
@@ -345,6 +337,7 @@ type engine struct {
 
 	frag        *graph.Fragment
 	sc          *Scratch
+	br          *spanTracer     // round-span bridge; nil unless Options.Obs is set
 	plabels     []graph.LabelID // aliases sc.plabels; plabels[u] = g's id of p's label of u
 	budget      int
 	visitBudget int
@@ -376,6 +369,25 @@ func (e *engine) stopVisit() bool {
 		return true
 	}
 	return false
+}
+
+// charge accounts n examined data items in one step — a replayed list —
+// and reports whether it did. It refuses, charging nothing, when the n
+// visits would drain the visit budget or cross an interrupt.Stride
+// boundary with Options.Interrupt closed: the caller then scans the list
+// item by item, so the search stops at exactly the visit a scan-every-
+// round engine stops at, within one stride of charged visits.
+func (e *engine) charge(n int) bool {
+	end := e.visited + n
+	if end > e.visitBudget {
+		return false
+	}
+	if e.opts.Interrupt != nil && end/interrupt.Stride != e.visited/interrupt.Stride &&
+		interrupt.Fired(e.opts.Interrupt) {
+		return false
+	}
+	e.visited = end
+	return true
 }
 
 // stopped reports whether a visit budget or a cancellation already ended
@@ -437,6 +449,7 @@ func SearchInto(aux *graph.Aux, p *pattern.Pattern, labels []graph.LabelID, vp g
 		opts: opts,
 		frag: frag,
 		sc:   sc,
+		br:   br,
 		vp:   vp,
 	}
 	e.budget = int(opts.Alpha * float64(g.Size()))
@@ -492,22 +505,23 @@ func (e *engine) run(vp graph.NodeID) {
 	if e.budget < 1 {
 		return
 	}
-	nq, n := e.p.NumNodes(), e.g.NumNodes()
+	// The table hint tracks the size budget: a round stamps roughly one
+	// stack pair per fragment item it can afford, and expands about as many
+	// lists (growth covers the overshoot).
+	hint := e.budget + 1
+	e.sc.resetMemo(hint)
 	for {
 		e.stats.Rounds++
 		e.emit(EventRound, 0, 0, 0)
-		// The table hint tracks the size budget: a round stamps roughly one
-		// stack pair per fragment item it can afford (growth covers the
-		// overshoot from guard-rejected pushes).
-		e.sc.onStack.reset(nq, n, e.budget+1)
-		e.sc.expanded.reset(nq, n, e.budget+1)
+		e.sc.onStack.reset(hint)
+		e.sc.expanded.reset(hint)
 		e.stack = e.stack[:0]
 		e.changed = false
 		e.push(pairKey{e.p.Personalized(), vp})
 		e.round()
 		// Capture the round's live pairs before the next reset wipes them:
 		// onStack dominates expanded (every expanded pair was pushed first).
-		if hw := e.sc.onStack.count(); hw > e.stats.PairHighWater {
+		if hw := e.sc.onStack.live; hw > e.stats.PairHighWater {
 			e.stats.PairHighWater = hw
 		}
 		if e.exhausted || e.stopped() || !e.changed {
@@ -540,7 +554,8 @@ func (e *engine) round() {
 		e.emit(EventPop, k.u, k.v, 0)
 		// Line 5: add v to G_Q if absent and affordable.
 		if !e.frag.Contains(k.v) {
-			inc := 1 + e.frag.InducedEdgeCost(k.v)
+			cost := e.frag.InducedEdgeCost(k.v)
+			inc := 1 + cost
 			if e.frag.Size()+inc > e.budget {
 				// Cannot afford this node; the budget is effectively
 				// consumed for anything of this or larger footprint.
@@ -548,7 +563,7 @@ func (e *engine) round() {
 				e.emit(EventBudgetStop, k.u, k.v, 0)
 				continue
 			}
-			e.frag.Add(k.v)
+			e.frag.AddCost(k.v, cost)
 			e.changed = true
 			e.emit(EventAdd, k.u, k.v, float64(inc))
 			if e.frag.Size() >= e.budget {
@@ -597,25 +612,29 @@ func scoredLess(a, b scored) bool {
 	return a.v < b.v
 }
 
-// selectTop moves the lim best-ranked candidates (per scoredLess) to
-// cands[:lim] in ranked order. O(lim·len): the fairness bound keeps lim
-// small (it starts at 2), so this beats a full sort of the frontier and
-// involves no reflection.
-func selectTop(cands []scored, lim int) {
-	for i := 0; i < lim; i++ {
-		best := i
-		for j := i + 1; j < len(cands); j++ {
-			if scoredLess(cands[j], cands[best]) {
-				best = j
-			}
-		}
-		cands[i], cands[best] = cands[best], cands[i]
+// insertTop inserts c into top — the at most lim best-ranked candidates
+// seen so far, in ranked order — dropping the worst when full. O(lim) per
+// candidate and usually O(1): the fairness bound keeps lim small (it
+// starts at 2), so this beats a full sort of the frontier and involves no
+// reflection.
+func insertTop(top []scored, c scored, lim int) []scored {
+	if len(top) < lim {
+		top = append(top, c)
+	} else if scoredLess(c, top[lim-1]) {
+		top[lim-1] = c
+	} else {
+		return top
 	}
+	for i := len(top) - 1; i > 0 && scoredLess(top[i], top[i-1]); i-- {
+		top[i], top[i-1] = top[i-1], top[i]
+	}
+	return top
 }
 
 // pick is procedure Pick of Fig. 3: rank the dir-neighbors of v that pass
 // the guarded condition for query node target, and push the top-b onto the
-// stack, best last (so the best is popped first).
+// stack, best last (so the best is popped first). The guarded neighbors
+// come from the list memo when an earlier round already scanned this list.
 func (e *engine) pick(v graph.NodeID, target pattern.NodeID, dir graph.Direction) {
 	// The personalized node is pinned: its only admissible candidate is
 	// v_p (Section 2 fixes (u_p, v_p) in every match relation). A single
@@ -641,50 +660,80 @@ func (e *engine) pick(v graph.NodeID, target pattern.NodeID, dir graph.Direction
 	} else {
 		neigh = e.g.In(v)
 	}
-	cands := e.sc.cands[:0]
-	for _, w := range neigh {
-		if e.stopVisit() {
-			e.sc.cands = cands[:0]
-			e.emit(e.stopKind(), target, w, 0)
-			return
+	var list []scored // the guarded neighbors, c.w holding the potential
+	key := listKey(v, target, dir)
+	if li, ok := e.sc.memo.lookup(key); ok && e.charge(len(neigh)) {
+		l := e.sc.lists[li]
+		list = e.sc.arena[l.off : l.off+l.n]
+		if e.br != nil {
+			e.br.rejects += int64(len(neigh) - len(list))
 		}
-		if e.sc.onStack.has(pairKey{target, w}) {
+	} else if list, ok = e.scan(neigh, target, key); !ok {
+		return
+	}
+	// p/(c+1) never exceeds the potential p the memo holds in c.w, so once
+	// b candidates are ranked, one whose potential does not outrank the
+	// b-th is out without pricing c(v,u) against the fragment.
+	prune := e.opts.Strategy == WeightPotentialCost
+	top := e.sc.cands[:0]
+	for _, c := range list {
+		if prune && len(top) == e.bound && !scoredLess(c, top[e.bound-1]) {
 			continue
 		}
-		if !e.guard(w, target) {
+		if e.sc.onStack.has(pairKey{target, c.v}) {
+			continue
+		}
+		c.w = e.weight(c, target)
+		top = insertTop(top, c, e.bound)
+	}
+	// Push in reverse so the best-ranked candidate ends on top.
+	for i := len(top) - 1; i >= 0; i-- {
+		e.emit(EventPush, target, top[i].v, top[i].w)
+		e.push(pairKey{target, top[i].v})
+	}
+	e.sc.cands = top[:0]
+}
+
+// scan reads one adjacency list item by item: label first (most neighbors
+// fail it, and it touches nothing but the label array), then the guarded
+// condition. It appends the survivors to the arena, memoizes the list under
+// key (a list charge refused to replay keeps its first record) and returns
+// them, or false if the search stopped mid-scan.
+func (e *engine) scan(neigh []graph.NodeID, target pattern.NodeID, key uint64) ([]scored, bool) {
+	want := e.plabels[target]
+	off := len(e.sc.arena)
+	for _, w := range neigh {
+		if e.stopVisit() {
+			e.sc.arena = e.sc.arena[:off]
+			e.emit(e.stopKind(), target, w, 0)
+			return nil, false
+		}
+		if e.g.LabelOf(w) != want || !(e.opts.DisableGuard || e.sem.Guard(w, target)) {
 			e.emit(EventGuardReject, target, w, 0)
 			continue
 		}
-		cands = append(cands, scored{w, int32(e.g.Degree(w)), e.weight(w, target)})
+		c := scored{v: w, deg: int32(e.g.Degree(w))}
+		if e.opts.Strategy == WeightPotentialCost {
+			c.w = e.sem.Potential(w, target)
+		}
+		e.sc.arena = append(e.sc.arena, c)
 	}
-	lim := len(cands)
-	if lim > e.bound {
-		lim = e.bound
-	}
-	selectTop(cands, lim)
-	// Push in reverse so the best-ranked candidate ends on top.
-	for i := lim - 1; i >= 0; i-- {
-		e.emit(EventPush, target, cands[i].v, cands[i].w)
-		e.push(pairKey{target, cands[i].v})
-	}
-	e.sc.cands = cands[:0]
+	list := e.sc.arena[off:]
+	e.sc.memo.put(key, int32(len(e.sc.lists)))
+	e.sc.lists = append(e.sc.lists, memoList{int32(off), int32(len(list))})
+	return list, true
 }
 
-func (e *engine) guard(v graph.NodeID, u pattern.NodeID) bool {
-	if e.opts.DisableGuard {
-		return e.g.LabelOf(v) == e.plabels[u]
-	}
-	return e.sem.Guard(v, u)
-}
-
-func (e *engine) weight(v graph.NodeID, u pattern.NodeID) float64 {
+// weight ranks a guarded candidate c (c.w holding its potential) for query
+// node u against the current fragment.
+func (e *engine) weight(c scored, u pattern.NodeID) float64 {
 	switch e.opts.Strategy {
 	case WeightDegree:
-		return float64(e.g.Degree(v))
+		return float64(c.deg)
 	case WeightRandom:
 		return e.rng.Float64()
 	default:
-		return e.sem.Potential(v, u) / (e.cost(v, u) + 1)
+		return c.w / (e.cost(c.v, u) + 1)
 	}
 }
 

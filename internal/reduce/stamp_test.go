@@ -1,6 +1,7 @@
 package reduce
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -8,44 +9,38 @@ import (
 	"rbq/internal/pattern"
 )
 
-// The dense array and the open-addressing table of pairStamp must not
-// share epoch state: a wide pattern (table) followed by a narrow one
-// (dense, possibly reallocating) followed by another wide one must never
-// see entries from the first query.
-func TestPairStampTableDenseTransitions(t *testing.T) {
-	var s pairStamp
+// A table that served one query as a set and the next as the list memo
+// (or the reverse — pooled Scratches are recycled across patterns) must
+// never show the earlier epoch's entries, and an epoch counter about to
+// wrap must clear the slots instead of resurrecting stale stamps.
+func TestPairTableResetHidesEarlierEpochs(t *testing.T) {
+	var tab pairTable
 	k := pairKey{u: pattern.NodeID(3), v: graph.NodeID(12345)}
-
-	// Wide pattern: exceeds the dense cap, takes the table.
-	s.reset(2, maxStampEntries, 8) // 2 * cap > cap
-	if !s.useTable {
-		t.Fatal("expected the pair table for an oversized stamp")
-	}
-	s.set(k)
-	if !s.has(k) {
+	tab.reset(8)
+	tab.set(k)
+	if !tab.has(k) {
 		t.Fatal("pair table lost an entry within one round")
 	}
-
-	// Narrow pattern: dense path, forces a (re)allocation with epoch reset.
-	s.reset(2, 1<<10, 8)
-	if s.useTable {
-		t.Fatal("expected dense stamp for a small pattern")
-	}
-	if s.has(pairKey{u: 1, v: 5}) {
-		t.Fatal("fresh dense stamp reports a member")
-	}
-
-	// Wide again: the table's old entries must be invisible.
-	s.reset(2, maxStampEntries, 8)
-	if s.has(k) {
-		t.Fatalf("stale pair-table entry survived a dense interlude")
-	}
-
-	// And per-round clearing still works in table mode.
-	s.set(k)
-	s.reset(2, maxStampEntries, 8)
-	if s.has(k) {
+	tab.reset(8)
+	if tab.has(k) {
 		t.Fatal("pair-table entry survived a round reset")
+	}
+	tab.put(packPair(k), 41)
+	tab.put(packPair(k), 42) // first value wins
+	if v, ok := tab.lookup(packPair(k)); !ok || v != 41 {
+		t.Fatalf("lookup = %d, %v; want 41, true", v, ok)
+	}
+	tab.epoch = math.MaxInt32
+	tab.slots[0].stamp = 1 // a stale slot the wrapped epoch would collide with
+	tab.reset(8)
+	if tab.epoch != 1 || tab.slots[0].stamp != 0 || tab.has(k) {
+		t.Fatalf("epoch wrap did not clear the table: epoch %d", tab.epoch)
+	}
+	// A table grown past the cap is not kept.
+	tab.slots = make([]pairSlot, 2*maxTableEntries)
+	tab.reset(8)
+	if len(tab.slots) != minTableEntries {
+		t.Fatalf("oversized table kept %d slots across a reset", len(tab.slots))
 	}
 }
 

@@ -22,7 +22,13 @@ const (
 	// EventPush is a candidate pushed by Pick (Weight carries its rank
 	// weight).
 	EventPush
-	// EventGuardReject is a candidate discarded by the guarded condition.
+	// EventGuardReject is a neighbor discarded by the guarded condition
+	// (label test included). It is emitted while an adjacency list is
+	// scanned, which happens once per list and query: a later round that
+	// replays the list from the memo repeats none of these events, and
+	// carries the list's reject count straight into its "round" span's
+	// guard_rejects instead. A scan the visit budget or a cancellation
+	// cuts short emits the rejects it got to, then the stop event.
 	EventGuardReject
 	// EventBudgetStop reports the size budget halting the search.
 	EventBudgetStop
@@ -57,8 +63,9 @@ func (k EventKind) String() string {
 
 // Event is one step of the dynamic reduction, reported when
 // Options.Trace is set. It makes the paper's Example 4 walk-through
-// observable: every pop, guarded rejection, ranked push and fragment
-// insertion appears in order.
+// observable: every pop, ranked push and fragment insertion appears in
+// order, and every guarded rejection the first time its list is read
+// (see EventGuardReject).
 type Event struct {
 	Kind   EventKind
 	U      pattern.NodeID // query node involved (when applicable)

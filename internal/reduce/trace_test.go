@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rbq/internal/graph"
+	"rbq/internal/obs"
 )
 
 func TestTraceEventOrder(t *testing.T) {
@@ -130,5 +131,50 @@ func TestNoTraceNoOverheadPath(t *testing.T) {
 	f2, s2 := Search(aux, p, h, labelSemantics{g, p}, Options{Alpha: 1.0, Trace: func(Event) {}})
 	if f1.Size() != f2.Size() || s1.Visited != s2.Visited {
 		t.Fatal("tracing changed the search")
+	}
+}
+
+// Per-neighbor guard-reject events belong to a list's first scan: a later
+// round replays the memoized list, emits none of them again, and still
+// reports the full count in its round span.
+func TestTraceGuardRejectsOnFirstScanOnly(t *testing.T) {
+	// P -> 6 C children and 5 X children: three rounds (b = 2, 3, 4) each
+	// pick over the hub's 11 neighbors, 5 of which the guard rejects.
+	b := graph.NewBuilder(12, 11)
+	h := b.AddNode("P")
+	for i := 0; i < 6; i++ {
+		b.AddEdge(h, b.AddNode("C"))
+	}
+	for i := 0; i < 5; i++ {
+		b.AddEdge(h, b.AddNode("X"))
+	}
+	g := b.Build()
+	aux := graph.BuildAux(g)
+	p := chainPattern(t, "P", "C")
+
+	root := obs.StartSpan("test")
+	rejectsInRound := map[int]int{}
+	_, stats := Search(aux, p, h, labelSemantics{g, p}, Options{
+		Alpha: 1.0, MaxBound: 4, Obs: root,
+		Trace: func(e Event) {
+			if e.Kind == EventGuardReject {
+				rejectsInRound[e.Bound]++
+			}
+		},
+	})
+	if stats.Rounds != 3 {
+		t.Fatalf("fixture ran %d rounds, want 3: %+v", stats.Rounds, stats)
+	}
+	if len(rejectsInRound) != 1 || rejectsInRound[2] != 5 {
+		t.Fatalf("guard-reject events per bound = %v, want 5 in the first round (b=2) only", rejectsInRound)
+	}
+	rounds := root.Find(obs.PhaseReduce).Children
+	if len(rounds) != 3 {
+		t.Fatalf("%d round spans, want 3", len(rounds))
+	}
+	for i, r := range rounds {
+		if n, _ := r.Counter("guard_rejects"); n != 5 {
+			t.Fatalf("round %d span: guard_rejects = %d, want 5 (replays carry the count)", i+1, n)
+		}
 	}
 }

@@ -193,6 +193,17 @@ func TestParallelRaceHammer(t *testing.T) {
 			}
 		}
 	}()
+	// The mutator's ops are valid by construction, however many steps it
+	// gets through before Close: step 2k adds an edge absent from the
+	// fixture and step 2k+1 deletes it again, so the graph is back at its
+	// base state before the next fresh edge is drawn.
+	var fresh [][2]NodeID
+	for i := 0; len(fresh) < 64; i++ {
+		from, to := pins[i%len(pins)], NodeID(i%g.NumNodes())
+		if from != to && !g.HasEdge(from, to) {
+			fresh = append(fresh, [2]NodeID{from, to})
+		}
+	}
 	wg.Add(1)
 	go func() { // mutator: Apply churns, Compact races the readers
 		defer wg.Done()
@@ -202,7 +213,12 @@ func TestParallelRaceHammer(t *testing.T) {
 				return
 			default:
 			}
-			err := db.Apply([]Op{AddEdge(pins[i%len(pins)], NodeID(i%g.NumNodes()))})
+			e := fresh[i/2%len(fresh)]
+			op := AddEdge(e[0], e[1])
+			if i%2 == 1 {
+				op = DelEdge(e[0], e[1])
+			}
+			err := db.Apply([]Op{op})
 			if err == nil && i%7 == 0 {
 				err = db.Compact()
 			}

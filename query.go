@@ -124,8 +124,9 @@ type Request struct {
 	// same discipline as the interrupt probes).
 	WantTrace bool
 	// Tracer, when non-nil, receives the dynamic reduction's raw event
-	// stream (every pop, guarded rejection, ranked push and fragment
-	// insertion, in order — the paper's Example 4 made observable; see
+	// stream (every pop, ranked push and fragment insertion, in order,
+	// and every guarded rejection the first time its adjacency list is
+	// read — the paper's Example 4 made observable; see
 	// reduce.WriteTracer for a textual renderer). The tracer runs inline
 	// with the search, so it requires a serial evaluation: Bounded or
 	// Unanchored mode with Parallelism ≤ 1, and no batch entry points.
