@@ -199,7 +199,9 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, shutdown 
 	}
 
 	// Graceful shutdown, phase one: mark draining so keep-alive clients
-	// get 503 + Connection: close; phase two: let the HTTP server drain
+	// get 503 + Connection: close — which also writes out the batched
+	// access log and turns batching off, so the log is complete when the
+	// files close below; phase two: let the HTTP server drain
 	// in-flight handlers (each holds its admission slot until its
 	// evaluation finishes); phase three: close the DB — its final fsync
 	// is part of the durability contract, so a failure flips the exit.

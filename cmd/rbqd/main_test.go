@@ -154,6 +154,60 @@ func TestDaemonRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDaemonAccessLogCompleteAfterShutdown: the access log is written in
+// batches, so the last requests before a shutdown are still in memory
+// when the signal arrives — the drain must write them out before the
+// daemon closes the file.
+func TestDaemonAccessLogCompleteAfterShutdown(t *testing.T) {
+	g := writeGraphFile(t)
+	logPath := filepath.Join(t.TempDir(), "access.log")
+	base, stop := startDaemon(t, []string{"-graph", g, "-access-log", logPath})
+
+	body, _ := json.Marshal(server.QueryRequest{Pattern: patText, Alpha: 0.9})
+	const n = 20
+	for i := 0; i < n; i++ {
+		req, err := http.NewRequest(http.MethodPost, base+server.RouteQuery, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(server.RequestIDHeader, fmt.Sprintf("req-%d", i))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("query %d: status %d", i, resp.StatusCode)
+		}
+	}
+	// Straight away: well inside the log's flush interval.
+	if code, output := stop(); code != 0 {
+		t.Fatalf("exit %d, output:\n%s", code, output)
+	}
+	data, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	if len(lines) != n {
+		t.Fatalf("%d access-log lines after shutdown, want %d:\n%s", len(lines), n, data)
+	}
+	for i, line := range lines {
+		var entry struct {
+			RequestID string `json:"request_id"`
+			Route     string `json:"route"`
+			Code      int    `json:"code"`
+		}
+		if err := json.Unmarshal([]byte(line), &entry); err != nil {
+			t.Fatalf("line %d is not JSON: %v\n%s", i, err, line)
+		}
+		if entry.RequestID != fmt.Sprintf("req-%d", i) || entry.Route != server.RouteQuery || entry.Code != http.StatusOK {
+			t.Fatalf("line %d = %s", i, line)
+		}
+	}
+}
+
 // TestDaemonDurableShutdownLosesNothing: every /v1/apply batch acked
 // with 200 before a graceful shutdown must be present after reopening
 // the database directory — the acceptance criterion for the drain path.

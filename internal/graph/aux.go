@@ -26,10 +26,13 @@ type LabelCount struct {
 // each sorted by label for binary search. Build time and space are O(|G|);
 // construction is parallelized across node ranges.
 //
-// Aux also owns the per-query scratch pools (see ScratchPool) that the
-// query engines draw on to stay allocation-free in steady state. The
-// histograms themselves are immutable after BuildAux, so an Aux may be
-// shared freely across goroutines.
+// Aux also carries the per-query scratch pools (see ScratchPool) that
+// the query engines draw on to stay allocation-free in steady state. The
+// pools belong to a lineage, not to one Aux: a base Aux, the PatchedFor
+// views sealed over it and the CompactIncremental base that succeeds it
+// all share one set, so publishing a snapshot costs readers no scratch.
+// The histograms themselves are immutable after BuildAux, so an Aux may
+// be shared freely across goroutines.
 type Aux struct {
 	g        *Graph
 	outStart []int32
@@ -46,8 +49,12 @@ type Aux struct {
 	// binding a Semantics costs a pointer copy, not a struct copy.
 	hists Hists
 
-	pools [scratchSlots]sync.Pool
+	pools *scratchPools
 }
+
+// scratchPools is one lineage's pool set, shared by pointer (a sync.Pool
+// must not be copied).
+type scratchPools [scratchSlots]sync.Pool
 
 // Scratch pool slots. Each engine package claims one slot and stores
 // exactly one concrete type in it, so a Get either yields a warm scratch
@@ -64,7 +71,13 @@ const (
 
 // ScratchPool returns the per-query scratch pool for slot. Pools are safe
 // for concurrent use; a value obtained from a pool is owned by the calling
-// goroutine until it is Put back.
+// goroutine until it is Put back. The value may last have served another
+// snapshot of the lineage — a graph with fewer or more nodes — so pooled
+// scratch is graph-agnostic: anything in it sized by |V| is re-bound to
+// the borrower's graph and grown on demand (Fragment.Rebind,
+// Graph.CSRInto), and epoch-stamped so stale contents never read as set.
+// The pools outlive each snapshot of the lineage, so a value must be Put
+// back holding no reference to a Graph or an Aux (Fragment.Release).
 func (a *Aux) ScratchPool(slot int) *sync.Pool { return &a.pools[slot] }
 
 // auxSerialCutoff is the node count below which BuildAux runs serially:
@@ -82,6 +95,7 @@ func BuildAux(g *Graph) *Aux {
 		g:        g,
 		outStart: make([]int32, n+1),
 		inStart:  make([]int32, n+1),
+		pools:    new(scratchPools),
 	}
 	workers := runtime.GOMAXPROCS(0)
 	if n < auxSerialCutoff || workers < 2 {

@@ -212,6 +212,7 @@ func CompactIncremental(view *Graph, aux *Aux, spliceFrac float64) (*Graph, *Aux
 		g:        ng,
 		outStart: make([]int32, n+1),
 		inStart:  make([]int32, n+1),
+		pools:    aux.pools, // the spliced base continues the lineage
 	}
 	na.outHist = spliceHist(aux.outStart, aux.outHist, ov, aux.ov.outHist, na.outStart)
 	na.inHist = spliceHist(aux.inStart, aux.inHist, ov, aux.ov.inHist, na.inStart)

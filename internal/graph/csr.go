@@ -89,9 +89,11 @@ func (c *FragCSR) HasEdge(i, j int32) bool {
 // ascending, so matchers explore candidates in a deterministic order
 // independent of how the node list was produced.
 func (g *Graph) CSRInto(nodes []NodeID, c *FragCSR) {
-	// Refresh the epoch-stamped position index.
-	if len(c.pos) < g.NumNodes() {
-		c.pos = make([]uint64, g.NumNodes())
+	// Refresh the epoch-stamped position index. A pooled FragCSR serves
+	// successive snapshots of a growing graph: regrow with headroom, so
+	// that a node added per publish does not cost 8·|V| bytes per publish.
+	if n := g.NumNodes(); len(c.pos) < n {
+		c.pos = make([]uint64, n+n/8)
 		c.epoch = 0
 	}
 	c.epoch++

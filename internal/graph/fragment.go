@@ -14,9 +14,11 @@ package graph
 // Membership is a dense bitset over |V|, so Contains is a single word
 // probe with no hashing and no allocation. A fragment can be reused across
 // queries on the same parent via Reset, which clears only the bits of the
-// nodes it actually holds (O(|G_Q|), not O(|V|)); the per-query engine
-// pools of Aux rely on this to keep steady-state query evaluation
-// allocation-free. A Fragment is not safe for concurrent use.
+// nodes it actually holds (O(|G_Q|), not O(|V|)), and moved to another
+// graph via Rebind, which grows the bitset only when that graph has more
+// nodes; the per-query engine pools of Aux rely on both to keep
+// steady-state query evaluation allocation-free across snapshots. A
+// Fragment is not safe for concurrent use.
 type Fragment struct {
 	parent *Graph
 	member []uint64 // bitset over parent nodes
@@ -40,6 +42,25 @@ func (f *Fragment) Reset() {
 	}
 	f.order = f.order[:0]
 	f.edges = 0
+}
+
+// Rebind empties the fragment and makes it a subgraph of parent — any
+// graph, typically the next or previous snapshot of the one it last
+// served. The bitset is kept when it covers parent and regrown, with
+// headroom for the nodes later snapshots add, when it does not.
+func (f *Fragment) Rebind(parent *Graph) {
+	f.Reset()
+	f.parent = parent
+	if words := (parent.NumNodes() + 63) / 64; words > len(f.member) {
+		f.member = make([]uint64, words+words/8)
+	}
+}
+
+// Release empties the fragment and drops its parent, so that a pooled
+// fragment keeps no graph alive while idle; Rebind puts it back to use.
+func (f *Fragment) Release() {
+	f.Reset()
+	f.parent = nil
 }
 
 // Parent returns the graph this fragment is a subgraph of.

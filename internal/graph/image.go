@@ -468,6 +468,7 @@ func ReadImage(data []byte) (*Graph, *Aux, error) {
 		outHist:  auxOutHist,
 		inStart:  auxInStart,
 		inHist:   auxInHist,
+		pools:    new(scratchPools),
 	}
 	aux.hists = Hists{OutStart: aux.outStart, InStart: aux.inStart, OutHist: aux.outHist, InHist: aux.inHist}
 	return g, aux, nil

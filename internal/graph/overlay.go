@@ -294,9 +294,9 @@ func (g *Graph) WithOverlay(d OverlayDelta) (*Graph, error) {
 		ov.labelNodes[l] = append(ov.labelNodes[l], NodeID(baseN+i))
 	}
 
-	// The view shares the base arrays; pools start fresh (sync.Pool must
-	// not be copied), and the view's own degCount enables stacking a
-	// future Compact without a rescan.
+	// The view shares the base arrays; its traversal pools start fresh
+	// (sync.Pool must not be copied), and the view's own degCount enables
+	// stacking a future Compact without a rescan.
 	ng := &Graph{
 		labels:     g.labels,
 		labelNames: labelNames,
@@ -402,9 +402,9 @@ func (p *auxOverlay) inOf(a *Aux, v NodeID) []LabelCount {
 // the base histograms and overriding only the nodes the overlay
 // touched. view must have been produced by WithOverlay on the graph a
 // was built for. Patching is O(Σ degree of touched nodes); untouched
-// nodes keep reading the base arrays. The view owns fresh scratch
-// pools, so engines running against different snapshots never share
-// scratch sized for the wrong graph.
+// nodes keep reading the base arrays. The view shares a's scratch
+// pools (see ScratchPool): a reader of the new snapshot borrows the
+// scratch a reader of the previous one returned.
 func (a *Aux) PatchedFor(view *Graph) (*Aux, error) {
 	ov := view.ov
 	if ov == nil {
@@ -447,5 +447,6 @@ func (a *Aux) PatchedFor(view *Graph) (*Aux, error) {
 		inStart:  a.inStart,
 		inHist:   a.inHist,
 		ov:       p,
+		pools:    a.pools,
 	}, nil
 }

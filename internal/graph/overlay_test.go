@@ -311,3 +311,63 @@ func TestBallIntoInterruptibleStopsExtraction(t *testing.T) {
 		t.Fatal("closed channel did not abort the extraction")
 	}
 }
+
+// Scratch pools belong to the lineage: the patched view of a snapshot and
+// the spliced base that succeeds it hand out the base Aux's pools, and a
+// pooled Fragment or FragCSR moves between those graphs — smaller to
+// larger and back — without losing an answer.
+func TestScratchFollowsTheLineage(t *testing.T) {
+	g := randomBase(t, 200, 600, 6, 1)
+	aux := BuildAux(g)
+	view, err := g.WithOverlay(randomDelta(g, 40, 80, 20, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	patched, err := aux.PatchedFor(view)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base2, aux2, _, ok := CompactIncremental(view, patched, 1)
+	if !ok {
+		t.Fatal("CompactIncremental refused the pair")
+	}
+	for slot := 0; slot < scratchSlots; slot++ {
+		if patched.ScratchPool(slot) != aux.ScratchPool(slot) || aux2.ScratchPool(slot) != aux.ScratchPool(slot) {
+			t.Fatalf("slot %d: the view or the spliced base has pools of its own", slot)
+		}
+	}
+	if BuildAux(base2).ScratchPool(ScratchSim) == aux.ScratchPool(ScratchSim) {
+		t.Fatal("an unrelated BuildAux shares the lineage's pools")
+	}
+
+	frag := NewFragment(g)
+	var csr FragCSR
+	for round, h := range []*Graph{g, view, g, base2} {
+		frag.Rebind(h)
+		fresh := NewFragment(h)
+		if frag.Parent() != h || frag.Size() != 0 {
+			t.Fatalf("round %d: Rebind left parent %p size %d", round, frag.Parent(), frag.Size())
+		}
+		for v := h.NumNodes() - 1; v >= 0; v -= 3 { // the view's new nodes first
+			if frag.Contains(NodeID(v)) {
+				t.Fatalf("round %d: node %d is set in an empty fragment", round, v)
+			}
+			if got, want := frag.Add(NodeID(v)), fresh.Add(NodeID(v)); got != want {
+				t.Fatalf("round %d: Add(%d) = %d on the rebound fragment, %d on a fresh one", round, v, got, want)
+			}
+		}
+		frag.CSRInto(&csr)
+		var freshCSR FragCSR
+		fresh.CSRInto(&freshCSR)
+		if !reflect.DeepEqual(csr.Orig, freshCSR.Orig) || !reflect.DeepEqual(csr.OutAdj, freshCSR.OutAdj) ||
+			!reflect.DeepEqual(csr.InAdj, freshCSR.InAdj) || !reflect.DeepEqual(csr.Labels, freshCSR.Labels) {
+			t.Fatalf("round %d: the reused FragCSR differs from a fresh one", round)
+		}
+		if round%2 == 1 { // as a pooled scratch does between borrowers
+			frag.Release()
+			if frag.Parent() != nil || frag.Size() != 0 {
+				t.Fatalf("round %d: Release left parent %p size %d", round, frag.Parent(), frag.Size())
+			}
+		}
+	}
+}

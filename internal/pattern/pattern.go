@@ -11,9 +11,13 @@
 package pattern
 
 import (
+	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // NodeID identifies a query node; ids are dense 0..|V_p|-1.
@@ -98,40 +102,42 @@ func (p *Pattern) Diameter() int { return p.diam }
 // paper's notation (Table 1 lists d_Q and d separately).
 func (p *Pattern) UndirectedDiameter() int { return p.diam }
 
-func (p *Pattern) diameter(undirected bool) int {
-	n := p.NumNodes()
+func (p *Pattern) diameter(scratch []int32) int {
 	max := 0
-	dist := make([]int, n)
-	queue := make([]NodeID, 0, n)
-	for s := 0; s < n; s++ {
-		for i := range dist {
-			dist[i] = -1
+	for s := range p.labels {
+		if _, ecc := p.bfs(NodeID(s), scratch); ecc > max {
+			max = ecc
 		}
-		dist[s] = 0
-		queue = append(queue[:0], NodeID(s))
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			step := func(w NodeID) {
+	}
+	return max
+}
+
+// bfs walks the pattern from s by undirected hops. scratch has two slots
+// per query node: hop counts (-1 = unreachable) in the first half, the
+// visit queue in the second. It returns how many nodes it reached, s
+// included, and s's eccentricity among them.
+func (p *Pattern) bfs(s NodeID, scratch []int32) (reached, ecc int) {
+	n := len(p.labels)
+	dist, queue := scratch[:n], scratch[n:]
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[s] = 0
+	queue[0] = int32(s)
+	reached = 1
+	for head := 0; head < reached; head++ {
+		u := queue[head]
+		for _, neigh := range [2][]NodeID{p.out[u], p.in[u]} {
+			for _, w := range neigh {
 				if dist[w] < 0 {
 					dist[w] = dist[u] + 1
-					if dist[w] > max {
-						max = dist[w]
-					}
-					queue = append(queue, w)
-				}
-			}
-			for _, w := range p.out[u] {
-				step(w)
-			}
-			if undirected {
-				for _, w := range p.in[u] {
-					step(w)
+					queue[reached] = int32(w)
+					reached++
 				}
 			}
 		}
 	}
-	return max
+	return reached, int(dist[queue[reached-1]])
 }
 
 // Radius returns the eccentricity of the personalized node u_p under
@@ -140,61 +146,37 @@ func (p *Pattern) diameter(undirected bool) int {
 // Radius (<= d_Q) hops of v_p; algorithms may use it as a tighter traversal
 // bound than the full diameter.
 func (p *Pattern) Radius() int {
-	n := p.NumNodes()
-	dist := make([]int, n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[p.personalized] = 0
-	queue := []NodeID{p.personalized}
-	max := 0
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		step := func(w NodeID) {
-			if dist[w] < 0 {
-				dist[w] = dist[u] + 1
-				if dist[w] > max {
-					max = dist[w]
-				}
-				queue = append(queue, w)
-			}
-		}
-		for _, w := range p.out[u] {
-			step(w)
-		}
-		for _, w := range p.in[u] {
-			step(w)
-		}
-	}
-	return max
+	_, ecc := p.bfs(p.personalized, make([]int32, 2*len(p.labels)))
+	return ecc
 }
 
 // Connected reports whether every query node is reachable from u_p by
 // undirected hops. Disconnected patterns cannot be answered by a
 // personalized traversal; Validate rejects them.
 func (p *Pattern) Connected() bool {
-	seen := make([]bool, p.NumNodes())
-	seen[p.personalized] = true
-	queue := []NodeID{p.personalized}
-	count := 1
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, w := range append(append([]NodeID{}, p.out[u]...), p.in[u]...) {
-			if !seen[w] {
-				seen[w] = true
-				count++
-				queue = append(queue, w)
-			}
-		}
-	}
-	return count == p.NumNodes()
+	return p.connected(make([]int32, 2*len(p.labels)))
+}
+
+func (p *Pattern) connected(scratch []int32) bool {
+	reached, _ := p.bfs(p.personalized, scratch)
+	return reached == len(p.labels)
 }
 
 // Validate checks the structural requirements of Section 2: non-empty,
 // personalized and output nodes in range, and connectivity from u_p.
 func (p *Pattern) Validate() error {
+	if err := p.checkDesignated(); err != nil {
+		return err
+	}
+	if !p.Connected() {
+		return errNotConnected
+	}
+	return nil
+}
+
+var errNotConnected = errors.New("pattern: not connected from the personalized node")
+
+func (p *Pattern) checkDesignated() error {
 	if p.NumNodes() == 0 {
 		return fmt.Errorf("pattern: empty pattern")
 	}
@@ -203,9 +185,6 @@ func (p *Pattern) Validate() error {
 	}
 	if int(p.output) < 0 || int(p.output) >= p.NumNodes() {
 		return fmt.Errorf("pattern: output node %d out of range", p.output)
-	}
-	if !p.Connected() {
-		return fmt.Errorf("pattern: not connected from the personalized node")
 	}
 	return nil
 }
@@ -223,20 +202,34 @@ func (p *Pattern) String() string {
 }
 
 func (p *Pattern) render() string {
+	size := 0
+	for _, l := range p.labels {
+		size += len("node 123 *!\n") + len(l)
+	}
+	size += p.numEdges * len("edge 123 123\n")
 	var sb strings.Builder
-	for u := 0; u < p.NumNodes(); u++ {
-		marks := ""
+	sb.Grow(size)
+	var num [20]byte
+	for u, l := range p.labels {
+		sb.WriteString("node ")
+		sb.Write(strconv.AppendInt(num[:0], int64(u), 10))
+		sb.WriteByte(' ')
+		sb.WriteString(l)
 		if NodeID(u) == p.personalized {
-			marks += "*"
+			sb.WriteByte('*')
 		}
 		if NodeID(u) == p.output {
-			marks += "!"
+			sb.WriteByte('!')
 		}
-		fmt.Fprintf(&sb, "node %d %s%s\n", u, p.labels[u], marks)
+		sb.WriteByte('\n')
 	}
-	for u := 0; u < p.NumNodes(); u++ {
+	for u := range p.out {
 		for _, w := range p.out[u] {
-			fmt.Fprintf(&sb, "edge %d %d\n", u, w)
+			sb.WriteString("edge ")
+			sb.Write(strconv.AppendInt(num[:0], int64(u), 10))
+			sb.WriteByte(' ')
+			sb.Write(strconv.AppendInt(num[:0], int64(w), 10))
+			sb.WriteByte('\n')
 		}
 	}
 	return sb.String()
@@ -275,37 +268,69 @@ func (b *Builder) SetOutput(u NodeID) *Builder { b.output, b.hasO = u, true; ret
 
 // Build validates and returns the pattern.
 func (b *Builder) Build() (*Pattern, error) {
+	return b.build(append([]string(nil), b.labels...))
+}
+
+// build is Build with the label slice handed over: the pattern owns
+// labels, which holds b.labels' contents.
+func (b *Builder) build(labels []string) (*Pattern, error) {
+	n := len(labels)
+	adj := make([][]NodeID, 2*n)
 	p := &Pattern{
-		labels:       append([]string(nil), b.labels...),
-		out:          make([][]NodeID, len(b.labels)),
-		in:           make([][]NodeID, len(b.labels)),
+		labels:       labels,
+		out:          adj[:n:n],
+		in:           adj[n:],
 		personalized: b.personalized,
 		output:       b.output,
 	}
 	if !b.hasP || !b.hasO {
 		return nil, fmt.Errorf("pattern: personalized and output nodes are required")
 	}
-	seen := make(map[[2]NodeID]bool, len(b.edges))
+	// Adjacency as slices of two arenas, one per direction — no map, no
+	// per-node growth: count, carve, fill, then sort and dedupe each out
+	// list in place. Filling the in lists from the deduped out lists in
+	// ascending source order leaves them sorted and duplicate-free too.
+	// One scratch serves the degree counts here and the traversals below.
+	scratch := make([]int32, 2*n)
+	deg := scratch[:n]
 	for _, e := range b.edges {
-		if int(e[0]) >= len(b.labels) || int(e[1]) >= len(b.labels) || e[0] < 0 || e[1] < 0 {
+		if int(e[0]) >= n || int(e[1]) >= n || e[0] < 0 || e[1] < 0 {
 			return nil, fmt.Errorf("pattern: edge (%d,%d) out of range", e[0], e[1])
 		}
-		if seen[e] {
-			continue
-		}
-		seen[e] = true
+		deg[e[0]]++
+	}
+	arena := make([]NodeID, 2*len(b.edges))
+	outArena, inArena := arena[:len(b.edges)], arena[len(b.edges):]
+	for u, d := range deg {
+		p.out[u], outArena = outArena[:0:d], outArena[d:]
+	}
+	for _, e := range b.edges {
 		p.out[e[0]] = append(p.out[e[0]], e[1])
-		p.in[e[1]] = append(p.in[e[1]], e[0])
-		p.numEdges++
+	}
+	clear(deg)
+	for u := range p.out {
+		slices.Sort(p.out[u])
+		p.out[u] = slices.Compact(p.out[u])
+		p.numEdges += len(p.out[u])
+		for _, w := range p.out[u] {
+			deg[w]++
+		}
+	}
+	for w, d := range deg {
+		p.in[w], inArena = inArena[:0:d], inArena[d:]
 	}
 	for u := range p.out {
-		sort.Slice(p.out[u], func(i, j int) bool { return p.out[u][i] < p.out[u][j] })
-		sort.Slice(p.in[u], func(i, j int) bool { return p.in[u][i] < p.in[u][j] })
+		for _, w := range p.out[u] {
+			p.in[w] = append(p.in[w], NodeID(u))
+		}
 	}
-	if err := p.Validate(); err != nil {
+	if err := p.checkDesignated(); err != nil {
 		return nil, err
 	}
-	p.diam = p.diameter(true)
+	if !p.connected(scratch) {
+		return nil, errNotConnected
+	}
+	p.diam = p.diameter(scratch)
 	p.text = p.render()
 	return p, nil
 }
@@ -328,29 +353,34 @@ func (b *Builder) MustBuild() *Pattern {
 // be dense and ascending from 0. Blank lines and lines starting with # are
 // ignored.
 func Parse(text string) (*Pattern, error) {
-	b := NewBuilder()
-	for lineNo, line := range strings.Split(text, "\n") {
+	// Patterns are a dozen lines; size the builder once for the usual
+	// case and let a long text grow it.
+	hint := min(strings.Count(text, "\n")+1, 32)
+	b := &Builder{labels: make([]string, 0, hint), edges: make([][2]NodeID, 0, hint)}
+	for lineNo := 1; text != ""; lineNo++ {
+		var line string
+		line, text, _ = strings.Cut(text, "\n")
 		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
+		if line == "" || line[0] == '#' {
 			continue
 		}
-		fields := strings.Fields(line)
-		switch fields[0] {
+		directive, rest := nextField(line)
+		f1, rest := nextField(rest)
+		f2, rest := nextField(rest)
+		switch directive {
 		case "node":
-			if len(fields) != 3 {
-				return nil, fmt.Errorf("pattern: line %d: want 'node <id> <label>'", lineNo+1)
+			if f2 == "" || rest != "" {
+				return nil, fmt.Errorf("pattern: line %d: want 'node <id> <label>'", lineNo)
 			}
-			var id int
-			if _, err := fmt.Sscanf(fields[1], "%d", &id); err != nil {
-				return nil, fmt.Errorf("pattern: line %d: bad id %q", lineNo+1, fields[1])
+			id, err := strconv.Atoi(f1)
+			if err != nil {
+				return nil, fmt.Errorf("pattern: line %d: bad id %q", lineNo, f1)
 			}
-			label := fields[2]
-			isP := strings.Contains(label, "*")
-			isO := strings.Contains(label, "!")
-			label = strings.TrimRight(label, "*!")
-			u := b.AddNode(label)
+			isP := strings.Contains(f2, "*")
+			isO := strings.Contains(f2, "!")
+			u := b.AddNode(strings.TrimRight(f2, "*!"))
 			if int(u) != id {
-				return nil, fmt.Errorf("pattern: line %d: node ids must be dense and ascending (got %d, want %d)", lineNo+1, id, u)
+				return nil, fmt.Errorf("pattern: line %d: node ids must be dense and ascending (got %d, want %d)", lineNo, id, u)
 			}
 			if isP {
 				b.SetPersonalized(u)
@@ -359,22 +389,53 @@ func Parse(text string) (*Pattern, error) {
 				b.SetOutput(u)
 			}
 		case "edge":
-			if len(fields) != 3 {
-				return nil, fmt.Errorf("pattern: line %d: want 'edge <from> <to>'", lineNo+1)
+			if f2 == "" || rest != "" {
+				return nil, fmt.Errorf("pattern: line %d: want 'edge <from> <to>'", lineNo)
 			}
-			var u, w int
-			if _, err := fmt.Sscanf(fields[1], "%d", &u); err != nil {
-				return nil, fmt.Errorf("pattern: line %d: bad id %q", lineNo+1, fields[1])
+			u, err := strconv.ParseInt(f1, 10, 32)
+			if err != nil {
+				return nil, fmt.Errorf("pattern: line %d: bad id %q", lineNo, f1)
 			}
-			if _, err := fmt.Sscanf(fields[2], "%d", &w); err != nil {
-				return nil, fmt.Errorf("pattern: line %d: bad id %q", lineNo+1, fields[2])
+			w, err := strconv.ParseInt(f2, 10, 32)
+			if err != nil {
+				return nil, fmt.Errorf("pattern: line %d: bad id %q", lineNo, f2)
 			}
 			b.AddEdge(NodeID(u), NodeID(w))
 		default:
-			return nil, fmt.Errorf("pattern: line %d: unknown directive %q", lineNo+1, fields[0])
+			return nil, fmt.Errorf("pattern: line %d: unknown directive %q", lineNo, directive)
 		}
 	}
-	return b.Build()
+	return b.build(b.labels) // the builder is not used again
+}
+
+// nextField splits s, which has no leading white space, at its first run
+// of white space: the field before it and the remainder after it. White
+// space is unicode.IsSpace, as for strings.Fields; the bytes of a pattern
+// text are nearly all ASCII, which is tested inline.
+func nextField(s string) (field, rest string) {
+	end := len(s)
+	for i := 0; i < len(s); {
+		c, size := rune(s[i]), 1
+		if c >= utf8.RuneSelf {
+			c, size = utf8.DecodeRuneInString(s[i:])
+		}
+		if isSpace(c) {
+			if end == len(s) {
+				end = i // the field ends here; skip the rest of the run
+			}
+		} else if end < len(s) {
+			return s[:end], s[i:]
+		}
+		i += size
+	}
+	return s[:end], ""
+}
+
+func isSpace(c rune) bool {
+	if c < utf8.RuneSelf {
+		return c == ' ' || '\t' <= c && c <= '\r'
+	}
+	return unicode.IsSpace(c)
 }
 
 // WithPersonalized returns a copy of p whose personalized node is u (the

@@ -165,11 +165,31 @@ func TestParseErrors(t *testing.T) {
 		"node 0",               // short node
 		"node 0 A\nedge x y",   // non-numeric
 		"node zero A*!",        // non-numeric id
+		// Ids are whole decimal integers: what Sscanf("%d") let through —
+		// a number followed by junk, digit-group underscores, an edge id
+		// beyond int32 that wrapped onto a real node — is refused.
+		"node 0x A*!",
+		"node 0 A*!\nedge 0 0x",
+		"node 0 A*!\nedge 0_0 0",
+		"node 0 A*!\nedge 4294967296 0",
+		"node 0 A*! trailing", // four fields
 	}
 	for _, c := range cases {
 		if _, err := Parse(c); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", c)
 		}
+	}
+}
+
+// Fields split on any Unicode white space, runs of it included, as they
+// did under strings.Fields; signed ids still parse.
+func TestParseFieldSeparators(t *testing.T) {
+	p, err := Parse("  node\t0 \u00a0 A*\r\nnode +1\u2003B!\n\tedge\v0\f1  \n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.NumNodes() != 2 || p.NumEdges() != 1 || p.Label(0) != "A" || p.Label(1) != "B" || !p.HasEdge(0, 1) {
+		t.Fatalf("parsed %q", p.String())
 	}
 }
 
@@ -188,5 +208,19 @@ func TestStringContainsMarkers(t *testing.T) {
 	s := p.String()
 	if !strings.Contains(s, "Michael*") || !strings.Contains(s, "CL!") {
 		t.Fatalf("markers missing from:\n%s", s)
+	}
+}
+
+// BenchmarkParse times Parse on the (4,8) shape the serving benchmarks
+// send: what a template costs whenever the plan cache's text index cannot
+// answer for it.
+func BenchmarkParse(b *testing.B) {
+	text := "node 0 L3*\nnode 1 L7\nnode 2 L11\nnode 3 L2!\n" +
+		"edge 0 1\nedge 0 2\nedge 1 3\nedge 2 3\nedge 1 2\nedge 3 0\nedge 2 0\nedge 3 1\n"
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Parse(text); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -240,3 +240,26 @@ func randomPattern(rng *rand.Rand, labels int) *pattern.Pattern {
 		}
 	}
 }
+
+// TestIdleScratchPinsNoSnapshot: the pools outlive the snapshots of their
+// lineage, so a scratch at rest in one must reference neither the graph
+// nor the Aux it last served — and must serve the next borrower, of
+// whichever snapshot, as a fresh one would.
+func TestIdleScratchPinsNoSnapshot(t *testing.T) {
+	g, michael, _, _ := example2Graph(30, 100)
+	aux := graph.BuildAux(g)
+	p := figure1Pattern(t)
+	opts := reduce.Options{Alpha: 0.2}
+	want := Run(aux, p, michael, opts)
+
+	sc := borrow(aux)
+	sc.sem.Bind(aux, p)
+	run(aux, p, michael, &sc.sem, opts, sc)
+	release(aux, sc)
+	if sc.frag.Parent() != nil || sc.frag.Size() != 0 || sc.sem.aux != nil || sc.sem.p != nil || sc.sem.hists != nil {
+		t.Fatalf("a released scratch still references its snapshot: parent %p, sem %+v", sc.frag.Parent(), sc.sem)
+	}
+	if got := Run(aux, p, michael, opts); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after a release: %+v, want %+v", got, want)
+	}
+}

@@ -183,7 +183,7 @@ type scratch struct {
 // amortize it across repeated evaluations of one pattern.
 func Run(aux *graph.Aux, p *pattern.Pattern, vp graph.NodeID, opts reduce.Options, mopts *MatchOpts) Result {
 	sc := borrow(aux)
-	defer aux.ScratchPool(graph.ScratchSub).Put(sc)
+	defer release(aux, sc)
 	sc.sem.Bind(aux, p)
 	return run(aux, p, vp, &sc.sem, opts, mopts, sc)
 }
@@ -195,16 +195,28 @@ func Run(aux *graph.Aux, p *pattern.Pattern, vp graph.NodeID, opts reduce.Option
 // scratch pool; only the per-query label resolution is skipped.
 func RunPrepared(aux *graph.Aux, p *pattern.Pattern, vp graph.NodeID, sem *Semantics, opts reduce.Options, mopts *MatchOpts) Result {
 	sc := borrow(aux)
-	defer aux.ScratchPool(graph.ScratchSub).Put(sc)
+	defer release(aux, sc)
 	return run(aux, p, vp, sem, opts, mopts, sc)
 }
 
 func borrow(aux *graph.Aux) *scratch {
 	sc, _ := aux.ScratchPool(graph.ScratchSub).Get().(*scratch)
 	if sc == nil {
-		sc = &scratch{frag: graph.NewFragment(aux.Graph())}
+		return &scratch{frag: graph.NewFragment(aux.Graph())}
 	}
+	// The scratch last served some other snapshot of the lineage.
+	sc.frag.Rebind(aux.Graph())
 	return sc
+}
+
+// release returns sc to the pool holding no reference to the snapshot it
+// served: the pools outlive every snapshot of their lineage, and an idle
+// scratch must not keep a replaced graph (after a compaction, the whole
+// old base) reachable.
+func release(aux *graph.Aux, sc *scratch) {
+	sc.frag.Release()
+	sc.sem.aux, sc.sem.p, sc.sem.hists = nil, nil, nil
+	aux.ScratchPool(graph.ScratchSub).Put(sc)
 }
 
 func run(aux *graph.Aux, p *pattern.Pattern, vp graph.NodeID, sem *Semantics, opts reduce.Options, mopts *MatchOpts, sc *scratch) Result {

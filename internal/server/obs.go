@@ -4,8 +4,9 @@ package server
 // and slow-query capture.
 //
 // Every request gets a correlation id — propagated from X-Request-ID or
-// generated — threaded through the handler context, echoed on the
-// response header and body, and stamped into the access log. When
+// generated — set on the response header (which is also where the
+// handlers read it back: no context value, no request copy), echoed in
+// the body, and stamped into the access log. When
 // slow-query capture is enabled (Config.SlowQuery > 0), /v1/query runs
 // with tracing forced on so a request that crosses the threshold, gets
 // α-clamped, or 504s leaves a full phase breakdown behind: one JSON
@@ -13,7 +14,6 @@ package server
 // served at /v1/debug/slow.
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
@@ -26,10 +26,10 @@ import (
 	"rbq"
 )
 
-// ctxKey keys the request id in the handler context.
-type ctxKey int
-
-const requestIDKey ctxKey = iota
+// requestIDKey is RequestIDHeader in the canonical form net/http keys
+// header maps by: Get and Set with it skip the per-call canonicalization,
+// which allocates for a name ("…-ID") that is not canonical as written.
+var requestIDKey = http.CanonicalHeaderKey(RequestIDHeader)
 
 // reqSeq backs the fallback id when the system's entropy source fails.
 var reqSeq atomic.Uint64
@@ -43,24 +43,23 @@ func newRequestID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// requestIDFrom returns the id the middleware stored, or "".
-func requestIDFrom(ctx context.Context) string {
-	id, _ := ctx.Value(requestIDKey).(string)
-	return id
+// requestIDOf returns the id the middleware set on w, or "".
+func requestIDOf(w http.ResponseWriter) string {
+	return w.Header().Get(requestIDKey)
 }
 
 // withRequestID is the outermost middleware: it resolves the request's
-// correlation id (client-supplied or generated), echoes it on the
-// response header, and stores it in the context for the handlers, the
-// access log and the slow-query capture.
+// correlation id (client-supplied or generated) and sets it on the
+// response header, where the handlers, the access log and the
+// slow-query capture read it (requestIDOf).
 func (s *Server) withRequestID(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get(RequestIDHeader)
+		id := r.Header.Get(requestIDKey)
 		if id == "" {
 			id = newRequestID()
 		}
-		w.Header().Set(RequestIDHeader, id)
-		next.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), requestIDKey, id)))
+		w.Header().Set(requestIDKey, id)
+		next.ServeHTTP(w, r)
 	})
 }
 
@@ -125,7 +124,7 @@ func (s *Server) slowReason(code int, elapsed time.Duration, gov *Governance) st
 }
 
 // slowQuery records one slow request: ring, log line, metric.
-func (s *Server) slowQuery(r *http.Request, route, tenant, pattern string, code int, started time.Time, gov *Governance, tr *rbq.Trace) {
+func (s *Server) slowQuery(w http.ResponseWriter, route, tenant, pattern string, code int, started time.Time, gov *Governance, tr *rbq.Trace) {
 	elapsed := time.Since(started)
 	reason := s.slowReason(code, elapsed, gov)
 	if reason == "" {
@@ -133,7 +132,7 @@ func (s *Server) slowQuery(r *http.Request, route, tenant, pattern string, code 
 	}
 	e := SlowEntry{
 		TS:         time.Now().UTC().Format(time.RFC3339Nano),
-		RequestID:  requestIDFrom(r.Context()),
+		RequestID:  requestIDOf(w),
 		Route:      route,
 		Tenant:     tenant,
 		Pattern:    pattern,
@@ -168,5 +167,5 @@ func (s *Server) handleDebugSlow(w http.ResponseWriter, r *http.Request) {
 		ThresholdMs: s.cfg.SlowQuery.Milliseconds(),
 		Entries:     s.slow.entries(),
 	})
-	s.finish(RouteDebugSlow, r, tenant, http.StatusOK, started, nil)
+	s.finish(RouteDebugSlow, w, r, tenant, http.StatusOK, started, nil)
 }

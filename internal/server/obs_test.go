@@ -43,7 +43,7 @@ func postWith(t testing.TB, url string, hdr map[string]string, v, out any) (int,
 // one id joins all the surfaces.
 func TestRequestIDCorrelation(t *testing.T) {
 	var accessLog bytes.Buffer
-	_, ts := newTestServer(t, Config{AccessLog: &accessLog})
+	s, ts := newTestServer(t, Config{AccessLog: &accessLog})
 
 	var res QueryResponse
 	code, hdr := postWith(t, ts.URL+RouteQuery, map[string]string{RequestIDHeader: "corr-42"},
@@ -57,6 +57,7 @@ func TestRequestIDCorrelation(t *testing.T) {
 	if res.RequestID != "corr-42" {
 		t.Fatalf("response body id %q, want corr-42", res.RequestID)
 	}
+	s.flushAccessLog() // lines are batched; do not wait out logFlushEvery
 	if !strings.Contains(accessLog.String(), `"request_id":"corr-42"`) {
 		t.Fatalf("access log missing the id:\n%s", accessLog.String())
 	}

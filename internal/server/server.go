@@ -22,6 +22,7 @@ package server
 // before their response was written, so a drain loses nothing.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -143,7 +144,43 @@ type Server struct {
 	start   time.Time
 
 	closing atomic.Bool
-	logMu   sync.Mutex
+
+	// logMu orders every log write. Access-log lines collect in logBuf
+	// and reach cfg.AccessLog at logFlushBytes, logFlushEvery after the
+	// first unwritten line (logTimer, armed by the line that finds the
+	// buffer empty), and at once while draining; slow-query lines are
+	// written through.
+	logMu    sync.Mutex
+	logBuf   []byte
+	logTimer *time.Timer
+}
+
+// The access log is written in batches: one write(2) per request was 3%
+// of the daemon's CPU on light queries. A line waits at most
+// logFlushEvery, and a batch is at most logFlushBytes plus one line.
+const (
+	logFlushBytes = 32 << 10
+	logFlushEvery = 50 * time.Millisecond
+)
+
+// reqScratch is the pooled per-request buffer pair: the request body as
+// read, and the encoded response.
+type reqScratch struct {
+	body, out []byte
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	return &reqScratch{body: make([]byte, 0, 1<<10), out: make([]byte, 0, 1<<10)}
+}}
+
+// maxPooledBuf keeps one large batch from pinning its buffers in the
+// pool: a scratch that grew past it is dropped, not returned.
+const maxPooledBuf = 1 << 20
+
+func putScratch(sc *reqScratch) {
+	if cap(sc.body) <= maxPooledBuf && cap(sc.out) <= maxPooledBuf {
+		scratchPool.Put(sc)
+	}
 }
 
 // New builds a Server over db. The DB may be in-memory (NewDB) or
@@ -181,7 +218,13 @@ func (s *Server) Handler() http.Handler { return s.handler }
 // move on) while in-flight evaluations run to completion under
 // http.Server.Shutdown. Idempotent. The operational routes keep
 // answering; /healthz turns 503 so load balancers stop routing here.
-func (s *Server) BeginShutdown() { s.closing.Store(true) }
+// The access log is flushed and from here on written line by line, so
+// when http.Server.Shutdown returns every drained request's line has
+// reached the writer and the caller may close it.
+func (s *Server) BeginShutdown() {
+	s.closing.Store(true)
+	s.flushAccessLog()
+}
 
 // Draining reports whether BeginShutdown was called.
 func (s *Server) Draining() bool { return s.closing.Load() }
@@ -200,7 +243,8 @@ func tenantOf(r *http.Request) string {
 	return DefaultTenant
 }
 
-// writeJSON writes v with status code.
+// writeJSON writes v with status code: the reflection encoder, for the
+// responses off the hot path.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -209,53 +253,84 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-// accessLog emits one structured line per request.
+// writeBody writes an already encoded 200 body.
+func writeBody(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body) // a client that went away is not the server's error
+}
+
+// errBodyTooLarge refuses a request body past MaxBodyBytes.
+var errBodyTooLarge = errors.New("body exceeds the server's limit")
+
+// decodeBody reads the request body into sc's pooled buffer and
+// unmarshals it into v. Decoding is encoding/json's: bytes after the
+// JSON value, other than white space, are an error.
+func (s *Server) decodeBody(r *http.Request, sc *reqScratch, v any) error {
+	buf := bytes.NewBuffer(sc.body[:0])
+	_, err := buf.ReadFrom(io.LimitReader(r.Body, s.cfg.MaxBodyBytes+1))
+	sc.body = buf.Bytes()
+	if err != nil {
+		return err
+	}
+	if int64(len(sc.body)) > s.cfg.MaxBodyBytes {
+		return errBodyTooLarge
+	}
+	return json.Unmarshal(sc.body, v)
+}
+
+// accessLog records one structured line per request; see Server.logMu
+// for when it reaches the writer.
 func (s *Server) accessLog(route, method, tenant, remote, reqID string, code int, elapsed time.Duration, gov *Governance) {
 	if s.cfg.AccessLog == nil {
 		return
 	}
-	line := struct {
-		TS      string      `json:"ts"`
-		ReqID   string      `json:"request_id,omitempty"`
-		Route   string      `json:"route"`
-		Method  string      `json:"method"`
-		Tenant  string      `json:"tenant"`
-		Remote  string      `json:"remote,omitempty"`
-		Code    int         `json:"code"`
-		Micros  int64       `json:"elapsed_us"`
-		Governd *Governance `json:"governance,omitempty"`
-	}{
-		TS: time.Now().UTC().Format(time.RFC3339Nano), ReqID: reqID, Route: route, Method: method,
-		Tenant: tenant, Remote: remote, Code: code, Micros: elapsed.Microseconds(),
-		Governd: gov,
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
+	first := len(s.logBuf) == 0
+	s.logBuf = appendAccessLine(s.logBuf, time.Now(), reqID, route, method, tenant, remote, code, elapsed.Microseconds(), gov)
+	switch {
+	case len(s.logBuf) >= logFlushBytes || s.closing.Load():
+		s.flushLogLocked()
+	case first && s.logTimer == nil:
+		s.logTimer = time.AfterFunc(logFlushEvery, s.flushAccessLog)
+	case first:
+		s.logTimer.Reset(logFlushEvery)
 	}
-	buf, err := json.Marshal(line)
-	if err != nil {
+}
+
+// flushAccessLog writes out the buffered access-log lines.
+func (s *Server) flushAccessLog() {
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
+	s.flushLogLocked()
+}
+
+func (s *Server) flushLogLocked() {
+	if len(s.logBuf) == 0 {
 		return
 	}
-	buf = append(buf, '\n')
-	s.logMu.Lock()
-	s.cfg.AccessLog.Write(buf)
-	s.logMu.Unlock()
+	_, _ = s.cfg.AccessLog.Write(s.logBuf) // a failing log must not fail requests
+	s.logBuf = s.logBuf[:0]
 }
 
 // finish records metrics + access log for one request.
-func (s *Server) finish(route string, r *http.Request, tenant string, code int, started time.Time, gov *Governance) {
+func (s *Server) finish(route string, w http.ResponseWriter, r *http.Request, tenant string, code int, started time.Time, gov *Governance) {
 	elapsed := time.Since(started)
 	s.met.observe(route, tenant, code, elapsed.Seconds())
-	s.accessLog(route, r.Method, tenant, r.RemoteAddr, requestIDFrom(r.Context()), code, elapsed, gov)
+	s.accessLog(route, r.Method, tenant, r.RemoteAddr, requestIDOf(w), code, elapsed, gov)
 }
 
 // fail writes an ErrorResponse and records the request.
 func (s *Server) fail(w http.ResponseWriter, r *http.Request, route, tenant string, started time.Time, code int, resp ErrorResponse) {
 	resp.Code = code
 	resp.ElapsedUs = time.Since(started).Microseconds()
-	resp.RequestID = requestIDFrom(r.Context())
+	resp.RequestID = requestIDOf(w)
 	if resp.RetryAfterMs > 0 {
 		w.Header().Set("Retry-After", strconv.FormatInt((resp.RetryAfterMs+999)/1000, 10))
 	}
 	writeJSON(w, code, resp)
-	s.finish(route, r, tenant, code, started, resp.Governance)
+	s.finish(route, w, r, tenant, code, started, resp.Governance)
 }
 
 // drainCheck answers draining servers' serving-route requests with 503.
@@ -303,7 +378,7 @@ func (s *Server) admit(ctx context.Context, w http.ResponseWriter, r *http.Reque
 				Governance: &Governance{Tenant: tenant, RequestedAlpha: alpha, Queued: true},
 			})
 		default: // client went away while queued
-			s.finish(route, r, tenant, 499, started, nil)
+			s.finish(route, w, r, tenant, 499, started, nil)
 		}
 		return Governance{}, false
 	}
@@ -345,12 +420,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if s.drainCheck(w, r, RouteQuery, tenant, started) {
 		return
 	}
+	sc := scratchPool.Get().(*reqScratch)
+	defer putScratch(sc)
 	var qr QueryRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, s.cfg.MaxBodyBytes)).Decode(&qr); err != nil {
+	if err := s.decodeBody(r, sc, &qr); err != nil {
 		s.fail(w, r, RouteQuery, tenant, started, http.StatusBadRequest, ErrorResponse{Error: "bad request body: " + err.Error()})
 		return
 	}
-	q, err := rbq.ParsePattern(qr.Pattern)
+	// Through the plan cache's text index: a template the cache holds is
+	// not parsed again.
+	q, err := s.db.ParsePattern(qr.Pattern)
 	if err != nil {
 		s.fail(w, r, RouteQuery, tenant, started, http.StatusBadRequest, ErrorResponse{Error: "bad pattern: " + err.Error()})
 		return
@@ -380,43 +459,27 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	res, err := s.db.Query(ctx, q, req)
 	s.adm.release()
 	s.chargeTenant(&gov, res.Visited)
-	s.decorateTrace(r, res.Trace, admitWait, &gov)
+	s.decorateTrace(w, res.Trace, admitWait, &gov)
 	if err != nil {
-		s.slowQuery(r, RouteQuery, tenant, qr.Pattern, errCode(err), started, &gov, res.Trace)
+		s.slowQuery(w, RouteQuery, tenant, qr.Pattern, errCode(err), started, &gov, res.Trace)
 		s.queryError(w, r, RouteQuery, tenant, started, err, &gov)
 		return
 	}
-	s.slowQuery(r, RouteQuery, tenant, qr.Pattern, http.StatusOK, started, &gov, res.Trace)
-	resp := QueryResponse{
-		Matches:      toWireMatches(res.Matches),
-		Personalized: int64(res.Personalized),
-		Complete:     res.Complete,
-		FragmentSize: res.FragmentSize,
-		Budget:       res.Budget,
-		Visited:      res.Visited,
-		Candidates:   res.Candidates,
-		Evaluated:    res.Evaluated,
-		Epoch:        s.db.MutationStats().Epoch,
-		ElapsedUs:    time.Since(started).Microseconds(),
-		Governance:   gov,
-		RequestID:    requestIDFrom(r.Context()),
-	}
-	if clientTrace {
-		resp.Trace = res.Trace
-	}
-	writeJSON(w, http.StatusOK, resp)
-	s.finish(RouteQuery, r, tenant, http.StatusOK, started, &gov)
+	s.slowQuery(w, RouteQuery, tenant, qr.Pattern, http.StatusOK, started, &gov, res.Trace)
+	sc.out = appendQueryResponse(sc.out[:0], &res, time.Since(started).Microseconds(), &gov, requestIDOf(w), clientTrace)
+	writeBody(w, sc.out)
+	s.finish(RouteQuery, w, r, tenant, http.StatusOK, started, &gov)
 }
 
 // decorateTrace stamps the serving tier's view onto an engine trace:
 // the correlation id and an admission span covering the slot wait (the
 // engine cannot see either). The admission span is prepended so the
 // tree reads in wall-clock order.
-func (s *Server) decorateTrace(r *http.Request, tr *rbq.Trace, wait time.Duration, gov *Governance) {
+func (s *Server) decorateTrace(w http.ResponseWriter, tr *rbq.Trace, wait time.Duration, gov *Governance) {
 	if tr == nil || tr.Root == nil {
 		return
 	}
-	tr.RequestID = requestIDFrom(r.Context())
+	tr.RequestID = requestIDOf(w)
 	adm := &obs.Span{Name: obs.PhaseAdmission, Dur: wait}
 	if gov.Queued {
 		adm.Add("queued", 1)
@@ -469,7 +532,7 @@ func (s *Server) queryError(w http.ResponseWriter, r *http.Request, route, tenan
 			Error: "evaluation deadline exceeded", Governance: gov,
 		})
 	case errors.Is(err, context.Canceled):
-		s.finish(route, r, tenant, 499, started, gov)
+		s.finish(route, w, r, tenant, 499, started, gov)
 	default:
 		s.fail(w, r, route, tenant, started, http.StatusBadRequest, ErrorResponse{
 			Error: err.Error(), Governance: gov,
@@ -487,8 +550,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if s.drainCheck(w, r, RouteBatch, tenant, started) {
 		return
 	}
+	sc := scratchPool.Get().(*reqScratch)
+	defer putScratch(sc)
 	var br BatchRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, s.cfg.MaxBodyBytes)).Decode(&br); err != nil {
+	if err := s.decodeBody(r, sc, &br); err != nil {
 		s.fail(w, r, RouteBatch, tenant, started, http.StatusBadRequest, ErrorResponse{Error: "bad request body: " + err.Error()})
 		return
 	}
@@ -505,11 +570,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, RouteBatch, tenant, started, http.StatusBadRequest, ErrorResponse{Error: "batch items are anchored; unanchored mode is /v1/query"})
 		return
 	}
-	// Parse per-item patterns; a bad one fails only its own item.
+	// Resolve per-item patterns through the plan cache's text index —
+	// items of one cached template share one *Pattern, which QueryBatch
+	// looks up once; a bad pattern fails only its own item.
 	qs := make([]rbq.AnchoredQuery, len(br.Items))
 	itemErr := make([]string, len(br.Items))
 	for i, it := range br.Items {
-		q, err := rbq.ParsePattern(it.Pattern)
+		q, err := s.db.ParsePattern(it.Pattern)
 		if err != nil {
 			itemErr[i] = "bad pattern: " + err.Error()
 			continue
@@ -545,37 +612,24 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		visits += res.Visited
 	}
 	s.chargeTenant(&gov, visits)
-	batchDesc := fmt.Sprintf("batch: %d item(s)", len(br.Items))
+	batchDesc := ""
+	if s.cfg.SlowQuery > 0 {
+		batchDesc = fmt.Sprintf("batch: %d item(s)", len(br.Items))
+	}
 	if err != nil {
-		s.slowQuery(r, RouteBatch, tenant, batchDesc, errCode(err), started, &gov, nil)
+		s.slowQuery(w, RouteBatch, tenant, batchDesc, errCode(err), started, &gov, nil)
 		s.queryError(w, r, RouteBatch, tenant, started, err, &gov)
 		return
 	}
-	s.slowQuery(r, RouteBatch, tenant, batchDesc, http.StatusOK, started, &gov, nil)
-	out := BatchResponse{
-		Results:    make([]BatchResult, len(results)),
-		Epoch:      s.db.MutationStats().Epoch,
-		ElapsedUs:  time.Since(started).Microseconds(),
-		Governance: gov,
-		RequestID:  requestIDFrom(r.Context()),
-	}
-	for i, res := range results {
-		out.Results[i] = BatchResult{
-			Matches:      toWireMatches(res.Matches),
-			Personalized: int64(res.Personalized),
-			Complete:     res.Complete,
-			FragmentSize: res.FragmentSize,
-			Budget:       res.Budget,
-			Visited:      res.Visited,
-			Error:        itemErr[i],
-		}
-		if clientTrace {
-			s.decorateTrace(r, res.Trace, admitWait, &gov)
-			out.Results[i].Trace = res.Trace
+	s.slowQuery(w, RouteBatch, tenant, batchDesc, http.StatusOK, started, &gov, nil)
+	if clientTrace {
+		for i := range results {
+			s.decorateTrace(w, results[i].Trace, admitWait, &gov)
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
-	s.finish(RouteBatch, r, tenant, http.StatusOK, started, &gov)
+	sc.out = appendBatchResponse(sc.out[:0], results, itemErr, time.Since(started).Microseconds(), &gov, requestIDOf(w), clientTrace)
+	writeBody(w, sc.out)
+	s.finish(RouteBatch, w, r, tenant, http.StatusOK, started, &gov)
 }
 
 func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
@@ -608,7 +662,7 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 				Error: "deadline exceeded while queued for admission",
 			})
 		} else {
-			s.finish(RouteApply, r, tenant, 499, started, nil)
+			s.finish(RouteApply, w, r, tenant, 499, started, nil)
 		}
 		return
 	}
@@ -656,9 +710,9 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 		Epoch:      ms.Epoch,
 		DurableSeq: ms.Seq,
 		ElapsedUs:  time.Since(started).Microseconds(),
-		RequestID:  requestIDFrom(r.Context()),
+		RequestID:  requestIDOf(w),
 	})
-	s.finish(RouteApply, r, tenant, http.StatusOK, started, nil)
+	s.finish(RouteApply, w, r, tenant, http.StatusOK, started, nil)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -676,7 +730,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Mutation:      ms,
 		Recovery:      s.db.RecoveryStats(),
 	})
-	s.finish(RouteStats, r, tenant, http.StatusOK, started, nil)
+	s.finish(RouteStats, w, r, tenant, http.StatusOK, started, nil)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {

@@ -294,12 +294,3 @@ func parseMode(s string) (rbq.Mode, bool) {
 	}
 	return 0, false
 }
-
-// toWireMatches converts a match slice to the wire's int64 form.
-func toWireMatches(ms []rbq.NodeID) []int64 {
-	out := make([]int64, len(ms))
-	for i, m := range ms {
-		out[i] = int64(m)
-	}
-	return out
-}

@@ -4,7 +4,10 @@ package rbq
 // mutations into the DB's live delta (internal/delta) and publishes a
 // fresh immutable snapshot; readers pin a snapshot with one atomic
 // pointer load, so queries never block on writers and always see one
-// consistent epoch end to end. When the live delta crosses the
+// consistent epoch end to end — and neither does anything else that
+// reads: db.mu is taken by Apply, Compact, the threshold setters and
+// Close, and by nothing a query, a stats call or a metrics scrape
+// reaches. When the live delta crosses the
 // compaction threshold, Apply materializes the merged base CSR + Aux —
 // spliced incrementally from the overlay in O(delta) when the touched
 // set is small (see SetCompactSpliceFraction), rebuilt in O(|G|) past
@@ -21,7 +24,16 @@ package rbq
 //   - A query uses exactly one snapshot: DB.Query loads it once and
 //     threads it (via the compiled plan) through validation, reduction
 //     and matching. Concurrent Applies are invisible to in-flight
-//     queries.
+//     queries, and Result.Epoch names the snapshot the answer is of.
+//   - No read waits for a writer. MutationStats is an immutable value
+//     replaced under db.mu at every publish (publishStatsLocked) and
+//     read with one atomic load; RecoveryStats is written once, before
+//     OpenDB returns the DB. An Apply holds db.mu through its WAL
+//     fsync, its seal and any compaction and image write; none of that
+//     is visible to a reader until the publish at its end.
+//   - Scratch survives a publish: the patched Aux of every snapshot and
+//     the spliced base of every incremental compaction share the base
+//     Aux's scratch pools, so an Apply costs readers no allocation.
 //   - The plan cache is epoch-keyed: a cached plan is only served to
 //     queries at the epoch it was compiled for; Apply bumps the epoch,
 //     so stale plans recompile lazily on next use (counted in
@@ -207,8 +219,27 @@ func (db *DB) publishLocked(compact bool) error {
 		}
 	}
 	db.snap.Store(snap)
+	db.publishStatsLocked()
 	db.scheduleWarm(snap, compact)
 	return nil
+}
+
+// publishStatsLocked replaces the MutationStats value readers load.
+// Callers hold db.mu (or own a DB nobody else can see yet) and call it
+// after every change to a field it copies.
+func (db *DB) publishStatsLocked() {
+	db.mstats.Store(&MutationStats{
+		Epoch:                   db.snap.Load().Epoch(),
+		LiveDeltaOps:            db.pending.Ops(),
+		Compactions:             db.compactions,
+		CompactThreshold:        db.compactAt,
+		LastCompactNs:           db.lastCompactNs,
+		LastCompactTouchedNodes: db.lastCompactTouched,
+		Mode:                    db.lastCompactMode,
+		Persistent:              db.store != nil,
+		Seq:                     db.seq,
+		BaseWriteErrors:         db.baseWriteErrs,
+	})
 }
 
 // SetCompactThreshold sets the live-delta op count at which Apply
@@ -222,6 +253,7 @@ func (db *DB) SetCompactThreshold(n int) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.compactAt = n
+	db.publishStatsLocked()
 }
 
 // SetCompactSpliceFraction sets the touched-node fraction of |V| up to
@@ -282,20 +314,8 @@ type MutationStats struct {
 	BaseWriteErrors uint64
 }
 
-// MutationStats returns the DB's mutation counters.
-func (db *DB) MutationStats() MutationStats {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return MutationStats{
-		Epoch:                   db.snap.Load().Epoch(),
-		LiveDeltaOps:            db.pending.Ops(),
-		Compactions:             db.compactions,
-		CompactThreshold:        db.compactAt,
-		LastCompactNs:           db.lastCompactNs,
-		LastCompactTouchedNodes: db.lastCompactTouched,
-		Mode:                    db.lastCompactMode,
-		Persistent:              db.store != nil,
-		Seq:                     db.seq,
-		BaseWriteErrors:         db.baseWriteErrs,
-	}
-}
+// MutationStats returns the DB's mutation counters as of the last
+// publish: one atomic load, never a wait — an Apply in progress (its
+// WAL fsync, seal, compaction or image write) is invisible until it
+// publishes, exactly as it is to queries.
+func (db *DB) MutationStats() MutationStats { return *db.mstats.Load() }

@@ -117,6 +117,9 @@ func queryMatrix(t *testing.T, db *DB, q *Pattern, pin NodeID, alpha float64) []
 		if err != nil {
 			res = Result{Matches: []NodeID{-2}, Personalized: NoNode}
 		}
+		// Matrices are compared across DBs — live against rebuilt, recovered
+		// against reference — whose epochs differ by construction.
+		res.Epoch = 0
 		out[i] = res
 	}
 	return out

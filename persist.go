@@ -156,16 +156,14 @@ func OpenDB(dir string, opts OpenOptions) (*DB, error) {
 		DroppedBytes:    ss.DroppedBytes,
 		DroppedBatches:  dropped,
 	}
+	db.publishStatsLocked() // not yet shared: no lock needed
 	return db, nil
 }
 
 // RecoveryStats returns what OpenDB found on disk. Zero for in-memory
-// DBs.
-func (db *DB) RecoveryStats() RecoveryStats {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.recovery
-}
+// DBs. The value is written once, before OpenDB returns the DB, so
+// reading it takes no lock.
+func (db *DB) RecoveryStats() RecoveryStats { return db.recovery }
 
 // Close syncs and closes the persistent state. Mutations after Close
 // return ErrClosed; queries keep answering from the last published

@@ -6,6 +6,12 @@ package rbq
 // callers issuing the same hot template — even from pointer-distinct
 // Parse results — share one compiled plan; PreparedQuery remains the
 // explicit, cache-independent way to pin a compilation.
+//
+// The LRU's key map doubles as a text index: DB.ParsePattern maps the
+// canonical text a caller sent to the *Pattern a cached entry already
+// holds, so a serving tier that receives the same template text on every
+// request parses it once per cache residency, and every sight of a
+// template yields one pointer — which is what QueryBatch dedups on.
 
 import (
 	"container/list"
@@ -13,6 +19,7 @@ import (
 	"sync"
 
 	"rbq/internal/graph"
+	"rbq/internal/pattern"
 	"rbq/internal/plan"
 )
 
@@ -82,6 +89,38 @@ func newPlanCache(capacity int) *planCache {
 	c := &planCache{capacity: capacity, m: make(map[string]*list.Element)}
 	c.ll.Init()
 	return c
+}
+
+// parse is pattern.Parse behind the text index: a text that is the key
+// of a cached entry — the canonical form Pattern.String renders, which is
+// what the clients of a serving tier send — returns that entry's *Pattern
+// without parsing. Anything else is parsed; if its canonical form is
+// cached, the cached *Pattern is returned, so all sights of a template
+// share one pointer. The index is the LRU's own key map: it retains no
+// text of its own, whatever a caller sends. Recency and the hit/miss
+// counters belong to lookup alone.
+func (c *planCache) parse(text string) (*Pattern, error) {
+	if q := c.cached(text); q != nil {
+		return q, nil
+	}
+	q, err := pattern.Parse(text)
+	if err != nil {
+		return nil, err
+	}
+	if cq := c.cached(q.String()); cq != nil {
+		return cq, nil
+	}
+	return q, nil
+}
+
+// cached returns the *Pattern of the entry keyed key, or nil.
+func (c *planCache) cached(key string) *Pattern {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.m[key]; ok {
+		return el.Value.(*planEntry).q
+	}
+	return nil
 }
 
 // lookup returns the compiled plan for q at the given snapshot epoch,
@@ -270,6 +309,15 @@ func (c *planCache) setCapacity(n int) {
 	c.capacity = n
 	c.evictLocked()
 }
+
+// ParsePattern is the package-level ParsePattern through the plan
+// cache's text index: the canonical text (Pattern.String) of a cached
+// template returns the cached *Pattern without parsing; any other text is
+// parsed, and if its template is cached the cached *Pattern is returned
+// all the same — so every caller sending a template gets one pointer,
+// and QueryBatch resolves it once per batch. The index retains nothing a
+// caller sends. Safe for concurrent use.
+func (db *DB) ParsePattern(text string) (*Pattern, error) { return db.plans.parse(text) }
 
 // PlanCacheStats returns the DB's plan-cache counters: how many Query
 // calls found their template compiled (hits) versus compiled it (misses),

@@ -31,8 +31,9 @@ import (
 // reaches the same steady state through the cache without the explicit
 // handle.
 type PreparedQuery struct {
-	db *DB
-	pl *plan.Plan
+	db    *DB
+	pl    *plan.Plan
+	epoch uint64 // of the snapshot pinned at Prepare
 }
 
 // Prepare compiles q for repeated evaluation against db. The compile
@@ -46,11 +47,12 @@ type PreparedQuery struct {
 // DB.Apply. Re-Prepare (or use DB.Query, whose epoch-keyed cache
 // recompiles lazily) to observe mutations.
 func (db *DB) Prepare(q *Pattern) (*PreparedQuery, error) {
-	pl, err := plan.New(db.snapshot().Aux(), q)
+	snap := db.snapshot()
+	pl, err := plan.New(snap.Aux(), q)
 	if err != nil {
 		return nil, fmt.Errorf("rbq: %w", err)
 	}
-	return &PreparedQuery{db: db, pl: pl}, nil
+	return &PreparedQuery{db: db, pl: pl, epoch: snap.Epoch()}, nil
 }
 
 // Pattern returns the compiled pattern.

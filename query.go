@@ -251,6 +251,11 @@ type Result struct {
 	// Trace is the per-query span tree; non-nil only when
 	// Request.WantTrace was set.
 	Trace *Trace
+	// Epoch is the publish epoch of the snapshot the evaluation pinned:
+	// the answer reflects exactly the mutations applied up to it, whatever
+	// Applies landed while it ran. Every item of a batch carries the
+	// batch's one pin.
+	Epoch uint64
 }
 
 // Query evaluates req for pattern q. It is the single execution core
@@ -289,7 +294,7 @@ func (db *DB) Query(ctx context.Context, q *Pattern, req Request) (Result, error
 	if req.WantStats || req.WantTrace {
 		planTime = time.Since(t0)
 	}
-	return runRequest(ctx, pl, req, hit, planTime)
+	return runRequest(ctx, pl, snap.Epoch(), req, hit, planTime)
 }
 
 // QueryBatch evaluates req at many (pattern, pin) items concurrently,
@@ -299,7 +304,8 @@ func (db *DB) Query(ctx context.Context, q *Pattern, req Request) (Result, error
 // the plan cache (one lookup per distinct *Pattern, not per item).
 // Results align with qs; an item whose pin fails validation — or whose
 // template fails to compile — yields a zero Result carrying only its
-// Personalized pin, leaving the rest of the batch intact. When ctx is
+// Personalized pin (and the batch's Epoch), leaving the rest of the batch
+// intact. When ctx is
 // canceled mid-batch the already-computed results are returned alongside
 // ctx.Err(), with unprocessed items left zero.
 func (db *DB) QueryBatch(ctx context.Context, qs []AnchoredQuery, req Request, workers int) ([]Result, error) {
@@ -368,7 +374,7 @@ func (db *DB) QueryBatch(ctx context.Context, qs []AnchoredQuery, req Request, w
 	parallelFor(ctx, len(qs), workers, func(i int) {
 		info := infos[idx[i]]
 		if info.pl == nil {
-			out[i] = Result{Personalized: qs[i].At}
+			out[i] = Result{Personalized: qs[i].At, Epoch: snap.Epoch()}
 			return
 		}
 		r := req
@@ -377,9 +383,9 @@ func (db *DB) QueryBatch(ctx context.Context, qs []AnchoredQuery, req Request, w
 		if i == info.first {
 			planTime = info.planTime
 		}
-		res, err := runRequest(ctx, info.pl, r, info.hit, planTime)
+		res, err := runRequest(ctx, info.pl, snap.Epoch(), r, info.hit, planTime)
 		if err != nil {
-			res = Result{Personalized: qs[i].At}
+			res = Result{Personalized: qs[i].At, Epoch: snap.Epoch()}
 		}
 		// Each item owns its trace, so stamping the shard identity here
 		// is race-free: which slot this item ran in and how wide the
@@ -403,7 +409,7 @@ func (pq *PreparedQuery) Query(ctx context.Context, req Request) (Result, error)
 	if err := req.validate(); err != nil {
 		return Result{}, err
 	}
-	return runRequest(ctx, pq.pl, req, true, 0)
+	return runRequest(ctx, pq.pl, pq.epoch, req, true, 0)
 }
 
 // QueryBatch evaluates req at many pins concurrently through the
@@ -427,9 +433,9 @@ func (pq *PreparedQuery) QueryBatch(ctx context.Context, pins []NodeID, req Requ
 	parallelFor(ctx, len(pins), workers, func(i int) {
 		r := req
 		r.Anchor = &pins[i]
-		res, err := runRequest(ctx, pq.pl, r, true, 0)
+		res, err := runRequest(ctx, pq.pl, pq.epoch, r, true, 0)
 		if err != nil {
-			res = Result{Personalized: pins[i]}
+			res = Result{Personalized: pins[i], Epoch: pq.epoch}
 		}
 		if res.Trace != nil {
 			res.Trace.Root.Add("batch_index", int64(i))
@@ -443,11 +449,12 @@ func (pq *PreparedQuery) QueryBatch(ctx context.Context, pins []NodeID, req Requ
 	return out, nil
 }
 
-// runRequest is the one execution core. req must be validated. The
-// engines receive ctx's Done channel through their options and poll it
+// runRequest is the one execution core. req must be validated; epoch is
+// the publish epoch of the snapshot pl was compiled against, reported
+// back as Result.Epoch. The engines receive ctx's Done channel through their options and poll it
 // cooperatively; a fired context surfaces as ctx.Err() here, regardless
 // of how far the evaluation got.
-func runRequest(ctx context.Context, pl *plan.Plan, req Request, cacheHit bool, planTime time.Duration) (Result, error) {
+func runRequest(ctx context.Context, pl *plan.Plan, epoch uint64, req Request, cacheHit bool, planTime time.Duration) (Result, error) {
 	done := interrupt.Done(ctx)
 	var t0 time.Time
 	if req.WantStats || req.WantTrace {
@@ -539,6 +546,7 @@ func runRequest(ctx context.Context, pl *plan.Plan, req Request, cacheHit bool, 
 	if err := interrupt.Err(ctx); err != nil {
 		return Result{}, err
 	}
+	res.Epoch = epoch
 	if req.WantStats {
 		res.Stats = &QueryStats{
 			Reduce:       rstats,

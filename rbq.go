@@ -129,8 +129,15 @@ type DB struct {
 	// compiled at (see plancache.go).
 	plans *planCache
 
+	// mstats is the MutationStats value readers see: immutable, replaced
+	// under mu whenever a counter it reports moves (see publishStatsLocked)
+	// and read with one atomic load, so neither queries nor the
+	// operational surface ever wait for a writer.
+	mstats atomic.Pointer[MutationStats]
+
 	// mu serializes the mutation side (Apply, Compact, threshold
-	// changes, Close); it is never taken on the query path.
+	// changes, Close); no read — query, MutationStats, RecoveryStats,
+	// PlanCacheStats — ever takes it.
 	mu          sync.Mutex
 	pending     *delta.Delta // cumulative live delta over the current base
 	compactAt   int          // live-op threshold that triggers compaction
@@ -173,6 +180,7 @@ func NewDB(g *Graph) *DB {
 	aux := graph.BuildAux(g)
 	db.snap.Store(delta.NewBase(g, aux, 0))
 	db.pending = delta.New(g, aux)
+	db.publishStatsLocked() // not yet shared: no lock needed
 	return db
 }
 
