@@ -12,45 +12,10 @@ import (
 	"rbq/internal/graph"
 )
 
-// TestSimulationAtAllocBudget: a pooled resource-bounded query on a warm
-// DB stays within a small fixed allocation budget — the result slice plus
-// bookkeeping — regardless of graph size. This is the steady state the
-// batch APIs run in under heavy traffic.
-func TestSimulationAtAllocBudget(t *testing.T) {
-	g := YoutubeLike(10_000, 1)
-	db := NewDB(g)
-	var q *Pattern
-	var vp NodeID
-	for seed := int64(0); seed < 50 && q == nil; seed++ {
-		cand := NodeID(int(seed*131+17) % g.NumNodes())
-		if g.Degree(cand) < 2 {
-			continue
-		}
-		q = gen.PatternAt(g, graph.NodeID(cand), gen.PatternConfig{Nodes: 4, Edges: 8, Seed: seed})
-		vp = cand
-	}
-	if q == nil {
-		t.Fatal("could not extract a test pattern")
-	}
-	run := func() {
-		if _, err := db.SimulationAt(q, vp, 0.001); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 5; i++ {
-		run() // warm the aux scratch pool
-	}
-	// The budget tolerates the result slice and the occasional pool refill
-	// after a GC; the seed implementation allocated >100 times per query.
-	if avg := testing.AllocsPerRun(200, run); avg > 8 {
-		t.Fatalf("pooled SimulationAt allocates %.1f times per run, want ≤ 8", avg)
-	}
-}
-
 // TestPreparedRunAtAllocBudget: the prepared path must allocate no more
-// than the one-shot path it replaces — preparation hoists work out of
-// the per-query hot path, it must never add any back — and stays within
-// the same absolute budget.
+// than the cached DB.Query path — preparation hoists work out of the
+// per-query hot path, it must never add any back — and stays within the
+// same absolute budget.
 func TestPreparedRunAtAllocBudget(t *testing.T) {
 	g := YoutubeLike(10_000, 1)
 	db := NewDB(g)
@@ -71,36 +36,39 @@ func TestPreparedRunAtAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oneShot := func() {
-		if _, err := db.SimulationAt(q, vp, 0.001); err != nil {
+	ctx := context.Background()
+	req := Request{Anchor: &vp, Alpha: 0.001}
+	cached := func() {
+		if _, err := db.Query(ctx, q, req); err != nil {
 			t.Fatal(err)
 		}
 	}
 	prepared := func() {
-		if _, err := pq.RunAt(vp, 0.001); err != nil {
+		if _, err := pq.Query(ctx, req); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 5; i++ {
-		oneShot()
+		cached()
 		prepared()
 	}
-	oneShotAvg := testing.AllocsPerRun(200, oneShot)
+	cachedAvg := testing.AllocsPerRun(200, cached)
 	preparedAvg := testing.AllocsPerRun(200, prepared)
-	if preparedAvg > oneShotAvg {
-		t.Fatalf("PreparedQuery.RunAt allocates %.1f times per run, one-shot SimulationAt %.1f — prepared must not allocate more", preparedAvg, oneShotAvg)
+	if preparedAvg > cachedAvg {
+		t.Fatalf("PreparedQuery.Query allocates %.1f times per run, cached DB.Query %.1f — prepared must not allocate more", preparedAvg, cachedAvg)
 	}
 	if preparedAvg > 8 {
-		t.Fatalf("PreparedQuery.RunAt allocates %.1f times per run, want ≤ 8", preparedAvg)
+		t.Fatalf("PreparedQuery.Query allocates %.1f times per run, want ≤ 8", preparedAvg)
 	}
 }
 
-// TestQueryCacheHitAllocBudget: DB.Query on a warm plan cache — the
-// request-layer hot path — must allocate no more than the legacy
-// SimulationAt wrapper it subsumes (which itself routes through the same
-// core), and stay within the same absolute ≤8 budget. This pins down
-// that the request layer (validation, cache probe, context plumbing,
-// Result assembly) added no per-query allocations.
+// TestQueryCacheHitAllocBudget: a pooled resource-bounded DB.Query on a
+// warm plan cache — the request-layer hot path, and the steady state the
+// batch entry points run in under heavy traffic — stays within a small
+// fixed allocation budget (the result slice plus bookkeeping) regardless
+// of graph size, under both semantics. This pins down that the request
+// layer (validation, cache probe, context plumbing, Result assembly) adds
+// no per-query allocations beyond it.
 func TestQueryCacheHitAllocBudget(t *testing.T) {
 	g := YoutubeLike(10_000, 1)
 	db := NewDB(g)
@@ -118,37 +86,35 @@ func TestQueryCacheHitAllocBudget(t *testing.T) {
 		t.Fatal("could not extract a test pattern")
 	}
 	ctx := context.Background()
-	req := Request{Anchor: &vp, Alpha: 0.001}
-	query := func() {
-		if _, err := db.Query(ctx, q, req); err != nil {
-			t.Fatal(err)
-		}
-	}
-	legacy := func() {
-		if _, err := db.SimulationAt(q, vp, 0.001); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 5; i++ {
-		query() // first call takes the compile miss; the rest must hit
-		legacy()
-	}
-	queryAvg := testing.AllocsPerRun(200, query)
-	legacyAvg := testing.AllocsPerRun(200, legacy)
-	if queryAvg > legacyAvg {
-		t.Fatalf("DB.Query allocates %.1f times per run, SimulationAt %.1f — the request layer must not add allocations", queryAvg, legacyAvg)
-	}
-	if queryAvg > 8 {
-		t.Fatalf("cache-hit DB.Query allocates %.1f times per run, want ≤ 8", queryAvg)
+	for _, tc := range []struct {
+		name string
+		sem  Semantics
+	}{{"Simulation", Simulation}, {"Subgraph", Subgraph}} {
+		t.Run(tc.name, func(t *testing.T) {
+			req := Request{Semantics: tc.sem, Anchor: &vp, Alpha: 0.001}
+			query := func() {
+				if _, err := db.Query(ctx, q, req); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 5; i++ {
+				query() // first call takes the compile miss and warms the scratch pool
+			}
+			// The budget tolerates the result slice and the occasional pool
+			// refill after a GC; the seed implementation allocated >100
+			// times per query.
+			if avg := testing.AllocsPerRun(200, query); avg > 8 {
+				t.Fatalf("cache-hit DB.Query allocates %.1f times per run, want ≤ 8", avg)
+			}
+		})
 	}
 }
 
 // TestParallelUnanchoredAllocBudget: the speculative-wave path may buy
 // its pool — the wave bookkeeping, the worker goroutines, the per-worker
 // scratch — but the per-query steady-state overhead over the serial path
-// must stay small and fixed; and the Parallelism = 0 serial path must
-// allocate exactly like the legacy unanchored wrapper it always was
-// (provably unchanged: same core, same counts).
+// must stay small and fixed; and the Parallelism = 0 serial path stays at
+// the 16 allocations per query it has always measured on this fixture.
 func TestParallelUnanchoredAllocBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	g := gen.Random(gen.GraphConfig{Nodes: 3000, Edges: 9000, Seed: 7, PowerLaw: true})
@@ -167,17 +133,14 @@ func TestParallelUnanchoredAllocBudget(t *testing.T) {
 		}
 	}
 	serial, parallel := mk(0), mk(4)
-	legacy := func() { db.SimulationUnanchored(q, 0.02) }
 	for i := 0; i < 5; i++ {
 		serial()
 		parallel()
-		legacy()
 	}
 	serialAvg := testing.AllocsPerRun(100, serial)
 	parallelAvg := testing.AllocsPerRun(100, parallel)
-	legacyAvg := testing.AllocsPerRun(100, legacy)
-	if serialAvg > legacyAvg {
-		t.Fatalf("serial unanchored Query allocates %.1f times per run, legacy wrapper %.1f — Parallelism=0 must be the unchanged serial path", serialAvg, legacyAvg)
+	if serialAvg > 16 {
+		t.Fatalf("serial unanchored Query allocates %.1f times per run, want ≤ 16 — Parallelism=0 must be the unchanged serial path", serialAvg)
 	}
 	if parallelAvg > serialAvg+64 {
 		t.Fatalf("parallel unanchored Query allocates %.1f times per run, serial %.1f — per-query pool overhead must stay ≤ 64", parallelAvg, serialAvg)
@@ -229,9 +192,9 @@ func TestQueryBatchShardedAllocBudget(t *testing.T) {
 }
 
 // TestQueryTraceAllocBudget: the observability layer must be free when
-// off and bounded when on. WantTrace=false must add zero allocations
-// over the legacy path (every engine touch point is a nil check, like
-// the interrupt probes), and WantTrace=true buys its span tree within a
+// off and bounded when on. WantTrace=false stays within the cache-hit
+// budget of TestQueryCacheHitAllocBudget (every engine touch point is a
+// nil check, like the interrupt probes), and WantTrace=true buys its span tree within a
 // fixed budget — the tree is per-phase aggregates, not per-item events.
 func TestQueryTraceAllocBudget(t *testing.T) {
 	g := YoutubeLike(10_000, 1)
@@ -259,53 +222,16 @@ func TestQueryTraceAllocBudget(t *testing.T) {
 		}
 	}
 	off, on := mk(false), mk(true)
-	legacy := func() {
-		if _, err := db.SimulationAt(q, vp, 0.001); err != nil {
-			t.Fatal(err)
-		}
-	}
 	for i := 0; i < 5; i++ {
 		off()
 		on()
-		legacy()
 	}
 	offAvg := testing.AllocsPerRun(200, off)
-	legacyAvg := testing.AllocsPerRun(200, legacy)
 	onAvg := testing.AllocsPerRun(200, on)
-	if offAvg > legacyAvg {
-		t.Fatalf("WantTrace=false Query allocates %.1f times per run, legacy %.1f — trace-off must add zero allocations", offAvg, legacyAvg)
+	if offAvg > 8 {
+		t.Fatalf("WantTrace=false Query allocates %.1f times per run, want ≤ 8 — trace-off must add zero allocations", offAvg)
 	}
 	if onAvg > offAvg+128 {
 		t.Fatalf("WantTrace=true Query allocates %.1f times per run, trace-off %.1f — the span tree must stay within a fixed budget", onAvg, offAvg)
-	}
-}
-
-// TestSubgraphAtAllocBudget is the RBSub counterpart.
-func TestSubgraphAtAllocBudget(t *testing.T) {
-	g := YoutubeLike(10_000, 1)
-	db := NewDB(g)
-	var q *Pattern
-	var vp NodeID
-	for seed := int64(0); seed < 50 && q == nil; seed++ {
-		cand := NodeID(int(seed*131+17) % g.NumNodes())
-		if g.Degree(cand) < 2 {
-			continue
-		}
-		q = gen.PatternAt(g, graph.NodeID(cand), gen.PatternConfig{Nodes: 4, Edges: 8, Seed: seed})
-		vp = cand
-	}
-	if q == nil {
-		t.Fatal("could not extract a test pattern")
-	}
-	run := func() {
-		if _, err := db.SubgraphAt(q, vp, 0.001); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 5; i++ {
-		run()
-	}
-	if avg := testing.AllocsPerRun(200, run); avg > 8 {
-		t.Fatalf("pooled SubgraphAt allocates %.1f times per run, want ≤ 8", avg)
 	}
 }

@@ -24,7 +24,6 @@ import (
 	"rbq/internal/plan"
 	"rbq/internal/rbreach"
 	"rbq/internal/rbsim"
-	"rbq/internal/rbsub"
 	"rbq/internal/reduce"
 	"rbq/internal/simulation"
 	"rbq/internal/subiso"
@@ -77,7 +76,7 @@ func BenchmarkFig8nReachVaryAlphaAccuracy(b *testing.B) { benchExperiment(b, "fi
 func BenchmarkFig8oReachVaryVTime(b *testing.B)         { benchExperiment(b, "fig8o") }
 func BenchmarkFig8pReachVaryVAccuracy(b *testing.B)     { benchExperiment(b, "fig8p") }
 
-// Ablation benches for the design choices DESIGN.md §5 calls out.
+// Ablation benches for the paper's design choices (`rbbench -list`, abl-*).
 
 func BenchmarkAblationFairnessBound(b *testing.B) { benchExperiment(b, "abl-bound") }
 func BenchmarkAblationWeights(b *testing.B)       { benchExperiment(b, "abl-weight") }
@@ -114,22 +113,6 @@ func newPatternFixture(b *testing.B) *patternFixture {
 	}
 	b.Fatal("could not extract a benchmark pattern")
 	return nil
-}
-
-func BenchmarkRBSimQuery(b *testing.B) {
-	f := newPatternFixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rbsim.Run(f.aux, f.q, f.vp, f.opts)
-	}
-}
-
-func BenchmarkRBSubQuery(b *testing.B) {
-	f := newPatternFixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rbsub.Run(f.aux, f.q, f.vp, f.opts, nil)
-	}
 }
 
 func BenchmarkPreparedRBSimQuery(b *testing.B) {
@@ -171,7 +154,7 @@ func BenchmarkDualSimulation(b *testing.B) {
 	// the whole-(sub)graph fixpoint; BenchmarkMatchOptExact covers the
 	// pooled CSR-ball path.
 	var csr graph.FragCSR
-	f.g.BallInto(f.vp, f.q.Diameter(), &csr)
+	f.g.BallInto(f.vp, f.q.Diameter(), &csr, nil)
 	ballG := csr.ToGraph(f.g)
 	pin := map[pattern.NodeID]graph.NodeID{f.q.Personalized(): graph.NodeID(csr.PosOf(f.vp))}
 	b.ResetTimer()
@@ -184,7 +167,7 @@ func BenchmarkMatchOptExact(b *testing.B) {
 	f := newPatternFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		simulation.MatchOpt(f.g, f.q, f.vp)
+		simulation.MatchOpt(f.g, f.q, f.vp, nil)
 	}
 }
 

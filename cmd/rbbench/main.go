@@ -1,6 +1,6 @@
 // Command rbbench regenerates the tables and figures of Section 6 of Fan,
 // Wang & Wu (SIGMOD 2014) on power-law stand-ins of the paper's datasets,
-// plus the ablation studies of DESIGN.md §5.
+// plus the ablation studies (ids abl-* in rbbench -list).
 //
 // Usage:
 //

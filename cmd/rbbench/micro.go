@@ -27,8 +27,6 @@ import (
 	"rbq/internal/plan"
 	"rbq/internal/rbany"
 	"rbq/internal/rbreach"
-	"rbq/internal/rbsim"
-	"rbq/internal/rbsub"
 	"rbq/internal/reduce"
 	"rbq/internal/simulation"
 	"rbq/internal/store"
@@ -47,7 +45,8 @@ type microResult struct {
 	// the tolerance can tighten below the CLI default for stable entries.
 	NsSpread float64 `json:"ns_spread"`
 	// PairHighWater reports the reduction's live-pair high-water mark for
-	// the engine entries that run a dynamic reduction (RBSim, RBSub) —
+	// the engine entries that run a dynamic reduction (PreparedRBSimQuery,
+	// PreparedRBSubQuery) —
 	// the empirical input for tuning the pair table's budget-derived size
 	// hint. Zero for entries without a reduction.
 	PairHighWater int `json:"pair_high_water,omitempty"`
@@ -209,7 +208,7 @@ func runMicro(path, comparePath string, tolerance float64, count int, nsGate boo
 	// fixpoint as earlier baselines; the pooled ball path is measured
 	// separately by the MatchOptBall entry.
 	var ballCSR graph.FragCSR
-	g.BallInto(vp, q.Diameter(), &ballCSR)
+	g.BallInto(vp, q.Diameter(), &ballCSR, nil)
 	ballG := ballCSR.ToGraph(g)
 	bvp := graph.NodeID(ballCSR.PosOf(vp))
 	pin := map[pattern.NodeID]graph.NodeID{q.Personalized(): bvp}
@@ -219,8 +218,8 @@ func runMicro(path, comparePath string, tolerance float64, count int, nsGate boo
 	reachQs := gen.ReachQueries(gr, 64, 9)
 
 	// The facade request path on a warm plan cache: the same fixture
-	// query as RBSim, issued through DB.Query so the measurement covers
-	// request validation, the cache probe and the legacy-shape-free
+	// query as PreparedRBSimQuery, issued through DB.Query so the
+	// measurement covers request validation, the cache probe and the
 	// result assembly. One warm-up run takes the compile miss up front.
 	qdb := rbq.NewDB(g)
 	qreq := rbq.Request{Anchor: rbq.Pin(vp), Alpha: 0.001}
@@ -265,7 +264,7 @@ func runMicro(path, comparePath string, tolerance float64, count int, nsGate boo
 
 	// Mutation fixtures: a batch of net-new edges over g (and its exact
 	// inverse), drawn deterministically, so ApplyEdges can oscillate the
-	// live delta without drifting and OverlayQuery can run the RBSim
+	// live delta without drifting and OverlayQuery can run the QueryCacheHit
 	// fixture against a snapshot with a live overlay. The three DBs are
 	// built lazily, on the first run of the first mutation entry: they
 	// add ~3 graph-sized structures of live heap, which must not sit in
@@ -427,16 +426,6 @@ func runMicro(path, comparePath string, tolerance float64, count int, nsGate boo
 		name string
 		fn   func(b *testing.B)
 	}{
-		{"RBSim", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rbsim.Run(aux, q, vp, opts)
-			}
-		}},
-		{"RBSub", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rbsub.Run(aux, q, vp, opts, nil)
-			}
-		}},
 		{"PreparedRBSimQuery", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				pl.Simulation(vp, opts)
@@ -470,7 +459,7 @@ func runMicro(path, comparePath string, tolerance float64, count int, nsGate boo
 		}},
 		{"MatchOptBall", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				simulation.MatchOpt(g, q, vp)
+				simulation.MatchOpt(g, q, vp, nil)
 			}
 		}},
 		{"ParallelExactW1", func(b *testing.B) {
@@ -623,8 +612,6 @@ func runMicro(path, comparePath string, tolerance float64, count int, nsGate boo
 	// fixture query, not of timing: measure it once per engine entry so
 	// the report carries the empirical input for pair-table hint tuning.
 	pairHW := map[string]int{
-		"RBSim":              rbsim.Run(aux, q, vp, opts).Stats.PairHighWater,
-		"RBSub":              rbsub.Run(aux, q, vp, opts, nil).Stats.PairHighWater,
 		"PreparedRBSimQuery": pl.Simulation(vp, opts).Stats.PairHighWater,
 		"PreparedRBSubQuery": pl.Subgraph(vp, opts, nil).Stats.PairHighWater,
 	}

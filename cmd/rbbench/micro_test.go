@@ -84,3 +84,22 @@ func TestCompareServeEntriesReportOnly(t *testing.T) {
 		t.Fatalf("comparison should still report the movement:\n%s", errb.String())
 	}
 }
+
+// TestCompareIgnoresDroppedBaselineEntries: a baseline entry the fresh
+// run no longer produces (its benchmark was deleted) is not compared and
+// does not fail the gate, so -compare stays usable across the PR that
+// drops an entry and the one that refreshes the baseline.
+func TestCompareIgnoresDroppedBaselineEntries(t *testing.T) {
+	base := map[string]microResult{
+		"Kept":    entry("Kept", 1000, 0, 2),
+		"Dropped": entry("Dropped", 1000, 0, 2),
+	}
+	fresh := []microResult{entry("Kept", 1000, 0, 2)}
+	var errb bytes.Buffer
+	if err := compareBaseline(fresh, base, "base.json", 0.25, true, &errb); err != nil {
+		t.Fatalf("a dropped baseline entry must not fail the gate: %v", err)
+	}
+	if strings.Contains(errb.String(), "Dropped") {
+		t.Fatalf("a dropped baseline entry must not be compared:\n%s", errb.String())
+	}
+}

@@ -150,6 +150,12 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, shutdown 
 		ReadHeaderTimeout: 5 * time.Second,
 		ErrorLog:          log.New(stderr, "rbqd: http: ", 0),
 	}
+	// Installed before the address is announced: a supervisor that reads
+	// "listening" may send SIGTERM at once, and a signal that lands before
+	// Notify kills the process instead of draining it.
+	sigCh := make(chan os.Signal, 1)
+	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigCh)
 	fmt.Fprintf(stdout, "rbqd: listening on %s\n", ln.Addr())
 
 	// The pprof surface gets its own listener and mux: runtime profiling
@@ -182,10 +188,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, shutdown 
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigCh)
 
 	rc := 0
 	select {

@@ -4,6 +4,7 @@ package rbq_test
 // output is verified.
 
 import (
+	"context"
 	"fmt"
 
 	"rbq"
@@ -28,7 +29,7 @@ func socialGraph() *rbq.Graph {
 	return b.Build()
 }
 
-func ExampleDB_Simulation() {
+func ExampleDB_Query() {
 	db := rbq.NewDB(socialGraph())
 	q, _ := rbq.ParsePattern(`
 		node 0 Michael*
@@ -40,16 +41,16 @@ func ExampleDB_Simulation() {
 		edge 1 3
 		edge 2 3
 	`)
-	res, _ := db.Simulation(q, 0.99)
+	res, _ := db.Query(context.Background(), q, rbq.Request{Alpha: 0.99})
 	fmt.Println("matches:", res.Matches)
 	// Output: matches: [3 4]
 }
 
-func ExampleDB_SimulationExact() {
+func ExampleDB_Query_exact() {
 	db := rbq.NewDB(socialGraph())
 	q, _ := rbq.ParsePattern("node 0 Michael*\nnode 1 CC!\nedge 0 1\n")
-	exact, _ := db.SimulationExact(q)
-	fmt.Println("exact:", exact)
+	exact, _ := db.Query(context.Background(), q, rbq.Request{Mode: rbq.Exact})
+	fmt.Println("exact:", exact.Matches)
 	// Output: exact: [1]
 }
 
@@ -75,7 +76,7 @@ func ExampleReachOracle_Reach() {
 	// Output: true false
 }
 
-func ExampleDB_SimulationUnanchored() {
+func ExampleDB_Query_unanchored() {
 	// Two disjoint A->B motifs: no unique personalized node exists, so the
 	// unanchored engine splits the budget across both A candidates.
 	b := rbq.NewGraphBuilder(4, 2)
@@ -88,7 +89,7 @@ func ExampleDB_SimulationUnanchored() {
 	db := rbq.NewDB(b.Build())
 
 	q, _ := rbq.ParsePattern("node 0 A*\nnode 1 B!\nedge 0 1\n")
-	res := db.SimulationUnanchored(q, 1.0)
+	res, _ := db.Query(context.Background(), q, rbq.Request{Mode: rbq.Unanchored, Alpha: 1.0})
 	fmt.Println("matches:", res.Matches, "anchors:", res.Evaluated)
 	// Output: matches: [1 3] anchors: 2
 }

@@ -49,12 +49,12 @@ func main() {
 	defer cancel()
 	alphas := []float64{0.00002, 0.0001, 0.0005, 0.002, 0.01}
 	fmt.Println("alpha      accuracy   mean |G_Q|")
-	for _, pt := range db.SimulationCurveContext(ctx, workload, alphas) {
+	for _, pt := range db.SimulationCurve(ctx, workload, alphas) {
 		fmt.Printf("%-10.5f %-10.3f %.1f\n", pt.Alpha, pt.Accuracy, pt.MeanFragment)
 	}
 
 	// 2. The smallest α achieving 100% accuracy on this workload.
-	pt, ok := db.MinAlphaForAccuracy(workload, 1.0, 0.01, 8)
+	pt, ok := db.MinAlphaForAccuracy(ctx, workload, 1.0, 0.01, 8)
 	if !ok {
 		fmt.Println("\n100% accuracy needs α > 0.01 on this workload")
 	} else {

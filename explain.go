@@ -7,7 +7,6 @@ package rbq
 // and the trace's phase breakdown after it.
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -135,9 +134,9 @@ func (db *DB) Explain(q *Pattern, req Request) (*Explain, error) {
 			ex.Nodes[ex.AnchorNode].Anchor = true
 		}
 		if sel.Unanchored != nil {
-			opts := rbany.Options{Alpha: req.Alpha, Split: rbany.Split(req.Split)}
-			ex.Shares = toExplainShares(sel.Unanchored.PredictShares(opts, req.Semantics == Subgraph, MaxExplainShares))
-			ex.ShareTotal = countPassingAnchors(sel.Unanchored, opts, req.Semantics == Subgraph)
+			sub := req.Semantics == Subgraph
+			ex.Shares = toExplainShares(sel.Unanchored.PredictShares(req.Alpha, sub, MaxExplainShares))
+			ex.ShareTotal = countPassingAnchors(sel.Unanchored, req.Alpha, sub)
 		}
 	} else if req.Anchor != nil {
 		ex.Personalized = *req.Anchor
@@ -158,8 +157,8 @@ func toExplainShares(shares []rbany.Share) []ExplainShare {
 // countPassingAnchors reports how many anchors the split would cover:
 // PredictShares truncated to one row per candidate tells us, cheaply
 // enough for a diagnostic (one guard probe per candidate).
-func countPassingAnchors(pr *rbany.Prepared, opts rbany.Options, sub bool) int {
-	return len(pr.PredictShares(opts, sub, int(^uint(0)>>1)))
+func countPassingAnchors(pr *rbany.Prepared, alpha float64, sub bool) int {
+	return len(pr.PredictShares(alpha, sub, int(^uint(0)>>1)))
 }
 
 // WriteText renders the explanation as the CLI prints it.
@@ -232,14 +231,4 @@ func hitName(hit bool) string {
 		return "hit"
 	}
 	return "miss"
-}
-
-// ExplainContext is Explain honoring ctx for symmetry with Query; the
-// compile path has no engine loops to interrupt, so ctx only gates
-// entry.
-func (db *DB) ExplainContext(ctx context.Context, q *Pattern, req Request) (*Explain, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return db.Explain(q, req)
 }

@@ -4,6 +4,7 @@ package rbq
 // patterns, and accuracy calibration.
 
 import (
+	"context"
 	"reflect"
 	"testing"
 )
@@ -38,8 +39,14 @@ func TestSimulationBatchMatchesSequential(t *testing.T) {
 	g := RandomGraph(4000, 10000, 3, true)
 	db := NewDB(g)
 	qs := batchWorkload(t, g, 50)
-	seq := db.SimulationBatch(qs, 0.01, 1)
-	par := db.SimulationBatch(qs, 0.01, 4)
+	seq, err := db.QueryBatch(context.Background(), qs, Request{Alpha: 0.01}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := db.QueryBatch(context.Background(), qs, Request{Alpha: 0.01}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatal("parallel batch differs from sequential")
 	}
@@ -58,9 +65,9 @@ func TestSubgraphBatch(t *testing.T) {
 	g := RandomGraph(2000, 5000, 5, false)
 	db := NewDB(g)
 	qs := batchWorkload(t, g, 20)
-	res := db.SubgraphBatch(qs, 0.05, 3)
-	if len(res) != len(qs) {
-		t.Fatalf("got %d results", len(res))
+	res, err := db.QueryBatch(context.Background(), qs, Request{Semantics: Subgraph, Alpha: 0.05}, 3)
+	if err != nil || len(res) != len(qs) {
+		t.Fatalf("got %d results (%v)", len(res), err)
 	}
 }
 
@@ -72,7 +79,10 @@ func TestBatchBadPinYieldsZeroResult(t *testing.T) {
 	pb.SetPersonalized(a)
 	pb.SetOutput(a)
 	q := pb.MustBuild()
-	res := db.SimulationBatch([]AnchoredQuery{{Q: q, At: 0}}, 0.1, 2)
+	res, err := db.QueryBatch(context.Background(), []AnchoredQuery{{Q: q, At: 0}}, Request{Alpha: 0.1}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res[0].Matches != nil {
 		t.Fatalf("bad pin produced matches: %v", res[0].Matches)
 	}
@@ -97,12 +107,15 @@ func TestSimulationUnanchoredEndToEnd(t *testing.T) {
 	pb.SetOutput(b)
 	q := pb.MustBuild()
 
-	// The anchored API must refuse (label A is not unique)...
-	if _, err := db.Simulation(q, 0.5); err == nil {
+	// An anchored request must refuse (label A is not unique)...
+	if _, err := db.Query(context.Background(), q, Request{Alpha: 0.5}); err == nil {
 		t.Fatal("expected uniqueness error")
 	}
-	// ...while the unanchored API answers.
-	res := db.SimulationUnanchored(q, 1.0)
+	// ...while the unanchored mode answers.
+	res, err := db.Query(context.Background(), q, Request{Mode: Unanchored, Alpha: 1.0})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(res.Matches, bs) {
 		t.Fatalf("matches = %v, want %v", res.Matches, bs)
 	}
@@ -125,9 +138,9 @@ func TestSubgraphUnanchoredEndToEnd(t *testing.T) {
 	pb.SetPersonalized(pp)
 	pb.SetOutput(pp)
 	q := pb.MustBuild()
-	res := db.SubgraphUnanchored(q, 1.0)
-	if !reflect.DeepEqual(res.Matches, []NodeID{0}) {
-		t.Fatalf("matches = %v", res.Matches)
+	res, err := db.Query(context.Background(), q, Request{Semantics: Subgraph, Mode: Unanchored, Alpha: 1.0})
+	if err != nil || !reflect.DeepEqual(res.Matches, []NodeID{0}) {
+		t.Fatalf("matches = %v (%v)", res.Matches, err)
 	}
 }
 
@@ -142,7 +155,7 @@ func TestSimulationCurveAndMinAlpha(t *testing.T) {
 		}
 		// All queries must target the same DB; rebuild it per extraction
 		// is wasteful, so use a single extraction's graph and pin the
-		// remaining queries on it via SimulationAt-compatible anchors.
+		// remaining queries on it via pin-compatible anchors.
 		db = NewDB(g2)
 		qs = append(qs, AnchoredQuery{Q: q, At: vp})
 		break
@@ -150,14 +163,14 @@ func TestSimulationCurveAndMinAlpha(t *testing.T) {
 	if db == nil {
 		t.Skip("no pattern extracted")
 	}
-	pts := db.SimulationCurve(qs, []float64{0.001, 0.1})
+	pts := db.SimulationCurve(context.Background(), qs, []float64{0.001, 0.1})
 	if len(pts) != 2 {
 		t.Fatalf("curve has %d points", len(pts))
 	}
 	if pts[1].Accuracy != 1 {
 		t.Fatalf("accuracy at alpha=0.1 is %v", pts[1].Accuracy)
 	}
-	pt, ok := db.MinAlphaForAccuracy(qs, 1.0, 0.2, 5)
+	pt, ok := db.MinAlphaForAccuracy(context.Background(), qs, 1.0, 0.2, 5)
 	if !ok {
 		t.Fatal("target unreachable")
 	}

@@ -4,6 +4,7 @@ package rbq
 // properties that span packages, and exhaustive checks on small graphs.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -221,26 +222,27 @@ func TestExample2ThroughPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	alpha := 30.0 / float64(db.Graph().Size())
-	res, err := db.Simulation(q, alpha)
+	ctx := context.Background()
+	res, err := db.Query(ctx, q, Request{Alpha: alpha})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Matches) != 2 || res.Matches[0] != answer1 || res.Matches[1] != answer2 {
 		t.Fatalf("matches = %v, want [%d %d] (res %+v)", res.Matches, answer1, answer2, res)
 	}
-	exact, err := db.SimulationExact(q)
+	exact, err := db.Query(ctx, q, Request{Mode: Exact})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc := MatchAccuracy(exact, res.Matches); acc.F != 1 {
+	if acc := MatchAccuracy(exact.Matches, res.Matches); acc.F != 1 {
 		t.Fatalf("accuracy %+v at budget %d", acc, res.Budget)
 	}
 	// RBSub agrees on this workload.
-	sub, err := db.Subgraph(q, alpha)
+	sub, err := db.Query(ctx, q, Request{Semantics: Subgraph, Alpha: alpha})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc := MatchAccuracy(exact, sub.Matches); acc.F != 1 {
+	if acc := MatchAccuracy(exact.Matches, sub.Matches); acc.F != 1 {
 		t.Fatalf("RBSub accuracy %+v", acc)
 	}
 }
@@ -255,7 +257,7 @@ func TestEndToEndDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		db := NewDB(g2)
-		res, err := db.Simulation(q, 0.002)
+		res, err := db.Query(context.Background(), q, Request{Alpha: 0.002})
 		if err != nil {
 			t.Fatal(err)
 		}

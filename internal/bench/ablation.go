@@ -9,14 +9,12 @@ import (
 	"rbq/internal/gen"
 	"rbq/internal/landmark"
 	"rbq/internal/rbreach"
-	"rbq/internal/rbsim"
 	"rbq/internal/reduce"
-	"rbq/internal/simulation"
 )
 
-// Ablation studies for the design choices DESIGN.md §5 calls out. Each
-// compares the paper's choice against a degraded variant on the same
-// workload, reporting accuracy and data accessed.
+// Ablation studies for the paper's design choices. Each compares the
+// paper's choice against a degraded variant on the same workload,
+// reporting accuracy and data accessed.
 
 func init() {
 	register(Experiment{"abl-bound", "Ablation: fairness bound b (escalating vs frozen vs greedy)", runAblationBound})
@@ -28,21 +26,21 @@ func init() {
 
 // ablationPatternSetup prepares the shared pattern workload on the
 // Youtube-like stand-in at the paper's α = 1.6e-5.
-func ablationPatternSetup(s Scale) (*ds, []patternEval, float64) {
+func ablationPatternSetup(s Scale) ([]patternEval, float64) {
 	d := realDatasets(s)[0]
-	queries := patternWorkload(d.g, s.Patterns, defaultQSize[0], defaultQSize[1], s.Seed)
+	queries := patternWorkload(d.aux, s.Patterns, defaultQSize[0], defaultQSize[1], s.Seed)
 	evals := make([]patternEval, 0, len(queries))
 	for _, q := range queries {
 		e := patternEval{q: q}
-		e.exactSim = simulation.MatchOpt(d.g, q.p, q.vp)
+		e.exactSim = q.pl.SimulationExact(q.vp, nil)
 		evals = append(evals, e)
 	}
-	return d, evals, effAlpha(1.6e-5, d.paperSize, d.g)
+	return evals, effAlpha(1.6e-5, d.paperSize, d.g)
 }
 
-func runSimVariant(d *ds, evals []patternEval, opts reduce.Options) (acc float64, visited, frag int) {
+func runSimVariant(evals []patternEval, opts reduce.Options) (acc float64, visited, frag int) {
 	for _, e := range evals {
-		r := rbsim.Run(d.aux, e.q.p, e.q.vp, opts)
+		r := e.q.pl.Simulation(e.q.vp, opts)
 		acc += accuracy.Matches(e.exactSim, r.Matches).F
 		visited += r.Stats.Visited
 		frag += r.Stats.FragmentSize
@@ -52,7 +50,7 @@ func runSimVariant(d *ds, evals []patternEval, opts reduce.Options) (acc float64
 }
 
 func runAblationBound(w io.Writer, s Scale) error {
-	d, evals, eff := ablationPatternSetup(s)
+	evals, eff := ablationPatternSetup(s)
 	if len(evals) == 0 {
 		fmt.Fprintln(w, "(no queries extracted)")
 		return nil
@@ -68,14 +66,14 @@ func runAblationBound(w io.Writer, s Scale) error {
 		{"greedy b=64", reduce.Options{Alpha: eff, InitialBound: 64}},
 	}
 	for _, v := range variants {
-		acc, vis, frag := runSimVariant(d, evals, v.opts)
+		acc, vis, frag := runSimVariant(evals, v.opts)
 		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\n", v.name, pct(acc), vis, frag)
 	}
 	return tw.Flush()
 }
 
 func runAblationWeight(w io.Writer, s Scale) error {
-	d, evals, eff := ablationPatternSetup(s)
+	evals, eff := ablationPatternSetup(s)
 	if len(evals) == 0 {
 		fmt.Fprintln(w, "(no queries extracted)")
 		return nil
@@ -91,14 +89,14 @@ func runAblationWeight(w io.Writer, s Scale) error {
 		{"random", reduce.WeightRandom},
 	}
 	for _, v := range variants {
-		acc, vis, frag := runSimVariant(d, evals, reduce.Options{Alpha: eff, Strategy: v.st, Seed: s.Seed})
+		acc, vis, frag := runSimVariant(evals, reduce.Options{Alpha: eff, Strategy: v.st, Seed: s.Seed})
 		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\n", v.name, pct(acc), vis, frag)
 	}
 	return tw.Flush()
 }
 
 func runAblationGuard(w io.Writer, s Scale) error {
-	d, evals, eff := ablationPatternSetup(s)
+	evals, eff := ablationPatternSetup(s)
 	if len(evals) == 0 {
 		fmt.Fprintln(w, "(no queries extracted)")
 		return nil
@@ -109,7 +107,7 @@ func runAblationGuard(w io.Writer, s Scale) error {
 		name    string
 		disable bool
 	}{{"C(v,u) on (paper)", false}, {"label-only", true}} {
-		acc, vis, frag := runSimVariant(d, evals, reduce.Options{Alpha: eff, DisableGuard: v.disable})
+		acc, vis, frag := runSimVariant(evals, reduce.Options{Alpha: eff, DisableGuard: v.disable})
 		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\n", v.name, pct(acc), vis, frag)
 	}
 	return tw.Flush()

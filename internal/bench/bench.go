@@ -1,15 +1,16 @@
 // Package bench is the experiment harness that regenerates every table and
 // figure of Section 6 of Fan, Wang & Wu (SIGMOD 2014), plus the ablation
-// studies of DESIGN.md §5. Each experiment prints the same rows/series the
-// paper reports; EXPERIMENTS.md records paper-vs-measured shapes.
+// studies of ablation.go (fairness bound, frontier ranking, guard, flat
+// index, condensation). Each experiment prints the same rows/series the
+// paper reports.
 //
 // The paper evaluates on Youtube (|G| ≈ 6.1M items) and a Yahoo web graph
 // (|G| ≈ 18M items); this harness runs on power-law stand-ins at a reduced
-// scale (see package dataset and DESIGN.md §4). To keep the paper's α
-// values meaningful, resource budgets are mapped through the original
-// graph sizes: a row labeled α = 1.6×10⁻⁵ gets the same absolute budget
-// α·|G_paper| the paper's run had, expressed as an effective ratio on the
-// stand-in. All output tables print both numbers.
+// scale (see package dataset). To keep the paper's α values meaningful,
+// resource budgets are mapped through the original graph sizes: a row
+// labeled α = 1.6×10⁻⁵ gets the same absolute budget α·|G_paper| the
+// paper's run had, expressed as an effective ratio on the stand-in. All
+// output tables print both numbers.
 package bench
 
 import (

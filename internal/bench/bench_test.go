@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"rbq/internal/graph"
 )
 
 // tinyScale keeps harness tests fast while exercising every code path.
@@ -73,15 +75,16 @@ func TestScaleDefaults(t *testing.T) {
 
 func TestPatternWorkloadShapes(t *testing.T) {
 	g := syntheticGraph(2000, 3)
-	qs := patternWorkload(g, 4, 4, 8, 7)
+	qs := patternWorkload(graph.BuildAux(g), 4, 4, 8, 7)
 	if len(qs) == 0 {
 		t.Fatal("no queries extracted")
 	}
 	for _, q := range qs {
-		if q.p.NumNodes() != 4 {
-			t.Fatalf("|V_p| = %d", q.p.NumNodes())
+		p := q.pl.Pattern()
+		if p.NumNodes() != 4 {
+			t.Fatalf("|V_p| = %d", p.NumNodes())
 		}
-		if g.Label(q.vp) != q.p.Label(q.p.Personalized()) {
+		if g.Label(q.vp) != p.Label(p.Personalized()) {
 			t.Fatal("anchor label mismatch")
 		}
 	}

@@ -1,12 +1,13 @@
 package bench
 
 import (
+	"fmt"
 	"math/rand"
 
 	"rbq/internal/dataset"
 	"rbq/internal/gen"
 	"rbq/internal/graph"
-	"rbq/internal/pattern"
+	"rbq/internal/plan"
 )
 
 // ds bundles one data graph with its offline structures and the size of
@@ -30,15 +31,18 @@ func realDatasets(s Scale) []*ds {
 	}
 }
 
-// patternQuery is one pattern workload item, pinned at v_p.
+// patternQuery is one pattern workload item, pinned at v_p: the pattern
+// compiled against the dataset's Aux, which every engine run of the
+// experiments goes through.
 type patternQuery struct {
-	p  *pattern.Pattern
+	pl *plan.Plan
 	vp graph.NodeID
 }
 
-// patternWorkload extracts n patterns of shape (qNodes, qEdges) from g,
-// each anchored at a random node with non-trivial degree.
-func patternWorkload(g *graph.Graph, n, qNodes, qEdges int, seed int64) []patternQuery {
+// patternWorkload extracts n patterns of shape (qNodes, qEdges) from aux's
+// graph, each anchored at a random node with non-trivial degree.
+func patternWorkload(aux *graph.Aux, n, qNodes, qEdges int, seed int64) []patternQuery {
+	g := aux.Graph()
 	rng := rand.New(rand.NewSource(seed))
 	var out []patternQuery
 	for attempt := 0; len(out) < n && attempt < 50*n; attempt++ {
@@ -50,7 +54,12 @@ func patternWorkload(g *graph.Graph, n, qNodes, qEdges int, seed int64) []patter
 		if p == nil {
 			continue
 		}
-		out = append(out, patternQuery{p: p, vp: vp})
+		pl, err := plan.New(aux, p)
+		if err != nil {
+			// PatternAt builds valid patterns; a failure here is a bug.
+			panic(fmt.Sprintf("bench: %v", err))
+		}
+		out = append(out, patternQuery{pl: pl, vp: vp})
 	}
 	return out
 }

@@ -20,7 +20,7 @@ func init() {
 
 func runExtUnanchored(w io.Writer, s Scale) error {
 	d := realDatasets(s)[0]
-	queries := patternWorkload(d.g, s.Patterns, defaultQSize[0], defaultQSize[1], s.Seed)
+	queries := patternWorkload(d.aux, s.Patterns, defaultQSize[0], defaultQSize[1], s.Seed)
 	if len(queries) == 0 {
 		fmt.Fprintln(w, "(no queries extracted)")
 		return nil
@@ -31,8 +31,8 @@ func runExtUnanchored(w io.Writer, s Scale) error {
 		eff := effAlpha(a, d.paperSize, d.g)
 		acc, anchors, frag := 0.0, 0, 0
 		for _, q := range queries {
-			exact := rbany.SimulationExact(d.g, q.p)
-			res := rbany.Simulation(d.aux, q.p, rbany.Options{Alpha: eff})
+			exact, _ := rbany.SimulationExact(d.g, q.pl.Pattern(), 1, nil)
+			res := q.pl.SimulationUnanchored(rbany.Options{Alpha: eff})
 			acc += accuracy.Matches(exact, res.Matches).F
 			anchors += res.Evaluated
 			frag += res.FragmentSize
@@ -46,14 +46,14 @@ func runExtUnanchored(w io.Writer, s Scale) error {
 
 func runExtCalibrate(w io.Writer, s Scale) error {
 	d := realDatasets(s)[0]
-	raw := patternWorkload(d.g, s.Patterns, defaultQSize[0], defaultQSize[1], s.Seed)
+	raw := patternWorkload(d.aux, s.Patterns, defaultQSize[0], defaultQSize[1], s.Seed)
 	if len(raw) == 0 {
 		fmt.Fprintln(w, "(no queries extracted)")
 		return nil
 	}
 	queries := make([]calibrate.Query, len(raw))
 	for i, q := range raw {
-		queries[i] = calibrate.Query{P: q.p, VP: q.vp}
+		queries[i] = calibrate.Query{P: q.pl.Pattern(), VP: q.vp}
 	}
 	tw := newTable(w)
 	fmt.Fprintln(tw, "α\taccuracy\tmean |G_Q|")

@@ -7,10 +7,7 @@ import (
 
 	"rbq/internal/accuracy"
 	"rbq/internal/graph"
-	"rbq/internal/rbsim"
-	"rbq/internal/rbsub"
 	"rbq/internal/reduce"
-	"rbq/internal/simulation"
 	"rbq/internal/subiso"
 )
 
@@ -62,12 +59,12 @@ func evalBaselines(d *ds, queries []patternQuery, withBall bool) []patternEval {
 	for _, q := range queries {
 		e := patternEval{q: q}
 		if withBall {
-			d.g.BallInto(q.vp, q.p.Diameter(), &ball)
+			d.g.BallInto(q.vp, q.pl.Diameter(), &ball, nil)
 			e.ballSize = ball.Size()
 		}
-		e.simTime = timeIt(func() { e.exactSim = simulation.MatchOpt(d.g, q.p, q.vp) })
+		e.simTime = timeIt(func() { e.exactSim = q.pl.SimulationExact(q.vp, nil) })
 		e.isoTime = timeIt(func() {
-			e.exactIso, e.isoOK = subiso.MatchOpt(d.g, q.p, q.vp, &subiso.Options{MaxSteps: vf2Budget})
+			e.exactIso, e.isoOK = q.pl.SubgraphExact(q.vp, &subiso.Options{MaxSteps: vf2Budget})
 		})
 		out = append(out, e)
 	}
@@ -82,7 +79,7 @@ func runTable2(w io.Writer, s Scale) error {
 	}
 	fmt.Fprintln(tw)
 	for _, d := range realDatasets(s) {
-		queries := patternWorkload(d.g, s.Patterns, defaultQSize[0], defaultQSize[1], s.Seed)
+		queries := patternWorkload(d.aux, s.Patterns, defaultQSize[0], defaultQSize[1], s.Seed)
 		evals := evalBaselines(d, queries, true)
 		for _, algo := range []string{"RBSim", "RBSub"} {
 			fmt.Fprintf(tw, "%s\t%s\t", d.name, algo)
@@ -95,9 +92,9 @@ func runTable2(w io.Writer, s Scale) error {
 					}
 					var frag int
 					if algo == "RBSim" {
-						frag = rbsim.Run(d.aux, e.q.p, e.q.vp, opts).Stats.FragmentSize
+						frag = e.q.pl.Simulation(e.q.vp, opts).Stats.FragmentSize
 					} else {
-						frag = rbsub.Run(d.aux, e.q.p, e.q.vp, opts, &subiso.Options{MaxSteps: vf2Budget}).Stats.FragmentSize
+						frag = e.q.pl.Subgraph(e.q.vp, opts, &subiso.Options{MaxSteps: vf2Budget}).Stats.FragmentSize
 					}
 					sum += float64(frag) / float64(e.ballSize)
 					n++
@@ -117,7 +114,7 @@ func runTable2(w io.Writer, s Scale) error {
 func figTimeVsAlpha(idx int) func(io.Writer, Scale) error {
 	return func(w io.Writer, s Scale) error {
 		d := realDatasets(s)[idx]
-		queries := patternWorkload(d.g, s.Patterns, defaultQSize[0], defaultQSize[1], s.Seed)
+		queries := patternWorkload(d.aux, s.Patterns, defaultQSize[0], defaultQSize[1], s.Seed)
 		evals := evalBaselines(d, queries, false)
 		var baseSim, baseIso time.Duration
 		for _, e := range evals {
@@ -132,9 +129,9 @@ func figTimeVsAlpha(idx int) func(io.Writer, Scale) error {
 			opts := reduce.Options{Alpha: eff}
 			var tSim, tSub time.Duration
 			for _, e := range evals {
-				tSim += timeIt(func() { rbsim.Run(d.aux, e.q.p, e.q.vp, opts) })
+				tSim += timeIt(func() { e.q.pl.Simulation(e.q.vp, opts) })
 				tSub += timeIt(func() {
-					rbsub.Run(d.aux, e.q.p, e.q.vp, opts, &subiso.Options{MaxSteps: vf2Budget})
+					e.q.pl.Subgraph(e.q.vp, opts, &subiso.Options{MaxSteps: vf2Budget})
 				})
 			}
 			fmt.Fprintf(tw, "%.1fe-5\t%s\t%s\t%s\t%s\t%s\n",
@@ -147,14 +144,14 @@ func figTimeVsAlpha(idx int) func(io.Writer, Scale) error {
 func figAccVsAlpha(idx int) func(io.Writer, Scale) error {
 	return func(w io.Writer, s Scale) error {
 		d := realDatasets(s)[idx]
-		queries := patternWorkload(d.g, s.Patterns, defaultQSize[0], defaultQSize[1], s.Seed)
+		queries := patternWorkload(d.aux, s.Patterns, defaultQSize[0], defaultQSize[1], s.Seed)
 		evals := evalBaselines(d, queries, false)
 		tw := newTable(w)
 		fmt.Fprintln(tw, "α(paper)\tα(effective)\tRBSim acc\tRBSub acc")
 		for _, a := range patternAlphas {
 			eff := effAlpha(a, d.paperSize, d.g)
 			opts := reduce.Options{Alpha: eff}
-			accSim, accSub := patternAccuracy(d, evals, opts)
+			accSim, accSub := patternAccuracy(evals, opts)
 			fmt.Fprintf(tw, "%.1fe-5\t%s\t%s\t%s\n", a*1e5, pct(eff), pct(accSim), pct(accSub))
 		}
 		return tw.Flush()
@@ -163,14 +160,14 @@ func figAccVsAlpha(idx int) func(io.Writer, Scale) error {
 
 // patternAccuracy averages the F-measure of RBSim and RBSub against their
 // exact baselines over the workload.
-func patternAccuracy(d *ds, evals []patternEval, opts reduce.Options) (accSim, accSub float64) {
+func patternAccuracy(evals []patternEval, opts reduce.Options) (accSim, accSub float64) {
 	nSim, nSub := 0, 0
 	for _, e := range evals {
-		r := rbsim.Run(d.aux, e.q.p, e.q.vp, opts)
+		r := e.q.pl.Simulation(e.q.vp, opts)
 		accSim += accuracy.Matches(e.exactSim, r.Matches).F
 		nSim++
 		if e.isoOK {
-			r2 := rbsub.Run(d.aux, e.q.p, e.q.vp, opts, &subiso.Options{MaxSteps: vf2Budget})
+			r2 := e.q.pl.Subgraph(e.q.vp, opts, &subiso.Options{MaxSteps: vf2Budget})
 			accSub += accuracy.Matches(e.exactIso, r2.Matches).F
 			nSub++
 		}
@@ -190,7 +187,7 @@ func figTimeVsQ(idx int) func(io.Writer, Scale) error {
 		tw := newTable(w)
 		fmt.Fprintln(tw, "|Q|\tRBSim\tMatchOpt\tRBSub\tVF2Opt")
 		for _, shape := range querySizes {
-			queries := patternWorkload(d.g, s.Patterns, shape[0], shape[1], s.Seed+int64(shape[0]))
+			queries := patternWorkload(d.aux, s.Patterns, shape[0], shape[1], s.Seed+int64(shape[0]))
 			if len(queries) == 0 {
 				fmt.Fprintf(tw, "(%d,%d)\t(no queries extracted)\n", shape[0], shape[1])
 				continue
@@ -199,9 +196,9 @@ func figTimeVsQ(idx int) func(io.Writer, Scale) error {
 			opts := reduce.Options{Alpha: effAlpha(fixedQAlpha, d.paperSize, d.g)}
 			var tSim, tSub, bSim, bIso time.Duration
 			for _, e := range evals {
-				tSim += timeIt(func() { rbsim.Run(d.aux, e.q.p, e.q.vp, opts) })
+				tSim += timeIt(func() { e.q.pl.Simulation(e.q.vp, opts) })
 				tSub += timeIt(func() {
-					rbsub.Run(d.aux, e.q.p, e.q.vp, opts, &subiso.Options{MaxSteps: vf2Budget})
+					e.q.pl.Subgraph(e.q.vp, opts, &subiso.Options{MaxSteps: vf2Budget})
 				})
 				bSim += e.simTime
 				bIso += e.isoTime
@@ -220,14 +217,14 @@ func figAccVsQ(idx int) func(io.Writer, Scale) error {
 		tw := newTable(w)
 		fmt.Fprintln(tw, "|Q|\tRBSim acc\tRBSub acc")
 		for _, shape := range querySizes {
-			queries := patternWorkload(d.g, s.Patterns, shape[0], shape[1], s.Seed+int64(shape[0]))
+			queries := patternWorkload(d.aux, s.Patterns, shape[0], shape[1], s.Seed+int64(shape[0]))
 			if len(queries) == 0 {
 				fmt.Fprintf(tw, "(%d,%d)\t(no queries extracted)\n", shape[0], shape[1])
 				continue
 			}
 			evals := evalBaselines(d, queries, false)
 			opts := reduce.Options{Alpha: effAlpha(fixedQAlpha, d.paperSize, d.g)}
-			accSim, accSub := patternAccuracy(d, evals, opts)
+			accSim, accSub := patternAccuracy(evals, opts)
 			fmt.Fprintf(tw, "(%d,%d)\t%s\t%s\n", shape[0], shape[1], pct(accSim), pct(accSub))
 		}
 		return tw.Flush()
@@ -257,7 +254,7 @@ func runFig8i(w io.Writer, s Scale) error {
 		d := syntheticDS(nodes, s.Seed+int64(i))
 		paperNodes := nodes * s.SyntheticDivisor
 		eff := effAlpha(syntheticQAlp, 3*paperNodes, d.g)
-		queries := patternWorkload(d.g, s.Patterns, defaultQSize[0], defaultQSize[1], s.Seed)
+		queries := patternWorkload(d.aux, s.Patterns, defaultQSize[0], defaultQSize[1], s.Seed)
 		if len(queries) == 0 {
 			fmt.Fprintf(tw, "%dM\t%d\t(no queries extracted)\n", paperNodes/1_000_000, nodes)
 			continue
@@ -266,9 +263,9 @@ func runFig8i(w io.Writer, s Scale) error {
 		opts := reduce.Options{Alpha: eff}
 		var tSim, tSub, bSim, bIso time.Duration
 		for _, e := range evals {
-			tSim += timeIt(func() { rbsim.Run(d.aux, e.q.p, e.q.vp, opts) })
+			tSim += timeIt(func() { e.q.pl.Simulation(e.q.vp, opts) })
 			tSub += timeIt(func() {
-				rbsub.Run(d.aux, e.q.p, e.q.vp, opts, &subiso.Options{MaxSteps: vf2Budget})
+				e.q.pl.Subgraph(e.q.vp, opts, &subiso.Options{MaxSteps: vf2Budget})
 			})
 			bSim += e.simTime
 			bIso += e.isoTime
@@ -287,13 +284,13 @@ func runFig8j(w io.Writer, s Scale) error {
 		d := syntheticDS(nodes, s.Seed+int64(i))
 		paperNodes := nodes * s.SyntheticDivisor
 		eff := effAlpha(syntheticQAlp, 3*paperNodes, d.g)
-		queries := patternWorkload(d.g, s.Patterns, defaultQSize[0], defaultQSize[1], s.Seed)
+		queries := patternWorkload(d.aux, s.Patterns, defaultQSize[0], defaultQSize[1], s.Seed)
 		if len(queries) == 0 {
 			fmt.Fprintf(tw, "%dM\t%d\t(no queries extracted)\n", paperNodes/1_000_000, nodes)
 			continue
 		}
 		evals := evalBaselines(d, queries, false)
-		accSim, accSub := patternAccuracy(d, evals, reduce.Options{Alpha: eff})
+		accSim, accSub := patternAccuracy(evals, reduce.Options{Alpha: eff})
 		fmt.Fprintf(tw, "%dM\t%d\t%s\t%s\n", paperNodes/1_000_000, nodes, pct(accSim), pct(accSub))
 	}
 	return tw.Flush()

@@ -5,10 +5,12 @@
 // nodes, 4,509,826 recommendation edges) and a Yahoo web snapshot
 // (3,000,022 pages, 14,979,447 links) — that are not redistributable.
 // YoutubeLike and YahooLike generate power-law stand-ins with the same
-// average degree and a heavy-tailed degree distribution; DESIGN.md §4
-// records the substitution and why the algorithms only depend on the
-// properties preserved. Scale defaults to a laptop-friendly fraction of
-// the originals and is adjustable.
+// average degree, a heavy-tailed degree distribution and the 15-label
+// alphabet — the properties the algorithms depend on: they see a graph
+// only through node degrees, neighborhood label counts and bounded-hop
+// balls. Scale defaults to a laptop-friendly fraction of the originals and
+// is adjustable; internal/bench maps the paper's α values through the
+// original graph sizes so budgets stay comparable.
 package dataset
 
 import (

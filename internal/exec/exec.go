@@ -1,10 +1,9 @@
 // Package exec is the intra-query parallel execution layer: one bounded
 // worker-pool primitive shared by every fan-out point in the engine —
-// per-center ball matching in the exact simulation baselines
-// (simulation.MatchOptMany, StrongSimParallel), per-pin runs in the
-// isomorphism baseline (subiso.MatchOptMany), rbany's speculative
-// per-anchor waves, the plan layer's selectivity scan, and the facade's
-// QueryBatch sharding.
+// per-center ball matching in the exact simulation baseline
+// (simulation.MatchOptMany), per-pin runs in the isomorphism baseline
+// (subiso.MatchOptMany), rbany's speculative per-anchor waves, the plan
+// layer's selectivity scan, and the facade's QueryBatch sharding.
 //
 // The pool is transient by design: Run spawns at most `workers`
 // goroutines, they drain a shared atomic cursor, and they exit when the

@@ -86,8 +86,8 @@ func TestCSRIntoAllocFree(t *testing.T) {
 func TestBallIntoAllocFree(t *testing.T) {
 	g := randomAllocGraph(t)
 	var ball FragCSR
-	g.BallInto(0, 2, &ball) // warm up pools and CSR capacity
-	if avg := testing.AllocsPerRun(100, func() { g.BallInto(0, 2, &ball) }); avg != 0 {
+	g.BallInto(0, 2, &ball, nil) // warm up pools and CSR capacity
+	if avg := testing.AllocsPerRun(100, func() { g.BallInto(0, 2, &ball, nil) }); avg != 0 {
 		t.Fatalf("BallInto allocates %.1f times per run, want 0", avg)
 	}
 }

@@ -233,7 +233,7 @@ func TestBallInto(t *testing.T) {
 	g := FromEdges([]string{"c", "x", "x", "x", "far"},
 		[][2]int{{0, 1}, {0, 2}, {0, 3}, {3, 4}})
 	var b FragCSR
-	g.BallInto(0, 1, &b)
+	g.BallInto(0, 1, &b, nil)
 	if b.NumNodes() != 4 {
 		t.Fatalf("ball nodes = %d, want 4", b.NumNodes())
 	}
@@ -243,7 +243,7 @@ func TestBallInto(t *testing.T) {
 	if b.PosOf(4) != -1 {
 		t.Fatal("node 4 must be outside the 1-ball of 0")
 	}
-	g.BallInto(0, 2, &b)
+	g.BallInto(0, 2, &b, nil)
 	if b.NumNodes() != 5 || b.NumEdges() != 4 {
 		t.Fatalf("2-ball nodes=%d edges=%d", b.NumNodes(), b.NumEdges())
 	}
@@ -382,7 +382,7 @@ func TestBallCoversComponent(t *testing.T) {
 		g := randomGraph(rng, 30, 60, 3)
 		v := NodeID(rng.Intn(g.NumNodes()))
 		comp := g.BFS(v, Both, -1, nil)
-		g.BallInto(v, g.NumNodes(), &ball) // radius larger than any diameter
+		g.BallInto(v, g.NumNodes(), &ball, nil) // radius larger than any diameter
 		if ball.NumNodes() != len(comp) {
 			t.Fatalf("ball nodes=%d, component=%d", ball.NumNodes(), len(comp))
 		}

@@ -152,18 +152,14 @@ func (g *Graph) Diameter(dir Direction) int {
 // its backing slices, so repeated ball extractions allocate nothing once
 // warm — this is the hot path of the ball-based exact baselines (MatchOpt,
 // VF2Opt, StrongSim).
-func (g *Graph) BallInto(v NodeID, r int, c *FragCSR) {
-	g.BallIntoInterruptible(v, r, c, nil)
-}
-
-// BallIntoInterruptible is BallInto with a cooperative cancellation
-// probe in the extraction BFS (polled every interrupt.Stride dequeued
-// nodes): giant balls on dense graphs are the expensive half of the
-// exact baselines, and a bounded cancellation latency must cover them,
-// not just the matcher that follows. When done fires the extraction is
-// abandoned — complete reports false and c holds an unspecified partial
-// state the caller must not use. A nil done is exactly BallInto.
-func (g *Graph) BallIntoInterruptible(v NodeID, r int, c *FragCSR, done <-chan struct{}) (complete bool) {
+//
+// done is a cooperative cancellation probe in the extraction BFS (polled
+// every interrupt.Stride dequeued nodes; nil never fires): giant balls on
+// dense graphs are the expensive half of the exact baselines, and a
+// bounded cancellation latency must cover them, not just the matcher that
+// follows. When done fires the extraction is abandoned — complete reports
+// false and c holds an unspecified partial state the caller must not use.
+func (g *Graph) BallInto(v NodeID, r int, c *FragCSR, done <-chan struct{}) (complete bool) {
 	tr := g.acquireTrav()
 	defer g.releaseTrav(tr)
 	tr.nodes, complete = g.walk(v, Both, r, nil, tr.nodes[:0], done)

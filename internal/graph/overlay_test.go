@@ -277,8 +277,8 @@ func TestOverlayTraversalAndBalls(t *testing.T) {
 			t.Fatalf("NodesWithin(%d, 2): got %v, want %v", v, gotN, wantN)
 		}
 		var gotC, wantC FragCSR
-		view.BallInto(NodeID(v), 2, &gotC)
-		want.BallInto(NodeID(v), 2, &wantC)
+		view.BallInto(NodeID(v), 2, &gotC, nil)
+		want.BallInto(NodeID(v), 2, &wantC, nil)
 		if gotC.NumNodes() != wantC.NumNodes() || gotC.NumEdges() != wantC.NumEdges() {
 			t.Fatalf("BallInto(%d): got %d/%d nodes/edges, want %d/%d",
 				v, gotC.NumNodes(), gotC.NumEdges(), wantC.NumNodes(), wantC.NumEdges())
@@ -300,14 +300,14 @@ func TestBallIntoInterruptibleStopsExtraction(t *testing.T) {
 	g := b.Build()
 	var c FragCSR
 	done := make(chan struct{})
-	if !g.BallIntoInterruptible(hub, 1, &c, done) {
+	if !g.BallInto(hub, 1, &c, done) {
 		t.Fatal("open channel aborted the extraction")
 	}
 	if c.NumNodes() != leaves+1 {
 		t.Fatalf("full ball has %d nodes, want %d", c.NumNodes(), leaves+1)
 	}
 	close(done)
-	if g.BallIntoInterruptible(hub, 1, &c, done) {
+	if g.BallInto(hub, 1, &c, done) {
 		t.Fatal("closed channel did not abort the extraction")
 	}
 }

@@ -18,7 +18,7 @@ type BuildOptions struct {
 	// never soundness. Zero means the default 32.
 	FrontierCap int
 	// MaxLevels caps the hierarchy height; 1 produces the flat-index
-	// ablation of DESIGN.md §5 (leaves only, no roll-up edges). Zero
+	// ablation (rbbench -exp abl-flat: leaves only, no roll-up edges). Zero
 	// means unlimited (the build stops when one landmark remains).
 	MaxLevels int
 	// AttachCap bounds how many upper-level landmarks each landmark may
@@ -41,8 +41,9 @@ type TreeEdge struct {
 // landmarks of a data DAG with reachability-annotated edges, cover sizes,
 // topological ranks and ranges, plus per-node frontier labels v.E for the
 // non-landmark nodes. (The paper describes I as a forest; we allow each
-// landmark a bounded number of upper-level links — see DESIGN.md §4 — which
-// strictly increases recall at the same asymptotic size.)
+// landmark a bounded number of upper-level links — see
+// BuildOptions.AttachCap — which strictly increases recall at the same
+// asymptotic size.)
 type Index struct {
 	dag  *graph.Graph
 	opts BuildOptions

@@ -10,17 +10,16 @@
 // one exists), and — for unanchored evaluation — the per-query-node
 // candidate counts, their Potential-mass selectivity estimates, and the
 // chosen anchor. A Plan computes all of that once per (pattern, Aux)
-// pair; its execute methods then run the engines with the compile step
-// skipped (rbsim.RunPrepared / rbsub.RunPrepared / rbany.Prepared).
+// pair; its execute methods then run the engines on the compiled form
+// (rbsim.Run / rbsub.Run / rbany.Prepared).
 //
-// Compilation is cheap — O(|Q|) label work plus one unique-match probe —
-// so the facade also routes its one-shot methods through pool-recycled
-// Plans (see Bind) without measurable overhead. The compile products are
-// built in two lazy tiers: the unanchored form (anchor choice plus the
-// re-rooted pattern, O(|Q|)) on the first unanchored evaluation, and the
-// full selectivity table — whose Potential-mass scan costs one histogram
-// probe per candidate of every query node — only on an explicit
-// Selectivity call, never implicitly on an execute path.
+// Compilation is cheap — O(|Q|) label work plus one unique-match probe.
+// The remaining compile products are built in two lazy tiers: the
+// unanchored form (anchor choice plus the re-rooted pattern, O(|Q|)) on
+// the first unanchored evaluation, and the full selectivity table — whose
+// Potential-mass scan costs one histogram probe per candidate of every
+// query node — only on an explicit Selectivity call, never implicitly on
+// an execute path.
 //
 // A Plan is immutable after New (the lazy selectivity table is guarded by
 // a mutex), so one Plan may serve concurrent evaluations: the engines'
@@ -122,9 +121,7 @@ func New(aux *graph.Aux, p *pattern.Pattern) (*Plan, error) {
 	return pl, nil
 }
 
-// Bind re-points pl at (aux, p), reusing its buffers; the facade's
-// one-shot wrappers recycle Plans through a pool this way, so steady-
-// state one-shot queries compile without allocating. Callers must not
+// Bind re-points pl at (aux, p), reusing its buffers. Callers must not
 // Bind a Plan that other goroutines may still be executing.
 func (pl *Plan) Bind(aux *graph.Aux, p *pattern.Pattern) {
 	pl.aux, pl.p = aux, p
@@ -178,15 +175,14 @@ func (pl *Plan) CheckPin(vp graph.NodeID) error {
 	return nil
 }
 
-// Simulation runs RBSim from the pinned personalized match vp, skipping
-// the per-query compile step.
+// Simulation runs RBSim from the pinned personalized match vp.
 func (pl *Plan) Simulation(vp graph.NodeID, opts reduce.Options) rbsim.Result {
-	return rbsim.RunPrepared(pl.aux, pl.p, vp, &pl.simSem, opts)
+	return rbsim.Run(pl.aux, pl.p, vp, &pl.simSem, opts)
 }
 
 // Subgraph runs RBSub from the pinned personalized match vp.
 func (pl *Plan) Subgraph(vp graph.NodeID, opts reduce.Options, mopts *rbsub.MatchOpts) rbsub.Result {
-	return rbsub.RunPrepared(pl.aux, pl.p, vp, &pl.subSem, opts, mopts)
+	return rbsub.Run(pl.aux, pl.p, vp, &pl.subSem, opts, mopts)
 }
 
 // SimulationExact runs the exact MatchOpt baseline from vp. done is the
@@ -195,7 +191,7 @@ func (pl *Plan) Subgraph(vp graph.NodeID, opts reduce.Options, mopts *rbsub.Matc
 // abandoned and nil returned — the request layer reports ctx.Err()
 // instead of the result.
 func (pl *Plan) SimulationExact(vp graph.NodeID, done <-chan struct{}) []graph.NodeID {
-	m, _ := simulation.MatchOptInterruptible(pl.aux.Graph(), pl.p, vp, done)
+	m, _ := simulation.MatchOpt(pl.aux.Graph(), pl.p, vp, done)
 	return m
 }
 
@@ -245,8 +241,8 @@ func (pl *Plan) unanchoredLocked() (*rbany.Prepared, pattern.NodeID) {
 		return pl.unanch, pl.anchor
 	}
 	pl.unanchDone = true
-	// Anchor choice and candidate list must agree bit-for-bit with the
-	// one-shot rbany path, so both come from the same code.
+	// Anchor choice and candidate list must agree bit-for-bit with
+	// rbany.Prepare, so both come from the same code.
 	anchor, cands := rbany.PickAnchor(pl.aux.Graph(), pl.p)
 	pl.anchor = anchor
 	if len(cands) == 0 {

@@ -90,8 +90,8 @@ func TestCheckPin(t *testing.T) {
 }
 
 // TestPreparedMatchesOneShotEngines: the plan's execute methods are
-// bit-for-bit identical to the engines' one-shot entry points, across
-// random graphs and patterns.
+// bit-for-bit identical to the engines run on freshly bound Semantics,
+// across random graphs and patterns.
 func TestPreparedMatchesOneShotEngines(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for iter := 0; iter < 15; iter++ {
@@ -106,18 +106,18 @@ func TestPreparedMatchesOneShotEngines(t *testing.T) {
 		// Pin at every candidate of the personalized label.
 		l := g.LabelIDOf(p.Label(p.Personalized()))
 		for _, vp := range g.NodesWithLabel(l) {
-			if got, want := pl.Simulation(vp, opts), rbsim.Run(aux, p, vp, opts); !reflect.DeepEqual(got, want) {
+			if got, want := pl.Simulation(vp, opts), rbsim.Run(aux, p, vp, rbsim.NewSemantics(aux, p), opts); !reflect.DeepEqual(got, want) {
 				t.Fatalf("iter %d vp %d: plan sim %+v != rbsim %+v", iter, vp, got, want)
 			}
-			if got, want := pl.Subgraph(vp, opts, nil), rbsub.Run(aux, p, vp, opts, nil); !reflect.DeepEqual(got, want) {
+			if got, want := pl.Subgraph(vp, opts, nil), rbsub.Run(aux, p, vp, rbsub.NewSemantics(aux, p), opts, nil); !reflect.DeepEqual(got, want) {
 				t.Fatalf("iter %d vp %d: plan sub %+v != rbsub %+v", iter, vp, got, want)
 			}
 		}
 		uo := rbany.Options{Alpha: 0.3}
-		if got, want := pl.SimulationUnanchored(uo), rbany.Simulation(aux, p, uo); !reflect.DeepEqual(got, want) {
+		if got, want := pl.SimulationUnanchored(uo), rbany.Prepare(aux, p).Simulation(uo); !reflect.DeepEqual(got, want) {
 			t.Fatalf("iter %d: plan unanchored %+v != rbany %+v", iter, got, want)
 		}
-		if got, want := pl.SubgraphUnanchored(uo, nil), rbany.Subgraph(aux, p, uo, nil); !reflect.DeepEqual(got, want) {
+		if got, want := pl.SubgraphUnanchored(uo, nil), rbany.Prepare(aux, p).Subgraph(uo, nil); !reflect.DeepEqual(got, want) {
 			t.Fatalf("iter %d: plan sub-unanchored %+v != rbany %+v", iter, got, want)
 		}
 	}

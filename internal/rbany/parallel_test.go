@@ -55,34 +55,30 @@ func parallelFixtures(t *testing.T) []struct {
 // The core determinism property: speculative-wave execution must return
 // a Result bit-for-bit identical to the serial path — matches AND every
 // counter (Evaluated, Visited, FragmentSize, Candidates) — across
-// semantics, splits, budgets and pool widths.
+// semantics, budgets and pool widths.
 func TestParallelUnanchoredBitForBitEqualsSerial(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	for _, fx := range parallelFixtures(t) {
 		for _, alpha := range []float64{0.005, 0.05, 0.3, 1.0} {
-			for _, split := range []Split{SplitWeighted, SplitEven} {
-				for _, maxAnchors := range []int{0, 5} {
-					base := Options{Alpha: alpha, Split: split, MaxAnchors: maxAnchors}
-					pr := Prepare(fx.aux, fx.p)
-					simWant := pr.Simulation(base)
-					subWant := pr.Subgraph(base, nil)
-					subCapWant := pr.Subgraph(base, &subiso.Options{MaxSteps: 200})
-					for _, workers := range []int{1, 2, 4, 8} {
-						opts := base
-						opts.Workers = workers
-						if got := pr.Simulation(opts); !reflect.DeepEqual(got, simWant) {
-							t.Errorf("%s sim α=%v split=%d max=%d W=%d:\n got %+v\nwant %+v",
-								fx.name, alpha, split, maxAnchors, workers, got, simWant)
-						}
-						if got := pr.Subgraph(opts, nil); !reflect.DeepEqual(got, subWant) {
-							t.Errorf("%s sub α=%v split=%d max=%d W=%d:\n got %+v\nwant %+v",
-								fx.name, alpha, split, maxAnchors, workers, got, subWant)
-						}
-						if got := pr.Subgraph(opts, &subiso.Options{MaxSteps: 200}); !reflect.DeepEqual(got, subCapWant) {
-							t.Errorf("%s sub(capped) α=%v split=%d max=%d W=%d:\n got %+v\nwant %+v",
-								fx.name, alpha, split, maxAnchors, workers, got, subCapWant)
-						}
-					}
+			base := Options{Alpha: alpha}
+			pr := Prepare(fx.aux, fx.p)
+			simWant := pr.Simulation(base)
+			subWant := pr.Subgraph(base, nil)
+			subCapWant := pr.Subgraph(base, &subiso.Options{MaxSteps: 200})
+			for _, workers := range []int{1, 2, 4, 8} {
+				opts := base
+				opts.Workers = workers
+				if got := pr.Simulation(opts); !reflect.DeepEqual(got, simWant) {
+					t.Errorf("%s sim α=%v W=%d:\n got %+v\nwant %+v",
+						fx.name, alpha, workers, got, simWant)
+				}
+				if got := pr.Subgraph(opts, nil); !reflect.DeepEqual(got, subWant) {
+					t.Errorf("%s sub α=%v W=%d:\n got %+v\nwant %+v",
+						fx.name, alpha, workers, got, subWant)
+				}
+				if got := pr.Subgraph(opts, &subiso.Options{MaxSteps: 200}); !reflect.DeepEqual(got, subCapWant) {
+					t.Errorf("%s sub(capped) α=%v W=%d:\n got %+v\nwant %+v",
+						fx.name, alpha, workers, got, subCapWant)
 				}
 			}
 		}
@@ -96,36 +92,51 @@ func TestParallelUnanchoredPreFiredInterrupt(t *testing.T) {
 	done := make(chan struct{})
 	close(done)
 	opts := Options{Alpha: 1.0, Workers: 4, Reduce: reduce.Options{Interrupt: done}}
-	res := Simulation(fx.aux, fx.p, opts)
+	pr := Prepare(fx.aux, fx.p)
+	res := pr.Simulation(opts)
 	if res.Evaluated != 0 || res.Matches != nil {
 		t.Fatalf("pre-fired interrupt evaluated %d anchors, matches %v", res.Evaluated, res.Matches)
 	}
 	serial := opts
 	serial.Workers = 0
-	if want := Simulation(fx.aux, fx.p, serial); !reflect.DeepEqual(res, want) {
+	if want := pr.Simulation(serial); !reflect.DeepEqual(res, want) {
 		t.Fatalf("pre-fired parallel %+v != serial %+v", res, want)
 	}
 }
 
-// The parallel exact baselines must equal their serial forms at every
-// pool width (their merge is a commutative sorted union, so this pins
-// the plumbing rather than a subtle algorithm).
+// The exact baselines must return the same answer at every pool width,
+// workers = 1 being the inline serial loop (their merge is a commutative
+// sorted union, so this pins the plumbing rather than a subtle
+// algorithm), and abandon the evaluation on a fired done channel.
 func TestParallelExactEqualsSerial(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	done := make(chan struct{})
+	close(done)
 	for _, fx := range parallelFixtures(t) {
 		g := fx.aux.Graph()
-		simWant := SimulationExact(g, fx.p)
-		subWant, subOK := SubgraphExact(g, fx.p, nil)
-		for _, workers := range []int{1, 2, 4, 8} {
-			got, ok := SimulationExactParallel(g, fx.p, workers, nil)
+		simWant, simOK := SimulationExact(g, fx.p, 1, nil)
+		subWant, subOK := SubgraphExact(g, fx.p, 1, nil)
+		if !simOK || len(simWant) == 0 {
+			t.Fatalf("%s: serial SimulationExact = %v (ok=%v), want a non-empty answer", fx.name, simWant, simOK)
+		}
+		for _, workers := range []int{2, 4, 8} {
+			got, ok := SimulationExact(g, fx.p, workers, nil)
 			if !ok || !reflect.DeepEqual(got, simWant) {
-				t.Errorf("%s SimulationExactParallel(W=%d) = %v (ok=%v), want %v",
+				t.Errorf("%s SimulationExact(W=%d) = %v (ok=%v), want %v",
 					fx.name, workers, got, ok, simWant)
 			}
-			gotSub, gotOK := SubgraphExactParallel(g, fx.p, workers, nil)
+			gotSub, gotOK := SubgraphExact(g, fx.p, workers, nil)
 			if gotOK != subOK || !reflect.DeepEqual(gotSub, subWant) {
-				t.Errorf("%s SubgraphExactParallel(W=%d) = %v (ok=%v), want %v (ok=%v)",
+				t.Errorf("%s SubgraphExact(W=%d) = %v (ok=%v), want %v (ok=%v)",
 					fx.name, workers, gotSub, gotOK, subWant, subOK)
+			}
+		}
+		for _, workers := range []int{1, 4} {
+			if got, ok := SimulationExact(g, fx.p, workers, done); ok || got != nil {
+				t.Errorf("%s SimulationExact(W=%d) ignored a fired done: %v (ok=%v)", fx.name, workers, got, ok)
+			}
+			if _, ok := SubgraphExact(g, fx.p, workers, &subiso.Options{Interrupt: done}); ok {
+				t.Errorf("%s SubgraphExact(W=%d) reported complete under a fired done", fx.name, workers)
 			}
 		}
 	}

@@ -13,17 +13,14 @@
 // The budget is split by selectivity: each candidate's share of α|G| is
 // proportional to its Potential mass p(v, anchor) — the Sl-histogram
 // estimate of how much matching structure lives around v — with a floor
-// of one item, so hopeless anchors cannot starve promising ones (the
-// legacy even-with-rollover split is kept as Options.SplitEven for
-// ablation). The total data accessed stays bounded: shares sum to α|G|,
-// unspent budget rolls over, and each per-candidate run obeys its own
-// visit bound.
+// of one item, so hopeless anchors cannot starve promising ones. The total
+// data accessed stays bounded: shares sum to α|G|, unspent budget rolls
+// over, and each per-candidate run obeys its own visit bound.
 //
 // Anchor selection, candidate enumeration and the Semantics values are a
 // compile-time decision: Prepare performs them once per pattern and the
 // returned Prepared evaluates many times, which is how the plan layer
-// (internal/plan) embeds this engine. Simulation and Subgraph are the
-// one-shot forms that prepare and run in one call.
+// (internal/plan) embeds this engine.
 package rbany
 
 import (
@@ -41,39 +38,18 @@ import (
 	"rbq/internal/subiso"
 )
 
-// Split selects how the overall budget α|G| is divided among anchor
-// candidates.
-type Split int
-
-const (
-	// SplitWeighted (the default) gives each candidate a share of the
-	// remaining budget proportional to its Potential mass p(v, anchor),
-	// floored at one item; candidates run in decreasing-mass order.
-	SplitWeighted Split = iota
-	// SplitEven is the legacy even-with-rollover split: remaining budget
-	// divided by remaining candidates, in decreasing-degree order. Kept
-	// for the ablation study and as the comparison baseline in tests.
-	SplitEven
-)
-
 // Options configures an unanchored evaluation.
 type Options struct {
 	// Alpha is the overall resource ratio α; the per-candidate budget is
-	// α|G| divided among the anchor candidates (adaptively: unspent budget
-	// rolls over to later candidates).
+	// α|G| divided among the anchor candidates in proportion to their
+	// Potential mass (adaptively: unspent budget rolls over to later
+	// candidates).
 	Alpha float64
-	// Split selects the per-candidate budget division; the zero value is
-	// the selectivity-weighted split.
-	Split Split
-	// MaxAnchors caps how many anchor candidates are tried; zero means
-	// all guard-passing candidates.
-	MaxAnchors int
 	// Workers bounds how many per-anchor rooted runs may execute
-	// concurrently. 0 or 1 evaluates anchors serially — the legacy loop,
-	// unchanged. Higher values run speculative waves (see runWaves) whose
-	// accepted results are bit-for-bit identical to the serial path. The
-	// request layer passes Request.Parallelism through here, already
-	// capped at GOMAXPROCS.
+	// concurrently. 0 or 1 evaluates anchors serially. Higher values run
+	// speculative waves (see runWaves) whose accepted results are
+	// bit-for-bit identical to the serial path. The request layer passes
+	// Request.Parallelism through here, already capped at GOMAXPROCS.
 	Workers int
 	// Reduce carries through engine options (weights, bounds, guard).
 	Reduce reduce.Options
@@ -97,8 +73,8 @@ type Result struct {
 // PickAnchor returns the query node whose label is rarest in g — the most
 // selective traversal root — and its candidate list. An empty candidate
 // list means some query label is absent and the answer is empty. The plan
-// layer calls this during compilation; Prepare calls it for the one-shot
-// path, so both choose identically.
+// layer calls this during compilation and Prepare calls it too, so both
+// choose identically.
 func PickAnchor(g *graph.Graph, p *pattern.Pattern) (pattern.NodeID, []graph.NodeID) {
 	best := pattern.NodeID(-1)
 	var bestCands []graph.NodeID
@@ -144,29 +120,31 @@ type Prepared struct {
 // query classes (the plan layer supplies its own pre-bound Semantics and
 // assembles a Prepared directly instead).
 func Prepare(aux *graph.Aux, p *pattern.Pattern) *Prepared {
-	pr := prepareBase(aux, p)
-	if pr.Rooted != nil {
-		pr.SimSem = rbsim.NewSemantics(aux, pr.Rooted)
-		pr.SubSem = rbsub.NewSemantics(aux, pr.Rooted)
-	}
-	return pr
-}
-
-// prepareBase is Prepare without the Semantics construction: the
-// one-shot entry points bind only the query class they run.
-func prepareBase(aux *graph.Aux, p *pattern.Pattern) *Prepared {
-	anchor, cands := PickAnchor(aux.Graph(), p)
+	anchor, rooted, cands := rootAtAnchor(aux.Graph(), p)
 	pr := &Prepared{Aux: aux, Anchor: anchor}
-	if len(cands) == 0 {
-		return pr
-	}
-	rooted, err := p.WithPersonalized(anchor)
-	if err != nil {
+	if rooted == nil {
 		return pr
 	}
 	pr.Rooted = rooted
 	pr.Cands = cands
+	pr.SimSem = rbsim.NewSemantics(aux, rooted)
+	pr.SubSem = rbsub.NewSemantics(aux, rooted)
 	return pr
+}
+
+// rootAtAnchor picks the anchor and re-roots p at it; rooted is nil when
+// some query label is absent from g or p is not connected from the anchor
+// (the answer is then empty).
+func rootAtAnchor(g *graph.Graph, p *pattern.Pattern) (anchor pattern.NodeID, rooted *pattern.Pattern, cands []graph.NodeID) {
+	anchor, cands = PickAnchor(g, p)
+	if len(cands) == 0 {
+		return anchor, nil, nil
+	}
+	rooted, err := p.WithPersonalized(anchor)
+	if err != nil {
+		return anchor, nil, nil
+	}
+	return anchor, rooted, cands
 }
 
 // Simulation evaluates the prepared pattern under strong simulation.
@@ -206,7 +184,7 @@ func (pr *Prepared) run(opts Options, kind guardType, mopts *subiso.Options) Res
 	sp := opts.Reduce.Obs
 	opts.Reduce.Obs = nil
 	ss := sp.Child(obs.PhaseSelectivity)
-	pass, mass := pr.rankAnchors(opts, kind)
+	pass, mass := pr.rankAnchors(kind)
 	ss.Add("candidates", int64(len(pr.Cands)))
 	ss.Add("passed", int64(len(pass)))
 	ss.Add("mass", int64(mass))
@@ -254,9 +232,10 @@ func anchorSpan(parent *obs.Span, n int, v graph.NodeID, share int, stats reduce
 // rankAnchors guard-filters the candidates — recording each survivor's
 // Potential mass, the same Sl-histogram estimate the in-reduction
 // frontier ranks by, here reused as the anchor's budget weight — then
-// ranks them by the split's ordering and applies the MaxAnchors trim.
-// Both execution paths start from this identical (pass, mass) state.
-func (pr *Prepared) rankAnchors(opts Options, kind guardType) ([]anchorCand, float64) {
+// ranks them by decreasing mass, so the most promising anchors draw from
+// the fullest budget. Both execution paths start from this identical
+// (pass, mass) state.
+func (pr *Prepared) rankAnchors(kind guardType) ([]anchorCand, float64) {
 	g := pr.Aux.Graph()
 	anchor := pr.Anchor
 	var guard func(graph.NodeID, pattern.NodeID) bool
@@ -280,38 +259,18 @@ func (pr *Prepared) rankAnchors(opts Options, kind guardType) ([]anchorCand, flo
 	if len(pass) == 0 {
 		return nil, 0
 	}
-	if opts.Split == SplitEven {
-		// Legacy ranking: higher degree first (hubs reach more of the
-		// pattern's structure per budget unit).
-		slices.SortFunc(pass, func(a, b anchorCand) int {
-			if a.deg != b.deg {
-				return b.deg - a.deg
+	slices.SortFunc(pass, func(a, b anchorCand) int {
+		if a.pot != b.pot {
+			if a.pot > b.pot {
+				return -1
 			}
-			return int(a.v) - int(b.v)
-		})
-	} else {
-		// Weighted ranking: higher Potential mass first, so the most
-		// promising anchors draw from the fullest budget.
-		slices.SortFunc(pass, func(a, b anchorCand) int {
-			if a.pot != b.pot {
-				if a.pot > b.pot {
-					return -1
-				}
-				return 1
-			}
-			if a.deg != b.deg {
-				return b.deg - a.deg
-			}
-			return int(a.v) - int(b.v)
-		})
-	}
-	if opts.MaxAnchors > 0 && len(pass) > opts.MaxAnchors {
-		trimmed := pass[opts.MaxAnchors:]
-		pass = pass[:opts.MaxAnchors]
-		for _, c := range trimmed {
-			mass -= c.pot
+			return 1
 		}
-	}
+		if a.deg != b.deg {
+			return b.deg - a.deg
+		}
+		return int(a.v) - int(b.v)
+	})
 	return pass, mass
 }
 
@@ -320,9 +279,9 @@ func (pr *Prepared) rankAnchors(opts Options, kind guardType) ([]anchorCand, flo
 // mass, and how many candidates are left (including this one). This is
 // THE split — serial accounting and wave prediction/validation must call
 // the same code so their float operation sequences agree exactly.
-func splitShare(split Split, remaining int, mass, pot float64, left int) int {
+func splitShare(remaining int, mass, pot float64, left int) int {
 	var share int
-	if split == SplitEven || mass <= 0 {
+	if mass <= 0 {
 		share = remaining / left
 	} else {
 		share = int(float64(remaining) * pot / mass)
@@ -349,7 +308,7 @@ type Share struct {
 // evaluation would (same rankAnchors, same splitShare float sequence)
 // and returns up to limit predicted shares in evaluation order. sub
 // selects the isomorphism semantics. Read-only: no reduction runs.
-func (pr *Prepared) PredictShares(opts Options, sub bool, limit int) []Share {
+func (pr *Prepared) PredictShares(alpha float64, sub bool, limit int) []Share {
 	if pr.Rooted == nil {
 		return nil
 	}
@@ -357,11 +316,11 @@ func (pr *Prepared) PredictShares(opts Options, sub bool, limit int) []Share {
 	if sub {
 		kind = subSemantics
 	}
-	pass, mass := pr.rankAnchors(opts, kind)
-	remaining := int(opts.Alpha * float64(pr.Aux.Graph().Size()))
+	pass, mass := pr.rankAnchors(kind)
+	remaining := int(alpha * float64(pr.Aux.Graph().Size()))
 	out := make([]Share, 0, min(limit, len(pass)))
 	for j := 0; j < len(pass) && remaining > 0 && len(out) < limit; j++ {
-		share := splitShare(opts.Split, remaining, mass, pass[j].pot, len(pass)-j)
+		share := splitShare(remaining, mass, pass[j].pot, len(pass)-j)
 		out = append(out, Share{V: pass[j].v, Pot: pass[j].pot, Share: share})
 		remaining -= share
 		mass -= pass[j].pot
@@ -379,15 +338,15 @@ func (pr *Prepared) runAnchor(v graph.NodeID, share int, opts Options, kind guar
 	ropts.Alpha = float64(share) / float64(pr.Aux.Graph().Size())
 	switch kind {
 	case subSemantics:
-		r := rbsub.RunPrepared(pr.Aux, pr.Rooted, v, pr.SubSem, ropts, mopts)
+		r := rbsub.Run(pr.Aux, pr.Rooted, v, pr.SubSem, ropts, mopts)
 		return r.Matches, r.Stats
 	default:
-		r := rbsim.RunPrepared(pr.Aux, pr.Rooted, v, pr.SimSem, ropts)
+		r := rbsim.Run(pr.Aux, pr.Rooted, v, pr.SimSem, ropts)
 		return r.Matches, r.Stats
 	}
 }
 
-// runSerial is the legacy anchor loop: one rooted run at a time, unspent
+// runSerial is the serial anchor loop: one rooted run at a time, unspent
 // budget rolling over to later candidates.
 func (pr *Prepared) runSerial(res *Result, opts Options, kind guardType, mopts *subiso.Options, pass []anchorCand, mass float64, totalBudget int, ws *obs.Span) []graph.NodeID {
 	var matches []graph.NodeID
@@ -404,7 +363,7 @@ func (pr *Prepared) runSerial(res *Result, opts Options, kind guardType, mopts *
 			break
 		}
 		// Adaptive split: unspent budget rolls over to later candidates.
-		share := splitShare(opts.Split, remaining, mass, c.pot, len(pass)-i)
+		share := splitShare(remaining, mass, c.pot, len(pass)-i)
 		got, stats := pr.runAnchor(c.v, share, opts, kind, mopts)
 		anchorSpan(ws, res.Evaluated, c.v, share, stats, len(got))
 		res.Evaluated++
@@ -455,7 +414,7 @@ func (pr *Prepared) runWaves(res *Result, opts Options, kind guardType, mopts *s
 	}
 	var matches []graph.NodeID
 	remaining := totalBudget
-	wave := make([]int, 0, opts.Workers)  // indices into pass
+	wave := make([]int, 0, opts.Workers) // indices into pass
 	runs := make([]anchorRun, opts.Workers)
 	i := 0
 	for i < len(pass) && remaining > 0 && !interrupt.Fired(opts.Reduce.Interrupt) {
@@ -466,7 +425,7 @@ func (pr *Prepared) runWaves(res *Result, opts Options, kind guardType, mopts *s
 		wspan := ws.Child(obs.PhaseWave)
 		predRemaining, predMass := remaining, mass
 		for j := i; j < len(pass) && predRemaining > 0 && len(wave) < opts.Workers; j++ {
-			share := splitShare(opts.Split, predRemaining, predMass, pass[j].pot, len(pass)-j)
+			share := splitShare(predRemaining, predMass, pass[j].pot, len(pass)-j)
 			runs[len(wave)] = anchorRun{share: share}
 			wave = append(wave, j)
 			predRemaining -= share
@@ -486,7 +445,7 @@ func (pr *Prepared) runWaves(res *Result, opts Options, kind guardType, mopts *s
 				wspan.End()
 				return matches
 			}
-			trueShare := splitShare(opts.Split, remaining, mass, pass[j].pot, len(pass)-j)
+			trueShare := splitShare(remaining, mass, pass[j].pot, len(pass)-j)
 			if trueShare != runs[k].share {
 				// Misprediction: an earlier anchor under-spent, so j's
 				// serial share differs. Discard j and the rest of the
@@ -510,111 +469,44 @@ func (pr *Prepared) runWaves(res *Result, opts Options, kind guardType, mopts *s
 	return matches
 }
 
-// Simulation evaluates the pattern under strong simulation with no
-// designated personalized match (one-shot: prepare and run, binding
-// only the simulation semantics).
-func Simulation(aux *graph.Aux, p *pattern.Pattern, opts Options) Result {
-	pr := prepareBase(aux, p)
-	if pr.Rooted != nil {
-		pr.SimSem = rbsim.NewSemantics(aux, pr.Rooted)
-	}
-	return pr.Simulation(opts)
-}
-
-// Subgraph evaluates the pattern under subgraph isomorphism with no
-// designated personalized match (one-shot: prepare and run, binding
-// only the isomorphism semantics).
-func Subgraph(aux *graph.Aux, p *pattern.Pattern, opts Options, mopts *subiso.Options) Result {
-	pr := prepareBase(aux, p)
-	if pr.Rooted != nil {
-		pr.SubSem = rbsub.NewSemantics(aux, pr.Rooted)
-	}
-	return pr.Subgraph(opts, mopts)
-}
-
 // SimulationExact is the resource-unbounded reference: the union over all
-// anchor candidates v of the exact personalized answer anchored at v.
-// Intended for tests and calibration on graphs where it is affordable.
-func SimulationExact(g *graph.Graph, p *pattern.Pattern) []graph.NodeID {
-	anchor, cands := PickAnchor(g, p)
-	if len(cands) == 0 {
-		return nil
-	}
-	rooted, err := p.WithPersonalized(anchor)
-	if err != nil {
-		return nil
-	}
-	var out []graph.NodeID
-	for _, vp := range cands {
-		out = append(out, simulation.MatchOpt(g, rooted, vp)...)
-	}
-	return sortedUnique(out)
-}
-
-// SubgraphExact is the isomorphism counterpart of SimulationExact.
-func SubgraphExact(g *graph.Graph, p *pattern.Pattern, mopts *subiso.Options) ([]graph.NodeID, bool) {
-	anchor, cands := PickAnchor(g, p)
-	if len(cands) == 0 {
-		return nil, true
-	}
-	rooted, err := p.WithPersonalized(anchor)
-	if err != nil {
-		return nil, true
-	}
-	var out []graph.NodeID
-	complete := true
-	for _, vp := range cands {
-		m, ok := subiso.MatchOpt(g, rooted, vp, mopts)
-		complete = complete && ok
-		out = append(out, m...)
-	}
-	return sortedUnique(out), complete
-}
-
-// SimulationExactParallel is SimulationExact with the per-candidate
-// MatchOpt balls fanned across at most `workers` goroutines (≤ 1 runs
-// the serial form). Per-candidate answers land in candidate-order slots
-// and the final sortedUnique canonicalizes the union, so the answer is
-// bit-for-bit SimulationExact's. A fired done channel abandons the
-// evaluation and returns nil with ok=false.
-func SimulationExactParallel(g *graph.Graph, p *pattern.Pattern, workers int, done <-chan struct{}) ([]graph.NodeID, bool) {
-	anchor, cands := PickAnchor(g, p)
-	if len(cands) == 0 {
-		return nil, true
-	}
-	rooted, err := p.WithPersonalized(anchor)
-	if err != nil {
+// anchor candidates v of the exact personalized answer anchored at v,
+// with the per-candidate MatchOpt balls fanned across at most `workers`
+// goroutines (≤ 1 runs them inline, in order). Per-candidate answers land
+// in candidate-order slots and the final sortedUnique canonicalizes the
+// union, so the answer does not depend on workers. A fired done channel
+// abandons the evaluation and returns nil with ok=false. Intended for
+// tests and calibration on graphs where it is affordable.
+func SimulationExact(g *graph.Graph, p *pattern.Pattern, workers int, done <-chan struct{}) ([]graph.NodeID, bool) {
+	_, rooted, cands := rootAtAnchor(g, p)
+	if rooted == nil {
 		return nil, true
 	}
 	per, ok := simulation.MatchOptMany(g, rooted, cands, workers, done)
 	if !ok {
 		return nil, false
 	}
-	var out []graph.NodeID
-	for _, m := range per {
-		out = append(out, m...)
-	}
-	return sortedUnique(out), true
+	return unionOf(per), true
 }
 
-// SubgraphExactParallel is SubgraphExact with the per-candidate VF2 runs
-// fanned across at most `workers` goroutines; complete aggregates the
-// per-run flags exactly as the serial loop does.
-func SubgraphExactParallel(g *graph.Graph, p *pattern.Pattern, workers int, mopts *subiso.Options) ([]graph.NodeID, bool) {
-	anchor, cands := PickAnchor(g, p)
-	if len(cands) == 0 {
-		return nil, true
-	}
-	rooted, err := p.WithPersonalized(anchor)
-	if err != nil {
+// SubgraphExact is the isomorphism counterpart of SimulationExact;
+// complete is the conjunction of the per-candidate VF2 completion flags.
+func SubgraphExact(g *graph.Graph, p *pattern.Pattern, workers int, mopts *subiso.Options) ([]graph.NodeID, bool) {
+	_, rooted, cands := rootAtAnchor(g, p)
+	if rooted == nil {
 		return nil, true
 	}
 	per, complete := subiso.MatchOptMany(g, rooted, cands, workers, mopts)
+	return unionOf(per), complete
+}
+
+// unionOf merges per-candidate answers into one sorted duplicate-free set.
+func unionOf(per [][]graph.NodeID) []graph.NodeID {
 	var out []graph.NodeID
 	for _, m := range per {
 		out = append(out, m...)
 	}
-	return sortedUnique(out), complete
+	return sortedUnique(out)
 }
 
 // sortedUnique sorts ids ascending and drops duplicates in place.

@@ -29,7 +29,7 @@ func abPattern(t *testing.T) *pattern.Pattern {
 func TestUnanchoredFindsAllMotifs(t *testing.T) {
 	g := multiMatchGraph()
 	p := abPattern(t)
-	res := Simulation(graph.BuildAux(g), p, Options{Alpha: 1.0})
+	res := Prepare(graph.BuildAux(g), p).Simulation(Options{Alpha: 1.0})
 	want := []graph.NodeID{1, 3, 5}
 	if !reflect.DeepEqual(res.Matches, want) {
 		t.Fatalf("matches = %v, want %v (res %+v)", res.Matches, want, res)
@@ -63,20 +63,8 @@ func TestMissingLabelEmptyAnswer(t *testing.T) {
 	b.AddEdge(a, z)
 	b.SetPersonalized(a).SetOutput(z)
 	p := b.MustBuild()
-	res := Simulation(graph.BuildAux(g), p, Options{Alpha: 1.0})
+	res := Prepare(graph.BuildAux(g), p).Simulation(Options{Alpha: 1.0})
 	if res.Matches != nil {
-		t.Fatalf("matches = %v", res.Matches)
-	}
-}
-
-func TestMaxAnchorsLimits(t *testing.T) {
-	g := multiMatchGraph()
-	p := abPattern(t)
-	res := Simulation(graph.BuildAux(g), p, Options{Alpha: 1.0, MaxAnchors: 1})
-	if res.Evaluated != 1 {
-		t.Fatalf("evaluated = %d, want 1", res.Evaluated)
-	}
-	if len(res.Matches) != 1 {
 		t.Fatalf("matches = %v", res.Matches)
 	}
 }
@@ -87,7 +75,7 @@ func TestBudgetBoundsTotalFragments(t *testing.T) {
 	p := randomPattern(rng, 3)
 	aux := graph.BuildAux(g)
 	for _, alpha := range []float64{0.02, 0.1, 0.5} {
-		res := Simulation(aux, p, Options{Alpha: alpha})
+		res := Prepare(aux, p).Simulation(Options{Alpha: alpha})
 		budget := int(alpha * float64(g.Size()))
 		// Adaptive splitting may overshoot by at most one candidate's
 		// share (the last run is capped by its own per-run budget).
@@ -105,9 +93,10 @@ func TestUnanchoredPrecision(t *testing.T) {
 		g := randomLabeled(rng, 60, 150, 3)
 		p := randomPattern(rng, 3)
 		aux := graph.BuildAux(g)
-		res := Simulation(aux, p, Options{Alpha: 0.4})
+		res := Prepare(aux, p).Simulation(Options{Alpha: 0.4})
 		exact := map[graph.NodeID]bool{}
-		for _, v := range SimulationExact(g, p) {
+		all, _ := SimulationExact(g, p, 1, nil)
+		for _, v := range all {
 			exact[v] = true
 		}
 		for _, v := range res.Matches {
@@ -123,8 +112,8 @@ func TestUnanchoredRecallAtFullBudget(t *testing.T) {
 	// recovered (the reduction has enough budget per anchor).
 	g := multiMatchGraph()
 	p := abPattern(t)
-	got := Simulation(graph.BuildAux(g), p, Options{Alpha: 1.0}).Matches
-	want := SimulationExact(g, p)
+	got := Prepare(graph.BuildAux(g), p).Simulation(Options{Alpha: 1.0}).Matches
+	want, _ := SimulationExact(g, p, 1, nil)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %v want %v", got, want)
 	}
@@ -142,11 +131,11 @@ func TestSubgraphUnanchored(t *testing.T) {
 	b.AddEdge(pp, i1).AddEdge(pp, i2).AddEdge(i1, bb).AddEdge(i2, bb)
 	b.SetPersonalized(pp).SetOutput(pp)
 	p := b.MustBuild()
-	res := Subgraph(graph.BuildAux(g), p, Options{Alpha: 1.0}, nil)
+	res := Prepare(graph.BuildAux(g), p).Subgraph(Options{Alpha: 1.0}, nil)
 	if !reflect.DeepEqual(res.Matches, []graph.NodeID{0}) {
 		t.Fatalf("matches = %v (res %+v)", res.Matches, res)
 	}
-	exact, complete := SubgraphExact(g, p, nil)
+	exact, complete := SubgraphExact(g, p, 1, nil)
 	if !complete || !reflect.DeepEqual(exact, []graph.NodeID{0}) {
 		t.Fatalf("exact = %v", exact)
 	}

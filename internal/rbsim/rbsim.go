@@ -51,7 +51,6 @@ func NewSemantics(aux *graph.Aux, p *pattern.Pattern) *Semantics {
 }
 
 // Bind re-points s at (aux, p), reusing the resolved-label buffer; the
-// pooled scratch of Run rebinds one Semantics value per query, and the
 // plan layer binds one per prepared pattern.
 func (s *Semantics) Bind(aux *graph.Aux, p *pattern.Pattern) {
 	s.aux, s.p = aux, p
@@ -78,8 +77,8 @@ func (s *Semantics) inCount(v graph.NodeID, l graph.LabelID) int32 {
 
 // Labels returns the pattern's labels resolved to the graph's interned
 // ids (labels[u] = id of p's label of u, NoLabel if absent). The slice is
-// owned by the Semantics; it is handed to reduce.SearchInto so the engine
-// shares the one resolution instead of re-interning per run.
+// owned by the Semantics; reduce.SearchInto reads it so the engine shares
+// the one resolution instead of re-interning per run.
 func (s *Semantics) Labels() []graph.LabelID { return s.labels }
 
 // Guard implements C(v,u): labels agree, and every pattern parent (resp.
@@ -135,27 +134,15 @@ type scratch struct {
 	frag *graph.Fragment
 	csr  graph.FragCSR
 	sim  simulation.Scratch
-	sem  Semantics
 }
 
 // Run executes RBSim: dynamic reduction followed by exact strong
 // simulation on the fragment. opts.Alpha must be set; other options
-// default per the paper (b=2, visit budget d_G·α|G|). The per-query
-// compile step (label resolution into a Semantics) happens inline; use
-// RunPrepared to amortize it across repeated evaluations of one pattern.
-func Run(aux *graph.Aux, p *pattern.Pattern, vp graph.NodeID, opts reduce.Options) Result {
-	sc := borrow(aux)
-	defer release(aux, sc)
-	sc.sem.Bind(aux, p)
-	return run(aux, p, vp, &sc.sem, opts, sc)
-}
-
-// RunPrepared is Run with the compile step hoisted out: sem must be a
+// default per the paper (b=2, visit budget d_G·α|G|). sem must be a
 // Semantics bound to (aux, p) — or to a re-rooting of p, which shares its
-// labels — typically compiled once per pattern by the plan layer. The
-// reduction and matcher still draw their transient state from the Aux's
-// scratch pool; only the per-query label resolution is skipped.
-func RunPrepared(aux *graph.Aux, p *pattern.Pattern, vp graph.NodeID, sem *Semantics, opts reduce.Options) Result {
+// labels — compiled once per pattern by the plan layer, so the per-query
+// work is the reduction and the matcher alone.
+func Run(aux *graph.Aux, p *pattern.Pattern, vp graph.NodeID, sem *Semantics, opts reduce.Options) Result {
 	sc := borrow(aux)
 	defer release(aux, sc)
 	return run(aux, p, vp, sem, opts, sc)
@@ -177,12 +164,11 @@ func borrow(aux *graph.Aux) *scratch {
 // old base) reachable.
 func release(aux *graph.Aux, sc *scratch) {
 	sc.frag.Release()
-	sc.sem.aux, sc.sem.p, sc.sem.hists = nil, nil, nil
 	aux.ScratchPool(graph.ScratchSim).Put(sc)
 }
 
 func run(aux *graph.Aux, p *pattern.Pattern, vp graph.NodeID, sem *Semantics, opts reduce.Options, sc *scratch) Result {
-	stats := reduce.SearchInto(aux, p, sem.Labels(), vp, sem, opts, sc.frag, &sc.red)
+	stats := reduce.SearchInto(aux, p, vp, sem, opts, sc.frag, &sc.red)
 	res := Result{Stats: stats}
 	ext := opts.Obs.Child(obs.PhaseExtract)
 	sc.frag.CSRInto(&sc.csr)
@@ -194,7 +180,7 @@ func run(aux *graph.Aux, p *pattern.Pattern, vp graph.NodeID, sem *Semantics, op
 		return res
 	}
 	m := opts.Obs.Child(obs.PhaseMatch)
-	res.Matches = simulation.MatchFragment(aux.Graph(), &sc.csr, p, pinPos, &sc.sim)
+	res.Matches, _, _ = simulation.MatchFragment(aux.Graph(), &sc.csr, p, pinPos, &sc.sim, nil)
 	m.Add("matches", int64(len(res.Matches)))
 	m.End()
 	return res

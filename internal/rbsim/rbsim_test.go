@@ -72,7 +72,7 @@ func TestExample2ExactAnswerUnderSmallAlpha(t *testing.T) {
 	// Paper Example 2 allows ~16 data items; our induced-edge accounting
 	// needs a little more headroom (see rbsim package docs).
 	alpha := 24.0 / float64(g.Size())
-	res := Run(aux, p, michael, reduce.Options{Alpha: alpha})
+	res := Run(aux, p, michael, NewSemantics(aux, p), reduce.Options{Alpha: alpha})
 	want := []graph.NodeID{cln1, cln}
 	if !reflect.DeepEqual(res.Matches, want) {
 		t.Fatalf("matches = %v, want %v (stats %+v)", res.Matches, want, res.Stats)
@@ -95,7 +95,7 @@ func TestBudgetAlwaysRespected(t *testing.T) {
 	aux := graph.BuildAux(g)
 	p := figure1Pattern(t)
 	for _, alpha := range []float64{0.01, 0.05, 0.2, 0.8} {
-		res := Run(aux, p, michael, reduce.Options{Alpha: alpha})
+		res := Run(aux, p, michael, NewSemantics(aux, p), reduce.Options{Alpha: alpha})
 		if res.Stats.FragmentSize > res.Stats.Budget {
 			t.Fatalf("alpha=%v: %+v", alpha, res.Stats)
 		}
@@ -159,7 +159,7 @@ func TestPrecisionAlwaysOne(t *testing.T) {
 		if g.Label(vp) != p.Label(p.Personalized()) {
 			continue
 		}
-		res := Run(aux, p, vp, reduce.Options{Alpha: 0.3})
+		res := Run(aux, p, vp, NewSemantics(aux, p), reduce.Options{Alpha: 0.3})
 		exact := map[graph.NodeID]bool{}
 		for _, v := range simulation.MatchInGraph(g, p, vp) {
 			exact[v] = true
@@ -179,7 +179,7 @@ func TestLargerAlphaNeverHurtsOnExample(t *testing.T) {
 	exact := simulation.MatchInGraph(g, p, michael)
 	prev := -1.0
 	for _, alpha := range []float64{0.005, 0.02, 0.1, 0.5} {
-		res := Run(aux, p, michael, reduce.Options{Alpha: alpha})
+		res := Run(aux, p, michael, NewSemantics(aux, p), reduce.Options{Alpha: alpha})
 		acc := accuracy.Matches(exact, res.Matches).F
 		if acc < prev-1e-9 {
 			t.Fatalf("accuracy regressed from %v to %v at alpha=%v", prev, acc, alpha)
@@ -200,7 +200,7 @@ func TestNoMatchGraphGivesEmptyAnswer(t *testing.T) {
 	g := b.Build()
 	aux := graph.BuildAux(g)
 	p := figure1Pattern(t)
-	res := Run(aux, p, m, reduce.Options{Alpha: 1.0})
+	res := Run(aux, p, m, NewSemantics(aux, p), reduce.Options{Alpha: 1.0})
 	if res.Matches != nil {
 		t.Fatalf("matches = %v", res.Matches)
 	}
@@ -250,16 +250,15 @@ func TestIdleScratchPinsNoSnapshot(t *testing.T) {
 	aux := graph.BuildAux(g)
 	p := figure1Pattern(t)
 	opts := reduce.Options{Alpha: 0.2}
-	want := Run(aux, p, michael, opts)
+	want := Run(aux, p, michael, NewSemantics(aux, p), opts)
 
 	sc := borrow(aux)
-	sc.sem.Bind(aux, p)
-	run(aux, p, michael, &sc.sem, opts, sc)
+	run(aux, p, michael, NewSemantics(aux, p), opts, sc)
 	release(aux, sc)
-	if sc.frag.Parent() != nil || sc.frag.Size() != 0 || sc.sem.aux != nil || sc.sem.p != nil || sc.sem.hists != nil {
-		t.Fatalf("a released scratch still references its snapshot: parent %p, sem %+v", sc.frag.Parent(), sc.sem)
+	if sc.frag.Parent() != nil || sc.frag.Size() != 0 {
+		t.Fatalf("a released scratch still references its snapshot: parent %p", sc.frag.Parent())
 	}
-	if got := Run(aux, p, michael, opts); !reflect.DeepEqual(got, want) {
+	if got := Run(aux, p, michael, NewSemantics(aux, p), opts); !reflect.DeepEqual(got, want) {
 		t.Fatalf("after a release: %+v, want %+v", got, want)
 	}
 }

@@ -49,7 +49,6 @@ func NewSemantics(aux *graph.Aux, p *pattern.Pattern) *Semantics {
 }
 
 // Bind re-points s at (aux, p), reusing the resolved-label buffer; the
-// pooled scratch of Run rebinds one Semantics value per query, and the
 // plan layer binds one per prepared pattern.
 func (s *Semantics) Bind(aux *graph.Aux, p *pattern.Pattern) {
 	s.aux, s.p = aux, p
@@ -75,8 +74,8 @@ func (s *Semantics) inCount(v graph.NodeID, l graph.LabelID) int32 {
 
 // Labels returns the pattern's labels resolved to the graph's interned
 // ids (labels[u] = id of p's label of u, NoLabel if absent). The slice is
-// owned by the Semantics; it is handed to reduce.SearchInto so the engine
-// shares the one resolution instead of re-interning per run.
+// owned by the Semantics; reduce.SearchInto reads it so the engine shares
+// the one resolution instead of re-interning per run.
 func (s *Semantics) Labels() []graph.LabelID { return s.labels }
 
 // Guard implements the revised C(v,u) of Section 4.2. Beyond label
@@ -174,26 +173,14 @@ type scratch struct {
 	frag *graph.Fragment
 	csr  graph.FragCSR
 	sub  subiso.Scratch
-	sem  Semantics
 }
 
 // Run executes RBSub: dynamic reduction with the isomorphism semantics,
-// then exact VF2 search on the fragment. The per-query compile step
-// (label resolution into a Semantics) happens inline; use RunPrepared to
-// amortize it across repeated evaluations of one pattern.
-func Run(aux *graph.Aux, p *pattern.Pattern, vp graph.NodeID, opts reduce.Options, mopts *MatchOpts) Result {
-	sc := borrow(aux)
-	defer release(aux, sc)
-	sc.sem.Bind(aux, p)
-	return run(aux, p, vp, &sc.sem, opts, mopts, sc)
-}
-
-// RunPrepared is Run with the compile step hoisted out: sem must be a
-// Semantics bound to (aux, p) — or to a re-rooting of p, which shares its
-// labels — typically compiled once per pattern by the plan layer. The
-// reduction and matcher still draw their transient state from the Aux's
-// scratch pool; only the per-query label resolution is skipped.
-func RunPrepared(aux *graph.Aux, p *pattern.Pattern, vp graph.NodeID, sem *Semantics, opts reduce.Options, mopts *MatchOpts) Result {
+// then exact VF2 search on the fragment. sem must be a Semantics bound to
+// (aux, p) — or to a re-rooting of p, which shares its labels — compiled
+// once per pattern by the plan layer, so the per-query work is the
+// reduction and the matcher alone.
+func Run(aux *graph.Aux, p *pattern.Pattern, vp graph.NodeID, sem *Semantics, opts reduce.Options, mopts *MatchOpts) Result {
 	sc := borrow(aux)
 	defer release(aux, sc)
 	return run(aux, p, vp, sem, opts, mopts, sc)
@@ -215,12 +202,11 @@ func borrow(aux *graph.Aux) *scratch {
 // old base) reachable.
 func release(aux *graph.Aux, sc *scratch) {
 	sc.frag.Release()
-	sc.sem.aux, sc.sem.p, sc.sem.hists = nil, nil, nil
 	aux.ScratchPool(graph.ScratchSub).Put(sc)
 }
 
 func run(aux *graph.Aux, p *pattern.Pattern, vp graph.NodeID, sem *Semantics, opts reduce.Options, mopts *MatchOpts, sc *scratch) Result {
-	stats := reduce.SearchInto(aux, p, sem.Labels(), vp, sem, opts, sc.frag, &sc.red)
+	stats := reduce.SearchInto(aux, p, vp, sem, opts, sc.frag, &sc.red)
 	res := Result{Stats: stats, Complete: true}
 	ext := opts.Obs.Child(obs.PhaseExtract)
 	sc.frag.CSRInto(&sc.csr)

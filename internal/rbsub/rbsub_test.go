@@ -57,7 +57,7 @@ func TestRunFindsIsomorphicMatches(t *testing.T) {
 	g := graph.FromEdges([]string{"P", "C", "C", "X"}, [][2]int{{0, 1}, {0, 2}, {0, 3}})
 	aux := graph.BuildAux(g)
 	p := twoChildPattern(t)
-	res := Run(aux, p, 0, reduce.Options{Alpha: 1.0}, nil)
+	res := Run(aux, p, 0, NewSemantics(aux, p), reduce.Options{Alpha: 1.0}, nil)
 	if !res.Complete {
 		t.Fatal("truncated")
 	}
@@ -70,7 +70,7 @@ func TestRunEmptyWhenNoEmbedding(t *testing.T) {
 	g := graph.FromEdges([]string{"P", "C"}, [][2]int{{0, 1}})
 	aux := graph.BuildAux(g)
 	p := twoChildPattern(t)
-	res := Run(aux, p, 0, reduce.Options{Alpha: 1.0}, nil)
+	res := Run(aux, p, 0, NewSemantics(aux, p), reduce.Options{Alpha: 1.0}, nil)
 	if res.Matches != nil {
 		t.Fatalf("matches = %v", res.Matches)
 	}
@@ -85,7 +85,7 @@ func TestBudgetRespected(t *testing.T) {
 	g := b.Build()
 	aux := graph.BuildAux(g)
 	p := twoChildPattern(t)
-	res := Run(aux, p, hub, reduce.Options{Alpha: 0.1}, nil)
+	res := Run(aux, p, hub, NewSemantics(aux, p), reduce.Options{Alpha: 0.1}, nil)
 	if res.Stats.FragmentSize > res.Stats.Budget {
 		t.Fatalf("%+v", res.Stats)
 	}
@@ -103,7 +103,7 @@ func TestPrecisionAlwaysOne(t *testing.T) {
 		if g.Label(vp) != p.Label(p.Personalized()) {
 			continue
 		}
-		res := Run(aux, p, vp, reduce.Options{Alpha: 0.3}, nil)
+		res := Run(aux, p, vp, NewSemantics(aux, p), reduce.Options{Alpha: 0.3}, nil)
 		exactSlice, complete := subiso.Match(g, p, vp, nil)
 		if !complete {
 			continue

@@ -332,7 +332,7 @@ func diffCase(aux *graph.Aux, p *pattern.Pattern, vp graph.NodeID, sem reduce.Se
 	no := opts
 	no.Obs = root
 	no.Trace = func(ev reduce.Event) { gotEvents = append(gotEvents, ev) }
-	got := reduce.SearchInto(aux, p, nil, vp, sem, no, frag, sc)
+	got := reduce.SearchInto(aux, p, vp, sem, no, frag, sc)
 
 	if got != want {
 		return want, fmt.Errorf("stats diverge:\n got  %+v\n want %+v", got, want)
@@ -347,7 +347,7 @@ func diffCase(aux *graph.Aux, p *pattern.Pattern, vp graph.NodeID, sem reduce.Se
 		return want, fmt.Errorf("event streams diverge (guard-rejects aside): %d vs %d events", len(g), len(w))
 	}
 	// The untraced run takes the same path: same Stats, same fragment.
-	plain := reduce.SearchInto(aux, p, nil, vp, sem, opts, frag, sc)
+	plain := reduce.SearchInto(aux, p, vp, sem, opts, frag, sc)
 	if plain != want || !reflect.DeepEqual(frag.Nodes(), wantFrag.Nodes()) {
 		return want, fmt.Errorf("untraced run diverges: %+v", plain)
 	}

@@ -26,6 +26,8 @@ func (s *labelSem) Potential(v graph.NodeID, u pattern.NodeID) float64 {
 	return float64(s.g.Degree(v))
 }
 
+func (s *labelSem) Labels() []graph.LabelID { return s.labels }
+
 // TestPairHighWaterRecorded: a run that extracts a non-trivial fragment
 // reports a positive live-pair high-water mark, bounded by the pairs a
 // round can possibly stamp (every stamped pair costs at least one visit).

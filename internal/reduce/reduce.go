@@ -73,10 +73,16 @@ type Semantics interface {
 	// Potential is p(v,u), an optimistic estimate of how many matches of
 	// u's pattern neighbors live in N(v).
 	Potential(v graph.NodeID, u pattern.NodeID) float64
+	// Labels is the pattern's label constraints resolved against the
+	// graph (Labels()[u] = interned id of the pattern's label of u,
+	// graph.NoLabel if absent). Guard and Potential compare these ids, and
+	// the engine's own label probes share the one resolution.
+	Labels() []graph.LabelID
 }
 
 // WeightStrategy selects how frontier candidates are ranked; alternatives
-// to the paper's formula exist for the ablation study of DESIGN.md §5.
+// to the paper's formula exist for the ablation study (rbbench -exp
+// abl-weight).
 type WeightStrategy int
 
 const (
@@ -301,8 +307,7 @@ type Scratch struct {
 	onStack  pairTable // pairs pushed this round
 	expanded pairTable // pairs expanded this round
 	stack    []pairKey
-	cands    []scored        // the top-b of the list being picked
-	plabels  []graph.LabelID // pattern labels resolved to the graph's ids
+	cands    []scored // the top-b of the list being picked
 
 	// The per-query list memo: memo maps listKey to an index into lists;
 	// arena holds every list's candidates, w being the potential p(v,u).
@@ -338,7 +343,7 @@ type engine struct {
 	frag        *graph.Fragment
 	sc          *Scratch
 	br          *spanTracer     // round-span bridge; nil unless Options.Obs is set
-	plabels     []graph.LabelID // aliases sc.plabels; plabels[u] = g's id of p's label of u
+	plabels     []graph.LabelID // sem.Labels(): plabels[u] = g's id of p's label of u
 	budget      int
 	visitBudget int
 	visited     int
@@ -415,7 +420,7 @@ func Search(aux *graph.Aux, p *pattern.Pattern, vp graph.NodeID, sem Semantics, 
 		sc = NewScratch()
 	}
 	frag := graph.NewFragment(aux.Graph())
-	stats := SearchInto(aux, p, nil, vp, sem, opts, frag, sc)
+	stats := SearchInto(aux, p, vp, sem, opts, frag, sc)
 	pool.Put(sc)
 	return frag, stats
 }
@@ -424,12 +429,7 @@ func Search(aux *graph.Aux, p *pattern.Pattern, vp graph.NodeID, sem Semantics, 
 // frag (Reset first; it must belong to aux's graph) using sc for all
 // transient state. It allocates nothing once frag and sc have reached
 // steady-state capacity.
-//
-// labels, when non-nil, must be p's labels pre-resolved against aux's
-// graph (labels[u] = interned id of p's label of u) — the plan layer
-// compiles this once per pattern, and the Semantics values of rbsim and
-// rbsub already carry it. A nil labels resolves into sc on entry.
-func SearchInto(aux *graph.Aux, p *pattern.Pattern, labels []graph.LabelID, vp graph.NodeID, sem Semantics, opts Options, frag *graph.Fragment, sc *Scratch) Stats {
+func SearchInto(aux *graph.Aux, p *pattern.Pattern, vp graph.NodeID, sem Semantics, opts Options, frag *graph.Fragment, sc *Scratch) Stats {
 	g := aux.Graph()
 	frag.Reset()
 	// Observability bridge: when a parent span is attached, aggregate the
@@ -451,6 +451,9 @@ func SearchInto(aux *graph.Aux, p *pattern.Pattern, labels []graph.LabelID, vp g
 		sc:   sc,
 		br:   br,
 		vp:   vp,
+		// The engine's own label probes (ablation guard, fragment-candidate
+		// scans) compare int32s instead of hashing strings per candidate.
+		plabels: sem.Labels(),
 	}
 	e.budget = int(opts.Alpha * float64(g.Size()))
 	e.visitBudget = opts.VisitBudget
@@ -465,16 +468,6 @@ func SearchInto(aux *graph.Aux, p *pattern.Pattern, labels []graph.LabelID, vp g
 	}
 	if opts.Strategy == WeightRandom {
 		e.rng = rand.New(rand.NewSource(opts.Seed))
-	}
-	// The engine's own label probes (ablation guard, fragment-candidate
-	// scans) compare int32s instead of hashing strings per candidate:
-	// either the caller compiled the resolution once per pattern (the
-	// plan layer) or it is resolved into the scratch here.
-	if labels != nil {
-		e.plabels = labels
-	} else {
-		sc.plabels = g.InternLabels(p.Labels(), sc.plabels)
-		e.plabels = sc.plabels
 	}
 	e.stack = sc.stack[:0]
 	e.run(vp)

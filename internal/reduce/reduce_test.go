@@ -25,6 +25,10 @@ func (s labelSemantics) Potential(v graph.NodeID, u pattern.NodeID) float64 {
 	return float64(s.g.Degree(v))
 }
 
+func (s labelSemantics) Labels() []graph.LabelID {
+	return s.g.InternLabels(s.p.Labels(), nil)
+}
+
 func chainPattern(t *testing.T, labels ...string) *pattern.Pattern {
 	t.Helper()
 	b := pattern.NewBuilder()

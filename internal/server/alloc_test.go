@@ -80,8 +80,13 @@ func TestBatchSingleTemplateOneLookup(t *testing.T) {
 // position index alone is 8·|V| bytes), and the query after an Apply
 // must allocate a small fraction of that. The collector is off for the
 // test: a GC may empty any sync.Pool, which is not what is gated here.
+// And it runs on one P: sync.Pool.Put parks the scratch in the current
+// P's private slot, and a Get after the goroutine migrated (ReadMemStats
+// stops the world between the two) cannot steal it. The gate is "scratch
+// follows the lineage", not "sync.Pool is migration-proof".
 func TestQueryAfterApplyReusesScratch(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	g := rbq.YoutubeLike(20_000, 1)
 	db := rbq.NewDB(g)
 	h := New(db, Config{}).Handler()

@@ -55,12 +55,12 @@ func TestMatchFragmentAllocBudget(t *testing.T) {
 	}
 
 	var sc Scratch
-	want := MatchFragment(g, &csr, q, pin, &sc) // warm up scratch
+	want, _, _ := MatchFragment(g, &csr, q, pin, &sc, nil) // warm up scratch
 	if len(want) == 0 {
 		t.Fatal("fixture query has no matches; pick a denser fixture")
 	}
 	avg := testing.AllocsPerRun(100, func() {
-		MatchFragment(g, &csr, q, pin, &sc)
+		MatchFragment(g, &csr, q, pin, &sc, nil)
 	})
 	if avg > 1 { // the returned match slice is the only permitted allocation
 		t.Fatalf("MatchFragment allocates %.1f times per run, want ≤ 1", avg)
@@ -97,13 +97,13 @@ func TestMatchOptAllocBudget(t *testing.T) {
 	for i := 0; i < 200 && len(want) == 0; i++ {
 		p = randomPattern(rng, 3)
 		vp = graph.NodeID(rng.Intn(g.NumNodes()))
-		want = MatchOpt(g, p, vp) // also warms the ball pool
+		want, _ = MatchOpt(g, p, vp, nil) // also warms the ball pool
 	}
 	if len(want) == 0 {
 		t.Skip("no matching fixture found; nothing to measure")
 	}
 	avg := testing.AllocsPerRun(100, func() {
-		MatchOpt(g, p, vp)
+		MatchOpt(g, p, vp, nil)
 	})
 	if avg > 1 { // the returned match slice is the only permitted allocation
 		t.Fatalf("MatchOpt allocates %.1f times per run, want ≤ 1", avg)

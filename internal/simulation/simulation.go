@@ -206,23 +206,17 @@ type Scratch struct {
 // standalone Graph and calling MatchInGraph, but runs on the pooled CSR
 // with all transient state drawn from sc; the returned slice is the only
 // allocation.
-func MatchFragment(g *graph.Graph, csr *graph.FragCSR, p *pattern.Pattern, pinPos int32, sc *Scratch) []graph.NodeID {
-	out, _, _ := MatchFragmentInterruptible(g, csr, p, pinPos, sc, nil)
-	return out
-}
-
-// MatchFragmentInterruptible is MatchFragment with a cooperative
-// cancellation probe threaded through the fixpoint refinement — the one
-// potentially long-running loop (the candidate sets shrink
-// monotonically, but a dense ball can still force many rounds over
+//
+// done is a cooperative cancellation probe threaded through the fixpoint
+// refinement — the one potentially long-running loop (the candidate sets
+// shrink monotonically, but a dense ball can still force many rounds over
 // thousands of candidates). The probe polls done every interrupt.Stride
 // examined candidates, mirroring the reduce engine's contract: a fired
 // channel abandons the fixpoint within about one stride of work and
 // returns complete=false with a nil answer. visited reports the number
 // of candidates examined, so tests can pin the promptness bound; an
-// open or nil channel leaves the computation bit-for-bit identical to
-// MatchFragment.
-func MatchFragmentInterruptible(g *graph.Graph, csr *graph.FragCSR, p *pattern.Pattern, pinPos int32, sc *Scratch, done <-chan struct{}) (out []graph.NodeID, complete bool, visited int) {
+// open or nil channel never changes the computation.
+func MatchFragment(g *graph.Graph, csr *graph.FragCSR, p *pattern.Pattern, pinPos int32, sc *Scratch, done <-chan struct{}) (out []graph.NodeID, complete bool, visited int) {
 	nq := p.NumNodes()
 	n := csr.NumNodes()
 	words := (n + 63) / 64
@@ -410,23 +404,15 @@ var ballPool sync.Pool
 // materialized as a pooled FragCSR — no per-query subgraph construction —
 // so the only steady-state allocation is the returned slice, in g's node
 // ids, sorted.
-func MatchOpt(g *graph.Graph, p *pattern.Pattern, vp graph.NodeID) []graph.NodeID {
-	m, _ := MatchOptInterruptible(g, p, vp, nil)
-	return m
-}
-
-// MatchOptInterruptible is MatchOpt with cooperative cancellation
-// probes threaded through both the ball-extraction BFS
-// (graph.BallIntoInterruptible) and the ball-local fixpoint
-// (MatchFragmentInterruptible). It is the form the facade's Exact-mode
-// simulation requests run, closing the one engine path that previously
-// had no probe point: a fired done channel abandons the evaluation
-// within about one interrupt.Stride of work — extracted nodes or
-// examined candidates, whichever loop is running — and returns
-// complete=false (the request layer then surfaces ctx.Err() and
-// discards the partial state). A nil or open channel is bit-for-bit
-// identical to MatchOpt.
-func MatchOptInterruptible(g *graph.Graph, p *pattern.Pattern, vp graph.NodeID, done <-chan struct{}) ([]graph.NodeID, bool) {
+//
+// done threads cooperative cancellation probes through both the
+// ball-extraction BFS (graph.BallInto) and the ball-local fixpoint
+// (MatchFragment): a fired channel abandons the evaluation within about
+// one interrupt.Stride of work — extracted nodes or examined candidates,
+// whichever loop is running — and returns complete=false (the request
+// layer then surfaces ctx.Err() and discards the partial state). A nil or
+// open channel never changes the answer.
+func MatchOpt(g *graph.Graph, p *pattern.Pattern, vp graph.NodeID, done <-chan struct{}) ([]graph.NodeID, bool) {
 	bs, _ := ballPool.Get().(*ballScratch)
 	if bs == nil {
 		bs = new(ballScratch)
@@ -434,17 +420,17 @@ func MatchOptInterruptible(g *graph.Graph, p *pattern.Pattern, vp graph.NodeID, 
 	defer ballPool.Put(bs)
 	// Both halves probe: the extraction BFS (giant balls are the
 	// expensive half on dense graphs) and the fixpoint refinement.
-	if !g.BallIntoInterruptible(vp, p.Diameter(), &bs.csr, done) {
+	if !g.BallInto(vp, p.Diameter(), &bs.csr, done) {
 		return nil, false
 	}
-	m, complete, _ := MatchFragmentInterruptible(g, &bs.csr, p, bs.csr.PosOf(vp), &bs.sc, done)
+	m, complete, _ := MatchFragment(g, &bs.csr, p, bs.csr.PosOf(vp), &bs.sc, done)
 	return m, complete
 }
 
 // MatchOptMany fans the MatchOpt baseline across many candidate centers:
 // out[i] is the answer anchored at vps[i], computed on at most `workers`
 // concurrent goroutines (≤ 1 runs inline, identical to a serial loop of
-// MatchOptInterruptible calls). Each worker draws its own ballScratch
+// MatchOpt calls). Each worker draws its own ballScratch
 // from the package pool, so the per-ball state never crosses goroutines;
 // slot-indexed output keeps the result independent of scheduling. When
 // done fires mid-fan, ok is false and the out slots of abandoned runs
@@ -453,7 +439,7 @@ func MatchOptMany(g *graph.Graph, p *pattern.Pattern, vps []graph.NodeID, worker
 	out = make([][]graph.NodeID, len(vps))
 	var canceled atomic.Bool
 	exec.Run(done, len(vps), workers, func(i int) {
-		m, complete := MatchOptInterruptible(g, p, vps[i], done)
+		m, complete := MatchOpt(g, p, vps[i], done)
 		if !complete {
 			canceled.Store(true)
 			return
@@ -480,76 +466,22 @@ func StrongSim(g *graph.Graph, p *pattern.Pattern, vp graph.NodeID) []graph.Node
 	// in BFS discovery order; copy them out since bs.csr is reused for the
 	// per-center balls.
 	dQ := p.Diameter()
-	g.BallInto(vp, dQ, &bs.csr)
+	g.BallInto(vp, dQ, &bs.csr, nil)
 	bs.centers = append(bs.centers[:0], bs.csr.Orig...)
 
 	out := []graph.NodeID{} // non-nil even when empty, as callers expect
 	// The first center is v_p itself, whose ball is already materialized.
-	out = append(out, MatchFragment(g, &bs.csr, p, bs.csr.PosOf(vp), &bs.sc)...)
+	m, _, _ := MatchFragment(g, &bs.csr, p, bs.csr.PosOf(vp), &bs.sc, nil)
+	out = append(out, m...)
 	for _, v0 := range bs.centers[1:] {
-		g.BallInto(v0, dQ, &bs.csr)
+		g.BallInto(v0, dQ, &bs.csr, nil)
 		bvp := bs.csr.PosOf(vp)
 		if bvp < 0 {
 			continue
 		}
-		out = append(out, MatchFragment(g, &bs.csr, p, bvp, &bs.sc)...)
-	}
-	slices.Sort(out)
-	return slices.Compact(out)
-}
-
-// StrongSimParallel is StrongSim with the per-center balls fanned across
-// at most `workers` goroutines. The candidate centers are the nodes of
-// the d_Q-ball of v_p exactly as in StrongSim; each worker then borrows
-// its own ballScratch, re-extracts its center's ball (including center 0,
-// whose re-extraction is the price of uniform per-slot work) and matches
-// inside it. Per-center answers land in center-order slots and the final
-// sort+dedup canonicalizes the union, so the answer is bit-for-bit
-// StrongSim's whatever the scheduling. A fired done channel abandons the
-// evaluation (ok=false, nil answer); nil done never fires.
-func StrongSimParallel(g *graph.Graph, p *pattern.Pattern, vp graph.NodeID, workers int, done <-chan struct{}) ([]graph.NodeID, bool) {
-	bs, _ := ballPool.Get().(*ballScratch)
-	if bs == nil {
-		bs = new(ballScratch)
-	}
-	dQ := p.Diameter()
-	if !g.BallIntoInterruptible(vp, dQ, &bs.csr, done) {
-		ballPool.Put(bs)
-		return nil, false
-	}
-	centers := append([]graph.NodeID(nil), bs.csr.Orig...)
-	ballPool.Put(bs) // workers draw their own; the center list is copied out
-
-	per := make([][]graph.NodeID, len(centers))
-	var canceled atomic.Bool
-	exec.Run(done, len(centers), workers, func(i int) {
-		wbs, _ := ballPool.Get().(*ballScratch)
-		if wbs == nil {
-			wbs = new(ballScratch)
-		}
-		defer ballPool.Put(wbs)
-		if !g.BallIntoInterruptible(centers[i], dQ, &wbs.csr, done) {
-			canceled.Store(true)
-			return
-		}
-		bvp := wbs.csr.PosOf(vp)
-		if bvp < 0 {
-			return
-		}
-		m, complete, _ := MatchFragmentInterruptible(g, &wbs.csr, p, bvp, &wbs.sc, done)
-		if !complete {
-			canceled.Store(true)
-			return
-		}
-		per[i] = m
-	})
-	if canceled.Load() || interrupt.Fired(done) {
-		return nil, false
-	}
-	out := []graph.NodeID{}
-	for _, m := range per {
+		m, _, _ = MatchFragment(g, &bs.csr, p, bvp, &bs.sc, nil)
 		out = append(out, m...)
 	}
 	slices.Sort(out)
-	return slices.Compact(out), true
+	return slices.Compact(out)
 }

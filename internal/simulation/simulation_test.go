@@ -71,7 +71,7 @@ func TestFigure1StrongSimulationAnswer(t *testing.T) {
 func TestFigure1MatchOptAgrees(t *testing.T) {
 	g, michael, _, cln1, cln := figure1Graph()
 	p := figure1Pattern(t)
-	got := MatchOpt(g, p, michael)
+	got, _ := MatchOpt(g, p, michael, nil)
 	if !reflect.DeepEqual(got, []graph.NodeID{cln1, cln}) {
 		t.Fatalf("MatchOpt = %v", got)
 	}
@@ -330,7 +330,8 @@ func TestStrongSimSubsetOfMatchOpt(t *testing.T) {
 		}
 		strong := StrongSim(g, p, vp)
 		opt := make(map[graph.NodeID]bool)
-		for _, v := range MatchOpt(g, p, vp) {
+		optMatches, _ := MatchOpt(g, p, vp, nil)
+		for _, v := range optMatches {
 			opt[v] = true
 		}
 		for _, v := range strong {
@@ -347,7 +348,7 @@ func TestMatchOptEqualsWholeGraphWhenLocal(t *testing.T) {
 	g, michael, _, _, _ := figure1Graph()
 	p := figure1Pattern(t)
 	whole := MatchInGraph(g, p, michael)
-	opt := MatchOpt(g, p, michael)
+	opt, _ := MatchOpt(g, p, michael, nil)
 	if !reflect.DeepEqual(whole, opt) {
 		t.Fatalf("whole=%v opt=%v", whole, opt)
 	}

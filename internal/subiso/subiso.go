@@ -133,7 +133,7 @@ func MatchOpt(g *graph.Graph, p *pattern.Pattern, vp graph.NodeID, opts *Options
 	if opts != nil {
 		done = opts.Interrupt
 	}
-	if !g.BallIntoInterruptible(vp, p.Diameter(), &bs.csr, done) {
+	if !g.BallInto(vp, p.Diameter(), &bs.csr, done) {
 		return nil, false
 	}
 	return MatchFragment(g, &bs.csr, p, bs.csr.PosOf(vp), opts, &bs.sc)

@@ -57,13 +57,13 @@ func TestParallelQueryBitForBitEqualsSerial(t *testing.T) {
 				}
 			}
 			reqs := map[string]Request{
-				"sim/bounded":    {Alpha: 0.05, Anchor: Pin(pins[0])},
-				"sim/exact":      {Mode: Exact, Anchor: Pin(pins[1])},
-				"sim/unanchored": {Mode: Unanchored, Alpha: 0.05},
-				"sub/bounded":    {Semantics: Subgraph, Alpha: 0.05, Anchor: Pin(pins[0])},
-				"sub/exact":      {Semantics: Subgraph, Mode: Exact, MaxSteps: 5000, Anchor: Pin(pins[1])},
-				"sub/unanchored": {Semantics: Subgraph, Mode: Unanchored, Alpha: 0.05, MaxSteps: 2000},
-				"sim/unanch-even": {Mode: Unanchored, Alpha: 0.2, Split: SplitEven},
+				"sim/bounded":     {Alpha: 0.05, Anchor: Pin(pins[0])},
+				"sim/exact":       {Mode: Exact, Anchor: Pin(pins[1])},
+				"sim/unanchored":  {Mode: Unanchored, Alpha: 0.05},
+				"sub/bounded":     {Semantics: Subgraph, Alpha: 0.05, Anchor: Pin(pins[0])},
+				"sub/exact":       {Semantics: Subgraph, Mode: Exact, MaxSteps: 5000, Anchor: Pin(pins[1])},
+				"sub/unanchored":  {Semantics: Subgraph, Mode: Unanchored, Alpha: 0.05, MaxSteps: 2000},
+				"sim/unanch-wide": {Mode: Unanchored, Alpha: 0.2},
 			}
 			for name, req := range reqs {
 				want, err := db.Query(ctx, q, req)

@@ -1,6 +1,7 @@
 package rbq
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -31,52 +32,42 @@ func preparedFixture(t *testing.T, n int) (*DB, []AnchoredQuery) {
 	return NewDB(g), qs
 }
 
-// TestPreparedEquivalence: every PreparedQuery execute method returns
-// bit-for-bit the same answer as its one-shot DB counterpart, across
-// several generated patterns and resource ratios.
+// TestPreparedEquivalence: PreparedQuery.Query returns bit-for-bit the
+// same answer as DB.Query through the plan cache, for every semantics and
+// mode, across several generated patterns and resource ratios.
 func TestPreparedEquivalence(t *testing.T) {
 	db, qs := preparedFixture(t, 4000)
+	ctx := context.Background()
 	for _, aq := range qs {
 		pq, err := db.Prepare(aq.Q)
 		if err != nil {
 			t.Fatal(err)
 		}
+		reqs := []Request{
+			{Mode: Exact, Anchor: Pin(aq.At)},
+			{Semantics: Subgraph, Mode: Exact, Anchor: Pin(aq.At), MaxSteps: 1_000_000},
+		}
 		for _, alpha := range []float64{0.001, 0.01, 0.1} {
-			got, gotErr := pq.RunAt(aq.At, alpha)
-			want, wantErr := db.SimulationAt(aq.Q, aq.At, alpha)
-			if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
-				t.Fatalf("RunAt(%d, %v) = %+v (%v), one-shot %+v (%v)", aq.At, alpha, got, gotErr, want, wantErr)
-			}
-			got, gotErr = pq.RunSubgraphAt(aq.At, alpha)
-			want, wantErr = db.SubgraphAt(aq.Q, aq.At, alpha)
-			if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
-				t.Fatalf("RunSubgraphAt(%d, %v) mismatch: %+v vs %+v", aq.At, alpha, got, want)
-			}
-			ur, uw := pq.RunUnanchored(alpha), db.SimulationUnanchored(aq.Q, alpha)
-			if !reflect.DeepEqual(ur, uw) {
-				t.Fatalf("RunUnanchored(%v) = %+v, one-shot %+v", alpha, ur, uw)
-			}
-			ur, uw = pq.RunSubgraphUnanchored(alpha), db.SubgraphUnanchored(aq.Q, alpha)
-			if !reflect.DeepEqual(ur, uw) {
-				t.Fatalf("RunSubgraphUnanchored(%v) = %+v, one-shot %+v", alpha, ur, uw)
-			}
+			reqs = append(reqs,
+				Request{Anchor: Pin(aq.At), Alpha: alpha},
+				Request{Semantics: Subgraph, Anchor: Pin(aq.At), Alpha: alpha},
+				Request{Mode: Unanchored, Alpha: alpha},
+				Request{Semantics: Subgraph, Mode: Unanchored, Alpha: alpha})
 		}
-		gotM, gotErr := pq.RunExactAt(aq.At)
-		wantM, wantErr := db.SimulationExactAt(aq.Q, aq.At)
-		if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(gotM, wantM) {
-			t.Fatalf("RunExactAt mismatch: %v vs %v", gotM, wantM)
-		}
-		gotS, gotOK, _ := pq.RunSubgraphExactAt(aq.At, 1_000_000)
-		wantS, wantOK, _ := db.SubgraphExactAt(aq.Q, aq.At, 1_000_000)
-		if gotOK != wantOK || !reflect.DeepEqual(gotS, wantS) {
-			t.Fatalf("RunSubgraphExactAt mismatch: %v vs %v", gotS, wantS)
+		for _, req := range reqs {
+			got, gotErr := pq.Query(ctx, req)
+			want, wantErr := db.Query(ctx, aq.Q, req)
+			if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%+v at %d: prepared %+v (%v), cached %+v (%v)", req, aq.At, got, gotErr, want, wantErr)
+			}
 		}
 	}
 }
 
-// TestPreparedRunUsesCompiledPersonalized: Run/RunExact on a pattern with
-// a unique personalized label behave like Simulation/SimulationExact, and
-// fail with the same error when the label is ambiguous.
+// TestPreparedRunUsesCompiledPersonalized: un-pinned requests on a pattern
+// with a unique personalized label run from the compile-time match on
+// both the prepared and the cached path, and fail with the same error
+// when the label is ambiguous.
 func TestPreparedRunUsesCompiledPersonalized(t *testing.T) {
 	g := YoutubeLike(2000, 1)
 	q, g2, _, err := ExtractPattern(g, 4, 6, 7)
@@ -91,15 +82,13 @@ func TestPreparedRunUsesCompiledPersonalized(t *testing.T) {
 	if vp, ok := pq.Personalized(); !ok || int(vp) < 0 {
 		t.Fatalf("Personalized() = (%d, %v), want a compile-time unique match", vp, ok)
 	}
-	got, err1 := pq.Run(0.01)
-	want, err2 := db.Simulation(q, 0.01)
-	if err1 != nil || err2 != nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("Run = %+v (%v), Simulation = %+v (%v)", got, err1, want, err2)
-	}
-	gotE, _ := pq.RunExact()
-	wantE, _ := db.SimulationExact(q)
-	if !reflect.DeepEqual(gotE, wantE) {
-		t.Fatalf("RunExact = %v, SimulationExact = %v", gotE, wantE)
+	ctx := context.Background()
+	for _, req := range []Request{{Alpha: 0.01}, {Mode: Exact}} {
+		got, err1 := pq.Query(ctx, req)
+		want, err2 := db.Query(ctx, q, req)
+		if err1 != nil || err2 != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v: prepared %+v (%v), cached %+v (%v)", req, got, err1, want, err2)
+		}
 	}
 
 	// An ambiguous personalized label errors identically on both paths.
@@ -112,15 +101,15 @@ func TestPreparedRunUsesCompiledPersonalized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, errPrep := pqa.Run(0.01)
-	_, errShot := dbAmb.Simulation(amb, 0.01)
+	_, errPrep := pqa.Query(ctx, Request{Alpha: 0.01})
+	_, errShot := dbAmb.Query(ctx, amb, Request{Alpha: 0.01})
 	if errPrep == nil || errShot == nil || errPrep.Error() != errShot.Error() {
 		t.Fatalf("ambiguous-label errors differ: %v vs %v", errPrep, errShot)
 	}
 }
 
-// TestPreparedRunBatch: RunBatch over pins equals per-pin RunAt, with
-// zero results for invalid pins.
+// TestPreparedRunBatch: QueryBatch over pins equals per-pin Query, with
+// zero results (carrying the pin and the epoch) for invalid pins.
 func TestPreparedRunBatch(t *testing.T) {
 	db, qs := preparedFixture(t, 3000)
 	q := qs[0].Q
@@ -136,14 +125,14 @@ func TestPreparedRunBatch(t *testing.T) {
 	}
 	pins = append(pins, bad)
 	for _, workers := range []int{1, 4} {
-		got := pq.RunBatch(pins, 0.01, workers)
-		if len(got) != len(pins) {
-			t.Fatalf("RunBatch returned %d results for %d pins", len(got), len(pins))
+		got, err := pq.QueryBatch(context.Background(), pins, Request{Alpha: 0.01}, workers)
+		if err != nil || len(got) != len(pins) {
+			t.Fatalf("QueryBatch returned %d results for %d pins (%v)", len(got), len(pins), err)
 		}
 		for i, pin := range pins {
-			want, err := pq.RunAt(pin, 0.01)
+			want, err := pq.Query(context.Background(), Request{Anchor: Pin(pin), Alpha: 0.01})
 			if err != nil {
-				want = PatternResult{Personalized: pin}
+				want = Result{Personalized: pin, Epoch: got[i].Epoch}
 			}
 			if !reflect.DeepEqual(got[i], want) {
 				t.Fatalf("workers=%d pin %d: %+v != %+v", workers, pin, got[i], want)
@@ -155,7 +144,7 @@ func TestPreparedRunBatch(t *testing.T) {
 	}
 }
 
-// TestBatchSharesPreparedTemplates: SimulationBatch answers are unchanged
+// TestBatchSharesPreparedTemplates: QueryBatch answers are unchanged
 // by the per-distinct-pattern preparation (same template at many pins vs
 // distinct templates interleaved).
 func TestBatchSharesPreparedTemplates(t *testing.T) {
@@ -165,11 +154,14 @@ func TestBatchSharesPreparedTemplates(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		batch = append(batch, qs[i%2])
 	}
-	got := db.SimulationBatch(batch, 0.01, 3)
+	got, err := db.QueryBatch(context.Background(), batch, Request{Alpha: 0.01}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, aq := range batch {
-		want, err := db.SimulationAt(aq.Q, aq.At, 0.01)
+		want, err := db.Query(context.Background(), aq.Q, Request{Anchor: Pin(aq.At), Alpha: 0.01})
 		if err != nil {
-			want = PatternResult{Personalized: aq.At}
+			want = Result{Personalized: aq.At, Epoch: got[i].Epoch}
 		}
 		if !reflect.DeepEqual(got[i], want) {
 			t.Fatalf("batch[%d] = %+v, want %+v", i, got[i], want)

@@ -4,14 +4,9 @@ package rbq
 //
 // Every pattern evaluation the facade offers — both matching semantics,
 // the bounded/exact/unanchored regimes, explicit pins, batches — is a
-// Request executed by runRequest. The legacy method lattice
-// (DB.Simulation…/Subgraph… and PreparedQuery.Run…) survives as one-line
-// wrappers that build the equivalent Request, so both forms are the same
-// code and return bit-for-bit identical answers. The request path adds
-// the production axes the wrappers never had: context cancellation
-// threaded cooperatively through every engine loop, a DB-level plan
-// cache shared by independent callers (see plancache.go), and opt-in
-// per-query stats.
+// Request executed by runRequest, with context cancellation threaded
+// cooperatively through every engine loop, a DB-level plan cache shared
+// by independent callers (see plancache.go), and opt-in per-query stats.
 
 import (
 	"context"
@@ -52,20 +47,9 @@ const (
 	Exact
 	// Unanchored evaluates a pattern with no unique personalized match:
 	// every candidate of the most selective query node is tried as the
-	// anchor, sharing one Alpha·|G| budget (see Split).
+	// anchor, sharing one Alpha·|G| budget proportionally to each anchor's
+	// Potential-mass selectivity, floored at one item.
 	Unanchored
-)
-
-// Split selects how Unanchored mode divides its budget among anchor
-// candidates.
-type Split int
-
-const (
-	// SplitWeighted shares the budget proportionally to each anchor's
-	// Potential-mass selectivity, floored at one item. The zero value.
-	SplitWeighted Split = iota
-	// SplitEven is the legacy even-with-rollover split, kept for ablation.
-	SplitEven
 )
 
 // ErrBadRequest wraps every Request validation failure, so callers can
@@ -95,9 +79,6 @@ type Request struct {
 	// unlimited; Result.Complete reports whether the cap was hit). Only
 	// valid with Subgraph semantics.
 	MaxSteps int64
-	// Split selects the Unanchored budget division; zero is
-	// SplitWeighted. Only valid in Unanchored mode.
-	Split Split
 	// Parallelism bounds the intra-query worker pool: how many of the
 	// query's independent work units — the per-anchor rooted runs of an
 	// Unanchored evaluation — may execute concurrently. The effective
@@ -170,15 +151,6 @@ func (req Request) validate() error {
 	}
 	if req.MaxSteps != 0 && req.Semantics != Subgraph {
 		return fmt.Errorf("%w: MaxSteps applies to Subgraph semantics only", ErrBadRequest)
-	}
-	switch req.Split {
-	case SplitWeighted:
-	case SplitEven:
-		if req.Mode != Unanchored {
-			return fmt.Errorf("%w: Split applies to Unanchored mode only", ErrBadRequest)
-		}
-	default:
-		return fmt.Errorf("%w: unknown split %d", ErrBadRequest, req.Split)
 	}
 	if req.Parallelism < 0 {
 		return fmt.Errorf("%w: negative Parallelism %d", ErrBadRequest, req.Parallelism)
@@ -258,9 +230,7 @@ type Result struct {
 	Epoch uint64
 }
 
-// Query evaluates req for pattern q. It is the single execution core
-// every pattern method routes through: the legacy DB methods are
-// wrappers over it and return identical answers.
+// Query evaluates req for pattern q.
 //
 // The compiled plan comes from the DB's bounded plan cache, keyed by the
 // pattern's textual form, so independent callers issuing the same hot
@@ -309,17 +279,8 @@ func (db *DB) Query(ctx context.Context, q *Pattern, req Request) (Result, error
 // canceled mid-batch the already-computed results are returned alongside
 // ctx.Err(), with unprocessed items left zero.
 func (db *DB) QueryBatch(ctx context.Context, qs []AnchoredQuery, req Request, workers int) ([]Result, error) {
-	if err := req.validate(); err != nil {
+	if err := req.validateBatch(); err != nil {
 		return nil, err
-	}
-	if req.Mode == Unanchored {
-		return nil, fmt.Errorf("%w: QueryBatch needs an anchored mode", ErrBadRequest)
-	}
-	if req.Anchor != nil {
-		return nil, fmt.Errorf("%w: QueryBatch items carry their own anchors", ErrBadRequest)
-	}
-	if req.Tracer != nil {
-		return nil, fmt.Errorf("%w: Tracer is a serial stream; batch items run concurrently", ErrBadRequest)
 	}
 	// Resolve every distinct template to its cached plan up front: one
 	// serialized cache probe per template (batches repeat a handful of
@@ -371,40 +332,19 @@ func (db *DB) QueryBatch(ctx context.Context, qs []AnchoredQuery, req Request, w
 	}
 	out := make([]Result, len(qs))
 	shardWorkers := exec.BatchWorkers(workers)
-	parallelFor(ctx, len(qs), workers, func(i int) {
+	exec.Run(done, len(qs), shardWorkers, func(i int) {
 		info := infos[idx[i]]
-		if info.pl == nil {
-			out[i] = Result{Personalized: qs[i].At, Epoch: snap.Epoch()}
-			return
-		}
-		r := req
-		r.Anchor = &qs[i].At
 		var planTime time.Duration
 		if i == info.first {
 			planTime = info.planTime
 		}
-		res, err := runRequest(ctx, info.pl, snap.Epoch(), r, info.hit, planTime)
-		if err != nil {
-			res = Result{Personalized: qs[i].At, Epoch: snap.Epoch()}
-		}
-		// Each item owns its trace, so stamping the shard identity here
-		// is race-free: which slot this item ran in and how wide the
-		// batch pool fanned out.
-		if res.Trace != nil {
-			res.Trace.Root.Add("batch_index", int64(i))
-			res.Trace.Root.Add("batch_workers", int64(shardWorkers))
-		}
-		out[i] = res
+		out[i] = runBatchItem(ctx, info.pl, snap.Epoch(), req, &qs[i].At, info.hit, planTime, i, shardWorkers)
 	})
-	if err := interrupt.Err(ctx); err != nil {
-		return out, err
-	}
-	return out, nil
+	return out, interrupt.Err(ctx)
 }
 
-// Query evaluates req through the prepared plan (the request form of the
-// Run* methods, which wrap it). The compilation was done by Prepare, so
-// QueryStats reports PlanCacheHit and zero PlanTime.
+// Query evaluates req through the prepared plan. The compilation was done
+// by Prepare, so QueryStats reports PlanCacheHit and zero PlanTime.
 func (pq *PreparedQuery) Query(ctx context.Context, req Request) (Result, error) {
 	if err := req.validate(); err != nil {
 		return Result{}, err
@@ -416,37 +356,62 @@ func (pq *PreparedQuery) Query(ctx context.Context, req Request) (Result, error)
 // prepared plan (see DB.QueryBatch for the batch contract; req.Anchor
 // must be nil and Mode anchored).
 func (pq *PreparedQuery) QueryBatch(ctx context.Context, pins []NodeID, req Request, workers int) ([]Result, error) {
-	if err := req.validate(); err != nil {
+	if err := req.validateBatch(); err != nil {
 		return nil, err
-	}
-	if req.Mode == Unanchored {
-		return nil, fmt.Errorf("%w: QueryBatch needs an anchored mode", ErrBadRequest)
-	}
-	if req.Anchor != nil {
-		return nil, fmt.Errorf("%w: QueryBatch items carry their own anchors", ErrBadRequest)
-	}
-	if req.Tracer != nil {
-		return nil, fmt.Errorf("%w: Tracer is a serial stream; batch items run concurrently", ErrBadRequest)
 	}
 	out := make([]Result, len(pins))
 	shardWorkers := exec.BatchWorkers(workers)
-	parallelFor(ctx, len(pins), workers, func(i int) {
-		r := req
-		r.Anchor = &pins[i]
-		res, err := runRequest(ctx, pq.pl, pq.epoch, r, true, 0)
-		if err != nil {
-			res = Result{Personalized: pins[i], Epoch: pq.epoch}
-		}
-		if res.Trace != nil {
-			res.Trace.Root.Add("batch_index", int64(i))
-			res.Trace.Root.Add("batch_workers", int64(shardWorkers))
-		}
-		out[i] = res
+	exec.Run(interrupt.Done(ctx), len(pins), shardWorkers, func(i int) {
+		out[i] = runBatchItem(ctx, pq.pl, pq.epoch, req, &pins[i], true, 0, i, shardWorkers)
 	})
-	if err := interrupt.Err(ctx); err != nil {
-		return out, err
+	return out, interrupt.Err(ctx)
+}
+
+// validateBatch is validate plus the shape a batch entry point needs:
+// an anchored mode, no request-level anchor (items carry their own) and
+// no serial tracer.
+func (req Request) validateBatch() error {
+	if err := req.validate(); err != nil {
+		return err
 	}
-	return out, nil
+	if req.Mode == Unanchored {
+		return fmt.Errorf("%w: QueryBatch needs an anchored mode", ErrBadRequest)
+	}
+	if req.Anchor != nil {
+		return fmt.Errorf("%w: QueryBatch items carry their own anchors", ErrBadRequest)
+	}
+	if req.Tracer != nil {
+		return fmt.Errorf("%w: Tracer is a serial stream; batch items run concurrently", ErrBadRequest)
+	}
+	return nil
+}
+
+// runBatchItem is the per-item body of the batch entry points: req is
+// evaluated at the item's own pin through pl (nil when the item's
+// template failed to compile) against the one snapshot epoch the batch
+// pinned. An item that fails — a pin failing validation, a template that
+// did not compile — yields a zero Result carrying only its pin and the
+// epoch, leaving the rest of the batch intact. i is the item's slot and
+// shardWorkers the width of the exec pool the batch fanned out to (the
+// DB's structures are immutable and every evaluation borrows private
+// scratch, so the items are embarrassingly parallel).
+func runBatchItem(ctx context.Context, pl *plan.Plan, epoch uint64, req Request, at *NodeID, cacheHit bool, planTime time.Duration, i, shardWorkers int) Result {
+	if pl == nil {
+		return Result{Personalized: *at, Epoch: epoch}
+	}
+	req.Anchor = at
+	res, err := runRequest(ctx, pl, epoch, req, cacheHit, planTime)
+	if err != nil {
+		return Result{Personalized: *at, Epoch: epoch}
+	}
+	// Each item owns its trace, so stamping the shard identity here is
+	// race-free: which slot this item ran in and how wide the batch pool
+	// fanned out.
+	if res.Trace != nil {
+		res.Trace.Root.Add("batch_index", int64(i))
+		res.Trace.Root.Add("batch_workers", int64(shardWorkers))
+	}
+	return res
 }
 
 // runRequest is the one execution core. req must be validated; epoch is
@@ -481,7 +446,6 @@ func runRequest(ctx context.Context, pl *plan.Plan, epoch uint64, req Request, c
 	if req.Mode == Unanchored {
 		opts := rbany.Options{
 			Alpha:   req.Alpha,
-			Split:   rbany.Split(req.Split),
 			Workers: exec.Capped(req.Parallelism),
 			Reduce:  reduce.Options{Interrupt: done, Trace: req.Tracer, Obs: execSpan},
 		}
@@ -565,8 +529,7 @@ func runRequest(ctx context.Context, pl *plan.Plan, epoch uint64, req Request, c
 }
 
 // subOpts builds the subgraph matcher options, returning nil when both
-// knobs are off so the Background-context hot path hands the matcher the
-// same nil the legacy wrappers always did.
+// knobs are off so the Background-context hot path allocates no Options.
 func subOpts(maxSteps int64, done <-chan struct{}) *subiso.Options {
 	if maxSteps == 0 && done == nil {
 		return nil
@@ -585,78 +548,4 @@ func checkPin(pl *plan.Plan, vp NodeID) error {
 		return fmt.Errorf("rbq: %w", err)
 	}
 	return nil
-}
-
-// --- legacy-shape adapters (the one-line wrappers funnel through these) ---
-
-func toPatternResult(r Result, err error) (PatternResult, error) {
-	if err != nil {
-		return PatternResult{}, err
-	}
-	return PatternResult{
-		Matches:      r.Matches,
-		Personalized: r.Personalized,
-		FragmentSize: r.FragmentSize,
-		Budget:       r.Budget,
-		Visited:      r.Visited,
-	}, nil
-}
-
-func toMatches(r Result, err error) ([]NodeID, error) {
-	if err != nil {
-		return nil, err
-	}
-	return r.Matches, nil
-}
-
-func toMatchesComplete(r Result, err error) ([]NodeID, bool, error) {
-	if err != nil {
-		return nil, false, err
-	}
-	return r.Matches, r.Complete, nil
-}
-
-func toUnanchoredResult(r Result, _ error) UnanchoredResult {
-	return UnanchoredResult{
-		Matches:      r.Matches,
-		Candidates:   r.Candidates,
-		Evaluated:    r.Evaluated,
-		FragmentSize: r.FragmentSize,
-		Visited:      r.Visited,
-	}
-}
-
-// toPatternResults adapts a batch of Results to the legacy shape: failed
-// items (zero Result with only the pin set) keep exactly the zero
-// PatternResult the legacy batch methods produced. n is the item count
-// and pin each item's anchor, preserving the positional contract —
-// zero results carrying their pin — even when the whole batch failed
-// validation (rs nil) and the error-less legacy wrapper swallowed it.
-func toPatternResults(rs []Result, n int, pin func(int) NodeID) []PatternResult {
-	out := make([]PatternResult, n)
-	for i := range out {
-		if i < len(rs) {
-			r := rs[i]
-			out[i] = PatternResult{
-				Matches:      r.Matches,
-				Personalized: r.Personalized,
-				FragmentSize: r.FragmentSize,
-				Budget:       r.Budget,
-				Visited:      r.Visited,
-			}
-		} else {
-			out[i] = PatternResult{Personalized: pin(i)}
-		}
-	}
-	return out
-}
-
-// parallelFor shards eval(0..n-1) across the exec worker pool (workers
-// ≤ 0 = one per CPU; one worker degenerates to an inline loop). The DB's
-// structures are immutable and every evaluation borrows private scratch,
-// so the iterations are embarrassingly parallel. A canceled ctx stops
-// workers from claiming further items (claimed items still finish, and
-// poll the context inside the engines).
-func parallelFor(ctx context.Context, n, workers int, eval func(i int)) {
-	exec.Run(interrupt.Done(ctx), n, exec.BatchWorkers(workers), eval)
 }

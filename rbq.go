@@ -32,10 +32,6 @@
 // issuing the same hot template share one compiled plan. Workloads that
 // hold a template explicitly can still compile once with DB.Prepare and
 // execute it via PreparedQuery.Query.
-//
-// The named methods (Simulation, SubgraphAt, …) predate Request and are
-// kept as one-line wrappers over the same core; new code should prefer
-// DB.Query.
 package rbq
 
 import (
@@ -105,12 +101,11 @@ func MatchAccuracy(exact, approx []NodeID) Accuracy { return accuracy.Matches(ex
 // materialization and the matcher's bitsets — and returns it when done, so
 // steady-state queries allocate only their result slice. The pools are
 // concurrency-safe and every borrower gets a private scratch, which is why
-// SimulationBatch/SubgraphBatch workers can share one DB without locking.
+// QueryBatch workers can share one DB without locking.
 //
-// Every pattern method routes through the request core (see Query): the
-// named methods build the equivalent Request, the plan cache supplies
-// the compiled form, and PreparedQuery pins a compilation explicitly for
-// repeated execution.
+// Every pattern evaluation is a Request executed by the request core (see
+// Query): the plan cache supplies the compiled form, and PreparedQuery
+// pins a compilation explicitly for repeated execution.
 //
 // A DB is mutable through Apply (see mutate.go): mutations are buffered
 // in a delta over an immutable base graph and published as immutable
@@ -220,96 +215,6 @@ func (db *DB) SaveBinary(w io.Writer) error { return dataset.WriteBinary(w, db.s
 // it keep a consistent point-in-time view across later mutations.
 func (db *DB) Graph() *Graph { return db.snapshot().Graph() }
 
-// PatternResult reports a resource-bounded pattern query evaluation.
-type PatternResult struct {
-	// Matches are the data nodes matching the pattern's output node,
-	// sorted ascending.
-	Matches []NodeID
-	// Personalized is v_p, the unique match of the personalized node.
-	Personalized NodeID
-	// FragmentSize is |G_Q| (nodes+edges) actually extracted; Budget is
-	// the cap α|G|; Visited counts data items examined during reduction.
-	FragmentSize, Budget, Visited int
-}
-
-// Simulation answers the pattern under strong simulation with resource
-// ratio alpha (the paper's RBSim).
-//
-// Deprecated-style wrapper: equivalent to Query with
-// Request{Semantics: Simulation, Mode: Bounded, Alpha: alpha}; prefer
-// Query, which adds cancellation and per-query stats.
-func (db *DB) Simulation(q *Pattern, alpha float64) (PatternResult, error) {
-	return toPatternResult(db.Query(context.Background(), q, Request{Alpha: alpha}))
-}
-
-// SimulationExact answers the pattern under strong simulation exactly (the
-// optimized baseline MatchOpt, which searches the d_Q-ball of v_p).
-//
-// Deprecated-style wrapper: equivalent to Query with
-// Request{Semantics: Simulation, Mode: Exact}.
-func (db *DB) SimulationExact(q *Pattern) ([]NodeID, error) {
-	return toMatches(db.Query(context.Background(), q, Request{Mode: Exact}))
-}
-
-// Subgraph answers the pattern under subgraph isomorphism with resource
-// ratio alpha (the paper's RBSub).
-//
-// Deprecated-style wrapper: equivalent to Query with
-// Request{Semantics: Subgraph, Mode: Bounded, Alpha: alpha}.
-func (db *DB) Subgraph(q *Pattern, alpha float64) (PatternResult, error) {
-	return toPatternResult(db.Query(context.Background(), q, Request{Semantics: Subgraph, Alpha: alpha}))
-}
-
-// SubgraphExact answers the pattern under subgraph isomorphism exactly
-// (the optimized baseline VF2Opt). maxSteps caps the backtracking search
-// (0 = unlimited); the second result reports whether it completed.
-//
-// Deprecated-style wrapper: equivalent to Query with
-// Request{Semantics: Subgraph, Mode: Exact, MaxSteps: maxSteps}.
-func (db *DB) SubgraphExact(q *Pattern, maxSteps int64) ([]NodeID, bool, error) {
-	return toMatchesComplete(db.Query(context.Background(), q,
-		Request{Semantics: Subgraph, Mode: Exact, MaxSteps: maxSteps}))
-}
-
-// SimulationAt is Simulation with the personalized node pinned to an
-// explicit data node, bypassing the unique-label lookup. The paper's
-// setting guarantees a unique match for u_p; pinning covers batch
-// workloads where many anchor nodes share a label.
-//
-// Deprecated-style wrapper: equivalent to Query with
-// Request{Mode: Bounded, Anchor: Pin(vp), Alpha: alpha}.
-func (db *DB) SimulationAt(q *Pattern, vp NodeID, alpha float64) (PatternResult, error) {
-	return toPatternResult(db.Query(context.Background(), q, Request{Anchor: &vp, Alpha: alpha}))
-}
-
-// SubgraphAt is Subgraph with the personalized node pinned explicitly.
-//
-// Deprecated-style wrapper: equivalent to Query with
-// Request{Semantics: Subgraph, Anchor: Pin(vp), Alpha: alpha}.
-func (db *DB) SubgraphAt(q *Pattern, vp NodeID, alpha float64) (PatternResult, error) {
-	return toPatternResult(db.Query(context.Background(), q,
-		Request{Semantics: Subgraph, Anchor: &vp, Alpha: alpha}))
-}
-
-// SimulationExactAt is SimulationExact with the personalized node pinned
-// explicitly.
-//
-// Deprecated-style wrapper: equivalent to Query with
-// Request{Mode: Exact, Anchor: Pin(vp)}.
-func (db *DB) SimulationExactAt(q *Pattern, vp NodeID) ([]NodeID, error) {
-	return toMatches(db.Query(context.Background(), q, Request{Mode: Exact, Anchor: &vp}))
-}
-
-// SubgraphExactAt is SubgraphExact with the personalized node pinned
-// explicitly.
-//
-// Deprecated-style wrapper: equivalent to Query with
-// Request{Semantics: Subgraph, Mode: Exact, Anchor: Pin(vp), MaxSteps: maxSteps}.
-func (db *DB) SubgraphExactAt(q *Pattern, vp NodeID, maxSteps int64) ([]NodeID, bool, error) {
-	return toMatchesComplete(db.Query(context.Background(), q,
-		Request{Semantics: Subgraph, Mode: Exact, Anchor: &vp, MaxSteps: maxSteps}))
-}
-
 // ReachExact answers a reachability query exactly by BFS over the
 // current snapshot.
 func (db *DB) ReachExact(from, to NodeID) bool { return reach.BFS(db.snapshot().Graph(), from, to) }
@@ -363,8 +268,8 @@ func LoadReachOracle(r io.Reader) (*ReachOracle, error) {
 }
 
 // YoutubeLike generates a power-law stand-in for the paper's Youtube graph
-// with n nodes (average degree ≈ 2.8; see DESIGN.md §4 on the
-// substitution).
+// with n nodes (average degree ≈ 2.8; the internal/dataset package comment
+// explains the substitution).
 func YoutubeLike(n int, seed int64) *Graph { return dataset.YoutubeLike(n, seed) }
 
 // YahooLike generates a power-law stand-in for the paper's Yahoo web graph
@@ -393,67 +298,6 @@ type AnchoredQuery struct {
 	At NodeID
 }
 
-// SimulationBatch evaluates many pinned simulation queries concurrently
-// with the same resource ratio. workers ≤ 0 means one goroutine per
-// available CPU. Each distinct template in qs is compiled exactly once
-// through the plan cache (batch workloads typically evaluate a handful
-// of templates at many pins); the DB's structures are immutable, so
-// evaluation is embarrassingly parallel. Results are positionally
-// aligned with qs, with a nil-Matches zero result for queries whose pin
-// fails label validation.
-//
-// Deprecated-style wrapper: equivalent to QueryBatch with
-// Request{Mode: Bounded, Alpha: alpha}; prefer QueryBatch, which adds
-// cancellation.
-func (db *DB) SimulationBatch(qs []AnchoredQuery, alpha float64, workers int) []PatternResult {
-	res, _ := db.QueryBatch(context.Background(), qs, Request{Alpha: alpha}, workers)
-	return toPatternResults(res, len(qs), func(i int) NodeID { return qs[i].At })
-}
-
-// SubgraphBatch is SimulationBatch under subgraph isomorphism.
-//
-// Deprecated-style wrapper: equivalent to QueryBatch with
-// Request{Semantics: Subgraph, Alpha: alpha}.
-func (db *DB) SubgraphBatch(qs []AnchoredQuery, alpha float64, workers int) []PatternResult {
-	res, _ := db.QueryBatch(context.Background(), qs, Request{Semantics: Subgraph, Alpha: alpha}, workers)
-	return toPatternResults(res, len(qs), func(i int) NodeID { return qs[i].At })
-}
-
-// UnanchoredResult reports a pattern evaluation without a personalized
-// node (the Section 7 extension): the budget α|G| is divided among the
-// candidates of the most selective query node.
-type UnanchoredResult struct {
-	// Matches is the union of per-anchor answers, sorted.
-	Matches []NodeID
-	// Candidates is how many anchor candidates passed the guard;
-	// Evaluated how many were run before the budget drained.
-	Candidates, Evaluated int
-	// FragmentSize totals |G_Q| across anchors (≤ α|G| + one share).
-	FragmentSize int
-	// Visited totals data items examined.
-	Visited int
-}
-
-// SimulationUnanchored answers a pattern with NO unique personalized
-// match under strong simulation: every data node carrying the most
-// selective query label is tried as the anchor, sharing one α|G| budget
-// split proportionally to each anchor's Potential-mass selectivity.
-//
-// Deprecated-style wrapper: equivalent to Query with
-// Request{Mode: Unanchored, Alpha: alpha}.
-func (db *DB) SimulationUnanchored(q *Pattern, alpha float64) UnanchoredResult {
-	return toUnanchoredResult(db.Query(context.Background(), q, Request{Mode: Unanchored, Alpha: alpha}))
-}
-
-// SubgraphUnanchored is SimulationUnanchored under subgraph isomorphism.
-//
-// Deprecated-style wrapper: equivalent to Query with
-// Request{Semantics: Subgraph, Mode: Unanchored, Alpha: alpha}.
-func (db *DB) SubgraphUnanchored(q *Pattern, alpha float64) UnanchoredResult {
-	return toUnanchoredResult(db.Query(context.Background(), q,
-		Request{Semantics: Subgraph, Mode: Unanchored, Alpha: alpha}))
-}
-
 // CalibrationPoint is one sample of the empirical accuracy-vs-α curve.
 type CalibrationPoint struct {
 	Alpha        float64
@@ -464,31 +308,19 @@ type CalibrationPoint struct {
 // SimulationCurve evaluates the workload at each α against the exact
 // baseline and returns the empirical accuracy curve — the data behind the
 // paper's Fig. 8(c) and its Section 7 question of how η relates to α.
-// Equivalent to SimulationCurveContext with context.Background().
-func (db *DB) SimulationCurve(qs []AnchoredQuery, alphas []float64) []CalibrationPoint {
-	return db.SimulationCurveContext(context.Background(), qs, alphas)
-}
-
-// SimulationCurveContext is SimulationCurve with cooperative
-// cancellation: sweeps over large workloads are long-running, and a
-// fired ctx stops the sweep and returns the points sampled so far.
-func (db *DB) SimulationCurveContext(ctx context.Context, qs []AnchoredQuery, alphas []float64) []CalibrationPoint {
+// Cancellation is cooperative: sweeps over large workloads are
+// long-running, and a fired ctx stops the sweep and returns the points
+// sampled so far.
+func (db *DB) SimulationCurve(ctx context.Context, qs []AnchoredQuery, alphas []float64) []CalibrationPoint {
 	pts := calibrate.Curve(ctx, db.snapshot().Aux(), toCalibrate(qs), alphas)
 	return fromCalibrate(pts)
 }
 
 // MinAlphaForAccuracy searches (0, hi] for the smallest resource ratio
 // whose workload accuracy reaches target (refined by `refine` bisection
-// steps). ok is false when even hi misses the target. Equivalent to
-// MinAlphaForAccuracyContext with context.Background().
-func (db *DB) MinAlphaForAccuracy(qs []AnchoredQuery, target, hi float64, refine int) (CalibrationPoint, bool) {
-	return db.MinAlphaForAccuracyContext(context.Background(), qs, target, hi, refine)
-}
-
-// MinAlphaForAccuracyContext is MinAlphaForAccuracy with cooperative
-// cancellation: a fired ctx stops the search at the best point found so
-// far.
-func (db *DB) MinAlphaForAccuracyContext(ctx context.Context, qs []AnchoredQuery, target, hi float64, refine int) (CalibrationPoint, bool) {
+// steps). ok is false when even hi misses the target. A fired ctx stops
+// the search at the best point found so far.
+func (db *DB) MinAlphaForAccuracy(ctx context.Context, qs []AnchoredQuery, target, hi float64, refine int) (CalibrationPoint, bool) {
 	pt, ok := calibrate.MinAlpha(ctx, db.snapshot().Aux(), toCalibrate(qs), target, hi, refine)
 	return CalibrationPoint{Alpha: pt.Alpha, Accuracy: pt.Accuracy, MeanFragment: pt.MeanFragment}, ok
 }

@@ -2,6 +2,7 @@ package rbq
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -44,18 +45,18 @@ func buildSocialDB(t *testing.T) (*DB, *Pattern, NodeID, NodeID) {
 
 func TestSimulationEndToEnd(t *testing.T) {
 	db, q, cl1, cl2 := buildSocialDB(t)
-	res, err := db.Simulation(q, 1.0)
+	res, err := db.Query(context.Background(), q, Request{Alpha: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Matches) != 2 || res.Matches[0] != cl1 || res.Matches[1] != cl2 {
 		t.Fatalf("matches = %v, want [%d %d]", res.Matches, cl1, cl2)
 	}
-	exact, err := db.SimulationExact(q)
+	exact, err := db.Query(context.Background(), q, Request{Mode: Exact})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc := MatchAccuracy(exact, res.Matches); acc.F != 1 {
+	if acc := MatchAccuracy(exact.Matches, res.Matches); acc.F != 1 {
 		t.Fatalf("accuracy %+v", acc)
 	}
 	if res.FragmentSize > res.Budget {
@@ -65,18 +66,18 @@ func TestSimulationEndToEnd(t *testing.T) {
 
 func TestSubgraphEndToEnd(t *testing.T) {
 	db, q, cl1, cl2 := buildSocialDB(t)
-	res, err := db.Subgraph(q, 1.0)
+	res, err := db.Query(context.Background(), q, Request{Semantics: Subgraph, Alpha: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Matches) != 2 || res.Matches[0] != cl1 || res.Matches[1] != cl2 {
 		t.Fatalf("matches = %v", res.Matches)
 	}
-	exact, complete, err := db.SubgraphExact(q, 0)
-	if err != nil || !complete {
-		t.Fatalf("exact: %v complete=%v", err, complete)
+	exact, err := db.Query(context.Background(), q, Request{Semantics: Subgraph, Mode: Exact})
+	if err != nil || !exact.Complete {
+		t.Fatalf("exact: %v complete=%v", err, exact.Complete)
 	}
-	if acc := MatchAccuracy(exact, res.Matches); acc.F != 1 {
+	if acc := MatchAccuracy(exact.Matches, res.Matches); acc.F != 1 {
 		t.Fatalf("accuracy %+v", acc)
 	}
 }
@@ -91,13 +92,13 @@ func TestPersonalizedUniquenessEnforced(t *testing.T) {
 	pb.SetPersonalized(a)
 	pb.SetOutput(a)
 	q := pb.MustBuild()
-	if _, err := db.Simulation(q, 0.5); err == nil {
+	if _, err := db.Query(context.Background(), q, Request{Alpha: 0.5}); err == nil {
 		t.Fatal("expected uniqueness error")
 	}
-	if _, err := db.Subgraph(q, 0.5); err == nil {
+	if _, err := db.Query(context.Background(), q, Request{Semantics: Subgraph, Alpha: 0.5}); err == nil {
 		t.Fatal("expected uniqueness error")
 	}
-	if _, _, err := db.SubgraphExact(q, 0); err == nil {
+	if _, err := db.Query(context.Background(), q, Request{Semantics: Subgraph, Mode: Exact}); err == nil {
 		t.Fatal("expected uniqueness error")
 	}
 }
@@ -138,11 +139,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := db.Simulation(q, 1.0)
+	a, err := db.Query(context.Background(), q, Request{Alpha: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := db2.Simulation(q, 1.0)
+	b, err := db2.Query(context.Background(), q, Request{Alpha: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestExtractPattern(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := NewDB(g2)
-	res, err := db.Simulation(q, 1.0)
+	res, err := db.Query(context.Background(), q, Request{Alpha: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,11 +206,11 @@ func TestBinarySaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := db.Simulation(q, 1.0)
+	a, err := db.Query(context.Background(), q, Request{Alpha: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := db2.Simulation(q, 1.0)
+	b, err := db2.Query(context.Background(), q, Request{Alpha: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}

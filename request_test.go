@@ -29,8 +29,6 @@ func TestRequestValidation(t *testing.T) {
 		{Mode: Unanchored, Alpha: 0.1, Anchor: Pin(0)},   // anchored Unanchored
 		{Semantics: Subgraph, Alpha: 0.1, MaxSteps: -1},  // negative step cap
 		{Alpha: 0.1, MaxSteps: 5},                        // MaxSteps on Simulation
-		{Alpha: 0.1, Split: SplitEven},                   // Split outside Unanchored
-		{Mode: Unanchored, Alpha: 0.1, Split: 3},         // unknown split
 		{Semantics: Subgraph, Mode: Exact, MaxSteps: -3}, // negative cap, Exact
 		{Semantics: -1, Mode: Exact},                     // negative semantics
 		{Alpha: 0.1, Parallelism: -1},                    // negative parallelism
@@ -49,188 +47,12 @@ func TestRequestValidation(t *testing.T) {
 	if _, err := db.QueryBatch(context.Background(), qs, Request{Alpha: -1}, 1); !errors.Is(err, ErrBadRequest) {
 		t.Errorf("QueryBatch: err = %v, want ErrBadRequest", err)
 	}
-	// The error-less legacy batch wrappers keep the positional contract
-	// even then: every zero result still carries its pin.
-	pr := db.SimulationBatch(qs, -1, 1)
-	if len(pr) != len(qs) || pr[0].Personalized != qs[0].At || pr[0].Matches != nil {
-		t.Errorf("legacy batch on invalid request: %+v", pr)
-	}
 	// Batch-specific constraints.
 	if _, err := db.QueryBatch(context.Background(), qs, Request{Mode: Unanchored, Alpha: 0.1}, 1); !errors.Is(err, ErrBadRequest) {
 		t.Errorf("QueryBatch Unanchored: err = %v, want ErrBadRequest", err)
 	}
 	if _, err := db.QueryBatch(context.Background(), qs, Request{Alpha: 0.1, Anchor: Pin(0)}, 1); !errors.Is(err, ErrBadRequest) {
 		t.Errorf("QueryBatch with Anchor: err = %v, want ErrBadRequest", err)
-	}
-}
-
-// wantPattern compares a legacy PatternResult against the Result of its
-// Request translation.
-func wantPattern(t *testing.T, name string, got PatternResult, gotErr error, r Result, rErr error) {
-	t.Helper()
-	if (gotErr == nil) != (rErr == nil) {
-		t.Fatalf("%s: error mismatch: %v vs %v", name, gotErr, rErr)
-	}
-	if gotErr != nil && gotErr.Error() != rErr.Error() {
-		t.Fatalf("%s: error text mismatch: %q vs %q", name, gotErr, rErr)
-	}
-	want := PatternResult{Matches: r.Matches, Personalized: r.Personalized,
-		FragmentSize: r.FragmentSize, Budget: r.Budget, Visited: r.Visited}
-	if gotErr != nil {
-		want = PatternResult{}
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s: legacy %+v != request %+v", name, got, want)
-	}
-}
-
-// TestLegacyMethodsEqualRequestCore: every legacy DB method returns
-// bit-for-bit the answer of its documented Request translation.
-func TestLegacyMethodsEqualRequestCore(t *testing.T) {
-	db, qs := preparedFixture(t, 4000)
-	ctx := context.Background()
-	for _, aq := range qs {
-		q, vp := aq.Q, aq.At
-		for _, alpha := range []float64{0, 0.001, 0.02} {
-			got, gotErr := db.Simulation(q, alpha)
-			r, rErr := db.Query(ctx, q, Request{Semantics: Simulation, Mode: Bounded, Alpha: alpha})
-			wantPattern(t, "Simulation", got, gotErr, r, rErr)
-
-			got, gotErr = db.SimulationAt(q, vp, alpha)
-			r, rErr = db.Query(ctx, q, Request{Mode: Bounded, Anchor: Pin(vp), Alpha: alpha})
-			wantPattern(t, "SimulationAt", got, gotErr, r, rErr)
-
-			got, gotErr = db.Subgraph(q, alpha)
-			r, rErr = db.Query(ctx, q, Request{Semantics: Subgraph, Alpha: alpha})
-			wantPattern(t, "Subgraph", got, gotErr, r, rErr)
-
-			got, gotErr = db.SubgraphAt(q, vp, alpha)
-			r, rErr = db.Query(ctx, q, Request{Semantics: Subgraph, Anchor: Pin(vp), Alpha: alpha})
-			wantPattern(t, "SubgraphAt", got, gotErr, r, rErr)
-
-			ur := db.SimulationUnanchored(q, alpha)
-			r, rErr = db.Query(ctx, q, Request{Mode: Unanchored, Alpha: alpha})
-			if rErr != nil || !reflect.DeepEqual(ur, toUnanchoredResult(r, nil)) {
-				t.Fatalf("SimulationUnanchored: %+v != %+v (%v)", ur, r, rErr)
-			}
-			ur = db.SubgraphUnanchored(q, alpha)
-			r, rErr = db.Query(ctx, q, Request{Semantics: Subgraph, Mode: Unanchored, Alpha: alpha})
-			if rErr != nil || !reflect.DeepEqual(ur, toUnanchoredResult(r, nil)) {
-				t.Fatalf("SubgraphUnanchored: %+v != %+v (%v)", ur, r, rErr)
-			}
-		}
-
-		gotM, gotErr := db.SimulationExact(q)
-		r, rErr := db.Query(ctx, q, Request{Mode: Exact})
-		if (gotErr == nil) != (rErr == nil) || !reflect.DeepEqual(gotM, r.Matches) {
-			t.Fatalf("SimulationExact: %v (%v) != %v (%v)", gotM, gotErr, r.Matches, rErr)
-		}
-		gotM, gotErr = db.SimulationExactAt(q, vp)
-		r, rErr = db.Query(ctx, q, Request{Mode: Exact, Anchor: Pin(vp)})
-		if (gotErr == nil) != (rErr == nil) || !reflect.DeepEqual(gotM, r.Matches) {
-			t.Fatalf("SimulationExactAt: %v != %v", gotM, r.Matches)
-		}
-		gotM, gotOK, _ := db.SubgraphExact(q, 100_000)
-		r, _ = db.Query(ctx, q, Request{Semantics: Subgraph, Mode: Exact, MaxSteps: 100_000})
-		if gotOK != r.Complete || !reflect.DeepEqual(gotM, r.Matches) {
-			t.Fatalf("SubgraphExact: %v/%v != %v/%v", gotM, gotOK, r.Matches, r.Complete)
-		}
-		gotM, gotOK, _ = db.SubgraphExactAt(q, vp, 100_000)
-		r, _ = db.Query(ctx, q, Request{Semantics: Subgraph, Mode: Exact, Anchor: Pin(vp), MaxSteps: 100_000})
-		if gotOK != r.Complete || !reflect.DeepEqual(gotM, r.Matches) {
-			t.Fatalf("SubgraphExactAt: %v/%v != %v/%v", gotM, gotOK, r.Matches, r.Complete)
-		}
-	}
-
-	// Batches: the legacy wrappers against QueryBatch.
-	var batch []AnchoredQuery
-	for i := 0; i < 6; i++ {
-		batch = append(batch, qs[i%len(qs)])
-	}
-	legacy := db.SimulationBatch(batch, 0.01, 3)
-	rs, err := db.QueryBatch(ctx, batch, Request{Alpha: 0.01}, 3)
-	if err != nil || !reflect.DeepEqual(legacy, toPatternResults(rs, len(batch), func(i int) NodeID { return batch[i].At })) {
-		t.Fatalf("SimulationBatch != QueryBatch: %v (%v)", legacy, err)
-	}
-	legacy = db.SubgraphBatch(batch, 0.01, 3)
-	rs, err = db.QueryBatch(ctx, batch, Request{Semantics: Subgraph, Alpha: 0.01}, 3)
-	if err != nil || !reflect.DeepEqual(legacy, toPatternResults(rs, len(batch), func(i int) NodeID { return batch[i].At })) {
-		t.Fatalf("SubgraphBatch != QueryBatch: %v (%v)", legacy, err)
-	}
-}
-
-// TestPreparedRunMethodsEqualQuery: every PreparedQuery.Run* method
-// returns bit-for-bit the answer of its Request translation through
-// PreparedQuery.Query.
-func TestPreparedRunMethodsEqualQuery(t *testing.T) {
-	db, qs := preparedFixture(t, 3000)
-	ctx := context.Background()
-	aq := qs[0]
-	pq, err := db.Prepare(aq.Q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	alpha, vp := 0.01, aq.At
-
-	got, gotErr := pq.Run(alpha)
-	r, rErr := pq.Query(ctx, Request{Alpha: alpha})
-	wantPattern(t, "Run", got, gotErr, r, rErr)
-
-	got, gotErr = pq.RunAt(vp, alpha)
-	r, rErr = pq.Query(ctx, Request{Anchor: Pin(vp), Alpha: alpha})
-	wantPattern(t, "RunAt", got, gotErr, r, rErr)
-
-	got, gotErr = pq.RunSubgraph(alpha)
-	r, rErr = pq.Query(ctx, Request{Semantics: Subgraph, Alpha: alpha})
-	wantPattern(t, "RunSubgraph", got, gotErr, r, rErr)
-
-	got, gotErr = pq.RunSubgraphAt(vp, alpha)
-	r, rErr = pq.Query(ctx, Request{Semantics: Subgraph, Anchor: Pin(vp), Alpha: alpha})
-	wantPattern(t, "RunSubgraphAt", got, gotErr, r, rErr)
-
-	ur := pq.RunUnanchored(alpha)
-	r, rErr = pq.Query(ctx, Request{Mode: Unanchored, Alpha: alpha})
-	if rErr != nil || !reflect.DeepEqual(ur, toUnanchoredResult(r, nil)) {
-		t.Fatalf("RunUnanchored: %+v != %+v", ur, r)
-	}
-	ur = pq.RunSubgraphUnanchored(alpha)
-	r, rErr = pq.Query(ctx, Request{Semantics: Subgraph, Mode: Unanchored, Alpha: alpha})
-	if rErr != nil || !reflect.DeepEqual(ur, toUnanchoredResult(r, nil)) {
-		t.Fatalf("RunSubgraphUnanchored: %+v != %+v", ur, r)
-	}
-
-	gotM, _ := pq.RunExact()
-	r, _ = pq.Query(ctx, Request{Mode: Exact})
-	if !reflect.DeepEqual(gotM, r.Matches) {
-		t.Fatalf("RunExact: %v != %v", gotM, r.Matches)
-	}
-	gotM, _ = pq.RunExactAt(vp)
-	r, _ = pq.Query(ctx, Request{Mode: Exact, Anchor: Pin(vp)})
-	if !reflect.DeepEqual(gotM, r.Matches) {
-		t.Fatalf("RunExactAt: %v != %v", gotM, r.Matches)
-	}
-	gotM, gotOK, _ := pq.RunSubgraphExact(50_000)
-	r, _ = pq.Query(ctx, Request{Semantics: Subgraph, Mode: Exact, MaxSteps: 50_000})
-	if gotOK != r.Complete || !reflect.DeepEqual(gotM, r.Matches) {
-		t.Fatalf("RunSubgraphExact: %v/%v != %v/%v", gotM, gotOK, r.Matches, r.Complete)
-	}
-	gotM, gotOK, _ = pq.RunSubgraphExactAt(vp, 50_000)
-	r, _ = pq.Query(ctx, Request{Semantics: Subgraph, Mode: Exact, Anchor: Pin(vp), MaxSteps: 50_000})
-	if gotOK != r.Complete || !reflect.DeepEqual(gotM, r.Matches) {
-		t.Fatalf("RunSubgraphExactAt: %v/%v != %v/%v", gotM, gotOK, r.Matches, r.Complete)
-	}
-
-	// RunBatch / RunSubgraphBatch against PreparedQuery.QueryBatch.
-	pins := []NodeID{vp, vp, vp}
-	legacy := pq.RunBatch(pins, alpha, 2)
-	rs, err := pq.QueryBatch(ctx, pins, Request{Alpha: alpha}, 2)
-	if err != nil || !reflect.DeepEqual(legacy, toPatternResults(rs, len(pins), func(i int) NodeID { return pins[i] })) {
-		t.Fatalf("RunBatch != QueryBatch: %v (%v)", legacy, err)
-	}
-	legacy = pq.RunSubgraphBatch(pins, alpha, 2)
-	rs, err = pq.QueryBatch(ctx, pins, Request{Semantics: Subgraph, Alpha: alpha}, 2)
-	if err != nil || !reflect.DeepEqual(legacy, toPatternResults(rs, len(pins), func(i int) NodeID { return pins[i] })) {
-		t.Fatalf("RunSubgraphBatch != QueryBatch: %v (%v)", legacy, err)
 	}
 }
 
@@ -280,12 +102,15 @@ func TestPlanCacheShareAndEvict(t *testing.T) {
 		t.Fatalf("capacity bound violated: %+v", cs)
 	}
 	// An evicted template still answers correctly (recompiled on miss).
-	want, _ := db.SimulationAt(qs[0].Q, qs[0].At, 0.01)
-	r, err = db.Query(context.Background(), qs[0].Q, Request{Alpha: 0.01, Anchor: Pin(qs[0].At)})
+	pq, err := db.Prepare(qs[0].Q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := toPatternResult(r, nil)
+	want, _ := pq.Query(context.Background(), Request{Alpha: 0.01, Anchor: Pin(qs[0].At)})
+	got, err := db.Query(context.Background(), qs[0].Q, Request{Alpha: 0.01, Anchor: Pin(qs[0].At)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("post-eviction answer diverged: %+v != %+v", got, want)
 	}
@@ -300,11 +125,11 @@ func TestPlanCacheConcurrentHammer(t *testing.T) {
 	db.SetPlanCacheCapacity(2) // force eviction churn across templates
 
 	// Serial ground truth per (query, semantics).
-	wantSim := make([]PatternResult, len(qs))
-	wantSub := make([]PatternResult, len(qs))
+	wantSim := make([]Result, len(qs))
+	wantSub := make([]Result, len(qs))
 	for i, aq := range qs {
-		wantSim[i], _ = db.SimulationAt(aq.Q, aq.At, 0.01)
-		wantSub[i], _ = db.SubgraphAt(aq.Q, aq.At, 0.01)
+		wantSim[i], _ = db.Query(context.Background(), aq.Q, Request{Alpha: 0.01, Anchor: Pin(aq.At)})
+		wantSub[i], _ = db.Query(context.Background(), aq.Q, Request{Semantics: Subgraph, Alpha: 0.01, Anchor: Pin(aq.At)})
 	}
 
 	const goroutines = 8
@@ -325,12 +150,11 @@ func TestPlanCacheConcurrentHammer(t *testing.T) {
 					req.Semantics = Subgraph
 					want = wantSub[i]
 				}
-				r, err := db.Query(ctx, qs[i].Q, req)
+				got, err := db.Query(ctx, qs[i].Q, req)
 				if err != nil {
 					errc <- err
 					return
 				}
-				got, _ := toPatternResult(r, nil)
 				if !reflect.DeepEqual(got, want) {
 					errc <- fmt.Errorf("worker %d iter %d: %+v != %+v", w, it, got, want)
 					return
