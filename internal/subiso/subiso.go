@@ -228,7 +228,13 @@ func (m *matcher) feasible(u pattern.NodeID, v graph.NodeID) bool {
 		return false
 	}
 	for _, w := range m.p.Out(u) {
-		if img := m.core[w]; img != graph.NoNode && !m.g.HasEdge(v, img) {
+		// A self-loop's other endpoint is u itself, which core does not
+		// hold yet: its image is v.
+		img := m.core[w]
+		if w == u {
+			img = v
+		}
+		if img != graph.NoNode && !m.g.HasEdge(v, img) {
 			return false
 		}
 	}
@@ -411,7 +417,11 @@ func (m *fragMatcher) feasible(u pattern.NodeID, v int32) bool {
 		return false
 	}
 	for _, w := range m.p.Out(u) {
-		if img := m.sc.core[w]; img >= 0 && !m.csr.HasEdge(v, img) {
+		img := m.sc.core[w]
+		if w == u { // self-loop: u's image is v, not yet in core
+			img = v
+		}
+		if img >= 0 && !m.csr.HasEdge(v, img) {
 			return false
 		}
 	}

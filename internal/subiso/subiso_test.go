@@ -248,9 +248,13 @@ func sortNodes(v []graph.NodeID) {
 
 func TestAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	for i := 0; i < 50; i++ {
+	checked := 0
+	for i := 0; i < 400; i++ {
 		g := randomLabeled(rng, 8, 16, 2)
-		p := randomPattern(rng, 2)
+		// Odd iterations put a self-loop on one query node: its image
+		// needs a self-loop too (randomLabeled's data has them, since
+		// both endpoints of an edge are drawn independently).
+		p := randomPatternLoops(rng, 2, i%2)
 		if p.NumNodes() > 4 {
 			continue
 		}
@@ -266,7 +270,27 @@ func TestAgainstBruteForce(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("iteration %d:\npattern:\n%s\ngot  %v\nwant %v", i, p, got, want)
 		}
+		// The pooled matcher must agree on the whole graph as one view.
+		var csr graph.FragCSR
+		var sc Scratch
+		g.CSRInto(allNodes(g), &csr)
+		frag, complete := MatchFragment(g, &csr, p, csr.PosOf(vp), nil, &sc)
+		if !complete || !reflect.DeepEqual(frag, want) {
+			t.Fatalf("iteration %d: MatchFragment = %v (complete=%v), want %v\npattern:\n%s", i, frag, complete, want, p)
+		}
+		checked++
 	}
+	if checked < 100 {
+		t.Fatalf("only %d cases survived the filters", checked)
+	}
+}
+
+func allNodes(g *graph.Graph) []graph.NodeID {
+	nodes := make([]graph.NodeID, g.NumNodes())
+	for i := range nodes {
+		nodes[i] = graph.NodeID(i)
+	}
+	return nodes
 }
 
 func randomLabeled(rng *rand.Rand, n, m, labels int) *graph.Graph {
@@ -281,6 +305,12 @@ func randomLabeled(rng *rand.Rand, n, m, labels int) *graph.Graph {
 }
 
 func randomPattern(rng *rand.Rand, labels int) *pattern.Pattern {
+	return randomPatternLoops(rng, labels, 0)
+}
+
+// randomPatternLoops is a random path pattern with `loops` self-loops
+// added on randomly chosen query nodes.
+func randomPatternLoops(rng *rand.Rand, labels, loops int) *pattern.Pattern {
 	for {
 		b := pattern.NewBuilder()
 		n := 2 + rng.Intn(3)
@@ -293,6 +323,10 @@ func randomPattern(rng *rand.Rand, labels int) *pattern.Pattern {
 			} else {
 				b.AddEdge(pattern.NodeID(i), pattern.NodeID(i-1))
 			}
+		}
+		for i := 0; i < loops; i++ {
+			u := pattern.NodeID(rng.Intn(n))
+			b.AddEdge(u, u)
 		}
 		b.SetPersonalized(0).SetOutput(pattern.NodeID(n - 1))
 		if p, err := b.Build(); err == nil {
