@@ -152,7 +152,7 @@ func BenchmarkDualSimulation(b *testing.B) {
 	f := newPatternFixture(b)
 	// Rebuild the d_Q-ball as a standalone Graph so this keeps measuring
 	// the whole-(sub)graph fixpoint; BenchmarkMatchOptExact covers the
-	// pooled CSR-ball path.
+	// pooled exact path, which reads only the ball's label-closed region.
 	var csr graph.FragCSR
 	f.g.BallInto(f.vp, f.q.Diameter(), &csr, nil)
 	ballG := csr.ToGraph(f.g)
@@ -165,17 +165,19 @@ func BenchmarkDualSimulation(b *testing.B) {
 
 func BenchmarkMatchOptExact(b *testing.B) {
 	f := newPatternFixture(b)
+	labels := f.g.InternLabels(f.q.Labels(), nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		simulation.MatchOpt(f.g, f.q, f.vp, nil)
+		simulation.MatchOpt(f.g, f.q, labels, f.vp, nil)
 	}
 }
 
 func BenchmarkVF2OptExact(b *testing.B) {
 	f := newPatternFixture(b)
+	labels := f.g.InternLabels(f.q.Labels(), nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		subiso.MatchOpt(f.g, f.q, f.vp, &subiso.Options{MaxSteps: 20_000_000})
+		subiso.MatchOpt(f.g, f.q, labels, f.vp, &subiso.Options{MaxSteps: 20_000_000})
 	}
 }
 

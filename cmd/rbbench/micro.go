@@ -205,8 +205,9 @@ func runMicro(path, comparePath string, tolerance float64, count int, nsGate boo
 
 	// Materialize the d_Q-ball of v_p as a standalone Graph so the
 	// DualSimulation entry keeps measuring the same whole-(sub)graph
-	// fixpoint as earlier baselines; the pooled ball path is measured
-	// separately by the MatchOptBall entry.
+	// fixpoint as earlier baselines; the pooled exact path (which reads
+	// only the ball's label-closed region) is measured separately by the
+	// MatchOptBall entry.
 	var ballCSR graph.FragCSR
 	g.BallInto(vp, q.Diameter(), &ballCSR, nil)
 	ballG := ballCSR.ToGraph(g)
@@ -235,7 +236,7 @@ func runMicro(path, comparePath string, tolerance float64, count int, nsGate boo
 	// Parallel fixtures, exercising the three worker-pool fan-out points
 	// with a workers axis (W1 = pool of one, the inline degenerate case;
 	// W4 = four workers — speedup on a multicore host, pure pool overhead
-	// on a single-core one). ParallelExact fans MatchOpt balls over every
+	// on a single-core one). ParallelExact fans MatchOpt regions over every
 	// node sharing v_p's label (capped at 48 pins); ParallelUnanchored
 	// runs rbany's speculative waves through the plan layer; and
 	// QueryBatchSharded pushes a 128-item pinned batch through the facade
@@ -459,17 +460,17 @@ func runMicro(path, comparePath string, tolerance float64, count int, nsGate boo
 		}},
 		{"MatchOptBall", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				simulation.MatchOpt(g, q, vp, nil)
+				simulation.MatchOpt(g, q, pl.Labels(), vp, nil)
 			}
 		}},
 		{"ParallelExactW1", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				simulation.MatchOptMany(g, q, exactPins, 1, nil)
+				simulation.MatchOptMany(g, q, pl.Labels(), exactPins, 1, nil)
 			}
 		}},
 		{"ParallelExactW4", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				simulation.MatchOptMany(g, q, exactPins, 4, nil)
+				simulation.MatchOptMany(g, q, pl.Labels(), exactPins, 4, nil)
 			}
 		}},
 		{"ParallelUnanchoredW1", func(b *testing.B) {

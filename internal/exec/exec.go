@@ -1,6 +1,6 @@
 // Package exec is the intra-query parallel execution layer: one bounded
 // worker-pool primitive shared by every fan-out point in the engine —
-// per-center ball matching in the exact simulation baseline
+// per-center region matching in the exact simulation baseline
 // (simulation.MatchOptMany), per-pin runs in the isomorphism baseline
 // (subiso.MatchOptMany), rbany's speculative per-anchor waves, the plan
 // layer's selectivity scan, and the facade's QueryBatch sharding.

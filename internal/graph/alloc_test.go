@@ -80,15 +80,21 @@ func TestCSRIntoAllocFree(t *testing.T) {
 	}
 }
 
-// TestBallIntoAllocFree: repeated ball extraction into a warm FragCSR —
-// the hot path of MatchOpt/VF2Opt/StrongSim — performs zero allocations
-// once the traversal pools and the CSR are warm.
+// TestBallIntoAllocFree: repeated ball and region extraction into a warm
+// FragCSR — the hot path of StrongSim and of MatchOpt/VF2Opt — performs
+// zero allocations once the traversal pools (the region's label bitset
+// is in them) and the CSR are warm.
 func TestBallIntoAllocFree(t *testing.T) {
 	g := randomAllocGraph(t)
 	var ball FragCSR
 	g.BallInto(0, 2, &ball, nil) // warm up pools and CSR capacity
 	if avg := testing.AllocsPerRun(100, func() { g.BallInto(0, 2, &ball, nil) }); avg != 0 {
 		t.Fatalf("BallInto allocates %.1f times per run, want 0", avg)
+	}
+	labels := []LabelID{g.LabelOf(0), g.LabelOf(1), NoLabel}
+	g.RegionInto(0, 3, labels, &ball, nil)
+	if avg := testing.AllocsPerRun(100, func() { g.RegionInto(0, 3, labels, &ball, nil) }); avg != 0 {
+		t.Fatalf("RegionInto allocates %.1f times per run, want 0", avg)
 	}
 }
 

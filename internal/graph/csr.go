@@ -5,13 +5,13 @@ import "slices"
 // FragCSR is a reusable, allocation-free materialization of an induced
 // subgraph: plain CSR arrays over dense positions 0..N-1, where position i
 // is the i-th node of the materializing node list (a Fragment's insertion
-// order, or a ball's BFS discovery order). It holds no maps and interns no
-// labels — Labels carries the parent graph's LabelIDs — so the downstream
-// matchers can run on it without touching the Go allocator once the
-// backing slices have grown to a steady-state size. It is the only
-// subgraph representation in the system: both the reduced fragments G_Q
-// and the d_Q-balls of the exact baselines are FragCSR views of the
-// parent graph.
+// order, or a region's or ball's BFS discovery order). It holds no maps
+// and interns no labels — Labels carries the parent graph's LabelIDs — so
+// the downstream matchers can run on it without touching the Go allocator
+// once the backing slices have grown to a steady-state size. It is the only
+// subgraph representation in the system: the reduced fragments G_Q, the
+// d_Q-regions of the exact baselines and StrongSim's balls are all
+// FragCSR views of the parent graph.
 //
 // A FragCSR is owned by exactly one query evaluation at a time (see the
 // scratch pools on Aux and the ball pools of the matcher packages); it is
@@ -121,33 +121,26 @@ func (g *Graph) CSRInto(nodes []NodeID, c *FragCSR) {
 		c.Labels[i] = g.LabelOf(v)
 	}
 
-	// Out CSR: count, offset, fill, then sort each segment by position.
+	// Out CSR in one pass: segments are appended in position order, so
+	// each start is simply how many edges precede it — no counting pass,
+	// and each neighbour's position is looked up once. Sort each segment
+	// by position.
 	c.OutStart = sized(c.OutStart, int(n)+1)
-	c.OutStart[0] = 0
+	c.OutAdj = c.OutAdj[:0]
 	for i, v := range c.Orig {
-		d := int32(0)
-		for _, w := range g.Out(v) {
-			if c.PosOf(w) >= 0 {
-				d++
-			}
-		}
-		c.OutStart[i+1] = c.OutStart[i] + d
-	}
-	m := c.OutStart[n]
-	c.OutAdj = sized(c.OutAdj, int(m))
-	for i, v := range c.Orig {
-		k := c.OutStart[i]
+		k := len(c.OutAdj)
+		c.OutStart[i] = int32(k)
 		for _, w := range g.Out(v) {
 			if p := c.PosOf(w); p >= 0 {
-				c.OutAdj[k] = p
-				k++
+				c.OutAdj = append(c.OutAdj, p)
 			}
 		}
-		seg := c.OutAdj[c.OutStart[i]:k]
-		if !slices.IsSorted(seg) {
+		if seg := c.OutAdj[k:]; !slices.IsSorted(seg) {
 			slices.Sort(seg)
 		}
 	}
+	m := len(c.OutAdj)
+	c.OutStart[n] = int32(m)
 
 	// In CSR by stable counting over the out edges: rows ascending because
 	// sources are visited in ascending position order.
@@ -159,7 +152,7 @@ func (g *Graph) CSRInto(nodes []NodeID, c *FragCSR) {
 	for i := int32(0); i < n; i++ {
 		c.InStart[i+1] += c.InStart[i]
 	}
-	c.InAdj = sized(c.InAdj, int(m))
+	c.InAdj = sized(c.InAdj, m)
 	c.next = sized(c.next, int(n))
 	copy(c.next, c.InStart[:n])
 	for i := int32(0); i < n; i++ {

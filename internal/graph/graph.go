@@ -20,13 +20,14 @@
 // dense building blocks: Fragment tracks membership in a bitset over |V|
 // and is reusable via Reset (clearing costs O(|G_Q|), not O(|V|));
 // FragCSR — the system's only subgraph representation — materializes any
-// induced subgraph (a reduced fragment, or a d_Q-ball via BallInto) as
-// plain CSR arrays with an epoch-stamped position index, so repeated
-// materializations allocate nothing once warm; Aux carries one sync.Pool
-// per engine (Aux.ScratchPool) from which query evaluations borrow their
-// scratch; and the Graph itself pools traversal state (epoch-stamped
-// Visited markers and BFS queues), so Walk, Reachable and ball extraction
-// are allocation-free in steady state too.
+// induced subgraph (a reduced fragment, a label-closed d_Q-region via
+// RegionInto, or a full ball via BallInto) as plain CSR arrays with an
+// epoch-stamped position index, so repeated materializations allocate
+// nothing once warm; Aux carries one sync.Pool per engine
+// (Aux.ScratchPool) from which query evaluations borrow their scratch;
+// and the Graph itself pools traversal state (epoch-stamped Visited
+// markers, BFS queues, the region's label bitset), so Walk, Reachable and
+// region and ball extraction are allocation-free in steady state too.
 //
 // Thread-safety contract: Graph and the histogram portion of Aux are
 // immutable after construction and safe for unsynchronized concurrent

@@ -3,6 +3,7 @@ package graph
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -246,6 +247,145 @@ func TestBallInto(t *testing.T) {
 	g.BallInto(0, 2, &b, nil)
 	if b.NumNodes() != 5 || b.NumEdges() != 4 {
 		t.Fatalf("2-ball nodes=%d edges=%d", b.NumNodes(), b.NumEdges())
+	}
+}
+
+func TestRegionInto(t *testing.T) {
+	// 0:c -> 1:x -> 2:y, 0 -> 3:n -> 4:x, 5:x -> 0: node 4 is within two
+	// hops of 0, but only through 3, whose label the region excludes.
+	g := FromEdges([]string{"c", "x", "y", "n", "x", "x"},
+		[][2]int{{0, 1}, {1, 2}, {0, 3}, {3, 4}, {5, 0}})
+	ids := func(names ...string) []LabelID { return g.InternLabels(names, nil) }
+	nodes := func(c *FragCSR) []NodeID {
+		out := slices.Clone(c.Orig)
+		slices.Sort(out)
+		return out
+	}
+	var c FragCSR
+	g.RegionInto(0, 2, ids("c", "x", "y"), &c, nil)
+	if got := nodes(&c); !slices.Equal(got, []NodeID{0, 1, 2, 5}) || c.NumEdges() != 3 {
+		t.Fatalf("region of {c,x,y} = %v with %d edges, want [0 1 2 5] with 3", got, c.NumEdges())
+	}
+	if c.PosOf(0) != 0 {
+		t.Fatalf("the start must sit at position 0, got %d", c.PosOf(0))
+	}
+	// The start is in whatever its label; an absent label constrains
+	// nothing further; the radius still bounds the walk.
+	g.RegionInto(0, 2, ids("x", "absent"), &c, nil)
+	if got := nodes(&c); !slices.Equal(got, []NodeID{0, 1, 5}) {
+		t.Fatalf("region of {x} = %v, want [0 1 5]", got)
+	}
+	g.RegionInto(0, 1, ids("c", "x", "y"), &c, nil)
+	if got := nodes(&c); !slices.Equal(got, []NodeID{0, 1, 5}) {
+		t.Fatalf("1-region of {c,x,y} = %v, want [0 1 5]", got)
+	}
+	// An empty constraint keeps the start alone; nil is no constraint.
+	g.RegionInto(0, 2, []LabelID{}, &c, nil)
+	if got := nodes(&c); !slices.Equal(got, []NodeID{0}) {
+		t.Fatalf("region of {} = %v, want [0]", got)
+	}
+	g.RegionInto(0, 2, nil, &c, nil)
+	if c.NumNodes() != 6 {
+		t.Fatalf("nil labels must give the whole 2-ball, got %d nodes", c.NumNodes())
+	}
+}
+
+// Property: the region is exactly what a label-filtered BFS over the
+// ball reaches, in that BFS's discovery order.
+func TestRegionIntoMatchesFilteredBFS(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	var c FragCSR
+	for i := 0; i < 40; i++ {
+		g := randomGraph(rng, 40, 120, 4)
+		labels := []LabelID{LabelID(rng.Intn(g.NumLabels())), LabelID(rng.Intn(g.NumLabels()))}
+		v := NodeID(rng.Intn(g.NumNodes()))
+		r := 1 + rng.Intn(3)
+		type item struct {
+			v NodeID
+			d int
+		}
+		want := []NodeID{v}
+		seen := map[NodeID]bool{v: true}
+		for q := []item{{v, 0}}; len(q) > 0; q = q[1:] {
+			if q[0].d == r {
+				continue
+			}
+			for _, adj := range [2][]NodeID{g.Out(q[0].v), g.In(q[0].v)} {
+				for _, w := range adj {
+					if !seen[w] && slices.Contains(labels, g.LabelOf(w)) {
+						seen[w] = true
+						want = append(want, w)
+						q = append(q, item{w, q[0].d + 1})
+					}
+				}
+			}
+		}
+		g.RegionInto(v, r, labels, &c, nil)
+		if !slices.Equal(c.Orig, want) {
+			t.Fatalf("iteration %d: region %v, filtered BFS %v", i, c.Orig, want)
+		}
+	}
+}
+
+// TestCSRIntoOnePassLayout: the out-CSR is built by appending segments in
+// position order; the arrays must be exactly what counting first and
+// filling second lays out, on node lists that repeat nodes.
+func TestCSRIntoOnePassLayout(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	var c FragCSR // reused, so stale contents of a larger build are in play
+	for i := 0; i < 60; i++ {
+		n := 2 + rng.Intn(60)
+		g := randomGraph(rng, n, rng.Intn(5*n), 3)
+		nodes := make([]NodeID, 1+rng.Intn(2*n))
+		for k := range nodes {
+			nodes[k] = NodeID(rng.Intn(n))
+		}
+		g.CSRInto(nodes, &c)
+
+		var orig []NodeID
+		pos := map[NodeID]int32{}
+		for _, v := range nodes {
+			if _, dup := pos[v]; !dup {
+				pos[v] = int32(len(orig))
+				orig = append(orig, v)
+			}
+		}
+		// Two passes per direction: count into start, then fill.
+		layout := func(adjOf func(NodeID) []NodeID) (start, adj []int32) {
+			start = make([]int32, len(orig)+1)
+			for k, v := range orig {
+				start[k+1] = start[k]
+				for _, w := range adjOf(v) {
+					if _, in := pos[w]; in {
+						start[k+1]++
+					}
+				}
+			}
+			adj = make([]int32, start[len(orig)])
+			for k, v := range orig {
+				seg := adj[start[k]:start[k]]
+				for _, w := range adjOf(v) {
+					if p, in := pos[w]; in {
+						seg = append(seg, p)
+					}
+				}
+				slices.Sort(seg)
+			}
+			return start, adj
+		}
+		outStart, outAdj := layout(g.Out)
+		inStart, inAdj := layout(g.In)
+		if !slices.Equal(c.Orig, orig) ||
+			!slices.Equal(c.OutStart, outStart) || !slices.Equal(c.OutAdj, outAdj) ||
+			!slices.Equal(c.InStart, inStart) || !slices.Equal(c.InAdj, inAdj) {
+			t.Fatalf("iteration %d: nodes %v\none-pass out %v %v in %v %v\ntwo-pass out %v %v in %v %v",
+				i, nodes, c.OutStart, c.OutAdj, c.InStart, c.InAdj, outStart, outAdj, inStart, inAdj)
+		}
+		for k, v := range orig {
+			if c.Labels[k] != g.LabelOf(v) {
+				t.Fatalf("iteration %d: label of position %d", i, k)
+			}
+		}
 	}
 }
 

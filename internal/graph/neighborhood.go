@@ -5,7 +5,9 @@ import "rbq/internal/interrupt"
 // This file implements the locality machinery of Section 2 of the paper:
 // N_r(v), the set of nodes within r hops of v following edges in either
 // direction; G_r(v), the subgraph induced by N_r(v), materialized as a
-// pooled FragCSR by BallInto; directed BFS utilities; and the graph
+// pooled FragCSR by BallInto; its label-closed sub-region, the part of
+// the ball a pattern's matches can occupy, materialized by RegionInto
+// for the exact baselines; directed BFS utilities; and the graph
 // diameter used for pattern queries.
 
 // Direction selects which edges a traversal follows.
@@ -36,7 +38,7 @@ func (g *Graph) NodesWithin(v NodeID, r int) []NodeID {
 // allocate nothing: the visited marker and the queue come from the
 // graph's traversal pools.
 func (g *Graph) Walk(start NodeID, dir Direction, maxDepth int, visit func(v NodeID, depth int) bool) {
-	g.walk(start, dir, maxDepth, visit, nil, nil)
+	g.walk(start, dir, maxDepth, visit, nil, nil, nil)
 }
 
 // BFS is Walk plus discovery order: it returns the visited nodes in the
@@ -44,7 +46,7 @@ func (g *Graph) Walk(start NodeID, dir Direction, maxDepth int, visit func(v Nod
 // nil.
 func (g *Graph) BFS(start NodeID, dir Direction, maxDepth int, visit func(v NodeID, depth int) bool) []NodeID {
 	order := make([]NodeID, 0, 64)
-	order, _ = g.walk(start, dir, maxDepth, visit, order, nil)
+	order, _ = g.walk(start, dir, maxDepth, visit, order, nil, nil)
 	return order
 }
 
@@ -54,7 +56,12 @@ func (g *Graph) BFS(start NodeID, dir Direction, maxDepth int, visit func(v Node
 // when it fires the traversal stops and complete reports false (the
 // partial order is returned for the caller to discard). A nil done
 // costs nothing: the probe branch tests the dequeue counter first.
-func (g *Graph) walk(start NodeID, dir Direction, maxDepth int, visit func(v NodeID, depth int) bool, order []NodeID, done <-chan struct{}) (_ []NodeID, complete bool) {
+//
+// A non-nil within is a bitset over LabelIDs (see labelSet) that closes
+// the traversal under labels: a neighbour whose label is not in it is
+// neither visited nor expanded, so the walk stays inside the connected
+// part of start that carries those labels. start itself is exempt.
+func (g *Graph) walk(start NodeID, dir Direction, maxDepth int, visit func(v NodeID, depth int) bool, order []NodeID, done <-chan struct{}, within []uint64) (_ []NodeID, complete bool) {
 	seen := g.AcquireVisited()
 	tr := g.acquireTrav()
 	defer func() {
@@ -81,6 +88,9 @@ func (g *Graph) walk(start NodeID, dir Direction, maxDepth int, visit func(v Nod
 		}
 		if dir != Backward {
 			for _, w := range g.Out(it.v) {
+				if within != nil && !hasLabel(within, g.LabelOf(w)) {
+					continue
+				}
 				if !seen.Seen(w) {
 					seen.Mark(w, 0)
 					queue = append(queue, travItem{w, it.d + 1})
@@ -89,6 +99,9 @@ func (g *Graph) walk(start NodeID, dir Direction, maxDepth int, visit func(v Nod
 		}
 		if dir != Forward {
 			for _, w := range g.In(it.v) {
+				if within != nil && !hasLabel(within, g.LabelOf(w)) {
+					continue
+				}
 				if !seen.Seen(w) {
 					seen.Mark(w, 0)
 					queue = append(queue, travItem{w, it.d + 1})
@@ -146,26 +159,68 @@ func (g *Graph) Diameter(dir Direction) int {
 }
 
 // BallInto materializes G_r(v), the subgraph induced by N_r(v) (the
-// paper's r-neighborhood graph of v), into the reusable CSR c. Positions
-// follow BFS discovery order from v, so position c.PosOf(v) == 0 always
-// holds. The traversal scratch comes from the graph's pools and c reuses
-// its backing slices, so repeated ball extractions allocate nothing once
-// warm — this is the hot path of the ball-based exact baselines (MatchOpt,
-// VF2Opt, StrongSim).
+// paper's r-neighborhood graph of v), into the reusable CSR c: RegionInto
+// with no label constraint. StrongSim's per-center balls and the bench
+// harness's ball-size column use it — their membership is by distance
+// through nodes of any label.
+func (g *Graph) BallInto(v NodeID, r int, c *FragCSR, done <-chan struct{}) (complete bool) {
+	return g.RegionInto(v, r, nil, c, done)
+}
+
+// RegionInto materializes into the reusable CSR c the subgraph induced
+// by the label-closed r-region of v: the nodes reachable from v by a
+// path of at most r edges, in either direction, all of whose nodes carry
+// one of labels (NoLabel entries are ignored; v itself is always
+// included). It is a subset of the ball N_r(v), and equals it when
+// labels is nil. Positions follow BFS discovery order from v, so
+// c.PosOf(v) == 0 always holds. The traversal scratch — the label bitset
+// included — comes from the graph's pools and c reuses its backing
+// slices, so repeated extractions allocate nothing once warm — this is
+// the hot path of the exact baselines (MatchOpt, VF2Opt), which pass the
+// pattern's labels: every match of a connected pattern pinned at v is
+// joined to v by the image of a pattern path, whose nodes all carry
+// pattern labels, so the region holds every match and everything a match
+// depends on, and is typically a small fraction of the ball.
 //
 // done is a cooperative cancellation probe in the extraction BFS (polled
-// every interrupt.Stride dequeued nodes; nil never fires): giant balls on
-// dense graphs are the expensive half of the exact baselines, and a
+// every interrupt.Stride dequeued nodes; nil never fires): giant regions
+// on dense graphs are the expensive half of the exact baselines, and a
 // bounded cancellation latency must cover them, not just the matcher that
 // follows. When done fires the extraction is abandoned — complete reports
 // false and c holds an unspecified partial state the caller must not use.
-func (g *Graph) BallInto(v NodeID, r int, c *FragCSR, done <-chan struct{}) (complete bool) {
+func (g *Graph) RegionInto(v NodeID, r int, labels []LabelID, c *FragCSR, done <-chan struct{}) (complete bool) {
 	tr := g.acquireTrav()
 	defer g.releaseTrav(tr)
-	tr.nodes, complete = g.walk(v, Both, r, nil, tr.nodes[:0], done)
+	var within []uint64
+	if labels != nil {
+		tr.labels = labelSet(tr.labels, g.NumLabels(), labels)
+		within = tr.labels
+	}
+	tr.nodes, complete = g.walk(v, Both, r, nil, tr.nodes[:0], done, within)
 	if !complete {
 		return false
 	}
 	g.CSRInto(tr.nodes, c)
 	return true
 }
+
+// labelSet fills buf, reusing its capacity, with the bitset over
+// [0, numLabels) whose members are labels; NoLabel entries are skipped.
+// The result is never nil, so walk takes it as a constraint even when
+// it is empty.
+func labelSet(buf []uint64, numLabels int, labels []LabelID) []uint64 {
+	words := (numLabels + 63) / 64
+	if buf == nil || cap(buf) < words {
+		buf = make([]uint64, words)
+	}
+	buf = buf[:words]
+	clear(buf)
+	for _, l := range labels {
+		if l != NoLabel {
+			buf[l>>6] |= 1 << (uint(l) & 63)
+		}
+	}
+	return buf
+}
+
+func hasLabel(set []uint64, l LabelID) bool { return set[l>>6]&(1<<(uint(l)&63)) != 0 }

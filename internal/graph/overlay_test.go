@@ -283,6 +283,15 @@ func TestOverlayTraversalAndBalls(t *testing.T) {
 			t.Fatalf("BallInto(%d): got %d/%d nodes/edges, want %d/%d",
 				v, gotC.NumNodes(), gotC.NumEdges(), wantC.NumNodes(), wantC.NumEdges())
 		}
+		// The label-closed region reads labels through the overlay too
+		// (NEW0 exists only on overlay nodes).
+		names := []string{"L0", "L1", "NEW0"}
+		view.RegionInto(NodeID(v), 3, view.InternLabels(names, nil), &gotC, nil)
+		want.RegionInto(NodeID(v), 3, want.InternLabels(names, nil), &wantC, nil)
+		if !reflect.DeepEqual(gotC.Orig, wantC.Orig) || gotC.NumEdges() != wantC.NumEdges() {
+			t.Fatalf("RegionInto(%d): got %v (%d edges), want %v (%d edges)",
+				v, gotC.Orig, gotC.NumEdges(), wantC.Orig, wantC.NumEdges())
+		}
 	}
 }
 

@@ -1,11 +1,11 @@
 package graph
 
 // This file holds the graph-owned traversal scratch pools. Every
-// breadth-first walk over a Graph — BFS, Walk, BallInto, reachability
-// baselines — needs a dense per-node visited marker and a queue; both are
-// pooled on the Graph itself so steady-state traversals never touch the
-// allocator, mirroring the per-engine scratch pools that Aux owns for the
-// query engines.
+// breadth-first walk over a Graph — BFS, Walk, BallInto, RegionInto,
+// reachability baselines — needs a dense per-node visited marker and a
+// queue; both are pooled on the Graph itself so steady-state traversals
+// never touch the allocator, mirroring the per-engine scratch pools that
+// Aux owns for the query engines.
 
 // Visited is a pooled, epoch-stamped per-node marker for traversals over
 // one graph. Marking and probing are single array accesses with no
@@ -68,8 +68,9 @@ type travItem struct {
 
 // trav is the pooled queue/order scratch of one traversal.
 type trav struct {
-	queue []travItem
-	nodes []NodeID // discovery order, for ball extraction
+	queue  []travItem
+	nodes  []NodeID // discovery order, for ball and region extraction
+	labels []uint64 // RegionInto's label bitset
 }
 
 func (g *Graph) acquireTrav() *trav {

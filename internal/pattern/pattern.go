@@ -92,8 +92,8 @@ func (p *Pattern) DistinctLabels() int {
 // connected pair of query nodes, following edges in either direction. The
 // paper uses d_Q to scope the data neighborhood G_{d_Q}(v_p); taking hops in
 // either direction matches the neighborhood definition N_r(v) of Section 2.
-// It is computed once at Build and returned in O(1): the ball-based
-// baselines call it per query evaluation, on their allocation-free path.
+// It is computed once at Build and returned in O(1): the exact baselines
+// call it per query evaluation, on their allocation-free path.
 func (p *Pattern) Diameter() int { return p.diam }
 
 // UndirectedDiameter returns d, the diameter of Q treated as an undirected

@@ -185,19 +185,20 @@ func (pl *Plan) Subgraph(vp graph.NodeID, opts reduce.Options, mopts *rbsub.Matc
 	return rbsub.Run(pl.aux, pl.p, vp, &pl.subSem, opts, mopts)
 }
 
-// SimulationExact runs the exact MatchOpt baseline from vp. done is the
-// cooperative cancellation channel threaded into the ball-local
-// fixpoint (nil = uncancellable); when it fires the partial answer is
-// abandoned and nil returned — the request layer reports ctx.Err()
-// instead of the result.
+// SimulationExact runs the exact MatchOpt baseline from vp, on the
+// label-closed d_Q-region the compiled labels span. done is the
+// cooperative cancellation channel threaded into the extraction and the
+// region-local fixpoint (nil = uncancellable); when it fires the partial
+// answer is abandoned and nil returned — the request layer reports
+// ctx.Err() instead of the result.
 func (pl *Plan) SimulationExact(vp graph.NodeID, done <-chan struct{}) []graph.NodeID {
-	m, _ := simulation.MatchOpt(pl.aux.Graph(), pl.p, vp, done)
+	m, _ := simulation.MatchOpt(pl.aux.Graph(), pl.p, pl.labels, vp, done)
 	return m
 }
 
 // SubgraphExact runs the exact VF2Opt baseline from vp.
 func (pl *Plan) SubgraphExact(vp graph.NodeID, mopts *subiso.Options) ([]graph.NodeID, bool) {
-	return subiso.MatchOpt(pl.aux.Graph(), pl.p, vp, mopts)
+	return subiso.MatchOpt(pl.aux.Graph(), pl.p, pl.labels, vp, mopts)
 }
 
 // SimulationUnanchored evaluates the pattern with no designated

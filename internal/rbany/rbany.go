@@ -471,7 +471,7 @@ func (pr *Prepared) runWaves(res *Result, opts Options, kind guardType, mopts *s
 
 // SimulationExact is the resource-unbounded reference: the union over all
 // anchor candidates v of the exact personalized answer anchored at v,
-// with the per-candidate MatchOpt balls fanned across at most `workers`
+// with the per-candidate MatchOpt regions fanned across at most `workers`
 // goroutines (≤ 1 runs them inline, in order). Per-candidate answers land
 // in candidate-order slots and the final sortedUnique canonicalizes the
 // union, so the answer does not depend on workers. A fired done channel
@@ -482,7 +482,7 @@ func SimulationExact(g *graph.Graph, p *pattern.Pattern, workers int, done <-cha
 	if rooted == nil {
 		return nil, true
 	}
-	per, ok := simulation.MatchOptMany(g, rooted, cands, workers, done)
+	per, ok := simulation.MatchOptMany(g, rooted, g.InternLabels(rooted.Labels(), nil), cands, workers, done)
 	if !ok {
 		return nil, false
 	}
@@ -496,7 +496,7 @@ func SubgraphExact(g *graph.Graph, p *pattern.Pattern, workers int, mopts *subis
 	if rooted == nil {
 		return nil, true
 	}
-	per, complete := subiso.MatchOptMany(g, rooted, cands, workers, mopts)
+	per, complete := subiso.MatchOptMany(g, rooted, g.InternLabels(rooted.Labels(), nil), cands, workers, mopts)
 	return unionOf(per), complete
 }
 

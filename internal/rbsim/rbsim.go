@@ -180,7 +180,7 @@ func run(aux *graph.Aux, p *pattern.Pattern, vp graph.NodeID, sem *Semantics, op
 		return res
 	}
 	m := opts.Obs.Child(obs.PhaseMatch)
-	res.Matches, _, _ = simulation.MatchFragment(aux.Graph(), &sc.csr, p, pinPos, &sc.sim, nil)
+	res.Matches, _, _ = simulation.MatchFragment(&sc.csr, p, sem.Labels(), pinPos, &sc.sim, nil)
 	m.Add("matches", int64(len(res.Matches)))
 	m.End()
 	return res

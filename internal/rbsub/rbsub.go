@@ -218,7 +218,7 @@ func run(aux *graph.Aux, p *pattern.Pattern, vp graph.NodeID, sem *Semantics, op
 		return res
 	}
 	m := opts.Obs.Child(obs.PhaseMatch)
-	res.Matches, res.Complete = subiso.MatchFragment(aux.Graph(), &sc.csr, p, pinPos, mopts, &sc.sub)
+	res.Matches, res.Complete = subiso.MatchFragment(&sc.csr, p, sem.Labels(), pinPos, mopts, &sc.sub)
 	m.Add("matches", int64(len(res.Matches)))
 	if !res.Complete {
 		m.Add("incomplete", 1)

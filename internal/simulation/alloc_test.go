@@ -55,12 +55,13 @@ func TestMatchFragmentAllocBudget(t *testing.T) {
 	}
 
 	var sc Scratch
-	want, _, _ := MatchFragment(g, &csr, q, pin, &sc, nil) // warm up scratch
+	ql := labelsOf(g, q)
+	want, _, _ := MatchFragment(&csr, q, ql, pin, &sc, nil) // warm up scratch
 	if len(want) == 0 {
 		t.Fatal("fixture query has no matches; pick a denser fixture")
 	}
 	avg := testing.AllocsPerRun(100, func() {
-		MatchFragment(g, &csr, q, pin, &sc, nil)
+		MatchFragment(&csr, q, ql, pin, &sc, nil)
 	})
 	if avg > 1 { // the returned match slice is the only permitted allocation
 		t.Fatalf("MatchFragment allocates %.1f times per run, want ≤ 1", avg)
@@ -85,25 +86,27 @@ func TestMatchFragmentAllocBudget(t *testing.T) {
 	}
 }
 
-// TestMatchOptAllocBudget: the ported ball path — pooled BallInto plus
-// MatchFragment — allocates at most its result slice once the pools are
-// warm.
+// TestMatchOptAllocBudget: the exact path — pooled RegionInto (label
+// bitset included) plus MatchFragment — allocates at most its result
+// slice once the pools are warm.
 func TestMatchOptAllocBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	g := randomLabeled(rng, 300, 1200, 3)
 	var p *pattern.Pattern
 	var vp graph.NodeID
 	var want []graph.NodeID
+	var labels []graph.LabelID
 	for i := 0; i < 200 && len(want) == 0; i++ {
 		p = randomPattern(rng, 3)
 		vp = graph.NodeID(rng.Intn(g.NumNodes()))
-		want, _ = MatchOpt(g, p, vp, nil) // also warms the ball pool
+		labels = labelsOf(g, p)
+		want, _ = MatchOpt(g, p, labels, vp, nil) // also warms the ball pool
 	}
 	if len(want) == 0 {
 		t.Skip("no matching fixture found; nothing to measure")
 	}
 	avg := testing.AllocsPerRun(100, func() {
-		MatchOpt(g, p, vp, nil)
+		MatchOpt(g, p, labels, vp, nil)
 	})
 	if avg > 1 { // the returned match slice is the only permitted allocation
 		t.Fatalf("MatchOpt allocates %.1f times per run, want ≤ 1", avg)

@@ -96,7 +96,7 @@ func TestMatchOptMatchesSeedSubPath(t *testing.T) {
 		g := randomLabeled(rng, 24, 60, 3)
 		p := randomPattern(rng, 3)
 		vp := graph.NodeID(rng.Intn(g.NumNodes()))
-		got, _ := MatchOpt(g, p, vp, nil)
+		got, _ := MatchOpt(g, p, labelsOf(g, p), vp, nil)
 		want := refMatchOpt(g, p, vp)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("iteration %d: CSR ball=%v, seed Sub path=%v", i, got, want)

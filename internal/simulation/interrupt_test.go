@@ -38,7 +38,7 @@ func TestMatchOptInterruptPromptly(t *testing.T) {
 
 	// The uncanceled run must be big enough that stopping after one
 	// stride is observable.
-	base, complete, visited := MatchFragment(g, &csr, p, csr.PosOf(vp), &sc, nil)
+	base, complete, visited := MatchFragment(&csr, p, labelsOf(g, p), csr.PosOf(vp), &sc, nil)
 	if !complete {
 		t.Fatal("uncanceled run reported incomplete")
 	}
@@ -51,7 +51,7 @@ func TestMatchOptInterruptPromptly(t *testing.T) {
 
 	done := make(chan struct{})
 	close(done)
-	m, complete, visited := MatchFragment(g, &csr, p, csr.PosOf(vp), &sc, done)
+	m, complete, visited := MatchFragment(&csr, p, labelsOf(g, p), csr.PosOf(vp), &sc, done)
 	if complete {
 		t.Fatal("closed done channel not observed")
 	}
@@ -62,7 +62,7 @@ func TestMatchOptInterruptPromptly(t *testing.T) {
 		t.Fatalf("examined %d candidates after cancellation, want ≤ one stride (%d)",
 			visited, interrupt.Stride)
 	}
-	if got, complete := MatchOpt(g, p, vp, done); complete || got != nil {
+	if got, complete := MatchOpt(g, p, labelsOf(g, p), vp, done); complete || got != nil {
 		t.Fatalf("MatchOpt ignored the closed channel: complete=%v matches=%d", complete, len(got))
 	}
 }
@@ -71,9 +71,9 @@ func TestMatchOptInterruptPromptly(t *testing.T) {
 // channel leaves MatchOpt bit-for-bit identical to a nil one.
 func TestMatchOptInterruptOpenChannelHarmless(t *testing.T) {
 	g, p, vp := interruptFixture(t, 2*interrupt.Stride)
-	want, _ := MatchOpt(g, p, vp, nil)
+	want, _ := MatchOpt(g, p, labelsOf(g, p), vp, nil)
 	done := make(chan struct{})
-	got, complete := MatchOpt(g, p, vp, done)
+	got, complete := MatchOpt(g, p, labelsOf(g, p), vp, done)
 	if !complete {
 		t.Fatal("open channel reported incomplete")
 	}

@@ -25,12 +25,13 @@ func TestMatchOptManyEqualsSerial(t *testing.T) {
 	if len(pins) < 8 {
 		t.Fatalf("only %d pins", len(pins))
 	}
+	labels := labelsOf(g, rooted)
 	want := make([][]graph.NodeID, len(pins))
 	for i, vp := range pins {
-		want[i], _ = MatchOpt(g, rooted, vp, nil)
+		want[i], _ = MatchOpt(g, rooted, labels, vp, nil)
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
-		got, ok := MatchOptMany(g, rooted, pins, workers, nil)
+		got, ok := MatchOptMany(g, rooted, labels, pins, workers, nil)
 		if !ok {
 			t.Fatalf("W=%d: not ok without interrupt", workers)
 		}
@@ -41,7 +42,7 @@ func TestMatchOptManyEqualsSerial(t *testing.T) {
 	// A pre-fired channel abandons the batch.
 	done := make(chan struct{})
 	close(done)
-	if _, ok := MatchOptMany(g, rooted, pins, 4, done); ok {
+	if _, ok := MatchOptMany(g, rooted, labels, pins, 4, done); ok {
 		t.Fatal("pre-fired done reported ok")
 	}
 }

@@ -11,23 +11,27 @@
 // paper fixes the match of u_p to the unique node v_p.
 //
 // Candidate sets are dense bitsets over the evaluated (sub)graph — which
-// is tiny by construction, at most α|G| for fragments and a d_Q-ball for
-// the baselines — so refinement probes are single word tests and the final
-// relation enumerates in ascending order without sorting.
+// is tiny by construction, at most α|G| for fragments and the part of a
+// d_Q-ball that carries the pattern's labels for the baseline — so
+// refinement probes are single word tests and the final relation
+// enumerates in ascending order without sorting.
 //
 // Every subgraph this package evaluates — the reduced fragment G_Q of
-// RBSim and the d_Q-balls of the exact baselines alike — is a pooled
-// graph.FragCSR view of the data graph; no per-query subgraph is ever
-// constructed. The entry points mirror the paper's experimental setup:
+// RBSim, the d_Q-region of the exact baseline and StrongSim's d_Q-balls
+// alike — is a pooled graph.FragCSR view of the data graph; no per-query
+// subgraph is ever constructed. The entry points mirror the paper's
+// experimental setup:
 //
 //   - MatchFragment: maximum pinned dual simulation on a materialized
 //     FragCSR with all transient state drawn from a reusable Scratch —
 //     what RBSim runs on the reduced fragment G_Q;
-//   - MatchOpt: the optimized baseline of Section 6, which evaluates the
-//     query on the ball G_{d_Q}(v_p) only (extracted with graph.BallInto
-//     into a pooled CSR);
+//   - MatchOpt: the optimized baseline of Section 6, "evaluate on
+//     G_{d_Q}(v_p) only", which reads just the label-closed region of
+//     that ball (graph.RegionInto, into a pooled CSR) — same answer, see
+//     MatchOpt;
 //   - StrongSim: the literal ball-per-center semantics of Section 2, used
-//     for cross-validation on small graphs;
+//     for cross-validation on small graphs; its balls are full balls
+//     (graph.BallInto), because a center need not carry a pattern label;
 //   - MatchInGraph / DualSimulation: the whole-graph relation, kept for
 //     tests and reference comparisons.
 package simulation
@@ -193,7 +197,6 @@ type Scratch struct {
 	backing []uint64
 	sim     [][]uint64
 	size    []int32
-	labels  []graph.LabelID
 	dirty   []bool
 	queue   []pattern.NodeID
 	drop    []int32
@@ -201,33 +204,34 @@ type Scratch struct {
 
 // MatchFragment computes the answer Q(G_Q) by maximum dual simulation with
 // u_p pinned to position pinPos of the materialized subgraph csr, returning
-// the matches of the output node as parent-graph node ids, sorted. It is
-// semantically identical to materializing the same node list as a
-// standalone Graph and calling MatchInGraph, but runs on the pooled CSR
-// with all transient state drawn from sc; the returned slice is the only
-// allocation.
+// the matches of the output node as parent-graph node ids, sorted.
+// labels[u] is the parent graph's id of p's label of u (NoLabel when the
+// graph has no such label), as graph.InternLabels resolves them — the
+// plan layer does that once per template, so nothing here hashes a
+// string. It is semantically identical to materializing the same node
+// list as a standalone Graph and calling MatchInGraph, but runs on the
+// pooled CSR with all transient state drawn from sc; the returned slice
+// is the only allocation.
 //
 // done is a cooperative cancellation probe threaded through the fixpoint
 // refinement — the one potentially long-running loop (the candidate sets
-// shrink monotonically, but a dense ball can still force many rounds over
-// thousands of candidates). The probe polls done every interrupt.Stride
-// examined candidates, mirroring the reduce engine's contract: a fired
-// channel abandons the fixpoint within about one stride of work and
-// returns complete=false with a nil answer. visited reports the number
-// of candidates examined, so tests can pin the promptness bound; an
-// open or nil channel never changes the computation.
-func MatchFragment(g *graph.Graph, csr *graph.FragCSR, p *pattern.Pattern, pinPos int32, sc *Scratch, done <-chan struct{}) (out []graph.NodeID, complete bool, visited int) {
+// shrink monotonically, but a dense region can still force many rounds
+// over thousands of candidates). The probe polls done every
+// interrupt.Stride examined candidates, mirroring the reduce engine's
+// contract: a fired channel abandons the fixpoint within about one stride
+// of work and returns complete=false with a nil answer. visited reports
+// the number of candidates examined, so tests can pin the promptness
+// bound; an open or nil channel never changes the computation.
+func MatchFragment(csr *graph.FragCSR, p *pattern.Pattern, labels []graph.LabelID, pinPos int32, sc *Scratch, done <-chan struct{}) (out []graph.NodeID, complete bool, visited int) {
 	nq := p.NumNodes()
 	n := csr.NumNodes()
 	words := (n + 63) / 64
 
-	if cap(sc.labels) < nq {
-		sc.labels = make([]graph.LabelID, nq)
+	if cap(sc.sim) < nq {
 		sc.sim = make([][]uint64, nq)
 		sc.size = make([]int32, nq)
 		sc.dirty = make([]bool, nq)
 	}
-	sc.labels = sc.labels[:nq]
 	sc.sim = sc.sim[:nq]
 	sc.size = sc.size[:nq]
 	sc.dirty = sc.dirty[:nq]
@@ -237,27 +241,21 @@ func MatchFragment(g *graph.Graph, csr *graph.FragCSR, p *pattern.Pattern, pinPo
 	sc.backing = sc.backing[:nq*words]
 	clear(sc.backing)
 
-	// Candidate sets by parent label id; the pinned node is fixed to
-	// pinPos (Section 2: (u_p, v_p) is in every match relation).
+	// Candidate sets by parent label id (a NoLabel constraint matches no
+	// position, so its set is empty); the pinned node is fixed to pinPos
+	// (Section 2: (u_p, v_p) is in every match relation).
 	up := p.Personalized()
-	for u := 0; u < nq; u++ {
-		l := g.LabelIDOf(p.Label(pattern.NodeID(u)))
-		if l == graph.NoLabel {
-			return nil, true, visited
-		}
-		sc.labels[u] = l
-	}
 	for u := 0; u < nq; u++ {
 		sc.sim[u] = sc.backing[u*words : (u+1)*words]
 		sc.size[u] = 0
 		if pattern.NodeID(u) == up {
-			if csr.Labels[pinPos] == sc.labels[u] {
+			if csr.Labels[pinPos] == labels[u] {
 				setBit(sc.sim[u], pinPos)
 				sc.size[u] = 1
 			}
 		} else {
 			for i := int32(0); i < int32(n); i++ {
-				if csr.Labels[i] == sc.labels[u] {
+				if csr.Labels[i] == labels[u] {
 					setBit(sc.sim[u], i)
 					sc.size[u]++
 				}
@@ -384,11 +382,11 @@ func MatchInGraph(g *graph.Graph, p *pattern.Pattern, vp graph.NodeID) []graph.N
 	return rel.Matches(p.Output())
 }
 
-// ballScratch pools the per-call state of the ball-based baselines: the
-// CSR materialization of the current ball, the matcher scratch that runs
-// on it, and the center list of StrongSim. The pool is package-level (the
-// baselines take a bare *graph.Graph); values grow to the largest ball
-// they have seen and then stop allocating.
+// ballScratch pools the per-call state of the exact baselines: the CSR
+// materialization of the current region or ball, the matcher scratch that
+// runs on it, and the center list of StrongSim. The pool is package-level
+// (the baselines take a bare *graph.Graph); values grow to the largest
+// region they have seen and then stop allocating.
 type ballScratch struct {
 	csr     graph.FragCSR
 	sc      Scratch
@@ -397,33 +395,45 @@ type ballScratch struct {
 
 var ballPool sync.Pool
 
-// MatchOpt is the optimized exact baseline of Section 6: it evaluates the
-// pinned simulation on the d_Q-neighborhood ball G_{d_Q}(v_p) only, which
-// is sound because every match of every query node lies within d_Q hops of
-// v_p (data locality of simulation queries, Section 2). The ball is
-// materialized as a pooled FragCSR — no per-query subgraph construction —
-// so the only steady-state allocation is the returned slice, in g's node
-// ids, sorted.
+// MatchOpt is the optimized exact baseline of Section 6: the pinned
+// simulation evaluated on the d_Q-neighborhood ball G_{d_Q}(v_p) only,
+// which is sound because every match of every query node lies within d_Q
+// hops of v_p (data locality of simulation queries, Section 2). It reads
+// less than the ball: only the label-closed region R ⊆ N_{d_Q}(v_p), the
+// nodes joined to v_p by a path of at most d_Q edges whose nodes all
+// carry a label of Q (graph.RegionInto). The answer is the same. Every
+// pair (u, v) of the ball's maximum relation is joined to (u_p, v_p) by
+// the image of a shortest Q-path from u to u_p — dual simulation hands
+// each step a related neighbour, and u_p relates to v_p alone — and all
+// nodes of that image are in the relation, so they carry Q's labels and
+// lie in R. The ball's relation is thus a dual simulation on G[R], and
+// one on G[R] is one on the ball (R ⊆ ball, both induced); maximality
+// makes the two equal. labels are p's labels resolved to g's ids, as for
+// MatchFragment.
+//
+// The region is materialized as a pooled FragCSR — no per-query subgraph
+// construction — so the only steady-state allocation is the returned
+// slice, in g's node ids, sorted.
 //
 // done threads cooperative cancellation probes through both the
-// ball-extraction BFS (graph.BallInto) and the ball-local fixpoint
+// extraction BFS (graph.RegionInto) and the region-local fixpoint
 // (MatchFragment): a fired channel abandons the evaluation within about
 // one interrupt.Stride of work — extracted nodes or examined candidates,
 // whichever loop is running — and returns complete=false (the request
 // layer then surfaces ctx.Err() and discards the partial state). A nil or
 // open channel never changes the answer.
-func MatchOpt(g *graph.Graph, p *pattern.Pattern, vp graph.NodeID, done <-chan struct{}) ([]graph.NodeID, bool) {
+func MatchOpt(g *graph.Graph, p *pattern.Pattern, labels []graph.LabelID, vp graph.NodeID, done <-chan struct{}) ([]graph.NodeID, bool) {
 	bs, _ := ballPool.Get().(*ballScratch)
 	if bs == nil {
 		bs = new(ballScratch)
 	}
 	defer ballPool.Put(bs)
-	// Both halves probe: the extraction BFS (giant balls are the
+	// Both halves probe: the extraction BFS (giant regions are the
 	// expensive half on dense graphs) and the fixpoint refinement.
-	if !g.BallInto(vp, p.Diameter(), &bs.csr, done) {
+	if !g.RegionInto(vp, p.Diameter(), labels, &bs.csr, done) {
 		return nil, false
 	}
-	m, complete, _ := MatchFragment(g, &bs.csr, p, bs.csr.PosOf(vp), &bs.sc, done)
+	m, complete, _ := MatchFragment(&bs.csr, p, labels, bs.csr.PosOf(vp), &bs.sc, done)
 	return m, complete
 }
 
@@ -435,11 +445,11 @@ func MatchOpt(g *graph.Graph, p *pattern.Pattern, vp graph.NodeID, done <-chan s
 // slot-indexed output keeps the result independent of scheduling. When
 // done fires mid-fan, ok is false and the out slots of abandoned runs
 // are nil — callers discard the batch, exactly as the single-center form.
-func MatchOptMany(g *graph.Graph, p *pattern.Pattern, vps []graph.NodeID, workers int, done <-chan struct{}) (out [][]graph.NodeID, ok bool) {
+func MatchOptMany(g *graph.Graph, p *pattern.Pattern, labels []graph.LabelID, vps []graph.NodeID, workers int, done <-chan struct{}) (out [][]graph.NodeID, ok bool) {
 	out = make([][]graph.NodeID, len(vps))
 	var canceled atomic.Bool
 	exec.Run(done, len(vps), workers, func(i int) {
-		m, complete := MatchOpt(g, p, vps[i], done)
+		m, complete := MatchOpt(g, p, labels, vps[i], done)
 		if !complete {
 			canceled.Store(true)
 			return
@@ -466,12 +476,13 @@ func StrongSim(g *graph.Graph, p *pattern.Pattern, vp graph.NodeID) []graph.Node
 	// in BFS discovery order; copy them out since bs.csr is reused for the
 	// per-center balls.
 	dQ := p.Diameter()
+	labels := g.InternLabels(p.Labels(), nil)
 	g.BallInto(vp, dQ, &bs.csr, nil)
 	bs.centers = append(bs.centers[:0], bs.csr.Orig...)
 
 	out := []graph.NodeID{} // non-nil even when empty, as callers expect
 	// The first center is v_p itself, whose ball is already materialized.
-	m, _, _ := MatchFragment(g, &bs.csr, p, bs.csr.PosOf(vp), &bs.sc, nil)
+	m, _, _ := MatchFragment(&bs.csr, p, labels, bs.csr.PosOf(vp), &bs.sc, nil)
 	out = append(out, m...)
 	for _, v0 := range bs.centers[1:] {
 		g.BallInto(v0, dQ, &bs.csr, nil)
@@ -479,7 +490,7 @@ func StrongSim(g *graph.Graph, p *pattern.Pattern, vp graph.NodeID) []graph.Node
 		if bvp < 0 {
 			continue
 		}
-		m, _, _ = MatchFragment(g, &bs.csr, p, bvp, &bs.sc, nil)
+		m, _, _ = MatchFragment(&bs.csr, p, labels, bvp, &bs.sc, nil)
 		out = append(out, m...)
 	}
 	slices.Sort(out)

@@ -71,7 +71,7 @@ func TestFigure1StrongSimulationAnswer(t *testing.T) {
 func TestFigure1MatchOptAgrees(t *testing.T) {
 	g, michael, _, cln1, cln := figure1Graph()
 	p := figure1Pattern(t)
-	got, _ := MatchOpt(g, p, michael, nil)
+	got, _ := MatchOpt(g, p, labelsOf(g, p), michael, nil)
 	if !reflect.DeepEqual(got, []graph.NodeID{cln1, cln}) {
 		t.Fatalf("MatchOpt = %v", got)
 	}
@@ -264,6 +264,12 @@ func relationIsDualSimulation(g *graph.Graph, p *pattern.Pattern, rel Relation) 
 	return true
 }
 
+// labelsOf resolves p's labels to g's interned ids, as the plan layer does
+// once per template.
+func labelsOf(g *graph.Graph, p *pattern.Pattern) []graph.LabelID {
+	return g.InternLabels(p.Labels(), nil)
+}
+
 func randomLabeled(rng *rand.Rand, n, m, labels int) *graph.Graph {
 	b := graph.NewBuilder(n, m)
 	for i := 0; i < n; i++ {
@@ -330,7 +336,7 @@ func TestStrongSimSubsetOfMatchOpt(t *testing.T) {
 		}
 		strong := StrongSim(g, p, vp)
 		opt := make(map[graph.NodeID]bool)
-		optMatches, _ := MatchOpt(g, p, vp, nil)
+		optMatches, _ := MatchOpt(g, p, labelsOf(g, p), vp, nil)
 		for _, v := range optMatches {
 			opt[v] = true
 		}
@@ -348,7 +354,7 @@ func TestMatchOptEqualsWholeGraphWhenLocal(t *testing.T) {
 	g, michael, _, _, _ := figure1Graph()
 	p := figure1Pattern(t)
 	whole := MatchInGraph(g, p, michael)
-	opt, _ := MatchOpt(g, p, michael, nil)
+	opt, _ := MatchOpt(g, p, labelsOf(g, p), michael, nil)
 	if !reflect.DeepEqual(whole, opt) {
 		t.Fatalf("whole=%v opt=%v", whole, opt)
 	}

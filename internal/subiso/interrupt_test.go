@@ -66,13 +66,13 @@ func TestInterruptStopsBallExtraction(t *testing.T) {
 	g, p, hub := interruptFixture(t)
 	done := make(chan struct{})
 	close(done)
-	m, complete := MatchOpt(g, p, hub, &Options{Interrupt: done})
+	m, complete := MatchOpt(g, p, labelsOf(g, p), hub, &Options{Interrupt: done})
 	if complete || m != nil {
 		t.Fatalf("closed Interrupt ignored: complete=%v, %d answers", complete, len(m))
 	}
 	open := make(chan struct{})
-	want, wantOK := MatchOpt(g, p, hub, nil)
-	got, gotOK := MatchOpt(g, p, hub, &Options{Interrupt: open})
+	want, wantOK := MatchOpt(g, p, labelsOf(g, p), hub, nil)
+	got, gotOK := MatchOpt(g, p, labelsOf(g, p), hub, &Options{Interrupt: open})
 	if gotOK != wantOK || len(got) != len(want) {
 		t.Fatalf("open-channel MatchOpt diverged: %d/%v vs %d/%v", len(got), gotOK, len(want), wantOK)
 	}

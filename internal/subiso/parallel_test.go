@@ -28,12 +28,12 @@ func TestMatchOptManyEqualsSerial(t *testing.T) {
 		want := make([][]graph.NodeID, len(pins))
 		wantOK := true
 		for i, vp := range pins {
-			m, ok := MatchOpt(g, p, vp, opts)
+			m, ok := MatchOpt(g, p, labelsOf(g, p), vp, opts)
 			want[i] = m
 			wantOK = wantOK && ok
 		}
 		for _, workers := range []int{1, 2, 4, 8} {
-			got, ok := MatchOptMany(g, p, pins, workers, opts)
+			got, ok := MatchOptMany(g, p, labelsOf(g, p), pins, workers, opts)
 			if ok != wantOK {
 				t.Fatalf("opts=%+v W=%d: complete=%v, want %v", opts, workers, ok, wantOK)
 			}
@@ -45,7 +45,7 @@ func TestMatchOptManyEqualsSerial(t *testing.T) {
 	// A pre-fired interrupt abandons the batch.
 	done := make(chan struct{})
 	close(done)
-	if _, ok := MatchOptMany(g, p, pins, 4, &Options{Interrupt: done}); ok {
+	if _, ok := MatchOptMany(g, p, labelsOf(g, p), pins, 4, &Options{Interrupt: done}); ok {
 		t.Fatal("pre-fired interrupt reported complete")
 	}
 }

@@ -11,11 +11,14 @@
 // case while remaining exact.
 //
 // Matcher state is dense: the injectivity check and the answer set are
-// flat arrays indexed by data node, and pattern labels are resolved to the
-// data graph's interned LabelIDs once per query, so the search loop does
-// no hashing and no string comparison. MatchFragment is the pooled variant
-// RBSub uses, running on a graph.FragCSR with scratch reused across
-// queries.
+// flat arrays indexed by data node, and pattern labels arrive resolved to
+// the data graph's interned LabelIDs (graph.InternLabels; the plan layer
+// does it once per template), so the search loop does no hashing and no
+// string comparison. MatchFragment is the pooled variant, running on a
+// graph.FragCSR with scratch reused across queries: RBSub runs it on the
+// reduced fragment G_Q, and MatchOpt — the paper's VF2OPT — on the
+// label-closed d_Q-region of v_p (graph.RegionInto), the part of the ball
+// G_{d_Q}(v_p) an embedding can occupy.
 package subiso
 
 import (
@@ -105,7 +108,7 @@ func Match(g *graph.Graph, p *pattern.Pattern, vp graph.NodeID, opts *Options) (
 }
 
 // ballScratch pools the per-call state of MatchOpt: the CSR
-// materialization of the d_Q-ball and the matcher scratch that runs on
+// materialization of the d_Q-region and the matcher scratch that runs on
 // it. The pool is package-level (MatchOpt takes a bare *graph.Graph).
 type ballScratch struct {
 	csr graph.FragCSR
@@ -114,29 +117,47 @@ type ballScratch struct {
 
 var ballPool sync.Pool
 
-// MatchOpt is the optimized baseline of Section 6 (the paper's VF2OPT): it
-// searches only the ball G_{d_Q}(v_p), sound because isomorphic images of a
-// connected pattern pinned at v_p lie within d_Q hops of v_p. The ball is
-// materialized as a pooled FragCSR — no per-query subgraph construction —
-// so the only steady-state allocation is the returned slice, in g's node
-// ids, sorted.
-func MatchOpt(g *graph.Graph, p *pattern.Pattern, vp graph.NodeID, opts *Options) ([]graph.NodeID, bool) {
+// MatchOpt is the optimized baseline of Section 6 (the paper's VF2OPT):
+// search the ball G_{d_Q}(v_p) only, sound because isomorphic images of a
+// connected pattern pinned at v_p lie within d_Q hops of v_p. It reads
+// less than the ball: only the label-closed region R ⊆ N_{d_Q}(v_p), the
+// nodes joined to v_p by a path of at most d_Q edges whose nodes all
+// carry a label of Q (graph.RegionInto). Every image h(u) is joined to
+// v_p by the image of a Q-path from u to u_p, whose nodes are images and
+// so carry Q's labels: every embedding lives in G[R], with all its edges
+// (G[R] is induced), so the answer is the ball's and pruning on degrees
+// induced by R stays sound. labels are p's labels resolved to g's ids, as
+// for MatchFragment. The region is materialized as a pooled FragCSR — no
+// per-query subgraph construction — so the only steady-state allocation
+// is the returned slice, in g's node ids, sorted.
+//
+// A run that opts.MaxSteps (or opts.Interrupt) cuts short returns, with
+// complete=false, the answers it had confirmed: always a subset of the
+// complete answer, but which subset depends on the order candidates are
+// discovered in, that is, on the view searched — and the region is a
+// smaller view than the ball or the whole graph. At every search node the
+// region offers no more candidates than the ball does (adjacency lists
+// only shrink, and a pair feasible on G[R] is feasible on the ball), so a
+// capped search that is cut short on the ball may run to completion on
+// the region; only the order-dependent output-set pruning keeps that from
+// being a theorem. complete=true always means the full answer.
+func MatchOpt(g *graph.Graph, p *pattern.Pattern, labels []graph.LabelID, vp graph.NodeID, opts *Options) ([]graph.NodeID, bool) {
 	bs, _ := ballPool.Get().(*ballScratch)
 	if bs == nil {
 		bs = new(ballScratch)
 	}
 	defer ballPool.Put(bs)
 	// The extraction BFS probes opts.Interrupt like the backtracker
-	// does: giant balls on dense graphs are the expensive half of the
+	// does: giant regions on dense graphs are the expensive half of the
 	// baseline, and the cancellation latency bound must cover them.
 	var done <-chan struct{}
 	if opts != nil {
 		done = opts.Interrupt
 	}
-	if !g.BallInto(vp, p.Diameter(), &bs.csr, done) {
+	if !g.RegionInto(vp, p.Diameter(), labels, &bs.csr, done) {
 		return nil, false
 	}
-	return MatchFragment(g, &bs.csr, p, bs.csr.PosOf(vp), opts, &bs.sc)
+	return MatchFragment(&bs.csr, p, labels, bs.csr.PosOf(vp), opts, &bs.sc)
 }
 
 // MatchOptMany fans MatchOpt across many pins: out[i] is the answer
@@ -147,7 +168,7 @@ func MatchOpt(g *graph.Graph, p *pattern.Pattern, vp graph.NodeID, opts *Options
 // own pooled ball scratch. complete is the conjunction of the per-run
 // flags, matching how the serial exact-baseline loops aggregate it; a
 // fired opts.Interrupt leaves abandoned slots nil with complete=false.
-func MatchOptMany(g *graph.Graph, p *pattern.Pattern, vps []graph.NodeID, workers int, opts *Options) (out [][]graph.NodeID, complete bool) {
+func MatchOptMany(g *graph.Graph, p *pattern.Pattern, labels []graph.LabelID, vps []graph.NodeID, workers int, opts *Options) (out [][]graph.NodeID, complete bool) {
 	out = make([][]graph.NodeID, len(vps))
 	var truncated atomic.Bool
 	var done <-chan struct{}
@@ -155,7 +176,7 @@ func MatchOptMany(g *graph.Graph, p *pattern.Pattern, vps []graph.NodeID, worker
 		done = opts.Interrupt
 	}
 	exec.Run(done, len(vps), workers, func(i int) {
-		m, ok := MatchOpt(g, p, vps[i], opts)
+		m, ok := MatchOpt(g, p, labels, vps[i], opts)
 		if !ok {
 			truncated.Store(true)
 		}
@@ -308,7 +329,6 @@ func (m *matcher) search(depth int) {
 // ready to use; it grows to the largest fragment/pattern it has seen and
 // then stops allocating. Not safe for concurrent use.
 type Scratch struct {
-	plabels []graph.LabelID
 	order   []pattern.NodeID
 	seen    []bool
 	core    []int32
@@ -320,18 +340,19 @@ type Scratch struct {
 // MatchFragment computes Q(G_Q) under subgraph isomorphism on the
 // materialized subgraph csr with u_p pinned to position pinPos, returning
 // the images of the output node as parent-graph node ids (sorted) and
-// whether the search completed. It explores candidate pairs in exactly
-// the order Match does on a standalone Graph materialization of the same
-// node list (positions follow that list, adjacency segments are sorted),
-// so answers — including the partial answers of a MaxSteps-truncated run
-// — are identical; all transient state comes from sc, and the returned
-// slice is the only allocation.
-func MatchFragment(g *graph.Graph, csr *graph.FragCSR, p *pattern.Pattern, pinPos int32, opts *Options, sc *Scratch) ([]graph.NodeID, bool) {
-	sc.plabels = g.InternLabels(p.Labels(), sc.plabels)
-	if csr.Labels[pinPos] != sc.plabels[p.Personalized()] {
+// whether the search completed. labels[u] is the parent graph's id of
+// p's label of u (NoLabel when absent), as graph.InternLabels resolves
+// them. It explores candidate pairs in exactly the order Match does on a
+// standalone Graph materialization of the same node list (positions
+// follow that list, adjacency segments are sorted), so answers —
+// including the partial answers of a MaxSteps-truncated run — are
+// identical; all transient state comes from sc, and the returned slice
+// is the only allocation.
+func MatchFragment(csr *graph.FragCSR, p *pattern.Pattern, labels []graph.LabelID, pinPos int32, opts *Options, sc *Scratch) ([]graph.NodeID, bool) {
+	if csr.Labels[pinPos] != labels[p.Personalized()] {
 		return nil, true
 	}
-	m := &fragMatcher{csr: csr, p: p, opts: opts, sc: sc}
+	m := &fragMatcher{csr: csr, p: p, labels: labels, opts: opts, sc: sc}
 	m.run(pinPos)
 	if len(sc.ansList) == 0 {
 		return nil, !m.truncated
@@ -349,10 +370,11 @@ func MatchFragment(g *graph.Graph, csr *graph.FragCSR, p *pattern.Pattern, pinPo
 // fragMatcher is the matcher over FragCSR positions; it mirrors matcher
 // exactly (see MatchFragment for the equivalence argument).
 type fragMatcher struct {
-	csr  *graph.FragCSR
-	p    *pattern.Pattern
-	opts *Options
-	sc   *Scratch
+	csr    *graph.FragCSR
+	p      *pattern.Pattern
+	labels []graph.LabelID // p's labels as the parent graph's ids
+	opts   *Options
+	sc     *Scratch
 
 	steps     int64
 	truncated bool
@@ -407,7 +429,7 @@ func (m *fragMatcher) unassign(u pattern.NodeID, v int32) {
 }
 
 func (m *fragMatcher) feasible(u pattern.NodeID, v int32) bool {
-	if m.csr.Labels[v] != m.sc.plabels[u] {
+	if m.csr.Labels[v] != m.labels[u] {
 		return false
 	}
 	if m.sc.used[v] != 0 {

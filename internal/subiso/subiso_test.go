@@ -156,7 +156,7 @@ func TestMatchOptAgreesWithMatch(t *testing.T) {
 		p := randomPattern(rng, 3)
 		vp := graph.NodeID(rng.Intn(g.NumNodes()))
 		whole, c1 := Match(g, p, vp, nil)
-		ball, c2 := MatchOpt(g, p, vp, nil)
+		ball, c2 := MatchOpt(g, p, labelsOf(g, p), vp, nil)
 		if !c1 || !c2 {
 			t.Fatalf("unexpected truncation")
 		}
@@ -274,7 +274,7 @@ func TestAgainstBruteForce(t *testing.T) {
 		var csr graph.FragCSR
 		var sc Scratch
 		g.CSRInto(allNodes(g), &csr)
-		frag, complete := MatchFragment(g, &csr, p, csr.PosOf(vp), nil, &sc)
+		frag, complete := MatchFragment(&csr, p, labelsOf(g, p), csr.PosOf(vp), nil, &sc)
 		if !complete || !reflect.DeepEqual(frag, want) {
 			t.Fatalf("iteration %d: MatchFragment = %v (complete=%v), want %v\npattern:\n%s", i, frag, complete, want, p)
 		}
@@ -283,6 +283,12 @@ func TestAgainstBruteForce(t *testing.T) {
 	if checked < 100 {
 		t.Fatalf("only %d cases survived the filters", checked)
 	}
+}
+
+// labelsOf resolves p's labels to g's interned ids, as the plan layer does
+// once per template.
+func labelsOf(g *graph.Graph, p *pattern.Pattern) []graph.LabelID {
+	return g.InternLabels(p.Labels(), nil)
 }
 
 func allNodes(g *graph.Graph) []graph.NodeID {

@@ -76,8 +76,10 @@ type Request struct {
 	// whole graph; α = 0 yields budget 0 and an empty answer.
 	Alpha float64
 	// MaxSteps caps the subgraph matcher's backtracking search (0 =
-	// unlimited; Result.Complete reports whether the cap was hit). Only
-	// valid with Subgraph semantics.
+	// unlimited; Result.Complete reports whether the cap was hit). A
+	// search the cap cuts short returns the matches it had confirmed: a
+	// subset of the complete answer, and which subset depends on the
+	// order it met candidates in. Only valid with Subgraph semantics.
 	MaxSteps int64
 	// Parallelism bounds the intra-query worker pool: how many of the
 	// query's independent work units — the per-anchor rooted runs of an
