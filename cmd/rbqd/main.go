@@ -7,6 +7,12 @@
 //	rbqd -listen :8080 -db ./dbdir                 # resume a durable DB
 //	rbqd -listen :8080 -db ./dbdir -graph g.graph  # bootstrap a fresh one
 //
+// Time to ready is the O(|G|) load: decoding the graph file and building
+// the auxiliary structure, once. A durable restart loads its base image
+// instead and does not open -graph. One line says what it cost:
+//
+//	rbqd: loaded |V|=1000000 |E|=2798248 in 301.2 ms (fresh), listening after 303.0 ms
+//
 // Queries are admitted through a bounded in-flight limit plus a small
 // bounded wait queue (overflow → 429 + Retry-After), carry deadlines
 // end to end, and are α-governed per tenant (the X-Api-Key header):
@@ -51,11 +57,12 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, nil, nil)) }
 // when shutdown is non-nil a receive triggers the same graceful exit
 // as SIGTERM.
 func run(args []string, stdout, stderr io.Writer, ready chan<- string, shutdown <-chan struct{}) int {
+	started := time.Now()
 	fs := flag.NewFlagSet("rbqd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
 		listen    = fs.String("listen", ":8080", "address to serve on")
-		graphPath = fs.String("graph", "", "data graph file (required unless -db resumes an existing directory)")
+		graphPath = fs.String("graph", "", "data graph file, text or binary; with -db it only seeds a fresh directory (a restart loads the directory's base image and does not open it)")
 		dbPath    = fs.String("db", "", "persistent database directory (WAL + base image); fresh dirs bootstrap from -graph")
 		compactAt = fs.Int("compact-threshold", 0, "live-delta op count that triggers compaction (0 = library default)")
 
@@ -90,11 +97,10 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, shutdown 
 		fmt.Fprintln(stderr, "rbqd:", err)
 		return 1
 	}
+	loaded := time.Since(started)
 	if *compactAt > 0 {
 		db.SetCompactThreshold(*compactAt)
 	}
-	g := db.Graph()
-	fmt.Fprintf(stdout, "rbqd: serving |V|=%d |E|=%d (|G|=%d)\n", g.NumNodes(), g.NumEdges(), g.Size())
 
 	cfg := server.Config{
 		MaxInFlight:    *maxInFlight,
@@ -156,6 +162,13 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, shutdown 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sigCh)
+	origin := "fresh"
+	if *dbPath != "" && !db.RecoveryStats().FreshDir {
+		origin = "recovered"
+	}
+	g := db.Graph()
+	fmt.Fprintf(stdout, "rbqd: loaded |V|=%d |E|=%d in %.1f ms (%s), listening after %.1f ms\n",
+		g.NumNodes(), g.NumEdges(), loaded.Seconds()*1e3, origin, time.Since(started).Seconds()*1e3)
 	fmt.Fprintf(stdout, "rbqd: listening on %s\n", ln.Addr())
 
 	// The pprof surface gets its own listener and mux: runtime profiling
@@ -236,8 +249,10 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, shutdown 
 func shutdownCh(ch <-chan struct{}) <-chan struct{} { return ch }
 
 // openDB opens the daemon's database: a durable directory when dbPath
-// is set (bootstrapping fresh dirs from graphPath), else an in-memory
-// DB loaded from graphPath. Recovery is summarized on stdout, and any
+// is set (a fresh one is seeded from graphPath; one that holds data is
+// resumed and graphPath not opened), else an in-memory DB loaded from
+// graphPath. Either way the graph file is decoded and the auxiliary
+// structure built at most once. Recovery is summarized on stdout, and any
 // dropped WAL tail — torn bytes or replay-invalid batches — is warned
 // about loudly: the daemon is about to serve that state.
 func openDB(dbPath, graphPath string, stdout io.Writer) (*rbq.DB, error) {
@@ -249,20 +264,7 @@ func openDB(dbPath, graphPath string, stdout io.Writer) (*rbq.DB, error) {
 		defer f.Close()
 		return rbq.Load(f)
 	}
-	var bootstrap *rbq.Graph
-	if graphPath != "" {
-		f, err := os.Open(graphPath)
-		if err != nil {
-			return nil, err
-		}
-		seed, err := rbq.Load(f)
-		f.Close()
-		if err != nil {
-			return nil, err
-		}
-		bootstrap = seed.Graph()
-	}
-	db, err := rbq.OpenDB(dbPath, rbq.OpenOptions{Bootstrap: bootstrap})
+	db, err := rbq.OpenDB(dbPath, rbq.OpenOptions{BootstrapFile: graphPath})
 	if err != nil {
 		return nil, err
 	}

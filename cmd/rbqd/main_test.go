@@ -8,18 +8,22 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"rbq"
+	"rbq/internal/graph"
 	"rbq/internal/server"
 )
 
 // writeGraphFile saves the small social graph (one CL node, id 3,
 // matched by patText) to a temp file.
-func writeGraphFile(t *testing.T) string {
+func writeGraphFile(t *testing.T) string { return writeGraphFileAs(t, (*rbq.DB).Save) }
+
+func writeGraphFileAs(t *testing.T, save func(*rbq.DB, io.Writer) error) string {
 	t.Helper()
 	gb := rbq.NewGraphBuilder(8, 6)
 	m := gb.AddNode("Michael")
@@ -39,7 +43,7 @@ func writeGraphFile(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Save(f); err != nil {
+	if err := save(db, f); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -148,6 +152,7 @@ func TestDaemonRoundTrip(t *testing.T) {
 	if !strings.Contains(output, "rbqd: stopped") {
 		t.Fatalf("missing shutdown line:\n%s", output)
 	}
+	requireStartupLine(t, output, 7, 4, "fresh")
 	// The access log recorded the query as a JSON line.
 	if !strings.Contains(output, `"route":"/v1/query"`) {
 		t.Fatalf("missing access log line:\n%s", output)
@@ -345,6 +350,94 @@ func TestDaemonSlowQuery(t *testing.T) {
 	if !strings.Contains(output, `"request_id":"it-slow-1"`) || !strings.Contains(output, `"reason":"threshold"`) {
 		t.Fatalf("slow-query log line missing:\n%s", output)
 	}
+}
+
+// requireStartupLine asserts the one line that makes time-to-ready
+// attributable from outside the process, printed before the address.
+func requireStartupLine(t *testing.T, output string, nodes, edges int, origin string) {
+	t.Helper()
+	re := regexp.MustCompile(fmt.Sprintf(
+		`(?m)^rbqd: loaded \|V\|=%d \|E\|=%d in \d+\.\d ms \(%s\), listening after \d+\.\d ms\nrbqd: listening on `,
+		nodes, edges, origin))
+	if !re.MatchString(output) {
+		t.Fatalf("no startup line for |V|=%d |E|=%d (%s) in:\n%s", nodes, edges, origin, output)
+	}
+}
+
+// TestDaemonColdStartLoadsOnce: every way of starting builds the
+// auxiliary structure at most once, and a restart on a directory that
+// holds data does not read the -graph file — here cut in half after the
+// first start — while a fresh directory seeded from that file refuses
+// to start.
+func TestDaemonColdStartLoadsOnce(t *testing.T) {
+	g := writeGraphFileAs(t, (*rbq.DB).SaveBinary) // binary: any truncation is an error
+	dir := filepath.Join(t.TempDir(), "db")
+	args := []string{"-db", dir, "-graph", g, "-access-log", ""}
+
+	builds := graph.AuxBuilds()
+	base, stop := startDaemon(t, args)
+	if got := graph.AuxBuilds() - builds; got != 1 {
+		t.Fatalf("fresh bootstrap built the auxiliary structure %d times, want 1", got)
+	}
+	resp, err := http.Post(base+server.RouteApply, "text/plain", strings.NewReader("node KEPT\napply\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("apply: status %d", resp.StatusCode)
+	}
+	code, output := stop()
+	if code != 0 {
+		t.Fatalf("exit %d, output:\n%s", code, output)
+	}
+	requireStartupLine(t, output, 7, 4, "fresh")
+
+	data, err := os.ReadFile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(g, data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	builds = graph.AuxBuilds()
+	base, stop = startDaemon(t, args)
+	if got := graph.AuxBuilds() - builds; got != 0 {
+		t.Fatalf("restart built the auxiliary structure %d times; the base image carries it", got)
+	}
+	resp, err = http.Get(base + server.RouteStats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st server.StatsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if st.Nodes != 8 {
+		t.Fatalf("restart serves %d nodes, want the 7 seeded + 1 applied", st.Nodes)
+	}
+	if code, output = stop(); code != 0 {
+		t.Fatalf("exit %d, output:\n%s", code, output)
+	}
+	requireStartupLine(t, output, 8, 4, "recovered")
+
+	var out, errb bytes.Buffer
+	fresh := filepath.Join(t.TempDir(), "db")
+	if rc := run([]string{"-db", fresh, "-graph", g, "-access-log", ""}, &out, &errb, nil, nil); rc != 1 {
+		t.Fatalf("fresh directory seeded from a truncated graph file: exit %d\n%s%s", rc, out.String(), errb.String())
+	}
+	if !strings.Contains(errb.String(), "bootstrap") {
+		t.Fatalf("stderr does not name the bootstrap:\n%s", errb.String())
+	}
+
+	builds = graph.AuxBuilds()
+	os.WriteFile(g, data, 0o644)
+	_, stop = startDaemon(t, []string{"-graph", g, "-access-log", ""})
+	if got := graph.AuxBuilds() - builds; got != 1 {
+		t.Fatalf("in-memory start built the auxiliary structure %d times, want 1", got)
+	}
+	stop()
 }
 
 func TestDaemonUsageErrors(t *testing.T) {

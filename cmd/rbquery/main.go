@@ -180,20 +180,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // prints the recovery summary — what was loaded from the base image,
 // what was replayed from the WAL, and whether a torn tail was dropped.
 func openPersistent(dir, graphPath string, stdout io.Writer) (*rbq.DB, error) {
-	var bootstrap *rbq.Graph
-	if graphPath != "" {
-		f, err := os.Open(graphPath)
-		if err != nil {
-			return nil, err
-		}
-		seed, err := rbq.Load(f)
-		f.Close()
-		if err != nil {
-			return nil, err
-		}
-		bootstrap = seed.Graph()
-	}
-	db, err := rbq.OpenDB(dir, rbq.OpenOptions{Bootstrap: bootstrap})
+	db, err := rbq.OpenDB(dir, rbq.OpenOptions{BootstrapFile: graphPath})
 	if err != nil {
 		return nil, err
 	}
@@ -214,7 +201,6 @@ func openPersistent(dir, graphPath string, stdout io.Writer) (*rbq.DB, error) {
 	}
 	return db, nil
 }
-
 
 // queryErr reports a query failure, flagging an exceeded -timeout.
 func queryErr(err error, stderr io.Writer) int {

@@ -16,139 +16,185 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"strings"
 
 	"rbq/internal/graph"
 )
 
 var binaryMagic = [4]byte{'R', 'B', 'Q', '1'}
 
-// binaryLimit guards against corrupt headers allocating absurd buffers.
+// binaryLimit guards against corrupt headers: no count may exceed it.
 const binaryLimit = 1 << 31
+
+// chunkBytes is how much payload is decoded or encoded at a time (a
+// multiple of 8, so an edge never straddles two chunks). It is also the
+// most a header can make ReadBinary set aside ahead of the payload it
+// announces: every count sizes its buffers by the chunks that arrived.
+const chunkBytes = 64 << 10
 
 // WriteBinary emits g in the binary format.
 func WriteBinary(w io.Writer, g *graph.Graph) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(binaryMagic[:]); err != nil {
-		return err
+	// Write errors are not checked one by one: a bufio.Writer keeps its
+	// first error, drops what follows, and Flush returns it.
+	bw := bufio.NewWriterSize(w, chunkBytes)
+	var scratch [8]byte
+	u32 := func(x uint32) {
+		binary.LittleEndian.PutUint32(scratch[:4], x)
+		bw.Write(scratch[:4])
 	}
-	writeU32 := func(x uint32) error { return binary.Write(bw, binary.LittleEndian, x) }
-
-	if err := writeU32(uint32(g.NumLabels())); err != nil {
-		return err
-	}
+	bw.Write(binaryMagic[:])
+	u32(uint32(g.NumLabels()))
 	for l := 0; l < g.NumLabels(); l++ {
 		name := g.LabelName(graph.LabelID(l))
-		if err := writeU32(uint32(len(name))); err != nil {
-			return err
-		}
-		if _, err := bw.WriteString(name); err != nil {
-			return err
-		}
+		u32(uint32(len(name)))
+		bw.WriteString(name)
 	}
-	if err := writeU32(uint32(g.NumNodes())); err != nil {
-		return err
-	}
+	u32(uint32(g.NumNodes()))
 	for v := 0; v < g.NumNodes(); v++ {
-		if err := writeU32(uint32(g.LabelOf(graph.NodeID(v)))); err != nil {
-			return err
-		}
+		u32(uint32(g.LabelOf(graph.NodeID(v))))
 	}
-	if err := binary.Write(bw, binary.LittleEndian, uint64(g.NumEdges())); err != nil {
-		return err
-	}
+	binary.LittleEndian.PutUint64(scratch[:], uint64(g.NumEdges()))
+	bw.Write(scratch[:])
 	for v := 0; v < g.NumNodes(); v++ {
 		for _, t := range g.Out(graph.NodeID(v)) {
-			if err := writeU32(uint32(v)); err != nil {
-				return err
-			}
-			if err := writeU32(uint32(t)); err != nil {
-				return err
-			}
+			binary.LittleEndian.PutUint32(scratch[:4], uint32(v))
+			binary.LittleEndian.PutUint32(scratch[4:], uint32(t))
+			bw.Write(scratch[:])
 		}
 	}
 	return bw.Flush()
 }
 
-// ReadBinary parses the binary format.
-func ReadBinary(r io.Reader) (*graph.Graph, error) {
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("dataset: reading magic: %w", err)
+// binaryReader decodes the format a chunk at a time.
+type binaryReader struct {
+	r   io.Reader
+	buf []byte // chunkBytes long
+}
+
+// read fills the first n bytes of the chunk buffer.
+func (br *binaryReader) read(n int, what string) ([]byte, error) {
+	if _, err := io.ReadFull(br.r, br.buf[:n]); err != nil {
+		return nil, fmt.Errorf("dataset: reading %s: %w", what, err)
 	}
-	if magic != binaryMagic {
+	return br.buf[:n], nil
+}
+
+func (br *binaryReader) u32(what string) (uint32, error) {
+	b, err := br.read(4, what)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint32(b), nil
+}
+
+// chunks reads total bytes and hands them to f in order, a chunk at a
+// time.
+func (br *binaryReader) chunks(total uint64, what string, f func(chunk []byte) error) error {
+	for total > 0 {
+		n := min(total, chunkBytes)
+		b, err := br.read(int(n), what)
+		if err != nil {
+			return err
+		}
+		if err := f(b); err != nil {
+			return err
+		}
+		total -= n
+	}
+	return nil
+}
+
+// ReadBinary parses the binary format. Edges in ascending (from, to)
+// order — what WriteBinary emits — go straight into the graph's CSR
+// arrays (see graph.Builder); any other order is accepted and sorted.
+func ReadBinary(r io.Reader) (*graph.Graph, error) {
+	br := &binaryReader{r: r, buf: make([]byte, chunkBytes)}
+	magic, err := br.read(4, "magic")
+	if err != nil {
+		return nil, err
+	}
+	if [4]byte(magic) != binaryMagic {
 		return nil, fmt.Errorf("dataset: bad magic %q (not an RBQ1 graph file)", magic)
 	}
-	readU32 := func(what string) (uint32, error) {
-		var x uint32
-		if err := binary.Read(br, binary.LittleEndian, &x); err != nil {
-			return 0, fmt.Errorf("dataset: reading %s: %w", what, err)
-		}
-		return x, nil
-	}
 
-	numLabels, err := readU32("label count")
+	numLabels, err := br.u32("label count")
 	if err != nil {
 		return nil, err
 	}
 	if numLabels > binaryLimit {
 		return nil, fmt.Errorf("dataset: absurd label count %d", numLabels)
 	}
-	labels := make([]string, numLabels)
-	for i := range labels {
-		n, err := readU32("label length")
+	var names []string
+	for i := uint32(0); i < numLabels; i++ {
+		n, err := br.u32("label length")
 		if err != nil {
 			return nil, err
 		}
 		if n > 1<<20 {
 			return nil, fmt.Errorf("dataset: absurd label length %d", n)
 		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("dataset: reading label: %w", err)
+		var name strings.Builder
+		err = br.chunks(uint64(n), "label", func(chunk []byte) error {
+			name.Write(chunk)
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		labels[i] = string(buf)
+		names = append(names, name.String())
 	}
 
-	numNodes, err := readU32("node count")
+	numNodes, err := br.u32("node count")
 	if err != nil {
 		return nil, err
 	}
 	if numNodes > binaryLimit {
 		return nil, fmt.Errorf("dataset: absurd node count %d", numNodes)
 	}
-	b := graph.NewBuilder(int(numNodes), 0)
-	for v := uint32(0); v < numNodes; v++ {
-		l, err := readU32("node label")
-		if err != nil {
-			return nil, err
+	// The builder numbers labels by first use, not by table position.
+	// ids maps one to the other, so a node costs no string hash.
+	b := graph.NewBuilder(min(int(numNodes), chunkBytes/4), 0)
+	ids := make([]graph.LabelID, len(names))
+	for i := range ids {
+		ids[i] = graph.NoLabel
+	}
+	err = br.chunks(4*uint64(numNodes), "node label", func(chunk []byte) error {
+		for ; len(chunk) > 0; chunk = chunk[4:] {
+			l := binary.LittleEndian.Uint32(chunk)
+			if l >= numLabels {
+				return fmt.Errorf("dataset: node %d has label id %d of %d", b.NumNodes(), l, numLabels)
+			}
+			if ids[l] == graph.NoLabel {
+				ids[l] = b.Intern(names[l])
+			}
+			b.AddLabeled(ids[l])
 		}
-		if l >= numLabels {
-			return nil, fmt.Errorf("dataset: node %d has label id %d of %d", v, l, numLabels)
-		}
-		b.AddNode(labels[l])
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	var numEdges uint64
-	if err := binary.Read(br, binary.LittleEndian, &numEdges); err != nil {
-		return nil, fmt.Errorf("dataset: reading edge count: %w", err)
+	count, err := br.read(8, "edge count")
+	if err != nil {
+		return nil, err
 	}
+	numEdges := binary.LittleEndian.Uint64(count)
 	if numEdges > binaryLimit {
 		return nil, fmt.Errorf("dataset: absurd edge count %d", numEdges)
 	}
-	for i := uint64(0); i < numEdges; i++ {
-		from, err := readU32("edge source")
-		if err != nil {
-			return nil, err
+	err = br.chunks(8*numEdges, "edge", func(chunk []byte) error {
+		for ; len(chunk) > 0; chunk = chunk[8:] {
+			from, to := binary.LittleEndian.Uint32(chunk), binary.LittleEndian.Uint32(chunk[4:])
+			if from >= numNodes || to >= numNodes {
+				return fmt.Errorf("dataset: edge (%d,%d) out of range", from, to)
+			}
+			b.AddEdge(graph.NodeID(from), graph.NodeID(to))
 		}
-		to, err := readU32("edge target")
-		if err != nil {
-			return nil, err
-		}
-		if from >= numNodes || to >= numNodes {
-			return nil, fmt.Errorf("dataset: edge (%d,%d) out of range", from, to)
-		}
-		b.AddEdge(graph.NodeID(from), graph.NodeID(to))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return b.Build(), nil
 }

@@ -35,7 +35,9 @@ func FuzzRead(f *testing.F) {
 	})
 }
 
-// FuzzReadBinary asserts the binary parser never panics on corrupt input.
+// FuzzReadBinary asserts the binary parser never panics on corrupt input,
+// and that what it accepts is the graph the reference decoder and the
+// Builder's radix path build from the same bytes.
 func FuzzReadBinary(f *testing.F) {
 	var valid bytes.Buffer
 	if err := WriteBinary(&valid, YoutubeLike(50, 1)); err != nil {
@@ -46,13 +48,14 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add([]byte("RBQ1\x01\x00\x00\x00"))
 	f.Add([]byte{})
 	f.Add(valid.Bytes()[:len(valid.Bytes())/2])
+	for _, bomb := range headerBombs() {
+		f.Add(bomb)
+	}
 	f.Fuzz(func(t *testing.T, input []byte) {
 		g, err := ReadBinary(bytes.NewReader(input))
 		if err != nil {
 			return
 		}
-		if err := g.Validate(); err != nil {
-			t.Fatalf("accepted graph fails validation: %v", err)
-		}
+		requireMatchesRef(t, input, g)
 	})
 }

@@ -1,9 +1,11 @@
 package graph
 
 import (
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // This file implements the once-for-all offline preprocessing of Section 4.1:
@@ -80,16 +82,16 @@ const (
 // back holding no reference to a Graph or an Aux (Fragment.Release).
 func (a *Aux) ScratchPool(slot int) *sync.Pool { return &a.pools[slot] }
 
-// auxSerialCutoff is the node count below which BuildAux runs serially:
-// tiny graphs are built faster than goroutines can be scheduled.
+// auxSerialCutoff is the fewest nodes BuildAux gives a worker: tiny graphs
+// are built faster than goroutines can be scheduled.
 const auxSerialCutoff = 1 << 13
 
 // BuildAux computes the auxiliary structure for g, mirroring the paper's
-// once-for-all preprocessing step. Histograms are accumulated into a
-// label-indexed counting array (no map), and disjoint node ranges are
-// processed in parallel; the result is deterministic and identical to a
-// serial build.
+// once-for-all preprocessing step. Disjoint node ranges are processed in
+// parallel, each into an arena sized up front; the result is
+// deterministic and identical whatever the number of workers.
 func BuildAux(g *Graph) *Aux {
+	auxBuilds.Add(1)
 	n := g.NumNodes()
 	a := &Aux{
 		g:        g,
@@ -97,38 +99,35 @@ func BuildAux(g *Graph) *Aux {
 		inStart:  make([]int32, n+1),
 		pools:    new(scratchPools),
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if n < auxSerialCutoff || workers < 2 {
-		a.outHist, a.inHist = buildHistRange(g, 0, n, a.outStart, a.inStart)
-		a.hists = Hists{OutStart: a.outStart, InStart: a.inStart, OutHist: a.outHist, InHist: a.inHist}
-		return a
-	}
-	if workers > (n+auxSerialCutoff-1)/auxSerialCutoff {
-		workers = (n + auxSerialCutoff - 1) / auxSerialCutoff
-	}
+	workers := max(1, min(runtime.GOMAXPROCS(0), (n+auxSerialCutoff-1)/auxSerialCutoff))
 	type chunk struct {
 		lo, hi          int
 		outHist, inHist []LabelCount
 	}
 	chunks := make([]chunk, workers)
 	per := (n + workers - 1) / workers
+	// Each worker fills disjoint index ranges of the start arrays
+	// (chunk-local offsets for now; rebased below).
+	build := func(c *chunk) { c.outHist, c.inHist = buildHistRange(g, c.lo, c.hi, a.outStart, a.inStart) }
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * per
-		hi := min(lo+per, n)
-		chunks[w].lo, chunks[w].hi = lo, hi
+	for w := range chunks {
+		c := &chunks[w]
+		c.lo = w * per
+		c.hi = min(c.lo+per, n)
+		if workers == 1 {
+			build(c) // not worth a goroutine: a tiny graph, or a single CPU
+			break
+		}
 		wg.Add(1)
-		go func(c *chunk) {
+		go func() {
 			defer wg.Done()
-			// Each worker fills disjoint index ranges of the start arrays
-			// (chunk-local lengths for now; prefix-summed below).
-			c.outHist, c.inHist = buildHistRange(g, c.lo, c.hi, a.outStart, a.inStart)
-		}(&chunks[w])
+			build(c)
+		}()
 	}
 	wg.Wait()
-	// The start arrays currently hold per-node histogram lengths at v+1
-	// relative to each chunk; turn them into global offsets and stitch the
-	// chunk buffers together.
+	// The start arrays hold cumulative histogram lengths relative to each
+	// chunk; turn them into global offsets and stitch the arenas together
+	// at their exact total size.
 	var outTotal, inTotal int32
 	for _, c := range chunks {
 		outTotal += int32(len(c.outHist))
@@ -152,18 +151,29 @@ func BuildAux(g *Graph) *Aux {
 	return a
 }
 
+// auxBuilds counts BuildAux runs in this process; see AuxBuilds.
+var auxBuilds atomic.Uint64
+
+// AuxBuilds returns how many times BuildAux has run in this process. The
+// O(|G|) build is the dominant cost of opening a DB, so the cold-start
+// tests hold each way of opening one to a single build by this count.
+func AuxBuilds() uint64 { return auxBuilds.Load() }
+
 // buildHistRange computes the histograms of nodes [lo, hi). It writes
 // range-relative cumulative offsets into outStart/inStart at indices
 // lo+1..hi (so entry lo+1 starts at 0) and returns the histogram entries
 // for the range; BuildAux rebases them to global offsets afterwards.
 func buildHistRange(g *Graph, lo, hi int, outStart, inStart []int32) (outHist, inHist []LabelCount) {
-	hb := newHistBuilder(g)
+	// A histogram has at most one entry per neighbor and per label, which
+	// bounds the arenas: the appends below never grow them.
+	nl, outCap, inCap := g.NumLabels(), 0, 0
 	for v := lo; v < hi; v++ {
-		outHist = hb.appendHist(outHist, g.Out(NodeID(v)))
-		outStart[v+1] = int32(len(outHist))
-		inHist = hb.appendHist(inHist, g.In(NodeID(v)))
-		inStart[v+1] = int32(len(inHist))
+		outCap += min(g.OutDegree(NodeID(v)), nl)
+		inCap += min(g.InDegree(NodeID(v)), nl)
 	}
+	hb := newHistBuilder(g)
+	outHist = hb.appendRange(make([]LabelCount, 0, outCap), outStart, lo, hi, g.Out)
+	inHist = hb.appendRange(make([]LabelCount, 0, inCap), inStart, lo, hi, g.In)
 	return outHist, inHist
 }
 
@@ -172,32 +182,95 @@ func buildHistRange(g *Graph, lo, hi int, outStart, inStart []int32) (outHist, i
 // definition of the Aux histogram format — sorted by label, zero counts
 // omitted — shared by the offline BuildAux scan and the per-touched-node
 // patching of Aux.PatchedFor, so the two can never drift apart.
+//
+// The labels a list touched are kept as a bitset, one word per 64
+// labels, and read back in ascending order by walking the set bits: no
+// per-node sort of labels. words lists the non-zero words, so a node
+// costs its own neighbors and not the width of the alphabet.
 type histBuilder struct {
-	g       *Graph
-	counts  []int32
-	touched []LabelID
+	g      *Graph
+	counts []int32
+	bits   []uint64
+	words  []int32
+
+	labels []LabelID // appendRange: the gathered labels of a block of lists
+	ends   []int     // appendRange: where each list of the block ends in labels
 }
 
 func newHistBuilder(g *Graph) *histBuilder {
-	return &histBuilder{g: g, counts: make([]int32, g.NumLabels()), touched: make([]LabelID, 0, 64)}
+	nl := g.NumLabels()
+	nw := (nl + 63) / 64
+	buf := make([]int32, nl+nw) // counts, then room for every word's index
+	return &histBuilder{g: g, counts: buf[:nl], words: buf[nl:nl], bits: make([]uint64, nw)}
+}
+
+// histBlock is how many nodes' neighbor labels appendRange gathers before
+// it counts them.
+const histBlock = 512
+
+// appendRange appends the histograms of adj(v) for v in [lo, hi) to dst
+// and records in start[v+1] where each ends. The label reads are the
+// cache misses of the scan: gathered a block at a time in a loop that does
+// nothing else, they overlap instead of each waiting its turn behind the
+// branches that count the node before.
+func (hb *histBuilder) appendRange(dst []LabelCount, start []int32, lo, hi int, adj func(NodeID) []NodeID) []LabelCount {
+	for b := lo; b < hi; b += histBlock {
+		hb.labels, hb.ends = hb.labels[:0], hb.ends[:0]
+		for v := b; v < min(b+histBlock, hi); v++ {
+			for _, w := range adj(NodeID(v)) {
+				hb.labels = append(hb.labels, hb.g.LabelOf(w))
+			}
+			hb.ends = append(hb.ends, len(hb.labels))
+		}
+		from := 0
+		for i, end := range hb.ends {
+			for _, l := range hb.labels[from:end] {
+				hb.count(l)
+			}
+			dst = hb.emit(dst)
+			start[b+i+1] = int32(len(dst))
+			from = end
+		}
+	}
+	return dst
 }
 
 // appendHist appends the histogram of neigh (labels read from the
 // builder's graph) to dst and returns it.
 func (hb *histBuilder) appendHist(dst []LabelCount, neigh []NodeID) []LabelCount {
-	hb.touched = hb.touched[:0]
 	for _, w := range neigh {
-		l := hb.g.LabelOf(w)
-		if hb.counts[l] == 0 {
-			hb.touched = append(hb.touched, l)
+		hb.count(hb.g.LabelOf(w))
+	}
+	return hb.emit(dst)
+}
+
+// count adds one occurrence of l to the histogram being accumulated.
+func (hb *histBuilder) count(l LabelID) {
+	if hb.counts[l] == 0 {
+		wi := int32(l >> 6)
+		if hb.bits[wi] == 0 {
+			hb.words = append(hb.words, wi)
 		}
-		hb.counts[l]++
+		hb.bits[wi] |= 1 << (uint(l) & 63)
 	}
-	slices.Sort(hb.touched)
-	for _, l := range hb.touched {
-		dst = append(dst, LabelCount{l, hb.counts[l]})
-		hb.counts[l] = 0
+	hb.counts[l]++
+}
+
+// emit appends the accumulated histogram to dst, in label order, and
+// clears it.
+func (hb *histBuilder) emit(dst []LabelCount) []LabelCount {
+	if len(hb.words) > 1 { // only alphabets above 64 labels get here
+		slices.Sort(hb.words)
 	}
+	for _, wi := range hb.words {
+		for word := hb.bits[wi]; word != 0; word &= word - 1 {
+			l := LabelID(wi<<6) + LabelID(bits.TrailingZeros64(word))
+			dst = append(dst, LabelCount{l, hb.counts[l]})
+			hb.counts[l] = 0
+		}
+		hb.bits[wi] = 0
+	}
+	hb.words = hb.words[:0]
 	return dst
 }
 

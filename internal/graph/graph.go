@@ -39,6 +39,8 @@ package graph
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 )
 
@@ -333,11 +335,22 @@ func (g *Graph) Validate() error {
 // Builder accumulates nodes and edges and produces an immutable Graph.
 // Duplicate edges are coalesced; self-loops are kept (the paper's data
 // graphs permit them). Builders are not safe for concurrent use.
+//
+// Edges are held in one of two shapes. While every AddEdge so far was
+// strictly above the one before it in (from, to) order — what the codecs,
+// Save, graphgen and compaction emit — the out-CSR is written in place:
+// outAdj holds the targets and outStart[v] the start of v's segment, for
+// every v up to the last source seen. The first edge that breaks the
+// order moves everything into edges, which Build sorts and deduplicates.
 type Builder struct {
 	labels     []LabelID
 	labelNames []string
 	labelIndex map[string]LabelID
-	edges      []edge
+
+	outStart []int64
+	outAdj   []NodeID
+	edges    []edge
+	unsorted bool
 }
 
 type edge struct{ from, to NodeID }
@@ -347,20 +360,44 @@ func NewBuilder(n, m int) *Builder {
 	return &Builder{
 		labels:     make([]LabelID, 0, n),
 		labelIndex: make(map[string]LabelID),
-		edges:      make([]edge, 0, m),
+		outAdj:     make([]NodeID, 0, m),
 	}
 }
 
-// AddNode appends a node with the given label and returns its id.
-func (b *Builder) AddNode(label string) NodeID {
+// push appends x, doubling a full slice. The loaders cap their capacity
+// hints (a header must not size a buffer before its payload is read), so
+// multi-million-edge inputs grow here, and append's 1.25× steps would
+// copy each array four times over.
+func push[T any](s []T, x T) []T {
+	if len(s) == cap(s) {
+		s = slices.Grow(s, max(len(s), 64))
+	}
+	return append(s, x)
+}
+
+// Intern returns the id of label, adding it to the alphabet if new.
+func (b *Builder) Intern(label string) LabelID {
 	id, ok := b.labelIndex[label]
 	if !ok {
 		id = LabelID(len(b.labelNames))
 		b.labelNames = append(b.labelNames, label)
 		b.labelIndex[label] = id
 	}
+	return id
+}
+
+// AddNode appends a node with the given label and returns its id.
+func (b *Builder) AddNode(label string) NodeID { return b.AddLabeled(b.Intern(label)) }
+
+// AddLabeled appends a node carrying a label Intern returned, and returns
+// the node's id: AddNode without the per-node string hash. Like AddEdge
+// it panics on an id the Builder never handed out.
+func (b *Builder) AddLabeled(l LabelID) NodeID {
+	if l < 0 || int(l) >= len(b.labelNames) {
+		panic(fmt.Sprintf("graph: AddLabeled(%d) with %d labels", l, len(b.labelNames)))
+	}
 	v := NodeID(len(b.labels))
-	b.labels = append(b.labels, id)
+	b.labels = push(b.labels, l)
 	return v
 }
 
@@ -374,7 +411,40 @@ func (b *Builder) AddEdge(from, to NodeID) {
 	if int(from) >= len(b.labels) || int(to) >= len(b.labels) || from < 0 || to < 0 {
 		panic(fmt.Sprintf("graph: AddEdge(%d,%d) with %d nodes", from, to, len(b.labels)))
 	}
+	if !b.unsorted {
+		// last is the latest source seen; its segment is never empty, so
+		// outAdj's final entry is the target to stay above.
+		last := NodeID(len(b.outStart)) - 1
+		if from > last || (from == last && to > b.outAdj[len(b.outAdj)-1]) {
+			if int(from) >= cap(b.outStart) {
+				// One entry per node is all outStart can ever hold.
+				b.outStart = slices.Grow(b.outStart, max(len(b.labels), 2*cap(b.outStart))-len(b.outStart))
+			}
+			for ; last < from; last++ {
+				b.outStart = append(b.outStart, int64(len(b.outAdj)))
+			}
+			b.outAdj = push(b.outAdj, to)
+			return
+		}
+		b.spill()
+	}
 	b.edges = append(b.edges, edge{from, to})
+}
+
+// spill leaves the sorted shape: the CSR written so far becomes an edge
+// list, to which out-of-order edges can be appended.
+func (b *Builder) spill() {
+	b.edges = make([]edge, 0, max(2*len(b.outAdj), cap(b.outAdj)))
+	for v, lo := range b.outStart {
+		hi := int64(len(b.outAdj))
+		if v+1 < len(b.outStart) {
+			hi = b.outStart[v+1]
+		}
+		for _, w := range b.outAdj[lo:hi] {
+			b.edges = append(b.edges, edge{NodeID(v), w})
+		}
+	}
+	b.outStart, b.outAdj, b.unsorted = nil, nil, true
 }
 
 // sortEdges sorts b.edges by (from, to) with a two-pass LSD counting sort
@@ -415,11 +485,19 @@ func (b *Builder) sortEdges(n int) {
 	}
 }
 
-// Build produces the immutable Graph. The Builder may be reused afterwards,
-// but further mutation does not affect the built graph.
-func (b *Builder) Build() *Graph {
-	n := len(b.labels)
-	// Sort and deduplicate edges.
+// outCSR returns the out-adjacency of the n nodes as fresh CSR arrays:
+// a copy of what AddEdge wrote in place for sorted input, and the sorted,
+// deduplicated edge list otherwise.
+func (b *Builder) outCSR(n int) (outStart []int64, outAdj []NodeID) {
+	outStart = make([]int64, n+1)
+	if !b.unsorted {
+		// Sources past the last one seen have empty segments.
+		k := copy(outStart, b.outStart)
+		for i := k; i <= n; i++ {
+			outStart[i] = int64(len(b.outAdj))
+		}
+		return outStart, slices.Clone(b.outAdj)
+	}
 	b.sortEdges(n)
 	dedup := b.edges[:0]
 	for i, e := range b.edges {
@@ -428,46 +506,53 @@ func (b *Builder) Build() *Graph {
 		}
 	}
 	b.edges = dedup
-	m := len(b.edges)
+	outAdj = make([]NodeID, len(b.edges))
+	for i, e := range b.edges {
+		outStart[e.from+1]++
+		outAdj[i] = e.to
+	}
+	for v := 0; v < n; v++ {
+		outStart[v+1] += outStart[v]
+	}
+	return outStart, outAdj
+}
+
+// Build produces the immutable Graph. The Builder may be reused afterwards,
+// but further mutation does not affect the built graph.
+func (b *Builder) Build() *Graph {
+	n := len(b.labels)
+	outStart, outAdj := b.outCSR(n)
+	m := len(outAdj)
 
 	g := &Graph{
 		labels:     append([]LabelID(nil), b.labels...),
 		labelNames: append([]string(nil), b.labelNames...),
-		labelIndex: make(map[string]LabelID, len(b.labelIndex)),
-		outStart:   make([]int64, n+1),
-		outAdj:     make([]NodeID, m),
-		inStart:    make([]int64, n+1),
+		labelIndex: maps.Clone(b.labelIndex),
+		outStart:   outStart,
+		outAdj:     outAdj,
 		inAdj:      make([]NodeID, m),
 	}
-	for k, v := range b.labelIndex {
-		g.labelIndex[k] = v
-	}
 
-	// Out CSR: edges are already sorted by (from, to).
-	for _, e := range b.edges {
-		g.outStart[e.from+1]++
+	// In CSR via counting sort on the target, with the counts kept one
+	// slot to the right of where the offsets end up: after the prefix sum
+	// inStart[w+1] is where w's segment starts, the scatter advances it to
+	// where the segment ends — the start of w+1's — and the array is in its
+	// final form with no separate cursor array. Sources are scanned in
+	// ascending order, so each in-segment comes out sorted.
+	inStart := make([]int64, n+2)
+	for _, w := range outAdj {
+		inStart[w+2]++
 	}
 	for v := 0; v < n; v++ {
-		g.outStart[v+1] += g.outStart[v]
-	}
-	for i, e := range b.edges {
-		g.outAdj[i] = e.to
-	}
-	// In CSR via counting sort on 'to'.
-	for _, e := range b.edges {
-		g.inStart[e.to+1]++
+		inStart[v+2] += inStart[v+1]
 	}
 	for v := 0; v < n; v++ {
-		g.inStart[v+1] += g.inStart[v]
+		for _, w := range outAdj[outStart[v]:outStart[v+1]] {
+			g.inAdj[inStart[w+1]] = NodeID(v)
+			inStart[w+1]++
+		}
 	}
-	next := make([]int64, n)
-	copy(next, g.inStart[:n])
-	for _, e := range b.edges {
-		g.inAdj[next[e.to]] = e.from
-		next[e.to]++
-	}
-	// In-adjacency segments: sources arrive in ascending order because edges
-	// are sorted by (from, to), so each segment is already sorted.
+	g.inStart = inStart[:n+1]
 
 	// Label index CSR via counting sort on the (dense) label ids; segments
 	// come out ascending because nodes are scanned in ascending order.

@@ -16,6 +16,7 @@ package rbq
 import (
 	"errors"
 	"fmt"
+	"os"
 
 	"rbq/internal/delta"
 	"rbq/internal/graph"
@@ -47,6 +48,10 @@ type OpenOptions struct {
 	// as the first base image). Ignored when the directory already holds
 	// data — reopening always resumes from disk.
 	Bootstrap *Graph
+	// BootstrapFile names a graph file, in either format Load reads, that
+	// seeds a fresh directory when Bootstrap is nil. It is opened only
+	// then: reopening a directory that holds data never touches it.
+	BootstrapFile string
 
 	// fs overrides the store's filesystem; fault-injection tests only.
 	fs store.FS
@@ -77,12 +82,12 @@ type RecoveryStats struct {
 }
 
 // OpenDB opens (or initializes) a persistent DB rooted at dir. A fresh
-// directory starts from opts.Bootstrap (or an empty graph) and persists
-// it as the first base image; an existing directory resumes from its
-// last good base image plus the WAL tail, per the recovery rules in
-// RecoveryStats. The returned DB answers queries exactly like an
-// in-memory one; Apply additionally writes the batch to the WAL before
-// acking, and compaction persists the rebuilt base.
+// directory starts from opts.Bootstrap or opts.BootstrapFile (or an empty
+// graph) and persists it as the first base image; an existing directory
+// resumes from its last good base image plus the WAL tail, per the
+// recovery rules in RecoveryStats. The returned DB answers queries
+// exactly like an in-memory one; Apply additionally writes the batch to
+// the WAL before acking, and compaction persists the rebuilt base.
 func OpenDB(dir string, opts OpenOptions) (*DB, error) {
 	sp := store.SyncBatch
 	if opts.Sync == SyncNone {
@@ -92,12 +97,21 @@ func OpenDB(dir string, opts OpenOptions) (*DB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rbq: open %s: %w", dir, err)
 	}
+	fail := func(err error) (*DB, error) {
+		st.Close()
+		return nil, err
+	}
 	g, aux, _ := st.Base()
 	fresh := g == nil
 	if fresh {
-		if opts.Bootstrap != nil {
+		switch {
+		case opts.Bootstrap != nil:
 			g = opts.Bootstrap.Compact() // identity for base graphs
-		} else {
+		case opts.BootstrapFile != "":
+			if g, err = readGraphFile(opts.BootstrapFile); err != nil {
+				return fail(fmt.Errorf("rbq: open %s: bootstrap: %w", dir, err))
+			}
+		default:
 			g = graph.NewBuilder(0, 0).Build()
 		}
 		aux = graph.BuildAux(g)
@@ -113,10 +127,6 @@ func OpenDB(dir string, opts OpenOptions) (*DB, error) {
 	db.store = st
 	_, _, db.seq = st.Base()
 
-	fail := func(err error) (*DB, error) {
-		st.Close()
-		return nil, err
-	}
 	if fresh {
 		// Persist the bootstrap as the first base image so the directory
 		// is self-contained from the start (WAL batches reference base
@@ -158,6 +168,16 @@ func OpenDB(dir string, opts OpenOptions) (*DB, error) {
 	}
 	db.publishStatsLocked() // not yet shared: no lock needed
 	return db, nil
+}
+
+// readGraphFile decodes the graph file at path (see Load).
+func readGraphFile(path string) (*Graph, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return readGraph(f)
 }
 
 // RecoveryStats returns what OpenDB found on disk. Zero for in-memory

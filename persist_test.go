@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -156,6 +157,91 @@ func TestOpenDBIgnoresBootstrapWhenNotFresh(t *testing.T) {
 	defer re.Close()
 	if re.Graph().NumNodes() != n {
 		t.Fatalf("reopen took the new bootstrap: %d nodes, want %d", re.Graph().NumNodes(), n)
+	}
+}
+
+// TestOpenDBBootstrapFile: a fresh directory seeded from a graph file
+// holds the base image a DB built in memory from the same graph would
+// write, after one BuildAux; once the directory holds data the file is
+// not opened again; and a file that does not decode fails the open and
+// leaves the directory fresh.
+func TestOpenDBBootstrapFile(t *testing.T) {
+	base := RandomGraph(300, 900, 5, true)
+	want := t.TempDir()
+	db, err := OpenDB(want, OpenOptions{Bootstrap: base})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+	wantImage, err := os.ReadFile(filepath.Join(want, "base.img"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, format := range []struct {
+		name string
+		save func(*DB, io.Writer) error
+	}{{"text", (*DB).Save}, {"binary", (*DB).SaveBinary}} {
+		t.Run(format.name, func(t *testing.T) {
+			file := filepath.Join(t.TempDir(), "seed.graph")
+			var buf bytes.Buffer
+			if err := format.save(NewDB(base), &buf); err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			if _, err := OpenDB(dir, OpenOptions{BootstrapFile: file}); err == nil {
+				t.Fatal("a fresh directory opened without its seed file")
+			}
+			if err := os.WriteFile(file, buf.Bytes()[:buf.Len()-3], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if db, err := OpenDB(dir, OpenOptions{BootstrapFile: file}); err == nil {
+				if format.name == "binary" {
+					t.Fatal("a fresh directory opened from a truncated seed file")
+				}
+				db.Close() // a text file cut at a line's end decodes: start over
+				os.RemoveAll(dir)
+			}
+
+			if err := os.WriteFile(file, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			builds := graph.AuxBuilds()
+			db, err := OpenDB(dir, OpenOptions{BootstrapFile: file})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := graph.AuxBuilds() - builds; got != 1 {
+				t.Fatalf("bootstrap ran BuildAux %d times, want 1", got)
+			}
+			if !db.RecoveryStats().FreshDir {
+				t.Fatalf("fresh dir not reported: %+v", db.RecoveryStats())
+			}
+			db.Close()
+			image, err := os.ReadFile(filepath.Join(dir, "base.img"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(image, wantImage) {
+				t.Fatal("base image seeded from the file differs from the one seeded from the graph")
+			}
+
+			if err := os.Remove(file); err != nil {
+				t.Fatal(err)
+			}
+			builds = graph.AuxBuilds()
+			re, err := OpenDB(dir, OpenOptions{BootstrapFile: file})
+			if err != nil {
+				t.Fatalf("reopen with the seed file gone: %v", err)
+			}
+			defer re.Close()
+			if got := graph.AuxBuilds() - builds; got != 0 {
+				t.Fatalf("reopen ran BuildAux %d times; the image carries the Aux", got)
+			}
+			if re.RecoveryStats().FreshDir || re.Graph().NumNodes() != base.NumNodes() || re.Graph().NumEdges() != base.NumEdges() {
+				t.Fatalf("reopen: %+v, |V|=%d |E|=%d", re.RecoveryStats(), re.Graph().NumNodes(), re.Graph().NumEdges())
+			}
+		})
 	}
 }
 

@@ -185,21 +185,24 @@ func (db *DB) snapshot() *delta.Snapshot { return db.snap.Load() }
 
 // Load reads a graph — in either the textual edge-list format (see Save)
 // or the compact binary format (see SaveBinary), auto-detected — and wraps
-// it in a DB.
+// it in a DB. Both decoders put edges that arrive in ascending (from, to)
+// order, as Save and SaveBinary write them, straight into the graph's
+// arrays; any other order is sorted first.
 func Load(r io.Reader) (*DB, error) {
-	br := bufio.NewReader(r)
-	if magic, err := br.Peek(4); err == nil && string(magic) == "RBQ1" {
-		g, err := dataset.ReadBinary(br)
-		if err != nil {
-			return nil, err
-		}
-		return NewDB(g), nil
-	}
-	g, err := dataset.Read(br)
+	g, err := readGraph(r)
 	if err != nil {
 		return nil, err
 	}
 	return NewDB(g), nil
+}
+
+// readGraph decodes a graph in either of Load's formats.
+func readGraph(r io.Reader) (*Graph, error) {
+	br := bufio.NewReader(r)
+	if magic, err := br.Peek(4); err == nil && string(magic) == "RBQ1" {
+		return dataset.ReadBinary(br)
+	}
+	return dataset.Read(br)
 }
 
 // Save writes the graph — the current snapshot's merged view — in a
