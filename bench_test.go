@@ -16,14 +16,13 @@ import (
 	"testing"
 
 	"rbq/internal/bench"
+	"rbq/internal/bounded"
 	"rbq/internal/compress"
 	"rbq/internal/gen"
 	"rbq/internal/graph"
 	"rbq/internal/landmark"
-	"rbq/internal/pattern"
 	"rbq/internal/plan"
 	"rbq/internal/rbreach"
-	"rbq/internal/rbsim"
 	"rbq/internal/reduce"
 	"rbq/internal/simulation"
 	"rbq/internal/subiso"
@@ -123,7 +122,7 @@ func BenchmarkPreparedRBSimQuery(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pl.Simulation(f.vp, f.opts)
+		pl.Bounded(bounded.Simulation, f.vp, f.opts, nil)
 	}
 }
 
@@ -135,13 +134,13 @@ func BenchmarkPreparedRBSubQuery(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pl.Subgraph(f.vp, f.opts, nil)
+		pl.Bounded(bounded.Subgraph, f.vp, f.opts, nil)
 	}
 }
 
 func BenchmarkReduceSearch(b *testing.B) {
 	f := newPatternFixture(b)
-	sem := rbsim.NewSemantics(f.aux, f.q)
+	sem := bounded.NewSemantics(f.aux, f.q, bounded.Simulation)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		reduce.Search(f.aux, f.q, f.vp, sem, f.opts)
@@ -156,10 +155,10 @@ func BenchmarkDualSimulation(b *testing.B) {
 	var csr graph.FragCSR
 	f.g.BallInto(f.vp, f.q.Diameter(), &csr, nil)
 	ballG := csr.ToGraph(f.g)
-	pin := map[pattern.NodeID]graph.NodeID{f.q.Personalized(): graph.NodeID(csr.PosOf(f.vp))}
+	bvp := graph.NodeID(csr.PosOf(f.vp))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		simulation.DualSimulation(ballG, f.q, pin)
+		simulation.DualSimulation(ballG, f.q, bvp)
 	}
 }
 

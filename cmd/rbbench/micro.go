@@ -20,13 +20,13 @@ import (
 	"testing"
 
 	"rbq"
+	"rbq/internal/bounded"
 	"rbq/internal/dataset"
 	"rbq/internal/gen"
 	"rbq/internal/graph"
 	"rbq/internal/landmark"
 	"rbq/internal/pattern"
 	"rbq/internal/plan"
-	"rbq/internal/rbany"
 	"rbq/internal/rbreach"
 	"rbq/internal/reduce"
 	"rbq/internal/simulation"
@@ -66,12 +66,11 @@ type microResult struct {
 // parallelizes the same way; the W4 worker-pool entries spawn goroutines
 // and per-worker pooled scratch.
 var parallelBench = map[string]bool{
-	"BuildAux":             true,
-	"LoadBinary":           true,
-	"CompactSwap":          true,
-	"ParallelExactW4":      true,
-	"ParallelUnanchoredW4": true,
-	"QueryBatchShardedW4":  true,
+	"BuildAux":            true,
+	"LoadBinary":          true,
+	"CompactSwap":         true,
+	"ParallelExactW4":     true,
+	"QueryBatchShardedW4": true,
 }
 
 // loadBaseline reads and parses a baseline report. Callers load it
@@ -214,7 +213,6 @@ func runMicro(path, comparePath string, tolerance float64, count int, nsGate boo
 	g.BallInto(vp, q.Diameter(), &ballCSR, nil)
 	ballG := ballCSR.ToGraph(g)
 	bvp := graph.NodeID(ballCSR.PosOf(vp))
-	pin := map[pattern.NodeID]graph.NodeID{q.Personalized(): bvp}
 
 	gr := dataset.YahooLike(20_000, 1)
 	oracle := rbreach.New(gr, landmark.BuildOptions{Alpha: 0.005})
@@ -235,16 +233,14 @@ func runMicro(path, comparePath string, tolerance float64, count int, nsGate boo
 	treq := qreq
 	treq.WantTrace = true
 
-	// Parallel fixtures, exercising the three worker-pool fan-out points
+	// Parallel fixtures, exercising the two worker-pool fan-out points
 	// with a workers axis (W1 = pool of one, the inline degenerate case;
 	// W4 = four workers — speedup on a multicore host, pure pool overhead
 	// on a single-core one). ParallelExact fans MatchOpt regions over every
-	// node sharing v_p's label (capped at 48 pins); ParallelUnanchored
-	// runs rbany's speculative waves through the plan layer; and
-	// QueryBatchSharded pushes a 128-item pinned batch through the facade
-	// pool. rbany.Options.Workers is used directly (not Request.
-	// Parallelism) so the W4 entries measure 4 goroutines regardless of
-	// the host's GOMAXPROCS cap.
+	// node sharing v_p's label (capped at 48 pins), and QueryBatchSharded
+	// pushes a 128-item pinned batch through the facade pool. Both take
+	// their width directly, so the W4 entries measure 4 goroutines
+	// regardless of the host's GOMAXPROCS.
 	var exactPins []graph.NodeID
 	for _, v := range g.NodesWithLabel(g.LabelIDOf(q.Label(q.Personalized()))) {
 		if g.Degree(v) >= 2 {
@@ -260,9 +256,6 @@ func runMicro(path, comparePath string, tolerance float64, count int, nsGate boo
 	batchItems := make([]rbq.AnchoredQuery, 128)
 	for i := range batchItems {
 		batchItems[i] = rbq.AnchoredQuery{Q: q, At: exactPins[i%len(exactPins)]}
-	}
-	unanchOpts := func(w int) rbany.Options {
-		return rbany.Options{Alpha: 0.005, Workers: w}
 	}
 
 	// Mutation fixtures: a batch of net-new edges over g (and its exact
@@ -435,12 +428,12 @@ func runMicro(path, comparePath string, tolerance float64, count int, nsGate boo
 	}{
 		{"PreparedRBSimQuery", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				pl.Simulation(vp, opts)
+				pl.Bounded(bounded.Simulation, vp, opts, nil)
 			}
 		}},
 		{"PreparedRBSubQuery", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				pl.Subgraph(vp, opts, nil)
+				pl.Bounded(bounded.Subgraph, vp, opts, nil)
 			}
 		}},
 		{"QueryCacheHit", func(b *testing.B) {
@@ -461,7 +454,7 @@ func runMicro(path, comparePath string, tolerance float64, count int, nsGate boo
 		}},
 		{"DualSimulation", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				simulation.DualSimulation(ballG, q, pin)
+				simulation.DualSimulation(ballG, q, bvp)
 			}
 		}},
 		{"MatchOptBall", func(b *testing.B) {
@@ -477,16 +470,6 @@ func runMicro(path, comparePath string, tolerance float64, count int, nsGate boo
 		{"ParallelExactW4", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				simulation.MatchOptMany(g, q, pl.Labels(), exactPins, 4, nil)
-			}
-		}},
-		{"ParallelUnanchoredW1", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				pl.SimulationUnanchored(unanchOpts(1))
-			}
-		}},
-		{"ParallelUnanchoredW4", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				pl.SimulationUnanchored(unanchOpts(4))
 			}
 		}},
 		{"QueryBatchShardedW1", func(b *testing.B) {
@@ -640,8 +623,8 @@ func runMicro(path, comparePath string, tolerance float64, count int, nsGate boo
 	// fixture query, not of timing: measure it once per engine entry so
 	// the report carries the empirical input for pair-table hint tuning.
 	pairHW := map[string]int{
-		"PreparedRBSimQuery": pl.Simulation(vp, opts).Stats.PairHighWater,
-		"PreparedRBSubQuery": pl.Subgraph(vp, opts, nil).Stats.PairHighWater,
+		"PreparedRBSimQuery": pl.Bounded(bounded.Simulation, vp, opts, nil).Stats.PairHighWater,
+		"PreparedRBSubQuery": pl.Bounded(bounded.Subgraph, vp, opts, nil).Stats.PairHighWater,
 	}
 
 	if count < 1 {

@@ -86,18 +86,6 @@ func TestTraceFlag(t *testing.T) {
 	}
 }
 
-// -trace with -workers > 1 is refused up front with a clear message.
-func TestTraceRejectsParallel(t *testing.T) {
-	g, p, _ := writeFixtures(t)
-	var out, errb bytes.Buffer
-	if code := run([]string{"-graph", g, "-pattern", p, "-trace", "-workers", "4"}, &out, &errb); code != 2 {
-		t.Fatalf("exit %d, want 2", code)
-	}
-	if !strings.Contains(errb.String(), "drop -workers") {
-		t.Fatalf("stderr: %s", errb.String())
-	}
-}
-
 // -explain composes with -trace and -exact in one invocation.
 func TestExplainComposes(t *testing.T) {
 	g, p, _ := writeFixtures(t)

@@ -84,8 +84,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		exact        = fs.Bool("exact", false, "also run the exact baseline and report accuracy")
 		stats        = fs.Bool("stats", false, "report timing and plan-cache counters (pattern, workload and update modes)")
 		explain      = fs.Bool("explain", false, "pattern modes: print the compiled plan (selectivity table, anchor choice, budget split) before the query and the phase breakdown after it")
-		trace        = fs.Bool("trace", false, "pattern modes: stream the raw reduction events (rounds, refinements, stops) to stderr; serial queries only")
-		workers      = fs.Int("workers", 0, "intra-query parallelism (Request.Parallelism, GOMAXPROCS-capped) and workload batch sharding; 0 = serial queries, one batch worker per CPU")
+		trace        = fs.Bool("trace", false, "pattern modes: stream the raw reduction events (rounds, refinements, stops) to stderr")
+		workers      = fs.Int("workers", 0, "workload mode: batch shard width (0 = one worker per CPU)")
 		timeout      = fs.Duration("timeout", 0, "cancel query evaluation after this duration (0 = none; pattern and workload modes)")
 		from         = fs.Int("from", -1, "source node (reach mode)")
 		to           = fs.Int("to", -1, "target node (reach mode)")
@@ -151,7 +151,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch *mode {
 	case "sim", "sub":
 		rc = runPattern(ctx, db, *mode, *patternPath, *alpha, patternFlags{
-			exact: *exact, stats: *stats, explain: *explain, trace: *trace, workers: *workers,
+			exact: *exact, stats: *stats, explain: *explain, trace: *trace,
 		}, stdout, stderr)
 	case "reach":
 		rc = runReach(db, *alpha, *from, *to, *exact, *indexPath, stdout, stderr)
@@ -218,18 +218,11 @@ type patternFlags struct {
 	stats   bool
 	explain bool
 	trace   bool
-	workers int
 }
 
 func runPattern(ctx context.Context, db *rbq.DB, mode, path string, alpha float64, opt patternFlags, stdout, stderr io.Writer) int {
 	if path == "" {
 		fmt.Fprintln(stderr, "rbquery: -pattern is required for pattern modes")
-		return 2
-	}
-	if opt.trace && opt.workers > 1 {
-		// The event stream is strictly serial; the request layer would
-		// reject the combination anyway, but the CLI can say why up front.
-		fmt.Fprintln(stderr, "rbquery: -trace streams serial reduction events; drop -workers")
 		return 2
 	}
 	text, err := os.ReadFile(path)
@@ -242,7 +235,7 @@ func runPattern(ctx context.Context, db *rbq.DB, mode, path string, alpha float6
 		fmt.Fprintln(stderr, "rbquery:", err)
 		return 1
 	}
-	req := rbq.Request{Alpha: alpha, WantStats: opt.stats, Parallelism: opt.workers}
+	req := rbq.Request{Alpha: alpha, WantStats: opt.stats}
 	if mode == "sub" {
 		req.Semantics = rbq.Subgraph
 	}
@@ -287,7 +280,7 @@ func runPattern(ctx context.Context, db *rbq.DB, mode, path string, alpha float6
 		// The exact baseline is the same Request in Exact mode; its plan
 		// comes from the cache the bounded run just filled.
 		start = time.Now()
-		truth, err := db.Query(ctx, q, rbq.Request{Semantics: req.Semantics, Mode: rbq.Exact, Parallelism: opt.workers})
+		truth, err := db.Query(ctx, q, rbq.Request{Semantics: req.Semantics, Mode: rbq.Exact})
 		if err != nil {
 			return queryErr(err, stderr)
 		}

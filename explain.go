@@ -10,9 +10,9 @@ import (
 	"fmt"
 	"io"
 
+	"rbq/internal/bounded"
 	"rbq/internal/graph"
 	"rbq/internal/pattern"
-	"rbq/internal/rbany"
 )
 
 // ExplainNode is one query node's row of the selectivity table.
@@ -36,9 +36,9 @@ type ExplainNode struct {
 }
 
 // ExplainShare is one anchor candidate's predicted slice of the α·|G|
-// budget under the full-spend assumption (the prediction the parallel
-// wave scheduler speculates with; serial rollover can only enlarge
-// later shares).
+// budget, assuming every earlier anchor spends its whole share (the
+// evaluation's rollover of unspent budget can only enlarge later
+// shares).
 type ExplainShare struct {
 	V     NodeID
 	Pot   float64
@@ -73,8 +73,9 @@ type Explain struct {
 	// order, truncated to MaxExplainShares rows; nil for anchored
 	// requests or when the pattern cannot be anchored.
 	Shares []ExplainShare
-	// ShareTotal is how many guard-passing anchors the split covers
-	// (Shares may be a truncation of it).
+	// ShareTotal is how many anchor candidates pass the guard — the
+	// Unanchored Result's Candidates. Shares covers a prefix of them: at
+	// most MaxExplainShares, and only those the budget reaches.
 	ShareTotal int
 }
 
@@ -134,9 +135,12 @@ func (db *DB) Explain(q *Pattern, req Request) (*Explain, error) {
 			ex.Nodes[ex.AnchorNode].Anchor = true
 		}
 		if sel.Unanchored != nil {
-			sub := req.Semantics == Subgraph
-			ex.Shares = toExplainShares(sel.Unanchored.PredictShares(req.Alpha, sub, MaxExplainShares))
-			ex.ShareTotal = countPassingAnchors(sel.Unanchored, req.Alpha, sub)
+			shares, passed := sel.Unanchored.PredictShares(req.Alpha, pl.Semantics(bounded.Class(req.Semantics)), MaxExplainShares)
+			ex.Shares = make([]ExplainShare, len(shares))
+			for i, s := range shares {
+				ex.Shares[i] = ExplainShare{V: s.V, Pot: s.Pot, Share: s.Share}
+			}
+			ex.ShareTotal = passed
 		}
 	} else if req.Anchor != nil {
 		ex.Personalized = *req.Anchor
@@ -144,21 +148,6 @@ func (db *DB) Explain(q *Pattern, req Request) (*Explain, error) {
 		ex.Personalized = vp
 	}
 	return ex, nil
-}
-
-func toExplainShares(shares []rbany.Share) []ExplainShare {
-	out := make([]ExplainShare, len(shares))
-	for i, s := range shares {
-		out[i] = ExplainShare{V: s.V, Pot: s.Pot, Share: s.Share}
-	}
-	return out
-}
-
-// countPassingAnchors reports how many anchors the split would cover:
-// PredictShares truncated to one row per candidate tells us, cheaply
-// enough for a diagnostic (one guard probe per candidate).
-func countPassingAnchors(pr *rbany.Prepared, alpha float64, sub bool) int {
-	return len(pr.PredictShares(alpha, sub, int(^uint(0)>>1)))
 }
 
 // WriteText renders the explanation as the CLI prints it.
@@ -190,11 +179,16 @@ func (e *Explain) WriteText(w io.Writer) {
 		fmt.Fprintf(w, "  %-4d %-12s %-8d %10d %14.1f%s\n", n.Node, n.Label, n.LabelID, n.Candidates, n.Mass, flags)
 	}
 	if e.Mode == Unanchored {
-		if len(e.Shares) == 0 {
+		if e.ShareTotal == 0 {
 			fmt.Fprintf(w, "anchors: none pass the guard; answer is empty\n")
 			return
 		}
-		fmt.Fprintf(w, "predicted split over %d anchor(s):\n", e.ShareTotal)
+		fmt.Fprintf(w, "anchors: %d pass the guard\n", e.ShareTotal)
+		if len(e.Shares) == 0 {
+			fmt.Fprintf(w, "predicted split: the budget reaches none\n")
+			return
+		}
+		fmt.Fprintf(w, "predicted split:\n")
 		fmt.Fprintf(w, "  %-10s %14s %10s\n", "anchor", "potential", "share")
 		for _, s := range e.Shares {
 			fmt.Fprintf(w, "  %-10d %14.1f %10d\n", s.V, s.Pot, s.Share)

@@ -122,6 +122,36 @@ func TestExplainUnanchoredShares(t *testing.T) {
 	}
 }
 
+// TestExplainShareTotalIsCandidates: ShareTotal counts the anchors that
+// pass the guard, as the evaluation's Candidates does, however little of
+// the split the budget reaches — and "none pass" is printed only when
+// none does.
+func TestExplainShareTotalIsCandidates(t *testing.T) {
+	db, q, _ := traceFixture(t)
+	for _, alpha := range []float64{0, 1e-4, 0.02} {
+		req := Request{Mode: Unanchored, Alpha: alpha}
+		ex, err := db.Explain(q, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := db.Query(context.Background(), q, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ex.ShareTotal != res.Candidates {
+			t.Errorf("α=%g: ShareTotal %d, Result.Candidates %d", alpha, ex.ShareTotal, res.Candidates)
+		}
+		if res.Candidates == 0 {
+			t.Fatalf("α=%g: no candidates; the fixture checks nothing", alpha)
+		}
+		var sb strings.Builder
+		ex.WriteText(&sb)
+		if strings.Contains(sb.String(), "none pass") {
+			t.Errorf("α=%g: %d candidates pass, but EXPLAIN says none do:\n%s", alpha, res.Candidates, sb.String())
+		}
+	}
+}
+
 func TestExplainValidates(t *testing.T) {
 	db, q, _ := traceFixture(t)
 	if _, err := db.Explain(q, Request{Alpha: -1}); err == nil {

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"rbq/internal/accuracy"
+	"rbq/internal/bounded"
 	"rbq/internal/compress"
 	"rbq/internal/gen"
 	"rbq/internal/landmark"
@@ -32,7 +33,7 @@ func ablationPatternSetup(s Scale) ([]patternEval, float64) {
 	evals := make([]patternEval, 0, len(queries))
 	for _, q := range queries {
 		e := patternEval{q: q}
-		e.exactSim = q.pl.SimulationExact(q.vp, nil)
+		e.exactSim, _ = q.pl.Exact(bounded.Simulation, q.vp, nil, 0)
 		evals = append(evals, e)
 	}
 	return evals, effAlpha(1.6e-5, d.paperSize, d.g)
@@ -40,7 +41,7 @@ func ablationPatternSetup(s Scale) ([]patternEval, float64) {
 
 func runSimVariant(evals []patternEval, opts reduce.Options) (acc float64, visited, frag int) {
 	for _, e := range evals {
-		r := e.q.pl.Simulation(e.q.vp, opts)
+		r := e.q.pl.Bounded(bounded.Simulation, e.q.vp, opts, nil)
 		acc += accuracy.Matches(e.exactSim, r.Matches).F
 		visited += r.Stats.Visited
 		frag += r.Stats.FragmentSize

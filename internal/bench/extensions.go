@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"rbq/internal/accuracy"
+	"rbq/internal/bounded"
 	"rbq/internal/calibrate"
 	"rbq/internal/rbany"
 )
@@ -32,7 +33,7 @@ func runExtUnanchored(w io.Writer, s Scale) error {
 		acc, anchors, frag := 0.0, 0, 0
 		for _, q := range queries {
 			exact, _ := rbany.SimulationExact(d.g, q.pl.Pattern(), 1, nil)
-			res := q.pl.SimulationUnanchored(rbany.Options{Alpha: eff})
+			res := q.pl.Unanchored(bounded.Simulation, rbany.Options{Alpha: eff}, nil)
 			acc += accuracy.Matches(exact, res.Matches).F
 			anchors += res.Evaluated
 			frag += res.FragmentSize

@@ -1,0 +1,313 @@
+// Package bounded implements the resource-bounded algorithms of Fan, Wang
+// & Wu (SIGMOD 2014) for both localized query classes: RBSim for strong
+// simulation (Section 4.1) and RBSub for subgraph isomorphism
+// (Section 4.2).
+//
+// Given a pattern Q, a graph G (with its offline auxiliary structure) and
+// a resource ratio α, both extract a fragment G_Q of G with |G_Q| ≤ α|G|
+// by the dynamic reduction of package reduce, then compute Q(G_Q) exactly
+// and return it as the approximate answer to Q(G). Theorem 3 bounds the
+// data access by d_G·α|G| and the time by O(d_G·|Q|·|G_Q|). The paper
+// defines RBSub as RBSim's reduction with a stronger guarded condition,
+// and that is how this package is built: one Semantics whose Guard reads
+// per-class requirements precomputed by Bind, and one Run, which branches
+// on the class only to pick the matcher — dual simulation or VF2 — for
+// the fragment.
+//
+// Run borrows its entire working state — reduction scratch, reusable
+// fragment, CSR materialization and both matchers' arrays — from the
+// Aux's scratch pool (graph.ScratchBounded), so steady-state queries
+// allocate only their result slice.
+package bounded
+
+import (
+	"rbq/internal/graph"
+	"rbq/internal/obs"
+	"rbq/internal/pattern"
+	"rbq/internal/reduce"
+	"rbq/internal/simulation"
+	"rbq/internal/subiso"
+)
+
+// Class is a localized query class: the matching semantics a Semantics
+// guards for and Run matches under.
+type Class int
+
+const (
+	// Simulation is strong simulation (RBSim, MatchOpt).
+	Simulation Class = iota
+	// Subgraph is subgraph isomorphism (RBSub, VF2Opt).
+	Subgraph
+)
+
+// Semantics is the instantiation of the dynamic reduction for one query
+// class: the guarded condition C(v,u) and the potential p(v,u), both
+// evaluated against the offline Sl histograms only. Construct with
+// NewSemantics (or Bind a pooled value): binding resolves every pattern
+// label to the graph's interned LabelID and groups each query node's
+// neighbour labels once, so the per-candidate Guard and Potential probes
+// walk a short precomputed list of int32s.
+type Semantics struct {
+	aux    *graph.Aux
+	class  Class
+	labels []graph.LabelID // labels[u] = graph id of P's label of u, NoLabel if absent
+
+	// hists caches the base histogram arrays when aux carries no overlay,
+	// so the probes below compile to the inlined slice-and-search; a
+	// patched Aux routes through the overlay-aware accessors instead.
+	hists *graph.Hists // nil for patched Aux views
+
+	reqs  []nodeReq   // reqs[u]: what C(v,u) asks of v
+	needs []labelNeed // backing array of every reqs[u].out and .in
+}
+
+// labelNeed is one distinct neighbour label of a query node u in one
+// direction: mult pattern neighbours of u carry label l, and a candidate
+// v needs at least need data neighbours with it — 1 under simulation,
+// mult under isomorphism, where every pattern neighbour needs its own
+// image.
+type labelNeed struct {
+	l          graph.LabelID
+	need, mult int32
+}
+
+// nodeReq is C(v,u) precomputed for one query node u.
+type nodeReq struct {
+	out, in []labelNeed
+	// minOut and minIn are u's out- and in-degree under isomorphism (every
+	// pattern edge needs its own data edge) and 0 under simulation.
+	minOut, minIn int
+	// absent is set when some neighbour of u carries a label the graph
+	// does not have: no v can then satisfy C(v,u).
+	absent bool
+}
+
+// NewSemantics binds a Semantics of class c to (aux, p).
+func NewSemantics(aux *graph.Aux, p *pattern.Pattern, c Class) *Semantics {
+	s := &Semantics{}
+	s.Bind(aux, p, c)
+	return s
+}
+
+// Bind re-points s at (aux, p) under class c, reusing its buffers; the
+// plan layer binds one per class and prepared pattern. A Semantics bound
+// to p serves any re-rooting of p too: re-rooting keeps the labels and
+// the edges, which are all Bind reads.
+func (s *Semantics) Bind(aux *graph.Aux, p *pattern.Pattern, c Class) {
+	s.aux, s.class = aux, c
+	s.labels = aux.Graph().InternLabels(p.Labels(), s.labels)
+	s.hists = aux.BaseHists()
+	nq := p.NumNodes()
+	if cap(s.reqs) < nq {
+		s.reqs = make([]nodeReq, nq)
+	}
+	s.reqs = s.reqs[:nq]
+	// Every pattern edge adds at most one entry at each end, so the
+	// backing array never moves once it has this capacity.
+	if maxNeeds := 2 * p.NumEdges(); cap(s.needs) < maxNeeds {
+		s.needs = make([]labelNeed, 0, maxNeeds)
+	}
+	s.needs = s.needs[:0]
+	for u := range s.reqs {
+		r := &s.reqs[u]
+		*r = nodeReq{}
+		out, in := p.Out(pattern.NodeID(u)), p.In(pattern.NodeID(u))
+		r.out = s.group(out, &r.absent)
+		r.in = s.group(in, &r.absent)
+		if c == Subgraph {
+			r.minOut, r.minIn = len(out), len(in)
+		}
+	}
+}
+
+// group appends one labelNeed per distinct label among the pattern nodes
+// ws to s.needs and returns them, flagging a label absent from the graph.
+func (s *Semantics) group(ws []pattern.NodeID, absent *bool) []labelNeed {
+	start := len(s.needs)
+	for _, w := range ws {
+		l := s.labels[w]
+		if l == graph.NoLabel {
+			*absent = true
+			continue
+		}
+		i := start
+		for i < len(s.needs) && s.needs[i].l != l {
+			i++
+		}
+		if i == len(s.needs) {
+			s.needs = append(s.needs, labelNeed{l: l})
+		}
+		s.needs[i].mult++
+	}
+	grouped := s.needs[start:len(s.needs):len(s.needs)]
+	for i := range grouped {
+		grouped[i].need = 1
+		if s.class == Subgraph {
+			grouped[i].need = grouped[i].mult
+		}
+	}
+	return grouped
+}
+
+// outCount / inCount are the Sl probes of Guard and Potential: the
+// inlined fast path against the cached base arrays, or the overlay-aware
+// accessor for patched Aux views.
+func (s *Semantics) outCount(v graph.NodeID, l graph.LabelID) int32 {
+	if s.hists != nil {
+		return s.hists.OutCount(v, l)
+	}
+	return s.aux.OutLabelCount(v, l)
+}
+
+func (s *Semantics) inCount(v graph.NodeID, l graph.LabelID) int32 {
+	if s.hists != nil {
+		return s.hists.InCount(v, l)
+	}
+	return s.aux.InLabelCount(v, l)
+}
+
+// Labels returns the pattern's labels resolved to the graph's interned
+// ids (labels[u] = id of p's label of u, NoLabel if absent). The slice is
+// owned by the Semantics; reduce.SearchInto reads it so the engine shares
+// the one resolution instead of re-interning per run.
+func (s *Semantics) Labels() []graph.LabelID { return s.labels }
+
+// Guard implements C(v,u). Under simulation: labels agree, and every
+// pattern child (resp. parent) label of u occurs among v's children
+// (resp. parents). Under isomorphism, the revised condition of
+// Section 4.2: per direction, for each label l carried by k pattern
+// neighbours of u, v has at least k data neighbours labelled l
+// (distinctness), and v's degree can accommodate u's.
+func (s *Semantics) Guard(v graph.NodeID, u pattern.NodeID) bool {
+	g := s.aux.Graph()
+	if g.LabelOf(v) != s.labels[u] {
+		return false
+	}
+	r := &s.reqs[u]
+	if r.absent {
+		return false
+	}
+	if r.minOut > 0 && g.OutDegree(v) < r.minOut || r.minIn > 0 && g.InDegree(v) < r.minIn {
+		return false
+	}
+	for _, n := range r.out {
+		if s.outCount(v, n.l) < n.need {
+			return false
+		}
+	}
+	for _, n := range r.in {
+		if s.inCount(v, n.l) < n.need {
+			return false
+		}
+	}
+	return true
+}
+
+// Potential implements p(v,u): the number of neighbours of v that are
+// label-candidates for some pattern neighbour of u, counted per direction
+// and per pattern neighbour from the Sl histograms. It is the same for
+// both classes.
+func (s *Semantics) Potential(v graph.NodeID, u pattern.NodeID) float64 {
+	r := &s.reqs[u]
+	total := 0
+	for _, n := range r.out {
+		total += int(n.mult) * int(s.outCount(v, n.l))
+	}
+	for _, n := range r.in {
+		total += int(n.mult) * int(s.inCount(v, n.l))
+	}
+	return float64(total)
+}
+
+// Result carries the bounded answer and the reduction telemetry.
+type Result struct {
+	// Matches is Q(G_Q): the approximate answer, in g's node ids, sorted.
+	Matches []graph.NodeID
+	// Stats reports the reduction run.
+	Stats reduce.Stats
+	// Complete is false only under isomorphism, when the matcher hit
+	// mopts.MaxSteps or mopts.Interrupt.
+	Complete bool
+}
+
+// scratch is the pooled per-query state of Run. A value serves either
+// class; each matcher's arrays grow only once that class has run on it.
+type scratch struct {
+	red  reduce.Scratch
+	frag *graph.Fragment
+	csr  graph.FragCSR
+	sim  simulation.Scratch
+	sub  subiso.Scratch
+}
+
+// Run executes the bounded algorithm of sem's class: the dynamic
+// reduction, then the exact matcher on the fragment. opts.Alpha must be
+// set; other options default per the paper (b=2, visit budget d_G·α|G|).
+// sem must be bound to (aux, p) — or to a re-rooting of p — compiled once
+// per pattern by the plan layer, so the per-query work is the reduction
+// and the matcher alone. mopts tunes the isomorphism matcher (nil = no
+// step cap, no interrupt); simulation ignores it.
+func Run(aux *graph.Aux, p *pattern.Pattern, vp graph.NodeID, sem *Semantics, opts reduce.Options, mopts *subiso.Options) Result {
+	sc := borrow(aux)
+	defer release(aux, sc)
+	return run(aux, p, vp, sem, opts, mopts, sc)
+}
+
+func borrow(aux *graph.Aux) *scratch {
+	sc, _ := aux.ScratchPool(graph.ScratchBounded).Get().(*scratch)
+	if sc == nil {
+		return &scratch{frag: graph.NewFragment(aux.Graph())}
+	}
+	// The scratch last served some other snapshot of the lineage.
+	sc.frag.Rebind(aux.Graph())
+	return sc
+}
+
+// release returns sc to the pool holding no reference to the snapshot it
+// served: the pools outlive every snapshot of their lineage, and an idle
+// scratch must not keep a replaced graph (after a compaction, the whole
+// old base) reachable.
+func release(aux *graph.Aux, sc *scratch) {
+	sc.frag.Release()
+	aux.ScratchPool(graph.ScratchBounded).Put(sc)
+}
+
+func run(aux *graph.Aux, p *pattern.Pattern, vp graph.NodeID, sem *Semantics, opts reduce.Options, mopts *subiso.Options, sc *scratch) Result {
+	stats := reduce.SearchInto(aux, p, vp, sem, opts, sc.frag, &sc.red)
+	res := Result{Stats: stats, Complete: true}
+	ext := opts.Obs.Child(obs.PhaseExtract)
+	sc.frag.CSRInto(&sc.csr)
+	ext.Add("fragment_nodes", int64(stats.FragmentNodes))
+	ext.Add("fragment_edges", int64(stats.FragmentEdges))
+	ext.End()
+	pinPos := sc.csr.PosOf(vp)
+	if pinPos < 0 {
+		return res
+	}
+	m := opts.Obs.Child(obs.PhaseMatch)
+	if sem.class == Subgraph {
+		res.Matches, res.Complete = subiso.MatchFragment(&sc.csr, p, sem.labels, pinPos, mopts, &sc.sub)
+	} else {
+		res.Matches, _, _ = simulation.MatchFragment(&sc.csr, p, sem.labels, pinPos, &sc.sim, nil)
+	}
+	m.Add("matches", int64(len(res.Matches)))
+	if !res.Complete {
+		m.Add("incomplete", 1)
+	}
+	m.End()
+	return res
+}
+
+// Exact runs the exact baseline of sem's class from vp, with no resource
+// bound: MatchOpt under simulation, VF2Opt under isomorphism, each on the
+// label-closed d_Q-region of vp. done cancels either (nil =
+// uncancellable); maxSteps caps the isomorphism search (0 = no cap) and
+// simulation ignores it. A cancelled or step-capped run returns
+// complete=false.
+func Exact(sem *Semantics, p *pattern.Pattern, vp graph.NodeID, done <-chan struct{}, maxSteps int64) ([]graph.NodeID, bool) {
+	g := sem.aux.Graph()
+	if sem.class == Subgraph {
+		return subiso.MatchOpt(g, p, sem.labels, vp, &subiso.Options{MaxSteps: maxSteps, Interrupt: done})
+	}
+	return simulation.MatchOpt(g, p, sem.labels, vp, done)
+}

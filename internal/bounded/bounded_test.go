@@ -1,4 +1,4 @@
-package rbsim
+package bounded
 
 import (
 	"math/rand"
@@ -10,6 +10,7 @@ import (
 	"rbq/internal/pattern"
 	"rbq/internal/reduce"
 	"rbq/internal/simulation"
+	"rbq/internal/subiso"
 )
 
 func figure1Pattern(t *testing.T) *pattern.Pattern {
@@ -65,14 +66,24 @@ func example2Graph(m, n int) (g *graph.Graph, michael, cln1, cln graph.NodeID) {
 	return b.Build(), michael, cln1, cln
 }
 
+// runSim is RBSim on freshly bound semantics.
+func runSim(aux *graph.Aux, p *pattern.Pattern, vp graph.NodeID, opts reduce.Options) Result {
+	return Run(aux, p, vp, NewSemantics(aux, p, Simulation), opts, nil)
+}
+
+// runSub is RBSub on freshly bound semantics.
+func runSub(aux *graph.Aux, p *pattern.Pattern, vp graph.NodeID, opts reduce.Options) Result {
+	return Run(aux, p, vp, NewSemantics(aux, p, Subgraph), opts, nil)
+}
+
 func TestExample2ExactAnswerUnderSmallAlpha(t *testing.T) {
 	g, michael, cln1, cln := example2Graph(96, 900)
 	aux := graph.BuildAux(g)
 	p := figure1Pattern(t)
 	// Paper Example 2 allows ~16 data items; our induced-edge accounting
-	// needs a little more headroom (see rbsim package docs).
+	// needs a little more headroom.
 	alpha := 24.0 / float64(g.Size())
-	res := Run(aux, p, michael, NewSemantics(aux, p), reduce.Options{Alpha: alpha})
+	res := runSim(aux, p, michael, reduce.Options{Alpha: alpha})
 	want := []graph.NodeID{cln1, cln}
 	if !reflect.DeepEqual(res.Matches, want) {
 		t.Fatalf("matches = %v, want %v (stats %+v)", res.Matches, want, res.Stats)
@@ -95,7 +106,7 @@ func TestBudgetAlwaysRespected(t *testing.T) {
 	aux := graph.BuildAux(g)
 	p := figure1Pattern(t)
 	for _, alpha := range []float64{0.01, 0.05, 0.2, 0.8} {
-		res := Run(aux, p, michael, NewSemantics(aux, p), reduce.Options{Alpha: alpha})
+		res := runSim(aux, p, michael, reduce.Options{Alpha: alpha})
 		if res.Stats.FragmentSize > res.Stats.Budget {
 			t.Fatalf("alpha=%v: %+v", alpha, res.Stats)
 		}
@@ -106,7 +117,7 @@ func TestGuardSemantics(t *testing.T) {
 	g, michael, _, _ := example2Graph(10, 20)
 	aux := graph.BuildAux(g)
 	p := figure1Pattern(t)
-	sem := NewSemantics(aux, p)
+	sem := NewSemantics(aux, p, Simulation)
 	// Michael passes for u_p.
 	if !sem.Guard(michael, p.Personalized()) {
 		t.Fatal("Michael fails its own guard")
@@ -140,7 +151,7 @@ func TestPotentialCountsDirectionally(t *testing.T) {
 	g, michael, _, _ := example2Graph(5, 20)
 	aux := graph.BuildAux(g)
 	p := figure1Pattern(t)
-	sem := NewSemantics(aux, p)
+	sem := NewSemantics(aux, p, Simulation)
 	if got := sem.Potential(michael, p.Personalized()); got != 8 { // 3 CC + 5 HG
 		t.Fatalf("potential = %v, want 8", got)
 	}
@@ -149,7 +160,7 @@ func TestPotentialCountsDirectionally(t *testing.T) {
 // Precision property (Section 4.1 analysis): any dual simulation on a
 // subgraph is a dual simulation on G, so RBSim's answers are always a
 // subset of the exact answers — precision 1 whenever RBSim answers at all.
-func TestPrecisionAlwaysOne(t *testing.T) {
+func TestSimPrecisionAlwaysOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for i := 0; i < 30; i++ {
 		g := randomLabeled(rng, 50, 140, 3)
@@ -159,7 +170,7 @@ func TestPrecisionAlwaysOne(t *testing.T) {
 		if g.Label(vp) != p.Label(p.Personalized()) {
 			continue
 		}
-		res := Run(aux, p, vp, NewSemantics(aux, p), reduce.Options{Alpha: 0.3})
+		res := runSim(aux, p, vp, reduce.Options{Alpha: 0.3})
 		exact := map[graph.NodeID]bool{}
 		for _, v := range simulation.MatchInGraph(g, p, vp) {
 			exact[v] = true
@@ -179,7 +190,7 @@ func TestLargerAlphaNeverHurtsOnExample(t *testing.T) {
 	exact := simulation.MatchInGraph(g, p, michael)
 	prev := -1.0
 	for _, alpha := range []float64{0.005, 0.02, 0.1, 0.5} {
-		res := Run(aux, p, michael, NewSemantics(aux, p), reduce.Options{Alpha: alpha})
+		res := runSim(aux, p, michael, reduce.Options{Alpha: alpha})
 		acc := accuracy.Matches(exact, res.Matches).F
 		if acc < prev-1e-9 {
 			t.Fatalf("accuracy regressed from %v to %v at alpha=%v", prev, acc, alpha)
@@ -200,12 +211,157 @@ func TestNoMatchGraphGivesEmptyAnswer(t *testing.T) {
 	g := b.Build()
 	aux := graph.BuildAux(g)
 	p := figure1Pattern(t)
-	res := Run(aux, p, m, NewSemantics(aux, p), reduce.Options{Alpha: 1.0})
+	res := runSim(aux, p, m, reduce.Options{Alpha: 1.0})
 	if res.Matches != nil {
 		t.Fatalf("matches = %v", res.Matches)
 	}
 	if acc := accuracy.Matches(nil, res.Matches); acc.F != 1 {
 		t.Fatalf("empty-vs-empty accuracy = %+v", acc)
+	}
+}
+
+func twoChildPattern(t *testing.T) *pattern.Pattern {
+	t.Helper()
+	b := pattern.NewBuilder()
+	pp := b.AddNode("P")
+	c1 := b.AddNode("C")
+	c2 := b.AddNode("C")
+	b.AddEdge(pp, c1).AddEdge(pp, c2)
+	b.SetPersonalized(pp).SetOutput(c2)
+	return b.MustBuild()
+}
+
+func TestGuardRequiresDistinctNeighbors(t *testing.T) {
+	// p has only ONE C child: the isomorphism guard (two distinct C
+	// children needed) must reject it, while the simulation guard passes.
+	g := graph.FromEdges([]string{"P", "C"}, [][2]int{{0, 1}})
+	aux := graph.BuildAux(g)
+	p := twoChildPattern(t)
+	if NewSemantics(aux, p, Subgraph).Guard(0, p.Personalized()) {
+		t.Fatal("guard admitted a node with too few distinct children")
+	}
+	if !NewSemantics(aux, p, Simulation).Guard(0, p.Personalized()) {
+		t.Fatal("the simulation guard demanded distinct children")
+	}
+	g2 := graph.FromEdges([]string{"P", "C", "C"}, [][2]int{{0, 1}, {0, 2}})
+	aux2 := graph.BuildAux(g2)
+	if !NewSemantics(aux2, p, Subgraph).Guard(0, p.Personalized()) {
+		t.Fatal("guard rejected a node with enough distinct children")
+	}
+}
+
+func TestGuardDegreeConstraint(t *testing.T) {
+	// Query node with 2 children: data node with out-degree 1 fails even
+	// before label counting.
+	g := graph.FromEdges([]string{"P", "C"}, [][2]int{{0, 1}})
+	aux := graph.BuildAux(g)
+	p := twoChildPattern(t)
+	if NewSemantics(aux, p, Subgraph).Guard(0, p.Personalized()) {
+		t.Fatal("degree constraint not enforced")
+	}
+}
+
+func TestRunFindsIsomorphicMatches(t *testing.T) {
+	g := graph.FromEdges([]string{"P", "C", "C", "X"}, [][2]int{{0, 1}, {0, 2}, {0, 3}})
+	aux := graph.BuildAux(g)
+	p := twoChildPattern(t)
+	res := runSub(aux, p, 0, reduce.Options{Alpha: 1.0})
+	if !res.Complete {
+		t.Fatal("truncated")
+	}
+	if !reflect.DeepEqual(res.Matches, []graph.NodeID{1, 2}) {
+		t.Fatalf("matches = %v (stats %+v)", res.Matches, res.Stats)
+	}
+}
+
+func TestRunEmptyWhenNoEmbedding(t *testing.T) {
+	g := graph.FromEdges([]string{"P", "C"}, [][2]int{{0, 1}})
+	aux := graph.BuildAux(g)
+	p := twoChildPattern(t)
+	res := runSub(aux, p, 0, reduce.Options{Alpha: 1.0})
+	if res.Matches != nil {
+		t.Fatalf("matches = %v", res.Matches)
+	}
+}
+
+func TestBudgetRespected(t *testing.T) {
+	b := graph.NewBuilder(101, 100)
+	hub := b.AddNode("P")
+	for i := 0; i < 100; i++ {
+		b.AddEdge(hub, b.AddNode("C"))
+	}
+	g := b.Build()
+	aux := graph.BuildAux(g)
+	p := twoChildPattern(t)
+	res := runSub(aux, p, hub, reduce.Options{Alpha: 0.1})
+	if res.Stats.FragmentSize > res.Stats.Budget {
+		t.Fatalf("%+v", res.Stats)
+	}
+}
+
+// Precision property: an embedding inside the fragment is an embedding in
+// G, so RBSub never reports a false match.
+func TestSubPrecisionAlwaysOne(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for i := 0; i < 30; i++ {
+		g := randomLabeled(rng, 40, 100, 3)
+		aux := graph.BuildAux(g)
+		p := randomPattern(rng, 3)
+		vp := graph.NodeID(rng.Intn(g.NumNodes()))
+		if g.Label(vp) != p.Label(p.Personalized()) {
+			continue
+		}
+		res := runSub(aux, p, vp, reduce.Options{Alpha: 0.3})
+		exactSlice, complete := subiso.Match(g, p, vp, nil)
+		if !complete {
+			continue
+		}
+		exact := map[graph.NodeID]bool{}
+		for _, v := range exactSlice {
+			exact[v] = true
+		}
+		for _, v := range res.Matches {
+			if !exact[v] {
+				t.Fatalf("iteration %d: false positive %d", i, v)
+			}
+		}
+	}
+}
+
+func TestPotentialPositiveForViableNodes(t *testing.T) {
+	g := graph.FromEdges([]string{"P", "C", "C"}, [][2]int{{0, 1}, {0, 2}})
+	aux := graph.BuildAux(g)
+	p := twoChildPattern(t)
+	// Potential sums label-candidates per pattern neighbor: 2 query
+	// children x 2 data candidates each, under either class.
+	for _, c := range []Class{Simulation, Subgraph} {
+		if got := NewSemantics(aux, p, c).Potential(0, p.Personalized()); got != 4 {
+			t.Fatalf("class %d: potential = %v, want 4", c, got)
+		}
+	}
+}
+
+// TestIdleScratchPinsNoSnapshot: the pools outlive the snapshots of their
+// lineage, so a scratch at rest in one must reference neither the graph
+// nor the Aux it last served — and must serve the next borrower, of
+// whichever snapshot and class, as a fresh one would.
+func TestIdleScratchPinsNoSnapshot(t *testing.T) {
+	g, michael, _, _ := example2Graph(30, 100)
+	aux := graph.BuildAux(g)
+	p := figure1Pattern(t)
+	opts := reduce.Options{Alpha: 0.2}
+	for _, c := range []Class{Simulation, Subgraph} {
+		want := Run(aux, p, michael, NewSemantics(aux, p, c), opts, nil)
+
+		sc := borrow(aux)
+		run(aux, p, michael, NewSemantics(aux, p, c), opts, nil, sc)
+		release(aux, sc)
+		if sc.frag.Parent() != nil || sc.frag.Size() != 0 {
+			t.Fatalf("class %d: a released scratch still references its snapshot: parent %p", c, sc.frag.Parent())
+		}
+		if got := Run(aux, p, michael, NewSemantics(aux, p, c), opts, nil); !reflect.DeepEqual(got, want) {
+			t.Fatalf("class %d after a release: %+v, want %+v", c, got, want)
+		}
 	}
 }
 
@@ -238,27 +394,5 @@ func randomPattern(rng *rand.Rand, labels int) *pattern.Pattern {
 		if p, err := b.Build(); err == nil {
 			return p
 		}
-	}
-}
-
-// TestIdleScratchPinsNoSnapshot: the pools outlive the snapshots of their
-// lineage, so a scratch at rest in one must reference neither the graph
-// nor the Aux it last served — and must serve the next borrower, of
-// whichever snapshot, as a fresh one would.
-func TestIdleScratchPinsNoSnapshot(t *testing.T) {
-	g, michael, _, _ := example2Graph(30, 100)
-	aux := graph.BuildAux(g)
-	p := figure1Pattern(t)
-	opts := reduce.Options{Alpha: 0.2}
-	want := Run(aux, p, michael, NewSemantics(aux, p), opts)
-
-	sc := borrow(aux)
-	run(aux, p, michael, NewSemantics(aux, p), opts, sc)
-	release(aux, sc)
-	if sc.frag.Parent() != nil || sc.frag.Size() != 0 {
-		t.Fatalf("a released scratch still references its snapshot: parent %p", sc.frag.Parent())
-	}
-	if got := Run(aux, p, michael, NewSemantics(aux, p), opts); !reflect.DeepEqual(got, want) {
-		t.Fatalf("after a release: %+v, want %+v", got, want)
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"fmt"
 
 	"rbq/internal/accuracy"
+	"rbq/internal/bounded"
 	"rbq/internal/graph"
 	"rbq/internal/interrupt"
 	"rbq/internal/pattern"
@@ -92,7 +93,7 @@ func prepare(ctx context.Context, aux *graph.Aux, queries []Query) *prepared {
 			panic(fmt.Sprintf("calibrate: %v", err))
 		}
 		pq.plans[i] = pl
-		pq.exact[i] = pl.SimulationExact(q.VP, done)
+		pq.exact[i], _ = pl.Exact(bounded.Simulation, q.VP, done, 0)
 	}
 	return pq
 }
@@ -105,7 +106,7 @@ func sample(ctx context.Context, pq *prepared, alpha float64) Point {
 	}
 	done := interrupt.Done(ctx)
 	for i, q := range pq.queries {
-		res := pq.plans[i].Simulation(q.VP, reduce.Options{Alpha: alpha, Interrupt: done})
+		res := pq.plans[i].Bounded(bounded.Simulation, q.VP, reduce.Options{Alpha: alpha, Interrupt: done}, nil)
 		pt.Accuracy += accuracy.Matches(pq.exact[i], res.Matches).F
 		pt.MeanFragment += float64(res.Stats.FragmentSize)
 	}

@@ -64,10 +64,8 @@ type scratchPools [scratchSlots]sync.Pool
 const (
 	// ScratchReduce pools *reduce.Scratch for standalone reduce.Search.
 	ScratchReduce = iota
-	// ScratchSim pools the combined per-query state of rbsim.Run.
-	ScratchSim
-	// ScratchSub pools the combined per-query state of rbsub.Run.
-	ScratchSub
+	// ScratchBounded pools the combined per-query state of bounded.Run.
+	ScratchBounded
 	scratchSlots
 )
 

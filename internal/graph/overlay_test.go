@@ -345,7 +345,7 @@ func TestScratchFollowsTheLineage(t *testing.T) {
 			t.Fatalf("slot %d: the view or the spliced base has pools of its own", slot)
 		}
 	}
-	if BuildAux(base2).ScratchPool(ScratchSim) == aux.ScratchPool(ScratchSim) {
+	if BuildAux(base2).ScratchPool(ScratchBounded) == aux.ScratchPool(ScratchBounded) {
 		t.Fatal("an unrelated BuildAux shares the lineage's pools")
 	}
 

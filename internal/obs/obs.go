@@ -3,7 +3,7 @@
 // Result when the caller opts in with Request.WantTrace.
 //
 // The package is deliberately a leaf — stdlib only, imported by the
-// engines (reduce, rbsim, rbsub, rbany), the request layer, and the
+// engines (reduce, bounded, rbany), the request layer, and the
 // serving tier. Every method is nil-safe: calling Child/Add/End on a
 // nil *Span is a no-op that performs no allocation and reads no clock,
 // so the engines thread a possibly-nil span through their hot paths
@@ -32,8 +32,7 @@ const (
 	PhaseMatch       = "match"       // exact matching on the extracted fragment
 	PhaseSelectivity = "selectivity" // unanchored: anchor candidate guard scan
 	PhaseAnchorWave  = "anchor-wave" // unanchored: budget-split anchor evaluation
-	PhaseWave        = "wave"        // one speculative wave of parallel anchors
-	PhaseAnchor      = "anchor"      // one accepted anchor's summarized run
+	PhaseAnchor      = "anchor"      // one anchor's summarized run
 	PhaseExact       = "exact"       // exact (unbounded) execution
 )
 

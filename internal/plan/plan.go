@@ -5,13 +5,14 @@
 // millions of times against different pins. Everything about such a
 // template that does not depend on the pin is a compile-time quantity:
 // the resolution of its label constraints to the graph's interned ids,
-// the Semantics values the dynamic reduction is parameterized by (for
-// both query classes), its diameter, the unique personalized match (when
-// one exists), and — for unanchored evaluation — the per-query-node
-// candidate counts, their Potential-mass selectivity estimates, and the
-// chosen anchor. A Plan computes all of that once per (pattern, Aux)
-// pair; its execute methods then run the engines on the compiled form
-// (rbsim.Run / rbsub.Run / rbany.Prepared).
+// the bounded.Semantics the dynamic reduction is parameterized by (one per
+// query class), its diameter, the unique personalized match (when one
+// exists), and — for unanchored evaluation — the per-query-node candidate
+// counts, their Potential-mass selectivity estimates, and the chosen
+// anchor. A Plan computes all of that once per (pattern, Aux) pair; its
+// execute methods then run the engines on the compiled form
+// (bounded.Run / bounded.Exact / rbany.Prepared) with the Semantics of
+// the class they are asked for.
 //
 // Compilation is cheap — O(|Q|) label work plus one unique-match probe.
 // The remaining compile products are built in two lazy tiers: the
@@ -30,12 +31,11 @@ import (
 	"fmt"
 	"sync"
 
+	"rbq/internal/bounded"
 	"rbq/internal/exec"
 	"rbq/internal/graph"
 	"rbq/internal/pattern"
 	"rbq/internal/rbany"
-	"rbq/internal/rbsim"
-	"rbq/internal/rbsub"
 	"rbq/internal/reduce"
 	"rbq/internal/simulation"
 	"rbq/internal/subiso"
@@ -45,13 +45,11 @@ import (
 // Construct with New, or recycle one with Bind. The zero Plan is unusable
 // until bound.
 type Plan struct {
-	aux    *graph.Aux
-	p      *pattern.Pattern
-	labels []graph.LabelID // labels[u] = interned id of p's label of u
-	simSem rbsim.Semantics
-	subSem rbsub.Semantics
-	vp     graph.NodeID // unique match of u_p, NoNode if absent/ambiguous
-	vpOK   bool
+	aux  *graph.Aux
+	p    *pattern.Pattern
+	sems [2]bounded.Semantics // indexed by bounded.Class
+	vp   graph.NodeID         // unique match of u_p, NoNode if absent/ambiguous
+	vpOK bool
 
 	// The unanchored form (anchor choice + re-rooted pattern) and the
 	// full selectivity table are built lazily: pinned workloads never
@@ -101,10 +99,10 @@ type Selectivity struct {
 	// with the fewest candidates (ties to the lowest id), exactly as
 	// rbany.PickAnchor chooses.
 	Anchor pattern.NodeID
-	// Unanchored is the compiled unanchored form (anchor candidates,
-	// re-rooted pattern, shared semantics). Nil when some query label is
-	// absent or the pattern is not connected from the anchor; every
-	// unanchored evaluation is then empty.
+	// Unanchored is the compiled unanchored form (anchor candidates and
+	// re-rooted pattern). Nil when some query label is absent or the
+	// pattern is not connected from the anchor; every unanchored
+	// evaluation is then empty.
 	Unanchored *rbany.Prepared
 }
 
@@ -125,9 +123,9 @@ func New(aux *graph.Aux, p *pattern.Pattern) (*Plan, error) {
 // Bind a Plan that other goroutines may still be executing.
 func (pl *Plan) Bind(aux *graph.Aux, p *pattern.Pattern) {
 	pl.aux, pl.p = aux, p
-	pl.labels = aux.Graph().InternLabels(p.Labels(), pl.labels)
-	pl.simSem.Bind(aux, p)
-	pl.subSem.Bind(aux, p)
+	for c := range pl.sems {
+		pl.sems[c].Bind(aux, p, bounded.Class(c))
+	}
 	pl.vp, pl.vpOK = simulation.PersonalizedMatch(aux.Graph(), p)
 	pl.unanchDone = false
 	pl.anchor = 0
@@ -143,17 +141,14 @@ func (pl *Plan) Pattern() *pattern.Pattern { return pl.p }
 
 // Labels returns the pattern's label constraints resolved to the graph's
 // interned ids. The slice is owned by the plan; do not modify.
-func (pl *Plan) Labels() []graph.LabelID { return pl.labels }
+func (pl *Plan) Labels() []graph.LabelID { return pl.sems[bounded.Simulation].Labels() }
 
 // Diameter returns the pattern's cached diameter d_Q.
 func (pl *Plan) Diameter() int { return pl.p.Diameter() }
 
-// SimSemantics returns the pre-bound strong-simulation reduction
-// semantics (shared; safe for concurrent Guard/Potential probes).
-func (pl *Plan) SimSemantics() *rbsim.Semantics { return &pl.simSem }
-
-// SubSemantics returns the pre-bound subgraph-isomorphism semantics.
-func (pl *Plan) SubSemantics() *rbsub.Semantics { return &pl.subSem }
+// Semantics returns the pre-bound reduction semantics of class c
+// (shared; safe for concurrent Guard/Potential probes).
+func (pl *Plan) Semantics(c bounded.Class) *bounded.Semantics { return &pl.sems[c] }
 
 // Personalized returns the unique data-graph match of the pattern's
 // personalized node, resolved at compile time; ok is false when the
@@ -168,62 +163,42 @@ func (pl *Plan) CheckPin(vp graph.NodeID) error {
 	if int(vp) < 0 || int(vp) >= g.NumNodes() {
 		return fmt.Errorf("pinned node %d out of range", vp)
 	}
-	if g.LabelOf(vp) != pl.labels[pl.p.Personalized()] {
+	if g.LabelOf(vp) != pl.Labels()[pl.p.Personalized()] {
 		return fmt.Errorf("pinned node %d has label %q, pattern expects %q",
 			vp, g.Label(vp), pl.p.Label(pl.p.Personalized()))
 	}
 	return nil
 }
 
-// Simulation runs RBSim from the pinned personalized match vp.
-func (pl *Plan) Simulation(vp graph.NodeID, opts reduce.Options) rbsim.Result {
-	return rbsim.Run(pl.aux, pl.p, vp, &pl.simSem, opts)
+// Bounded runs the resource-bounded algorithm of class c — RBSim or
+// RBSub — from the pinned personalized match vp. mopts tunes the
+// isomorphism matcher (nil = no step cap, no interrupt).
+func (pl *Plan) Bounded(c bounded.Class, vp graph.NodeID, opts reduce.Options, mopts *subiso.Options) bounded.Result {
+	return bounded.Run(pl.aux, pl.p, vp, &pl.sems[c], opts, mopts)
 }
 
-// Subgraph runs RBSub from the pinned personalized match vp.
-func (pl *Plan) Subgraph(vp graph.NodeID, opts reduce.Options, mopts *rbsub.MatchOpts) rbsub.Result {
-	return rbsub.Run(pl.aux, pl.p, vp, &pl.subSem, opts, mopts)
+// Exact runs the exact baseline of class c — MatchOpt or VF2Opt — from
+// vp, on the label-closed d_Q-region the compiled labels span.
+// done is the cooperative cancellation channel (nil = uncancellable);
+// when it fires the partial answer is abandoned with complete=false — the
+// request layer reports ctx.Err() instead. maxSteps caps the isomorphism
+// search (0 = no cap).
+func (pl *Plan) Exact(c bounded.Class, vp graph.NodeID, done <-chan struct{}, maxSteps int64) ([]graph.NodeID, bool) {
+	return bounded.Exact(&pl.sems[c], pl.p, vp, done, maxSteps)
 }
 
-// SimulationExact runs the exact MatchOpt baseline from vp, on the
-// label-closed d_Q-region the compiled labels span. done is the
-// cooperative cancellation channel threaded into the extraction and the
-// region-local fixpoint (nil = uncancellable); when it fires the partial
-// answer is abandoned and nil returned — the request layer reports
-// ctx.Err() instead of the result.
-func (pl *Plan) SimulationExact(vp graph.NodeID, done <-chan struct{}) []graph.NodeID {
-	m, _ := simulation.MatchOpt(pl.aux.Graph(), pl.p, pl.labels, vp, done)
-	return m
-}
-
-// SubgraphExact runs the exact VF2Opt baseline from vp.
-func (pl *Plan) SubgraphExact(vp graph.NodeID, mopts *subiso.Options) ([]graph.NodeID, bool) {
-	return subiso.MatchOpt(pl.aux.Graph(), pl.p, pl.labels, vp, mopts)
-}
-
-// SimulationUnanchored evaluates the pattern with no designated
-// personalized match under strong simulation, using the plan's cached
-// anchor choice and re-rooted pattern. The budget split weighs each
-// anchor candidate's Potential mass, computed during the run's guard
-// pass over the anchor's candidates only — the full per-query-node
-// selectivity table (see Selectivity) is not needed here. Options pass
-// through verbatim, including Workers: the per-anchor rooted runs then
-// execute in rbany's speculative waves, bit-for-bit equal to serial.
-func (pl *Plan) SimulationUnanchored(opts rbany.Options) rbany.Result {
+// Unanchored evaluates the pattern under class c with no designated
+// personalized match, using the plan's cached anchor choice and re-rooted
+// pattern. The budget split weighs each anchor candidate's Potential
+// mass, computed during the run's guard pass over the anchor's candidates
+// only — the full per-query-node selectivity table (see Selectivity) is
+// not needed here.
+func (pl *Plan) Unanchored(c bounded.Class, opts rbany.Options, mopts *subiso.Options) rbany.Result {
 	unanch, anchor := pl.unanchored()
 	if unanch == nil {
 		return rbany.Result{Anchor: anchor}
 	}
-	return unanch.Simulation(opts)
-}
-
-// SubgraphUnanchored is SimulationUnanchored under subgraph isomorphism.
-func (pl *Plan) SubgraphUnanchored(opts rbany.Options, mopts *subiso.Options) rbany.Result {
-	unanch, anchor := pl.unanchored()
-	if unanch == nil {
-		return rbany.Result{Anchor: anchor}
-	}
-	return unanch.Subgraph(opts, mopts)
+	return unanch.Run(&pl.sems[c], opts, mopts)
 }
 
 // unanchored returns the compiled unanchored form (nil when the pattern
@@ -242,26 +217,12 @@ func (pl *Plan) unanchoredLocked() (*rbany.Prepared, pattern.NodeID) {
 		return pl.unanch, pl.anchor
 	}
 	pl.unanchDone = true
-	// Anchor choice and candidate list must agree bit-for-bit with
-	// rbany.Prepare, so both come from the same code.
-	anchor, cands := rbany.PickAnchor(pl.aux.Graph(), pl.p)
-	pl.anchor = anchor
-	if len(cands) == 0 {
-		return nil, anchor
+	pr := rbany.Prepare(pl.aux, pl.p)
+	pl.anchor = pr.Anchor
+	if pr.Rooted != nil {
+		pl.unanch = pr
 	}
-	rooted, err := pl.p.WithPersonalized(anchor)
-	if err != nil {
-		return nil, anchor
-	}
-	pl.unanch = &rbany.Prepared{
-		Aux:    pl.aux,
-		Anchor: anchor,
-		Rooted: rooted,
-		Cands:  cands,
-		SimSem: &pl.simSem,
-		SubSem: &pl.subSem,
-	}
-	return pl.unanch, anchor
+	return pl.unanch, pl.anchor
 }
 
 // Selectivity returns the plan's full selectivity table, building it on
@@ -293,13 +254,13 @@ func (pl *Plan) buildSelectivityLocked() *Selectivity {
 	// scheduling. The closures never touch pl.mu, so running them under
 	// the build lock is fine.
 	exec.Run(nil, nq, exec.Capped(nq), func(u int) {
-		l := pl.labels[u]
+		l := pl.Labels()[u]
 		if l == graph.NoLabel {
 			return
 		}
 		cands := g.NodesWithLabel(l)
 		sel.CandCount[u] = len(cands)
-		sel.Mass[u], sel.Sampled[u] = massEstimate(g, &pl.simSem, cands, pattern.NodeID(u))
+		sel.Mass[u], sel.Sampled[u] = massEstimate(g, &pl.sems[bounded.Simulation], cands, pattern.NodeID(u))
 	})
 	sel.Unanchored, sel.Anchor = pl.unanchoredLocked()
 	return sel

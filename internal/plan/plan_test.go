@@ -5,11 +5,10 @@ import (
 	"reflect"
 	"testing"
 
+	"rbq/internal/bounded"
 	"rbq/internal/graph"
 	"rbq/internal/pattern"
 	"rbq/internal/rbany"
-	"rbq/internal/rbsim"
-	"rbq/internal/rbsub"
 	"rbq/internal/reduce"
 )
 
@@ -106,18 +105,18 @@ func TestPreparedMatchesOneShotEngines(t *testing.T) {
 		// Pin at every candidate of the personalized label.
 		l := g.LabelIDOf(p.Label(p.Personalized()))
 		for _, vp := range g.NodesWithLabel(l) {
-			if got, want := pl.Simulation(vp, opts), rbsim.Run(aux, p, vp, rbsim.NewSemantics(aux, p), opts); !reflect.DeepEqual(got, want) {
-				t.Fatalf("iter %d vp %d: plan sim %+v != rbsim %+v", iter, vp, got, want)
+			if got, want := pl.Bounded(bounded.Simulation, vp, opts, nil), bounded.Run(aux, p, vp, bounded.NewSemantics(aux, p, bounded.Simulation), opts, nil); !reflect.DeepEqual(got, want) {
+				t.Fatalf("iter %d vp %d: plan sim %+v != bounded %+v", iter, vp, got, want)
 			}
-			if got, want := pl.Subgraph(vp, opts, nil), rbsub.Run(aux, p, vp, rbsub.NewSemantics(aux, p), opts, nil); !reflect.DeepEqual(got, want) {
-				t.Fatalf("iter %d vp %d: plan sub %+v != rbsub %+v", iter, vp, got, want)
+			if got, want := pl.Bounded(bounded.Subgraph, vp, opts, nil), bounded.Run(aux, p, vp, bounded.NewSemantics(aux, p, bounded.Subgraph), opts, nil); !reflect.DeepEqual(got, want) {
+				t.Fatalf("iter %d vp %d: plan sub %+v != bounded %+v", iter, vp, got, want)
 			}
 		}
 		uo := rbany.Options{Alpha: 0.3}
-		if got, want := pl.SimulationUnanchored(uo), rbany.Prepare(aux, p).Simulation(uo); !reflect.DeepEqual(got, want) {
+		if got, want := pl.Unanchored(bounded.Simulation, uo, nil), rbany.Prepare(aux, p).Run(bounded.NewSemantics(aux, p, bounded.Simulation), uo, nil); !reflect.DeepEqual(got, want) {
 			t.Fatalf("iter %d: plan unanchored %+v != rbany %+v", iter, got, want)
 		}
-		if got, want := pl.SubgraphUnanchored(uo, nil), rbany.Prepare(aux, p).Subgraph(uo, nil); !reflect.DeepEqual(got, want) {
+		if got, want := pl.Unanchored(bounded.Subgraph, uo, nil), rbany.Prepare(aux, p).Run(bounded.NewSemantics(aux, p, bounded.Subgraph), uo, nil); !reflect.DeepEqual(got, want) {
 			t.Fatalf("iter %d: plan sub-unanchored %+v != rbany %+v", iter, got, want)
 		}
 	}
@@ -167,7 +166,7 @@ func TestSelectivityAbsentLabel(t *testing.T) {
 	if sel.Unanchored != nil {
 		t.Fatalf("absent label must yield nil unanchored form, got %+v", sel.Unanchored)
 	}
-	res := pl.SimulationUnanchored(rbany.Options{Alpha: 1})
+	res := pl.Unanchored(bounded.Simulation, rbany.Options{Alpha: 1}, nil)
 	if res.Matches != nil || res.Candidates != 0 {
 		t.Fatalf("unanchored over absent label = %+v", res)
 	}
@@ -190,11 +189,11 @@ func TestBindReuse(t *testing.T) {
 		}
 		l := g.LabelIDOf(p.Label(p.Personalized()))
 		for _, vp := range g.NodesWithLabel(l) {
-			if got, want := recycled.Simulation(vp, opts), fresh.Simulation(vp, opts); !reflect.DeepEqual(got, want) {
+			if got, want := recycled.Bounded(bounded.Simulation, vp, opts, nil), fresh.Bounded(bounded.Simulation, vp, opts, nil); !reflect.DeepEqual(got, want) {
 				t.Fatalf("iter %d: recycled %+v != fresh %+v", i, got, want)
 			}
 		}
-		if got, want := recycled.SimulationUnanchored(rbany.Options{Alpha: 0.4}), fresh.SimulationUnanchored(rbany.Options{Alpha: 0.4}); !reflect.DeepEqual(got, want) {
+		if got, want := recycled.Unanchored(bounded.Simulation, rbany.Options{Alpha: 0.4}, nil), fresh.Unanchored(bounded.Simulation, rbany.Options{Alpha: 0.4}, nil); !reflect.DeepEqual(got, want) {
 			t.Fatalf("iter %d: recycled unanchored %+v != fresh %+v", i, got, want)
 		}
 	}

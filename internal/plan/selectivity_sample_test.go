@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"rbq/internal/bounded"
 	"rbq/internal/graph"
 	"rbq/internal/pattern"
 )
@@ -67,7 +68,7 @@ func TestSelectivitySampleAccuracy(t *testing.T) {
 		}
 		var exact float64
 		for _, v := range cands {
-			exact += pl.SimSemantics().Potential(v, pattern.NodeID(u))
+			exact += pl.Semantics(bounded.Simulation).Potential(v, pattern.NodeID(u))
 		}
 		if !wantSampled {
 			if sel.Mass[u] != exact {

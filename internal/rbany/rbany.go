@@ -17,22 +17,21 @@
 // data accessed stays bounded: shares sum to α|G|, unspent budget rolls
 // over, and each per-candidate run obeys its own visit bound.
 //
-// Anchor selection, candidate enumeration and the Semantics values are a
-// compile-time decision: Prepare performs them once per pattern and the
-// returned Prepared evaluates many times, which is how the plan layer
-// (internal/plan) embeds this engine.
+// Anchor selection and candidate enumeration are a compile-time decision:
+// Prepare performs them once per pattern and the returned Prepared
+// evaluates many times, under either query class, with the
+// bounded.Semantics the caller bound for that class — which is how the
+// plan layer (internal/plan) embeds this engine.
 package rbany
 
 import (
 	"slices"
 
-	"rbq/internal/exec"
+	"rbq/internal/bounded"
 	"rbq/internal/graph"
 	"rbq/internal/interrupt"
 	"rbq/internal/obs"
 	"rbq/internal/pattern"
-	"rbq/internal/rbsim"
-	"rbq/internal/rbsub"
 	"rbq/internal/reduce"
 	"rbq/internal/simulation"
 	"rbq/internal/subiso"
@@ -45,12 +44,6 @@ type Options struct {
 	// Potential mass (adaptively: unspent budget rolls over to later
 	// candidates).
 	Alpha float64
-	// Workers bounds how many per-anchor rooted runs may execute
-	// concurrently. 0 or 1 evaluates anchors serially. Higher values run
-	// speculative waves (see runWaves) whose accepted results are
-	// bit-for-bit identical to the serial path. The request layer passes
-	// Request.Parallelism through here, already capped at GOMAXPROCS.
-	Workers int
 	// Reduce carries through engine options (weights, bounds, guard).
 	Reduce reduce.Options
 }
@@ -72,9 +65,8 @@ type Result struct {
 
 // PickAnchor returns the query node whose label is rarest in g — the most
 // selective traversal root — and its candidate list. An empty candidate
-// list means some query label is absent and the answer is empty. The plan
-// layer calls this during compilation and Prepare calls it too, so both
-// choose identically.
+// list means some query label is absent and the answer is empty. Prepare
+// calls it, and the plan layer compiles through Prepare.
 func PickAnchor(g *graph.Graph, p *pattern.Pattern) (pattern.NodeID, []graph.NodeID) {
 	best := pattern.NodeID(-1)
 	var bestCands []graph.NodeID
@@ -93,10 +85,10 @@ func PickAnchor(g *graph.Graph, p *pattern.Pattern) (pattern.NodeID, []graph.Nod
 }
 
 // Prepared is the compiled form of an unanchored pattern: the chosen
-// anchor, its candidate list, the pattern re-rooted at the anchor, and
-// the pre-bound reduction semantics for both query classes. Compile once
-// with Prepare (or let the plan layer assemble one), then evaluate many
-// times; a Prepared is immutable and safe for concurrent use.
+// anchor, its candidate list and the pattern re-rooted at the anchor.
+// Compile once with Prepare (or let the plan layer assemble one), then
+// evaluate many times; a Prepared is immutable and safe for concurrent
+// use.
 type Prepared struct {
 	// Aux is the offline structure the reductions run against.
 	Aux *graph.Aux
@@ -109,27 +101,12 @@ type Prepared struct {
 	// Cands are the data nodes carrying the anchor's label (unfiltered;
 	// each evaluation applies the query class's guard).
 	Cands []graph.NodeID
-	// SimSem and SubSem are the reduction semantics bound to the pattern,
-	// shared by every evaluation. Rooted shares the original pattern's
-	// labels, so semantics bound to either work identically.
-	SimSem *rbsim.Semantics
-	SubSem *rbsub.Semantics
 }
 
-// Prepare compiles p against aux for unanchored evaluation under both
-// query classes (the plan layer supplies its own pre-bound Semantics and
-// assembles a Prepared directly instead).
+// Prepare compiles p against aux for unanchored evaluation.
 func Prepare(aux *graph.Aux, p *pattern.Pattern) *Prepared {
 	anchor, rooted, cands := rootAtAnchor(aux.Graph(), p)
-	pr := &Prepared{Aux: aux, Anchor: anchor}
-	if rooted == nil {
-		return pr
-	}
-	pr.Rooted = rooted
-	pr.Cands = cands
-	pr.SimSem = rbsim.NewSemantics(aux, rooted)
-	pr.SubSem = rbsub.NewSemantics(aux, rooted)
-	return pr
+	return &Prepared{Aux: aux, Anchor: anchor, Rooted: rooted, Cands: cands}
 }
 
 // rootAtAnchor picks the anchor and re-roots p at it; rooted is nil when
@@ -147,24 +124,6 @@ func rootAtAnchor(g *graph.Graph, p *pattern.Pattern) (anchor pattern.NodeID, ro
 	return anchor, rooted, cands
 }
 
-// Simulation evaluates the prepared pattern under strong simulation.
-func (pr *Prepared) Simulation(opts Options) Result {
-	return pr.run(opts, simSemantics, nil)
-}
-
-// Subgraph evaluates the prepared pattern under subgraph isomorphism.
-func (pr *Prepared) Subgraph(opts Options, mopts *subiso.Options) Result {
-	return pr.run(opts, subSemantics, mopts)
-}
-
-// guardType selects which semantics filters and matches.
-type guardType int
-
-const (
-	simSemantics guardType = iota
-	subSemantics
-)
-
 // anchorCand is one guard-passing anchor candidate with its ranking keys.
 type anchorCand struct {
 	v   graph.NodeID
@@ -172,19 +131,21 @@ type anchorCand struct {
 	pot float64 // Potential mass p(v, anchor), the selectivity estimate
 }
 
-func (pr *Prepared) run(opts Options, kind guardType, mopts *subiso.Options) Result {
+// Run evaluates the prepared pattern under sem's query class. sem must be
+// bound to the pattern Prepare compiled, or to its re-rooting: the two
+// share labels and edges, so both guard and price alike. mopts tunes the
+// isomorphism matcher of every rooted run.
+func (pr *Prepared) Run(sem *bounded.Semantics, opts Options, mopts *subiso.Options) Result {
 	res := Result{Anchor: pr.Anchor}
 	if pr.Rooted == nil {
 		return res
 	}
-	// The span tree is not safe for concurrent mutation and the rooted
-	// runs may execute in parallel waves, so the tree is built only in
-	// the serial sections here: detach it from the reduce options the
-	// anchors execute with and summarize accepted runs at the join.
+	// The rooted runs execute without the span tree; each is summarized
+	// as one anchor span instead (see anchorSpan).
 	sp := opts.Reduce.Obs
 	opts.Reduce.Obs = nil
 	ss := sp.Child(obs.PhaseSelectivity)
-	pass, mass := pr.rankAnchors(kind)
+	pass, mass := pr.rankAnchors(sem)
 	ss.Add("candidates", int64(len(pr.Cands)))
 	ss.Add("passed", int64(len(pass)))
 	ss.Add("mass", int64(mass))
@@ -193,15 +154,33 @@ func (pr *Prepared) run(opts Options, kind guardType, mopts *subiso.Options) Res
 	if len(pass) == 0 {
 		return res
 	}
-	totalBudget := int(opts.Alpha * float64(pr.Aux.Graph().Size()))
+	remaining := int(opts.Alpha * float64(pr.Aux.Graph().Size()))
 	ws := sp.Child(obs.PhaseAnchorWave)
-	ws.Add("total_budget", int64(totalBudget))
-	ws.Add("workers", int64(max(1, opts.Workers)))
+	ws.Add("total_budget", int64(remaining))
 	var matches []graph.NodeID
-	if opts.Workers > 1 {
-		matches = pr.runWaves(&res, opts, kind, mopts, pass, mass, totalBudget, ws)
-	} else {
-		matches = pr.runSerial(&res, opts, kind, mopts, pass, mass, totalBudget, ws)
+	for i, c := range pass {
+		if remaining <= 0 {
+			break
+		}
+		// Cooperative cancellation between anchors: each per-anchor
+		// reduction already polls opts.Reduce.Interrupt internally; this
+		// check stops the loop from starting the next anchor after the
+		// channel fires.
+		if interrupt.Fired(opts.Reduce.Interrupt) {
+			break
+		}
+		// Adaptive split: unspent budget rolls over to later candidates.
+		share := splitShare(remaining, mass, c.pot, len(pass)-i)
+		ropts := opts.Reduce
+		ropts.Alpha = float64(share) / float64(pr.Aux.Graph().Size())
+		r := bounded.Run(pr.Aux, pr.Rooted, c.v, sem, ropts, mopts)
+		anchorSpan(ws, res.Evaluated, c.v, share, r.Stats, len(r.Matches))
+		res.Evaluated++
+		res.Visited += r.Stats.Visited
+		res.FragmentSize += r.Stats.FragmentSize
+		remaining -= r.Stats.FragmentSize
+		mass -= c.pot
+		matches = append(matches, r.Matches...)
 	}
 	ws.Add("evaluated", int64(res.Evaluated))
 	ws.End()
@@ -209,13 +188,13 @@ func (pr *Prepared) run(opts Options, kind guardType, mopts *subiso.Options) Res
 	return res
 }
 
-// maxAnchorSpans caps per-anchor span detail: beyond this many accepted
-// anchors only the aggregate counters on the parent span grow, so a
+// maxAnchorSpans caps per-anchor span detail: beyond this many anchor
+// runs only the aggregate counters on the parent span grow, so a
 // pattern with thousands of anchor candidates cannot balloon a trace.
 const maxAnchorSpans = 32
 
-// anchorSpan records one accepted anchor run as a child span (serial
-// sections only; see run). Past the cap it is a no-op.
+// anchorSpan records one anchor run as a child span. Past the cap it is
+// a no-op.
 func anchorSpan(parent *obs.Span, n int, v graph.NodeID, share int, stats reduce.Stats, nmatches int) {
 	if parent == nil || n >= maxAnchorSpans {
 		return
@@ -233,26 +212,18 @@ func anchorSpan(parent *obs.Span, n int, v graph.NodeID, share int, stats reduce
 // Potential mass, the same Sl-histogram estimate the in-reduction
 // frontier ranks by, here reused as the anchor's budget weight — then
 // ranks them by decreasing mass, so the most promising anchors draw from
-// the fullest budget. Both execution paths start from this identical
+// the fullest budget. Run and PredictShares start from this identical
 // (pass, mass) state.
-func (pr *Prepared) rankAnchors(kind guardType) ([]anchorCand, float64) {
+func (pr *Prepared) rankAnchors(sem *bounded.Semantics) ([]anchorCand, float64) {
 	g := pr.Aux.Graph()
 	anchor := pr.Anchor
-	var guard func(graph.NodeID, pattern.NodeID) bool
-	var potential func(graph.NodeID, pattern.NodeID) float64
-	switch kind {
-	case subSemantics:
-		guard, potential = pr.SubSem.Guard, pr.SubSem.Potential
-	default:
-		guard, potential = pr.SimSem.Guard, pr.SimSem.Potential
-	}
 	var pass []anchorCand
 	var mass float64
 	for _, v := range pr.Cands {
-		if !guard(v, anchor) {
+		if !sem.Guard(v, anchor) {
 			continue
 		}
-		c := anchorCand{v: v, deg: g.Degree(v), pot: potential(v, anchor)}
+		c := anchorCand{v: v, deg: g.Degree(v), pot: sem.Potential(v, anchor)}
 		mass += c.pot
 		pass = append(pass, c)
 	}
@@ -277,8 +248,8 @@ func (pr *Prepared) rankAnchors(kind guardType) ([]anchorCand, float64) {
 // splitShare computes anchor i's budget share from the live rollover
 // state: remaining budget, remaining Potential mass, the candidate's own
 // mass, and how many candidates are left (including this one). This is
-// THE split — serial accounting and wave prediction/validation must call
-// the same code so their float operation sequences agree exactly.
+// THE split — Run and PredictShares call the same code so their float
+// operation sequences agree exactly.
 func splitShare(remaining int, mass, pot float64, left int) int {
 	var share int
 	if mass <= 0 {
@@ -294,179 +265,32 @@ func splitShare(remaining int, mass, pot float64, left int) int {
 
 // Share is one anchor candidate's predicted budget share, as EXPLAIN
 // reports it: the node, its Potential mass, and the α|G| slice the
-// evaluation would grant it under the full-spend assumption (the same
-// prediction the wave scheduler builds, so what EXPLAIN prints is what
-// a parallel run speculates with; the serial rollover can only enlarge
-// later shares).
+// evaluation would grant it if every earlier anchor spent its whole
+// share (the serial rollover can only enlarge later shares).
 type Share struct {
 	V     graph.NodeID
 	Pot   float64
 	Share int
 }
 
-// PredictShares guard-ranks the anchor candidates exactly as an
-// evaluation would (same rankAnchors, same splitShare float sequence)
-// and returns up to limit predicted shares in evaluation order. sub
-// selects the isomorphism semantics. Read-only: no reduction runs.
-func (pr *Prepared) PredictShares(alpha float64, sub bool, limit int) []Share {
+// PredictShares guard-ranks the anchor candidates under sem exactly as Run
+// would (same rankAnchors, same splitShare float sequence) and returns up
+// to limit predicted shares in evaluation order, together with how many
+// candidates pass the guard — Run's Result.Candidates. Read-only: no
+// reduction runs.
+func (pr *Prepared) PredictShares(alpha float64, sem *bounded.Semantics, limit int) (shares []Share, passed int) {
 	if pr.Rooted == nil {
-		return nil
+		return nil, 0
 	}
-	kind := simSemantics
-	if sub {
-		kind = subSemantics
-	}
-	pass, mass := pr.rankAnchors(kind)
+	pass, mass := pr.rankAnchors(sem)
 	remaining := int(alpha * float64(pr.Aux.Graph().Size()))
-	out := make([]Share, 0, min(limit, len(pass)))
-	for j := 0; j < len(pass) && remaining > 0 && len(out) < limit; j++ {
+	for j := 0; j < len(pass) && remaining > 0 && len(shares) < limit; j++ {
 		share := splitShare(remaining, mass, pass[j].pot, len(pass)-j)
-		out = append(out, Share{V: pass[j].v, Pot: pass[j].pot, Share: share})
+		shares = append(shares, Share{V: pass[j].v, Pot: pass[j].pot, Share: share})
 		remaining -= share
 		mass -= pass[j].pot
 	}
-	return out
-}
-
-// runAnchor runs one rooted reduction from v with the given budget share.
-// The result is a pure function of (Aux, Rooted, v, share, opts, mopts):
-// the engines draw transient state from the Aux scratch pools and touch
-// nothing shared, which is what makes both the concurrent wave execution
-// and the speculative re-use of its results sound.
-func (pr *Prepared) runAnchor(v graph.NodeID, share int, opts Options, kind guardType, mopts *subiso.Options) ([]graph.NodeID, reduce.Stats) {
-	ropts := opts.Reduce
-	ropts.Alpha = float64(share) / float64(pr.Aux.Graph().Size())
-	switch kind {
-	case subSemantics:
-		r := rbsub.Run(pr.Aux, pr.Rooted, v, pr.SubSem, ropts, mopts)
-		return r.Matches, r.Stats
-	default:
-		r := rbsim.Run(pr.Aux, pr.Rooted, v, pr.SimSem, ropts)
-		return r.Matches, r.Stats
-	}
-}
-
-// runSerial is the serial anchor loop: one rooted run at a time, unspent
-// budget rolling over to later candidates.
-func (pr *Prepared) runSerial(res *Result, opts Options, kind guardType, mopts *subiso.Options, pass []anchorCand, mass float64, totalBudget int, ws *obs.Span) []graph.NodeID {
-	var matches []graph.NodeID
-	remaining := totalBudget
-	for i, c := range pass {
-		if remaining <= 0 {
-			break
-		}
-		// Cooperative cancellation between anchors: each per-anchor
-		// reduction already polls opts.Reduce.Interrupt internally; this
-		// check stops the loop from starting the next anchor after the
-		// channel fires.
-		if interrupt.Fired(opts.Reduce.Interrupt) {
-			break
-		}
-		// Adaptive split: unspent budget rolls over to later candidates.
-		share := splitShare(remaining, mass, c.pot, len(pass)-i)
-		got, stats := pr.runAnchor(c.v, share, opts, kind, mopts)
-		anchorSpan(ws, res.Evaluated, c.v, share, stats, len(got))
-		res.Evaluated++
-		res.Visited += stats.Visited
-		res.FragmentSize += stats.FragmentSize
-		remaining -= stats.FragmentSize
-		mass -= c.pot
-		matches = append(matches, got...)
-	}
-	return matches
-}
-
-// runWaves evaluates the anchor sequence in speculative waves of up to
-// opts.Workers anchors, keeping the answer and every Result counter
-// bit-for-bit identical to runSerial despite the serial path's budget
-// rollover chain (anchor i's share depends on how much anchors 0..i-1
-// actually spent, which is unknown until they run).
-//
-// Each wave predicts shares under the full-spend assumption — as if every
-// earlier wave member spends its entire share (predRemaining -= share;
-// predMass -= pot) — a deterministic computation independent of
-// scheduling. The wave's rooted runs then execute concurrently (each is a
-// pure function of its share; see runAnchor). At the join point the wave
-// is walked in serial order against the TRUE rollover state: the true
-// share is recomputed with the same splitShare float sequence the serial
-// loop uses, and while predictions match, the speculative results are
-// accepted with serial-identical accounting. The first mismatch — an
-// earlier anchor spent less than its full share, so this anchor would
-// have received a different (larger) budget serially — discards the rest
-// of the wave, and the next wave rebuilds from the true state at that
-// anchor. wave[0]'s prediction is always exact (its predicted state IS
-// the true state), so every wave accepts at least one anchor: progress is
-// guaranteed, no run is ever re-executed with the same share, and the
-// worst case degrades to serial wall-clock plus discarded speculative
-// work — never to a wrong or non-deterministic answer.
-//
-// Budget discipline: accepted runs account exactly as serial, so
-// FragmentSize totals obey the same α|G| bound. Discarded speculative
-// runs do touch data (their visits are not part of the answer or the
-// Result counters, mirroring how the serial path never runs them at
-// all); callers trading strict access bounds for latency get the serial
-// path with Workers ≤ 1.
-func (pr *Prepared) runWaves(res *Result, opts Options, kind guardType, mopts *subiso.Options, pass []anchorCand, mass float64, totalBudget int, ws *obs.Span) []graph.NodeID {
-	type anchorRun struct {
-		share   int
-		matches []graph.NodeID
-		stats   reduce.Stats
-	}
-	var matches []graph.NodeID
-	remaining := totalBudget
-	wave := make([]int, 0, opts.Workers) // indices into pass
-	runs := make([]anchorRun, opts.Workers)
-	i := 0
-	for i < len(pass) && remaining > 0 && !interrupt.Fired(opts.Reduce.Interrupt) {
-		// Build the wave under the full-spend prediction. The wave span
-		// is created and finalized only in these serial sections — the
-		// concurrent runs below never touch the tree.
-		wave = wave[:0]
-		wspan := ws.Child(obs.PhaseWave)
-		predRemaining, predMass := remaining, mass
-		for j := i; j < len(pass) && predRemaining > 0 && len(wave) < opts.Workers; j++ {
-			share := splitShare(predRemaining, predMass, pass[j].pot, len(pass)-j)
-			runs[len(wave)] = anchorRun{share: share}
-			wave = append(wave, j)
-			predRemaining -= share
-			predMass -= pass[j].pot
-		}
-		wspan.Add("width", int64(len(wave)))
-		// Run the wave concurrently; slot-indexed results.
-		exec.Run(opts.Reduce.Interrupt, len(wave), opts.Workers, func(k int) {
-			runs[k].matches, runs[k].stats = pr.runAnchor(pass[wave[k]].v, runs[k].share, opts, kind, mopts)
-		})
-		// Join: accept in serial order while the predictions hold.
-		accepted := 0
-		for k, j := range wave {
-			if remaining <= 0 || interrupt.Fired(opts.Reduce.Interrupt) {
-				wspan.Add("accepted", int64(accepted))
-				wspan.Add("discarded", int64(len(wave)-accepted))
-				wspan.End()
-				return matches
-			}
-			trueShare := splitShare(remaining, mass, pass[j].pot, len(pass)-j)
-			if trueShare != runs[k].share {
-				// Misprediction: an earlier anchor under-spent, so j's
-				// serial share differs. Discard j and the rest of the
-				// wave; the next wave restarts here from the true state.
-				break
-			}
-			anchorSpan(wspan, res.Evaluated, pass[j].v, runs[k].share, runs[k].stats, len(runs[k].matches))
-			accepted++
-			res.Evaluated++
-			res.Visited += runs[k].stats.Visited
-			res.FragmentSize += runs[k].stats.FragmentSize
-			remaining -= runs[k].stats.FragmentSize
-			mass -= pass[j].pot
-			matches = append(matches, runs[k].matches...)
-			i = j + 1
-		}
-		wspan.Add("accepted", int64(accepted))
-		wspan.Add("discarded", int64(len(wave)-accepted))
-		wspan.End()
-	}
-	return matches
+	return shares, len(pass)
 }
 
 // SimulationExact is the resource-unbounded reference: the union over all

@@ -5,9 +5,16 @@ import (
 	"reflect"
 	"testing"
 
+	"rbq/internal/bounded"
 	"rbq/internal/graph"
 	"rbq/internal/pattern"
+	"rbq/internal/reduce"
 )
+
+// evaluate compiles p and evaluates it unanchored under class c.
+func evaluate(aux *graph.Aux, p *pattern.Pattern, c bounded.Class, opts Options) Result {
+	return Prepare(aux, p).Run(bounded.NewSemantics(aux, p, c), opts, nil)
+}
 
 // multiMatchGraph has the A->B motif in three places; no label is unique.
 func multiMatchGraph() *graph.Graph {
@@ -29,7 +36,7 @@ func abPattern(t *testing.T) *pattern.Pattern {
 func TestUnanchoredFindsAllMotifs(t *testing.T) {
 	g := multiMatchGraph()
 	p := abPattern(t)
-	res := Prepare(graph.BuildAux(g), p).Simulation(Options{Alpha: 1.0})
+	res := evaluate(graph.BuildAux(g), p, bounded.Simulation, Options{Alpha: 1.0})
 	want := []graph.NodeID{1, 3, 5}
 	if !reflect.DeepEqual(res.Matches, want) {
 		t.Fatalf("matches = %v, want %v (res %+v)", res.Matches, want, res)
@@ -63,7 +70,7 @@ func TestMissingLabelEmptyAnswer(t *testing.T) {
 	b.AddEdge(a, z)
 	b.SetPersonalized(a).SetOutput(z)
 	p := b.MustBuild()
-	res := Prepare(graph.BuildAux(g), p).Simulation(Options{Alpha: 1.0})
+	res := evaluate(graph.BuildAux(g), p, bounded.Simulation, Options{Alpha: 1.0})
 	if res.Matches != nil {
 		t.Fatalf("matches = %v", res.Matches)
 	}
@@ -75,7 +82,7 @@ func TestBudgetBoundsTotalFragments(t *testing.T) {
 	p := randomPattern(rng, 3)
 	aux := graph.BuildAux(g)
 	for _, alpha := range []float64{0.02, 0.1, 0.5} {
-		res := Prepare(aux, p).Simulation(Options{Alpha: alpha})
+		res := evaluate(aux, p, bounded.Simulation, Options{Alpha: alpha})
 		budget := int(alpha * float64(g.Size()))
 		// Adaptive splitting may overshoot by at most one candidate's
 		// share (the last run is capped by its own per-run budget).
@@ -93,7 +100,7 @@ func TestUnanchoredPrecision(t *testing.T) {
 		g := randomLabeled(rng, 60, 150, 3)
 		p := randomPattern(rng, 3)
 		aux := graph.BuildAux(g)
-		res := Prepare(aux, p).Simulation(Options{Alpha: 0.4})
+		res := evaluate(aux, p, bounded.Simulation, Options{Alpha: 0.4})
 		exact := map[graph.NodeID]bool{}
 		all, _ := SimulationExact(g, p, 1, nil)
 		for _, v := range all {
@@ -112,10 +119,24 @@ func TestUnanchoredRecallAtFullBudget(t *testing.T) {
 	// recovered (the reduction has enough budget per anchor).
 	g := multiMatchGraph()
 	p := abPattern(t)
-	got := Prepare(graph.BuildAux(g), p).Simulation(Options{Alpha: 1.0}).Matches
+	got := evaluate(graph.BuildAux(g), p, bounded.Simulation, Options{Alpha: 1.0}).Matches
 	want, _ := SimulationExact(g, p, 1, nil)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %v want %v", got, want)
+	}
+}
+
+// A pre-fired interrupt stops the anchor loop before any anchor runs;
+// the guard scan still counts the candidates.
+func TestUnanchoredPreFiredInterrupt(t *testing.T) {
+	g := multiMatchGraph()
+	done := make(chan struct{})
+	close(done)
+	for _, c := range []bounded.Class{bounded.Simulation, bounded.Subgraph} {
+		res := evaluate(graph.BuildAux(g), abPattern(t), c, Options{Alpha: 1.0, Reduce: reduce.Options{Interrupt: done}})
+		if res.Evaluated != 0 || res.Matches != nil || res.Candidates != 3 {
+			t.Fatalf("class %d: pre-fired interrupt: %+v", c, res)
+		}
 	}
 }
 
@@ -131,7 +152,7 @@ func TestSubgraphUnanchored(t *testing.T) {
 	b.AddEdge(pp, i1).AddEdge(pp, i2).AddEdge(i1, bb).AddEdge(i2, bb)
 	b.SetPersonalized(pp).SetOutput(pp)
 	p := b.MustBuild()
-	res := Prepare(graph.BuildAux(g), p).Subgraph(Options{Alpha: 1.0}, nil)
+	res := evaluate(graph.BuildAux(g), p, bounded.Subgraph, Options{Alpha: 1.0})
 	if !reflect.DeepEqual(res.Matches, []graph.NodeID{0}) {
 		t.Fatalf("matches = %v (res %+v)", res.Matches, res)
 	}

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"rbq/internal/bounded"
 	"rbq/internal/graph"
 	"rbq/internal/pattern"
 )
@@ -86,7 +87,7 @@ func TestWeightedSplitBeatsEven(t *testing.T) {
 	// Budget of ~40 items: the good anchor's match needs a 9-item
 	// fragment, an even sixth of 40 cannot cover it.
 	alpha := 40.5 / float64(g.Size())
-	res := Prepare(aux, p).Simulation(Options{Alpha: alpha})
+	res := evaluate(aux, p, bounded.Simulation, Options{Alpha: alpha})
 
 	// yStar ends the one chain under the good anchor (node 0): S, its ten
 	// T children, then U, W, Y.
@@ -107,12 +108,13 @@ func TestPreparedUnanchoredMatchesOneShot(t *testing.T) {
 	g, p := skewedFixture(t)
 	aux := graph.BuildAux(g)
 	pr := Prepare(aux, p)
+	sim, sub := bounded.NewSemantics(aux, p, bounded.Simulation), bounded.NewSemantics(aux, p, bounded.Subgraph)
 	for _, alpha := range []float64{0.05, 0.2, 0.8} {
 		opts := Options{Alpha: alpha}
-		if got, want := pr.Simulation(opts), Prepare(aux, p).Simulation(opts); !reflect.DeepEqual(got, want) {
+		if got, want := pr.Run(sim, opts, nil), evaluate(aux, p, bounded.Simulation, opts); !reflect.DeepEqual(got, want) {
 			t.Fatalf("alpha=%v: reused sim %+v != fresh %+v", alpha, got, want)
 		}
-		if got, want := pr.Subgraph(opts, nil), Prepare(aux, p).Subgraph(opts, nil); !reflect.DeepEqual(got, want) {
+		if got, want := pr.Run(sub, opts, nil), evaluate(aux, p, bounded.Subgraph, opts); !reflect.DeepEqual(got, want) {
 			t.Fatalf("alpha=%v: reused sub %+v != fresh %+v", alpha, got, want)
 		}
 	}

@@ -15,13 +15,12 @@ import (
 	"sort"
 	"testing"
 
+	"rbq/internal/bounded"
 	"rbq/internal/gen"
 	"rbq/internal/graph"
 	"rbq/internal/interrupt"
 	"rbq/internal/obs"
 	"rbq/internal/pattern"
-	"rbq/internal/rbsim"
-	"rbq/internal/rbsub"
 	"rbq/internal/reduce"
 )
 
@@ -361,8 +360,8 @@ type namedSemantics struct {
 
 func diffSemantics(aux *graph.Aux, p *pattern.Pattern) []namedSemantics {
 	return []namedSemantics{
-		{"sim", rbsim.NewSemantics(aux, p)},
-		{"sub", rbsub.NewSemantics(aux, p)},
+		{"sim", bounded.NewSemantics(aux, p, bounded.Simulation)},
+		{"sub", bounded.NewSemantics(aux, p, bounded.Subgraph)},
 	}
 }
 
@@ -486,7 +485,7 @@ func TestMemoizedPickCancelsWhereScanEveryRoundDoes(t *testing.T) {
 	if p == nil {
 		t.Fatal("no pattern at the hub")
 	}
-	sem := rbsim.NewSemantics(aux, p)
+	sem := bounded.NewSemantics(aux, p, bounded.Simulation)
 	opts := reduce.Options{Alpha: 1, MaxBound: 6}
 	_, full := refSearch(aux, p, hub, sem, opts)
 	if full.Rounds < 3 || full.Visited < 4*interrupt.Stride {

@@ -5,7 +5,8 @@
 //
 // The engine is the Search/Pick machinery of Fig. 3, parameterized by the
 // matching semantics (strong simulation for RBSim, subgraph isomorphism
-// for RBSub) through a Semantics value that supplies the guarded condition
+// for RBSub; package bounded binds both) through a Semantics value that
+// supplies the guarded condition
 // C(v,u) and the potential p(v,u). The engine itself owns the parts both
 // algorithms share: the stack-driven traversal guided by the pattern, the
 // dynamically maintained cost c(v,u), the weight p/(c+1), the fairness
@@ -39,7 +40,7 @@
 // All of it lives in a Scratch that Search borrows from the Aux's scratch
 // pool (graph.ScratchReduce) and returns on exit, so steady-state
 // reductions do not allocate; callers that manage their own pooling
-// (rbsim, rbsub) pass a Scratch and a reusable Fragment to SearchInto
+// (bounded.Run) pass a Scratch and a reusable Fragment to SearchInto
 // directly. Tables and arena that one hub-rooted query grew beyond
 // maxTableEntries are dropped at the next reset instead of staying pinned
 // in the pool.

@@ -76,7 +76,7 @@ func TestBatchSingleTemplateOneLookup(t *testing.T) {
 
 // TestQueryAfterApplyReusesScratch: the first query of a new epoch
 // borrows the scratch the previous epoch's queries returned — on a
-// 20k-node graph a fresh rbsim or rbsub scratch is ~165 KB (the FragCSR
+// 20k-node graph a fresh bounded-run scratch is ~165 KB (the FragCSR
 // position index alone is 8·|V| bytes), and the query after an Apply
 // must allocate a small fraction of that. The collector is off for the
 // test: a GC may empty any sync.Pool, which is not what is gated here.

@@ -17,10 +17,10 @@
 // enumerates in ascending order without sorting.
 //
 // Every subgraph this package evaluates — the reduced fragment G_Q of
-// RBSim, the d_Q-region of the exact baseline and StrongSim's d_Q-balls
-// alike — is a pooled graph.FragCSR view of the data graph; no per-query
-// subgraph is ever constructed. The entry points mirror the paper's
-// experimental setup:
+// RBSim, the d_Q-region of the exact baseline, StrongSim's d_Q-balls and
+// the whole graph alike — is a pooled graph.FragCSR view of the data
+// graph, and one fixpoint (refine) computes the relation on all of them.
+// The entry points mirror the paper's experimental setup:
 //
 //   - MatchFragment: maximum pinned dual simulation on a materialized
 //     FragCSR with all transient state drawn from a reusable Scratch —
@@ -32,8 +32,8 @@
 //   - StrongSim: the literal ball-per-center semantics of Section 2, used
 //     for cross-validation on small graphs; its balls are full balls
 //     (graph.BallInto), because a center need not carry a pattern label;
-//   - MatchInGraph / DualSimulation: the whole-graph relation, kept for
-//     tests and reference comparisons.
+//   - MatchInGraph / DualSimulation: the relation on the whole-graph
+//     view, for tests and reference comparisons.
 package simulation
 
 import (
@@ -65,131 +65,6 @@ func setBit(s []uint64, v int32)      { s[v>>6] |= 1 << (uint(v) & 63) }
 func clearBit(s []uint64, v int32)    { s[v>>6] &^= 1 << (uint(v) & 63) }
 func hasBit(s []uint64, v int32) bool { return s[v>>6]&(1<<(uint(v)&63)) != 0 }
 
-// DualSimulation computes the maximum dual simulation relation of p in g,
-// with optional pinned matches (pin[u] = v forces sim(u) = {v}). It returns
-// the relation and true when every query node retains at least one match;
-// otherwise nil and false (dual simulation is all-or-nothing: the maximum
-// relation is empty as soon as any query node's candidate set drains).
-func DualSimulation(g *graph.Graph, p *pattern.Pattern, pin map[pattern.NodeID]graph.NodeID) (Relation, bool) {
-	nq := p.NumNodes()
-	n := g.NumNodes()
-	words := (n + 63) / 64
-	backing := make([]uint64, nq*words)
-	sim := make([][]uint64, nq)
-	size := make([]int, nq)
-
-	// Initialize candidate sets by label (and pins).
-	for u := 0; u < nq; u++ {
-		uq := pattern.NodeID(u)
-		sim[u] = backing[u*words : (u+1)*words]
-		if v, ok := pin[uq]; ok {
-			if g.Label(v) == p.Label(uq) {
-				setBit(sim[u], int32(v))
-				size[u] = 1
-			}
-		} else {
-			l := g.LabelIDOf(p.Label(uq))
-			for _, v := range g.NodesWithLabel(l) {
-				setBit(sim[u], int32(v))
-			}
-			size[u] = len(g.NodesWithLabel(l))
-		}
-		if size[u] == 0 {
-			return nil, false
-		}
-	}
-
-	// Fixpoint refinement with a dirty-set worklist.
-	dirty := make([]bool, nq)
-	queue := make([]pattern.NodeID, 0, 8*nq)
-	for u := 0; u < nq; u++ {
-		dirty[u] = true
-		queue = append(queue, pattern.NodeID(u))
-	}
-	push := func(u pattern.NodeID) {
-		if !dirty[u] {
-			dirty[u] = true
-			queue = append(queue, u)
-		}
-	}
-	anyIn := func(cands []graph.NodeID, set []uint64) bool {
-		for _, v := range cands {
-			if hasBit(set, int32(v)) {
-				return true
-			}
-		}
-		return false
-	}
-
-	drop := make([]int32, 0, 64)
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		dirty[u] = false
-		drop = drop[:0]
-		for wi, word := range sim[u] {
-			for word != 0 {
-				v := int32(wi<<6 + bits.TrailingZeros64(word))
-				word &= word - 1
-				ok := true
-				for _, uc := range p.Out(u) {
-					if !anyIn(g.Out(graph.NodeID(v)), sim[uc]) {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					for _, upar := range p.In(u) {
-						if !anyIn(g.In(graph.NodeID(v)), sim[upar]) {
-							ok = false
-							break
-						}
-					}
-				}
-				if !ok {
-					drop = append(drop, v)
-				}
-			}
-		}
-		if len(drop) == 0 {
-			continue
-		}
-		for _, v := range drop {
-			clearBit(sim[u], v)
-		}
-		size[u] -= len(drop)
-		if size[u] <= 0 {
-			return nil, false
-		}
-		// Removing matches of u can invalidate matches of u's pattern
-		// neighbors only.
-		for _, w := range p.Out(u) {
-			push(w)
-		}
-		for _, w := range p.In(u) {
-			push(w)
-		}
-	}
-
-	rel := make(Relation, nq)
-	total := 0
-	for u := 0; u < nq; u++ {
-		total += size[u]
-	}
-	arena := make([]graph.NodeID, 0, total) // one backing array for all rows
-	for u := 0; u < nq; u++ {
-		start := len(arena)
-		for wi, word := range sim[u] {
-			for word != 0 {
-				arena = append(arena, graph.NodeID(wi<<6+bits.TrailingZeros64(word)))
-				word &= word - 1
-			}
-		}
-		rel[u] = arena[start:len(arena):len(arena)] // bit order is ascending id order already
-	}
-	return rel, true
-}
-
 // Scratch holds the reusable state of MatchFragment. A zero Scratch is
 // ready to use; it grows to the largest fragment/pattern it has seen and
 // then stops allocating. Not safe for concurrent use.
@@ -208,10 +83,8 @@ type Scratch struct {
 // labels[u] is the parent graph's id of p's label of u (NoLabel when the
 // graph has no such label), as graph.InternLabels resolves them — the
 // plan layer does that once per template, so nothing here hashes a
-// string. It is semantically identical to materializing the same node
-// list as a standalone Graph and calling MatchInGraph, but runs on the
-// pooled CSR with all transient state drawn from sc; the returned slice
-// is the only allocation.
+// string. It runs on the pooled CSR with all transient state drawn from
+// sc; the returned slice is the only allocation.
 //
 // done is a cooperative cancellation probe threaded through the fixpoint
 // refinement — the one potentially long-running loop (the candidate sets
@@ -223,6 +96,29 @@ type Scratch struct {
 // the number of candidates examined, so tests can pin the promptness
 // bound; an open or nil channel never changes the computation.
 func MatchFragment(csr *graph.FragCSR, p *pattern.Pattern, labels []graph.LabelID, pinPos int32, sc *Scratch, done <-chan struct{}) (out []graph.NodeID, complete bool, visited int) {
+	nonEmpty, complete, visited := refine(csr, p, labels, pinPos, sc, done)
+	if !nonEmpty {
+		return nil, complete, visited
+	}
+	uo := p.Output()
+	out = make([]graph.NodeID, 0, sc.size[uo])
+	for wi, word := range sc.sim[uo] {
+		for word != 0 {
+			pos := int32(wi<<6 + bits.TrailingZeros64(word))
+			word &= word - 1
+			out = append(out, csr.Orig[pos])
+		}
+	}
+	slices.Sort(out)
+	return out, true, visited
+}
+
+// refine computes the maximum dual simulation of p on csr with u_p pinned
+// to pinPos into sc.sim (row u is the bitset of positions matching u,
+// sc.size[u] its population). nonEmpty is false when some row drains —
+// dual simulation is all-or-nothing, so the relation is then empty — or
+// when done fires, which complete=false tells apart.
+func refine(csr *graph.FragCSR, p *pattern.Pattern, labels []graph.LabelID, pinPos int32, sc *Scratch, done <-chan struct{}) (nonEmpty, complete bool, visited int) {
 	nq := p.NumNodes()
 	n := csr.NumNodes()
 	words := (n + 63) / 64
@@ -262,11 +158,12 @@ func MatchFragment(csr *graph.FragCSR, p *pattern.Pattern, labels []graph.LabelI
 			}
 		}
 		if sc.size[u] == 0 {
-			return nil, true, visited
+			return false, true, visited
 		}
 	}
 
-	// Fixpoint refinement, identical to DualSimulation but over positions.
+	// Fixpoint refinement with a dirty-set worklist: removing matches of u
+	// can invalidate matches of u's pattern neighbors only.
 	sc.queue = sc.queue[:0]
 	for u := 0; u < nq; u++ {
 		sc.dirty[u] = true
@@ -293,7 +190,7 @@ func MatchFragment(csr *graph.FragCSR, p *pattern.Pattern, labels []graph.LabelI
 				// reduce engine's visited-item probe.
 				visited++
 				if visited&(interrupt.Stride-1) == 0 && interrupt.Fired(done) {
-					return nil, false, visited
+					return false, false, visited
 				}
 				ok := true
 				for _, uc := range p.Out(u) {
@@ -323,7 +220,7 @@ func MatchFragment(csr *graph.FragCSR, p *pattern.Pattern, labels []graph.LabelI
 		}
 		sc.size[u] -= int32(len(sc.drop))
 		if sc.size[u] <= 0 {
-			return nil, true, visited
+			return false, true, visited
 		}
 		for _, w := range p.Out(u) {
 			if !sc.dirty[w] {
@@ -338,21 +235,7 @@ func MatchFragment(csr *graph.FragCSR, p *pattern.Pattern, labels []graph.LabelI
 			}
 		}
 	}
-
-	uo := p.Output()
-	if sc.size[uo] == 0 {
-		return nil, true, visited
-	}
-	out = make([]graph.NodeID, 0, sc.size[uo])
-	for wi, word := range sc.sim[uo] {
-		for word != 0 {
-			pos := int32(wi<<6 + bits.TrailingZeros64(word))
-			word &= word - 1
-			out = append(out, csr.Orig[pos])
-		}
-	}
-	slices.Sort(out)
-	return out, true, visited
+	return true, true, visited
 }
 
 // PersonalizedMatch finds v_p, the unique data node whose label equals
@@ -370,27 +253,69 @@ func PersonalizedMatch(g *graph.Graph, p *pattern.Pattern) (graph.NodeID, bool) 
 	return nodes[0], true
 }
 
+// DualSimulation computes the maximum dual simulation relation of p in g
+// with u_p pinned to vp. It returns the relation and true when every
+// query node retains at least one match; otherwise nil and false (dual
+// simulation is all-or-nothing: the maximum relation is empty as soon as
+// any query node's candidate set drains). It is MatchFragment's fixpoint
+// on the whole-graph view built from the node list 0..n-1, read out row
+// by row.
+func DualSimulation(g *graph.Graph, p *pattern.Pattern, vp graph.NodeID) (Relation, bool) {
+	bs, _ := ballPool.Get().(*ballScratch)
+	if bs == nil {
+		bs = new(ballScratch)
+	}
+	defer ballPool.Put(bs)
+	bs.nodes = bs.nodes[:0]
+	for v := range g.NumNodes() {
+		bs.nodes = append(bs.nodes, graph.NodeID(v))
+	}
+	g.CSRInto(bs.nodes, &bs.csr)
+	labels := g.InternLabels(p.Labels(), nil)
+	if nonEmpty, _, _ := refine(&bs.csr, p, labels, int32(vp), &bs.sc, nil); !nonEmpty {
+		return nil, false
+	}
+	nq := p.NumNodes()
+	total := 0
+	for u := 0; u < nq; u++ {
+		total += int(bs.sc.size[u])
+	}
+	rel := make(Relation, nq)
+	arena := make([]graph.NodeID, 0, total) // one backing array for all rows
+	for u := 0; u < nq; u++ {
+		start := len(arena)
+		for wi, word := range bs.sc.sim[u] {
+			for word != 0 {
+				arena = append(arena, graph.NodeID(wi<<6+bits.TrailingZeros64(word)))
+				word &= word - 1
+			}
+		}
+		rel[u] = arena[start:len(arena):len(arena)] // positions are ids: bit order is ascending id order
+	}
+	return rel, true
+}
+
 // MatchInGraph computes the answer Q(g) on the whole graph g by maximum
 // dual simulation with u_p pinned to vp, returning the sorted matches of
-// the output node u_o. This is the matcher RBSim applies to the reduced
-// fragment G_Q (whose nodes are already confined to the ball of v_p).
+// the output node u_o.
 func MatchInGraph(g *graph.Graph, p *pattern.Pattern, vp graph.NodeID) []graph.NodeID {
-	rel, ok := DualSimulation(g, p, map[pattern.NodeID]graph.NodeID{p.Personalized(): vp})
+	rel, ok := DualSimulation(g, p, vp)
 	if !ok {
 		return nil
 	}
 	return rel.Matches(p.Output())
 }
 
-// ballScratch pools the per-call state of the exact baselines: the CSR
-// materialization of the current region or ball, the matcher scratch that
-// runs on it, and the center list of StrongSim. The pool is package-level
-// (the baselines take a bare *graph.Graph); values grow to the largest
-// region they have seen and then stop allocating.
+// ballScratch pools the per-call state of the exact baselines and
+// DualSimulation: the CSR materialization of the current region, ball or
+// whole graph, the matcher scratch that runs on it, and a node list
+// (StrongSim's centers, DualSimulation's 0..n-1). The pool is
+// package-level (the entry points take a bare *graph.Graph); values grow
+// to the largest view they have seen and then stop allocating.
 type ballScratch struct {
-	csr     graph.FragCSR
-	sc      Scratch
-	centers []graph.NodeID
+	csr   graph.FragCSR
+	sc    Scratch
+	nodes []graph.NodeID
 }
 
 var ballPool sync.Pool
@@ -478,13 +403,13 @@ func StrongSim(g *graph.Graph, p *pattern.Pattern, vp graph.NodeID) []graph.Node
 	dQ := p.Diameter()
 	labels := g.InternLabels(p.Labels(), nil)
 	g.BallInto(vp, dQ, &bs.csr, nil)
-	bs.centers = append(bs.centers[:0], bs.csr.Orig...)
+	bs.nodes = append(bs.nodes[:0], bs.csr.Orig...)
 
 	out := []graph.NodeID{} // non-nil even when empty, as callers expect
 	// The first center is v_p itself, whose ball is already materialized.
 	m, _, _ := MatchFragment(&bs.csr, p, labels, bs.csr.PosOf(vp), &bs.sc, nil)
 	out = append(out, m...)
-	for _, v0 := range bs.centers[1:] {
+	for _, v0 := range bs.nodes[1:] {
 		g.BallInto(v0, dQ, &bs.csr, nil)
 		bvp := bs.csr.PosOf(vp)
 		if bvp < 0 {

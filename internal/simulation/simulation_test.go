@@ -3,6 +3,7 @@ package simulation
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"rbq/internal/graph"
@@ -89,7 +90,7 @@ func TestFigure1StrongSimAgrees(t *testing.T) {
 func TestFigure1FullRelation(t *testing.T) {
 	g, michael, cc3, _, _ := figure1Graph()
 	p := figure1Pattern(t)
-	rel, ok := DualSimulation(g, p, map[pattern.NodeID]graph.NodeID{p.Personalized(): michael})
+	rel, ok := DualSimulation(g, p, michael)
 	if !ok {
 		t.Fatal("no relation")
 	}
@@ -313,13 +314,99 @@ func TestDualSimulationSoundness(t *testing.T) {
 		g := randomLabeled(rng, 20, 50, 3)
 		p := randomPattern(rng, 3)
 		vp := graph.NodeID(rng.Intn(g.NumNodes()))
-		rel, ok := DualSimulation(g, p, map[pattern.NodeID]graph.NodeID{p.Personalized(): vp})
+		rel, ok := DualSimulation(g, p, vp)
 		if !ok {
 			continue
 		}
 		if !relationIsDualSimulation(g, p, rel) {
 			t.Fatalf("iteration %d: output is not a dual simulation", i)
 		}
+	}
+}
+
+// naiveDualSimulation is the maximum dual simulation of p in g with u_p
+// pinned to vp, computed the textbook way and independently of refine:
+// start from every label-compatible pair, then sweep all pairs, dropping
+// each that violates the child or the parent condition, until a sweep
+// changes nothing.
+func naiveDualSimulation(g *graph.Graph, p *pattern.Pattern, vp graph.NodeID) (Relation, bool) {
+	sim := make([]map[graph.NodeID]bool, p.NumNodes())
+	for u := range sim {
+		sim[u] = map[graph.NodeID]bool{}
+		for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
+			pinned := pattern.NodeID(u) == p.Personalized()
+			if g.Label(v) == p.Label(pattern.NodeID(u)) && (!pinned || v == vp) {
+				sim[u][v] = true
+			}
+		}
+	}
+	anyIn := func(vs []graph.NodeID, set map[graph.NodeID]bool) bool {
+		for _, v := range vs {
+			if set[v] {
+				return true
+			}
+		}
+		return false
+	}
+	for changed := true; changed; {
+		changed = false
+		for u := range sim {
+			uq := pattern.NodeID(u)
+			for v := range sim[u] {
+				ok := true
+				for _, uc := range p.Out(uq) {
+					ok = ok && anyIn(g.Out(v), sim[uc])
+				}
+				for _, ua := range p.In(uq) {
+					ok = ok && anyIn(g.In(v), sim[ua])
+				}
+				if !ok {
+					delete(sim[u], v)
+					changed = true
+				}
+			}
+		}
+	}
+	rel := make(Relation, len(sim))
+	for u := range sim {
+		if len(sim[u]) == 0 {
+			return nil, false
+		}
+		for v := range sim[u] {
+			rel[u] = append(rel[u], v)
+		}
+		slices.Sort(rel[u])
+	}
+	return rel, true
+}
+
+// Property: DualSimulation — MatchFragment's fixpoint on the whole-graph
+// view — is the maximum dual simulation, on random graphs with
+// self-loops, patterns with extra edges and self-loops, and (every third
+// case) a pattern label the graph does not have, at every pin.
+func TestDualSimulationEqualsNaiveFixpoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	nonEmpty := 0
+	for i := 0; i < 80; i++ {
+		g := randomLabeled(rng, 25, 70, 3)
+		labels := 3
+		if i%3 == 2 {
+			labels = 4 // 'd' never occurs in g
+		}
+		p := randomPattern(rng, labels)
+		for vp := graph.NodeID(0); int(vp) < g.NumNodes(); vp++ {
+			got, gotOK := DualSimulation(g, p, vp)
+			want, wantOK := naiveDualSimulation(g, p, vp)
+			if gotOK != wantOK || !reflect.DeepEqual(got, want) {
+				t.Fatalf("case %d pin %d:\npattern:\n%sgot  %v (%v)\nwant %v (%v)", i, vp, p, got, gotOK, want, wantOK)
+			}
+			if gotOK {
+				nonEmpty++
+			}
+		}
+	}
+	if nonEmpty == 0 {
+		t.Fatal("every relation was empty; the fixture checks nothing")
 	}
 }
 

@@ -10,15 +10,15 @@
 // be an answer, which keeps enumeration polynomially bounded in the common
 // case while remaining exact.
 //
-// Matcher state is dense: the injectivity check and the answer set are
-// flat arrays indexed by data node, and pattern labels arrive resolved to
-// the data graph's interned LabelIDs (graph.InternLabels; the plan layer
-// does it once per template), so the search loop does no hashing and no
-// string comparison. MatchFragment is the pooled variant, running on a
-// graph.FragCSR with scratch reused across queries: RBSub runs it on the
-// reduced fragment G_Q, and MatchOpt — the paper's VF2OPT — on the
-// label-closed d_Q-region of v_p (graph.RegionInto), the part of the ball
-// G_{d_Q}(v_p) an embedding can occupy.
+// There is one matcher, MatchFragment, and it runs on a graph.FragCSR
+// view with scratch reused across queries: RBSub runs it on the reduced
+// fragment G_Q, MatchOpt — the paper's VF2OPT — on the label-closed
+// d_Q-region of v_p (graph.RegionInto), the part of the ball G_{d_Q}(v_p)
+// an embedding can occupy, and Match on the whole graph. Its state is
+// dense: the injectivity check and the answer set are flat arrays indexed
+// by position, and pattern labels arrive resolved to the data graph's
+// interned LabelIDs (graph.InternLabels; the plan layer does it once per
+// template), so the search loop does no hashing and no string comparison.
 package subiso
 
 import (
@@ -91,20 +91,23 @@ func buildOrder(p *pattern.Pattern, order []pattern.NodeID, seen []bool) []patte
 
 // Match computes Q(g) under subgraph isomorphism with u_p pinned to vp.
 // It returns the sorted set of images of the output node and whether the
-// search ran to completion (false only if Options.MaxSteps was exhausted).
+// search ran to completion (false only if Options.MaxSteps was exhausted
+// or Options.Interrupt fired). It is MatchFragment on the whole-graph
+// view built from the node list 0..n-1, whose positions are node ids and
+// whose adjacency segments are g's own sorted lists, so the search meets
+// candidates in g's order.
 func Match(g *graph.Graph, p *pattern.Pattern, vp graph.NodeID, opts *Options) ([]graph.NodeID, bool) {
-	m := &matcher{g: g, p: p, opts: opts}
-	m.plabels = g.InternLabels(p.Labels(), nil)
-	if g.LabelOf(vp) != m.plabels[p.Personalized()] {
+	labels := g.InternLabels(p.Labels(), nil)
+	if g.LabelOf(vp) != labels[p.Personalized()] {
 		return nil, true
 	}
-	m.run(vp)
-	out := m.ansList
-	slices.Sort(out)
-	if len(out) == 0 {
-		return nil, !m.truncated
+	all := make([]graph.NodeID, g.NumNodes())
+	for v := range all {
+		all[v] = graph.NodeID(v)
 	}
-	return out, !m.truncated
+	var csr graph.FragCSR
+	g.CSRInto(all, &csr)
+	return MatchFragment(&csr, p, labels, int32(vp), opts, new(Scratch))
 }
 
 // ballScratch pools the per-call state of MatchOpt: the CSR
@@ -185,146 +188,6 @@ func MatchOptMany(g *graph.Graph, p *pattern.Pattern, labels []graph.LabelID, vp
 	return out, !truncated.Load() && !interrupt.Fired(done)
 }
 
-type matcher struct {
-	g    *graph.Graph
-	p    *pattern.Pattern
-	opts *Options
-
-	plabels   []graph.LabelID  // pattern label resolved to g's ids
-	order     []pattern.NodeID // assignment order: BFS from u_p
-	core      []graph.NodeID   // core[u] = current image of u, NoNode if unset
-	used      []int32          // used[v] = assigned pattern node + 1, 0 if free
-	answers   []bool           // answers[v]: v confirmed as an output image
-	ansList   []graph.NodeID
-	steps     int64
-	truncated bool
-}
-
-func (m *matcher) budgetOK() bool {
-	m.steps++
-	if m.opts.stop(m.steps) {
-		m.truncated = true
-		return false
-	}
-	return true
-}
-
-func (m *matcher) run(vp graph.NodeID) {
-	m.order = buildOrder(m.p, nil, nil)
-	m.core = make([]graph.NodeID, m.p.NumNodes())
-	for i := range m.core {
-		m.core[i] = graph.NoNode
-	}
-	m.used = make([]int32, m.g.NumNodes())
-	m.answers = make([]bool, m.g.NumNodes())
-	if !m.feasible(m.p.Personalized(), vp) {
-		return
-	}
-	m.assign(m.p.Personalized(), vp)
-	m.search(1)
-	m.unassign(m.p.Personalized(), vp)
-}
-
-func (m *matcher) assign(u pattern.NodeID, v graph.NodeID) {
-	m.core[u] = v
-	m.used[v] = int32(u) + 1
-}
-
-func (m *matcher) unassign(u pattern.NodeID, v graph.NodeID) {
-	m.core[u] = graph.NoNode
-	m.used[v] = 0
-}
-
-// feasible checks label equality, injectivity and edge consistency of
-// mapping u -> v against all already-assigned query nodes.
-func (m *matcher) feasible(u pattern.NodeID, v graph.NodeID) bool {
-	if m.g.LabelOf(v) != m.plabels[u] {
-		return false
-	}
-	if m.used[v] != 0 {
-		return false
-	}
-	// Cheap degree pruning: v must offer at least as many in/out edges.
-	if m.g.OutDegree(v) < len(m.p.Out(u)) || m.g.InDegree(v) < len(m.p.In(u)) {
-		return false
-	}
-	for _, w := range m.p.Out(u) {
-		// A self-loop's other endpoint is u itself, which core does not
-		// hold yet: its image is v.
-		img := m.core[w]
-		if w == u {
-			img = v
-		}
-		if img != graph.NoNode && !m.g.HasEdge(v, img) {
-			return false
-		}
-	}
-	for _, w := range m.p.In(u) {
-		if img := m.core[w]; img != graph.NoNode && !m.g.HasEdge(img, v) {
-			return false
-		}
-	}
-	return true
-}
-
-// candidates enumerates data nodes for query node u by picking the mapped
-// pattern neighbor with the smallest relevant adjacency list.
-func (m *matcher) candidates(u pattern.NodeID) []graph.NodeID {
-	var best []graph.NodeID
-	found := false
-	consider := func(c []graph.NodeID) {
-		if !found || len(c) < len(best) {
-			best, found = c, true
-		}
-	}
-	for _, w := range m.p.In(u) { // pattern edge w -> u: image must be child of core[w]
-		if img := m.core[w]; img != graph.NoNode {
-			consider(m.g.Out(img))
-		}
-	}
-	for _, w := range m.p.Out(u) { // pattern edge u -> w: image must be parent of core[w]
-		if img := m.core[w]; img != graph.NoNode {
-			consider(m.g.In(img))
-		}
-	}
-	if found {
-		return best
-	}
-	// No mapped neighbor (only possible for the root): all label peers.
-	return m.g.NodesWithLabel(m.plabels[u])
-}
-
-func (m *matcher) search(depth int) {
-	if depth == len(m.order) {
-		uo := m.core[m.p.Output()]
-		if !m.answers[uo] {
-			m.answers[uo] = true
-			m.ansList = append(m.ansList, uo)
-		}
-		return
-	}
-	u := m.order[depth]
-	for _, v := range m.candidates(u) {
-		if !m.budgetOK() {
-			return
-		}
-		// Output-set pruning: mapping u_o to an already-confirmed answer
-		// cannot contribute a new output image.
-		if u == m.p.Output() && m.answers[v] {
-			continue
-		}
-		if !m.feasible(u, v) {
-			continue
-		}
-		m.assign(u, v)
-		m.search(depth + 1)
-		m.unassign(u, v)
-		if m.truncated {
-			return
-		}
-	}
-}
-
 // Scratch holds the reusable state of MatchFragment. A zero Scratch is
 // ready to use; it grows to the largest fragment/pattern it has seen and
 // then stops allocating. Not safe for concurrent use.
@@ -342,17 +205,16 @@ type Scratch struct {
 // the images of the output node as parent-graph node ids (sorted) and
 // whether the search completed. labels[u] is the parent graph's id of
 // p's label of u (NoLabel when absent), as graph.InternLabels resolves
-// them. It explores candidate pairs in exactly the order Match does on a
-// standalone Graph materialization of the same node list (positions
-// follow that list, adjacency segments are sorted), so answers —
-// including the partial answers of a MaxSteps-truncated run — are
-// identical; all transient state comes from sc, and the returned slice
-// is the only allocation.
+// them. Positions follow the node list the view was built from and
+// adjacency segments are sorted, so the order candidate pairs are met in
+// — and with it the partial answer of a MaxSteps-truncated run — depends
+// only on that list; all transient state comes from sc, and the returned
+// slice is the only allocation.
 func MatchFragment(csr *graph.FragCSR, p *pattern.Pattern, labels []graph.LabelID, pinPos int32, opts *Options, sc *Scratch) ([]graph.NodeID, bool) {
 	if csr.Labels[pinPos] != labels[p.Personalized()] {
 		return nil, true
 	}
-	m := &fragMatcher{csr: csr, p: p, labels: labels, opts: opts, sc: sc}
+	m := &matcher{csr: csr, p: p, labels: labels, opts: opts, sc: sc}
 	m.run(pinPos)
 	if len(sc.ansList) == 0 {
 		return nil, !m.truncated
@@ -367,9 +229,8 @@ func MatchFragment(csr *graph.FragCSR, p *pattern.Pattern, labels []graph.LabelI
 	return out, !m.truncated
 }
 
-// fragMatcher is the matcher over FragCSR positions; it mirrors matcher
-// exactly (see MatchFragment for the equivalence argument).
-type fragMatcher struct {
+// matcher is the backtracking search over FragCSR positions.
+type matcher struct {
 	csr    *graph.FragCSR
 	p      *pattern.Pattern
 	labels []graph.LabelID // p's labels as the parent graph's ids
@@ -380,7 +241,7 @@ type fragMatcher struct {
 	truncated bool
 }
 
-func (m *fragMatcher) budgetOK() bool {
+func (m *matcher) budgetOK() bool {
 	m.steps++
 	if m.opts.stop(m.steps) {
 		m.truncated = true
@@ -389,7 +250,7 @@ func (m *fragMatcher) budgetOK() bool {
 	return true
 }
 
-func (m *fragMatcher) run(pinPos int32) {
+func (m *matcher) run(pinPos int32) {
 	sc := m.sc
 	nq := m.p.NumNodes()
 	n := m.csr.NumNodes()
@@ -418,17 +279,17 @@ func (m *fragMatcher) run(pinPos int32) {
 	m.unassign(m.p.Personalized(), pinPos)
 }
 
-func (m *fragMatcher) assign(u pattern.NodeID, v int32) {
+func (m *matcher) assign(u pattern.NodeID, v int32) {
 	m.sc.core[u] = v
 	m.sc.used[v] = int32(u) + 1
 }
 
-func (m *fragMatcher) unassign(u pattern.NodeID, v int32) {
+func (m *matcher) unassign(u pattern.NodeID, v int32) {
 	m.sc.core[u] = -1
 	m.sc.used[v] = 0
 }
 
-func (m *fragMatcher) feasible(u pattern.NodeID, v int32) bool {
+func (m *matcher) feasible(u pattern.NodeID, v int32) bool {
 	if m.csr.Labels[v] != m.labels[u] {
 		return false
 	}
@@ -455,7 +316,7 @@ func (m *fragMatcher) feasible(u pattern.NodeID, v int32) bool {
 	return true
 }
 
-func (m *fragMatcher) candidates(u pattern.NodeID) []int32 {
+func (m *matcher) candidates(u pattern.NodeID) []int32 {
 	var best []int32
 	found := false
 	consider := func(c []int32) {
@@ -478,7 +339,7 @@ func (m *fragMatcher) candidates(u pattern.NodeID) []int32 {
 	return best
 }
 
-func (m *fragMatcher) search(depth int) {
+func (m *matcher) search(depth int) {
 	sc := m.sc
 	if depth == len(sc.order) {
 		uo := sc.core[m.p.Output()]

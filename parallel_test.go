@@ -31,10 +31,11 @@ func parallelFixture(t *testing.T, seed int64) (*DB, *Pattern, []NodeID) {
 	return NewDB(g), q, pins
 }
 
-// The facade-level property test: for every semantics × mode, answers
-// with Parallelism ∈ {1,2,4,8} must be bit-for-bit the Parallelism = 0
-// answer — with and without a live overlay delta sitting on the
-// snapshot.
+// The facade-level property test: for every semantics × mode, the same
+// requests issued from several goroutines at once — both query classes
+// interleaved, so pooled scratch passes between them — must answer
+// bit-for-bit as they do one at a time, with and without a live overlay
+// delta sitting on the snapshot.
 func TestParallelQueryBitForBitEqualsSerial(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	ctx := context.Background()
@@ -65,24 +66,35 @@ func TestParallelQueryBitForBitEqualsSerial(t *testing.T) {
 				"sub/unanchored":  {Semantics: Subgraph, Mode: Unanchored, Alpha: 0.05, MaxSteps: 2000},
 				"sim/unanch-wide": {Mode: Unanchored, Alpha: 0.2},
 			}
+			want := map[string]Result{}
 			for name, req := range reqs {
-				want, err := db.Query(ctx, q, req)
+				res, err := db.Query(ctx, q, req)
 				if err != nil {
 					t.Fatalf("%s serial: %v", name, err)
 				}
-				for _, p := range []int{1, 2, 4, 8} {
-					r := req
-					r.Parallelism = p
-					got, err := db.Query(ctx, q, r)
-					if err != nil {
-						t.Fatalf("%s P=%d: %v", name, p, err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("seed=%d overlay=%v %s P=%d:\n got %+v\nwant %+v",
-							seed, overlay, name, p, got, want)
-					}
-				}
+				want[name] = res
 			}
+			var wg sync.WaitGroup
+			for w := 0; w < 4; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for rep := 0; rep < 3; rep++ {
+						for name, req := range reqs {
+							got, err := db.Query(ctx, q, req)
+							if err != nil {
+								t.Errorf("%s worker %d: %v", name, w, err)
+								return
+							}
+							if !reflect.DeepEqual(got, want[name]) {
+								t.Errorf("seed=%d overlay=%v %s worker %d:\n got %+v\nwant %+v",
+									seed, overlay, name, w, got, want[name])
+							}
+						}
+					}
+				}()
+			}
+			wg.Wait()
 		}
 	}
 }
@@ -132,7 +144,7 @@ func TestQueryBatchShardedEqualsSerial(t *testing.T) {
 	}
 }
 
-// The race hammer: parallel queries and sharded batches racing Apply,
+// The race hammer: concurrent queries and sharded batches racing Apply,
 // Compact and Close on a persistent DB. Run under -race in CI (the
 // -short suite includes it); correctness assertions are deliberately
 // weak — the test exists to give the race detector interleavings.
@@ -158,21 +170,20 @@ func TestParallelRaceHammer(t *testing.T) {
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
-		go func(w int) { // parallel unanchored queries
+		go func() { // concurrent unanchored queries
 			defer wg.Done()
-			for i := 0; ; i++ {
+			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				req := Request{Mode: Unanchored, Alpha: 0.05, Parallelism: 2 + w}
-				if _, err := db.Query(ctx, q, req); err != nil {
+				if _, err := db.Query(ctx, q, Request{Mode: Unanchored, Alpha: 0.05}); err != nil {
 					t.Errorf("Query: %v", err)
 					return
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Add(1)
 	go func() { // sharded batches
@@ -239,32 +250,38 @@ func TestParallelRaceHammer(t *testing.T) {
 	wg.Wait()
 }
 
-// Cancellation of a parallel query: a pre-canceled context returns
-// ctx.Err() with a zero Result (no worker claims anything), and a
-// context canceled mid-flight surfaces promptly. The quantitative
-// bounds — ≤ one claim per worker at the pool, ≤ one interrupt stride
-// inside an engine run — are pinned by internal/exec and the engine
-// tests; this covers the request-layer wiring end to end.
+// Cancellation of concurrent queries: a pre-canceled context returns
+// ctx.Err() with a zero Result (no anchor runs), and a context canceled
+// mid-flight surfaces promptly in every goroutine that shares it. The
+// quantitative bound — ≤ one interrupt stride inside an engine run — is
+// pinned by the engine tests; this covers the request-layer wiring end
+// to end.
 func TestParallelQueryCancellation(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	db, q, _ := parallelFixture(t, 13)
 	pre, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := db.Query(pre, q, Request{Mode: Unanchored, Alpha: 1.0, Parallelism: 4})
+	res, err := db.Query(pre, q, Request{Mode: Unanchored, Alpha: 1.0})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled: err = %v, want context.Canceled", err)
 	}
 	if !reflect.DeepEqual(res, Result{}) {
 		t.Fatalf("pre-canceled: non-zero result %+v", res)
 	}
-	for _, p := range []int{0, 4} {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
-		_, err := db.Query(ctx, q, Request{Mode: Unanchored, Alpha: 1.0, Parallelism: p})
-		cancel()
-		// The tiny deadline may or may not fire before the query ends;
-		// if it fired, the error must be the context's.
-		if err != nil && !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("P=%d: err = %v, want nil or DeadlineExceeded", p, err)
-		}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
+	defer cancel()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, err := db.Query(ctx, q, Request{Mode: Unanchored, Alpha: 1.0})
+			// The tiny deadline may or may not fire before the query ends;
+			// if it fired, the error must be the context's.
+			if err != nil && !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("worker %d: err = %v, want nil or DeadlineExceeded", w, err)
+			}
+		}()
 	}
+	wg.Wait()
 }

@@ -3,12 +3,10 @@ package rbq
 // The prepared-query facade: compile a pattern once with DB.Prepare, then
 // execute it many times through PreparedQuery.Query. DB.Query shares
 // compilations through the plan cache instead, so both paths run the same
-// core and return bit-for-bit identical answers. Request axes apply
-// unchanged here too: Request.Parallelism bounds the intra-query
-// worker pool of an Unanchored execution, and PreparedQuery.QueryBatch
-// shards its pins across the same pool (internal/exec) — a Plan is
+// core and return bit-for-bit identical answers. PreparedQuery.QueryBatch
+// shards its pins across the worker pool (internal/exec) — a Plan is
 // immutable and every run borrows pooled scratch, so concurrent
-// executions of one PreparedQuery were already safe.
+// executions of one PreparedQuery are safe.
 
 import (
 	"fmt"
@@ -36,7 +34,7 @@ type PreparedQuery struct {
 
 // Prepare compiles q for repeated evaluation against db. The compile
 // step resolves every label constraint to the graph's interned ids,
-// binds the RBSim/RBSub reduction semantics, and resolves the
+// binds the reduction semantics of both query classes, and resolves the
 // personalized node's unique match when one exists; execution time is
 // then the reduction and matching alone.
 //

@@ -15,6 +15,7 @@ import (
 	"math"
 	"time"
 
+	"rbq/internal/bounded"
 	"rbq/internal/exec"
 	"rbq/internal/interrupt"
 	"rbq/internal/obs"
@@ -24,15 +25,17 @@ import (
 	"rbq/internal/subiso"
 )
 
-// Semantics selects the matching semantics of a Request.
+// Semantics selects the matching semantics of a Request. Its values are
+// the engine's query classes, so a Semantics converts to a bounded.Class
+// as is.
 type Semantics int
 
 const (
 	// Simulation matches under strong simulation (the paper's RBSim
 	// family). The zero value.
-	Simulation Semantics = iota
+	Simulation = Semantics(bounded.Simulation)
 	// Subgraph matches under subgraph isomorphism (RBSub, VF2Opt).
-	Subgraph
+	Subgraph = Semantics(bounded.Subgraph)
 )
 
 // Mode selects the evaluation regime of a Request.
@@ -81,38 +84,25 @@ type Request struct {
 	// subset of the complete answer, and which subset depends on the
 	// order it met candidates in. Only valid with Subgraph semantics.
 	MaxSteps int64
-	// Parallelism bounds the intra-query worker pool: how many of the
-	// query's independent work units — the per-anchor rooted runs of an
-	// Unanchored evaluation — may execute concurrently. The effective
-	// width is capped at GOMAXPROCS. Zero (the default) is the serial
-	// path, byte-for-byte what it always was; negative is invalid.
-	// Parallel answers are deterministic: bit-for-bit identical to
-	// Parallelism == 0 (per-unit results merge in serial order), and
-	// cancellation stays prompt (a fired context stops each worker
-	// within about one interrupt stride, and the pool claims no further
-	// units). Anchored single-pin evaluations have exactly one work
-	// unit, so the knob is a documented no-op there; batch entry points
-	// take their own workers argument for cross-item sharding.
-	Parallelism int
 	// WantStats asks for Result.Stats: reduction telemetry, plan-cache
 	// outcome and the compile/execute timing split. Off by default so the
 	// hot path does not buy telemetry it will not read.
 	WantStats bool
 	// WantTrace asks for Result.Trace: a structured span tree covering
-	// the plan probe, selectivity scan, reduction rounds, ball
-	// extraction, exact matching and (in Unanchored mode) the anchor
-	// waves with their accepted/discarded speculation. Off by default;
-	// when off the execution path is bit-for-bit and allocation-identical
-	// to a traceless build (every engine touch point is a nil check, the
-	// same discipline as the interrupt probes).
+	// the plan probe, selectivity scan, reduction rounds, fragment
+	// extraction, exact matching and (in Unanchored mode) the anchor loop
+	// with one summary span per anchor run. Off by default; when off the
+	// execution path is bit-for-bit and allocation-identical to a
+	// traceless build (every engine touch point is a nil check, the same
+	// discipline as the interrupt probes).
 	WantTrace bool
 	// Tracer, when non-nil, receives the dynamic reduction's raw event
 	// stream (every pop, ranked push and fragment insertion, in order,
 	// and every guarded rejection the first time its adjacency list is
 	// read — the paper's Example 4 made observable; see
 	// reduce.WriteTracer for a textual renderer). The tracer runs inline
-	// with the search, so it requires a serial evaluation: Bounded or
-	// Unanchored mode with Parallelism ≤ 1, and no batch entry points.
+	// with the search, so it requires Bounded or Unanchored mode and
+	// refuses the batch entry points, whose items run concurrently.
 	// Independent of WantTrace, which aggregates instead of streaming.
 	Tracer ReduceTracer
 }
@@ -154,16 +144,8 @@ func (req Request) validate() error {
 	if req.MaxSteps != 0 && req.Semantics != Subgraph {
 		return fmt.Errorf("%w: MaxSteps applies to Subgraph semantics only", ErrBadRequest)
 	}
-	if req.Parallelism < 0 {
-		return fmt.Errorf("%w: negative Parallelism %d", ErrBadRequest, req.Parallelism)
-	}
-	if req.Tracer != nil {
-		if req.Mode == Exact {
-			return fmt.Errorf("%w: Tracer observes the dynamic reduction, which Exact mode does not run", ErrBadRequest)
-		}
-		if req.Parallelism > 1 {
-			return fmt.Errorf("%w: Tracer requires a serial evaluation (Parallelism ≤ 1, got %d)", ErrBadRequest, req.Parallelism)
-		}
+	if req.Tracer != nil && req.Mode == Exact {
+		return fmt.Errorf("%w: Tracer observes the dynamic reduction, which Exact mode does not run", ErrBadRequest)
 	}
 	return nil
 }
@@ -444,19 +426,17 @@ func runRequest(ctx context.Context, pl *plan.Plan, epoch uint64, req Request, c
 	}
 	var res Result
 	var rstats reduce.Stats
+	class := bounded.Class(req.Semantics)
+	// Only the isomorphism matcher reads matcher options, so a simulation
+	// query allocates none.
+	var mopts *subiso.Options
+	if class == bounded.Subgraph {
+		mopts = subOpts(req.MaxSteps, done)
+	}
+	ropts := reduce.Options{Alpha: req.Alpha, Interrupt: done, Trace: req.Tracer, Obs: execSpan}
 
 	if req.Mode == Unanchored {
-		opts := rbany.Options{
-			Alpha:   req.Alpha,
-			Workers: exec.Capped(req.Parallelism),
-			Reduce:  reduce.Options{Interrupt: done, Trace: req.Tracer, Obs: execSpan},
-		}
-		var r rbany.Result
-		if req.Semantics == Subgraph {
-			r = pl.SubgraphUnanchored(opts, subOpts(req.MaxSteps, done))
-		} else {
-			r = pl.SimulationUnanchored(opts)
-		}
+		r := pl.Unanchored(class, rbany.Options{Alpha: req.Alpha, Reduce: ropts}, mopts)
 		res = Result{
 			Matches:      r.Matches,
 			Personalized: NoNode,
@@ -480,28 +460,14 @@ func runRequest(ctx context.Context, pl *plan.Plan, epoch uint64, req Request, c
 				return Result{}, personalizedErr(pl)
 			}
 		}
-		switch {
-		case req.Mode == Exact && req.Semantics == Simulation:
+		if req.Mode == Exact {
 			es := execSpan.Child(obs.PhaseExact)
-			m := pl.SimulationExact(vp, done)
-			es.Add("matches", int64(len(m)))
-			es.End()
-			res = Result{Matches: m, Personalized: vp, Complete: true}
-		case req.Mode == Exact:
-			es := execSpan.Child(obs.PhaseExact)
-			m, complete := pl.SubgraphExact(vp, subOpts(req.MaxSteps, done))
+			m, complete := pl.Exact(class, vp, done, req.MaxSteps)
 			es.Add("matches", int64(len(m)))
 			es.End()
 			res = Result{Matches: m, Personalized: vp, Complete: complete}
-		case req.Semantics == Simulation:
-			r := pl.Simulation(vp, reduce.Options{Alpha: req.Alpha, Interrupt: done, Trace: req.Tracer, Obs: execSpan})
-			rstats = r.Stats
-			res = Result{
-				Matches: r.Matches, Personalized: vp, Complete: true,
-				FragmentSize: r.Stats.FragmentSize, Budget: r.Stats.Budget, Visited: r.Stats.Visited,
-			}
-		default:
-			r := pl.Subgraph(vp, reduce.Options{Alpha: req.Alpha, Interrupt: done, Trace: req.Tracer, Obs: execSpan}, subOpts(req.MaxSteps, done))
+		} else {
+			r := pl.Bounded(class, vp, ropts, mopts)
 			rstats = r.Stats
 			res = Result{
 				Matches: r.Matches, Personalized: vp, Complete: r.Complete,

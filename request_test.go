@@ -31,8 +31,6 @@ func TestRequestValidation(t *testing.T) {
 		{Alpha: 0.1, MaxSteps: 5},                        // MaxSteps on Simulation
 		{Semantics: Subgraph, Mode: Exact, MaxSteps: -3}, // negative cap, Exact
 		{Semantics: -1, Mode: Exact},                     // negative semantics
-		{Alpha: 0.1, Parallelism: -1},                    // negative parallelism
-		{Mode: Unanchored, Alpha: 0.1, Parallelism: -4},  // negative parallelism, Unanchored
 	}
 	for i, req := range bad {
 		if _, err := db.Query(context.Background(), q, req); !errors.Is(err, ErrBadRequest) {
