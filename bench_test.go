@@ -122,7 +122,7 @@ func BenchmarkPreparedRBSimQuery(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pl.Bounded(bounded.Simulation, f.vp, f.opts, nil)
+		pl.Bounded(f.aux, bounded.Simulation, f.vp, f.opts, nil)
 	}
 }
 
@@ -134,7 +134,7 @@ func BenchmarkPreparedRBSubQuery(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pl.Bounded(bounded.Subgraph, f.vp, f.opts, nil)
+		pl.Bounded(f.aux, bounded.Subgraph, f.vp, f.opts, nil)
 	}
 }
 

@@ -428,12 +428,12 @@ func runMicro(path, comparePath string, tolerance float64, count int, nsGate boo
 	}{
 		{"PreparedRBSimQuery", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				pl.Bounded(bounded.Simulation, vp, opts, nil)
+				pl.Bounded(aux, bounded.Simulation, vp, opts, nil)
 			}
 		}},
 		{"PreparedRBSubQuery", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				pl.Bounded(bounded.Subgraph, vp, opts, nil)
+				pl.Bounded(aux, bounded.Subgraph, vp, opts, nil)
 			}
 		}},
 		{"QueryCacheHit", func(b *testing.B) {
@@ -623,8 +623,8 @@ func runMicro(path, comparePath string, tolerance float64, count int, nsGate boo
 	// fixture query, not of timing: measure it once per engine entry so
 	// the report carries the empirical input for pair-table hint tuning.
 	pairHW := map[string]int{
-		"PreparedRBSimQuery": pl.Bounded(bounded.Simulation, vp, opts, nil).Stats.PairHighWater,
-		"PreparedRBSubQuery": pl.Bounded(bounded.Subgraph, vp, opts, nil).Stats.PairHighWater,
+		"PreparedRBSimQuery": pl.Bounded(aux, bounded.Simulation, vp, opts, nil).Stats.PairHighWater,
+		"PreparedRBSubQuery": pl.Bounded(aux, bounded.Subgraph, vp, opts, nil).Stats.PairHighWater,
 	}
 
 	if count < 1 {

@@ -437,8 +437,8 @@ func runUpdate(ctx context.Context, db *rbq.DB, opsPath, patternPath string, alp
 	}
 	if stats {
 		cs := db.PlanCacheStats()
-		fmt.Fprintf(stdout, "stats: plan cache %d hit(s) / %d miss(es) / %d invalidation(s) / %d warmer recompile(s)\n",
-			cs.Hits, cs.Misses, cs.Invalidations, cs.WarmerRecompiles)
+		fmt.Fprintf(stdout, "stats: plan cache %d hit(s) / %d miss(es) / %d invalidation(s)\n",
+			cs.Hits, cs.Misses, cs.Invalidations)
 	}
 	if applyErr != nil {
 		fmt.Fprintf(stderr, "rbquery: %v (the %d batch(es) before it remain applied)\n", applyErr, applied)

@@ -346,7 +346,7 @@ func TestRunUpdateMode(t *testing.T) {
 	if !strings.Contains(s, "applied 2 of 2 batch(es), 2 op(s)") || !strings.Contains(s, "|V|=8 |E|=3") {
 		t.Fatalf("summary missing:\n%s", s)
 	}
-	if !strings.Contains(s, "invalidation(s)") || !strings.Contains(s, "warmer recompile(s)") {
+	if !strings.Contains(s, "invalidation(s)") {
 		t.Fatalf("stats line missing:\n%s", s)
 	}
 }

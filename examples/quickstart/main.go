@@ -88,7 +88,7 @@ func main() {
 	// plan cache, so hot templates are compiled once no matter how many
 	// callers evaluate them. WantStats surfaces the cache outcome and the
 	// compile/execute timing split per query.
-	vp := res.Personalized // resolved at compile time, reported per query
+	vp := res.Personalized // the unique match, reported per query
 	for _, alpha := range []float64{0.3, 0.45, 0.6} {
 		r, err := db.Query(ctx, q, rbq.Request{Anchor: rbq.Pin(vp), Alpha: alpha, WantStats: true})
 		if err != nil {

@@ -63,8 +63,8 @@ type Explain struct {
 	// Nodes is the per-query-node selectivity table.
 	Nodes []ExplainNode
 	// Personalized is the pin the evaluation would run from (explicit
-	// Request.Anchor or the compile-time unique match); NoNode when the
-	// request is Unanchored or no unique match exists.
+	// Request.Anchor or the unique match of the personalized label);
+	// NoNode when the request is Unanchored or no unique match exists.
 	Personalized NodeID
 	// AnchorNode is the query node unanchored evaluation re-roots at
 	// (-1 for anchored requests).
@@ -86,7 +86,8 @@ const MaxExplainShares = 8
 
 // Explain compiles q (through the plan cache, like Query) and reports
 // what executing req would do — selectivity table, anchor choice,
-// budget, predicted split — without running the evaluation. The
+// budget, predicted split — without running the evaluation. It refuses
+// a pinned Anchor that Query would refuse, with the same error. The
 // selectivity scan probes every query node's candidate list, so Explain
 // is a diagnostic call, not a hot-path one.
 func (db *DB) Explain(q *Pattern, req Request) (*Explain, error) {
@@ -94,11 +95,17 @@ func (db *DB) Explain(q *Pattern, req Request) (*Explain, error) {
 		return nil, err
 	}
 	snap := db.snapshot()
-	pl, hit, err := db.plans.lookup(snap.Aux(), snap.Epoch(), q)
+	aux := snap.Aux()
+	pl, hit, err := db.plans.lookup(aux, q)
 	if err != nil {
 		return nil, err
 	}
-	g := pl.Aux().Graph()
+	if req.Anchor != nil {
+		if err := checkPin(pl, aux, *req.Anchor); err != nil {
+			return nil, err
+		}
+	}
+	g := aux.Graph()
 	ex := &Explain{
 		Pattern:      q.String(),
 		Semantics:    req.Semantics,
@@ -112,7 +119,7 @@ func (db *DB) Explain(q *Pattern, req Request) (*Explain, error) {
 	if req.Mode != Exact {
 		ex.Budget = int(req.Alpha * float64(g.Size()))
 	}
-	sel := pl.Selectivity()
+	sel := pl.Selectivity(aux)
 	labels := pl.Labels()
 	for u := 0; u < q.NumNodes(); u++ {
 		n := ExplainNode{
@@ -135,7 +142,7 @@ func (db *DB) Explain(q *Pattern, req Request) (*Explain, error) {
 			ex.Nodes[ex.AnchorNode].Anchor = true
 		}
 		if sel.Unanchored != nil {
-			shares, passed := sel.Unanchored.PredictShares(req.Alpha, pl.Semantics(bounded.Class(req.Semantics)), MaxExplainShares)
+			shares, passed := sel.Unanchored.PredictShares(aux, pl.Compiled(bounded.Class(req.Semantics)), req.Alpha, MaxExplainShares)
 			ex.Shares = make([]ExplainShare, len(shares))
 			for i, s := range shares {
 				ex.Shares[i] = ExplainShare{V: s.V, Pot: s.Pot, Share: s.Share}
@@ -144,7 +151,7 @@ func (db *DB) Explain(q *Pattern, req Request) (*Explain, error) {
 		}
 	} else if req.Anchor != nil {
 		ex.Personalized = *req.Anchor
-	} else if vp, ok := pl.Personalized(); ok {
+	} else if vp, ok := pl.Personalized(aux); ok {
 		ex.Personalized = vp
 	}
 	return ex, nil

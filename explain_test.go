@@ -158,3 +158,42 @@ func TestExplainValidates(t *testing.T) {
 		t.Fatal("invalid request accepted")
 	}
 }
+
+// TestExplainRefusesPinsQueryRefuses: an explicit pin Query would refuse
+// — out of range, or carrying the wrong label — fails Explain with the
+// same error instead of being printed as the pin.
+func TestExplainRefusesPinsQueryRefuses(t *testing.T) {
+	db, q, vp := traceFixture(t)
+	wrong := NoNode
+	want := db.Graph().LabelIDOf(q.Label(q.Personalized()))
+	for v := 0; v < db.Graph().NumNodes(); v++ {
+		if db.Graph().LabelOf(NodeID(v)) != want {
+			wrong = NodeID(v)
+			break
+		}
+	}
+	if wrong == NoNode {
+		t.Fatal("fixture has no node with another label")
+	}
+	for _, tc := range []struct {
+		name string
+		pin  NodeID
+	}{{"out of range", 12345}, {"wrong label", wrong}} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, mode := range []Mode{Bounded, Exact} {
+				req := Request{Mode: mode, Anchor: Pin(tc.pin)}
+				if mode == Bounded {
+					req.Alpha = 0.01
+				}
+				_, qerr := db.Query(context.Background(), q, req)
+				_, eerr := db.Explain(q, req)
+				if qerr == nil || eerr == nil || eerr.Error() != qerr.Error() {
+					t.Errorf("mode %d: Explain error %v, Query error %v", mode, eerr, qerr)
+				}
+			}
+		})
+	}
+	if _, err := db.Explain(q, Request{Anchor: &vp, Alpha: 0.01}); err != nil {
+		t.Fatalf("a valid pin refused: %v", err)
+	}
+}

@@ -33,7 +33,7 @@ func ablationPatternSetup(s Scale) ([]patternEval, float64) {
 	evals := make([]patternEval, 0, len(queries))
 	for _, q := range queries {
 		e := patternEval{q: q}
-		e.exactSim, _ = q.pl.Exact(bounded.Simulation, q.vp, nil, 0)
+		e.exactSim, _ = q.pl.Exact(q.aux, bounded.Simulation, q.vp, nil, 0)
 		evals = append(evals, e)
 	}
 	return evals, effAlpha(1.6e-5, d.paperSize, d.g)
@@ -41,7 +41,7 @@ func ablationPatternSetup(s Scale) ([]patternEval, float64) {
 
 func runSimVariant(evals []patternEval, opts reduce.Options) (acc float64, visited, frag int) {
 	for _, e := range evals {
-		r := e.q.pl.Bounded(bounded.Simulation, e.q.vp, opts, nil)
+		r := e.q.pl.Bounded(e.q.aux, bounded.Simulation, e.q.vp, opts, nil)
 		acc += accuracy.Matches(e.exactSim, r.Matches).F
 		visited += r.Stats.Visited
 		frag += r.Stats.FragmentSize

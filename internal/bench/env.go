@@ -35,8 +35,9 @@ func realDatasets(s Scale) []*ds {
 // compiled against the dataset's Aux, which every engine run of the
 // experiments goes through.
 type patternQuery struct {
-	pl *plan.Plan
-	vp graph.NodeID
+	pl  *plan.Plan
+	aux *graph.Aux
+	vp  graph.NodeID
 }
 
 // patternWorkload extracts n patterns of shape (qNodes, qEdges) from aux's
@@ -59,7 +60,7 @@ func patternWorkload(aux *graph.Aux, n, qNodes, qEdges int, seed int64) []patter
 			// PatternAt builds valid patterns; a failure here is a bug.
 			panic(fmt.Sprintf("bench: %v", err))
 		}
-		out = append(out, patternQuery{pl: pl, vp: vp})
+		out = append(out, patternQuery{pl: pl, aux: aux, vp: vp})
 	}
 	return out
 }

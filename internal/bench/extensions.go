@@ -33,7 +33,7 @@ func runExtUnanchored(w io.Writer, s Scale) error {
 		acc, anchors, frag := 0.0, 0, 0
 		for _, q := range queries {
 			exact, _ := rbany.SimulationExact(d.g, q.pl.Pattern(), 1, nil)
-			res := q.pl.Unanchored(bounded.Simulation, rbany.Options{Alpha: eff}, nil)
+			res := q.pl.Unanchored(q.aux, bounded.Simulation, rbany.Options{Alpha: eff}, nil)
 			acc += accuracy.Matches(exact, res.Matches).F
 			anchors += res.Evaluated
 			frag += res.FragmentSize

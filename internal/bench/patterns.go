@@ -63,9 +63,9 @@ func evalBaselines(d *ds, queries []patternQuery, withBall bool) []patternEval {
 			d.g.BallInto(q.vp, q.pl.Diameter(), &ball, nil)
 			e.ballSize = ball.Size()
 		}
-		e.simTime = timeIt(func() { e.exactSim, _ = q.pl.Exact(bounded.Simulation, q.vp, nil, 0) })
+		e.simTime = timeIt(func() { e.exactSim, _ = q.pl.Exact(q.aux, bounded.Simulation, q.vp, nil, 0) })
 		e.isoTime = timeIt(func() {
-			e.exactIso, e.isoOK = q.pl.Exact(bounded.Subgraph, q.vp, nil, vf2Budget)
+			e.exactIso, e.isoOK = q.pl.Exact(q.aux, bounded.Subgraph, q.vp, nil, vf2Budget)
 		})
 		out = append(out, e)
 	}
@@ -93,9 +93,9 @@ func runTable2(w io.Writer, s Scale) error {
 					}
 					var frag int
 					if algo == "RBSim" {
-						frag = e.q.pl.Bounded(bounded.Simulation, e.q.vp, opts, nil).Stats.FragmentSize
+						frag = e.q.pl.Bounded(e.q.aux, bounded.Simulation, e.q.vp, opts, nil).Stats.FragmentSize
 					} else {
-						frag = e.q.pl.Bounded(bounded.Subgraph, e.q.vp, opts, &subiso.Options{MaxSteps: vf2Budget}).Stats.FragmentSize
+						frag = e.q.pl.Bounded(e.q.aux, bounded.Subgraph, e.q.vp, opts, &subiso.Options{MaxSteps: vf2Budget}).Stats.FragmentSize
 					}
 					sum += float64(frag) / float64(e.ballSize)
 					n++
@@ -130,9 +130,9 @@ func figTimeVsAlpha(idx int) func(io.Writer, Scale) error {
 			opts := reduce.Options{Alpha: eff}
 			var tSim, tSub time.Duration
 			for _, e := range evals {
-				tSim += timeIt(func() { e.q.pl.Bounded(bounded.Simulation, e.q.vp, opts, nil) })
+				tSim += timeIt(func() { e.q.pl.Bounded(e.q.aux, bounded.Simulation, e.q.vp, opts, nil) })
 				tSub += timeIt(func() {
-					e.q.pl.Bounded(bounded.Subgraph, e.q.vp, opts, &subiso.Options{MaxSteps: vf2Budget})
+					e.q.pl.Bounded(e.q.aux, bounded.Subgraph, e.q.vp, opts, &subiso.Options{MaxSteps: vf2Budget})
 				})
 			}
 			fmt.Fprintf(tw, "%.1fe-5\t%s\t%s\t%s\t%s\t%s\n",
@@ -164,11 +164,11 @@ func figAccVsAlpha(idx int) func(io.Writer, Scale) error {
 func patternAccuracy(evals []patternEval, opts reduce.Options) (accSim, accSub float64) {
 	nSim, nSub := 0, 0
 	for _, e := range evals {
-		r := e.q.pl.Bounded(bounded.Simulation, e.q.vp, opts, nil)
+		r := e.q.pl.Bounded(e.q.aux, bounded.Simulation, e.q.vp, opts, nil)
 		accSim += accuracy.Matches(e.exactSim, r.Matches).F
 		nSim++
 		if e.isoOK {
-			r2 := e.q.pl.Bounded(bounded.Subgraph, e.q.vp, opts, &subiso.Options{MaxSteps: vf2Budget})
+			r2 := e.q.pl.Bounded(e.q.aux, bounded.Subgraph, e.q.vp, opts, &subiso.Options{MaxSteps: vf2Budget})
 			accSub += accuracy.Matches(e.exactIso, r2.Matches).F
 			nSub++
 		}
@@ -197,9 +197,9 @@ func figTimeVsQ(idx int) func(io.Writer, Scale) error {
 			opts := reduce.Options{Alpha: effAlpha(fixedQAlpha, d.paperSize, d.g)}
 			var tSim, tSub, bSim, bIso time.Duration
 			for _, e := range evals {
-				tSim += timeIt(func() { e.q.pl.Bounded(bounded.Simulation, e.q.vp, opts, nil) })
+				tSim += timeIt(func() { e.q.pl.Bounded(e.q.aux, bounded.Simulation, e.q.vp, opts, nil) })
 				tSub += timeIt(func() {
-					e.q.pl.Bounded(bounded.Subgraph, e.q.vp, opts, &subiso.Options{MaxSteps: vf2Budget})
+					e.q.pl.Bounded(e.q.aux, bounded.Subgraph, e.q.vp, opts, &subiso.Options{MaxSteps: vf2Budget})
 				})
 				bSim += e.simTime
 				bIso += e.isoTime
@@ -264,9 +264,9 @@ func runFig8i(w io.Writer, s Scale) error {
 		opts := reduce.Options{Alpha: eff}
 		var tSim, tSub, bSim, bIso time.Duration
 		for _, e := range evals {
-			tSim += timeIt(func() { e.q.pl.Bounded(bounded.Simulation, e.q.vp, opts, nil) })
+			tSim += timeIt(func() { e.q.pl.Bounded(e.q.aux, bounded.Simulation, e.q.vp, opts, nil) })
 			tSub += timeIt(func() {
-				e.q.pl.Bounded(bounded.Subgraph, e.q.vp, opts, &subiso.Options{MaxSteps: vf2Budget})
+				e.q.pl.Bounded(e.q.aux, bounded.Subgraph, e.q.vp, opts, &subiso.Options{MaxSteps: vf2Budget})
 			})
 			bSim += e.simTime
 			bIso += e.isoTime

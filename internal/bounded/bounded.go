@@ -10,12 +10,13 @@
 // data access by d_G·α|G| and the time by O(d_G·|Q|·|G_Q|). The paper
 // defines RBSub as RBSim's reduction with a stronger guarded condition,
 // and that is how this package is built: one Semantics whose Guard reads
-// per-class requirements precomputed by Bind, and one Run, which branches
-// on the class only to pick the matcher — dual simulation or VF2 — for
-// the fragment.
+// per-class requirements precomputed by Compile, and one Run, which
+// branches on the class only to pick the matcher — dual simulation or
+// VF2 — for the fragment.
 //
-// Run borrows its entire working state — reduction scratch, reusable
-// fragment, CSR materialization and both matchers' arrays — from the
+// Run borrows its entire working state — the binding of its Compiled to
+// the snapshot's Aux, reduction scratch, reusable fragment, CSR
+// materialization and both matchers' arrays — from the
 // Aux's scratch pool (graph.ScratchBounded), so steady-state queries
 // allocate only their result slice.
 package bounded
@@ -40,25 +41,33 @@ const (
 	Subgraph
 )
 
-// Semantics is the instantiation of the dynamic reduction for one query
-// class: the guarded condition C(v,u) and the potential p(v,u), both
-// evaluated against the offline Sl histograms only. Construct with
-// NewSemantics (or Bind a pooled value): binding resolves every pattern
-// label to the graph's interned LabelID and groups each query node's
-// neighbour labels once, so the per-candidate Guard and Potential probes
-// walk a short precomputed list of int32s.
-type Semantics struct {
-	aux    *graph.Aux
+// Compiled is the guarded condition C(v,u) and the potential p(v,u) of
+// one query class, compiled against a pattern and a label alphabet: every
+// pattern label resolved to its interned LabelID, and each query node's
+// neighbour labels grouped once, so the per-candidate probes walk a short
+// precomputed list of int32s. It reads no snapshot — label ids only ever
+// grow by appending, so a Compiled stays valid for every snapshot whose
+// alphabet has the size it was compiled at — and is immutable after
+// Compile, so one value serves concurrent runs. On binds it to the Aux a
+// run reads.
+type Compiled struct {
 	class  Class
 	labels []graph.LabelID // labels[u] = graph id of P's label of u, NoLabel if absent
+	reqs   []nodeReq       // reqs[u]: what C(v,u) asks of v
+	needs  []labelNeed     // backing array of every reqs[u].out and .in
+}
 
+// Semantics is a Compiled bound to one snapshot's Aux: the instantiation
+// of the dynamic reduction the Guard and Potential probes evaluate
+// against the offline Sl histograms. Binding copies slice headers only,
+// so a run binds one into its pooled scratch without allocating.
+type Semantics struct {
+	Compiled
+	aux *graph.Aux
 	// hists caches the base histogram arrays when aux carries no overlay,
 	// so the probes below compile to the inlined slice-and-search; a
 	// patched Aux routes through the overlay-aware accessors instead.
 	hists *graph.Hists // nil for patched Aux views
-
-	reqs  []nodeReq   // reqs[u]: what C(v,u) asks of v
-	needs []labelNeed // backing array of every reqs[u].out and .in
 }
 
 // labelNeed is one distinct neighbour label of a query node u in one
@@ -82,21 +91,26 @@ type nodeReq struct {
 	absent bool
 }
 
-// NewSemantics binds a Semantics of class c to (aux, p).
+// NewSemantics compiles p under class c against aux's alphabet and binds
+// the result to aux: the one-shot form tests and reference callers use.
 func NewSemantics(aux *graph.Aux, p *pattern.Pattern, c Class) *Semantics {
-	s := &Semantics{}
-	s.Bind(aux, p, c)
+	sem := Compile(aux.Graph(), p, c).On(aux)
+	return &sem
+}
+
+// Compile compiles p under class c against g's label alphabet.
+func Compile(g *graph.Graph, p *pattern.Pattern, c Class) *Compiled {
+	s := &Compiled{}
+	s.Bind(p, g.InternLabels(p.Labels(), nil), c)
 	return s
 }
 
-// Bind re-points s at (aux, p) under class c, reusing its buffers; the
-// plan layer binds one per class and prepared pattern. A Semantics bound
-// to p serves any re-rooting of p too: re-rooting keeps the labels and
-// the edges, which are all Bind reads.
-func (s *Semantics) Bind(aux *graph.Aux, p *pattern.Pattern, c Class) {
-	s.aux, s.class = aux, c
-	s.labels = aux.Graph().InternLabels(p.Labels(), s.labels)
-	s.hists = aux.BaseHists()
+// Bind re-points s at p under class c, reusing its buffers. labels are
+// p's labels interned against the alphabet (see graph.InternLabels); s
+// keeps the slice. A Compiled bound to p serves any re-rooting of p too:
+// re-rooting keeps the labels and the edges, which are all Bind reads.
+func (s *Compiled) Bind(p *pattern.Pattern, labels []graph.LabelID, c Class) {
+	s.class, s.labels = c, labels
 	nq := p.NumNodes()
 	if cap(s.reqs) < nq {
 		s.reqs = make([]nodeReq, nq)
@@ -120,9 +134,15 @@ func (s *Semantics) Bind(aux *graph.Aux, p *pattern.Pattern, c Class) {
 	}
 }
 
+// On binds s to aux, the Aux of the snapshot a run reads. aux's alphabet
+// must have the size s was compiled at.
+func (s *Compiled) On(aux *graph.Aux) Semantics {
+	return Semantics{Compiled: *s, aux: aux, hists: aux.BaseHists()}
+}
+
 // group appends one labelNeed per distinct label among the pattern nodes
 // ws to s.needs and returns them, flagging a label absent from the graph.
-func (s *Semantics) group(ws []pattern.NodeID, absent *bool) []labelNeed {
+func (s *Compiled) group(ws []pattern.NodeID, absent *bool) []labelNeed {
 	start := len(s.needs)
 	for _, w := range ws {
 		l := s.labels[w]
@@ -168,9 +188,9 @@ func (s *Semantics) inCount(v graph.NodeID, l graph.LabelID) int32 {
 
 // Labels returns the pattern's labels resolved to the graph's interned
 // ids (labels[u] = id of p's label of u, NoLabel if absent). The slice is
-// owned by the Semantics; reduce.SearchInto reads it so the engine shares
+// owned by the Compiled; reduce.SearchInto reads it so the engine shares
 // the one resolution instead of re-interning per run.
-func (s *Semantics) Labels() []graph.LabelID { return s.labels }
+func (s *Compiled) Labels() []graph.LabelID { return s.labels }
 
 // Guard implements C(v,u). Under simulation: labels agree, and every
 // pattern child (resp. parent) label of u occurs among v's children
@@ -233,6 +253,7 @@ type Result struct {
 // scratch is the pooled per-query state of Run. A value serves either
 // class; each matcher's arrays grow only once that class has run on it.
 type scratch struct {
+	sem  Semantics // the run's binding of its Compiled to aux
 	red  reduce.Scratch
 	frag *graph.Fragment
 	csr  graph.FragCSR
@@ -240,17 +261,19 @@ type scratch struct {
 	sub  subiso.Scratch
 }
 
-// Run executes the bounded algorithm of sem's class: the dynamic
+// Run executes the bounded algorithm of c's class: the dynamic
 // reduction, then the exact matcher on the fragment. opts.Alpha must be
 // set; other options default per the paper (b=2, visit budget d_G·α|G|).
-// sem must be bound to (aux, p) — or to a re-rooting of p — compiled once
-// per pattern by the plan layer, so the per-query work is the reduction
-// and the matcher alone. mopts tunes the isomorphism matcher (nil = no
-// step cap, no interrupt); simulation ignores it.
-func Run(aux *graph.Aux, p *pattern.Pattern, vp graph.NodeID, sem *Semantics, opts reduce.Options, mopts *subiso.Options) Result {
+// c must be compiled for p — or for a re-rooting of p — once per pattern
+// by the plan layer, so the per-query work is binding it to aux in the
+// pooled scratch, the reduction and the matcher. mopts tunes the
+// isomorphism matcher (nil = no step cap, no interrupt); simulation
+// ignores it.
+func Run(aux *graph.Aux, p *pattern.Pattern, vp graph.NodeID, c *Compiled, opts reduce.Options, mopts *subiso.Options) Result {
 	sc := borrow(aux)
 	defer release(aux, sc)
-	return run(aux, p, vp, sem, opts, mopts, sc)
+	sc.sem = c.On(aux)
+	return run(aux, p, vp, &sc.sem, opts, mopts, sc)
 }
 
 func borrow(aux *graph.Aux) *scratch {
@@ -268,6 +291,7 @@ func borrow(aux *graph.Aux) *scratch {
 // scratch must not keep a replaced graph (after a compaction, the whole
 // old base) reachable.
 func release(aux *graph.Aux, sc *scratch) {
+	sc.sem = Semantics{}
 	sc.frag.Release()
 	aux.ScratchPool(graph.ScratchBounded).Put(sc)
 }
@@ -298,16 +322,16 @@ func run(aux *graph.Aux, p *pattern.Pattern, vp graph.NodeID, sem *Semantics, op
 	return res
 }
 
-// Exact runs the exact baseline of sem's class from vp, with no resource
-// bound: MatchOpt under simulation, VF2Opt under isomorphism, each on the
-// label-closed d_Q-region of vp. done cancels either (nil =
-// uncancellable); maxSteps caps the isomorphism search (0 = no cap) and
-// simulation ignores it. A cancelled or step-capped run returns
-// complete=false.
-func Exact(sem *Semantics, p *pattern.Pattern, vp graph.NodeID, done <-chan struct{}, maxSteps int64) ([]graph.NodeID, bool) {
-	g := sem.aux.Graph()
-	if sem.class == Subgraph {
-		return subiso.MatchOpt(g, p, sem.labels, vp, &subiso.Options{MaxSteps: maxSteps, Interrupt: done})
+// Exact runs the exact baseline of c's class on aux's graph from vp,
+// with no resource bound: MatchOpt under simulation, VF2Opt under
+// isomorphism, each on the label-closed d_Q-region of vp. done cancels
+// either (nil = uncancellable); maxSteps caps the isomorphism search (0 =
+// no cap) and simulation ignores it. A cancelled or step-capped run
+// returns complete=false.
+func Exact(aux *graph.Aux, c *Compiled, p *pattern.Pattern, vp graph.NodeID, done <-chan struct{}, maxSteps int64) ([]graph.NodeID, bool) {
+	g := aux.Graph()
+	if c.class == Subgraph {
+		return subiso.MatchOpt(g, p, c.labels, vp, &subiso.Options{MaxSteps: maxSteps, Interrupt: done})
 	}
-	return simulation.MatchOpt(g, p, sem.labels, vp, done)
+	return simulation.MatchOpt(g, p, c.labels, vp, done)
 }

@@ -68,12 +68,12 @@ func example2Graph(m, n int) (g *graph.Graph, michael, cln1, cln graph.NodeID) {
 
 // runSim is RBSim on freshly bound semantics.
 func runSim(aux *graph.Aux, p *pattern.Pattern, vp graph.NodeID, opts reduce.Options) Result {
-	return Run(aux, p, vp, NewSemantics(aux, p, Simulation), opts, nil)
+	return Run(aux, p, vp, Compile(aux.Graph(), p, Simulation), opts, nil)
 }
 
 // runSub is RBSub on freshly bound semantics.
 func runSub(aux *graph.Aux, p *pattern.Pattern, vp graph.NodeID, opts reduce.Options) Result {
-	return Run(aux, p, vp, NewSemantics(aux, p, Subgraph), opts, nil)
+	return Run(aux, p, vp, Compile(aux.Graph(), p, Subgraph), opts, nil)
 }
 
 func TestExample2ExactAnswerUnderSmallAlpha(t *testing.T) {
@@ -351,15 +351,15 @@ func TestIdleScratchPinsNoSnapshot(t *testing.T) {
 	p := figure1Pattern(t)
 	opts := reduce.Options{Alpha: 0.2}
 	for _, c := range []Class{Simulation, Subgraph} {
-		want := Run(aux, p, michael, NewSemantics(aux, p, c), opts, nil)
+		want := Run(aux, p, michael, Compile(g, p, c), opts, nil)
 
 		sc := borrow(aux)
 		run(aux, p, michael, NewSemantics(aux, p, c), opts, nil, sc)
 		release(aux, sc)
-		if sc.frag.Parent() != nil || sc.frag.Size() != 0 {
+		if sc.frag.Parent() != nil || sc.frag.Size() != 0 || sc.sem.aux != nil {
 			t.Fatalf("class %d: a released scratch still references its snapshot: parent %p", c, sc.frag.Parent())
 		}
-		if got := Run(aux, p, michael, NewSemantics(aux, p, c), opts, nil); !reflect.DeepEqual(got, want) {
+		if got := Run(aux, p, michael, Compile(g, p, c), opts, nil); !reflect.DeepEqual(got, want) {
 			t.Fatalf("class %d after a release: %+v, want %+v", c, got, want)
 		}
 	}

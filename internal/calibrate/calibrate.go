@@ -68,6 +68,7 @@ func Curve(ctx context.Context, aux *graph.Aux, queries []Query, alphas []float6
 // calibration sweep evaluates every query at many α values, so the
 // per-query compile step is hoisted out of the α loop.
 type prepared struct {
+	aux     *graph.Aux
 	queries []Query
 	exact   [][]graph.NodeID
 	plans   []*plan.Plan
@@ -81,6 +82,7 @@ type prepared struct {
 func prepare(ctx context.Context, aux *graph.Aux, queries []Query) *prepared {
 	done := interrupt.Done(ctx)
 	pq := &prepared{
+		aux:     aux,
 		queries: queries,
 		exact:   make([][]graph.NodeID, len(queries)),
 		plans:   make([]*plan.Plan, len(queries)),
@@ -93,7 +95,7 @@ func prepare(ctx context.Context, aux *graph.Aux, queries []Query) *prepared {
 			panic(fmt.Sprintf("calibrate: %v", err))
 		}
 		pq.plans[i] = pl
-		pq.exact[i], _ = pl.Exact(bounded.Simulation, q.VP, done, 0)
+		pq.exact[i], _ = pl.Exact(aux, bounded.Simulation, q.VP, done, 0)
 	}
 	return pq
 }
@@ -106,7 +108,7 @@ func sample(ctx context.Context, pq *prepared, alpha float64) Point {
 	}
 	done := interrupt.Done(ctx)
 	for i, q := range pq.queries {
-		res := pq.plans[i].Bounded(bounded.Simulation, q.VP, reduce.Options{Alpha: alpha, Interrupt: done}, nil)
+		res := pq.plans[i].Bounded(pq.aux, bounded.Simulation, q.VP, reduce.Options{Alpha: alpha, Interrupt: done}, nil)
 		pt.Accuracy += accuracy.Matches(pq.exact[i], res.Matches).F
 		pt.MeanFragment += float64(res.Stats.FragmentSize)
 	}

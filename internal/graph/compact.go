@@ -85,11 +85,17 @@ func (g *Graph) CompactWith(spliceFrac float64) *Graph {
 	return g.compactFull()
 }
 
-// compactFull is the Builder-based O(|V|+|E|) rebuild.
+// compactFull is the Builder-based O(|V|+|E|) rebuild. The Builder is
+// seeded with the view's label table in order, so every label keeps its
+// id — including labels no node carries — exactly as the splice keeps
+// the table: label ids only ever grow by appending within a lineage.
 func (g *Graph) compactFull() *Graph {
 	b := NewBuilder(g.NumNodes(), g.NumEdges())
+	for _, name := range g.labelNames {
+		b.Intern(name)
+	}
 	for v := 0; v < g.NumNodes(); v++ {
-		b.AddNode(g.Label(NodeID(v)))
+		b.AddLabeled(g.LabelOf(NodeID(v)))
 	}
 	for v := 0; v < g.NumNodes(); v++ {
 		for _, w := range g.Out(NodeID(v)) {

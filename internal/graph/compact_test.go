@@ -21,6 +21,7 @@ func assertIdenticalBase(t *testing.T, want, got *Graph) {
 	}{
 		{"labels", want.labels, got.labels},
 		{"labelNames", want.labelNames, got.labelNames},
+		{"labelIndex", want.labelIndex, got.labelIndex},
 		{"outStart", want.outStart, got.outStart},
 		{"outAdj", emptyNorm(want.outAdj), emptyNorm(got.outAdj)},
 		{"inStart", want.inStart, got.inStart},
@@ -111,6 +112,11 @@ func TestCompactWithSpliceEdgeCases(t *testing.T) {
 			FromEdges([]string{"A"}, nil),
 			OverlayDelta{NewNodeLabels: []string{"NEW0"}},
 		},
+		{
+			"label table not in node order, with a label no node carries",
+			internedAhead(),
+			OverlayDelta{NewNodeLabels: []string{"A"}, AddEdges: [][2]NodeID{{2, 0}}},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -126,6 +132,19 @@ func TestCompactWithSpliceEdgeCases(t *testing.T) {
 			}
 		})
 	}
+}
+
+// internedAhead is a base whose label table is not in node order and
+// holds a label no node carries: "B" and "UNUSED" are interned before
+// any node, so A=2, B=0 and the alphabet has 3 labels.
+func internedAhead() *Graph {
+	b := NewBuilder(2, 1)
+	b.Intern("B")
+	b.Intern("UNUSED")
+	a := b.AddNode("A")
+	bb := b.AddNode("B")
+	b.AddEdge(a, bb)
+	return b.Build()
 }
 
 func TestCompactWithFallsBackOnLargeTouchedSet(t *testing.T) {

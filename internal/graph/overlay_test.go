@@ -73,6 +73,10 @@ func rebuilt(g *Graph, d OverlayDelta) *Graph {
 		dels[e] = true
 	}
 	b := NewBuilder(g.NumNodes()+len(d.NewNodeLabels), g.NumEdges()+len(d.AddEdges))
+	// The merged view keeps the base's label table and appends to it.
+	for l := 0; l < g.NumLabels(); l++ {
+		b.Intern(g.LabelName(LabelID(l)))
+	}
 	for v := 0; v < g.NumNodes(); v++ {
 		b.AddNode(g.Label(NodeID(v)))
 	}

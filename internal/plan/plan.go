@@ -2,34 +2,38 @@
 // under every pattern engine.
 //
 // Production pattern workloads evaluate a handful of pattern templates
-// millions of times against different pins. Everything about such a
-// template that does not depend on the pin is a compile-time quantity:
-// the resolution of its label constraints to the graph's interned ids,
-// the bounded.Semantics the dynamic reduction is parameterized by (one per
-// query class), its diameter, the unique personalized match (when one
-// exists), and — for unanchored evaluation — the per-query-node candidate
-// counts, their Potential-mass selectivity estimates, and the chosen
-// anchor. A Plan computes all of that once per (pattern, Aux) pair; its
-// execute methods then run the engines on the compiled form
-// (bounded.Run / bounded.Exact / rbany.Prepared) with the Semantics of
-// the class they are asked for.
+// millions of times, against different pins and — on a mutable DB —
+// different snapshots. What a template compiles to depends on the pattern
+// and the graph's label alphabet alone, as the paper's offline structure
+// is built once for all queries: the resolution of its label constraints
+// to interned ids, the per-class requirement lists the dynamic reduction
+// guards by (one bounded.Compiled per query class), its diameter, and —
+// for unanchored evaluation — its re-rootings. A Plan computes those
+// once. Its execute methods take the Aux of the snapshot a request pinned
+// and run the engines (bounded.Run / bounded.Exact / rbany.Prepared) on it
+// with the compiled form of the class they are asked for; what reads the
+// snapshot is resolved per run over the compiled ids: the unique
+// personalized match (one NodesWithLabel) and the unanchored anchor
+// (rbany.PickAnchor).
 //
-// Compilation is cheap — O(|Q|) label work plus one unique-match probe.
-// The remaining compile products are built in two lazy tiers: the
-// unanchored form (anchor choice plus the re-rooted pattern, O(|Q|)) on
-// the first unanchored evaluation, and the full selectivity table — whose
-// Potential-mass scan costs one histogram probe per candidate of every
-// query node — only on an explicit Selectivity call, never implicitly on
-// an execute path.
+// Label ids only ever grow by appending within a DB's lineage, so a Plan
+// is exact for every snapshot whose alphabet has as many labels as the
+// one it was compiled at (see NumLabels); once the alphabet grows, a
+// label the pattern names may have appeared, and the caller recompiles.
 //
-// A Plan is immutable after New (the lazy selectivity table is guarded by
-// a mutex), so one Plan may serve concurrent evaluations: the engines'
-// transient state still comes from the Aux's scratch pools.
+// The selectivity table's Potential-mass scan costs one histogram probe
+// per candidate of every query node, so it is built only by an explicit
+// Selectivity call, never implicitly on an execute path.
+//
+// A Plan is immutable after New (a re-rooting built on first use is
+// published atomically), so one Plan may serve concurrent evaluations
+// against any snapshot of its alphabet: the engines' transient state
+// comes from the Aux's scratch pools.
 package plan
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"rbq/internal/bounded"
 	"rbq/internal/exec"
@@ -37,29 +41,22 @@ import (
 	"rbq/internal/pattern"
 	"rbq/internal/rbany"
 	"rbq/internal/reduce"
-	"rbq/internal/simulation"
 	"rbq/internal/subiso"
 )
 
-// Plan is a pattern compiled against a graph's auxiliary structure.
-// Construct with New, or recycle one with Bind. The zero Plan is unusable
-// until bound.
+// Plan is a pattern compiled against a graph's label alphabet. Construct
+// with New, or recycle one with Bind. The zero Plan is unusable until
+// bound.
 type Plan struct {
-	aux  *graph.Aux
-	p    *pattern.Pattern
-	sems [2]bounded.Semantics // indexed by bounded.Class
-	vp   graph.NodeID         // unique match of u_p, NoNode if absent/ambiguous
-	vpOK bool
+	p         *pattern.Pattern
+	numLabels int                 // alphabet size labels were interned at
+	labels    []graph.LabelID     // labels[u] = id of p's label of u, NoLabel if absent
+	sems      [2]bounded.Compiled // indexed by bounded.Class
 
-	// The unanchored form (anchor choice + re-rooted pattern) and the
-	// full selectivity table are built lazily: pinned workloads never
-	// need either, and the table's Potential-mass scan costs one probe
-	// per candidate of every query node. mu guards the fields below.
-	mu         sync.Mutex
-	unanchDone bool
-	anchor     pattern.NodeID
-	unanch     *rbany.Prepared
-	sel        *Selectivity
+	// rooted[u] is p re-rooted at query node u, built by the first
+	// unanchored run anchored there: which node is the anchor depends on
+	// the snapshot, the re-rooting does not.
+	rooted []atomic.Pointer[rbany.Prepared]
 }
 
 // SelectivitySampleThreshold is the candidate-list length above which
@@ -75,7 +72,7 @@ const (
 	SelectivitySampleSize      = 2048
 )
 
-// Selectivity is the compile-time selectivity table of a pattern: how
+// Selectivity is the selectivity table of a pattern on one snapshot: how
 // many candidates each query node has in the graph, how much Potential
 // mass those candidates carry, and the anchor unanchored evaluation
 // re-roots the pattern at. rbany's selectivity-weighted budget split is
@@ -99,14 +96,15 @@ type Selectivity struct {
 	// with the fewest candidates (ties to the lowest id), exactly as
 	// rbany.PickAnchor chooses.
 	Anchor pattern.NodeID
-	// Unanchored is the compiled unanchored form (anchor candidates and
-	// re-rooted pattern). Nil when some query label is absent or the
-	// pattern is not connected from the anchor; every unanchored
-	// evaluation is then empty.
+	// Unanchored is the pattern re-rooted at Anchor. Nil when some query
+	// label is absent or the pattern is not connected from the anchor;
+	// every unanchored evaluation is then empty.
 	Unanchored *rbany.Prepared
 }
 
-// New compiles p against aux.
+// New compiles p against aux's label alphabet. The plan keeps no
+// reference to aux: execute it against the Aux of any snapshot whose
+// alphabet has NumLabels labels.
 func New(aux *graph.Aux, p *pattern.Pattern) (*Plan, error) {
 	if p == nil {
 		return nil, fmt.Errorf("plan: nil pattern")
@@ -119,51 +117,58 @@ func New(aux *graph.Aux, p *pattern.Pattern) (*Plan, error) {
 	return pl, nil
 }
 
-// Bind re-points pl at (aux, p), reusing its buffers. Callers must not
-// Bind a Plan that other goroutines may still be executing.
+// Bind re-points pl at p compiled against aux's label alphabet, reusing
+// its buffers. Callers must not Bind a Plan that other goroutines may
+// still be executing.
 func (pl *Plan) Bind(aux *graph.Aux, p *pattern.Pattern) {
-	pl.aux, pl.p = aux, p
+	g := aux.Graph()
+	pl.p, pl.numLabels = p, g.NumLabels()
+	pl.labels = g.InternLabels(p.Labels(), pl.labels)
 	for c := range pl.sems {
-		pl.sems[c].Bind(aux, p, bounded.Class(c))
+		pl.sems[c].Bind(p, pl.labels, bounded.Class(c))
 	}
-	pl.vp, pl.vpOK = simulation.PersonalizedMatch(aux.Graph(), p)
-	pl.unanchDone = false
-	pl.anchor = 0
-	pl.unanch = nil
-	pl.sel = nil
+	pl.rooted = make([]atomic.Pointer[rbany.Prepared], p.NumNodes())
 }
-
-// Aux returns the auxiliary structure the plan was compiled against.
-func (pl *Plan) Aux() *graph.Aux { return pl.aux }
 
 // Pattern returns the compiled pattern.
 func (pl *Plan) Pattern() *pattern.Pattern { return pl.p }
 
+// NumLabels returns the size of the label alphabet the plan was compiled
+// at. The plan is exact for a snapshot whose graph has as many labels.
+func (pl *Plan) NumLabels() int { return pl.numLabels }
+
 // Labels returns the pattern's label constraints resolved to the graph's
 // interned ids. The slice is owned by the plan; do not modify.
-func (pl *Plan) Labels() []graph.LabelID { return pl.sems[bounded.Simulation].Labels() }
+func (pl *Plan) Labels() []graph.LabelID { return pl.labels }
 
 // Diameter returns the pattern's cached diameter d_Q.
 func (pl *Plan) Diameter() int { return pl.p.Diameter() }
 
-// Semantics returns the pre-bound reduction semantics of class c
-// (shared; safe for concurrent Guard/Potential probes).
-func (pl *Plan) Semantics(c bounded.Class) *bounded.Semantics { return &pl.sems[c] }
+// Compiled returns the compiled semantics of class c (shared; bind it to
+// a snapshot's Aux with On).
+func (pl *Plan) Compiled(c bounded.Class) *bounded.Compiled { return &pl.sems[c] }
 
-// Personalized returns the unique data-graph match of the pattern's
-// personalized node, resolved at compile time; ok is false when the
-// personalized label is absent or ambiguous (pin explicitly, or run
-// unanchored).
-func (pl *Plan) Personalized() (graph.NodeID, bool) { return pl.vp, pl.vpOK }
+// Personalized returns the unique match, in aux's snapshot, of the
+// pattern's personalized node; ok is false when the personalized label is
+// absent or ambiguous there (pin explicitly, or run unanchored). It is
+// resolved per call — one label-index lookup — because an added node can
+// make a unique match ambiguous.
+func (pl *Plan) Personalized(aux *graph.Aux) (graph.NodeID, bool) {
+	nodes := aux.Graph().NodesWithLabel(pl.labels[pl.p.Personalized()])
+	if len(nodes) != 1 {
+		return graph.NoNode, false
+	}
+	return nodes[0], true
+}
 
-// CheckPin validates an explicit personalized pin against the graph and
+// CheckPin validates an explicit personalized pin against aux's graph and
 // the pattern's label constraint.
-func (pl *Plan) CheckPin(vp graph.NodeID) error {
-	g := pl.aux.Graph()
+func (pl *Plan) CheckPin(aux *graph.Aux, vp graph.NodeID) error {
+	g := aux.Graph()
 	if int(vp) < 0 || int(vp) >= g.NumNodes() {
 		return fmt.Errorf("pinned node %d out of range", vp)
 	}
-	if g.LabelOf(vp) != pl.Labels()[pl.p.Personalized()] {
+	if g.LabelOf(vp) != pl.labels[pl.p.Personalized()] {
 		return fmt.Errorf("pinned node %d has label %q, pattern expects %q",
 			vp, g.Label(vp), pl.p.Label(pl.p.Personalized()))
 	}
@@ -171,98 +176,82 @@ func (pl *Plan) CheckPin(vp graph.NodeID) error {
 }
 
 // Bounded runs the resource-bounded algorithm of class c — RBSim or
-// RBSub — from the pinned personalized match vp. mopts tunes the
-// isomorphism matcher (nil = no step cap, no interrupt).
-func (pl *Plan) Bounded(c bounded.Class, vp graph.NodeID, opts reduce.Options, mopts *subiso.Options) bounded.Result {
-	return bounded.Run(pl.aux, pl.p, vp, &pl.sems[c], opts, mopts)
+// RBSub — on aux's snapshot from the pinned personalized match vp. mopts
+// tunes the isomorphism matcher (nil = no step cap, no interrupt).
+func (pl *Plan) Bounded(aux *graph.Aux, c bounded.Class, vp graph.NodeID, opts reduce.Options, mopts *subiso.Options) bounded.Result {
+	return bounded.Run(aux, pl.p, vp, &pl.sems[c], opts, mopts)
 }
 
-// Exact runs the exact baseline of class c — MatchOpt or VF2Opt — from
-// vp, on the label-closed d_Q-region the compiled labels span.
-// done is the cooperative cancellation channel (nil = uncancellable);
-// when it fires the partial answer is abandoned with complete=false — the
-// request layer reports ctx.Err() instead. maxSteps caps the isomorphism
-// search (0 = no cap).
-func (pl *Plan) Exact(c bounded.Class, vp graph.NodeID, done <-chan struct{}, maxSteps int64) ([]graph.NodeID, bool) {
-	return bounded.Exact(&pl.sems[c], pl.p, vp, done, maxSteps)
+// Exact runs the exact baseline of class c — MatchOpt or VF2Opt — on
+// aux's snapshot from vp, on the label-closed d_Q-region the compiled
+// labels span. done is the cooperative cancellation channel (nil =
+// uncancellable); when it fires the partial answer is abandoned with
+// complete=false — the request layer reports ctx.Err() instead. maxSteps
+// caps the isomorphism search (0 = no cap).
+func (pl *Plan) Exact(aux *graph.Aux, c bounded.Class, vp graph.NodeID, done <-chan struct{}, maxSteps int64) ([]graph.NodeID, bool) {
+	return bounded.Exact(aux, &pl.sems[c], pl.p, vp, done, maxSteps)
 }
 
-// Unanchored evaluates the pattern under class c with no designated
-// personalized match, using the plan's cached anchor choice and re-rooted
-// pattern. The budget split weighs each anchor candidate's Potential
-// mass, computed during the run's guard pass over the anchor's candidates
-// only — the full per-query-node selectivity table (see Selectivity) is
-// not needed here.
-func (pl *Plan) Unanchored(c bounded.Class, opts rbany.Options, mopts *subiso.Options) rbany.Result {
-	unanch, anchor := pl.unanchored()
-	if unanch == nil {
+// Unanchored evaluates the pattern on aux's snapshot under class c with
+// no designated personalized match: the anchor is the query node whose
+// compiled label is rarest in the snapshot, and the pattern re-rooted
+// there is built once per anchor and reused. The budget split weighs each
+// anchor candidate's Potential mass, computed during the run's guard pass
+// over the anchor's candidates only — the full per-query-node
+// selectivity table (see Selectivity) is not needed here.
+func (pl *Plan) Unanchored(aux *graph.Aux, c bounded.Class, opts rbany.Options, mopts *subiso.Options) rbany.Result {
+	anchor, cands := rbany.PickAnchor(aux.Graph(), pl.labels)
+	if len(cands) == 0 {
 		return rbany.Result{Anchor: anchor}
 	}
-	return unanch.Run(&pl.sems[c], opts, mopts)
+	return pl.rootedAt(anchor).Run(aux, &pl.sems[c], opts, mopts)
 }
 
-// unanchored returns the compiled unanchored form (nil when the pattern
-// cannot be anchored) and the chosen anchor, building both on first use.
-// This is the cheap compile product — O(|Q|) label probes — that every
-// unanchored evaluation needs; the candidate-scanning table is built
-// separately by Selectivity.
-func (pl *Plan) unanchored() (*rbany.Prepared, pattern.NodeID) {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	return pl.unanchoredLocked()
-}
-
-func (pl *Plan) unanchoredLocked() (*rbany.Prepared, pattern.NodeID) {
-	if pl.unanchDone {
-		return pl.unanch, pl.anchor
+// rootedAt returns the pattern re-rooted at u, building it on first use.
+func (pl *Plan) rootedAt(u pattern.NodeID) *rbany.Prepared {
+	slot := &pl.rooted[u]
+	if pr := slot.Load(); pr != nil {
+		return pr
 	}
-	pl.unanchDone = true
-	pr := rbany.Prepare(pl.aux, pl.p)
-	pl.anchor = pr.Anchor
-	if pr.Rooted != nil {
-		pl.unanch = pr
-	}
-	return pl.unanch, pl.anchor
+	slot.CompareAndSwap(nil, rbany.Prepare(pl.p, u))
+	return slot.Load()
 }
 
-// Selectivity returns the plan's full selectivity table, building it on
-// first use. Unlike the per-run compile products this scans every query
-// node's candidate list (one Sl-histogram probe per candidate), so it is
+// Selectivity builds the plan's full selectivity table on aux's
+// snapshot. Unlike the per-run products this scans every query node's
+// candidate list (one Sl-histogram probe per candidate), so it is
 // intended for explicit planning diagnostics — the execute paths never
-// build it implicitly. Safe for concurrent callers.
-func (pl *Plan) Selectivity() *Selectivity {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	if pl.sel == nil {
-		pl.sel = pl.buildSelectivityLocked()
-	}
-	return pl.sel
-}
-
-func (pl *Plan) buildSelectivityLocked() *Selectivity {
-	g := pl.aux.Graph()
+// build it. The table reads the snapshot, so it is built per call.
+func (pl *Plan) Selectivity(aux *graph.Aux) *Selectivity {
+	g := aux.Graph()
 	nq := pl.p.NumNodes()
 	sel := &Selectivity{
 		CandCount: make([]int, nq),
 		Mass:      make([]float64, nq),
 		Sampled:   make([]bool, nq),
 	}
+	sem := pl.sems[bounded.Simulation].On(aux)
 	// The per-query-node scans are independent (the Semantics Potential
 	// probe is documented concurrency-safe) and each writes only its own
 	// u-indexed slots, so fan them across the worker pool; massEstimate's
 	// stride sampling is deterministic, making the table independent of
-	// scheduling. The closures never touch pl.mu, so running them under
-	// the build lock is fine.
+	// scheduling.
 	exec.Run(nil, nq, exec.Capped(nq), func(u int) {
-		l := pl.Labels()[u]
+		l := pl.labels[u]
 		if l == graph.NoLabel {
 			return
 		}
 		cands := g.NodesWithLabel(l)
 		sel.CandCount[u] = len(cands)
-		sel.Mass[u], sel.Sampled[u] = massEstimate(g, &pl.sems[bounded.Simulation], cands, pattern.NodeID(u))
+		sel.Mass[u], sel.Sampled[u] = massEstimate(g, &sem, cands, pattern.NodeID(u))
 	})
-	sel.Unanchored, sel.Anchor = pl.unanchoredLocked()
+	var cands []graph.NodeID
+	sel.Anchor, cands = rbany.PickAnchor(g, pl.labels)
+	if len(cands) > 0 {
+		if pr := pl.rootedAt(sel.Anchor); pr.Rooted != nil {
+			sel.Unanchored = pr
+		}
+	}
 	return sel
 }
 

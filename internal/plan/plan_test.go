@@ -55,7 +55,7 @@ func TestNewCompilesLabelsAndPersonalized(t *testing.T) {
 			t.Fatalf("label[%d] = %d, want %d", u, l, want)
 		}
 	}
-	vp, ok := pl.Personalized()
+	vp, ok := pl.Personalized(aux)
 	if !ok || vp != 0 {
 		t.Fatalf("personalized = (%d, %v), want (0, true)", vp, ok)
 	}
@@ -74,16 +74,16 @@ func TestNewRejectsNil(t *testing.T) {
 func TestCheckPin(t *testing.T) {
 	aux, p := fixture(t)
 	pl, _ := New(aux, p)
-	if err := pl.CheckPin(0); err != nil {
+	if err := pl.CheckPin(aux, 0); err != nil {
 		t.Fatalf("valid pin rejected: %v", err)
 	}
-	if err := pl.CheckPin(1); err == nil {
+	if err := pl.CheckPin(aux, 1); err == nil {
 		t.Fatal("label-mismatched pin accepted")
 	}
-	if err := pl.CheckPin(-1); err == nil {
+	if err := pl.CheckPin(aux, -1); err == nil {
 		t.Fatal("out-of-range pin accepted")
 	}
-	if err := pl.CheckPin(graph.NodeID(aux.Graph().NumNodes())); err == nil {
+	if err := pl.CheckPin(aux, graph.NodeID(aux.Graph().NumNodes())); err == nil {
 		t.Fatal("out-of-range pin accepted")
 	}
 }
@@ -105,29 +105,37 @@ func TestPreparedMatchesOneShotEngines(t *testing.T) {
 		// Pin at every candidate of the personalized label.
 		l := g.LabelIDOf(p.Label(p.Personalized()))
 		for _, vp := range g.NodesWithLabel(l) {
-			if got, want := pl.Bounded(bounded.Simulation, vp, opts, nil), bounded.Run(aux, p, vp, bounded.NewSemantics(aux, p, bounded.Simulation), opts, nil); !reflect.DeepEqual(got, want) {
+			if got, want := pl.Bounded(aux, bounded.Simulation, vp, opts, nil), bounded.Run(aux, p, vp, bounded.Compile(g, p, bounded.Simulation), opts, nil); !reflect.DeepEqual(got, want) {
 				t.Fatalf("iter %d vp %d: plan sim %+v != bounded %+v", iter, vp, got, want)
 			}
-			if got, want := pl.Bounded(bounded.Subgraph, vp, opts, nil), bounded.Run(aux, p, vp, bounded.NewSemantics(aux, p, bounded.Subgraph), opts, nil); !reflect.DeepEqual(got, want) {
+			if got, want := pl.Bounded(aux, bounded.Subgraph, vp, opts, nil), bounded.Run(aux, p, vp, bounded.Compile(g, p, bounded.Subgraph), opts, nil); !reflect.DeepEqual(got, want) {
 				t.Fatalf("iter %d vp %d: plan sub %+v != bounded %+v", iter, vp, got, want)
 			}
 		}
 		uo := rbany.Options{Alpha: 0.3}
-		if got, want := pl.Unanchored(bounded.Simulation, uo, nil), rbany.Prepare(aux, p).Run(bounded.NewSemantics(aux, p, bounded.Simulation), uo, nil); !reflect.DeepEqual(got, want) {
+		if got, want := pl.Unanchored(aux, bounded.Simulation, uo, nil), oneShotUnanchored(aux, p, bounded.Simulation, uo); !reflect.DeepEqual(got, want) {
 			t.Fatalf("iter %d: plan unanchored %+v != rbany %+v", iter, got, want)
 		}
-		if got, want := pl.Unanchored(bounded.Subgraph, uo, nil), rbany.Prepare(aux, p).Run(bounded.NewSemantics(aux, p, bounded.Subgraph), uo, nil); !reflect.DeepEqual(got, want) {
+		if got, want := pl.Unanchored(aux, bounded.Subgraph, uo, nil), oneShotUnanchored(aux, p, bounded.Subgraph, uo); !reflect.DeepEqual(got, want) {
 			t.Fatalf("iter %d: plan sub-unanchored %+v != rbany %+v", iter, got, want)
 		}
 	}
 }
 
+// oneShotUnanchored is the unanchored engine with nothing reused: the
+// anchor picked, the pattern re-rooted and its semantics compiled afresh.
+func oneShotUnanchored(aux *graph.Aux, p *pattern.Pattern, c bounded.Class, opts rbany.Options) rbany.Result {
+	g := aux.Graph()
+	anchor, _ := rbany.PickAnchor(g, g.InternLabels(p.Labels(), nil))
+	return rbany.Prepare(p, anchor).Run(aux, bounded.Compile(g, p, c), opts, nil)
+}
+
 func TestSelectivityTable(t *testing.T) {
 	aux, p := fixture(t)
 	pl, _ := New(aux, p)
-	sel := pl.Selectivity()
-	if sel != pl.Selectivity() {
-		t.Fatal("selectivity table not cached")
+	sel := pl.Selectivity(aux)
+	if !reflect.DeepEqual(sel, pl.Selectivity(aux)) {
+		t.Fatal("selectivity table not deterministic")
 	}
 	// Every label occurs once in the fixture graph.
 	want := []int{1, 1, 1, 1}
@@ -142,11 +150,11 @@ func TestSelectivityTable(t *testing.T) {
 	}
 	// All counts tie at 1; the anchor must be the lowest-id node, exactly
 	// as rbany.PickAnchor chooses.
-	wantAnchor, _ := rbany.PickAnchor(aux.Graph(), p)
+	wantAnchor, _ := rbany.PickAnchor(aux.Graph(), pl.Labels())
 	if sel.Anchor != wantAnchor {
 		t.Fatalf("anchor %d, want %d", sel.Anchor, wantAnchor)
 	}
-	if sel.Unanchored == nil || len(sel.Unanchored.Cands) != 1 {
+	if sel.Unanchored == nil || sel.Unanchored.Anchor != wantAnchor || sel.Unanchored.Rooted == nil {
 		t.Fatalf("unanchored prepared = %+v", sel.Unanchored)
 	}
 }
@@ -162,11 +170,11 @@ func TestSelectivityAbsentLabel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel := pl.Selectivity()
+	sel := pl.Selectivity(aux)
 	if sel.Unanchored != nil {
 		t.Fatalf("absent label must yield nil unanchored form, got %+v", sel.Unanchored)
 	}
-	res := pl.Unanchored(bounded.Simulation, rbany.Options{Alpha: 1}, nil)
+	res := pl.Unanchored(aux, bounded.Simulation, rbany.Options{Alpha: 1}, nil)
 	if res.Matches != nil || res.Candidates != 0 {
 		t.Fatalf("unanchored over absent label = %+v", res)
 	}
@@ -189,11 +197,11 @@ func TestBindReuse(t *testing.T) {
 		}
 		l := g.LabelIDOf(p.Label(p.Personalized()))
 		for _, vp := range g.NodesWithLabel(l) {
-			if got, want := recycled.Bounded(bounded.Simulation, vp, opts, nil), fresh.Bounded(bounded.Simulation, vp, opts, nil); !reflect.DeepEqual(got, want) {
+			if got, want := recycled.Bounded(aux, bounded.Simulation, vp, opts, nil), fresh.Bounded(aux, bounded.Simulation, vp, opts, nil); !reflect.DeepEqual(got, want) {
 				t.Fatalf("iter %d: recycled %+v != fresh %+v", i, got, want)
 			}
 		}
-		if got, want := recycled.Unanchored(bounded.Simulation, rbany.Options{Alpha: 0.4}, nil), fresh.Unanchored(bounded.Simulation, rbany.Options{Alpha: 0.4}, nil); !reflect.DeepEqual(got, want) {
+		if got, want := recycled.Unanchored(aux, bounded.Simulation, rbany.Options{Alpha: 0.4}, nil), fresh.Unanchored(aux, bounded.Simulation, rbany.Options{Alpha: 0.4}, nil); !reflect.DeepEqual(got, want) {
 			t.Fatalf("iter %d: recycled unanchored %+v != fresh %+v", i, got, want)
 		}
 	}

@@ -56,9 +56,10 @@ func TestSelectivitySampleAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel := pl.Selectivity()
+	sel := pl.Selectivity(aux)
 
 	g := aux.Graph()
+	sem := bounded.NewSemantics(aux, p, bounded.Simulation)
 	for u := 0; u < p.NumNodes(); u++ {
 		cands := g.NodesWithLabel(pl.Labels()[u])
 		wantSampled := len(cands) > SelectivitySampleThreshold
@@ -68,7 +69,7 @@ func TestSelectivitySampleAccuracy(t *testing.T) {
 		}
 		var exact float64
 		for _, v := range cands {
-			exact += pl.Semantics(bounded.Simulation).Potential(v, pattern.NodeID(u))
+			exact += sem.Potential(v, pattern.NodeID(u))
 		}
 		if !wantSampled {
 			if sel.Mass[u] != exact {
@@ -101,7 +102,7 @@ func TestSelectivitySampleDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sa, sb := a.Selectivity(), b.Selectivity()
+	sa, sb := a.Selectivity(aux), b.Selectivity(aux)
 	if fmt.Sprint(sa.Mass) != fmt.Sprint(sb.Mass) {
 		t.Fatalf("mass estimates differ across builds:\n%v\n%v", sa.Mass, sb.Mass)
 	}

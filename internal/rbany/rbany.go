@@ -17,10 +17,12 @@
 // data accessed stays bounded: shares sum to α|G|, unspent budget rolls
 // over, and each per-candidate run obeys its own visit bound.
 //
-// Anchor selection and candidate enumeration are a compile-time decision:
-// Prepare performs them once per pattern and the returned Prepared
-// evaluates many times, under either query class, with the
-// bounded.Semantics the caller bound for that class — which is how the
+// Anchor selection reads the snapshot — which label is rarest changes as
+// nodes are added — so PickAnchor runs per evaluation, over the pattern's
+// compiled label ids. Re-rooting depends on the pattern alone: Prepare
+// builds it once per anchor, and the returned Prepared evaluates many
+// times, against any snapshot and under either query class, with the
+// bounded.Compiled the caller holds for that class — which is how the
 // plan layer (internal/plan) embeds this engine.
 package rbany
 
@@ -64,14 +66,14 @@ type Result struct {
 }
 
 // PickAnchor returns the query node whose label is rarest in g — the most
-// selective traversal root — and its candidate list. An empty candidate
-// list means some query label is absent and the answer is empty. Prepare
-// calls it, and the plan layer compiles through Prepare.
-func PickAnchor(g *graph.Graph, p *pattern.Pattern) (pattern.NodeID, []graph.NodeID) {
+// selective traversal root, ties to the lowest id — and its candidate
+// list. labels are the pattern's labels interned against g's alphabet
+// (labels[u] for query node u). An empty candidate list means some query
+// label is absent and the answer is empty.
+func PickAnchor(g *graph.Graph, labels []graph.LabelID) (pattern.NodeID, []graph.NodeID) {
 	best := pattern.NodeID(-1)
 	var bestCands []graph.NodeID
-	for u := 0; u < p.NumNodes(); u++ {
-		l := g.LabelIDOf(p.Label(pattern.NodeID(u)))
+	for u, l := range labels {
 		if l == graph.NoLabel {
 			return pattern.NodeID(u), nil
 		}
@@ -84,44 +86,40 @@ func PickAnchor(g *graph.Graph, p *pattern.Pattern) (pattern.NodeID, []graph.Nod
 	return best, bestCands
 }
 
-// Prepared is the compiled form of an unanchored pattern: the chosen
-// anchor, its candidate list and the pattern re-rooted at the anchor.
-// Compile once with Prepare (or let the plan layer assemble one), then
-// evaluate many times; a Prepared is immutable and safe for concurrent
-// use.
+// Prepared is the compiled form of an unanchored pattern at one anchor:
+// the pattern re-rooted there. It reads no snapshot — the candidates are
+// the anchor's label's nodes in whichever snapshot a run is given.
+// Prepare once per (pattern, anchor), then evaluate many times; a
+// Prepared is immutable and safe for concurrent use.
 type Prepared struct {
-	// Aux is the offline structure the reductions run against.
-	Aux *graph.Aux
-	// Anchor is the most selective query node (see PickAnchor).
+	// Anchor is the query node the pattern is re-rooted at.
 	Anchor pattern.NodeID
 	// Rooted is the pattern re-rooted at Anchor; nil when the pattern is
-	// not connected from it or some query label is absent from the graph
-	// (every evaluation then returns the empty Result).
+	// not connected from it (every evaluation then returns the empty
+	// Result).
 	Rooted *pattern.Pattern
-	// Cands are the data nodes carrying the anchor's label (unfiltered;
-	// each evaluation applies the query class's guard).
-	Cands []graph.NodeID
 }
 
-// Prepare compiles p against aux for unanchored evaluation.
-func Prepare(aux *graph.Aux, p *pattern.Pattern) *Prepared {
-	anchor, rooted, cands := rootAtAnchor(aux.Graph(), p)
-	return &Prepared{Aux: aux, Anchor: anchor, Rooted: rooted, Cands: cands}
-}
-
-// rootAtAnchor picks the anchor and re-roots p at it; rooted is nil when
-// some query label is absent from g or p is not connected from the anchor
-// (the answer is then empty).
-func rootAtAnchor(g *graph.Graph, p *pattern.Pattern) (anchor pattern.NodeID, rooted *pattern.Pattern, cands []graph.NodeID) {
-	anchor, cands = PickAnchor(g, p)
-	if len(cands) == 0 {
-		return anchor, nil, nil
-	}
+// Prepare re-roots p at anchor for unanchored evaluation.
+func Prepare(p *pattern.Pattern, anchor pattern.NodeID) *Prepared {
 	rooted, err := p.WithPersonalized(anchor)
 	if err != nil {
-		return anchor, nil, nil
+		rooted = nil
 	}
-	return anchor, rooted, cands
+	return &Prepared{Anchor: anchor, Rooted: rooted}
+}
+
+// rootAtAnchor picks the anchor in g and re-roots p at it; rooted is nil
+// when some query label is absent from g or p is not connected from the
+// anchor (the answer is then empty). labels are p's labels interned
+// against g.
+func rootAtAnchor(g *graph.Graph, p *pattern.Pattern) (rooted *pattern.Pattern, labels []graph.LabelID, cands []graph.NodeID) {
+	labels = g.InternLabels(p.Labels(), nil)
+	anchor, cands := PickAnchor(g, labels)
+	if len(cands) == 0 {
+		return nil, labels, nil
+	}
+	return Prepare(p, anchor).Rooted, labels, cands
 }
 
 // anchorCand is one guard-passing anchor candidate with its ranking keys.
@@ -131,11 +129,11 @@ type anchorCand struct {
 	pot float64 // Potential mass p(v, anchor), the selectivity estimate
 }
 
-// Run evaluates the prepared pattern under sem's query class. sem must be
-// bound to the pattern Prepare compiled, or to its re-rooting: the two
-// share labels and edges, so both guard and price alike. mopts tunes the
-// isomorphism matcher of every rooted run.
-func (pr *Prepared) Run(sem *bounded.Semantics, opts Options, mopts *subiso.Options) Result {
+// Run evaluates the prepared pattern on aux's snapshot under c's query
+// class. c must be compiled for the pattern Prepare re-rooted, or for its
+// re-rooting: the two share labels and edges, so both guard and price
+// alike. mopts tunes the isomorphism matcher of every rooted run.
+func (pr *Prepared) Run(aux *graph.Aux, c *bounded.Compiled, opts Options, mopts *subiso.Options) Result {
 	res := Result{Anchor: pr.Anchor}
 	if pr.Rooted == nil {
 		return res
@@ -145,8 +143,9 @@ func (pr *Prepared) Run(sem *bounded.Semantics, opts Options, mopts *subiso.Opti
 	sp := opts.Reduce.Obs
 	opts.Reduce.Obs = nil
 	ss := sp.Child(obs.PhaseSelectivity)
-	pass, mass := pr.rankAnchors(sem)
-	ss.Add("candidates", int64(len(pr.Cands)))
+	sem := c.On(aux)
+	cands, pass, mass := pr.rankAnchors(aux.Graph(), &sem)
+	ss.Add("candidates", int64(len(cands)))
 	ss.Add("passed", int64(len(pass)))
 	ss.Add("mass", int64(mass))
 	ss.End()
@@ -154,11 +153,12 @@ func (pr *Prepared) Run(sem *bounded.Semantics, opts Options, mopts *subiso.Opti
 	if len(pass) == 0 {
 		return res
 	}
-	remaining := int(opts.Alpha * float64(pr.Aux.Graph().Size()))
+	size := aux.Graph().Size()
+	remaining := int(opts.Alpha * float64(size))
 	ws := sp.Child(obs.PhaseAnchorWave)
 	ws.Add("total_budget", int64(remaining))
 	var matches []graph.NodeID
-	for i, c := range pass {
+	for i, a := range pass {
 		if remaining <= 0 {
 			break
 		}
@@ -170,16 +170,16 @@ func (pr *Prepared) Run(sem *bounded.Semantics, opts Options, mopts *subiso.Opti
 			break
 		}
 		// Adaptive split: unspent budget rolls over to later candidates.
-		share := splitShare(remaining, mass, c.pot, len(pass)-i)
+		share := splitShare(remaining, mass, a.pot, len(pass)-i)
 		ropts := opts.Reduce
-		ropts.Alpha = float64(share) / float64(pr.Aux.Graph().Size())
-		r := bounded.Run(pr.Aux, pr.Rooted, c.v, sem, ropts, mopts)
-		anchorSpan(ws, res.Evaluated, c.v, share, r.Stats, len(r.Matches))
+		ropts.Alpha = float64(share) / float64(size)
+		r := bounded.Run(aux, pr.Rooted, a.v, c, ropts, mopts)
+		anchorSpan(ws, res.Evaluated, a.v, share, r.Stats, len(r.Matches))
 		res.Evaluated++
 		res.Visited += r.Stats.Visited
 		res.FragmentSize += r.Stats.FragmentSize
 		remaining -= r.Stats.FragmentSize
-		mass -= c.pot
+		mass -= a.pot
 		matches = append(matches, r.Matches...)
 	}
 	ws.Add("evaluated", int64(res.Evaluated))
@@ -208,18 +208,16 @@ func anchorSpan(parent *obs.Span, n int, v graph.NodeID, share int, stats reduce
 	as.End()
 }
 
-// rankAnchors guard-filters the candidates — recording each survivor's
-// Potential mass, the same Sl-histogram estimate the in-reduction
-// frontier ranks by, here reused as the anchor's budget weight — then
-// ranks them by decreasing mass, so the most promising anchors draw from
-// the fullest budget. Run and PredictShares start from this identical
-// (pass, mass) state.
-func (pr *Prepared) rankAnchors(sem *bounded.Semantics) ([]anchorCand, float64) {
-	g := pr.Aux.Graph()
+// rankAnchors guard-filters the anchor's candidates in sem's snapshot —
+// recording each survivor's Potential mass, the same Sl-histogram
+// estimate the in-reduction frontier ranks by, here reused as the
+// anchor's budget weight — then ranks them by decreasing mass, so the
+// most promising anchors draw from the fullest budget. Run and
+// PredictShares start from this identical (pass, mass) state.
+func (pr *Prepared) rankAnchors(g *graph.Graph, sem *bounded.Semantics) (cands []graph.NodeID, pass []anchorCand, mass float64) {
 	anchor := pr.Anchor
-	var pass []anchorCand
-	var mass float64
-	for _, v := range pr.Cands {
+	cands = g.NodesWithLabel(sem.Labels()[anchor])
+	for _, v := range cands {
 		if !sem.Guard(v, anchor) {
 			continue
 		}
@@ -228,7 +226,7 @@ func (pr *Prepared) rankAnchors(sem *bounded.Semantics) ([]anchorCand, float64) 
 		pass = append(pass, c)
 	}
 	if len(pass) == 0 {
-		return nil, 0
+		return cands, nil, 0
 	}
 	slices.SortFunc(pass, func(a, b anchorCand) int {
 		if a.pot != b.pot {
@@ -242,7 +240,7 @@ func (pr *Prepared) rankAnchors(sem *bounded.Semantics) ([]anchorCand, float64) 
 		}
 		return int(a.v) - int(b.v)
 	})
-	return pass, mass
+	return cands, pass, mass
 }
 
 // splitShare computes anchor i's budget share from the live rollover
@@ -273,17 +271,18 @@ type Share struct {
 	Share int
 }
 
-// PredictShares guard-ranks the anchor candidates under sem exactly as Run
-// would (same rankAnchors, same splitShare float sequence) and returns up
-// to limit predicted shares in evaluation order, together with how many
-// candidates pass the guard — Run's Result.Candidates. Read-only: no
-// reduction runs.
-func (pr *Prepared) PredictShares(alpha float64, sem *bounded.Semantics, limit int) (shares []Share, passed int) {
+// PredictShares guard-ranks the anchor candidates on aux's snapshot under
+// c exactly as Run would (same rankAnchors, same splitShare float
+// sequence) and returns up to limit predicted shares in evaluation order,
+// together with how many candidates pass the guard — Run's
+// Result.Candidates. Read-only: no reduction runs.
+func (pr *Prepared) PredictShares(aux *graph.Aux, c *bounded.Compiled, alpha float64, limit int) (shares []Share, passed int) {
 	if pr.Rooted == nil {
 		return nil, 0
 	}
-	pass, mass := pr.rankAnchors(sem)
-	remaining := int(alpha * float64(pr.Aux.Graph().Size()))
+	sem := c.On(aux)
+	_, pass, mass := pr.rankAnchors(aux.Graph(), &sem)
+	remaining := int(alpha * float64(aux.Graph().Size()))
 	for j := 0; j < len(pass) && remaining > 0 && len(shares) < limit; j++ {
 		share := splitShare(remaining, mass, pass[j].pot, len(pass)-j)
 		shares = append(shares, Share{V: pass[j].v, Pot: pass[j].pot, Share: share})
@@ -302,11 +301,11 @@ func (pr *Prepared) PredictShares(alpha float64, sem *bounded.Semantics, limit i
 // abandons the evaluation and returns nil with ok=false. Intended for
 // tests and calibration on graphs where it is affordable.
 func SimulationExact(g *graph.Graph, p *pattern.Pattern, workers int, done <-chan struct{}) ([]graph.NodeID, bool) {
-	_, rooted, cands := rootAtAnchor(g, p)
+	rooted, labels, cands := rootAtAnchor(g, p)
 	if rooted == nil {
 		return nil, true
 	}
-	per, ok := simulation.MatchOptMany(g, rooted, g.InternLabels(rooted.Labels(), nil), cands, workers, done)
+	per, ok := simulation.MatchOptMany(g, rooted, labels, cands, workers, done)
 	if !ok {
 		return nil, false
 	}
@@ -316,11 +315,11 @@ func SimulationExact(g *graph.Graph, p *pattern.Pattern, workers int, done <-cha
 // SubgraphExact is the isomorphism counterpart of SimulationExact;
 // complete is the conjunction of the per-candidate VF2 completion flags.
 func SubgraphExact(g *graph.Graph, p *pattern.Pattern, workers int, mopts *subiso.Options) ([]graph.NodeID, bool) {
-	_, rooted, cands := rootAtAnchor(g, p)
+	rooted, labels, cands := rootAtAnchor(g, p)
 	if rooted == nil {
 		return nil, true
 	}
-	per, complete := subiso.MatchOptMany(g, rooted, g.InternLabels(rooted.Labels(), nil), cands, workers, mopts)
+	per, complete := subiso.MatchOptMany(g, rooted, labels, cands, workers, mopts)
 	return unionOf(per), complete
 }
 

@@ -13,7 +13,13 @@ import (
 
 // evaluate compiles p and evaluates it unanchored under class c.
 func evaluate(aux *graph.Aux, p *pattern.Pattern, c bounded.Class, opts Options) Result {
-	return Prepare(aux, p).Run(bounded.NewSemantics(aux, p, c), opts, nil)
+	return prepare(aux, p).Run(aux, bounded.Compile(aux.Graph(), p, c), opts, nil)
+}
+
+// prepare re-roots p at the anchor PickAnchor chooses in aux's graph.
+func prepare(aux *graph.Aux, p *pattern.Pattern) *Prepared {
+	anchor, _ := PickAnchor(aux.Graph(), aux.Graph().InternLabels(p.Labels(), nil))
+	return Prepare(p, anchor)
 }
 
 // multiMatchGraph has the A->B motif in three places; no label is unique.
@@ -56,7 +62,7 @@ func TestAnchorIsMostSelective(t *testing.T) {
 	p := b.MustBuild()
 	g := graph.FromEdges([]string{"A", "B", "A", "B", "A", "B", "C"},
 		[][2]int{{6, 0}})
-	anchor, cands := PickAnchor(g, p)
+	anchor, cands := PickAnchor(g, g.InternLabels(p.Labels(), nil))
 	if p.Label(anchor) != "C" || len(cands) != 1 {
 		t.Fatalf("anchor label %q with %d candidates", p.Label(anchor), len(cands))
 	}

@@ -107,14 +107,14 @@ func TestWeightedSplitBeatsEven(t *testing.T) {
 func TestPreparedUnanchoredMatchesOneShot(t *testing.T) {
 	g, p := skewedFixture(t)
 	aux := graph.BuildAux(g)
-	pr := Prepare(aux, p)
-	sim, sub := bounded.NewSemantics(aux, p, bounded.Simulation), bounded.NewSemantics(aux, p, bounded.Subgraph)
+	pr := prepare(aux, p)
+	sim, sub := bounded.Compile(g, p, bounded.Simulation), bounded.Compile(g, p, bounded.Subgraph)
 	for _, alpha := range []float64{0.05, 0.2, 0.8} {
 		opts := Options{Alpha: alpha}
-		if got, want := pr.Run(sim, opts, nil), evaluate(aux, p, bounded.Simulation, opts); !reflect.DeepEqual(got, want) {
+		if got, want := pr.Run(aux, sim, opts, nil), evaluate(aux, p, bounded.Simulation, opts); !reflect.DeepEqual(got, want) {
 			t.Fatalf("alpha=%v: reused sim %+v != fresh %+v", alpha, got, want)
 		}
-		if got, want := pr.Run(sub, opts, nil), evaluate(aux, p, bounded.Subgraph, opts); !reflect.DeepEqual(got, want) {
+		if got, want := pr.Run(aux, sub, opts, nil), evaluate(aux, p, bounded.Subgraph, opts); !reflect.DeepEqual(got, want) {
 			t.Fatalf("alpha=%v: reused sub %+v != fresh %+v", alpha, got, want)
 		}
 	}

@@ -108,19 +108,30 @@ func TestQueryAfterApplyReusesScratch(t *testing.T) {
 		}
 		query() // builds the scratch
 		for round := 0; round < 3; round++ {
+			labels, misses := db.Graph().NumLabels(), db.PlanCacheStats().Misses
 			if err := db.Apply([]rbq.Op{rbq.AddNode("FRESH")}); err != nil {
 				t.Fatal(err)
 			}
 			if got := query(); got > 48<<10 {
 				t.Fatalf("%s: the query after apply %d allocated %d bytes: its scratch did not survive the publish", sem, round, got)
 			}
+			// A plan depends on the label alphabet only: an Apply that adds
+			// no label leaves the template cached.
+			if db.Graph().NumLabels() == labels && db.PlanCacheStats().Misses != misses {
+				t.Fatalf("%s: the query after same-alphabet apply %d recompiled its plan", sem, round)
+			}
 		}
-		// Compaction hands the pools on to the spliced base.
+		// Compaction hands the pools on to the spliced base, and leaves
+		// the plan cached.
+		misses := db.PlanCacheStats().Misses
 		if err := db.Compact(); err != nil {
 			t.Fatal(err)
 		}
 		if got := query(); got > 48<<10 {
 			t.Fatalf("%s: the query after compaction allocated %d bytes: its scratch did not survive the splice", sem, got)
+		}
+		if db.PlanCacheStats().Misses != misses {
+			t.Fatalf("%s: the query after compaction recompiled its plan", sem)
 		}
 	}
 }

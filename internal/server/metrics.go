@@ -242,7 +242,6 @@ func (m *metrics) render(w io.Writer, snap opSnapshot) {
 	fmt.Fprintf(w, "rbqd_plan_cache_total{outcome=\"hit\"} %d\n", p.Hits)
 	fmt.Fprintf(w, "rbqd_plan_cache_total{outcome=\"miss\"} %d\n", p.Misses)
 	fmt.Fprintf(w, "rbqd_plan_cache_total{outcome=\"invalidation\"} %d\n", p.Invalidations)
-	fmt.Fprintf(w, "rbqd_plan_cache_total{outcome=\"warmer_recompile\"} %d\n", p.WarmerRecompiles)
 	fmt.Fprintln(w, "# HELP rbqd_plan_cache_size Plans currently cached.")
 	fmt.Fprintln(w, "# TYPE rbqd_plan_cache_size gauge")
 	fmt.Fprintf(w, "rbqd_plan_cache_size %d\n", p.Size)

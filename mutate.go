@@ -12,9 +12,9 @@ package rbq
 // spliced incrementally from the overlay in O(delta) when the touched
 // set is small (see SetCompactSpliceFraction), rebuilt in O(|G|) past
 // that — off the request path: readers keep the old snapshot until the
-// swap — and starts an empty delta over the new base. A background
-// warmer then recompiles the hottest epoch-stale plan-cache templates
-// against the new snapshot, off the first reader's path (see warm.go).
+// swap — and starts an empty delta over the new base. Neither an Apply
+// nor a compaction touches the plan cache: a compiled plan depends on
+// the pattern and the label alphabet, not on the snapshot.
 //
 // Epoch/pinning invariants (the property and race tests in
 // mutation_test.go enforce them):
@@ -22,7 +22,7 @@ package rbq
 //   - Every published snapshot is immutable: its graph view, Aux and
 //     every structure hanging off them never change after Store.
 //   - A query uses exactly one snapshot: DB.Query loads it once and
-//     threads it (via the compiled plan) through validation, reduction
+//     threads it beside the compiled plan through validation, reduction
 //     and matching. Concurrent Applies are invisible to in-flight
 //     queries, and Result.Epoch names the snapshot the answer is of.
 //   - No read waits for a writer. MutationStats is an immutable value
@@ -34,13 +34,15 @@ package rbq
 //   - Scratch survives a publish: the patched Aux of every snapshot and
 //     the spliced base of every incremental compaction share the base
 //     Aux's scratch pools, so an Apply costs readers no allocation.
-//   - The plan cache is epoch-keyed: a cached plan is only served to
-//     queries at the epoch it was compiled for; Apply bumps the epoch,
-//     so stale plans recompile lazily on next use (counted in
-//     PlanCacheStats.Invalidations). When a batch grows the label
-//     alphabet the cache is flushed wholesale — compiled plans resolve
-//     absent labels to sentinels, and a new label can turn that
-//     resolution stale for every cached template at once.
+//   - Label ids only ever grow by appending: a batch's new labels take
+//     the next ids, and both compaction paths keep the view's label
+//     table as it is. Two snapshots of a lineage with equally many
+//     labels therefore have the same table.
+//   - A cached plan holds no snapshot: it is compiled against the label
+//     alphabet and bound to the querying snapshot's Aux per run, so it
+//     stays valid across Apply and compaction for as long as the
+//     alphabet keeps its size. A lookup at a snapshot with more labels
+//     recompiles the entry (counted in PlanCacheStats.Invalidations).
 //   - PreparedQuery pins the snapshot current at Prepare time: re-run
 //     Prepare (or use DB.Query) to observe later mutations.
 
@@ -160,13 +162,9 @@ func (db *DB) Compact() error {
 
 // publishLocked seals the pending delta into the next-epoch snapshot —
 // compacting it into a fresh base first when compact is set — and
-// publishes it. The plan cache is flushed when the label alphabet grew;
-// a compaction without alphabet growth only raises the cache's epoch
-// floor (the warmer recompiles the hottest templates and evicts the
-// rest); plain epoch bumps invalidate lazily. Callers hold db.mu.
+// publishes it. Callers hold db.mu.
 func (db *DB) publishLocked(compact bool) error {
-	old := db.snap.Load()
-	epoch := old.Epoch() + 1
+	epoch := db.snap.Load().Epoch() + 1
 	snap, err := db.pending.Seal(epoch)
 	if err != nil {
 		return fmt.Errorf("rbq: %w", err)
@@ -201,26 +199,8 @@ func (db *DB) publishLocked(compact bool) error {
 			}
 		}
 	}
-	// Alphabet growth stales every cached template at once — flush. A
-	// compaction without growth leaves plans merely epoch-stale; with the
-	// warmer running it suffices to raise the re-insert floor (the warm
-	// pass recompiles the hottest templates and evicts the rest, so
-	// nothing keeps pinning the replaced base). With the warmer disabled,
-	// keep the wholesale flush: nothing else would unpin the old base.
-	grew := snap.Graph().NumLabels() > old.Graph().NumLabels()
-	switch {
-	case grew:
-		db.plans.flush(epoch)
-	case compact:
-		if db.warm.count() > 0 {
-			db.plans.raiseMinEpoch(epoch)
-		} else {
-			db.plans.flush(epoch)
-		}
-	}
 	db.snap.Store(snap)
 	db.publishStatsLocked()
-	db.scheduleWarm(snap, compact)
 	return nil
 }
 

@@ -228,8 +228,10 @@ func TestSnapshotEquivalentToRebuild(t *testing.T) {
 // every batch via CSR splicing (fraction 1), one compacting every batch
 // via full rebuild (fraction 0), and a from-scratch NewDB over the
 // shadow's rebuilt graph — and every Semantics × Mode query answer must
-// match bit for bit, every round. Mode telemetry must report the pinned
-// path on both mutable DBs.
+// match bit for bit, every round, as must the two mutable DBs' label
+// tables. Mode telemetry must report the pinned path on both mutable DBs.
+// One input's label table is not in node order and holds a label no node
+// carries, which a full rebuild must keep as the splice does.
 func TestIncrementalCompactEquivalence(t *testing.T) {
 	seeds := 3
 	if testing.Short() {
@@ -237,79 +239,115 @@ func TestIncrementalCompactEquivalence(t *testing.T) {
 	}
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed + 31))
-			base := RandomGraph(400, 1000, seed+2, true)
-			inc := NewDB(base)
-			inc.SetCompactThreshold(1)
-			inc.SetCompactSpliceFraction(1) // splice no matter how large the delta
-			full := NewDB(base)
-			full.SetCompactThreshold(1)
-			full.SetCompactSpliceFraction(0) // always the rebuild reference
-			sh := newShadow(base)
+			incrementalCompactEquivalence(t, RandomGraph(400, 1000, seed+2, true), seed)
+		})
+	}
+	t.Run("interned-ahead", func(t *testing.T) {
+		incrementalCompactEquivalence(t, withLabelsInternedAhead(RandomGraph(400, 1000, 2, true)), 0)
+	})
+}
 
-			var pats []*Pattern
-			for i := int64(0); i < 40 && len(pats) < 3; i++ {
-				cand := graph.NodeID(rng.Intn(base.NumNodes()))
-				if base.Degree(cand) < 2 {
-					continue
-				}
-				if q := gen.PatternAt(base, cand, gen.PatternConfig{Nodes: 4, Edges: 6, Seed: seed + i}); q != nil {
-					pats = append(pats, q)
-				}
-			}
-			if len(pats) == 0 {
-				t.Fatal("no patterns extracted")
-			}
+// withLabelsInternedAhead copies g into a GraphBuilder that interned g's
+// last node's label and "UNUSED" before adding any node: the copy's label
+// table is not in node order and holds a label no node carries.
+func withLabelsInternedAhead(g *Graph) *Graph {
+	b := NewGraphBuilder(g.NumNodes(), g.NumEdges())
+	b.Intern(g.Label(NodeID(g.NumNodes() - 1)))
+	b.Intern("UNUSED")
+	for v := 0; v < g.NumNodes(); v++ {
+		b.AddNode(g.Label(NodeID(v)))
+	}
+	for v := 0; v < g.NumNodes(); v++ {
+		for _, w := range g.Out(NodeID(v)) {
+			b.AddEdge(NodeID(v), w)
+		}
+	}
+	return b.Build()
+}
 
-			rounds := 4
-			if testing.Short() {
-				rounds = 2
+// labelTable lists g's label names by id.
+func labelTable(g *Graph) []string {
+	names := make([]string, g.NumLabels())
+	for l := range names {
+		names[l] = g.LabelName(graph.LabelID(l))
+	}
+	return names
+}
+
+func incrementalCompactEquivalence(t *testing.T, base *Graph, seed int64) {
+	rng := rand.New(rand.NewSource(seed + 31))
+	inc := NewDB(base)
+	inc.SetCompactThreshold(1)
+	inc.SetCompactSpliceFraction(1) // splice no matter how large the delta
+	full := NewDB(base)
+	full.SetCompactThreshold(1)
+	full.SetCompactSpliceFraction(0) // always the rebuild reference
+	sh := newShadow(base)
+
+	var pats []*Pattern
+	for i := int64(0); i < 40 && len(pats) < 3; i++ {
+		cand := graph.NodeID(rng.Intn(base.NumNodes()))
+		if base.Degree(cand) < 2 {
+			continue
+		}
+		if q := gen.PatternAt(base, cand, gen.PatternConfig{Nodes: 4, Edges: 6, Seed: seed + i}); q != nil {
+			pats = append(pats, q)
+		}
+	}
+	if len(pats) == 0 {
+		t.Fatal("no patterns extracted")
+	}
+
+	rounds := 4
+	if testing.Short() {
+		rounds = 2
+	}
+	for round := 0; round < rounds; round++ {
+		ops := sh.randomBatch(rng, 50)
+		if err := inc.Apply(ops); err != nil {
+			t.Fatalf("round %d: incremental Apply: %v", round, err)
+		}
+		if err := full.Apply(ops); err != nil {
+			t.Fatalf("round %d: full Apply: %v", round, err)
+		}
+		if err := inc.Graph().Validate(); err != nil {
+			t.Fatalf("round %d: spliced graph invalid: %v", round, err)
+		}
+		if it, ft := labelTable(inc.Graph()), labelTable(full.Graph()); !reflect.DeepEqual(it, ft) {
+			t.Fatalf("round %d: label tables diverge: spliced %q, rebuilt %q", round, it, ft)
+		}
+		ref := NewDB(sh.rebuild())
+		for pi, q := range pats {
+			l := ref.Graph().LabelIDOf(q.Label(q.Personalized()))
+			cands := ref.Graph().NodesWithLabel(l)
+			if len(cands) == 0 {
+				continue
 			}
-			for round := 0; round < rounds; round++ {
-				ops := sh.randomBatch(rng, 50)
-				if err := inc.Apply(ops); err != nil {
-					t.Fatalf("round %d: incremental Apply: %v", round, err)
-				}
-				if err := full.Apply(ops); err != nil {
-					t.Fatalf("round %d: full Apply: %v", round, err)
-				}
-				if err := inc.Graph().Validate(); err != nil {
-					t.Fatalf("round %d: spliced graph invalid: %v", round, err)
-				}
-				ref := NewDB(sh.rebuild())
-				for pi, q := range pats {
-					l := ref.Graph().LabelIDOf(q.Label(q.Personalized()))
-					cands := ref.Graph().NodesWithLabel(l)
-					if len(cands) == 0 {
-						continue
-					}
-					pin := cands[rng.Intn(len(cands))]
-					want := queryMatrix(t, ref, q, pin, 0.05)
-					for which, db := range map[string]*DB{"incremental": inc, "full": full} {
-						got := queryMatrix(t, db, q, pin, 0.05)
-						if !reflect.DeepEqual(got, want) {
-							for i := range got {
-								if !reflect.DeepEqual(got[i], want[i]) {
-									t.Errorf("round %d pattern %d req %d: %s %+v\nrebuild %+v",
-										round, pi, i, which, got[i], want[i])
-								}
-							}
-							t.FailNow()
+			pin := cands[rng.Intn(len(cands))]
+			want := queryMatrix(t, ref, q, pin, 0.05)
+			for which, db := range map[string]*DB{"incremental": inc, "full": full} {
+				got := queryMatrix(t, db, q, pin, 0.05)
+				if !reflect.DeepEqual(got, want) {
+					for i := range got {
+						if !reflect.DeepEqual(got[i], want[i]) {
+							t.Errorf("round %d pattern %d req %d: %s %+v\nrebuild %+v",
+								round, pi, i, which, got[i], want[i])
 						}
 					}
+					t.FailNow()
 				}
 			}
-			ims, fms := inc.MutationStats(), full.MutationStats()
-			if ims.Compactions == 0 || ims.Mode != CompactModeIncremental {
-				t.Fatalf("incremental DB did not splice: %+v", ims)
-			}
-			if fms.Compactions == 0 || fms.Mode != CompactModeFull {
-				t.Fatalf("full DB did not rebuild: %+v", fms)
-			}
-			if ims.LastCompactTouchedNodes == 0 {
-				t.Fatalf("spliced compaction reported no touched nodes: %+v", ims)
-			}
-		})
+		}
+	}
+	ims, fms := inc.MutationStats(), full.MutationStats()
+	if ims.Compactions == 0 || ims.Mode != CompactModeIncremental {
+		t.Fatalf("incremental DB did not splice: %+v", ims)
+	}
+	if fms.Compactions == 0 || fms.Mode != CompactModeFull {
+		t.Fatalf("full DB did not rebuild: %+v", fms)
+	}
+	if ims.LastCompactTouchedNodes == 0 {
+		t.Fatalf("spliced compaction reported no touched nodes: %+v", ims)
 	}
 }
 
@@ -448,17 +486,13 @@ func TestPreparedQueryPinsItsSnapshot(t *testing.T) {
 	}
 }
 
-// TestPlanCacheInvalidationOnApply: an Apply bumps the epoch, so the
-// next use of a cached template recompiles (counted as an
-// invalidation); an Apply that grows the label alphabet flushes the
-// cache wholesale. The background warmer is disabled so the lazy
-// reader-side path is what the counters observe (warmed-path behavior
-// has its own tests in warm_test.go); with the warmer off, compaction
-// falls back to the wholesale flush.
+// TestPlanCacheInvalidationOnApply: a plan depends on the pattern and
+// the label alphabet, not on the snapshot. An Apply that adds no label
+// leaves the cached template a hit; one that grows the alphabet costs
+// exactly one recompile (an invalidation); a compaction costs nothing.
 func TestPlanCacheInvalidationOnApply(t *testing.T) {
 	g := RandomGraph(200, 500, 2, false)
 	db := NewDB(g)
-	db.SetPlanWarmCount(0)
 	rng := rand.New(rand.NewSource(9))
 	var q *Pattern
 	for i := int64(0); q == nil && i < 50; i++ {
@@ -471,64 +505,45 @@ func TestPlanCacheInvalidationOnApply(t *testing.T) {
 		t.Fatal("no pattern")
 	}
 	ctx := context.Background()
-	pin := Pin(0)
 	l := g.LabelIDOf(q.Label(q.Personalized()))
-	pin = Pin(g.NodesWithLabel(l)[0])
+	pin := Pin(g.NodesWithLabel(l)[0])
 
 	mustQuery := func() {
+		t.Helper()
 		if _, err := db.Query(ctx, q, Request{Anchor: pin, Alpha: 0.05}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	want := func(step string, hits, misses, invalidations uint64) {
+		t.Helper()
+		cs := db.PlanCacheStats()
+		if cs.Hits != hits || cs.Misses != misses || cs.Invalidations != invalidations || cs.Size != 1 {
+			t.Fatalf("%s: %+v, want %d hit(s), %d miss(es), %d invalidation(s), 1 entry",
+				step, cs, hits, misses, invalidations)
+		}
+	}
 	mustQuery() // miss: first compile
 	mustQuery() // hit
-	cs := db.PlanCacheStats()
-	if cs.Hits != 1 || cs.Misses != 1 || cs.Invalidations != 0 {
-		t.Fatalf("warm-up counters: %+v", cs)
-	}
-	// Same-alphabet mutation: lazy per-snapshot invalidation.
-	if err := db.Apply([]Op{AddNode(g.Label(0))}); err != nil {
+	want("warm-up", 1, 1, 0)
+	if err := db.Apply([]Op{AddNode(g.Label(0)), AddEdge(NodeID(g.NumNodes()), 0)}); err != nil {
 		t.Fatal(err)
 	}
-	if cs = db.PlanCacheStats(); cs.Size != 1 {
-		t.Fatalf("same-alphabet Apply flushed the cache: %+v", cs)
-	}
-	mustQuery() // stale epoch: recompile
-	mustQuery() // hit at the new epoch
-	cs = db.PlanCacheStats()
-	if cs.Invalidations != 1 || cs.Misses != 2 || cs.Hits != 2 {
-		t.Fatalf("post-mutation counters: %+v", cs)
-	}
-	// Alphabet-growing mutation: eager flush. Dropped entries are not
-	// invalidations (that counter tracks recompiles performed); the
-	// flush shows as Size 0, and the refill as a plain miss.
+	mustQuery()
+	want("same-alphabet Apply", 2, 1, 0)
 	if err := db.Apply([]Op{AddNode("BRAND-NEW-LABEL")}); err != nil {
 		t.Fatal(err)
 	}
-	if cs = db.PlanCacheStats(); cs.Size != 0 || cs.Invalidations != 1 {
-		t.Fatalf("alphabet growth did not flush: %+v", cs)
-	}
+	mustQuery() // the alphabet grew: one recompile
 	mustQuery()
-	cs = db.PlanCacheStats()
-	if cs.Size != 1 || cs.Misses != 3 || cs.Invalidations != 1 {
-		t.Fatalf("cache did not refill as a plain miss: %+v", cs)
-	}
-	if cs.Invalidations > cs.Misses {
-		t.Fatalf("Invalidations must stay a subset of Misses: %+v", cs)
-	}
-	// Compaction prunes stale entries: they are unservable anyway (epoch
-	// keying) and would otherwise pin the replaced base in the LRU.
+	want("alphabet growth", 3, 2, 1)
 	if err := db.Apply([]Op{AddNode(g.Label(0))}); err != nil {
 		t.Fatal(err)
 	}
-	db.Compact()
-	if cs = db.PlanCacheStats(); cs.Size != 0 {
-		t.Fatalf("compaction left stale entries pinning the old base: %+v", cs)
+	if err := db.Compact(); err != nil {
+		t.Fatal(err)
 	}
 	mustQuery()
-	if cs = db.PlanCacheStats(); cs.Size != 1 {
-		t.Fatalf("cache did not refill after compaction: %+v", cs)
-	}
+	want("compaction", 4, 2, 1)
 }
 
 // TestApplyQueryCompactRace hammers concurrent Apply / Query /

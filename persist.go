@@ -121,7 +121,6 @@ func OpenDB(dir string, opts OpenOptions) (*DB, error) {
 		compactAt:   DefaultCompactThreshold,
 		compactFrac: graph.DefaultCompactSpliceFraction,
 	}
-	db.warm.n = DefaultPlanWarmCount
 	db.snap.Store(delta.NewBase(g, aux, 0))
 	db.pending = delta.New(g, aux)
 	db.store = st

@@ -7,6 +7,10 @@ package rbq
 // Parse results — share one compiled plan; PreparedQuery remains the
 // explicit, cache-independent way to pin a compilation.
 //
+// A plan is compiled against the label alphabet, not a snapshot (see
+// internal/plan), so an entry outlives Apply and compaction: it holds no
+// graph or Aux, and each query binds the snapshot it pinned at run time.
+//
 // The LRU's key map doubles as a text index: DB.ParsePattern maps the
 // canonical text a caller sent to the *Pattern a cached entry already
 // holds, so a serving tier that receives the same template text on every
@@ -34,33 +38,23 @@ type PlanCacheStats struct {
 	// used entry when full), so Misses also counts compilations.
 	Hits, Misses uint64
 	// Invalidations counts the subset of Misses caused by mutation: the
-	// template was cached, but compiled at an older snapshot epoch, so
-	// this lookup recompiled it against the current snapshot. (A
-	// label-alphabet-growing Apply flushes the cache wholesale instead;
-	// that shows up as Size dropping to zero and plain Misses as hot
-	// templates refill it.)
+	// template was cached, but compiled at a smaller label alphabet than
+	// the querying snapshot's — an Apply added a label since — so this
+	// lookup recompiled it. An Apply that adds no label, and every
+	// compaction, leave cached plans valid.
 	Invalidations uint64
-	// WarmerRecompiles counts recompilations performed by the background
-	// plan warmer (see DB.SetPlanWarmCount) — epoch-stale entries brought
-	// current off the reader path. They are not Misses: no query paid for
-	// them.
-	WarmerRecompiles uint64
 	// Size is the number of plans currently cached; Capacity the bound.
 	Size, Capacity int
 }
 
-// planCache is the bounded LRU. Plans are immutable after compilation
-// (their lazy selectivity tier is internally synchronized), so one entry
-// may serve concurrent queries; the mutex guards only the map and the
-// recency list.
+// planCache is the bounded LRU. Plans are immutable after compilation,
+// so one entry may serve concurrent queries; the mutex guards only the
+// map and the recency list.
 //
-// Entries are stamped with the snapshot epoch they were compiled at. A
-// plan binds everything epoch-dependent — interned labels, Aux-bound
-// semantics, the unique personalized match, selectivity — so a hit
-// requires the entry's epoch to equal the querying snapshot's; stale
-// entries are recompiled in place (per-snapshot invalidation). An Apply
-// that grows the label alphabet flushes the whole cache instead (see
-// mutate.go).
+// A plan is valid for a snapshot whose alphabet has as many labels as
+// the one it was compiled at (label ids only grow by appending, so equal
+// counts mean equal tables); a lookup at a larger alphabet recompiles
+// the entry in place.
 type planCache struct {
 	mu            sync.Mutex
 	capacity      int
@@ -68,21 +62,12 @@ type planCache struct {
 	m             map[string]*list.Element
 	hits, misses  uint64
 	invalidations uint64
-	warmed        uint64
-
-	// minEpoch is the floor set by flush (and raised by raiseMinEpoch on
-	// a non-flushing compaction): entries compiled at older epochs are
-	// never (re)inserted, so a reader that pinned a pre-compaction
-	// snapshot cannot re-pin the replaced base into the LRU after it was
-	// dropped.
-	minEpoch uint64
 }
 
 type planEntry struct {
-	key   string
-	q     *Pattern // retained so the warmer can recompile without a reader
-	pl    *plan.Plan
-	epoch uint64
+	key string
+	q   *Pattern // the text index hands it out (see parse)
+	pl  *plan.Plan
 }
 
 func newPlanCache(capacity int) *planCache {
@@ -123,31 +108,31 @@ func (c *planCache) cached(key string) *Pattern {
 	return nil
 }
 
-// lookup returns the compiled plan for q at the given snapshot epoch,
-// compiling and inserting it on a miss. A cached entry compiled at an
-// older epoch counts as an invalidation: it is recompiled against aux
-// (the querying snapshot's) and replaced. hit reports whether a
-// current-epoch plan was already cached.
-func (c *planCache) lookup(aux *graph.Aux, epoch uint64, q *Pattern) (pl *plan.Plan, hit bool, err error) {
+// lookup returns the compiled plan for q valid at aux's alphabet,
+// compiling and inserting it on a miss. A cached entry compiled at a
+// smaller alphabet counts as an invalidation: it is recompiled against
+// aux and replaced. hit reports whether a valid plan was already cached.
+func (c *planCache) lookup(aux *graph.Aux, q *Pattern) (pl *plan.Plan, hit bool, err error) {
 	if q == nil {
 		return nil, false, fmt.Errorf("rbq: nil pattern")
 	}
 	key := q.String() // cached on the pattern: no render, no allocation
+	n := aux.Graph().NumLabels()
 	c.mu.Lock()
 	if el, ok := c.m[key]; ok {
 		e := el.Value.(*planEntry)
-		if e.epoch == epoch {
+		if e.pl.NumLabels() == n {
 			c.ll.MoveToFront(el)
 			c.hits++
 			pl = e.pl
 			c.mu.Unlock()
 			return pl, true, nil
 		}
-		if e.epoch < epoch {
+		if e.pl.NumLabels() < n {
 			// Only a genuinely stale entry counts as a mutation-caused
-			// invalidation; finding one compiled at a NEWER epoch (a
-			// racing reader of a fresher snapshot got there first) is a
-			// plain miss for this older-snapshot query.
+			// invalidation; finding one compiled at a LARGER alphabet (a
+			// reader of a fresher snapshot got there first) is a plain
+			// miss for this older-snapshot query.
 			c.invalidations++
 		}
 	}
@@ -164,116 +149,24 @@ func (c *planCache) lookup(aux *graph.Aux, epoch uint64, q *Pattern) (pl *plan.P
 	defer c.mu.Unlock()
 	if el, ok := c.m[key]; ok {
 		e := el.Value.(*planEntry)
-		if e.epoch == epoch {
-			// Another goroutine compiled the same template at this epoch
-			// first; share its plan so concurrent evaluations converge.
+		switch {
+		case e.pl.NumLabels() == n:
+			// Another goroutine compiled the same template at this
+			// alphabet first; share its plan so concurrent evaluations
+			// converge.
 			c.ll.MoveToFront(el)
 			return e.pl, false, nil
-		}
-		// The entry is stale (or was compiled at a newer epoch by a
-		// racing reader of a fresher snapshot — equally unusable here):
-		// hand this query its own consistent plan and let the entry
-		// carry the newer of the two compilations.
-		if e.epoch < epoch {
-			e.pl, e.epoch = pl, epoch
+		case e.pl.NumLabels() < n:
+			e.pl = pl
 			c.ll.MoveToFront(el)
 		}
+		// An entry at a larger alphabet stays: it serves every later
+		// snapshot, this query its own consistent plan.
 		return pl, false, nil
 	}
-	if epoch < c.minEpoch {
-		// A flush ran while this plan compiled (its snapshot was
-		// replaced): serve the query its consistent plan, but do not
-		// cache it — caching would re-pin the replaced snapshot.
-		return pl, false, nil
-	}
-	c.m[key] = c.ll.PushFront(&planEntry{key: key, q: q, pl: pl, epoch: epoch})
+	c.m[key] = c.ll.PushFront(&planEntry{key: key, q: q, pl: pl})
 	c.evictLocked()
 	return pl, false, nil
-}
-
-// flush empties the cache; mutate.go calls it when an Apply grows the
-// label alphabet (compiled plans resolve absent labels to sentinels,
-// which a new label can stale across every template at once), and on
-// compaction when the warmer is disabled (stale entries are unservable
-// anyway under epoch keying, but each pins its snapshot — after a
-// compaction that is the entire replaced base CSR + Aux, which must not
-// sit in the LRU until eviction). Dropped entries are not counted as
-// invalidations — that counter tracks recompiles actually performed (a
-// subset of Misses), and a flushed template that is never queried again
-// costs nothing. In-flight evaluations of dropped plans run to
-// completion — plans are immutable and self-contained.
-// minEpoch is the epoch of the snapshot being published with the
-// flush; see planCache.minEpoch.
-func (c *planCache) flush(minEpoch uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ll.Init()
-	clear(c.m)
-	c.minEpoch = minEpoch
-}
-
-// raiseMinEpoch is a compaction handoff without the wholesale flush:
-// entries stay cached (the warmer brings the hottest current; a reader
-// recompiles the rest on demand), but nothing compiled before the
-// compaction can be (re)inserted. Used when the label alphabet did not
-// change, so stale plans are merely epoch-stale, not semantically wrong.
-func (c *planCache) raiseMinEpoch(minEpoch uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if minEpoch > c.minEpoch {
-		c.minEpoch = minEpoch
-	}
-}
-
-// warm recompiles up to n of the most recently used epoch-stale entries
-// against aux (the snapshot published at epoch), off any reader's path.
-// When evictStale is set — the compaction handoff, where stale plans pin
-// the entire replaced base — the stale entries beyond the hottest n are
-// dropped instead of left to age out. Recompilation happens outside the
-// lock; an entry is only replaced if it is still present, still older
-// than epoch, and epoch has not itself been flushed past. Returns the
-// number of entries brought current.
-func (c *planCache) warm(aux *graph.Aux, epoch uint64, n int, evictStale bool) int {
-	type target struct {
-		key string
-		q   *Pattern
-	}
-	var targets []target
-	c.mu.Lock()
-	for el := c.ll.Front(); el != nil; {
-		next := el.Next()
-		if e := el.Value.(*planEntry); e.epoch < epoch {
-			if len(targets) < n {
-				targets = append(targets, target{e.key, e.q})
-			} else if evictStale {
-				c.ll.Remove(el)
-				delete(c.m, e.key)
-			}
-		}
-		el = next
-	}
-	c.mu.Unlock()
-
-	recompiled := 0
-	for _, t := range targets {
-		pl, err := plan.New(aux, t.q)
-		if err != nil {
-			continue // the next reader will surface the error
-		}
-		c.mu.Lock()
-		if el, ok := c.m[t.key]; ok {
-			e := el.Value.(*planEntry)
-			// Do not MoveToFront: a background recompile is not a use and
-			// must not perturb the recency order readers established.
-			if e.epoch < epoch && epoch >= c.minEpoch {
-				e.pl, e.epoch = pl, epoch
-				c.warmed++
-				recompiled++
-			}
-		}
-		c.mu.Unlock()
-	}
-	return recompiled
 }
 
 func (c *planCache) evictLocked() {
@@ -289,15 +182,8 @@ func (c *planCache) stats() PlanCacheStats {
 	defer c.mu.Unlock()
 	return PlanCacheStats{
 		Hits: c.hits, Misses: c.misses, Invalidations: c.invalidations,
-		WarmerRecompiles: c.warmed,
-		Size:             c.ll.Len(), Capacity: c.capacity,
+		Size: c.ll.Len(), Capacity: c.capacity,
 	}
-}
-
-func (c *planCache) size() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
 }
 
 func (c *planCache) setCapacity(n int) {

@@ -11,50 +11,48 @@ package rbq
 import (
 	"fmt"
 
+	"rbq/internal/delta"
 	"rbq/internal/plan"
 )
 
-// PreparedQuery is a pattern compiled against a DB: interned labels,
-// pre-bound reduction semantics for both query classes, the cached
-// diameter and unique personalized match, and (lazily) the selectivity
-// table unanchored evaluation splits its budget by. Prepare once per
+// PreparedQuery is a pattern compiled against a DB — interned labels,
+// the reduction semantics of both query classes, the cached diameter —
+// together with the snapshot current at Prepare. Prepare once per
 // template, execute many times; a PreparedQuery is immutable and safe
 // for concurrent use — per-run transient state comes from the DB's
 // scratch pools, exactly as for DB.Query.
 //
-// PreparedQuery pins its compilation for the lifetime of the value,
-// independent of the DB's plan cache and its eviction policy; DB.Query
-// reaches the same steady state through the cache without the explicit
-// handle.
+// PreparedQuery pins its compilation and its snapshot for the lifetime
+// of the value, independent of the DB's plan cache and its eviction
+// policy; DB.Query reaches the same steady state through the cache
+// without the explicit handle.
 type PreparedQuery struct {
-	db    *DB
-	pl    *plan.Plan
-	epoch uint64 // of the snapshot pinned at Prepare
+	pl   *plan.Plan
+	snap *delta.Snapshot // pinned at Prepare
 }
 
 // Prepare compiles q for repeated evaluation against db. The compile
-// step resolves every label constraint to the graph's interned ids,
-// binds the reduction semantics of both query classes, and resolves the
-// personalized node's unique match when one exists; execution time is
-// then the reduction and matching alone.
+// step resolves every label constraint to the graph's interned ids and
+// compiles the reduction semantics of both query classes; execution time
+// is then the reduction and matching alone.
 //
-// The compilation pins the snapshot current at Prepare time: every
-// later execution runs against that point-in-time view, unaffected by
-// DB.Apply. Re-Prepare (or use DB.Query, whose epoch-keyed cache
-// recompiles lazily) to observe mutations.
+// Prepare pins the snapshot current at Prepare time: every later
+// execution runs against that point-in-time view, unaffected by
+// DB.Apply. Re-Prepare (or use DB.Query, which runs against the current
+// snapshot) to observe mutations.
 func (db *DB) Prepare(q *Pattern) (*PreparedQuery, error) {
 	snap := db.snapshot()
 	pl, err := plan.New(snap.Aux(), q)
 	if err != nil {
 		return nil, fmt.Errorf("rbq: %w", err)
 	}
-	return &PreparedQuery{db: db, pl: pl, epoch: snap.Epoch()}, nil
+	return &PreparedQuery{pl: pl, snap: snap}, nil
 }
 
 // Pattern returns the compiled pattern.
 func (pq *PreparedQuery) Pattern() *Pattern { return pq.pl.Pattern() }
 
-// Personalized returns the unique data-graph match of the pattern's
-// personalized node resolved at compile time; ok is false when the label
-// is absent or ambiguous (pin via Request.Anchor, or run Unanchored).
-func (pq *PreparedQuery) Personalized() (NodeID, bool) { return pq.pl.Personalized() }
+// Personalized returns the unique match of the pattern's personalized
+// node in the pinned snapshot; ok is false when the label is absent or
+// ambiguous there (pin via Request.Anchor, or run Unanchored).
+func (pq *PreparedQuery) Personalized() (NodeID, bool) { return pq.pl.Personalized(pq.snap.Aux()) }

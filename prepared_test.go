@@ -80,7 +80,7 @@ func TestPreparedRunUsesCompiledPersonalized(t *testing.T) {
 		t.Fatal(err)
 	}
 	if vp, ok := pq.Personalized(); !ok || int(vp) < 0 {
-		t.Fatalf("Personalized() = (%d, %v), want a compile-time unique match", vp, ok)
+		t.Fatalf("Personalized() = (%d, %v), want the pinned snapshot's unique match", vp, ok)
 	}
 	ctx := context.Background()
 	for _, req := range []Request{{Alpha: 0.01}, {Mode: Exact}} {

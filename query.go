@@ -16,7 +16,9 @@ import (
 	"time"
 
 	"rbq/internal/bounded"
+	"rbq/internal/delta"
 	"rbq/internal/exec"
+	"rbq/internal/graph"
 	"rbq/internal/interrupt"
 	"rbq/internal/obs"
 	"rbq/internal/plan"
@@ -70,8 +72,8 @@ type Request struct {
 	// Mode selects the evaluation regime; zero is Bounded.
 	Mode Mode
 	// Anchor pins the personalized node u_p to an explicit data node
-	// (see Pin), bypassing the compile-time unique-label lookup. Nil uses
-	// the unique match resolved at compile time. Must be nil in
+	// (see Pin), bypassing the unique-label lookup. Nil uses the unique
+	// match of the personalized label in the pinned snapshot. Must be nil in
 	// Unanchored mode; batch entry points supply it per item.
 	Anchor *NodeID
 	// Alpha is the resource ratio α, normally in (0,1) (Bounded and
@@ -185,8 +187,8 @@ type Result struct {
 	// sorted ascending.
 	Matches []NodeID
 	// Personalized is the anchor the evaluation ran from: the explicit
-	// Request.Anchor, the compile-time unique match, or NoNode in
-	// Unanchored mode.
+	// Request.Anchor, the unique match of the personalized label, or
+	// NoNode in Unanchored mode.
 	Personalized NodeID
 	// Complete reports whether the matcher ran to completion. It is
 	// false only under Subgraph semantics in anchored modes, when
@@ -240,7 +242,7 @@ func (db *DB) Query(ctx context.Context, q *Pattern, req Request) (Result, error
 		t0 = time.Now()
 	}
 	snap := db.snapshot()
-	pl, hit, err := db.plans.lookup(snap.Aux(), snap.Epoch(), q)
+	pl, hit, err := db.plans.lookup(snap.Aux(), q)
 	if err != nil {
 		return Result{}, err
 	}
@@ -248,7 +250,7 @@ func (db *DB) Query(ctx context.Context, q *Pattern, req Request) (Result, error
 	if req.WantStats || req.WantTrace {
 		planTime = time.Since(t0)
 	}
-	return runRequest(ctx, pl, snap.Epoch(), req, hit, planTime)
+	return runRequest(ctx, pl, snap, req, hit, planTime)
 }
 
 // QueryBatch evaluates req at many (pattern, pin) items concurrently,
@@ -300,7 +302,7 @@ func (db *DB) QueryBatch(ctx context.Context, qs []AnchoredQuery, req Request, w
 			if req.WantStats || req.WantTrace {
 				t0 = time.Now()
 			}
-			pl, hit, err := db.plans.lookup(snap.Aux(), snap.Epoch(), item.Q)
+			pl, hit, err := db.plans.lookup(snap.Aux(), item.Q)
 			if err != nil {
 				pl = nil // compile failure: this template's items zero out
 			}
@@ -322,7 +324,7 @@ func (db *DB) QueryBatch(ctx context.Context, qs []AnchoredQuery, req Request, w
 		if i == info.first {
 			planTime = info.planTime
 		}
-		out[i] = runBatchItem(ctx, info.pl, snap.Epoch(), req, &qs[i].At, info.hit, planTime, i, shardWorkers)
+		out[i] = runBatchItem(ctx, info.pl, snap, req, &qs[i].At, info.hit, planTime, i, shardWorkers)
 	})
 	return out, interrupt.Err(ctx)
 }
@@ -333,7 +335,7 @@ func (pq *PreparedQuery) Query(ctx context.Context, req Request) (Result, error)
 	if err := req.validate(); err != nil {
 		return Result{}, err
 	}
-	return runRequest(ctx, pq.pl, pq.epoch, req, true, 0)
+	return runRequest(ctx, pq.pl, pq.snap, req, true, 0)
 }
 
 // QueryBatch evaluates req at many pins concurrently through the
@@ -346,7 +348,7 @@ func (pq *PreparedQuery) QueryBatch(ctx context.Context, pins []NodeID, req Requ
 	out := make([]Result, len(pins))
 	shardWorkers := exec.BatchWorkers(workers)
 	exec.Run(interrupt.Done(ctx), len(pins), shardWorkers, func(i int) {
-		out[i] = runBatchItem(ctx, pq.pl, pq.epoch, req, &pins[i], true, 0, i, shardWorkers)
+		out[i] = runBatchItem(ctx, pq.pl, pq.snap, req, &pins[i], true, 0, i, shardWorkers)
 	})
 	return out, interrupt.Err(ctx)
 }
@@ -372,21 +374,21 @@ func (req Request) validateBatch() error {
 
 // runBatchItem is the per-item body of the batch entry points: req is
 // evaluated at the item's own pin through pl (nil when the item's
-// template failed to compile) against the one snapshot epoch the batch
+// template failed to compile) against the one snapshot the batch
 // pinned. An item that fails — a pin failing validation, a template that
 // did not compile — yields a zero Result carrying only its pin and the
 // epoch, leaving the rest of the batch intact. i is the item's slot and
 // shardWorkers the width of the exec pool the batch fanned out to (the
 // DB's structures are immutable and every evaluation borrows private
 // scratch, so the items are embarrassingly parallel).
-func runBatchItem(ctx context.Context, pl *plan.Plan, epoch uint64, req Request, at *NodeID, cacheHit bool, planTime time.Duration, i, shardWorkers int) Result {
+func runBatchItem(ctx context.Context, pl *plan.Plan, snap *delta.Snapshot, req Request, at *NodeID, cacheHit bool, planTime time.Duration, i, shardWorkers int) Result {
 	if pl == nil {
-		return Result{Personalized: *at, Epoch: epoch}
+		return Result{Personalized: *at, Epoch: snap.Epoch()}
 	}
 	req.Anchor = at
-	res, err := runRequest(ctx, pl, epoch, req, cacheHit, planTime)
+	res, err := runRequest(ctx, pl, snap, req, cacheHit, planTime)
 	if err != nil {
-		return Result{Personalized: *at, Epoch: epoch}
+		return Result{Personalized: *at, Epoch: snap.Epoch()}
 	}
 	// Each item owns its trace, so stamping the shard identity here is
 	// race-free: which slot this item ran in and how wide the batch pool
@@ -398,13 +400,15 @@ func runBatchItem(ctx context.Context, pl *plan.Plan, epoch uint64, req Request,
 	return res
 }
 
-// runRequest is the one execution core. req must be validated; epoch is
-// the publish epoch of the snapshot pl was compiled against, reported
-// back as Result.Epoch. The engines receive ctx's Done channel through their options and poll it
-// cooperatively; a fired context surfaces as ctx.Err() here, regardless
-// of how far the evaluation got.
-func runRequest(ctx context.Context, pl *plan.Plan, epoch uint64, req Request, cacheHit bool, planTime time.Duration) (Result, error) {
+// runRequest is the one execution core. req must be validated; snap is
+// the snapshot the request pinned — pl must be valid at its alphabet —
+// and its epoch is reported back as Result.Epoch. The engines receive
+// ctx's Done channel through their options and poll it cooperatively; a
+// fired context surfaces as ctx.Err() here, regardless of how far the
+// evaluation got.
+func runRequest(ctx context.Context, pl *plan.Plan, snap *delta.Snapshot, req Request, cacheHit bool, planTime time.Duration) (Result, error) {
 	done := interrupt.Done(ctx)
+	aux := snap.Aux()
 	var t0 time.Time
 	if req.WantStats || req.WantTrace {
 		t0 = time.Now()
@@ -436,13 +440,13 @@ func runRequest(ctx context.Context, pl *plan.Plan, epoch uint64, req Request, c
 	ropts := reduce.Options{Alpha: req.Alpha, Interrupt: done, Trace: req.Tracer, Obs: execSpan}
 
 	if req.Mode == Unanchored {
-		r := pl.Unanchored(class, rbany.Options{Alpha: req.Alpha, Reduce: ropts}, mopts)
+		r := pl.Unanchored(aux, class, rbany.Options{Alpha: req.Alpha, Reduce: ropts}, mopts)
 		res = Result{
 			Matches:      r.Matches,
 			Personalized: NoNode,
 			Complete:     true,
 			FragmentSize: r.FragmentSize,
-			Budget:       int(req.Alpha * float64(pl.Aux().Graph().Size())),
+			Budget:       int(req.Alpha * float64(aux.Graph().Size())),
 			Visited:      r.Visited,
 			Candidates:   r.Candidates,
 			Evaluated:    r.Evaluated,
@@ -451,23 +455,23 @@ func runRequest(ctx context.Context, pl *plan.Plan, epoch uint64, req Request, c
 		var vp NodeID
 		if req.Anchor != nil {
 			vp = *req.Anchor
-			if err := checkPin(pl, vp); err != nil {
+			if err := checkPin(pl, aux, vp); err != nil {
 				return Result{}, err
 			}
 		} else {
 			var ok bool
-			if vp, ok = pl.Personalized(); !ok {
+			if vp, ok = pl.Personalized(aux); !ok {
 				return Result{}, personalizedErr(pl)
 			}
 		}
 		if req.Mode == Exact {
 			es := execSpan.Child(obs.PhaseExact)
-			m, complete := pl.Exact(class, vp, done, req.MaxSteps)
+			m, complete := pl.Exact(aux, class, vp, done, req.MaxSteps)
 			es.Add("matches", int64(len(m)))
 			es.End()
 			res = Result{Matches: m, Personalized: vp, Complete: complete}
 		} else {
-			r := pl.Bounded(class, vp, ropts, mopts)
+			r := pl.Bounded(aux, class, vp, ropts, mopts)
 			rstats = r.Stats
 			res = Result{
 				Matches: r.Matches, Personalized: vp, Complete: r.Complete,
@@ -478,7 +482,7 @@ func runRequest(ctx context.Context, pl *plan.Plan, epoch uint64, req Request, c
 	if err := interrupt.Err(ctx); err != nil {
 		return Result{}, err
 	}
-	res.Epoch = epoch
+	res.Epoch = snap.Epoch()
 	if req.WantStats {
 		res.Stats = &QueryStats{
 			Reduce:       rstats,
@@ -511,8 +515,8 @@ func personalizedErr(pl *plan.Plan) error {
 		q.Label(q.Personalized()))
 }
 
-func checkPin(pl *plan.Plan, vp NodeID) error {
-	if err := pl.CheckPin(vp); err != nil {
+func checkPin(pl *plan.Plan, aux *graph.Aux, vp NodeID) error {
+	if err := pl.CheckPin(aux, vp); err != nil {
 		return fmt.Errorf("rbq: %w", err)
 	}
 	return nil

@@ -104,8 +104,9 @@ func MatchAccuracy(exact, approx []NodeID) Accuracy { return accuracy.Matches(ex
 // QueryBatch workers can share one DB without locking.
 //
 // Every pattern evaluation is a Request executed by the request core (see
-// Query): the plan cache supplies the compiled form, and PreparedQuery
-// pins a compilation explicitly for repeated execution.
+// Query) against the snapshot it pinned: the plan cache supplies the
+// compiled form, and PreparedQuery pins a compilation and its snapshot
+// explicitly for repeated execution.
 //
 // A DB is mutable through Apply (see mutate.go): mutations are buffered
 // in a delta over an immutable base graph and published as immutable
@@ -120,8 +121,9 @@ type DB struct {
 	snap atomic.Pointer[delta.Snapshot]
 
 	// plans is the bounded DB-level cache of compiled plans, keyed by
-	// pattern identity and stamped with the snapshot epoch they were
-	// compiled at (see plancache.go).
+	// pattern identity. A plan depends on the label alphabet, not on the
+	// snapshot, so entries survive Apply and compaction (see
+	// plancache.go).
 	plans *planCache
 
 	// mstats is the MutationStats value readers see: immutable, replaced
@@ -143,10 +145,6 @@ type DB struct {
 	lastCompactNs      int64
 	lastCompactTouched int
 	lastCompactMode    CompactMode
-
-	// warm is the background plan-cache warmer (see warm.go); it has its
-	// own mutex so warming never contends with mu.
-	warm warmer
 
 	// Persistence (nil/zero for in-memory DBs; see persist.go). store is
 	// the open WAL + base-image directory, seq the last batch sequence
@@ -171,7 +169,6 @@ func NewDB(g *Graph) *DB {
 		compactAt:   DefaultCompactThreshold,
 		compactFrac: graph.DefaultCompactSpliceFraction,
 	}
-	db.warm.n = DefaultPlanWarmCount
 	aux := graph.BuildAux(g)
 	db.snap.Store(delta.NewBase(g, aux, 0))
 	db.pending = delta.New(g, aux)
