@@ -232,6 +232,10 @@ func runMicro(path, comparePath string, tolerance float64, count int, nsGate boo
 	// the trace-off path's alloc gate has an explicit counterpart.
 	treq := qreq
 	treq.WantTrace = true
+	// The modes_cold workload's unanchored shape: the same template with
+	// no pin, at that workload's α, so rbany ranks every candidate of the
+	// rarest label and runs one reduction per anchor, serially.
+	ureq := rbq.Request{Mode: rbq.Unanchored, Alpha: 1e-3}
 
 	// Parallel fixtures, exercising the two worker-pool fan-out points
 	// with a workers axis (W1 = pool of one, the inline degenerate case;
@@ -444,6 +448,13 @@ func runMicro(path, comparePath string, tolerance float64, count int, nsGate boo
 		{"TraceOverhead", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				qdb.Query(context.Background(), q, treq)
+			}
+		}},
+		{"UnanchoredQuery", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := qdb.Query(context.Background(), q, ureq); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}},
 		{"RBReach", func(b *testing.B) {

@@ -89,6 +89,14 @@ type nodeReq struct {
 	// absent is set when some neighbour of u carries a label the graph
 	// does not have: no v can then satisfy C(v,u).
 	absent bool
+	// mask is the presence-mask bits of every label in out and in: a v
+	// whose graph.Aux.LabelMask lacks one of them lacks that label.
+	mask uint32
+	// decided is set when the mask test is all of C(v,u) beyond labels
+	// and absent: every label owns its mask bit in the alphabet (see
+	// graph.OwnsMaskBit) and every need is 1. The degree bounds then hold
+	// too, since distinct labels need distinct neighbours.
+	decided bool
 }
 
 // NewSemantics compiles p under class c against aux's alphabet and binds
@@ -101,15 +109,16 @@ func NewSemantics(aux *graph.Aux, p *pattern.Pattern, c Class) *Semantics {
 // Compile compiles p under class c against g's label alphabet.
 func Compile(g *graph.Graph, p *pattern.Pattern, c Class) *Compiled {
 	s := &Compiled{}
-	s.Bind(p, g.InternLabels(p.Labels(), nil), c)
+	s.Bind(p, g.InternLabels(p.Labels(), nil), g.NumLabels(), c)
 	return s
 }
 
 // Bind re-points s at p under class c, reusing its buffers. labels are
-// p's labels interned against the alphabet (see graph.InternLabels); s
-// keeps the slice. A Compiled bound to p serves any re-rooting of p too:
-// re-rooting keeps the labels and the edges, which are all Bind reads.
-func (s *Compiled) Bind(p *pattern.Pattern, labels []graph.LabelID, c Class) {
+// p's labels interned against an alphabet of numLabels labels (see
+// graph.InternLabels); s keeps the slice. A Compiled bound to p serves
+// any re-rooting of p too: re-rooting keeps the labels and the edges,
+// which are all Bind reads.
+func (s *Compiled) Bind(p *pattern.Pattern, labels []graph.LabelID, numLabels int, c Class) {
 	s.class, s.labels = c, labels
 	nq := p.NumNodes()
 	if cap(s.reqs) < nq {
@@ -130,6 +139,15 @@ func (s *Compiled) Bind(p *pattern.Pattern, labels []graph.LabelID, c Class) {
 		r.in = s.group(in, &r.absent)
 		if c == Subgraph {
 			r.minOut, r.minIn = len(out), len(in)
+		}
+		r.decided = true
+		for _, n := range r.out {
+			r.mask |= graph.OutMaskBit(n.l)
+			r.decided = r.decided && graph.OwnsMaskBit(n.l, numLabels) && n.need == 1
+		}
+		for _, n := range r.in {
+			r.mask |= graph.InMaskBit(n.l)
+			r.decided = r.decided && graph.OwnsMaskBit(n.l, numLabels) && n.need == 1
 		}
 	}
 }
@@ -169,6 +187,15 @@ func (s *Compiled) group(ws []pattern.NodeID, absent *bool) []labelNeed {
 	return grouped
 }
 
+// labelMask is v's presence mask, from the cached base array or through
+// the overlay-aware accessor.
+func (s *Semantics) labelMask(v graph.NodeID) uint32 {
+	if s.hists != nil {
+		return s.hists.Mask[v]
+	}
+	return s.aux.LabelMask(v)
+}
+
 // outCount / inCount are the Sl probes of Guard and Potential: the
 // inlined fast path against the cached base arrays, or the overlay-aware
 // accessor for patched Aux views.
@@ -198,14 +225,21 @@ func (s *Compiled) Labels() []graph.LabelID { return s.labels }
 // Section 4.2: per direction, for each label l carried by k pattern
 // neighbours of u, v has at least k data neighbours labelled l
 // (distinctness), and v's degree can accommodate u's.
+//
+// v's presence mask is tested first: one word rules out most candidates,
+// and for most patterns it decides the rest (see nodeReq.decided); only
+// the others go on to the histogram probes.
 func (s *Semantics) Guard(v graph.NodeID, u pattern.NodeID) bool {
 	g := s.aux.Graph()
 	if g.LabelOf(v) != s.labels[u] {
 		return false
 	}
 	r := &s.reqs[u]
-	if r.absent {
+	if r.absent || s.labelMask(v)&r.mask != r.mask {
 		return false
+	}
+	if r.decided {
+		return true
 	}
 	if r.minOut > 0 && g.OutDegree(v) < r.minOut || r.minIn > 0 && g.InDegree(v) < r.minIn {
 		return false

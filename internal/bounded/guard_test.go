@@ -106,12 +106,12 @@ func (s *refSemantics) potential(v graph.NodeID, u pattern.NodeID) float64 {
 // below never carry d, so some patterns name an absent label — with few
 // labels among up to six nodes (repeated neighbour labels), extra edges
 // and self-loops.
-func guardPattern(rng *rand.Rand) *pattern.Pattern {
+func guardPattern(rng *rand.Rand, names []string) *pattern.Pattern {
 	for {
 		b := pattern.NewBuilder()
 		n := 2 + rng.Intn(5)
 		for i := 0; i < n; i++ {
-			b.AddNode(string(rune('a' + rng.Intn(4))))
+			b.AddNode(names[rng.Intn(len(names))])
 		}
 		for i := 1; i < n; i++ {
 			b.AddEdge(pattern.NodeID(rng.Intn(i)), pattern.NodeID(i))
@@ -161,17 +161,45 @@ func overlayOf(t *testing.T, rng *rand.Rand, base *graph.Graph) *graph.Graph {
 	return view
 }
 
+// collidingNames are the node labels of collidingLabeled's graphs.
+var collidingNames = []string{"a", "b", "c", "f0", "f1", "f2"}
+
+// collidingLabeled is randomLabeled over labels that share presence-mask
+// bits: f0..f15 take label ids 0..15, so a, b and c (ids 16..18) collide
+// with f0, f1 and f2. Nodes carry one of collidingNames.
+func collidingLabeled(rng *rand.Rand, n, m int) *graph.Graph {
+	b := graph.NewBuilder(n, m)
+	for i := 0; i < graph.MaskLabels; i++ {
+		b.Intern(fmt.Sprintf("f%d", i))
+	}
+	names := collidingNames
+	for i := 0; i < n; i++ {
+		b.AddNode(names[rng.Intn(len(names))])
+	}
+	for i := 0; i < m; i++ {
+		b.AddEdge(graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)))
+	}
+	return b.Build()
+}
+
 // TestGuardEqualsPerClassReference: over random graphs — each as a base
 // Aux and as a PatchedFor overlay view — and random patterns, Guard and
-// Potential equal the per-class references at every (v, u).
+// Potential equal the per-class references at every (v, u). Every other
+// graph's labels collide in the presence mask, so the histogram fallback
+// behind a mask that cannot decide is exercised too.
 func TestGuardEqualsPerClassReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
-	// What the cases exercised: guard outcomes per class, and pairs the
-	// simulation guard admits but the isomorphism guard turns away.
+	// What the cases exercised: guard outcomes per class, pairs the
+	// simulation guard admits but the isomorphism guard turns away, and
+	// pairs whose mask passed on a colliding label that the histogram
+	// then rejected.
 	var passed, rejected [2]int
-	simOnly := 0
+	simOnly, collided := 0, 0
 	for gi := 0; gi < 30; gi++ {
-		base := randomLabeled(rng, 30+rng.Intn(40), 60+rng.Intn(160), 3)
+		base, names := randomLabeled(rng, 30+rng.Intn(40), 60+rng.Intn(160), 3), []string{"a", "b", "c", "d"}
+		if gi%2 == 1 {
+			base, names = collidingLabeled(rng, 30+rng.Intn(40), 60+rng.Intn(160)), collidingNames
+		}
 		baseAux := graph.BuildAux(base)
 		view := overlayOf(t, rng, base)
 		patched, err := baseAux.PatchedFor(view)
@@ -181,7 +209,7 @@ func TestGuardEqualsPerClassReference(t *testing.T) {
 		for _, aux := range []*graph.Aux{baseAux, patched} {
 			g := aux.Graph()
 			for pi := 0; pi < 8; pi++ {
-				p := guardPattern(rng)
+				p := guardPattern(rng, names)
 				ref := newRef(aux, p)
 				sim, sub := NewSemantics(aux, p, Simulation), NewSemantics(aux, p, Subgraph)
 				for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
@@ -212,12 +240,16 @@ func TestGuardEqualsPerClassReference(t *testing.T) {
 						if gotSim && !gotSub {
 							simOnly++
 						}
+						r := &sim.reqs[u]
+						if !gotSim && g.LabelOf(v) == sim.labels[u] && !r.absent && !r.decided && sim.labelMask(v)&r.mask == r.mask {
+							collided++
+						}
 					}
 				}
 			}
 		}
 	}
-	if min(passed[0], passed[1], rejected[0], rejected[1]) == 0 || simOnly == 0 {
-		t.Fatalf("degenerate cases: passed %v, rejected %v, simulation-only %d", passed, rejected, simOnly)
+	if min(passed[0], passed[1], rejected[0], rejected[1]) == 0 || simOnly == 0 || collided == 0 {
+		t.Fatalf("degenerate cases: passed %v, rejected %v, simulation-only %d, mask collisions %d", passed, rejected, simOnly, collided)
 	}
 }

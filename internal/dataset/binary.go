@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
 	"rbq/internal/graph"
@@ -180,7 +181,7 @@ func ReadBinary(r io.Reader) (*graph.Graph, error) {
 		return nil, err
 	}
 	numEdges := binary.LittleEndian.Uint64(count)
-	if numEdges > binaryLimit {
+	if numEdges > math.MaxInt32 { // the graph's CSR offsets are int32
 		return nil, fmt.Errorf("dataset: absurd edge count %d", numEdges)
 	}
 	err = br.chunks(8*numEdges, "edge", func(chunk []byte) error {

@@ -17,6 +17,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -75,7 +76,7 @@ func Read(r io.Reader) (*graph.Graph, error) {
 	b := graph.NewBuilder(0, 0)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	lineNo := 0
+	lineNo, edges := 0, 0
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
@@ -110,6 +111,9 @@ func Read(r io.Reader) (*graph.Graph, error) {
 			}
 			if from < 0 || from >= b.NumNodes() || to < 0 || to >= b.NumNodes() {
 				return nil, fmt.Errorf("dataset: line %d: edge (%d,%d) out of range", lineNo, from, to)
+			}
+			if edges++; edges > math.MaxInt32 { // the graph's CSR offsets are int32
+				return nil, fmt.Errorf("dataset: line %d: more than %d edges", lineNo, math.MaxInt32)
 			}
 			b.AddEdge(graph.NodeID(from), graph.NodeID(to))
 		default:

@@ -212,17 +212,100 @@ func (hb *sortHistBuilder) appendHist(dst []LabelCount, neigh []NodeID) []LabelC
 	return dst
 }
 
+// sortBasedHists is the reference Aux layout: histograms by sorting
+// labels, grouped lists by a stable sort of each list on label, masks by
+// reading every neighbor's label.
 func sortBasedHists(g *Graph) *Hists {
 	n := g.NumNodes()
 	hb := &sortHistBuilder{g: g, counts: make([]int32, g.NumLabels())}
-	h := &Hists{OutStart: make([]int32, n+1), InStart: make([]int32, n+1), OutHist: []LabelCount{}, InHist: []LabelCount{}}
+	h := &Hists{
+		OutStart: make([]int32, n+1), InStart: make([]int32, n+1), OutHist: []LabelCount{}, InHist: []LabelCount{},
+		AdjOutStart: g.outStart, AdjInStart: g.inStart,
+		OutByLabel: []NodeID{}, InByLabel: []NodeID{}, Mask: make([]uint32, n),
+	}
 	for v := 0; v < n; v++ {
-		h.OutHist = hb.appendHist(h.OutHist, g.Out(NodeID(v)))
+		id := NodeID(v)
+		h.OutHist = hb.appendHist(h.OutHist, g.Out(id))
 		h.OutStart[v+1] = int32(len(h.OutHist))
-		h.InHist = hb.appendHist(h.InHist, g.In(NodeID(v)))
+		h.InHist = hb.appendHist(h.InHist, g.In(id))
 		h.InStart[v+1] = int32(len(h.InHist))
+		h.OutByLabel = append(h.OutByLabel, groupedByLabel(g, g.Out(id))...)
+		h.InByLabel = append(h.InByLabel, groupedByLabel(g, g.In(id))...)
+		h.Mask[v] = refMask(g, id)
 	}
 	return h
+}
+
+// groupedByLabel is a neighbor list stably sorted on label.
+func groupedByLabel(g *Graph, neigh []NodeID) []NodeID {
+	out := slices.Clone(neigh)
+	slices.SortStableFunc(out, func(a, b NodeID) int { return int(g.LabelOf(a)) - int(g.LabelOf(b)) })
+	return out
+}
+
+// refMask is v's presence mask from its neighbors' labels.
+func refMask(g *Graph, v NodeID) uint32 {
+	var m uint32
+	for _, w := range g.Out(v) {
+		m |= OutMaskBit(g.LabelOf(w))
+	}
+	for _, w := range g.In(v) {
+		m |= InMaskBit(g.LabelOf(w))
+	}
+	return m
+}
+
+// requireLabelIndex checks a's grouped lists and masks, through the
+// accessors every engine reads, against neighbor lists filtered by
+// label: the check for patched views, whose overrides live per slot.
+func requireLabelIndex(t *testing.T, what string, a *Aux) {
+	t.Helper()
+	g := a.Graph()
+	for v := 0; v < g.NumNodes(); v++ {
+		id := NodeID(v)
+		if got, want := a.LabelMask(id), refMask(g, id); got != want {
+			t.Fatalf("%s: node %d mask %#x, want %#x", what, v, got, want)
+		}
+		for l := LabelID(-1); int(l) <= g.NumLabels(); l++ {
+			has := func(w NodeID) bool { return int(l) >= 0 && int(l) < g.NumLabels() && g.LabelOf(w) == l }
+			if got, want := a.OutBlock(id, l), slices.DeleteFunc(slices.Clone(g.Out(id)), func(w NodeID) bool { return !has(w) }); !slices.Equal(got, want) {
+				t.Fatalf("%s: node %d out block of label %d: got %v, want %v", what, v, l, got, want)
+			}
+			if got, want := a.InBlock(id, l), slices.DeleteFunc(slices.Clone(g.In(id)), func(w NodeID) bool { return !has(w) }); !slices.Equal(got, want) {
+				t.Fatalf("%s: node %d in block of label %d: got %v, want %v", what, v, l, got, want)
+			}
+			// A label that owns its bit is present exactly when the bit is set.
+			if l >= 0 && OwnsMaskBit(l, g.NumLabels()) {
+				m := a.LabelMask(id)
+				if m&OutMaskBit(l) != 0 != (len(a.OutBlock(id, l)) > 0) || m&InMaskBit(l) != 0 != (len(a.InBlock(id, l)) > 0) {
+					t.Fatalf("%s: node %d mask %#x does not decide label %d", what, v, m, l)
+				}
+			}
+		}
+	}
+}
+
+func TestOwnsMaskBit(t *testing.T) {
+	for _, c := range []struct {
+		numLabels int
+		owners    []LabelID
+	}{
+		{1, []LabelID{0}},
+		{15, []LabelID{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14}},
+		{MaskLabels, []LabelID{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}},
+		{MaskLabels + 3, []LabelID{3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}},
+		{40, nil},
+	} {
+		var owners []LabelID
+		for l := LabelID(-1); int(l) <= c.numLabels; l++ {
+			if OwnsMaskBit(l, c.numLabels) {
+				owners = append(owners, l)
+			}
+		}
+		if !slices.Equal(owners, c.owners) {
+			t.Errorf("%d labels: owners %v, want %v", c.numLabels, owners, c.owners)
+		}
+	}
 }
 
 func TestBitsetBuildAuxEqualsSortBased(t *testing.T) {
@@ -230,7 +313,10 @@ func TestBitsetBuildAuxEqualsSortBased(t *testing.T) {
 		prev := runtime.GOMAXPROCS(procs)
 		for _, c := range loaderCases() {
 			_, g := buildFrom(c.labels, c.edges)
-			requireSameHists(t, fmt.Sprintf("%s at GOMAXPROCS %d", c.name, procs), BuildAux(g).BaseHists(), sortBasedHists(g))
+			what := fmt.Sprintf("%s at GOMAXPROCS %d", c.name, procs)
+			aux := BuildAux(g)
+			requireSameHists(t, what, aux.BaseHists(), sortBasedHists(g))
+			requireLabelIndex(t, what, aux)
 		}
 		runtime.GOMAXPROCS(prev)
 	}

@@ -116,9 +116,14 @@ func (g *Graph) spliceCompact(spliceFrac float64) (*Graph, bool) {
 	}
 	n, m := ov.nodes, ov.edges
 
-	labels := make([]LabelID, n)
-	copy(labels, g.labels)
-	copy(labels[ov.baseN:], ov.newLabels)
+	// Base arrays are immutable, so without new nodes the labels and the
+	// label index are the base's, shared rather than copied.
+	labels := g.labels
+	if n > ov.baseN {
+		labels = make([]LabelID, n)
+		copy(labels, g.labels)
+		copy(labels[ov.baseN:], ov.newLabels)
+	}
 
 	ng := &Graph{
 		labels: labels,
@@ -133,55 +138,70 @@ func (g *Graph) spliceCompact(spliceFrac float64) (*Graph, bool) {
 		// canonical maxDegree+1 length a from-scratch build produces.
 		degCount: g.degCount[:ov.maxDegree+1],
 	}
-	ng.outStart, ng.outAdj = spliceAdj(g.outStart, g.outAdj, ov, ov.out, n, m)
-	ng.inStart, ng.inAdj = spliceAdj(g.inStart, g.inAdj, ov, ov.in, n, m)
-	ng.labelStart, ng.labelNodes = g.spliceLabelIndex(ov, n)
+	ng.outStart, ng.inStart = make([]int32, n+1), make([]int32, n+1)
+	ng.outAdj = spliceAdj(g.outStart, g.outAdj, ov, ov.out, ng.outStart, m)
+	ng.inAdj = spliceAdj(g.inStart, g.inAdj, ov, ov.in, ng.inStart, m)
+	ng.labelStart, ng.labelNodes = g.labelStart, g.labelNodes
+	if n > ov.baseN {
+		ng.labelStart, ng.labelNodes = g.spliceLabelIndex(ov, n)
+	}
 	return ng, true
 }
 
 // spliceAdj builds one direction's CSR for the merged view: untouched
 // base runs are bulk-copied with their offsets shifted by a per-run
 // constant, touched slots take the overlay's merged segments, and new
-// nodes append at the end.
-func spliceAdj(baseStart []int64, baseAdj []NodeID, ov *overlay, slotAdj [][]NodeID, n, m int) ([]int64, []NodeID) {
-	starts := make([]int64, n+1)
+// nodes append at the end. It writes the offsets to starts unless starts
+// is nil: the Aux's grouped lists are spliced at offsets the graph's
+// splice already computed.
+func spliceAdj(baseStart []int32, baseAdj []NodeID, ov *overlay, slotAdj [][]NodeID, starts []int32, m int) []NodeID {
 	adj := make([]NodeID, 0, m)
 	next := NodeID(0)
 	for i, v := range ov.touched {
 		lo := baseStart[next]
-		shift := int64(len(adj)) - lo
-		for u := next; u < v; u++ {
-			starts[u] = baseStart[u] + shift
+		if starts != nil {
+			shift := int32(len(adj)) - lo
+			for u := next; u < v; u++ {
+				starts[u] = baseStart[u] + shift
+			}
 		}
 		adj = append(adj, baseAdj[lo:baseStart[v]]...)
-		starts[v] = int64(len(adj))
+		if starts != nil {
+			starts[v] = int32(len(adj))
+		}
 		adj = append(adj, slotAdj[i]...)
 		next = v + 1
 	}
 	lo := baseStart[next]
-	shift := int64(len(adj)) - lo
-	for u := int(next); u < ov.baseN; u++ {
-		starts[u] = baseStart[u] + shift
+	if starts != nil {
+		shift := int32(len(adj)) - lo
+		for u := int(next); u < ov.baseN; u++ {
+			starts[u] = baseStart[u] + shift
+		}
 	}
 	adj = append(adj, baseAdj[lo:]...)
 	for s := len(ov.touched); s < len(slotAdj); s++ {
-		starts[ov.baseN+s-len(ov.touched)] = int64(len(adj))
+		if starts != nil {
+			starts[ov.baseN+s-len(ov.touched)] = int32(len(adj))
+		}
 		adj = append(adj, slotAdj[s]...)
 	}
-	starts[n] = int64(len(adj))
-	return starts, adj
+	if starts != nil {
+		starts[len(starts)-1] = int32(len(adj))
+	}
+	return adj
 }
 
 // spliceLabelIndex builds the merged view's label → node CSR. Only
 // labels the overlay patched (those that gained new nodes) differ from
 // the base; everything else is a bulk copy of the base segment.
-func (g *Graph) spliceLabelIndex(ov *overlay, n int) ([]int64, []NodeID) {
+func (g *Graph) spliceLabelIndex(ov *overlay, n int) ([]int32, []NodeID) {
 	nl := len(g.labelNames) // the view's (possibly extended) alphabet
 	baseNL := len(g.labelStart) - 1
-	starts := make([]int64, nl+1)
+	starts := make([]int32, nl+1)
 	nodes := make([]NodeID, 0, n)
 	for l := 0; l < nl; l++ {
-		starts[l] = int64(len(nodes))
+		starts[l] = int32(len(nodes))
 		if patched := ov.labelNodes[l]; patched != nil {
 			nodes = append(nodes, patched...)
 		} else if l < baseNL {
@@ -190,7 +210,7 @@ func (g *Graph) spliceLabelIndex(ov *overlay, n int) ([]int64, []NodeID) {
 		// A label beyond the base alphabet with no patched list cannot
 		// occur: new labels only arise through new nodes, which patch.
 	}
-	starts[nl] = int64(len(nodes))
+	starts[nl] = int32(len(nodes))
 	return starts, nodes
 }
 
@@ -198,7 +218,8 @@ func (g *Graph) spliceLabelIndex(ov *overlay, n int) ([]int64, []NodeID) {
 // a standalone base Graph and base Aux in one pass: the graph arrays as
 // in CompactWith, and the Aux by splicing the base histogram arenas
 // around the per-touched-node histograms the patched view already
-// computed at seal time — so no BuildAux pass runs at all. aux must be
+// computed at seal time — so no BuildAux pass runs at all. The grouped
+// lists and presence masks splice the same way. aux must be
 // the PatchedFor view of view's overlay (the pair a Snapshot carries).
 //
 // Returns ok=false — and touches nothing — when the pair does not match
@@ -222,7 +243,16 @@ func CompactIncremental(view *Graph, aux *Aux, spliceFrac float64) (*Graph, *Aux
 	}
 	na.outHist = spliceHist(aux.outStart, aux.outHist, ov, aux.ov.outHist, na.outStart)
 	na.inHist = spliceHist(aux.inStart, aux.inHist, ov, aux.ov.inHist, na.inStart)
-	na.hists = Hists{OutStart: na.outStart, InStart: na.inStart, OutHist: na.outHist, InHist: na.inHist}
+	m := ng.NumEdges()
+	na.outByLabel = spliceAdj(view.outStart, aux.outByLabel, ov, aux.ov.outByLabel, nil, m)
+	na.inByLabel = spliceAdj(view.inStart, aux.inByLabel, ov, aux.ov.inByLabel, nil, m)
+	na.mask = make([]uint32, n)
+	copy(na.mask, aux.mask)
+	for i, v := range ov.touched {
+		na.mask[v] = aux.ov.mask[i]
+	}
+	copy(na.mask[ov.baseN:], aux.ov.mask[len(ov.touched):])
+	na.bindHists()
 	return ng, na, CompactStats{Incremental: true, TouchedNodes: len(ov.out)}, true
 }
 

@@ -87,7 +87,10 @@ func (c *FragCSR) HasEdge(i, j int32) bool {
 // kept. Duplicate entries in nodes are ignored; position order follows the
 // first occurrence of each node. Each adjacency segment comes out sorted
 // ascending, so matchers explore candidates in a deterministic order
-// independent of how the node list was produced.
+// independent of how the node list was produced. A node's out-list is
+// scanned, or probed for every position when it is more than ScanRatio
+// times longer (see Fragment.InducedEdgeCost), so a hub in a small
+// subgraph costs O(|nodes|·log d), not O(d).
 func (g *Graph) CSRInto(nodes []NodeID, c *FragCSR) {
 	// Refresh the epoch-stamped position index. A pooled FragCSR serves
 	// successive snapshots of a growing graph: regrow with headroom, so
@@ -130,7 +133,18 @@ func (g *Graph) CSRInto(nodes []NodeID, c *FragCSR) {
 	for i, v := range c.Orig {
 		k := len(c.OutAdj)
 		c.OutStart[i] = int32(k)
-		for _, w := range g.Out(v) {
+		out := g.Out(v)
+		if len(out) > ScanRatio*int(n) {
+			// A hub: probe its list for each position, which appends the
+			// segment already in position order.
+			for p, w := range c.Orig {
+				if containsSorted(out, w) {
+					c.OutAdj = append(c.OutAdj, int32(p))
+				}
+			}
+			continue
+		}
+		for _, w := range out {
 			if p := c.PosOf(w); p >= 0 {
 				c.OutAdj = append(c.OutAdj, p)
 			}

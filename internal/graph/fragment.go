@@ -20,10 +20,11 @@ package graph
 // steady-state query evaluation allocation-free across snapshots. A
 // Fragment is not safe for concurrent use.
 type Fragment struct {
-	parent *Graph
-	member []uint64 // bitset over parent nodes
-	order  []NodeID // insertion order, for deterministic materialization
-	edges  int
+	parent  *Graph
+	member  []uint64   // bitset over parent nodes
+	order   []NodeID   // insertion order, for deterministic materialization
+	byLabel [][]NodeID // byLabel[l]: the members labelled l, in insertion order
+	edges   int
 }
 
 // NewFragment returns an empty fragment over parent.
@@ -39,6 +40,8 @@ func NewFragment(parent *Graph) *Fragment {
 func (f *Fragment) Reset() {
 	for _, v := range f.order {
 		f.member[v>>6] &^= 1 << (uint(v) & 63)
+		l := f.parent.LabelOf(v)
+		f.byLabel[l] = f.byLabel[l][:0]
 	}
 	f.order = f.order[:0]
 	f.edges = 0
@@ -82,23 +85,46 @@ func (f *Fragment) Size() int { return len(f.order) + f.edges }
 
 // InducedEdgeCost returns the number of parent edges between v and the
 // fragment's current nodes, i.e. how many edges adding v would contribute.
-// Self-loops on v count once. Returns 0 if v is already present.
+// Self-loops on v count once. Returns 0 if v is already present. Each of
+// v's lists is scanned, or probed for every fragment node, whichever side
+// is smaller (see ScanRatio): pricing a hub costs O(|G_Q|·log d), not
+// O(d).
 func (f *Fragment) InducedEdgeCost(v NodeID) int {
 	if f.Contains(v) {
 		return 0
 	}
-	cost := 0
-	for _, w := range f.parent.Out(v) {
-		if w == v || f.Contains(w) {
-			cost++
-		}
-	}
-	for _, w := range f.parent.In(v) {
-		if w != v && f.Contains(w) {
-			cost++
-		}
+	out := f.parent.Out(v)
+	cost := f.membersIn(out) + f.membersIn(f.parent.In(v))
+	if containsSorted(out, v) {
+		cost++
 	}
 	return cost
+}
+
+// ScanRatio is the smaller-side rule of the reduction's fragment probes:
+// a neighbor list up to ScanRatio times longer than the node set it is
+// matched against is scanned; a longer one is binary-searched for each
+// node of the set instead.
+const ScanRatio = 4
+
+// membersIn returns how many fragment nodes occur in the ascending list
+// adj, reading whichever side is smaller.
+func (f *Fragment) membersIn(adj []NodeID) int {
+	n := 0
+	if len(adj) <= ScanRatio*len(f.order) {
+		for _, w := range adj {
+			if f.Contains(w) {
+				n++
+			}
+		}
+		return n
+	}
+	for _, w := range f.order {
+		if containsSorted(adj, w) {
+			n++
+		}
+	}
+	return n
 }
 
 // Add inserts v and its induced edges, returning the size increase
@@ -118,9 +144,23 @@ func (f *Fragment) Add(v NodeID) int {
 func (f *Fragment) AddCost(v NodeID, cost int) {
 	f.member[v>>6] |= 1 << (uint(v) & 63)
 	f.order = append(f.order, v)
+	l := f.parent.LabelOf(v)
+	for int(l) >= len(f.byLabel) {
+		f.byLabel = append(f.byLabel, nil)
+	}
+	f.byLabel[l] = append(f.byLabel[l], v)
 	f.edges += cost
 }
 
 // Nodes returns the fragment's nodes in insertion order. The slice is
 // shared and must not be modified.
 func (f *Fragment) Nodes() []NodeID { return f.order }
+
+// NodesLabeled returns the fragment's nodes labelled l, in insertion
+// order. The slice is shared and must not be modified.
+func (f *Fragment) NodesLabeled(l LabelID) []NodeID {
+	if l < 0 || int(l) >= len(f.byLabel) {
+		return nil
+	}
+	return f.byLabel[l]
+}

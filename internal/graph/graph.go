@@ -40,6 +40,7 @@ package graph
 import (
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"sync"
 )
@@ -68,14 +69,16 @@ type Graph struct {
 	labelNames []string
 	labelIndex map[string]LabelID
 
-	outStart []int64  // len = n+1; out-neighbors of v are outAdj[outStart[v]:outStart[v+1]]
+	// CSR offsets are int32: |E| < 2³¹, as every loader and Build
+	// require.
+	outStart []int32  // len = n+1; out-neighbors of v are outAdj[outStart[v]:outStart[v+1]]
 	outAdj   []NodeID // sorted ascending within each node's segment
-	inStart  []int64
+	inStart  []int32
 	inAdj    []NodeID
 
 	// Nodes carrying each label, ascending, in CSR form indexed by LabelID
 	// (labels are dense): labelStart has len NumLabels+1.
-	labelStart []int64
+	labelStart []int32
 	labelNodes []NodeID
 
 	maxDegree int // cached at build time; see MaxDegree
@@ -347,7 +350,7 @@ type Builder struct {
 	labelNames []string
 	labelIndex map[string]LabelID
 
-	outStart []int64
+	outStart []int32
 	outAdj   []NodeID
 	edges    []edge
 	unsorted bool
@@ -421,7 +424,7 @@ func (b *Builder) AddEdge(from, to NodeID) {
 				b.outStart = slices.Grow(b.outStart, max(len(b.labels), 2*cap(b.outStart))-len(b.outStart))
 			}
 			for ; last < from; last++ {
-				b.outStart = append(b.outStart, int64(len(b.outAdj)))
+				b.outStart = append(b.outStart, int32(len(b.outAdj)))
 			}
 			b.outAdj = push(b.outAdj, to)
 			return
@@ -436,7 +439,7 @@ func (b *Builder) AddEdge(from, to NodeID) {
 func (b *Builder) spill() {
 	b.edges = make([]edge, 0, max(2*len(b.outAdj), cap(b.outAdj)))
 	for v, lo := range b.outStart {
-		hi := int64(len(b.outAdj))
+		hi := int32(len(b.outAdj))
 		if v+1 < len(b.outStart) {
 			hi = b.outStart[v+1]
 		}
@@ -456,8 +459,8 @@ func (b *Builder) sortEdges(n int) {
 		return
 	}
 	tmp := make([]edge, m)
-	// int64 counters, matching the CSR offset width: cumulative counts are
-	// edge counts and may exceed int32 on billion-edge graphs.
+	// int64 counters: the edge list may still hold duplicates, so its
+	// cumulative counts may exceed the int32 the deduplicated CSR fits.
 	count := make([]int64, n+1)
 	// Pass 1: stable counting sort by to.
 	for _, e := range b.edges {
@@ -488,13 +491,13 @@ func (b *Builder) sortEdges(n int) {
 // outCSR returns the out-adjacency of the n nodes as fresh CSR arrays:
 // a copy of what AddEdge wrote in place for sorted input, and the sorted,
 // deduplicated edge list otherwise.
-func (b *Builder) outCSR(n int) (outStart []int64, outAdj []NodeID) {
-	outStart = make([]int64, n+1)
+func (b *Builder) outCSR(n int) (outStart []int32, outAdj []NodeID) {
+	outStart = make([]int32, n+1)
 	if !b.unsorted {
 		// Sources past the last one seen have empty segments.
 		k := copy(outStart, b.outStart)
 		for i := k; i <= n; i++ {
-			outStart[i] = int64(len(b.outAdj))
+			outStart[i] = int32(len(b.outAdj))
 		}
 		return outStart, slices.Clone(b.outAdj)
 	}
@@ -523,6 +526,9 @@ func (b *Builder) Build() *Graph {
 	n := len(b.labels)
 	outStart, outAdj := b.outCSR(n)
 	m := len(outAdj)
+	if m > math.MaxInt32 {
+		panic(fmt.Sprintf("graph: Build of %d edges; the CSR holds at most %d", m, math.MaxInt32))
+	}
 
 	g := &Graph{
 		labels:     append([]LabelID(nil), b.labels...),
@@ -539,7 +545,7 @@ func (b *Builder) Build() *Graph {
 	// where the segment ends — the start of w+1's — and the array is in its
 	// final form with no separate cursor array. Sources are scanned in
 	// ascending order, so each in-segment comes out sorted.
-	inStart := make([]int64, n+2)
+	inStart := make([]int32, n+2)
 	for _, w := range outAdj {
 		inStart[w+2]++
 	}
@@ -557,7 +563,7 @@ func (b *Builder) Build() *Graph {
 	// Label index CSR via counting sort on the (dense) label ids; segments
 	// come out ascending because nodes are scanned in ascending order.
 	nl := len(g.labelNames)
-	g.labelStart = make([]int64, nl+1)
+	g.labelStart = make([]int32, nl+1)
 	for _, l := range g.labels {
 		g.labelStart[l+1]++
 	}
@@ -565,7 +571,7 @@ func (b *Builder) Build() *Graph {
 		g.labelStart[l+1] += g.labelStart[l]
 	}
 	g.labelNodes = make([]NodeID, n)
-	lnext := make([]int64, nl)
+	lnext := make([]int32, nl)
 	copy(lnext, g.labelStart[:nl])
 	for v := 0; v < n; v++ {
 		l := g.labels[v]

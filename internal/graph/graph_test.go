@@ -342,43 +342,11 @@ func TestCSRIntoOnePassLayout(t *testing.T) {
 		}
 		g.CSRInto(nodes, &c)
 
-		var orig []NodeID
-		pos := map[NodeID]int32{}
-		for _, v := range nodes {
-			if _, dup := pos[v]; !dup {
-				pos[v] = int32(len(orig))
-				orig = append(orig, v)
-			}
-		}
-		// Two passes per direction: count into start, then fill.
-		layout := func(adjOf func(NodeID) []NodeID) (start, adj []int32) {
-			start = make([]int32, len(orig)+1)
-			for k, v := range orig {
-				start[k+1] = start[k]
-				for _, w := range adjOf(v) {
-					if _, in := pos[w]; in {
-						start[k+1]++
-					}
-				}
-			}
-			adj = make([]int32, start[len(orig)])
-			for k, v := range orig {
-				seg := adj[start[k]:start[k]]
-				for _, w := range adjOf(v) {
-					if p, in := pos[w]; in {
-						seg = append(seg, p)
-					}
-				}
-				slices.Sort(seg)
-			}
-			return start, adj
-		}
-		outStart, outAdj := layout(g.Out)
-		inStart, inAdj := layout(g.In)
+		orig, outStart, outAdj, inStart, inAdj := listScanCSR(g, nodes)
 		if !slices.Equal(c.Orig, orig) ||
 			!slices.Equal(c.OutStart, outStart) || !slices.Equal(c.OutAdj, outAdj) ||
 			!slices.Equal(c.InStart, inStart) || !slices.Equal(c.InAdj, inAdj) {
-			t.Fatalf("iteration %d: nodes %v\none-pass out %v %v in %v %v\ntwo-pass out %v %v in %v %v",
+			t.Fatalf("iteration %d: nodes %v\none-pass out %v %v in %v %v\nlist scan out %v %v in %v %v",
 				i, nodes, c.OutStart, c.OutAdj, c.InStart, c.InAdj, outStart, outAdj, inStart, inAdj)
 		}
 		for k, v := range orig {

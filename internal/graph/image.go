@@ -25,8 +25,11 @@ package graph
 // would grow the image without saving meaningful time, and rebuilding
 // from the decoded arrays keeps every invariant locally checkable. What
 // the image does carry that a plain edge list would not is the Aux
-// histograms — loading them back skips the O(|G|) BuildAux pass, which
-// is the point of restarting from an image at all.
+// histograms. The Aux's label-grouped lists and presence masks are
+// derived on load by BuildAux's own per-list construction, in one
+// parallel pass that also checks every decoded histogram against the one
+// that construction builds for its list, so they cost the image no bytes
+// and its format no version.
 //
 // ReadImage is deliberately paranoid: beyond the checksum it bounds
 // every count against the remaining payload before allocating and
@@ -112,7 +115,7 @@ func WriteImage(w io.Writer, g *Graph, aux *Aux) error {
 	iw.u64(uint64(m))
 	// A zero-value empty Graph has nil CSR arrays where the format wants
 	// n+1 offsets; emit the single zero offset it stands for.
-	starts64 := func(starts []int64) {
+	starts64 := func(starts []int32) {
 		if len(starts) == 0 {
 			iw.u64(0)
 			return
@@ -203,34 +206,25 @@ func (ir *imageReader) count(width int, what string) (int, error) {
 	return int(c), nil
 }
 
-// readStarts reads an n+1-long offset array, checking it begins at 0,
-// never decreases and ends at total.
-func (ir *imageReader) readStarts(n int, total int64, wide bool, what string) ([]int64, error) {
-	width := 4
-	if wide {
-		width = 8
-	}
-	if err := ir.need((n + 1) * width); err != nil {
+// readStarts reads an n+1-long array of u64 offsets, checking it begins
+// at 0, never decreases and ends at total (< imageLimit, so every offset
+// fits the graph's int32 CSR).
+func (ir *imageReader) readStarts(n, total int, what string) ([]int32, error) {
+	if err := ir.need((n + 1) * 8); err != nil {
 		return nil, err
 	}
-	starts := make([]int64, n+1)
+	starts := make([]int32, n+1)
 	for i := range starts {
-		var x uint64
-		if wide {
-			x, _ = ir.u64()
-		} else {
-			x32, _ := ir.u32()
-			x = uint64(x32)
-		}
+		x, _ := ir.u64()
 		if x > uint64(total) {
 			return nil, fmt.Errorf("graph: image: %s offset %d exceeds %d", what, x, total)
 		}
-		starts[i] = int64(x)
+		starts[i] = int32(x)
 		if i > 0 && starts[i] < starts[i-1] {
 			return nil, fmt.Errorf("graph: image: %s offsets decrease at %d", what, i)
 		}
 	}
-	if starts[0] != 0 || starts[n] != total {
+	if starts[0] != 0 || int(starts[n]) != total {
 		return nil, fmt.Errorf("graph: image: %s offsets span [%d,%d], want [0,%d]", what, starts[0], starts[n], total)
 	}
 	return starts, nil
@@ -239,7 +233,7 @@ func (ir *imageReader) readStarts(n int, total int64, wide bool, what string) ([
 // readAdj reads m adjacency entries, checking each segment is strictly
 // ascending (the dedup/sortedness invariant binary searches rely on)
 // and every id is in [0, n).
-func (ir *imageReader) readAdj(starts []int64, m, n int, what string) ([]NodeID, error) {
+func (ir *imageReader) readAdj(starts []int32, m, n int, what string) ([]NodeID, error) {
 	if err := ir.need(m * 4); err != nil {
 		return nil, err
 	}
@@ -269,17 +263,13 @@ func (ir *imageReader) readHist(n, numLabels int, what string) ([]int32, []Label
 		return nil, nil, err
 	}
 	// Peek the final offset to size the entry array before reading.
-	starts64, err := ir.readStartsHistTotal(n, what)
+	starts, err := ir.readStartsHistTotal(n, what)
 	if err != nil {
 		return nil, nil, err
 	}
-	total := starts64[n]
+	total := starts[n]
 	if err := ir.need(int(total) * 8); err != nil {
 		return nil, nil, fmt.Errorf("graph: image: %s entry count %d exceeds payload", what, total)
-	}
-	starts := make([]int32, n+1)
-	for i, s := range starts64 {
-		starts[i] = int32(s)
 	}
 	hist := make([]LabelCount, total)
 	for i := range hist {
@@ -310,8 +300,8 @@ func (ir *imageReader) readHist(n, numLabels int, what string) ([]int32, []Label
 // readStartsHistTotal reads an n+1 u32 offset array whose total is not
 // known in advance (histogram entry counts are implied by the final
 // offset), checking monotonicity and the int32 bound.
-func (ir *imageReader) readStartsHistTotal(n int, what string) ([]int64, error) {
-	starts := make([]int64, n+1)
+func (ir *imageReader) readStartsHistTotal(n int, what string) ([]int32, error) {
+	starts := make([]int32, n+1)
 	for i := range starts {
 		x, err := ir.u32()
 		if err != nil {
@@ -320,7 +310,7 @@ func (ir *imageReader) readStartsHistTotal(n int, what string) ([]int64, error) 
 		if uint64(x) >= imageLimit {
 			return nil, fmt.Errorf("graph: image: absurd %s offset %d", what, x)
 		}
-		starts[i] = int64(x)
+		starts[i] = int32(x)
 		if i > 0 && starts[i] < starts[i-1] {
 			return nil, fmt.Errorf("graph: image: %s offsets decrease at %d", what, i)
 		}
@@ -399,7 +389,7 @@ func ReadImage(data []byte) (*Graph, *Aux, error) {
 		return nil, nil, fmt.Errorf("graph: image: absurd edge count %d", m64)
 	}
 	m := int(m64)
-	outStart, err := ir.readStarts(n, int64(m), true, "out")
+	outStart, err := ir.readStarts(n, m, "out")
 	if err != nil {
 		return nil, nil, err
 	}
@@ -407,7 +397,7 @@ func ReadImage(data []byte) (*Graph, *Aux, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	inStart, err := ir.readStarts(n, int64(m), true, "in")
+	inStart, err := ir.readStarts(n, m, "in")
 	if err != nil {
 		return nil, nil, err
 	}
@@ -439,7 +429,7 @@ func ReadImage(data []byte) (*Graph, *Aux, error) {
 	// Rebuild the derived structures exactly as Builder.Build does: the
 	// label index CSR by counting sort (segments ascend because nodes are
 	// scanned in order), then max degree and per-degree counts.
-	g.labelStart = make([]int64, numLabels+1)
+	g.labelStart = make([]int32, numLabels+1)
 	for _, l := range labels {
 		g.labelStart[l+1]++
 	}
@@ -447,7 +437,7 @@ func ReadImage(data []byte) (*Graph, *Aux, error) {
 		g.labelStart[l+1] += g.labelStart[l]
 	}
 	g.labelNodes = make([]NodeID, n)
-	lnext := make([]int64, numLabels)
+	lnext := make([]int32, numLabels)
 	copy(lnext, g.labelStart[:numLabels])
 	for v := 0; v < n; v++ {
 		l := labels[v]
@@ -463,13 +453,29 @@ func ReadImage(data []byte) (*Graph, *Aux, error) {
 	}
 
 	aux := &Aux{
-		g:        g,
-		outStart: auxOutStart,
-		outHist:  auxOutHist,
-		inStart:  auxInStart,
-		inHist:   auxInHist,
-		pools:    new(scratchPools),
+		g:          g,
+		outStart:   auxOutStart,
+		outHist:    auxOutHist,
+		inStart:    auxInStart,
+		inHist:     auxInHist,
+		outByLabel: make([]NodeID, m),
+		inByLabel:  make([]NodeID, m),
+		mask:       make([]uint32, n),
+		pools:      new(scratchPools),
 	}
-	aux.hists = Hists{OutStart: aux.outStart, InStart: aux.inStart, OutHist: aux.outHist, InHist: aux.inHist}
+	// Derive the grouped lists and masks with BuildAux's own construction,
+	// checking that each decoded histogram is the one it builds.
+	bad := make([]bool, auxWorkers(n))
+	forRanges(len(bad), n, func(w, lo, hi int) {
+		hb := newHistBuilder(g)
+		bad[w] = !hb.checkRange(lo, hi, aux.OutLabelHist, aux.outSink()) ||
+			!hb.checkRange(lo, hi, aux.InLabelHist, aux.inSink())
+	})
+	for _, b := range bad {
+		if b {
+			return nil, nil, fmt.Errorf("graph: image: histograms disagree with the adjacency")
+		}
+	}
+	aux.bindHists()
 	return g, aux, nil
 }

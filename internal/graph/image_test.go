@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -103,6 +104,10 @@ func TestImageRoundTrip(t *testing.T) {
 	if err := got.Validate(); err != nil {
 		t.Fatalf("decoded graph fails Validate: %v", err)
 	}
+	// The grouped lists and masks are derived on load: equal to what
+	// BuildAux wrote, and to the per-label reference.
+	requireSameHists(t, "decoded", gotAux.BaseHists(), aux.BaseHists())
+	requireLabelIndex(t, "decoded", gotAux)
 	// Writing the decoded graph again is byte-identical: the format has
 	// one canonical encoding per graph.
 	again := imageBytes(t, got, gotAux)
@@ -123,6 +128,28 @@ func TestImageRoundTripEmpty(t *testing.T) {
 		}
 		if gotAux.BaseHists() == nil {
 			t.Fatal("empty image aux is not a base aux")
+		}
+	}
+}
+
+// TestImageRejectsInconsistentHistograms: an image whose histograms are
+// well-formed but do not count the adjacency's labels — written here
+// through a tampered Aux, so the checksum is valid — is refused, since
+// the grouped lists are derived from them. Node 0's children are labelled
+// A, A and B; the forgeries name a label no child carries, and split the
+// right labels in the wrong counts.
+func TestImageRejectsInconsistentHistograms(t *testing.T) {
+	g := FromEdges([]string{"Q", "A", "A", "B", "C"}, [][2]int{{0, 1}, {0, 2}, {0, 3}, {4, 0}})
+	aux := BuildAux(g)
+	a, b, c := g.LabelIDOf("A"), g.LabelIDOf("B"), g.LabelIDOf("C")
+	if got := aux.OutLabelHist(0); !slices.Equal(got, []LabelCount{{a, 2}, {b, 1}}) {
+		t.Fatalf("fixture: node 0 out histogram %v", got)
+	}
+	for _, forged := range [][]LabelCount{{{a, 2}, {c, 1}}, {{a, 1}, {b, 2}}} {
+		tampered := &Aux{g: g, outStart: aux.outStart, inStart: aux.inStart, inHist: aux.inHist, outHist: slices.Clone(aux.outHist)}
+		copy(tampered.outHist[aux.outStart[0]:aux.outStart[1]], forged)
+		if _, _, err := ReadImage(imageBytes(t, g, tampered)); err == nil {
+			t.Fatalf("accepted node 0 out histogram %v for children labelled A, A, B", forged)
 		}
 	}
 }
@@ -186,5 +213,6 @@ func FuzzReadImage(f *testing.F) {
 		if aux.BaseHists() == nil {
 			t.Fatal("accepted image aux is not a base aux")
 		}
+		requireLabelIndex(t, "accepted image", aux)
 	})
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -175,6 +176,9 @@ func (g *Graph) WithOverlay(d OverlayDelta) (*Graph, error) {
 		if !g.HasEdge(e[0], e[1]) {
 			return nil, fmt.Errorf("graph: deleted edge (%d,%d) not in base", e[0], e[1])
 		}
+	}
+	if g.NumEdges()+len(d.AddEdges)-len(d.DelEdges) > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: overlay would take the graph past %d edges", math.MaxInt32)
 	}
 
 	// Intern new-node labels, extending the alphabet when needed. The
@@ -374,12 +378,14 @@ func groupByTo(es [][2]NodeID) map[NodeID][]NodeID {
 
 // --- patched Aux views -------------------------------------------------
 
-// auxOverlay carries the per-touched-node label-histogram overrides of a
-// patched Aux. Slots align with the graph overlay's: touched base nodes
-// first, new nodes after.
+// auxOverlay carries the per-touched-node overrides of a patched Aux:
+// label histograms, label-grouped lists and presence masks. Slots align
+// with the graph overlay's: touched base nodes first, new nodes after.
 type auxOverlay struct {
-	ov              *overlay
-	outHist, inHist [][]LabelCount
+	ov                    *overlay
+	outHist, inHist       [][]LabelCount
+	outByLabel, inByLabel [][]NodeID
+	mask                  []uint32
 }
 
 // outOf / inOf are the patched-Aux slow paths of OutLabelHist /
@@ -398,17 +404,43 @@ func (p *auxOverlay) inOf(a *Aux, v NodeID) []LabelCount {
 	return a.inHist[a.inStart[v]:a.inStart[v+1]]
 }
 
+// outBlock / inBlock / maskOf are the patched-Aux slow paths of OutBlock /
+// InBlock / LabelMask.
+func (p *auxOverlay) outBlock(a *Aux, v NodeID, l LabelID) []NodeID {
+	if s := p.ov.slotOf(v); s >= 0 {
+		return block(p.outByLabel[s], p.outHist[s], l)
+	}
+	return a.hists.OutBlock(v, l)
+}
+
+func (p *auxOverlay) inBlock(a *Aux, v NodeID, l LabelID) []NodeID {
+	if s := p.ov.slotOf(v); s >= 0 {
+		return block(p.inByLabel[s], p.inHist[s], l)
+	}
+	return a.hists.InBlock(v, l)
+}
+
+func (p *auxOverlay) maskOf(a *Aux, v NodeID) uint32 {
+	if s := p.ov.slotOf(v); s >= 0 {
+		return p.mask[s]
+	}
+	return a.mask[v]
+}
+
 // PatchedFor returns an Aux view for the overlay graph `view`, sharing
-// the base histograms and overriding only the nodes the overlay
-// touched. view must have been produced by WithOverlay on the graph a
-// was built for. Patching is O(Σ degree of touched nodes); untouched
-// nodes keep reading the base arrays. The view shares a's scratch
-// pools (see ScratchPool): a reader of the new snapshot borrows the
-// scratch a reader of the previous one returned.
+// the base structure and overriding only the nodes the overlay touched.
+// view must have been produced by WithOverlay on the graph a was built
+// for. Patching is O(Σ degree of touched nodes); untouched nodes keep
+// reading the base arrays. The view shares a's scratch pools (see
+// ScratchPool): a reader of the new snapshot borrows the scratch a reader
+// of the previous one returned.
 func (a *Aux) PatchedFor(view *Graph) (*Aux, error) {
 	ov := view.ov
 	if ov == nil {
 		return nil, fmt.Errorf("graph: PatchedFor needs an overlay view")
+	}
+	if a.ov != nil {
+		return nil, fmt.Errorf("graph: PatchedFor on a patched Aux (patch the base)")
 	}
 	if ov.baseN != a.g.NumNodes() {
 		return nil, fmt.Errorf("graph: overlay base (%d nodes) does not match aux base (%d nodes)",
@@ -416,37 +448,54 @@ func (a *Aux) PatchedFor(view *Graph) (*Aux, error) {
 	}
 	slots := len(ov.out)
 	p := &auxOverlay{
-		ov:      ov,
-		outHist: make([][]LabelCount, slots),
-		inHist:  make([][]LabelCount, slots),
+		ov:         ov,
+		outHist:    make([][]LabelCount, slots),
+		inHist:     make([][]LabelCount, slots),
+		outByLabel: make([][]NodeID, slots),
+		inByLabel:  make([][]NodeID, slots),
+		mask:       make([]uint32, slots),
 	}
-	// The same histogram construction BuildAux runs, against the merged
-	// view's labels and adjacency (see histBuilder). All slots share two
-	// amortized-growth arenas; spans are sliced only after the append
-	// phase, since growth would invalidate earlier slices.
+	// The same construction BuildAux runs (see histBuilder), against the
+	// merged view's labels and adjacency, into arenas sized up front: a
+	// histogram has at most one entry per neighbor and per label.
+	nl := view.NumLabels()
+	var outEdges, inEdges, outCap, inCap int
+	for s := 0; s < slots; s++ {
+		outEdges += len(ov.out[s])
+		outCap += min(len(ov.out[s]), nl)
+		inEdges += len(ov.in[s])
+		inCap += min(len(ov.in[s]), nl)
+	}
+	outArena, inArena := make([]LabelCount, 0, outCap), make([]LabelCount, 0, inCap)
+	outGrouped, inGrouped := make([]NodeID, outEdges), make([]NodeID, inEdges)
 	hb := newHistBuilder(view)
-	spans := make([][2]int32, 2*slots)
-	var outArena, inArena []LabelCount
-	for s := 0; s < slots; s++ {
-		lo := len(outArena)
-		outArena = hb.appendHist(outArena, ov.out[s])
-		spans[s] = [2]int32{int32(lo), int32(len(outArena))}
-		lo = len(inArena)
-		inArena = hb.appendHist(inArena, ov.in[s])
-		spans[slots+s] = [2]int32{int32(lo), int32(len(inArena))}
+	build := func(arena *[]LabelCount, grouped *[]NodeID, neigh []NodeID, shift uint) ([]LabelCount, []NodeID, uint32) {
+		lo := len(*arena)
+		seg := (*grouped)[:len(neigh):len(neigh)]
+		*grouped = (*grouped)[len(neigh):]
+		var m uint32
+		*arena, m = hb.appendList(*arena, seg, neigh, shift)
+		return (*arena)[lo:len(*arena):len(*arena)], seg, m
 	}
 	for s := 0; s < slots; s++ {
-		o, i := spans[s], spans[slots+s]
-		p.outHist[s] = outArena[o[0]:o[1]:o[1]]
-		p.inHist[s] = inArena[i[0]:i[1]:i[1]]
+		var outMask, inMask uint32
+		p.outHist[s], p.outByLabel[s], outMask = build(&outArena, &outGrouped, ov.out[s], maskOut)
+		p.inHist[s], p.inByLabel[s], inMask = build(&inArena, &inGrouped, ov.in[s], maskIn)
+		p.mask[s] = outMask | inMask
 	}
-	return &Aux{
-		g:        view,
-		outStart: a.outStart,
-		outHist:  a.outHist,
-		inStart:  a.inStart,
-		inHist:   a.inHist,
-		ov:       p,
-		pools:    a.pools,
-	}, nil
+	na := &Aux{
+		g:          view,
+		outStart:   a.outStart,
+		outHist:    a.outHist,
+		inStart:    a.inStart,
+		inHist:     a.inHist,
+		outByLabel: a.outByLabel,
+		inByLabel:  a.inByLabel,
+		mask:       a.mask,
+		ov:         p,
+		pools:      a.pools,
+	}
+	// The overlay's fallbacks read the base through a.hists' arrays.
+	na.hists = a.hists
+	return na, nil
 }

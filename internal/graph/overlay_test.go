@@ -208,6 +208,7 @@ func TestPatchedAuxMatchesBuildAux(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := BuildAux(rebuilt(g, d))
+		requireLabelIndex(t, fmt.Sprintf("seed %d patched", seed), patched)
 		for v := 0; v < view.NumNodes(); v++ {
 			id := NodeID(v)
 			if !reflect.DeepEqual(histNorm(patched.OutLabelHist(id)), histNorm(want.OutLabelHist(id))) {

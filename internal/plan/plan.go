@@ -125,7 +125,7 @@ func (pl *Plan) Bind(aux *graph.Aux, p *pattern.Pattern) {
 	pl.p, pl.numLabels = p, g.NumLabels()
 	pl.labels = g.InternLabels(p.Labels(), pl.labels)
 	for c := range pl.sems {
-		pl.sems[c].Bind(p, pl.labels, bounded.Class(c))
+		pl.sems[c].Bind(p, pl.labels, pl.numLabels, bounded.Class(c))
 	}
 	pl.rooted = make([]atomic.Pointer[rbany.Prepared], p.NumNodes())
 }

@@ -30,12 +30,18 @@
 // the neighbors that pass the guarded condition — with their degree and
 // potential — in a per-query memo (one more pairTable, keyed by the list,
 // over an arena of candidates); a later round replays the recorded
-// candidates and charges Visited the whole list at once. The memo needs no invalidation: Guard and Potential are
-// pure functions of the Aux, a query runs against one immutable snapshot,
-// and the memo is emptied when the next query starts. What depends on the
-// round — the pushed set, the cost c(v,u), the random weight — is
-// recomputed at replay, so a replayed round selects exactly what a
-// re-scanned one would.
+// candidates. The first scan reads only the neighbors that can pass: the
+// Aux holds every list grouped by label (graph.Aux.OutBlock), so the scan
+// guards the block of target's label and never reads the labels of the
+// rest. Scan and replay alike charge Visited the whole list at once —
+// unless the list holds the search's stop point, which the scan then
+// finds item by item — so Visited and the stop point are those of a scan
+// of every neighbor in every round. The memo needs no invalidation: Guard
+// and Potential are pure functions of the Aux, a query runs against one
+// immutable snapshot, and the memo is emptied when the next query starts.
+// What depends on the round — the pushed set, the cost c(v,u), the random
+// weight — is recomputed at replay, so a replayed round selects exactly
+// what a re-scanned one would.
 //
 // All of it lives in a Scratch that Search borrows from the Aux's scratch
 // pool (graph.ScratchReduce) and returns on exit, so steady-state
@@ -54,6 +60,7 @@ package reduce
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"rbq/internal/graph"
 	"rbq/internal/interrupt"
@@ -101,9 +108,9 @@ type Options struct {
 	// Alpha is the resource ratio α ∈ (0,1): the fragment size budget is
 	// ⌊α·|G|⌋ (in nodes+edges).
 	Alpha float64
-	// VisitBudget caps the number of data items (neighbor slots) examined
-	// during reduction — the paper's α·c·|G| with c = d_G. Zero applies
-	// the default ⌈α·|G|⌉·maxDegree(G).
+	// VisitBudget caps Visited (see Stats.Visited) — the paper's α·c·|G|
+	// with c = d_G. Zero applies the default (⌊α·|G|⌋+1)·maxDegree(G).
+	// The search stops at the first charge past the cap.
 	VisitBudget int
 	// InitialBound is the fairness bound b of Fig. 3; zero means the
 	// paper's initial value 2.
@@ -141,8 +148,15 @@ type Stats struct {
 	FragmentSize int
 	// FragmentNodes and FragmentEdges break FragmentSize down.
 	FragmentNodes, FragmentEdges int
-	// Visited counts data items examined (neighbor slots scanned by Pick
-	// plus nodes popped), the quantity Theorem 3(a) bounds by d_G·α|G|.
+	// Visited counts the data items the search is charged for, the
+	// quantity Theorem 3(a) bounds by d_G·α|G|: one per pair popped; one
+	// per edge-existence probe when Pick targets the personalized node;
+	// and, for every other Pick, the whole length of the adjacency list
+	// it ranks — charged at the first scan and again at each replay,
+	// whatever the label index spared the scan from reading. Not charged
+	// are the reads that price a step: Fragment.InducedEdgeCost's for
+	// each node the fragment admits, and c(v,u)'s for each candidate
+	// ranked.
 	Visited int
 	// Rounds is the number of bound-escalation rounds executed.
 	Rounds int
@@ -662,7 +676,7 @@ func (e *engine) pick(v graph.NodeID, target pattern.NodeID, dir graph.Direction
 		if e.br != nil {
 			e.br.rejects += int64(len(neigh) - len(list))
 		}
-	} else if list, ok = e.scan(neigh, target, key); !ok {
+	} else if list, ok = e.scan(v, neigh, target, dir, key); !ok {
 		return
 	}
 	// p/(c+1) never exceeds the potential p the memo holds in c.w, so once
@@ -688,12 +702,50 @@ func (e *engine) pick(v graph.NodeID, target pattern.NodeID, dir graph.Direction
 	e.sc.cands = top[:0]
 }
 
-// scan reads one adjacency list item by item: label first (most neighbors
-// fail it, and it touches nothing but the label array), then the guarded
-// condition. It appends the survivors to the arena, memoizes the list under
-// key (a list charge refused to replay keeps its first record) and returns
-// them, or false if the search stopped mid-scan.
-func (e *engine) scan(neigh []graph.NodeID, target pattern.NodeID, key uint64) ([]scored, bool) {
+// scan reads one adjacency list for the first time in this query. Only
+// neighbours carrying target's label can pass the guarded condition, and
+// the Aux holds each list grouped by label, so scan charges the whole list
+// at once — as a replay does — and guards only the block of target's
+// label, ascending as the list is. It appends the survivors to the arena,
+// memoizes the list under key (a list charge refused to replay keeps its
+// first record) and returns them, or false if the search stopped
+// mid-scan.
+func (e *engine) scan(v graph.NodeID, neigh []graph.NodeID, target pattern.NodeID, dir graph.Direction, key uint64) ([]scored, bool) {
+	if !e.charge(len(neigh)) {
+		return e.scanEach(neigh, target, key)
+	}
+	want := e.plabels[target]
+	var block []graph.NodeID
+	if dir == graph.Forward {
+		block = e.aux.OutBlock(v, want)
+	} else {
+		block = e.aux.InBlock(v, want)
+	}
+	off := len(e.sc.arena)
+	for _, w := range block {
+		if e.admits(w, target) {
+			e.sc.arena = append(e.sc.arena, e.candidate(w, target))
+		} else {
+			e.emit(EventGuardReject, target, w, 0)
+		}
+	}
+	if e.opts.Trace != nil {
+		// The label test rejects the rest of the list.
+		for _, w := range neigh {
+			if e.g.LabelOf(w) != want {
+				e.emit(EventGuardReject, target, w, 0)
+			}
+		}
+	}
+	return e.memoize(key, off), true
+}
+
+// scanEach is scan for a list that holds the search's stop point — the
+// visit budget runs out, or a closed Options.Interrupt is polled, inside
+// it — so charge refused it. It reads the list item by item, label first
+// (it touches nothing but the label array), then the guarded condition,
+// and stops at exactly the visit a scan of every neighbour stops at.
+func (e *engine) scanEach(neigh []graph.NodeID, target pattern.NodeID, key uint64) ([]scored, bool) {
 	want := e.plabels[target]
 	off := len(e.sc.arena)
 	for _, w := range neigh {
@@ -702,20 +754,37 @@ func (e *engine) scan(neigh []graph.NodeID, target pattern.NodeID, key uint64) (
 			e.emit(e.stopKind(), target, w, 0)
 			return nil, false
 		}
-		if e.g.LabelOf(w) != want || !(e.opts.DisableGuard || e.sem.Guard(w, target)) {
+		if e.g.LabelOf(w) != want || !e.admits(w, target) {
 			e.emit(EventGuardReject, target, w, 0)
 			continue
 		}
-		c := scored{v: w, deg: int32(e.g.Degree(w))}
-		if e.opts.Strategy == WeightPotentialCost {
-			c.w = e.sem.Potential(w, target)
-		}
-		e.sc.arena = append(e.sc.arena, c)
+		e.sc.arena = append(e.sc.arena, e.candidate(w, target))
 	}
+	return e.memoize(key, off), true
+}
+
+// admits is C(w,target) for a w carrying target's label: the guarded
+// condition, or under DisableGuard the label test alone.
+func (e *engine) admits(w graph.NodeID, target pattern.NodeID) bool {
+	return e.opts.DisableGuard || e.sem.Guard(w, target)
+}
+
+// candidate is the memo record of a guard-passing neighbour w.
+func (e *engine) candidate(w graph.NodeID, target pattern.NodeID) scored {
+	c := scored{v: w, deg: int32(e.g.Degree(w))}
+	if e.opts.Strategy == WeightPotentialCost {
+		c.w = e.sem.Potential(w, target)
+	}
+	return c
+}
+
+// memoize records the arena's candidates from off on as the list under
+// key and returns them.
+func (e *engine) memoize(key uint64, off int) []scored {
 	list := e.sc.arena[off:]
 	e.sc.memo.put(key, int32(len(e.sc.lists)))
 	e.sc.lists = append(e.sc.lists, memoList{int32(off), int32(len(list))})
-	return list, true
+	return list
 }
 
 // weight ranks a guarded candidate c (c.w holding its potential) for query
@@ -751,34 +820,33 @@ func (e *engine) cost(v graph.NodeID, u pattern.NodeID) float64 {
 }
 
 // hasFragCandidate reports whether some dir-neighbor of v inside the
-// current fragment carries u's label. It scans whichever side is smaller:
-// v's adjacency list, or the fragment (checking adjacency by binary
-// search) — the fragment is capped at α|G|, so hub nodes do not force a
-// full neighborhood scan.
+// current fragment carries u's label. It reads whichever side is smaller:
+// v's neighbours of that label (a block of the Aux's label-grouped list),
+// or the fragment's members of that label, binary-searched in the block
+// (see graph.ScanRatio) — the fragment is capped at α|G|, so hub nodes do
+// not force a full neighborhood scan.
 func (e *engine) hasFragCandidate(v graph.NodeID, u pattern.NodeID, dir graph.Direction) bool {
 	want := e.plabels[u]
-	var neigh []graph.NodeID
-	if dir == graph.Forward {
-		neigh = e.g.Out(v)
-	} else {
-		neigh = e.g.In(v)
+	members := e.frag.NodesLabeled(want)
+	if len(members) == 0 {
+		return false
 	}
-	if len(neigh) <= e.frag.NumNodes()*4 {
-		for _, w := range neigh {
-			if e.frag.Contains(w) && e.g.LabelOf(w) == want {
+	var block []graph.NodeID
+	if dir == graph.Forward {
+		block = e.aux.OutBlock(v, want)
+	} else {
+		block = e.aux.InBlock(v, want)
+	}
+	if len(block) <= graph.ScanRatio*len(members) {
+		for _, w := range block {
+			if e.frag.Contains(w) {
 				return true
 			}
 		}
 		return false
 	}
-	for _, w := range e.frag.Nodes() {
-		if e.g.LabelOf(w) != want {
-			continue
-		}
-		if dir == graph.Forward && e.g.HasEdge(v, w) {
-			return true
-		}
-		if dir == graph.Backward && e.g.HasEdge(w, v) {
+	for _, w := range members {
+		if _, found := slices.BinarySearch(block, w); found {
 			return true
 		}
 	}

@@ -262,54 +262,115 @@ func TestBudgetPropertyQuick(t *testing.T) {
 }
 
 // Cost inversion: hasFragCandidate must agree between its two scan
-// strategies (neighborhood scan vs fragment scan with HasEdge).
+// strategies (the label block of v's list vs the fragment's members of
+// the label, binary-searched in it) and a brute-force scan of v's lists —
+// on small alphabets and on a 40-label one, with and without hubs, on a
+// base Aux and on a patched overlay view.
 func TestCostAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
+	probed := 0
 	for iter := 0; iter < 30; iter++ {
-		g := randomLabeled(rng, 30, 120, 2)
-		aux := graph.BuildAux(g)
-		p := chainPattern(t, "a", "b", "a")
-		e := newTestEngine(g, aux, p)
-		// Populate a random fragment.
-		for i := 0; i < 8; i++ {
-			e.frag.Add(graph.NodeID(rng.Intn(g.NumNodes())))
+		n, labels, hubs := 30, 2, 0
+		switch iter % 3 {
+		case 1:
+			labels, hubs = 40, 2
+		case 2:
+			n, hubs = 60, 2
 		}
-		for v := 0; v < g.NumNodes(); v++ {
-			id := graph.NodeID(v)
-			for u := 0; u < p.NumNodes(); u++ {
-				uq := pattern.NodeID(u)
-				got := e.cost(id, uq)
-				// Brute force: count pattern neighbors lacking a labeled
-				// fragment neighbor.
-				misses := 0
-				for _, uc := range p.Out(uq) {
-					found := false
-					for _, w := range g.Out(id) {
-						if e.frag.Contains(w) && g.Label(w) == p.Label(uc) {
-							found = true
-						}
-					}
-					if !found {
-						misses++
+		base := randomLabeled(rng, n, 4*n, labels)
+		if hubs > 0 {
+			base = withHubs(rng, base, hubs)
+		}
+		baseAux := graph.BuildAux(base)
+		view, err := base.WithOverlay(graph.OverlayDelta{
+			NewNodeLabels: []string{"a", "b"},
+			AddEdges:      [][2]graph.NodeID{{graph.NodeID(base.NumNodes()), 0}, {1, graph.NodeID(base.NumNodes() + 1)}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		patched, err := baseAux.PatchedFor(view)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, aux := range []*graph.Aux{baseAux, patched} {
+			g := aux.Graph()
+			p := chainPattern(t, "a", "b", "a")
+			e := newTestEngine(g, aux, p)
+			// Populate a random fragment.
+			for i := 0; i < 8; i++ {
+				e.frag.Add(graph.NodeID(rng.Intn(g.NumNodes())))
+			}
+			for v := 0; v < g.NumNodes(); v++ {
+				id := graph.NodeID(v)
+				for _, l := range e.plabels {
+					if m := len(e.frag.NodesLabeled(l)); m > 0 && len(aux.OutBlock(id, l)) > graph.ScanRatio*m {
+						probed++
 					}
 				}
-				for _, ua := range p.In(uq) {
-					found := false
-					for _, w := range g.In(id) {
-						if e.frag.Contains(w) && g.Label(w) == p.Label(ua) {
-							found = true
+				for u := 0; u < p.NumNodes(); u++ {
+					uq := pattern.NodeID(u)
+					got := e.cost(id, uq)
+					// Brute force: count pattern neighbors lacking a labeled
+					// fragment neighbor.
+					misses := 0
+					for _, uc := range p.Out(uq) {
+						found := false
+						for _, w := range g.Out(id) {
+							if e.frag.Contains(w) && g.Label(w) == p.Label(uc) {
+								found = true
+							}
+						}
+						if !found {
+							misses++
 						}
 					}
-					if !found {
-						misses++
+					for _, ua := range p.In(uq) {
+						found := false
+						for _, w := range g.In(id) {
+							if e.frag.Contains(w) && g.Label(w) == p.Label(ua) {
+								found = true
+							}
+						}
+						if !found {
+							misses++
+						}
 					}
-				}
-				if got != float64(misses) {
-					t.Fatalf("cost(%d,%d) = %v, brute force %d", v, u, got, misses)
+					if got != float64(misses) {
+						t.Fatalf("iteration %d overlay=%v: cost(%d,%d) = %v, brute force %d", iter, g.HasOverlay(), v, u, got, misses)
+					}
 				}
 			}
 		}
 	}
+	if probed == 0 {
+		t.Fatal("no hub list was large enough to take the probing side")
+	}
+}
+
+// withHubs rebuilds g with hubs extra nodes labelled "a", each linked both
+// ways to about three quarters of g's nodes.
+func withHubs(rng *rand.Rand, g *graph.Graph, hubs int) *graph.Graph {
+	n := g.NumNodes()
+	b := graph.NewBuilder(n+hubs, g.NumEdges()+2*n*hubs)
+	for v := 0; v < n; v++ {
+		b.AddNode(g.Label(graph.NodeID(v)))
+	}
+	for v := 0; v < n; v++ {
+		for _, w := range g.Out(graph.NodeID(v)) {
+			b.AddEdge(graph.NodeID(v), w)
+		}
+	}
+	for h := 0; h < hubs; h++ {
+		hub := b.AddNode("a")
+		for v := 0; v < n; v++ {
+			if rng.Intn(4) > 0 {
+				b.AddEdge(hub, graph.NodeID(v))
+				b.AddEdge(graph.NodeID(v), hub)
+			}
+		}
+	}
+	return b.Build()
 }
 
 // Force the fragment-scan branch of hasFragCandidate: a hub whose
