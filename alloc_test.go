@@ -110,8 +110,10 @@ func TestQueryCacheHitAllocBudget(t *testing.T) {
 	}
 }
 
-// TestUnanchoredAllocBudget: an unanchored query stays at the 16
-// allocations per query it has always measured on this fixture.
+// TestUnanchoredAllocBudget: an unanchored query stays at the 9
+// allocations per query it measures on this fixture: its anchors share
+// one borrowed bounded scratch and rank in a pooled buffer, so the
+// count does not grow with the anchors run.
 func TestUnanchoredAllocBudget(t *testing.T) {
 	g := gen.Random(gen.GraphConfig{Nodes: 3000, Edges: 9000, Seed: 7, PowerLaw: true})
 	db := NewDB(g)
@@ -129,8 +131,8 @@ func TestUnanchoredAllocBudget(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		query()
 	}
-	if avg := testing.AllocsPerRun(100, query); avg > 16 {
-		t.Fatalf("unanchored Query allocates %.1f times per run, want ≤ 16", avg)
+	if avg := testing.AllocsPerRun(100, query); avg > 9 {
+		t.Fatalf("unanchored Query allocates %.1f times per run, want ≤ 9", avg)
 	}
 }
 

@@ -14,11 +14,13 @@
 // branches on the class only to pick the matcher — dual simulation or
 // VF2 — for the fragment.
 //
-// Run borrows its entire working state — the binding of its Compiled to
-// the snapshot's Aux, reduction scratch, reusable fragment, CSR
-// materialization and both matchers' arrays — from the
-// Aux's scratch pool (graph.ScratchBounded), so steady-state queries
-// allocate only their result slice.
+// Run borrows its entire working state — a Runner: the binding of its
+// Compiled to the snapshot's Aux, reduction scratch, reusable fragment,
+// CSR materialization and both matchers' arrays — from the Aux's scratch
+// pool (graph.ScratchBounded), so steady-state queries allocate only
+// their result slice. Besides the fragment's membership bitset, nothing
+// in a Runner is sized by |V|: the fragment records its induced edges as
+// the reduction finds them and materializes G_Q from that log.
 package bounded
 
 import (
@@ -230,10 +232,13 @@ func (s *Compiled) Labels() []graph.LabelID { return s.labels }
 // and for most patterns it decides the rest (see nodeReq.decided); only
 // the others go on to the histogram probes.
 func (s *Semantics) Guard(v graph.NodeID, u pattern.NodeID) bool {
-	g := s.aux.Graph()
-	if g.LabelOf(v) != s.labels[u] {
-		return false
-	}
+	return s.aux.Graph().LabelOf(v) == s.labels[u] && s.GuardLabeled(v, u)
+}
+
+// GuardLabeled is Guard for a v the caller knows carries u's label — a
+// node of the label's own candidate list, as rbany ranks — so v's label
+// is not read again. For a v of another label its answer is unspecified.
+func (s *Semantics) GuardLabeled(v graph.NodeID, u pattern.NodeID) bool {
 	r := &s.reqs[u]
 	if r.absent || s.labelMask(v)&r.mask != r.mask {
 		return false
@@ -241,6 +246,7 @@ func (s *Semantics) Guard(v graph.NodeID, u pattern.NodeID) bool {
 	if r.decided {
 		return true
 	}
+	g := s.aux.Graph()
 	if r.minOut > 0 && g.OutDegree(v) < r.minOut || r.minIn > 0 && g.InDegree(v) < r.minIn {
 		return false
 	}
@@ -284,9 +290,16 @@ type Result struct {
 	Complete bool
 }
 
-// scratch is the pooled per-query state of Run. A value serves either
+// Runner is one borrowed bounded scratch: the binding of a Compiled to
+// a snapshot's Aux, reduction scratch, reusable fragment, CSR
+// materialization and both matchers' arrays. A value serves either
 // class; each matcher's arrays grow only once that class has run on it.
-type scratch struct {
+// Borrow takes one from the Aux's pool (graph.ScratchBounded) and Release
+// puts it back, so a caller evaluating many pins on one snapshot — the
+// anchors of an unanchored request — borrows once. A Runner is owned by
+// one goroutine between Borrow and Release.
+type Runner struct {
+	aux  *graph.Aux
 	sem  Semantics // the run's binding of its Compiled to aux
 	red  reduce.Scratch
 	frag *graph.Fragment
@@ -304,49 +317,68 @@ type scratch struct {
 // isomorphism matcher (nil = no step cap, no interrupt); simulation
 // ignores it.
 func Run(aux *graph.Aux, p *pattern.Pattern, vp graph.NodeID, c *Compiled, opts reduce.Options, mopts *subiso.Options) Result {
-	sc := borrow(aux)
-	defer release(aux, sc)
-	sc.sem = c.On(aux)
-	return run(aux, p, vp, &sc.sem, opts, mopts, sc)
+	r := Borrow(aux, c)
+	defer r.Release()
+	return r.Run(p, vp, opts, mopts)
 }
 
-func borrow(aux *graph.Aux) *scratch {
-	sc, _ := aux.ScratchPool(graph.ScratchBounded).Get().(*scratch)
-	if sc == nil {
-		return &scratch{frag: graph.NewFragment(aux.Graph())}
+// Borrow takes a Runner from aux's pool and binds c to aux in it.
+func Borrow(aux *graph.Aux, c *Compiled) *Runner {
+	r, _ := aux.ScratchPool(graph.ScratchBounded).Get().(*Runner)
+	if r == nil {
+		r = &Runner{frag: graph.NewFragment(aux.Graph())}
+	} else {
+		// The scratch last served some other snapshot of the lineage.
+		r.frag.Rebind(aux.Graph())
 	}
-	// The scratch last served some other snapshot of the lineage.
-	sc.frag.Rebind(aux.Graph())
-	return sc
+	r.aux = aux
+	r.sem = c.On(aux)
+	return r
 }
 
-// release returns sc to the pool holding no reference to the snapshot it
-// served: the pools outlive every snapshot of their lineage, and an idle
-// scratch must not keep a replaced graph (after a compaction, the whole
-// old base) reachable.
-func release(aux *graph.Aux, sc *scratch) {
-	sc.sem = Semantics{}
-	sc.frag.Release()
-	aux.ScratchPool(graph.ScratchBounded).Put(sc)
+// Release returns r to its Aux's pool holding no reference to the
+// snapshot it served: the pools outlive every snapshot of their lineage,
+// and an idle scratch must not keep a replaced graph (after a
+// compaction, the whole old base) reachable.
+func (r *Runner) Release() {
+	aux := r.aux
+	r.aux, r.sem = nil, Semantics{}
+	r.frag.Release()
+	aux.ScratchPool(graph.ScratchBounded).Put(r)
 }
 
-func run(aux *graph.Aux, p *pattern.Pattern, vp graph.NodeID, sem *Semantics, opts reduce.Options, mopts *subiso.Options, sc *scratch) Result {
-	stats := reduce.SearchInto(aux, p, vp, sem, opts, sc.frag, &sc.red)
+// Semantics returns the Compiled r was borrowed for, bound to its
+// snapshot.
+func (r *Runner) Semantics() *Semantics { return &r.sem }
+
+// Run is the package-level Run on r's snapshot and Compiled.
+func (r *Runner) Run(p *pattern.Pattern, vp graph.NodeID, opts reduce.Options, mopts *subiso.Options) Result {
+	stats := reduce.SearchInto(r.aux, p, vp, &r.sem, opts, r.frag, &r.red)
 	res := Result{Stats: stats, Complete: true}
+	// The matcher runs only when G_Q can hold a match: v_p is in it, and
+	// so is some node of every pattern label. Otherwise the answer is
+	// empty under both classes — a dual simulation with an empty row is
+	// empty, and an isomorphism has no image for that node — and the
+	// fragment is not materialized.
 	ext := opts.Obs.Child(obs.PhaseExtract)
-	sc.frag.CSRInto(&sc.csr)
+	pinPos := r.frag.PosOf(vp)
+	viable := pinPos >= 0 && r.holdsEveryLabel()
+	if viable {
+		r.frag.CSRInto(&r.csr)
+	}
 	ext.Add("fragment_nodes", int64(stats.FragmentNodes))
 	ext.Add("fragment_edges", int64(stats.FragmentEdges))
 	ext.End()
-	pinPos := sc.csr.PosOf(vp)
 	if pinPos < 0 {
 		return res
 	}
 	m := opts.Obs.Child(obs.PhaseMatch)
-	if sem.class == Subgraph {
-		res.Matches, res.Complete = subiso.MatchFragment(&sc.csr, p, sem.labels, pinPos, mopts, &sc.sub)
-	} else {
-		res.Matches, _, _ = simulation.MatchFragment(&sc.csr, p, sem.labels, pinPos, &sc.sim, nil)
+	switch {
+	case !viable:
+	case r.sem.class == Subgraph:
+		res.Matches, res.Complete = subiso.MatchFragment(&r.csr, p, r.sem.labels, pinPos, mopts, &r.sub)
+	default:
+		res.Matches, _, _ = simulation.MatchFragment(&r.csr, p, r.sem.labels, pinPos, &r.sim, nil)
 	}
 	m.Add("matches", int64(len(res.Matches)))
 	if !res.Complete {
@@ -354,6 +386,17 @@ func run(aux *graph.Aux, p *pattern.Pattern, vp graph.NodeID, sem *Semantics, op
 	}
 	m.End()
 	return res
+}
+
+// holdsEveryLabel reports whether the fragment has a node of every
+// pattern label.
+func (r *Runner) holdsEveryLabel() bool {
+	for _, l := range r.sem.labels {
+		if len(r.frag.NodesLabeled(l)) == 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Exact runs the exact baseline of c's class on aux's graph from vp,

@@ -353,10 +353,10 @@ func TestIdleScratchPinsNoSnapshot(t *testing.T) {
 	for _, c := range []Class{Simulation, Subgraph} {
 		want := Run(aux, p, michael, Compile(g, p, c), opts, nil)
 
-		sc := borrow(aux)
-		run(aux, p, michael, NewSemantics(aux, p, c), opts, nil, sc)
-		release(aux, sc)
-		if sc.frag.Parent() != nil || sc.frag.Size() != 0 || sc.sem.aux != nil {
+		sc := Borrow(aux, Compile(g, p, c))
+		sc.Run(p, michael, opts, nil)
+		sc.Release()
+		if sc.frag.Parent() != nil || sc.frag.Size() != 0 || sc.sem.aux != nil || sc.aux != nil {
 			t.Fatalf("class %d: a released scratch still references its snapshot: parent %p", c, sc.frag.Parent())
 		}
 		if got := Run(aux, p, michael, Compile(g, p, c), opts, nil); !reflect.DeepEqual(got, want) {

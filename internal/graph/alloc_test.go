@@ -80,6 +80,31 @@ func TestCSRIntoAllocFree(t *testing.T) {
 	}
 }
 
+// TestFragmentGrowAndCSRIntoAllocFree: the bounded run's cycle on a warm
+// fragment and FragCSR — Reset, price and commit every node with
+// InducedEdgeCost and AddCost (the edge log and the position table), then
+// Fragment.CSRInto from the log — performs zero allocations.
+func TestFragmentGrowAndCSRIntoAllocFree(t *testing.T) {
+	g := randomAllocGraph(t)
+	f := NewFragment(g)
+	var csr FragCSR
+	cycle := func() {
+		f.Reset()
+		for v := NodeID(0); v < 80; v++ {
+			f.InducedEdgeCost(v * 3)
+			f.AddCost(v * 3)
+		}
+		f.CSRInto(&csr)
+	}
+	cycle() // warm up
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Fatalf("the fragment cycle allocates %.1f times per run, want 0", avg)
+	}
+	if csr.NumEdges() == 0 || csr.NumEdges() != f.NumEdges() {
+		t.Fatalf("the view holds %d edges, the fragment %d", csr.NumEdges(), f.NumEdges())
+	}
+}
+
 // TestBallIntoAllocFree: repeated ball and region extraction into a warm
 // FragCSR — the hot path of StrongSim and of MatchOpt/VF2Opt — performs
 // zero allocations once the traversal pools (the region's label bitset

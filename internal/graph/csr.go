@@ -8,10 +8,16 @@ import "slices"
 // order, or a region's or ball's BFS discovery order). It holds no maps
 // and interns no labels — Labels carries the parent graph's LabelIDs — so
 // the downstream matchers can run on it without touching the Go allocator
-// once the backing slices have grown to a steady-state size. It is the only
-// subgraph representation in the system: the reduced fragments G_Q, the
-// d_Q-regions of the exact baselines and StrongSim's balls are all
-// FragCSR views of the parent graph.
+// once the backing slices have grown to a steady-state size. The exact
+// matchers see every subgraph through it: the reduced fragments G_Q
+// (Fragment.CSRInto, from the fragment's own edge log), the d_Q-regions
+// of the exact baselines (RegionInto) and StrongSim's balls (BallInto,
+// Graph.CSRInto) are all FragCSR views of the parent graph.
+//
+// A view built from a node list keeps a dense position index over the
+// parent's nodes, 8 bytes per node; RegionInto's walk marks its
+// discoveries in that same index. A fragment's view keeps none: the
+// fragment knows its members' positions, and PosOf asks it.
 //
 // A FragCSR is owned by exactly one query evaluation at a time (see the
 // scratch pools on Aux and the ball pools of the matcher packages); it is
@@ -27,12 +33,43 @@ type FragCSR struct {
 	// by the FragCSR; do not modify.
 	Orig []NodeID
 
-	// pos maps a parent node to its position, epoch-stamped so reuse across
-	// queries needs no O(|V|) clear: pos[v] = epoch<<32 | position.
+	index posIndex  // positions of a view built from a node list
+	frag  *Fragment // the fragment a fragment view was built from, else nil
+	next  []int32   // counting-sort cursor scratch
+}
+
+// posIndex maps parent nodes to positions in a dense array,
+// epoch-stamped so reuse across queries needs no O(|V|) clear:
+// pos[v] = epoch<<32 | position.
+type posIndex struct {
 	pos   []uint64
 	epoch uint32
-	next  []int32 // counting-sort cursor scratch
 }
+
+// renew empties the index for a graph of n nodes. A pooled FragCSR serves
+// successive snapshots of a growing graph: regrow with headroom, so that
+// a node added per publish does not cost 8·|V| bytes per publish.
+func (x *posIndex) renew(n int) {
+	if len(x.pos) < n {
+		x.pos = make([]uint64, n+n/8)
+		x.epoch = 0
+	}
+	x.epoch++
+	if x.epoch == 0 { // wrapped: stale stamps could collide, clear once
+		clear(x.pos)
+		x.epoch = 1
+	}
+}
+
+// get returns v's position, or -1 if v has none this epoch.
+func (x *posIndex) get(v NodeID) int32 {
+	if p := x.pos[v]; uint32(p>>32) == x.epoch {
+		return int32(uint32(p))
+	}
+	return -1
+}
+
+func (x *posIndex) set(v NodeID, p int32) { x.pos[v] = uint64(x.epoch)<<32 | uint64(uint32(p)) }
 
 // sized returns s resized to n, reallocating only on growth. Contents are
 // unspecified; callers overwrite or clear as needed.
@@ -53,15 +90,16 @@ func (c *FragCSR) NumEdges() int { return len(c.OutAdj) }
 func (c *FragCSR) Size() int { return c.NumNodes() + c.NumEdges() }
 
 // PosOf returns the position of parent node v, or -1 if v is not in the
-// materialized subgraph.
+// materialized subgraph. A fragment's view answers from the fragment, so
+// it is valid until the fragment changes.
 func (c *FragCSR) PosOf(v NodeID) int32 {
-	if int(v) >= len(c.pos) {
+	if c.frag != nil {
+		return c.frag.PosOf(v)
+	}
+	if int(v) >= len(c.index.pos) {
 		return -1
 	}
-	if p := c.pos[v]; uint32(p>>32) == c.epoch {
-		return int32(uint32(p))
-	}
-	return -1
+	return c.index.get(v)
 }
 
 // Out returns the children of position i, ascending.
@@ -92,19 +130,7 @@ func (c *FragCSR) HasEdge(i, j int32) bool {
 // times longer (see Fragment.InducedEdgeCost), so a hub in a small
 // subgraph costs O(|nodes|·log d), not O(d).
 func (g *Graph) CSRInto(nodes []NodeID, c *FragCSR) {
-	// Refresh the epoch-stamped position index. A pooled FragCSR serves
-	// successive snapshots of a growing graph: regrow with headroom, so
-	// that a node added per publish does not cost 8·|V| bytes per publish.
-	if n := g.NumNodes(); len(c.pos) < n {
-		c.pos = make([]uint64, n+n/8)
-		c.epoch = 0
-	}
-	c.epoch++
-	if c.epoch == 0 { // wrapped: stale stamps could collide, clear once
-		clear(c.pos)
-		c.epoch = 1
-	}
-
+	c.index.renew(g.NumNodes())
 	// Claim positions in first-occurrence order, deduplicating via the
 	// fresh epoch stamps.
 	if cap(c.Orig) < len(nodes) {
@@ -112,12 +138,19 @@ func (g *Graph) CSRInto(nodes []NodeID, c *FragCSR) {
 	}
 	c.Orig = c.Orig[:0]
 	for _, v := range nodes {
-		if c.PosOf(v) >= 0 {
+		if c.index.get(v) >= 0 {
 			continue
 		}
-		c.pos[v] = uint64(c.epoch)<<32 | uint64(uint32(len(c.Orig)))
+		c.index.set(v, int32(len(c.Orig)))
 		c.Orig = append(c.Orig, v)
 	}
+	g.buildCSR(c)
+}
+
+// buildCSR fills c's adjacency and labels for the positions c.Orig, whose
+// nodes c.index already maps to their positions.
+func (g *Graph) buildCSR(c *FragCSR) {
+	c.frag = nil
 	n := int32(len(c.Orig))
 	c.Labels = sized(c.Labels, int(n))
 	for i, v := range c.Orig {
@@ -145,7 +178,7 @@ func (g *Graph) CSRInto(nodes []NodeID, c *FragCSR) {
 			continue
 		}
 		for _, w := range out {
-			if p := c.PosOf(w); p >= 0 {
+			if p := c.index.get(w); p >= 0 {
 				c.OutAdj = append(c.OutAdj, p)
 			}
 		}
@@ -180,9 +213,44 @@ func (g *Graph) CSRInto(nodes []NodeID, c *FragCSR) {
 // CSRInto materializes the fragment into c, reusing c's backing slices.
 // Positions follow insertion order, so a matcher that walks the CSR
 // explores candidates deterministically in the order nodes entered the
-// fragment.
+// fragment. It reads no adjacency: both directions come from the
+// fragment's edge log by two counting passes — one counts every edge
+// into its source's and its target's row, one places it in both — and
+// the log's order (see AddCost) leaves every row ascending. c keeps no
+// position index of its own; PosOf asks f.
 func (f *Fragment) CSRInto(c *FragCSR) {
-	f.parent.CSRInto(f.order, c)
+	c.frag = f
+	n := len(f.order)
+	c.Orig = append(c.Orig[:0], f.order...)
+	c.Labels = sized(c.Labels, n)
+	for i, v := range f.order {
+		c.Labels[i] = f.parent.LabelOf(v)
+	}
+	c.OutStart = sized(c.OutStart, n+1)
+	c.InStart = sized(c.InStart, n+1)
+	clear(c.OutStart)
+	clear(c.InStart)
+	for _, e := range f.edges {
+		c.OutStart[e.src+1]++
+		c.InStart[e.dst+1]++
+	}
+	for i := 0; i < n; i++ {
+		c.OutStart[i+1] += c.OutStart[i]
+		c.InStart[i+1] += c.InStart[i]
+	}
+	m := len(f.edges)
+	c.OutAdj = sized(c.OutAdj, m)
+	c.InAdj = sized(c.InAdj, m)
+	c.next = sized(c.next, 2*n)
+	out, in := c.next[:n], c.next[n:]
+	copy(out, c.OutStart[:n])
+	copy(in, c.InStart[:n])
+	for _, e := range f.edges {
+		c.OutAdj[out[e.src]] = e.dst
+		out[e.src]++
+		c.InAdj[in[e.dst]] = e.src
+		in[e.dst]++
+	}
 }
 
 // ToGraph rebuilds the view as a standalone Graph whose node i is the

@@ -38,7 +38,7 @@ func (g *Graph) NodesWithin(v NodeID, r int) []NodeID {
 // allocate nothing: the visited marker and the queue come from the
 // graph's traversal pools.
 func (g *Graph) Walk(start NodeID, dir Direction, maxDepth int, visit func(v NodeID, depth int) bool) {
-	g.walk(start, dir, maxDepth, visit, nil, nil, nil)
+	g.walk(start, dir, maxDepth, visit, nil, nil, nil, nil)
 }
 
 // BFS is Walk plus discovery order: it returns the visited nodes in the
@@ -46,8 +46,33 @@ func (g *Graph) Walk(start NodeID, dir Direction, maxDepth int, visit func(v Nod
 // nil.
 func (g *Graph) BFS(start NodeID, dir Direction, maxDepth int, visit func(v NodeID, depth int) bool) []NodeID {
 	order := make([]NodeID, 0, 64)
-	order, _ = g.walk(start, dir, maxDepth, visit, order, nil, nil)
+	order, _ = g.walk(start, dir, maxDepth, visit, order, nil, nil, nil)
 	return order
+}
+
+// walkSeen is a walk's visited marker: a pooled Visited, or the position
+// index of the FragCSR a region is materialized into, which then records
+// each node's discovery position — its index in the BFS queue.
+type walkSeen struct {
+	vis *Visited
+	idx *posIndex
+}
+
+// discover marks w, the queue's p-th node, and reports whether it was
+// unmarked.
+func (s walkSeen) discover(w NodeID, p int) bool {
+	if s.idx != nil {
+		if s.idx.get(w) >= 0 {
+			return false
+		}
+		s.idx.set(w, int32(p))
+		return true
+	}
+	if s.vis.Seen(w) {
+		return false
+	}
+	s.vis.Mark(w, 0)
+	return true
 }
 
 // walk is the shared BFS core. When order is non-nil every discovered
@@ -61,16 +86,21 @@ func (g *Graph) BFS(start NodeID, dir Direction, maxDepth int, visit func(v Node
 // the traversal under labels: a neighbour whose label is not in it is
 // neither visited nor expanded, so the walk stays inside the connected
 // part of start that carries those labels. start itself is exempt.
-func (g *Graph) walk(start NodeID, dir Direction, maxDepth int, visit func(v NodeID, depth int) bool, order []NodeID, done <-chan struct{}, within []uint64) (_ []NodeID, complete bool) {
-	seen := g.AcquireVisited()
+//
+// A non-nil idx, renewed for g by the caller, is the visited marker: it
+// ends up mapping every discovered node to its discovery position.
+// Otherwise the walk borrows a Visited from the graph's pool.
+func (g *Graph) walk(start NodeID, dir Direction, maxDepth int, visit func(v NodeID, depth int) bool, order []NodeID, done <-chan struct{}, within []uint64, idx *posIndex) (_ []NodeID, complete bool) {
+	seen := walkSeen{idx: idx}
+	if idx == nil {
+		seen.vis = g.AcquireVisited()
+		defer g.ReleaseVisited(seen.vis)
+	}
 	tr := g.acquireTrav()
-	defer func() {
-		g.releaseTrav(tr)
-		g.ReleaseVisited(seen)
-	}()
+	defer g.releaseTrav(tr)
 
 	queue := append(tr.queue[:0], travItem{start, 0})
-	seen.Mark(start, 0)
+	seen.discover(start, 0)
 	for head := 0; head < len(queue); head++ {
 		if head&(interrupt.Stride-1) == interrupt.Stride-1 && interrupt.Fired(done) {
 			tr.queue = queue
@@ -91,8 +121,7 @@ func (g *Graph) walk(start NodeID, dir Direction, maxDepth int, visit func(v Nod
 				if within != nil && !hasLabel(within, g.LabelOf(w)) {
 					continue
 				}
-				if !seen.Seen(w) {
-					seen.Mark(w, 0)
+				if seen.discover(w, len(queue)) {
 					queue = append(queue, travItem{w, it.d + 1})
 				}
 			}
@@ -102,8 +131,7 @@ func (g *Graph) walk(start NodeID, dir Direction, maxDepth int, visit func(v Nod
 				if within != nil && !hasLabel(within, g.LabelOf(w)) {
 					continue
 				}
-				if !seen.Seen(w) {
-					seen.Mark(w, 0)
+				if seen.discover(w, len(queue)) {
 					queue = append(queue, travItem{w, it.d + 1})
 				}
 			}
@@ -196,11 +224,17 @@ func (g *Graph) RegionInto(v NodeID, r int, labels []LabelID, c *FragCSR, done <
 		tr.labels = labelSet(tr.labels, g.NumLabels(), labels)
 		within = tr.labels
 	}
-	tr.nodes, complete = g.walk(v, Both, r, nil, tr.nodes[:0], done, within)
+	// The walk claims each node's position in c's own index as it
+	// discovers it, in the order it appends the node to c.Orig.
+	c.index.renew(g.NumNodes())
+	if c.Orig == nil {
+		c.Orig = make([]NodeID, 0, 64)
+	}
+	c.Orig, complete = g.walk(v, Both, r, nil, c.Orig[:0], done, within, &c.index)
 	if !complete {
 		return false
 	}
-	g.CSRInto(tr.nodes, c)
+	g.buildCSR(c)
 	return true
 }
 

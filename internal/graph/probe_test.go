@@ -169,3 +169,130 @@ func TestCSRIntoEqualsListScan(t *testing.T) {
 		t.Fatal("no hub list was probed")
 	}
 }
+
+// csrEqual reports whether two views hold the same arrays.
+func csrEqual(a, b *FragCSR) bool {
+	return slices.Equal(a.Orig, b.Orig) && slices.Equal(a.Labels, b.Labels) &&
+		slices.Equal(a.OutStart, b.OutStart) && slices.Equal(a.OutAdj, b.OutAdj) &&
+		slices.Equal(a.InStart, b.InStart) && slices.Equal(a.InAdj, b.InAdj)
+}
+
+// TestFragmentCSRIntoEqualsGraphCSRInto: a fragment's view, built from
+// the edges InducedEdgeCost found, equals Graph.CSRInto over its nodes
+// array for array — on base and overlay views of graphs with hubs and
+// self-loops, with nodes priced on both sides of ScanRatio, priced and
+// then committed after other nodes were added (so the staged edges are
+// stale), and with one FragCSR alternating between the two builders.
+func TestFragmentCSRIntoEqualsGraphCSRInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	var got, want FragCSR
+	probed, scanned, restaged, loops := 0, 0, 0, 0
+	for gi := 0; gi < 6; gi++ {
+		for _, g := range probeViews(t, rng, 80+rng.Intn(80)) {
+			n := g.NumNodes()
+			f := NewFragment(g)
+			for _, size := range []int{1, 2, 5, 12, n / 3} {
+				f.Reset()
+				for f.NumNodes() < size {
+					v := NodeID(rng.Intn(n))
+					if f.Contains(v) {
+						continue
+					}
+					if len(g.Out(v)) > ScanRatio*f.NumNodes() {
+						probed++
+					} else {
+						scanned++
+					}
+					if g.HasEdge(v, v) {
+						loops++
+					}
+					cost := f.InducedEdgeCost(v)
+					if w := NodeID(rng.Intn(n)); rng.Intn(4) == 0 && !f.Contains(w) && w != v {
+						f.Add(w) // v's staged edges are stale now
+						cost = f.InducedEdgeCost(v)
+						f.InducedEdgeCost(w)
+						restaged++
+					}
+					before := f.Size()
+					f.AddCost(v)
+					if f.Size() != before+1+cost {
+						t.Fatalf("graph %d: AddCost(%d) grew the fragment by %d, priced %d", gi, v, f.Size()-before, 1+cost)
+					}
+				}
+				g.CSRInto(f.Nodes(), &want)
+				f.CSRInto(&got)
+				if !csrEqual(&got, &want) {
+					t.Fatalf("graph %d overlay=%v nodes %v:\ngot  out %v %v in %v %v\nwant out %v %v in %v %v",
+						gi, g.HasOverlay(), f.Nodes(), got.OutStart, got.OutAdj, got.InStart, got.InAdj,
+						want.OutStart, want.OutAdj, want.InStart, want.InAdj)
+				}
+				if f.NumEdges() != want.NumEdges() {
+					t.Fatalf("graph %d: the fragment counts %d edges, its view holds %d", gi, f.NumEdges(), want.NumEdges())
+				}
+				for v := NodeID(0); int(v) < n; v++ {
+					if got.PosOf(v) != want.PosOf(v) || f.PosOf(v) != want.PosOf(v) {
+						t.Fatalf("graph %d: PosOf(%d) = %d on the fragment's view, %d on the fragment, %d on the list's",
+							gi, v, got.PosOf(v), f.PosOf(v), want.PosOf(v))
+					}
+				}
+				// The same FragCSR serves both builders in turn.
+				g.CSRInto(f.Nodes(), &got)
+				if !csrEqual(&got, &want) || got.PosOf(f.Nodes()[0]) != 0 {
+					t.Fatal("a fragment's view left state that Graph.CSRInto reused")
+				}
+			}
+		}
+	}
+	if probed == 0 || scanned == 0 || restaged == 0 || loops == 0 {
+		t.Fatalf("a case untested: %d probed, %d scanned, %d restaged, %d self-loops", probed, scanned, restaged, loops)
+	}
+}
+
+// TestRegionIntoEqualsWalkAndCSRInto: RegionInto, whose walk claims
+// positions in the view's own index, equals the walk's discovery order
+// materialized by Graph.CSRInto — also on a view a cancelled extraction
+// left behind.
+func TestRegionIntoEqualsWalkAndCSRInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	var got, want FragCSR
+	cancelled := 0
+	closed := make(chan struct{})
+	close(closed)
+	for gi := 0; gi < 3; gi++ {
+		// Large enough for a hub's ball to pass the cancellation probe,
+		// which polls every interrupt.Stride dequeued nodes.
+		for _, g := range probeViews(t, rng, 2500+rng.Intn(500)) {
+			n := g.NumNodes()
+			for i := 0; i < 20; i++ {
+				v, r := NodeID(rng.Intn(n)), 1+rng.Intn(3)
+				var labels []LabelID
+				if i%3 != 0 {
+					labels = []LabelID{LabelID(rng.Intn(g.NumLabels())), LabelID(rng.Intn(g.NumLabels()))}
+				}
+				if i%2 == 1 && !g.RegionInto(v, 3, nil, &got, closed) {
+					cancelled++
+				}
+				var within []uint64
+				if labels != nil {
+					within = labelSet(nil, g.NumLabels(), labels)
+				}
+				nodes, _ := g.walk(v, Both, r, nil, []NodeID{}, nil, within, nil)
+				g.CSRInto(nodes, &want)
+				if !g.RegionInto(v, r, labels, &got, nil) {
+					t.Fatal("an uncancellable extraction reported cancelled")
+				}
+				if !csrEqual(&got, &want) {
+					t.Fatalf("graph %d overlay=%v region(%d, %d, %v): got %v, want %v", gi, g.HasOverlay(), v, r, labels, got.Orig, want.Orig)
+				}
+				for w := NodeID(0); int(w) < n; w++ {
+					if got.PosOf(w) != want.PosOf(w) {
+						t.Fatalf("graph %d: PosOf(%d) = %d, want %d", gi, w, got.PosOf(w), want.PosOf(w))
+					}
+				}
+			}
+		}
+	}
+	if cancelled == 0 {
+		t.Fatal("no extraction was cancelled")
+	}
+}

@@ -69,20 +69,18 @@ type travItem struct {
 // trav is the pooled queue/order scratch of one traversal.
 type trav struct {
 	queue  []travItem
-	nodes  []NodeID // discovery order, for ball and region extraction
 	labels []uint64 // RegionInto's label bitset
 }
 
 func (g *Graph) acquireTrav() *trav {
 	t, _ := g.travPool.Get().(*trav)
 	if t == nil {
-		t = &trav{queue: make([]travItem, 0, 64), nodes: make([]NodeID, 0, 64)}
+		t = &trav{queue: make([]travItem, 0, 64)}
 	}
 	return t
 }
 
 func (g *Graph) releaseTrav(t *trav) {
 	t.queue = t.queue[:0]
-	t.nodes = t.nodes[:0]
 	g.travPool.Put(t)
 }

@@ -27,7 +27,9 @@
 package rbany
 
 import (
+	"math/bits"
 	"slices"
+	"sync"
 
 	"rbq/internal/bounded"
 	"rbq/internal/graph"
@@ -126,13 +128,23 @@ func rootAtAnchor(g *graph.Graph, p *pattern.Pattern) (rooted *pattern.Pattern, 
 type anchorCand struct {
 	v   graph.NodeID
 	deg int
-	pot float64 // Potential mass p(v, anchor), the selectivity estimate
+	pot float64 // Potential mass p(v, anchor), the selectivity estimate: an integer count
 }
+
+// ranking is the pooled state of one rankAnchors call: the ranked
+// candidates and the sort keys they are ranked by.
+type ranking struct {
+	pass []anchorCand
+	keys []uint64
+}
+
+var rankings = sync.Pool{New: func() any { return new(ranking) }}
 
 // Run evaluates the prepared pattern on aux's snapshot under c's query
 // class. c must be compiled for the pattern Prepare re-rooted, or for its
 // re-rooting: the two share labels and edges, so both guard and price
-// alike. mopts tunes the isomorphism matcher of every rooted run.
+// alike. mopts tunes the isomorphism matcher of every rooted run. The
+// anchors all run on one bounded.Runner, borrowed for the request.
 func (pr *Prepared) Run(aux *graph.Aux, c *bounded.Compiled, opts Options, mopts *subiso.Options) Result {
 	res := Result{Anchor: pr.Anchor}
 	if pr.Rooted == nil {
@@ -143,8 +155,12 @@ func (pr *Prepared) Run(aux *graph.Aux, c *bounded.Compiled, opts Options, mopts
 	sp := opts.Reduce.Obs
 	opts.Reduce.Obs = nil
 	ss := sp.Child(obs.PhaseSelectivity)
-	sem := c.On(aux)
-	cands, pass, mass := pr.rankAnchors(aux.Graph(), &sem)
+	r := bounded.Borrow(aux, c)
+	defer r.Release()
+	rk := rankings.Get().(*ranking)
+	defer rankings.Put(rk)
+	cands, mass := pr.rankAnchors(aux.Graph(), r.Semantics(), rk)
+	pass := rk.pass
 	ss.Add("candidates", int64(len(cands)))
 	ss.Add("passed", int64(len(pass)))
 	ss.Add("mass", int64(mass))
@@ -173,14 +189,14 @@ func (pr *Prepared) Run(aux *graph.Aux, c *bounded.Compiled, opts Options, mopts
 		share := splitShare(remaining, mass, a.pot, len(pass)-i)
 		ropts := opts.Reduce
 		ropts.Alpha = float64(share) / float64(size)
-		r := bounded.Run(aux, pr.Rooted, a.v, c, ropts, mopts)
-		anchorSpan(ws, res.Evaluated, a.v, share, r.Stats, len(r.Matches))
+		ar := r.Run(pr.Rooted, a.v, ropts, mopts)
+		anchorSpan(ws, res.Evaluated, a.v, share, ar.Stats, len(ar.Matches))
 		res.Evaluated++
-		res.Visited += r.Stats.Visited
-		res.FragmentSize += r.Stats.FragmentSize
-		remaining -= r.Stats.FragmentSize
+		res.Visited += ar.Stats.Visited
+		res.FragmentSize += ar.Stats.FragmentSize
+		remaining -= ar.Stats.FragmentSize
 		mass -= a.pot
-		matches = append(matches, r.Matches...)
+		matches = append(matches, ar.Matches...)
 	}
 	ws.Add("evaluated", int64(res.Evaluated))
 	ws.End()
@@ -211,36 +227,74 @@ func anchorSpan(parent *obs.Span, n int, v graph.NodeID, share int, stats reduce
 // rankAnchors guard-filters the anchor's candidates in sem's snapshot —
 // recording each survivor's Potential mass, the same Sl-histogram
 // estimate the in-reduction frontier ranks by, here reused as the
-// anchor's budget weight — then ranks them by decreasing mass, so the
-// most promising anchors draw from the fullest budget. Run and
-// PredictShares start from this identical (pass, mass) state.
-func (pr *Prepared) rankAnchors(g *graph.Graph, sem *bounded.Semantics) (cands []graph.NodeID, pass []anchorCand, mass float64) {
+// anchor's budget weight — then ranks them into rk.pass by decreasing
+// mass, so the most promising anchors draw from the fullest budget. Run
+// and PredictShares start from this identical (pass, mass) state. The
+// candidates all carry the anchor's label, so GuardLabeled is asked only
+// the rest of C(v, anchor).
+func (pr *Prepared) rankAnchors(g *graph.Graph, sem *bounded.Semantics, rk *ranking) (cands []graph.NodeID, mass float64) {
 	anchor := pr.Anchor
 	cands = g.NodesWithLabel(sem.Labels()[anchor])
+	pass := rk.pass[:0]
 	for _, v := range cands {
-		if !sem.Guard(v, anchor) {
+		if !sem.GuardLabeled(v, anchor) {
 			continue
 		}
 		c := anchorCand{v: v, deg: g.Degree(v), pot: sem.Potential(v, anchor)}
 		mass += c.pot
 		pass = append(pass, c)
 	}
-	if len(pass) == 0 {
-		return cands, nil, 0
+	rk.pass = pass
+	rk.sortAnchors()
+	return cands, mass
+}
+
+// sortAnchors orders rk.pass by (pot desc, deg desc, v asc), the order
+// of anchorLess. When the three fields fit one 64-bit word — pot and deg
+// complemented against their maxima, so ascending keys rank descending —
+// it sorts packed integer keys and unpacks them in place; otherwise it
+// sorts the candidates with anchorLess itself.
+func (rk *ranking) sortAnchors() {
+	var maxV, maxDeg, maxPot uint64
+	for _, c := range rk.pass {
+		maxV = max(maxV, uint64(c.v))
+		maxDeg = max(maxDeg, uint64(c.deg))
+		maxPot = max(maxPot, uint64(c.pot))
 	}
-	slices.SortFunc(pass, func(a, b anchorCand) int {
-		if a.pot != b.pot {
-			if a.pot > b.pot {
-				return -1
-			}
-			return 1
+	vBits, degBits := bits.Len64(maxV), bits.Len64(maxDeg)
+	if vBits+degBits+bits.Len64(maxPot) > 64 {
+		slices.SortFunc(rk.pass, anchorLess)
+		return
+	}
+	keys := rk.keys[:0]
+	for _, c := range rk.pass {
+		keys = append(keys, (maxPot-uint64(c.pot))<<(degBits+vBits)|(maxDeg-uint64(c.deg))<<vBits|uint64(c.v))
+	}
+	slices.Sort(keys)
+	vMask, degMask := uint64(1)<<vBits-1, uint64(1)<<degBits-1
+	for i, k := range keys {
+		rk.pass[i] = anchorCand{
+			v:   graph.NodeID(k & vMask),
+			deg: int(maxDeg - k>>vBits&degMask),
+			pot: float64(maxPot - k>>(degBits+vBits)),
 		}
-		if a.deg != b.deg {
-			return b.deg - a.deg
+	}
+	rk.keys = keys
+}
+
+// anchorLess is the anchor ranking: Potential mass descending, then
+// degree descending, then id ascending.
+func anchorLess(a, b anchorCand) int {
+	if a.pot != b.pot {
+		if a.pot > b.pot {
+			return -1
 		}
-		return int(a.v) - int(b.v)
-	})
-	return cands, pass, mass
+		return 1
+	}
+	if a.deg != b.deg {
+		return b.deg - a.deg
+	}
+	return int(a.v) - int(b.v)
 }
 
 // splitShare computes anchor i's budget share from the live rollover
@@ -281,7 +335,10 @@ func (pr *Prepared) PredictShares(aux *graph.Aux, c *bounded.Compiled, alpha flo
 		return nil, 0
 	}
 	sem := c.On(aux)
-	_, pass, mass := pr.rankAnchors(aux.Graph(), &sem)
+	rk := rankings.Get().(*ranking)
+	defer rankings.Put(rk)
+	_, mass := pr.rankAnchors(aux.Graph(), &sem, rk)
+	pass := rk.pass
 	remaining := int(alpha * float64(aux.Graph().Size()))
 	for j := 0; j < len(pass) && remaining > 0 && len(shares) < limit; j++ {
 		share := splitShare(remaining, mass, pass[j].pot, len(pass)-j)

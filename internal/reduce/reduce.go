@@ -571,7 +571,7 @@ func (e *engine) round() {
 				e.emit(EventBudgetStop, k.u, k.v, 0)
 				continue
 			}
-			e.frag.AddCost(k.v, cost)
+			e.frag.AddCost(k.v)
 			e.changed = true
 			e.emit(EventAdd, k.u, k.v, float64(inc))
 			if e.frag.Size() >= e.budget {
