@@ -9,6 +9,7 @@ import (
 
 	"rbq/internal/bounded"
 	"rbq/internal/graph"
+	"rbq/internal/pattern"
 )
 
 // refAnchorOrder is the anchor ranking as a comparator over candidates:
@@ -108,5 +109,45 @@ func TestConcurrentUnanchoredRunsShareNoScratch(t *testing.T) {
 	}
 	if most < 2 {
 		t.Fatalf("no fixture runs more than %d anchor", most)
+	}
+}
+
+// TestRunsGetThePredictedShares: on a 3.8M-item graph, where a 1-item
+// share used to reach the reduction as a ratio rounding to budget 0,
+// every anchor run gets the share PredictShares reports and spends it
+// whole — a lone pin costs one item — so the run totals equal the
+// prediction.
+func TestRunsGetThePredictedShares(t *testing.T) {
+	const size = 3_798_255
+	b := graph.NewBuilder(size, 0)
+	for i := 0; i < size; i++ {
+		if i%1000 == 0 {
+			b.AddNode("A")
+		} else {
+			b.AddNode("B")
+		}
+	}
+	aux := graph.BuildAux(b.Build())
+	pb := pattern.NewBuilder()
+	pb.SetPersonalized(pb.AddNode("A")).SetOutput(0)
+	p := pb.MustBuild()
+	pr, c := prepare(aux, p), bounded.Compile(aux.Graph(), p, bounded.Simulation)
+	anchors := len(aux.Graph().NodesWithLabel(c.Labels()[0]))
+	// A budget one item short of an item per anchor: 1-item shares, then
+	// none for the last anchor.
+	alpha := (float64(anchors) - 0.5) / size
+	shares, passed := pr.PredictShares(aux, c, alpha, anchors)
+	res := pr.Run(aux, c, Options{Alpha: alpha}, nil)
+	total := 0
+	for _, s := range shares {
+		if s.Share != 1 {
+			t.Fatalf("predicted share %d of anchor %d, want 1", s.Share, s.V)
+		}
+		total += s.Share
+	}
+	if passed != anchors || res.Evaluated != len(shares) || res.Evaluated != anchors-1 ||
+		res.FragmentSize != total || len(res.Matches) != len(shares) {
+		t.Fatalf("%d anchors, %d predicted shares totalling %d; evaluated %d, fragments %d, matches %d",
+			anchors, len(shares), total, res.Evaluated, res.FragmentSize, len(res.Matches))
 	}
 }

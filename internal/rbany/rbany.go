@@ -169,8 +169,7 @@ func (pr *Prepared) Run(aux *graph.Aux, c *bounded.Compiled, opts Options, mopts
 	if len(pass) == 0 {
 		return res
 	}
-	size := aux.Graph().Size()
-	remaining := int(opts.Alpha * float64(size))
+	remaining := int(opts.Alpha * float64(aux.Graph().Size()))
 	ws := sp.Child(obs.PhaseAnchorWave)
 	ws.Add("total_budget", int64(remaining))
 	var matches []graph.NodeID
@@ -188,7 +187,7 @@ func (pr *Prepared) Run(aux *graph.Aux, c *bounded.Compiled, opts Options, mopts
 		// Adaptive split: unspent budget rolls over to later candidates.
 		share := splitShare(remaining, mass, a.pot, len(pass)-i)
 		ropts := opts.Reduce
-		ropts.Alpha = float64(share) / float64(size)
+		ropts.Budget = share
 		ar := r.Run(pr.Rooted, a.v, ropts, mopts)
 		anchorSpan(ws, res.Evaluated, a.v, share, ar.Stats, len(ar.Matches))
 		res.Evaluated++

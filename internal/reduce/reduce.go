@@ -108,6 +108,10 @@ type Options struct {
 	// Alpha is the resource ratio α ∈ (0,1): the fragment size budget is
 	// ⌊α·|G|⌋ (in nodes+edges).
 	Alpha float64
+	// Budget, when positive, is the fragment size budget itself and Alpha
+	// is not read: rbany grants each anchor run an integer share of α|G|,
+	// which a ratio share/|G| would round away.
+	Budget int
 	// VisitBudget caps Visited (see Stats.Visited) — the paper's α·c·|G|
 	// with c = d_G. Zero applies the default (⌊α·|G|⌋+1)·maxDegree(G).
 	// The search stops at the first charge past the cap.
@@ -142,7 +146,7 @@ type Options struct {
 
 // Stats reports what a reduction run did.
 type Stats struct {
-	// Budget is ⌊α·|G|⌋, the fragment size cap.
+	// Budget is ⌊α·|G|⌋, or Options.Budget, the fragment size cap.
 	Budget int
 	// FragmentSize is |G_Q| = nodes + edges actually extracted.
 	FragmentSize int
@@ -470,7 +474,10 @@ func SearchInto(aux *graph.Aux, p *pattern.Pattern, vp graph.NodeID, sem Semanti
 		// scans) compare int32s instead of hashing strings per candidate.
 		plabels: sem.Labels(),
 	}
-	e.budget = int(opts.Alpha * float64(g.Size()))
+	e.budget = opts.Budget
+	if e.budget <= 0 {
+		e.budget = int(opts.Alpha * float64(g.Size()))
+	}
 	e.visitBudget = opts.VisitBudget
 	if e.visitBudget <= 0 {
 		// Default to the paper's d_G·α|G| with d_G approximated by the
