@@ -310,7 +310,8 @@ type Runner struct {
 
 // Run executes the bounded algorithm of c's class: the dynamic
 // reduction, then the exact matcher on the fragment. opts.Alpha or
-// opts.Budget must be set; other options default per the paper (b=2, visit budget d_G·α|G|).
+// opts.Budget must be set; other options default per the paper (b=2,
+// visit budget d_G·α|G|).
 // c must be compiled for p — or for a re-rooting of p — once per pattern
 // by the plan layer, so the per-query work is binding it to aux in the
 // pooled scratch, the reduction and the matcher. mopts tunes the

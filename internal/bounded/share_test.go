@@ -28,6 +28,9 @@ func edgelessGraph(size int) *graph.Graph {
 // modes_cold and of a 3.8M-item graph. At those sizes the ratio
 // share/|G| the budget used to travel as loses an item for some shares.
 func TestIntegerBudgetIsTheShare(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds graphs of 1.1M and 3.8M items")
+	}
 	pb := pattern.NewBuilder()
 	pb.SetPersonalized(pb.AddNode("A")).SetOutput(0)
 	p := pb.MustBuild()

@@ -94,9 +94,10 @@ const (
 // for concurrent use; a value obtained from a pool is owned by the calling
 // goroutine until it is Put back. The value may last have served another
 // snapshot of the lineage — a graph with fewer or more nodes — so pooled
-// scratch is graph-agnostic: anything in it sized by |V| is re-bound to
-// the borrower's graph and grown on demand (Fragment.Rebind,
-// Graph.CSRInto), and epoch-stamped so stale contents never read as set.
+// scratch is graph-agnostic: anything in it sized by |V| — a Fragment's
+// membership bitset, and nothing else in the engines' scratch — is
+// re-bound to the borrower's graph and grown on demand
+// (Fragment.Rebind), so stale contents never read as set.
 // The pools outlive each snapshot of the lineage, so a value must be Put
 // back holding no reference to a Graph or an Aux (Fragment.Release).
 func (a *Aux) ScratchPool(slot int) *sync.Pool { return &a.pools[slot] }

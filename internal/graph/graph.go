@@ -17,13 +17,13 @@
 //
 // The per-query engines built on this package avoid Go maps and
 // reflection-based sorts on their hot paths. The substrate provides the
-// dense building blocks: Fragment tracks membership in a bitset over |V|
-// and is reusable via Reset (clearing costs O(|G_Q|), not O(|V|));
-// FragCSR — the system's only subgraph representation — materializes any
-// induced subgraph (a reduced fragment, a label-closed d_Q-region via
-// RegionInto, or a full ball via BallInto) as plain CSR arrays with an
-// epoch-stamped position index, so repeated materializations allocate
-// nothing once warm; Aux carries one sync.Pool per engine
+// dense building blocks: Fragment tracks membership in a bitset over |V|,
+// records its induced edges as it grows and is reusable via Reset
+// (clearing costs O(|G_Q|), not O(|V|)); FragCSR — the matchers' one
+// subgraph view — materializes any induced subgraph (a reduced fragment
+// from its edge log, a label-closed d_Q-region via RegionInto, or a full
+// ball via BallInto) as plain CSR arrays, so repeated materializations
+// allocate nothing once warm; Aux carries one sync.Pool per engine
 // (Aux.ScratchPool) from which query evaluations borrow their scratch;
 // and the Graph itself pools traversal state (epoch-stamped Visited
 // markers, BFS queues, the region's label bitset), so Walk, Reachable and

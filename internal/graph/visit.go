@@ -5,7 +5,9 @@ package graph
 // reachability baselines — needs a dense per-node visited marker and a
 // queue; both are pooled on the Graph itself so steady-state traversals
 // never touch the allocator, mirroring the per-engine scratch pools that
-// Aux owns for the query engines.
+// Aux owns for the query engines. RegionInto and BallInto borrow only
+// the queue: their walk marks nodes in the position index of the
+// FragCSR it fills.
 
 // Visited is a pooled, epoch-stamped per-node marker for traversals over
 // one graph. Marking and probing are single array accesses with no

@@ -118,6 +118,9 @@ func TestConcurrentUnanchoredRunsShareNoScratch(t *testing.T) {
 // whole — a lone pin costs one item — so the run totals equal the
 // prediction.
 func TestRunsGetThePredictedShares(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a graph of 3.8M items")
+	}
 	const size = 3_798_255
 	b := graph.NewBuilder(size, 0)
 	for i := 0; i < size; i++ {

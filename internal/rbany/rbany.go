@@ -15,7 +15,13 @@
 // estimate of how much matching structure lives around v — with a floor
 // of one item, so hopeless anchors cannot starve promising ones. The total
 // data accessed stays bounded: shares sum to α|G|, unspent budget rolls
-// over, and each per-candidate run obeys its own visit bound.
+// over, and each per-candidate run obeys its own visit bound. A share
+// reaches its run as an integer budget (reduce.Options.Budget), so the
+// run gets exactly the items PredictShares reports.
+//
+// One evaluation borrows one bounded.Runner — the pooled bounded
+// scratch — and runs every anchor on it, and ranks the candidates in a
+// pooled buffer, by packed integer keys where they fit one word.
 //
 // Anchor selection reads the snapshot — which label is rarest changes as
 // nodes are added — so PickAnchor runs per evaluation, over the pattern's

@@ -159,8 +159,9 @@ type Stats struct {
 	// it ranks — charged at the first scan and again at each replay,
 	// whatever the label index spared the scan from reading. Not charged
 	// are the reads that price a step: Fragment.InducedEdgeCost's for
-	// each node the fragment admits, and c(v,u)'s for each candidate
-	// ranked.
+	// each node the fragment admits — which also records the induced
+	// edges it finds, so the fragment is materialized without reading
+	// them again — and c(v,u)'s for each candidate ranked.
 	Visited int
 	// Rounds is the number of bound-escalation rounds executed.
 	Rounds int
