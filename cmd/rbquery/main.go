@@ -61,6 +61,7 @@ import (
 	"rbq"
 	"rbq/internal/accuracy"
 	"rbq/internal/delta"
+	"rbq/internal/obs"
 	"rbq/internal/reduce"
 	"rbq/internal/workload"
 )
@@ -82,8 +83,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		mode         = fs.String("mode", "sim", "sim | sub | reach | workload | update")
 		alpha        = fs.Float64("alpha", 0.001, "resource ratio α ∈ (0,1)")
 		exact        = fs.Bool("exact", false, "also run the exact baseline and report accuracy")
-		stats        = fs.Bool("stats", false, "report timing and plan-cache counters (pattern, workload and update modes)")
-		explain      = fs.Bool("explain", false, "pattern modes: print the compiled plan (selectivity table, anchor choice, budget split) before the query and the phase breakdown after it")
+		stats        = fs.Bool("stats", false, "report the prepare/execute split of the query trace and the plan-cache counters (pattern, workload and update modes)")
+		explain      = fs.Bool("explain", false, "pattern modes: print the compiled plan (candidate counts, anchor choice, budget split) before the query and the phase breakdown after it")
 		trace        = fs.Bool("trace", false, "pattern modes: stream the raw reduction events (rounds, refinements, stops) to stderr")
 		workers      = fs.Int("workers", 0, "workload mode: batch shard width (0 = one worker per CPU)")
 		timeout      = fs.Duration("timeout", 0, "cancel query evaluation after this duration (0 = none; pattern and workload modes)")
@@ -145,7 +146,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	g := db.Graph()
 	fmt.Fprintf(stdout, "loaded |V|=%d |E|=%d (|G|=%d) in %v; budget α|G| = %d\n",
 		g.NumNodes(), g.NumEdges(), g.Size(), time.Since(start).Round(time.Millisecond),
-		int(*alpha*float64(g.Size())))
+		reduce.Budget(*alpha, g.Size()))
 
 	rc := 0
 	switch *mode {
@@ -235,7 +236,8 @@ func runPattern(ctx context.Context, db *rbq.DB, mode, path string, alpha float6
 		fmt.Fprintln(stderr, "rbquery:", err)
 		return 1
 	}
-	req := rbq.Request{Alpha: alpha, WantStats: opt.stats}
+	// -stats reads the prepare/execute split off the query's trace.
+	req := rbq.Request{Alpha: alpha, WantTrace: opt.stats}
 	if mode == "sub" {
 		req.Semantics = rbq.Subgraph
 	}
@@ -266,13 +268,14 @@ func runPattern(ctx context.Context, db *rbq.DB, mode, path string, alpha float6
 	if opt.stats {
 		cs := db.PlanCacheStats()
 		fmt.Fprintf(stdout, "stats: prepare %v, execute %v; plan cache %d hit(s) / %d miss(es)\n",
-			res.Stats.PlanTime.Round(time.Microsecond), res.Stats.ExecTime.Round(time.Microsecond),
+			res.Trace.Find(obs.PhasePlan).Dur.Round(time.Microsecond),
+			res.Trace.Find(obs.PhaseExec).Dur.Round(time.Microsecond),
 			cs.Hits, cs.Misses)
 	}
 	for _, m := range res.Matches {
 		fmt.Fprintf(stdout, "  node %d (%s)\n", m, db.Graph().Label(m))
 	}
-	if res.Trace != nil {
+	if opt.explain {
 		fmt.Fprintln(stdout, "--- phases ---")
 		res.Trace.WriteText(stdout)
 	}
@@ -482,7 +485,7 @@ func runWorkload(ctx context.Context, db *rbq.DB, path string, alpha float64, st
 			qs[i] = rbq.AnchoredQuery{Q: q.P, At: q.VP}
 		}
 		start := time.Now()
-		results, err := db.QueryBatch(ctx, qs, rbq.Request{Alpha: alpha, WantStats: stats}, workers)
+		results, err := db.QueryBatch(ctx, qs, rbq.Request{Alpha: alpha, WantTrace: stats}, workers)
 		if err != nil {
 			return queryErr(err, stderr)
 		}
@@ -500,8 +503,9 @@ func runWorkload(ctx context.Context, db *rbq.DB, path string, alpha float64, st
 		if stats {
 			var prep time.Duration
 			for _, r := range results {
-				if r.Stats != nil {
-					prep += r.Stats.PlanTime
+				// A batch item that failed carries no trace.
+				if ps := r.Trace.Find(obs.PhasePlan); ps != nil {
+					prep += ps.Dur
 				}
 			}
 			cs := db.PlanCacheStats()

@@ -205,7 +205,8 @@ func TestRunWorkersFlag(t *testing.T) {
 }
 
 // TestRunPatternStats: -stats in pattern mode reports the compile/execute
-// timing split and the plan-cache hit/miss counters.
+// timing split and the plan-cache hit/miss counters; the phase tree it
+// reads them from is printed by -explain only.
 func TestRunPatternStats(t *testing.T) {
 	g, p, _ := writeFixtures(t)
 	var out, errb bytes.Buffer
@@ -218,6 +219,9 @@ func TestRunPatternStats(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "plan cache 0 hit(s) / 1 miss(es)") {
 		t.Fatalf("missing plan-cache counters:\n%s", out.String())
+	}
+	if strings.Contains(out.String(), "--- phases ---") {
+		t.Fatalf("-stats without -explain printed the phase tree:\n%s", out.String())
 	}
 }
 

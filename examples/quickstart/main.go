@@ -76,7 +76,7 @@ func main() {
 
 	// 4. Compare against the exact answer: the same Request in Exact
 	// mode. The pattern was compiled on the first Query and cached, so
-	// this evaluation reuses the plan (see WantStats below).
+	// this evaluation reuses the plan (see WantTrace below).
 	exact, err := db.Query(ctx, q, rbq.Request{Mode: rbq.Exact})
 	if err != nil {
 		log.Fatal(err)
@@ -86,16 +86,17 @@ func main() {
 
 	// 5. Repeated templates: re-issuing the same pattern hits the DB's
 	// plan cache, so hot templates are compiled once no matter how many
-	// callers evaluate them. WantStats surfaces the cache outcome and the
-	// compile/execute timing split per query.
+	// callers evaluate them. WantTrace attaches the query's span tree,
+	// whose plan span counts the cache hit and times the plan lookup.
 	vp := res.Personalized // the unique match, reported per query
 	for _, alpha := range []float64{0.3, 0.45, 0.6} {
-		r, err := db.Query(ctx, q, rbq.Request{Anchor: rbq.Pin(vp), Alpha: alpha, WantStats: true})
+		r, err := db.Query(ctx, q, rbq.Request{Anchor: rbq.Pin(vp), Alpha: alpha, WantTrace: true})
 		if err != nil {
 			log.Fatal(err)
 		}
+		hits, _ := r.Trace.Find("plan").Counter("cache_hit")
 		fmt.Printf("cached run at α=%.2f: budget %d -> matches %v (plan cache hit: %v)\n",
-			alpha, r.Budget, r.Matches, r.Stats.PlanCacheHit)
+			alpha, r.Budget, r.Matches, hits == 1)
 	}
 	cs := db.PlanCacheStats()
 	fmt.Printf("plan cache: %d hit(s), %d miss(es) — one compilation served every query\n",

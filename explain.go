@@ -1,10 +1,11 @@
 package rbq
 
 // EXPLAIN: render what a Request would execute — the compiled plan's
-// interned labels, selectivity table, anchor choice, α·|G| budget and
-// (in Unanchored mode) the predicted budget split — without running the
-// evaluation. The CLI (`rbquery -explain`) prints this before the query
-// and the trace's phase breakdown after it.
+// interned labels, each query node's candidate count, the anchor choice,
+// the α·|G| budget and (in Unanchored mode) the predicted budget split —
+// without running the evaluation. Every figure is one the evaluation
+// itself reads. The CLI (`rbquery -explain`) prints this before the
+// query and the trace's phase breakdown after it.
 
 import (
 	"fmt"
@@ -13,9 +14,10 @@ import (
 	"rbq/internal/bounded"
 	"rbq/internal/graph"
 	"rbq/internal/pattern"
+	"rbq/internal/reduce"
 )
 
-// ExplainNode is one query node's row of the selectivity table.
+// ExplainNode is one query node's row of the query-node table.
 type ExplainNode struct {
 	// Node is the query node id; Label its label text.
 	Node  int
@@ -23,12 +25,8 @@ type ExplainNode struct {
 	// LabelID is the graph's interned id of the label (-1 when the label
 	// is absent from the graph, which empties the answer).
 	LabelID int
-	// Candidates is how many data nodes carry the label; Mass the summed
-	// Potential mass over them (Sampled reports a sample-and-scale
-	// estimate rather than an exact scan).
+	// Candidates is how many data nodes carry the label.
 	Candidates int
-	Mass       float64
-	Sampled    bool
 	// Personalized marks the pattern's personalized node u_p; Anchor
 	// marks the unanchored evaluation's chosen traversal root.
 	Personalized bool
@@ -60,7 +58,7 @@ type Explain struct {
 	// CacheHit reports whether the compiled plan came from the plan
 	// cache (the probe this Explain performed counts in PlanCacheStats).
 	CacheHit bool
-	// Nodes is the per-query-node selectivity table.
+	// Nodes is the per-query-node table.
 	Nodes []ExplainNode
 	// Personalized is the pin the evaluation would run from (explicit
 	// Request.Anchor or the unique match of the personalized label);
@@ -85,11 +83,11 @@ type Explain struct {
 const MaxExplainShares = 8
 
 // Explain compiles q (through the plan cache, like Query) and reports
-// what executing req would do — selectivity table, anchor choice,
-// budget, predicted split — without running the evaluation. It refuses
-// a pinned Anchor that Query would refuse, with the same error. The
-// selectivity scan probes every query node's candidate list, so Explain
-// is a diagnostic call, not a hot-path one.
+// what executing req would do — candidate counts, anchor choice, budget,
+// predicted split — without running the evaluation. It refuses a pinned
+// Anchor that Query would refuse, with the same error. In Unanchored
+// mode the split guard-ranks every anchor candidate, as the evaluation
+// does, so Explain is a diagnostic call, not a hot-path one.
 func (db *DB) Explain(q *Pattern, req Request) (*Explain, error) {
 	if err := req.validate(); err != nil {
 		return nil, err
@@ -117,35 +115,31 @@ func (db *DB) Explain(q *Pattern, req Request) (*Explain, error) {
 		AnchorNode:   -1,
 	}
 	if req.Mode != Exact {
-		ex.Budget = int(req.Alpha * float64(g.Size()))
+		ex.Budget = reduce.Budget(req.Alpha, g.Size())
 	}
-	sel := pl.Selectivity(aux)
-	labels := pl.Labels()
-	for u := 0; u < q.NumNodes(); u++ {
+	for u, l := range pl.Labels() {
 		n := ExplainNode{
 			Node:         u,
 			Label:        q.Label(pattern.NodeID(u)),
-			LabelID:      int(labels[u]),
-			Candidates:   sel.CandCount[u],
-			Mass:         sel.Mass[u],
-			Sampled:      sel.Sampled[u],
+			LabelID:      -1,
 			Personalized: pattern.NodeID(u) == q.Personalized(),
 		}
-		if labels[u] == graph.NoLabel {
-			n.LabelID = -1
+		if l != graph.NoLabel {
+			n.LabelID = int(l)
+			n.Candidates = len(g.NodesWithLabel(l))
 		}
 		ex.Nodes = append(ex.Nodes, n)
 	}
 	if req.Mode == Unanchored {
-		ex.AnchorNode = int(sel.Anchor)
+		anchor, pr := pl.Anchor(aux)
+		ex.AnchorNode = int(anchor)
 		if ex.AnchorNode >= 0 && ex.AnchorNode < len(ex.Nodes) {
 			ex.Nodes[ex.AnchorNode].Anchor = true
 		}
-		if sel.Unanchored != nil {
-			shares, passed := sel.Unanchored.PredictShares(aux, pl.Compiled(bounded.Class(req.Semantics)), req.Alpha, MaxExplainShares)
-			ex.Shares = make([]ExplainShare, len(shares))
-			for i, s := range shares {
-				ex.Shares[i] = ExplainShare{V: s.V, Pot: s.Pot, Share: s.Share}
+		if pr != nil {
+			shares, passed := pr.PredictShares(aux, pl.Compiled(bounded.Class(req.Semantics)), req.Alpha, MaxExplainShares)
+			for _, s := range shares {
+				ex.Shares = append(ex.Shares, ExplainShare{V: s.V, Pot: s.Pot, Share: s.Share})
 			}
 			ex.ShareTotal = passed
 		}
@@ -168,7 +162,7 @@ func (e *Explain) WriteText(w io.Writer) {
 	}
 	fmt.Fprintf(w, "plan cache: %s\n", hitName(e.CacheHit))
 	fmt.Fprintf(w, "query nodes:\n")
-	fmt.Fprintf(w, "  %-4s %-12s %-8s %10s %14s %s\n", "node", "label", "labelid", "candidates", "mass", "flags")
+	fmt.Fprintf(w, "  %-4s %-12s %-8s %10s %s\n", "node", "label", "labelid", "candidates", "flags")
 	for _, n := range e.Nodes {
 		flags := ""
 		if n.Personalized {
@@ -177,13 +171,10 @@ func (e *Explain) WriteText(w io.Writer) {
 		if n.Anchor {
 			flags += " anchor"
 		}
-		if n.Sampled {
-			flags += " sampled"
-		}
 		if n.LabelID < 0 {
 			flags += " absent"
 		}
-		fmt.Fprintf(w, "  %-4d %-12s %-8d %10d %14.1f%s\n", n.Node, n.Label, n.LabelID, n.Candidates, n.Mass, flags)
+		fmt.Fprintf(w, "  %-4d %-12s %-8d %10d%s\n", n.Node, n.Label, n.LabelID, n.Candidates, flags)
 	}
 	if e.Mode == Unanchored {
 		if e.ShareTotal == 0 {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rbq/internal/gen"
+	"rbq/internal/graph"
 )
 
 func TestExplainAnchored(t *testing.T) {
@@ -195,5 +196,73 @@ func TestExplainRefusesPinsQueryRefuses(t *testing.T) {
 	}
 	if _, err := db.Explain(q, Request{Anchor: &vp, Alpha: 0.01}); err != nil {
 		t.Fatalf("a valid pin refused: %v", err)
+	}
+}
+
+// TestExplainBudgetIsQueryBudget: EXPLAIN states the budget the
+// evaluation runs under, in Bounded and Unanchored mode alike, across
+// the empty, tiny, paper-range and whole-graph α.
+func TestExplainBudgetIsQueryBudget(t *testing.T) {
+	db, q, vp := traceFixture(t)
+	for _, alpha := range []float64{0, 1e-4, 0.02, 1, 1.5} {
+		for _, req := range []Request{
+			{Anchor: &vp, Alpha: alpha},
+			{Mode: Unanchored, Alpha: alpha},
+		} {
+			ex, err := db.Explain(q, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := db.Query(context.Background(), q, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ex.Budget != res.Budget {
+				t.Errorf("mode %d α=%g: Explain budget %d, Query budget %d", req.Mode, alpha, ex.Budget, res.Budget)
+			}
+		}
+	}
+}
+
+// TestExplainCandidatesAreLabelCounts: every query node's Candidates is
+// the number of data nodes carrying its label — exactly, for a label
+// with thousands of candidates too — and an absent label shows as
+// LabelID -1 with no candidates.
+func TestExplainCandidatesAreLabelCounts(t *testing.T) {
+	const users = 5000
+	gb := NewGraphBuilder(users+8, users+8)
+	m := gb.AddNode("Michael")
+	for i := 0; i < users; i++ {
+		gb.AddEdge(m, gb.AddNode("user"))
+	}
+	gb.AddEdge(gb.AddNode("user"), gb.AddNode("post"))
+	db := NewDB(gb.Build())
+	q, err := ParsePattern("node 0 Michael*\nnode 1 user\nnode 2 post\nnode 3 Zzz!\nedge 0 1\nedge 1 2\nedge 1 3\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := db.Graph()
+	for _, req := range []Request{{Alpha: 0.01}, {Mode: Unanchored, Alpha: 0.01}} {
+		ex, err := db.Explain(q, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var large, absent bool
+		for _, n := range ex.Nodes {
+			want := 0
+			if l := g.LabelIDOf(n.Label); l != graph.NoLabel {
+				want = len(g.NodesWithLabel(l))
+			} else if n.LabelID != -1 {
+				t.Errorf("node %d (%s): absent label has LabelID %d, want -1", n.Node, n.Label, n.LabelID)
+			}
+			if n.Candidates != want {
+				t.Errorf("node %d (%s): %d candidates, want %d", n.Node, n.Label, n.Candidates, want)
+			}
+			large = large || n.Candidates > 4096
+			absent = absent || n.LabelID == -1
+		}
+		if !large || !absent {
+			t.Fatalf("mode %d: fixture lacks a label with > 4096 candidates (%v) or an absent one (%v)", req.Mode, large, absent)
+		}
 	}
 }

@@ -2,8 +2,7 @@
 // worker-pool primitive shared by every fan-out point in the engine —
 // per-center region matching in the exact simulation baseline
 // (simulation.MatchOptMany), per-pin runs in the isomorphism baseline
-// (subiso.MatchOptMany), the plan layer's selectivity scan, and the
-// facade's QueryBatch sharding.
+// (subiso.MatchOptMany) and the facade's QueryBatch sharding.
 //
 // The pool is transient by design: Run spawns at most `workers`
 // goroutines, they drain a shared atomic cursor, and they exit when the
@@ -64,17 +63,6 @@ func Run(done <-chan struct{}, n, workers int, eval func(i int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// Capped resolves a wanted worker count to an effective one: zero (and
-// below) stays zero — the serial path — and positive counts are capped at
-// GOMAXPROCS, since a pool wider than the scheduler's parallelism only
-// adds contention. The plan layer sizes its selectivity scan with it.
-func Capped(workers int) int {
-	if workers <= 0 {
-		return 0
-	}
-	return min(workers, runtime.GOMAXPROCS(0))
 }
 
 // BatchWorkers resolves a QueryBatch workers argument: ≤ 0 asks for one

@@ -82,18 +82,6 @@ func TestRunCancellationClaimBound(t *testing.T) {
 	}
 }
 
-func TestCapped(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	cases := []struct{ in, want int }{
-		{-1, 0}, {0, 0}, {1, 1}, {3, 3}, {4, 4}, {64, 4},
-	}
-	for _, c := range cases {
-		if got := Capped(c.in); got != c.want {
-			t.Errorf("Capped(%d) = %d, want %d", c.in, got, c.want)
-		}
-	}
-}
-
 func TestBatchWorkers(t *testing.T) {
 	if got := BatchWorkers(0); got != runtime.NumCPU() {
 		t.Errorf("BatchWorkers(0) = %d, want NumCPU %d", got, runtime.NumCPU())

@@ -21,10 +21,6 @@
 // one it was compiled at (see NumLabels); once the alphabet grows, a
 // label the pattern names may have appeared, and the caller recompiles.
 //
-// The selectivity table's Potential-mass scan costs one histogram probe
-// per candidate of every query node, so it is built only by an explicit
-// Selectivity call, never implicitly on an execute path.
-//
 // A Plan is immutable after New (a re-rooting built on first use is
 // published atomically), so one Plan may serve concurrent evaluations
 // against any snapshot of its alphabet: the engines' transient state
@@ -36,7 +32,6 @@ import (
 	"sync/atomic"
 
 	"rbq/internal/bounded"
-	"rbq/internal/exec"
 	"rbq/internal/graph"
 	"rbq/internal/pattern"
 	"rbq/internal/rbany"
@@ -57,49 +52,6 @@ type Plan struct {
 	// unanchored run anchored there: which node is the anchor depends on
 	// the snapshot, the re-rooting does not.
 	rooted []atomic.Pointer[rbany.Prepared]
-}
-
-// SelectivitySampleThreshold is the candidate-list length above which
-// the Potential-mass scan samples instead of probing every candidate:
-// the list is stride-sampled down to roughly SelectivitySampleSize
-// Potential probes and the sampled mass scaled by the degree-weighted
-// ratio estimator of massEstimate. Very common labels ("user" on a
-// social graph) otherwise make the table's build cost one histogram
-// probe per graph node, for a number whose consumers only need it to be
-// proportionally right.
-const (
-	SelectivitySampleThreshold = 4096
-	SelectivitySampleSize      = 2048
-)
-
-// Selectivity is the selectivity table of a pattern on one snapshot: how
-// many candidates each query node has in the graph, how much Potential
-// mass those candidates carry, and the anchor unanchored evaluation
-// re-roots the pattern at. rbany's selectivity-weighted budget split is
-// driven by the per-candidate masses behind these aggregates.
-type Selectivity struct {
-	// CandCount[u] is the number of data nodes carrying u's label.
-	CandCount []int
-	// Mass[u] is the summed Potential mass p(v,u) over u's candidates —
-	// an Sl-histogram estimate of how much matching structure surrounds
-	// them. Low count and low mass both mean "selective". For query
-	// nodes whose candidate list exceeds SelectivitySampleThreshold the
-	// value is a sample-and-scale estimate (see Sampled): a deterministic
-	// stride sample of the candidates, scaled by the candidates' degree
-	// mass rather than their bare count so heavy-tailed graphs do not
-	// skew it (see massEstimate).
-	Mass []float64
-	// Sampled[u] reports whether Mass[u] was estimated by sampling
-	// rather than an exact scan.
-	Sampled []bool
-	// Anchor is the query node unanchored evaluation roots at: the one
-	// with the fewest candidates (ties to the lowest id), exactly as
-	// rbany.PickAnchor chooses.
-	Anchor pattern.NodeID
-	// Unanchored is the pattern re-rooted at Anchor. Nil when some query
-	// label is absent or the pattern is not connected from the anchor;
-	// every unanchored evaluation is then empty.
-	Unanchored *rbany.Prepared
 }
 
 // New compiles p against aux's label alphabet. The plan keeps no
@@ -193,109 +145,31 @@ func (pl *Plan) Exact(aux *graph.Aux, c bounded.Class, vp graph.NodeID, done <-c
 }
 
 // Unanchored evaluates the pattern on aux's snapshot under class c with
-// no designated personalized match: the anchor is the query node whose
-// compiled label is rarest in the snapshot, and the pattern re-rooted
-// there is built once per anchor and reused. The budget split weighs each
-// anchor candidate's Potential mass, computed during the run's guard pass
-// over the anchor's candidates only — the full per-query-node
-// selectivity table (see Selectivity) is not needed here.
+// no designated personalized match, from the anchor Anchor picks. The
+// budget split weighs each anchor candidate's Potential mass, computed
+// during the run's guard pass over the anchor's candidates.
 func (pl *Plan) Unanchored(aux *graph.Aux, c bounded.Class, opts rbany.Options, mopts *subiso.Options) rbany.Result {
-	anchor, cands := rbany.PickAnchor(aux.Graph(), pl.labels)
-	if len(cands) == 0 {
+	anchor, pr := pl.Anchor(aux)
+	if pr == nil {
 		return rbany.Result{Anchor: anchor}
 	}
-	return pl.rootedAt(anchor).Run(aux, &pl.sems[c], opts, mopts)
+	return pr.Run(aux, &pl.sems[c], opts, mopts)
 }
 
-// rootedAt returns the pattern re-rooted at u, building it on first use.
-func (pl *Plan) rootedAt(u pattern.NodeID) *rbany.Prepared {
-	slot := &pl.rooted[u]
-	if pr := slot.Load(); pr != nil {
-		return pr
+// Anchor returns the query node unanchored evaluation roots at in aux's
+// snapshot — the one whose compiled label has the fewest candidates,
+// ties to the lowest id (rbany.PickAnchor) — and the pattern re-rooted
+// there, built once per anchor and reused. The re-rooting is nil when
+// the anchor has no candidate: some query label is absent, and every
+// unanchored evaluation is empty.
+func (pl *Plan) Anchor(aux *graph.Aux) (pattern.NodeID, *rbany.Prepared) {
+	anchor, cands := rbany.PickAnchor(aux.Graph(), pl.labels)
+	if len(cands) == 0 {
+		return anchor, nil
 	}
-	slot.CompareAndSwap(nil, rbany.Prepare(pl.p, u))
-	return slot.Load()
-}
-
-// Selectivity builds the plan's full selectivity table on aux's
-// snapshot. Unlike the per-run products this scans every query node's
-// candidate list (one Sl-histogram probe per candidate), so it is
-// intended for explicit planning diagnostics — the execute paths never
-// build it. The table reads the snapshot, so it is built per call.
-func (pl *Plan) Selectivity(aux *graph.Aux) *Selectivity {
-	g := aux.Graph()
-	nq := pl.p.NumNodes()
-	sel := &Selectivity{
-		CandCount: make([]int, nq),
-		Mass:      make([]float64, nq),
-		Sampled:   make([]bool, nq),
+	slot := &pl.rooted[anchor]
+	if slot.Load() == nil {
+		slot.CompareAndSwap(nil, rbany.Prepare(pl.p, anchor))
 	}
-	sem := pl.sems[bounded.Simulation].On(aux)
-	// The per-query-node scans are independent (the Semantics Potential
-	// probe is documented concurrency-safe) and each writes only its own
-	// u-indexed slots, so fan them across the worker pool; massEstimate's
-	// stride sampling is deterministic, making the table independent of
-	// scheduling.
-	exec.Run(nil, nq, exec.Capped(nq), func(u int) {
-		l := pl.labels[u]
-		if l == graph.NoLabel {
-			return
-		}
-		cands := g.NodesWithLabel(l)
-		sel.CandCount[u] = len(cands)
-		sel.Mass[u], sel.Sampled[u] = massEstimate(g, &sem, cands, pattern.NodeID(u))
-	})
-	var cands []graph.NodeID
-	sel.Anchor, cands = rbany.PickAnchor(g, pl.labels)
-	if len(cands) > 0 {
-		if pr := pl.rootedAt(sel.Anchor); pr.Rooted != nil {
-			sel.Unanchored = pr
-		}
-	}
-	return sel
-}
-
-// massEstimate sums the Potential mass over a candidate list, switching
-// to sample-and-scale once the list exceeds
-// SelectivitySampleThreshold. The expensive per-candidate work is the
-// Potential probe (one Sl-histogram binary search per pattern neighbor
-// of u); the sample replaces it with a deterministic stride sample
-// plus one O(1) Degree read per candidate, combined as a ratio
-// estimator:
-//
-//	mass ≈ Σ_all (d(v)+1) × [Σ_sample Potential / Σ_sample (d(v)+1)]
-//
-// Potential is bounded by (and strongly correlated with) degree, so
-// scaling by the *degree* mass instead of the bare candidate count
-// absorbs most of the heavy-tailed variance a power-law graph would
-// otherwise inject — a plain count-scaled sample can miss or overweight
-// the few high-degree candidates that carry most of the mass. Stride
-// sampling keeps the estimate deterministic (no RNG on a compile
-// path); the accuracy guard test pins the relative error against the
-// exact scan.
-func massEstimate(g *graph.Graph, sem potentialFn, cands []graph.NodeID, u pattern.NodeID) (float64, bool) {
-	if len(cands) <= SelectivitySampleThreshold {
-		var mass float64
-		for _, v := range cands {
-			mass += sem.Potential(v, u)
-		}
-		return mass, false
-	}
-	var degAll float64
-	for _, v := range cands {
-		degAll += float64(g.Degree(v)) + 1
-	}
-	stride := (len(cands) + SelectivitySampleSize - 1) / SelectivitySampleSize
-	var mass, degSample float64
-	for i := 0; i < len(cands); i += stride {
-		mass += sem.Potential(cands[i], u)
-		degSample += float64(g.Degree(cands[i])) + 1
-	}
-	return mass * degAll / degSample, true
-}
-
-// potentialFn is the one Semantics probe massEstimate needs; taking the
-// narrow interface keeps the estimator testable against a reference.
-type potentialFn interface {
-	Potential(v graph.NodeID, u pattern.NodeID) float64
+	return anchor, slot.Load()
 }

@@ -130,35 +130,30 @@ func oneShotUnanchored(aux *graph.Aux, p *pattern.Pattern, c bounded.Class, opts
 	return rbany.Prepare(p, anchor).Run(aux, bounded.Compile(g, p, c), opts, nil)
 }
 
+// TestSelectivityTable: Anchor picks the query node with the fewest
+// candidates, exactly as rbany.PickAnchor does, and reuses one
+// re-rooting of the pattern there across calls.
 func TestSelectivityTable(t *testing.T) {
 	aux, p := fixture(t)
 	pl, _ := New(aux, p)
-	sel := pl.Selectivity(aux)
-	if !reflect.DeepEqual(sel, pl.Selectivity(aux)) {
-		t.Fatal("selectivity table not deterministic")
+	anchor, pr := pl.Anchor(aux)
+	// Every label occurs once in the fixture graph, so the counts tie at
+	// 1 and the anchor is the lowest-id node.
+	wantAnchor, cands := rbany.PickAnchor(aux.Graph(), pl.Labels())
+	if anchor != wantAnchor || len(cands) != 1 {
+		t.Fatalf("anchor %d, want %d with 1 candidate (got %d)", anchor, wantAnchor, len(cands))
 	}
-	// Every label occurs once in the fixture graph.
-	want := []int{1, 1, 1, 1}
-	if !reflect.DeepEqual(sel.CandCount, want) {
-		t.Fatalf("candidate counts %v, want %v", sel.CandCount, want)
+	if pr == nil || pr.Anchor != wantAnchor || pr.Rooted == nil {
+		t.Fatalf("unanchored prepared = %+v", pr)
 	}
-	// Michael has two labeled neighbors matching pattern neighbors of u0
-	// (one CC child, one HG child) -> mass 2; CC has Michael parent + CL
-	// child -> 2; etc.
-	if sel.Mass[0] != 2 || sel.Mass[1] != 2 || sel.Mass[2] != 2 || sel.Mass[3] != 2 {
-		t.Fatalf("mass table %v, want all 2", sel.Mass)
-	}
-	// All counts tie at 1; the anchor must be the lowest-id node, exactly
-	// as rbany.PickAnchor chooses.
-	wantAnchor, _ := rbany.PickAnchor(aux.Graph(), pl.Labels())
-	if sel.Anchor != wantAnchor {
-		t.Fatalf("anchor %d, want %d", sel.Anchor, wantAnchor)
-	}
-	if sel.Unanchored == nil || sel.Unanchored.Anchor != wantAnchor || sel.Unanchored.Rooted == nil {
-		t.Fatalf("unanchored prepared = %+v", sel.Unanchored)
+	if a2, pr2 := pl.Anchor(aux); a2 != anchor || pr2 != pr {
+		t.Fatalf("second Anchor = (%d, %p), want (%d, %p): the re-rooting is built once", a2, pr2, anchor, pr)
 	}
 }
 
+// TestSelectivityAbsentLabel: a query label absent from the graph is the
+// anchor, with no candidate and no re-rooting, and the unanchored
+// evaluation is empty.
 func TestSelectivityAbsentLabel(t *testing.T) {
 	aux, _ := fixture(t)
 	pb := pattern.NewBuilder()
@@ -170,12 +165,11 @@ func TestSelectivityAbsentLabel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel := pl.Selectivity(aux)
-	if sel.Unanchored != nil {
-		t.Fatalf("absent label must yield nil unanchored form, got %+v", sel.Unanchored)
+	if anchor, pr := pl.Anchor(aux); anchor != z || pr != nil {
+		t.Fatalf("Anchor = (%d, %+v), want (%d, nil)", anchor, pr, z)
 	}
 	res := pl.Unanchored(aux, bounded.Simulation, rbany.Options{Alpha: 1}, nil)
-	if res.Matches != nil || res.Candidates != 0 {
+	if res.Matches != nil || res.Candidates != 0 || res.Anchor != z {
 		t.Fatalf("unanchored over absent label = %+v", res)
 	}
 }

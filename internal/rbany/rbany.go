@@ -175,7 +175,7 @@ func (pr *Prepared) Run(aux *graph.Aux, c *bounded.Compiled, opts Options, mopts
 	if len(pass) == 0 {
 		return res
 	}
-	remaining := int(opts.Alpha * float64(aux.Graph().Size()))
+	remaining := reduce.Budget(opts.Alpha, aux.Graph().Size())
 	ws := sp.Child(obs.PhaseAnchorWave)
 	ws.Add("total_budget", int64(remaining))
 	var matches []graph.NodeID
@@ -344,7 +344,7 @@ func (pr *Prepared) PredictShares(aux *graph.Aux, c *bounded.Compiled, alpha flo
 	defer rankings.Put(rk)
 	_, mass := pr.rankAnchors(aux.Graph(), &sem, rk)
 	pass := rk.pass
-	remaining := int(alpha * float64(aux.Graph().Size()))
+	remaining := reduce.Budget(alpha, aux.Graph().Size())
 	for j := 0; j < len(pass) && remaining > 0 && len(shares) < limit; j++ {
 		share := splitShare(remaining, mass, pass[j].pot, len(pass)-j)
 		shares = append(shares, Share{V: pass[j].v, Pot: pass[j].pot, Share: share})

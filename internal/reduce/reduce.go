@@ -116,6 +116,10 @@ type Options struct {
 	// with c = d_G. Zero applies the default (⌊α·|G|⌋+1)·maxDegree(G).
 	// The search stops at the first charge past the cap.
 	VisitBudget int
+	// InitialBound, MaxBound, Strategy, Seed and DisableGuard are
+	// ablation knobs: only internal/bench's ablation experiments and
+	// tests set them, and every request path leaves them zero.
+	//
 	// InitialBound is the fairness bound b of Fig. 3; zero means the
 	// paper's initial value 2.
 	InitialBound int
@@ -142,6 +146,12 @@ type Options struct {
 	// reports Canceled. The facade passes a context's Done channel here —
 	// nil (context.Background) keeps the hot path probe-free.
 	Interrupt <-chan struct{}
+}
+
+// Budget is the resource bound ⌊α·|G|⌋ on a graph of size |G| = size:
+// the one rule every bounded evaluation and EXPLAIN size their budget by.
+func Budget(alpha float64, size int) int {
+	return int(alpha * float64(size))
 }
 
 // Stats reports what a reduction run did.
@@ -477,7 +487,7 @@ func SearchInto(aux *graph.Aux, p *pattern.Pattern, vp graph.NodeID, sem Semanti
 	}
 	e.budget = opts.Budget
 	if e.budget <= 0 {
-		e.budget = int(opts.Alpha * float64(g.Size()))
+		e.budget = Budget(opts.Alpha, g.Size())
 	}
 	e.visitBudget = opts.VisitBudget
 	if e.visitBudget <= 0 {

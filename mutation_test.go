@@ -422,11 +422,11 @@ func TestApplyAtomicityAndValidation(t *testing.T) {
 		}
 	}
 	bad := [][]Op{
-		{AddNode("X"), AddEdge(0, 999)},                       // out of range
-		{AddEdge(existing[0], existing[1])},                   // duplicate of base edge
-		{DelEdge(0, 0), AddNode("X")},                         // deleting a missing self-loop
-		{AddNode("")},                                         // empty label
-		{AddEdge(1, 2), AddEdge(1, 2)},                        // in-batch duplicate
+		{AddNode("X"), AddEdge(0, 999)},     // out of range
+		{AddEdge(existing[0], existing[1])}, // duplicate of base edge
+		{DelEdge(0, 0), AddNode("X")},       // deleting a missing self-loop
+		{AddNode("")},                       // empty label
+		{AddEdge(1, 2), AddEdge(1, 2)},      // in-batch duplicate
 		{DelEdge(existing[0], existing[1]), DelEdge(existing[0], existing[1])}, // double delete
 	}
 	for i, ops := range bad {

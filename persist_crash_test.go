@@ -117,7 +117,7 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(43))
 	for i := 0; i < fill; i++ {
-		budgetSet[rng.Int63n(total + 1)] = true
+		budgetSet[rng.Int63n(total+1)] = true
 	}
 	var budgets []int64
 	for k := range budgetSet {

@@ -207,8 +207,8 @@ func (db *DB) ParsePattern(text string) (*Pattern, error) { return db.plans.pars
 
 // PlanCacheStats returns the DB's plan-cache counters: how many Query
 // calls found their template compiled (hits) versus compiled it (misses),
-// and the cache occupancy. The same outcome is reported per query in
-// QueryStats.PlanCacheHit when Request.WantStats is set.
+// and the cache occupancy. The same outcome is reported per query as the
+// trace's plan-span counter cache_hit when Request.WantTrace is set.
 func (db *DB) PlanCacheStats() PlanCacheStats { return db.plans.stats() }
 
 // SetPlanCacheCapacity bounds the plan cache to n compiled templates

@@ -6,7 +6,8 @@ package rbq
 // the bounded/exact/unanchored regimes, explicit pins, batches — is a
 // Request executed by runRequest, with context cancellation threaded
 // cooperatively through every engine loop, a DB-level plan cache shared
-// by independent callers (see plancache.go), and opt-in per-query stats.
+// by independent callers (see plancache.go), and an opt-in per-query
+// trace.
 
 import (
 	"context"
@@ -86,10 +87,6 @@ type Request struct {
 	// subset of the complete answer, and which subset depends on the
 	// order it met candidates in. Only valid with Subgraph semantics.
 	MaxSteps int64
-	// WantStats asks for Result.Stats: reduction telemetry, plan-cache
-	// outcome and the compile/execute timing split. Off by default so the
-	// hot path does not buy telemetry it will not read.
-	WantStats bool
 	// WantTrace asks for Result.Trace: a structured span tree covering
 	// the plan probe, selectivity scan, reduction rounds, fragment
 	// extraction, exact matching and (in Unanchored mode) the anchor loop
@@ -152,10 +149,6 @@ func (req Request) validate() error {
 	return nil
 }
 
-// ReduceStats is the dynamic reduction's telemetry (rounds, budgets,
-// visit counts; see the fields' docs).
-type ReduceStats = reduce.Stats
-
 // ReduceTracer receives the dynamic reduction's raw event stream (see
 // Request.Tracer); an alias of the reduce engine's Tracer.
 type ReduceTracer = reduce.Tracer
@@ -164,22 +157,6 @@ type ReduceTracer = reduce.Tracer
 // Request.WantTrace is set: phases with wall time and counters (see
 // the obs package for the span model and phase names).
 type Trace = obs.Trace
-
-// QueryStats is the opt-in telemetry of a Request with WantStats set.
-type QueryStats struct {
-	// Reduce reports the dynamic reduction of a Bounded run (zero for
-	// Exact mode and for Unanchored mode, whose per-anchor runs are
-	// aggregated into Result's counters instead).
-	Reduce ReduceStats
-	// PlanCacheHit reports whether the compiled plan came from the DB's
-	// plan cache; always true on the PreparedQuery path, which holds its
-	// own compilation.
-	PlanCacheHit bool
-	// PlanTime is the time spent obtaining the compiled plan (a cache
-	// probe on hits, compilation on misses; zero on the PreparedQuery
-	// path). ExecTime is the evaluation itself.
-	PlanTime, ExecTime time.Duration
-}
 
 // Result is the unified answer of a Request.
 type Result struct {
@@ -203,9 +180,6 @@ type Result struct {
 	// Evaluated how many were run before the budget drained; both are
 	// Unanchored-mode telemetry, zero otherwise.
 	Candidates, Evaluated int
-	// Stats carries the extended telemetry; non-nil only when
-	// Request.WantStats was set.
-	Stats *QueryStats
 	// Trace is the per-query span tree; non-nil only when
 	// Request.WantTrace was set.
 	Trace *Trace
@@ -238,7 +212,7 @@ func (db *DB) Query(ctx context.Context, q *Pattern, req Request) (Result, error
 		return Result{}, err
 	}
 	var t0 time.Time
-	if req.WantStats || req.WantTrace {
+	if req.WantTrace {
 		t0 = time.Now()
 	}
 	snap := db.snapshot()
@@ -247,7 +221,7 @@ func (db *DB) Query(ctx context.Context, q *Pattern, req Request) (Result, error
 		return Result{}, err
 	}
 	var planTime time.Duration
-	if req.WantStats || req.WantTrace {
+	if req.WantTrace {
 		planTime = time.Since(t0)
 	}
 	return runRequest(ctx, pl, snap, req, hit, planTime)
@@ -278,8 +252,8 @@ func (db *DB) QueryBatch(ctx context.Context, qs []AnchoredQuery, req Request, w
 		pl  *plan.Plan
 		hit bool
 		// planTime is the template's one cache resolution, attributed to
-		// the item that triggered it (first below) so that summing
-		// QueryStats.PlanTime over a batch counts each compile once.
+		// the item that triggered it (first below) so that summing the
+		// plan spans' durations over a batch counts each compile once.
 		planTime time.Duration
 		first    int
 	}
@@ -299,7 +273,7 @@ func (db *DB) QueryBatch(ctx context.Context, qs []AnchoredQuery, req Request, w
 		j, ok := seen[item.Q]
 		if !ok {
 			var t0 time.Time
-			if req.WantStats || req.WantTrace {
+			if req.WantTrace {
 				t0 = time.Now()
 			}
 			pl, hit, err := db.plans.lookup(snap.Aux(), item.Q)
@@ -307,7 +281,7 @@ func (db *DB) QueryBatch(ctx context.Context, qs []AnchoredQuery, req Request, w
 				pl = nil // compile failure: this template's items zero out
 			}
 			info := planInfo{pl: pl, hit: hit, first: i}
-			if req.WantStats || req.WantTrace {
+			if req.WantTrace {
 				info.planTime = time.Since(t0)
 			}
 			j = len(infos)
@@ -330,7 +304,7 @@ func (db *DB) QueryBatch(ctx context.Context, qs []AnchoredQuery, req Request, w
 }
 
 // Query evaluates req through the prepared plan. The compilation was done
-// by Prepare, so QueryStats reports PlanCacheHit and zero PlanTime.
+// by Prepare, so the trace's plan span reports a cache hit taking no time.
 func (pq *PreparedQuery) Query(ctx context.Context, req Request) (Result, error) {
 	if err := req.validate(); err != nil {
 		return Result{}, err
@@ -409,10 +383,6 @@ func runBatchItem(ctx context.Context, pl *plan.Plan, snap *delta.Snapshot, req 
 func runRequest(ctx context.Context, pl *plan.Plan, snap *delta.Snapshot, req Request, cacheHit bool, planTime time.Duration) (Result, error) {
 	done := interrupt.Done(ctx)
 	aux := snap.Aux()
-	var t0 time.Time
-	if req.WantStats || req.WantTrace {
-		t0 = time.Now()
-	}
 	// The span tree exists only when asked for: execSpan stays nil
 	// otherwise, and every engine touch point below it is a nil check
 	// (obs methods no-op on nil receivers), keeping the trace-off path
@@ -429,7 +399,6 @@ func runRequest(ctx context.Context, pl *plan.Plan, snap *delta.Snapshot, req Re
 		execSpan = tr.Root.Child(obs.PhaseExec)
 	}
 	var res Result
-	var rstats reduce.Stats
 	class := bounded.Class(req.Semantics)
 	// Only the isomorphism matcher reads matcher options, so a simulation
 	// query allocates none.
@@ -446,7 +415,7 @@ func runRequest(ctx context.Context, pl *plan.Plan, snap *delta.Snapshot, req Re
 			Personalized: NoNode,
 			Complete:     true,
 			FragmentSize: r.FragmentSize,
-			Budget:       int(req.Alpha * float64(aux.Graph().Size())),
+			Budget:       reduce.Budget(req.Alpha, aux.Graph().Size()),
 			Visited:      r.Visited,
 			Candidates:   r.Candidates,
 			Evaluated:    r.Evaluated,
@@ -472,7 +441,6 @@ func runRequest(ctx context.Context, pl *plan.Plan, snap *delta.Snapshot, req Re
 			res = Result{Matches: m, Personalized: vp, Complete: complete}
 		} else {
 			r := pl.Bounded(aux, class, vp, ropts, mopts)
-			rstats = r.Stats
 			res = Result{
 				Matches: r.Matches, Personalized: vp, Complete: r.Complete,
 				FragmentSize: r.Stats.FragmentSize, Budget: r.Stats.Budget, Visited: r.Stats.Visited,
@@ -483,14 +451,6 @@ func runRequest(ctx context.Context, pl *plan.Plan, snap *delta.Snapshot, req Re
 		return Result{}, err
 	}
 	res.Epoch = snap.Epoch()
-	if req.WantStats {
-		res.Stats = &QueryStats{
-			Reduce:       rstats,
-			PlanCacheHit: cacheHit,
-			PlanTime:     planTime,
-			ExecTime:     time.Since(t0),
-		}
-	}
 	if req.WantTrace {
 		execSpan.Add("matches", int64(len(res.Matches)))
 		execSpan.End()

@@ -12,6 +12,7 @@ import (
 
 	"rbq/internal/gen"
 	"rbq/internal/graph"
+	"rbq/internal/obs"
 )
 
 // TestRequestValidation: malformed requests fail with ErrBadRequest
@@ -76,11 +77,11 @@ func TestPlanCacheShareAndEvict(t *testing.T) {
 	if cs.Misses != 1 || cs.Hits != 0 || cs.Size != 1 {
 		t.Fatalf("after first query: %+v", cs)
 	}
-	r, err := db.Query(context.Background(), q2, Request{Alpha: 0.01, Anchor: Pin(qs[0].At), WantStats: true})
+	r, err := db.Query(context.Background(), q2, Request{Alpha: 0.01, Anchor: Pin(qs[0].At), WantTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Stats.PlanCacheHit {
+	if hit, _ := r.Trace.Find(obs.PhasePlan).Counter("cache_hit"); hit != 1 {
 		t.Fatal("pointer-distinct same-text pattern missed the cache")
 	}
 	cs = db.PlanCacheStats()
@@ -236,8 +237,9 @@ func TestQueryCancellation(t *testing.T) {
 	}
 }
 
-// TestQueryStats: WantStats populates the telemetry and the plan-cache
-// outcome; without it the hot path carries no Stats.
+// TestQueryStats: WantTrace carries the per-query telemetry — the
+// plan-cache outcome and the reduction's counters, which agree with the
+// Result's — and without it the hot path carries no trace.
 func TestQueryStats(t *testing.T) {
 	db, qs := preparedFixture(t, 1500)
 	aq := qs[0]
@@ -247,24 +249,27 @@ func TestQueryStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Stats != nil {
-		t.Fatal("Stats present without WantStats")
+	if r.Trace != nil {
+		t.Fatal("Trace present without WantTrace")
 	}
-	r, err = db.Query(ctx, aq.Q, Request{Anchor: Pin(aq.At), Alpha: 0.01, WantStats: true})
+	r, err = db.Query(ctx, aq.Q, Request{Anchor: Pin(aq.At), Alpha: 0.01, WantTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Stats == nil {
-		t.Fatal("Stats missing with WantStats")
+	if r.Trace == nil {
+		t.Fatal("Trace missing with WantTrace")
 	}
-	if !r.Stats.PlanCacheHit {
+	if hit, _ := r.Trace.Find(obs.PhasePlan).Counter("cache_hit"); hit != 1 {
 		t.Fatal("second query on the same template should hit the cache")
 	}
-	if r.Stats.Reduce.Budget != r.Budget || r.Stats.Reduce.Visited != r.Visited {
-		t.Fatalf("Reduce stats disagree with Result: %+v vs %+v", r.Stats.Reduce, r)
+	rs := r.Trace.Find(obs.PhaseReduce)
+	budget, _ := rs.Counter("budget")
+	visited, _ := rs.Counter("visited")
+	if int(budget) != r.Budget || int(visited) != r.Visited {
+		t.Fatalf("reduce span budget=%d visited=%d, Result budget=%d visited=%d", budget, visited, r.Budget, r.Visited)
 	}
-	if r.Stats.ExecTime <= 0 {
-		t.Fatalf("ExecTime = %v, want > 0", r.Stats.ExecTime)
+	if d := r.Trace.Find(obs.PhaseExec).Dur; d <= 0 {
+		t.Fatalf("exec span duration = %v, want > 0", d)
 	}
 
 	// The prepared path reports its compilation as a hit with no plan time.
@@ -272,12 +277,13 @@ func TestQueryStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err = pq.Query(ctx, Request{Anchor: Pin(aq.At), Alpha: 0.01, WantStats: true})
+	r, err = pq.Query(ctx, Request{Anchor: Pin(aq.At), Alpha: 0.01, WantTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Stats == nil || !r.Stats.PlanCacheHit || r.Stats.PlanTime != 0 {
-		t.Fatalf("prepared-path stats: %+v", r.Stats)
+	ps := r.Trace.Find(obs.PhasePlan)
+	if hit, _ := ps.Counter("cache_hit"); hit != 1 || ps.Dur != 0 {
+		t.Fatalf("prepared-path plan span: cache_hit=%d dur=%v", hit, ps.Dur)
 	}
 }
 
