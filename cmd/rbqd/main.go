@@ -8,8 +8,9 @@
 //	rbqd -listen :8080 -db ./dbdir -graph g.graph  # bootstrap a fresh one
 //
 // Time to ready is the O(|G|) load: decoding the graph file and building
-// the auxiliary structure, once. A durable restart loads its base image
-// instead and does not open -graph. One line says what it cost:
+// the auxiliary structure, once. A durable restart decodes its base
+// image, a graph file of the same binary format, instead and does not
+// open -graph. One line says what it cost:
 //
 //	rbqd: loaded |V|=1000000 |E|=2798248 in 301.2 ms (fresh), listening after 303.0 ms
 //
@@ -251,8 +252,8 @@ func shutdownCh(ch <-chan struct{}) <-chan struct{} { return ch }
 // openDB opens the daemon's database: a durable directory when dbPath
 // is set (a fresh one is seeded from graphPath; one that holds data is
 // resumed and graphPath not opened), else an in-memory DB loaded from
-// graphPath. Either way the graph file is decoded and the auxiliary
-// structure built at most once. Recovery is summarized on stdout, and any
+// graphPath. Either way one graph file is decoded — graphPath or the
+// base image — and the auxiliary structure built once. Recovery is summarized on stdout, and any
 // dropped WAL tail — torn bytes or replay-invalid batches — is warned
 // about loudly: the daemon is about to serve that state.
 func openDB(dbPath, graphPath string, stdout io.Writer) (*rbq.DB, error) {

@@ -105,9 +105,10 @@ func (br *binaryReader) chunks(total uint64, what string, f func(chunk []byte) e
 	return nil
 }
 
-// ReadBinary parses the binary format. Edges in ascending (from, to)
-// order — what WriteBinary emits — go straight into the graph's CSR
-// arrays (see graph.Builder); any other order is accepted and sorted.
+// ReadBinary parses the binary format; r must end after the last edge.
+// Edges in ascending (from, to) order — what WriteBinary emits — go
+// straight into the graph's CSR arrays (see graph.Builder); any other
+// order is accepted and sorted.
 func ReadBinary(r io.Reader) (*graph.Graph, error) {
 	br := &binaryReader{r: r, buf: make([]byte, chunkBytes)}
 	magic, err := br.read(4, "magic")
@@ -197,5 +198,15 @@ func ReadBinary(r io.Reader) (*graph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return b.Build(), nil
+	// The edge count is the last word on the file's length: bytes after
+	// the last edge mean the count was damaged, not that the file is a
+	// prefix of something longer.
+	switch _, err := io.ReadFull(br.r, br.buf[:1]); err {
+	case io.EOF:
+		return b.Build(), nil
+	case nil:
+		return nil, fmt.Errorf("dataset: trailing data after edge %d", numEdges)
+	default:
+		return nil, fmt.Errorf("dataset: reading past the last edge: %w", err)
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"rbq/internal/gen"
@@ -103,18 +104,33 @@ func writeBinaryRef(w io.Writer, g *graph.Graph) {
 	}
 }
 
-// imageOf is every persisted array of g and its Aux, as bytes: two graphs
-// with equal images are equal array for array.
+// imageOf is every array of g and of its Aux, as bytes: the RBQ1 file
+// (label table, node labels, out-lists in order), then each node's
+// in-list and its two histograms. Two graphs with equal images are
+// equal array for array.
 func imageOf(t testing.TB, g *graph.Graph) []byte {
 	t.Helper()
 	if err := g.Validate(); err != nil {
 		t.Fatalf("graph fails validation: %v", err)
 	}
 	var buf bytes.Buffer
-	if err := graph.WriteImage(&buf, g, graph.BuildAux(g)); err != nil {
+	if err := WriteBinary(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	le, img, aux := binary.LittleEndian, buf.Bytes(), graph.BuildAux(g)
+	for v := range graph.NodeID(g.NumNodes()) {
+		img = le.AppendUint32(img, uint32(g.InDegree(v)))
+		for _, u := range g.In(v) {
+			img = le.AppendUint32(img, uint32(u))
+		}
+		for _, h := range [][]graph.LabelCount{aux.OutLabelHist(v), aux.InLabelHist(v)} {
+			img = le.AppendUint32(img, uint32(len(h)))
+			for _, e := range h {
+				img = le.AppendUint32(le.AppendUint32(img, uint32(e.Label)), uint32(e.Count))
+			}
+		}
+	}
+	return img
 }
 
 // requireMatchesRef checks that ReadBinary and the reference decoder
@@ -205,6 +221,33 @@ func TestReadBinaryEqualsReferenceDecoder(t *testing.T) {
 	requireMatchesRef(t, odd.Bytes(), got)
 	if got.NumLabels() != 2 || got.Label(0) != "A" || got.Label(1) != "B" || got.LabelOf(2) != got.LabelOf(1) || got.NumEdges() != 2 {
 		t.Fatalf("labels %d, edges %d", got.NumLabels(), got.NumEdges())
+	}
+}
+
+// TestReadBinaryRejectsTrailingBytes: a damaged edge count that drops
+// the last edge leaves bytes behind it, and those are refused rather
+// than read as a shorter graph.
+func TestReadBinaryRejectsTrailingBytes(t *testing.T) {
+	g := graph.FromEdges([]string{"A", "B", "C"}, [][2]int{{0, 1}, {1, 2}, {2, 0}})
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	if _, err := ReadBinary(bytes.NewReader(data)); err != nil {
+		t.Fatalf("pristine file: %v", err)
+	}
+	short := bytes.Clone(data)
+	binary.LittleEndian.PutUint64(short[len(short)-3*8-8:], 2)
+	long := append(bytes.Clone(data), 0)
+	for name, bad := range map[string][]byte{"edge count 2 of 3": short, "one byte appended": long} {
+		got, err := ReadBinary(bytes.NewReader(bad))
+		if err == nil {
+			t.Fatalf("%s: accepted, %d edges", name, got.NumEdges())
+		}
+		if !strings.Contains(err.Error(), "trailing") {
+			t.Fatalf("%s: error does not name the trailing data: %v", name, err)
+		}
 	}
 }
 

@@ -291,29 +291,6 @@ func (hb *histBuilder) appendRange(dst []LabelCount, start []int32, lo, hi int, 
 	return dst
 }
 
-// checkRange is appendRange for histograms that already exist (a decoded
-// image's): it writes the grouped form and presence bits of s's lists of
-// nodes [lo, hi) to s, and reports false when some node's histogram is
-// not the one appendRange would have built.
-func (hb *histBuilder) checkRange(lo, hi int, hist func(NodeID) []LabelCount, s *groupSink) bool {
-	built := make([]LabelCount, 0, min(hb.g.NumLabels(), hb.g.maxDegree))
-	for b := lo; b < hi; b += histBlock {
-		hb.gather(b, min(b+histBlock, hi), s)
-		from := 0
-		for i, end := range hb.ends {
-			v := NodeID(b + i)
-			var m uint32
-			built, m = hb.appendGrouped(built[:0], s.segment(v), s.list(v), hb.labels[from:end], s.shift)
-			if !slices.Equal(built, hist(v)) {
-				return false
-			}
-			s.mask[v] |= m
-			from = end
-		}
-	}
-	return true
-}
-
 // appendList is appendGrouped for one list, its labels read from the
 // builder's graph.
 func (hb *histBuilder) appendList(dst []LabelCount, seg, neigh []NodeID, shift uint) ([]LabelCount, uint32) {

@@ -105,10 +105,6 @@ func (d *OverlayDelta) Ops() int {
 // CSR.
 func (g *Graph) HasOverlay() bool { return g.ov != nil }
 
-// BaseNumNodes returns the node count of the base CSR under an overlay
-// view (equal to NumNodes for base graphs).
-func (g *Graph) BaseNumNodes() int { return len(g.labels) }
-
 // sortEdgePairs sorts edge pairs by (from, to); delta lists are bounded
 // by the compaction threshold, so a comparison sort is fine here (unlike
 // Builder's radix path).

@@ -226,9 +226,6 @@ func (s *Server) BeginShutdown() {
 	s.flushAccessLog()
 }
 
-// Draining reports whether BeginShutdown was called.
-func (s *Server) Draining() bool { return s.closing.Load() }
-
 // AdmissionStats returns the admission controller's counters.
 func (s *Server) AdmissionStats() AdmissionStats { return s.adm.stats() }
 

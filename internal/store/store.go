@@ -11,7 +11,15 @@
 //	          u32 payloadLen | u32 CRC32C(payload) | payload
 //	          payload := u64 seq | delta.EncodeOps(batch)
 //	base.img  "RBQB" u32 version u64 seq u32 CRC32C(first 16 bytes),
-//	          then a graph image (graph.WriteImage, self-checksummed)
+//	          then an RBQ1 graph file (dataset.WriteBinary),
+//	          then u32 CRC32C(the graph file)
+//
+// The base image holds the graph and nothing derived from it: recovery
+// decodes it with dataset.ReadBinary, the decoder a fresh start runs on
+// a -graph file, and the caller builds the Aux from the result. Labels
+// come back numbered by first use, and a label no node carries is not
+// kept; WAL ops name labels rather than number them, so replay does not
+// depend on the ids.
 //
 // Batch sequence numbers start at 1 and increase by exactly 1 per
 // record across the store's whole life; the base image records the seq
@@ -44,13 +52,16 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"io/fs"
 	"path/filepath"
 
+	"rbq/internal/dataset"
 	"rbq/internal/delta"
 	"rbq/internal/graph"
 )
@@ -70,7 +81,7 @@ const (
 	// basePrologueLen is magic + u32 version + u64 seq + u32 crc.
 	basePrologueLen = 20
 	baseMagic       = "RBQB"
-	baseVersion     = 1
+	baseVersion     = 2
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -142,10 +153,9 @@ type Store struct {
 	lastSeq uint64
 	baseSeq uint64
 
-	baseG   *graph.Graph
-	baseAux *graph.Aux
-	tail    []Batch
-	stats   RecoveryStats
+	baseG *graph.Graph
+	tail  []Batch
+	stats RecoveryStats
 
 	buf    []byte // record scratch, reused across Appends
 	broken error  // first write-path error; the store refuses further writes
@@ -211,11 +221,19 @@ func (s *Store) loadBase() error {
 	if crc := binary.LittleEndian.Uint32(data[16:]); crc != crc32.Checksum(data[:16], castagnoli) {
 		return fmt.Errorf("store: %s: prologue checksum mismatch", baseName)
 	}
-	g, aux, err := graph.ReadImage(data[basePrologueLen:])
+	body := data[basePrologueLen:]
+	if len(body) < 4 {
+		return fmt.Errorf("store: %s: truncated graph (%d bytes)", baseName, len(body))
+	}
+	body, trailer := body[:len(body)-4], body[len(body)-4:]
+	if binary.LittleEndian.Uint32(trailer) != crc32.Checksum(body, castagnoli) {
+		return fmt.Errorf("store: %s: graph checksum mismatch", baseName)
+	}
+	g, err := dataset.ReadBinary(bytes.NewReader(body))
 	if err != nil {
 		return fmt.Errorf("store: %s: %w", baseName, err)
 	}
-	s.baseG, s.baseAux, s.baseSeq = g, aux, seq
+	s.baseG, s.baseSeq = g, seq
 	s.lastSeq = seq
 	return nil
 }
@@ -352,10 +370,10 @@ func (s *Store) writeFreshWAL(name string) error {
 	return nil
 }
 
-// Base returns the recovered base graph and Aux (nil, nil for a fresh
-// store) and the seq folded into it.
-func (s *Store) Base() (*graph.Graph, *graph.Aux, uint64) {
-	return s.baseG, s.baseAux, s.baseSeq
+// Base returns the recovered base graph (nil for a fresh store) and the
+// seq folded into it.
+func (s *Store) Base() (*graph.Graph, uint64) {
+	return s.baseG, s.baseSeq
 }
 
 // Tail returns the WAL batches to replay over the base, in seq order.
@@ -414,10 +432,12 @@ func (s *Store) Append(seq uint64, ops []delta.Op) error {
 	return nil
 }
 
-// WriteBase persists a compacted snapshot under the atomic-rename
-// protocol and swaps in an empty WAL. g must be a base CSR (already
-// compacted) whose state folds every batch up to and including seq.
-// On error the store is poisoned but the directory stays recoverable:
+// WriteBase persists a snapshot under the atomic-rename protocol and
+// swaps in an empty WAL. g's state must fold every batch up to and
+// including seq; an overlay view writes its merged adjacency, the same
+// bytes as its Compact(). aux is not written: it is a function of g,
+// and whoever opens the store builds it from the recovered graph. On
+// error the store is poisoned but the directory stays recoverable:
 // either the old base or the new one is in place, and the WAL retains
 // every record the base might miss.
 func (s *Store) WriteBase(g *graph.Graph, aux *graph.Aux, seq uint64) error {
@@ -442,7 +462,10 @@ func (s *Store) WriteBase(g *graph.Graph, aux *graph.Aux, seq uint64) error {
 	binary.LittleEndian.PutUint32(prologue[16:], crc32.Checksum(prologue[:16], castagnoli))
 	_, err = f.Write(prologue[:])
 	if err == nil {
-		err = graph.WriteImage(f, g, aux)
+		crc := crc32.New(castagnoli)
+		if err = dataset.WriteBinary(io.MultiWriter(f, crc), g); err == nil {
+			_, err = f.Write(binary.LittleEndian.AppendUint32(nil, crc.Sum32()))
+		}
 	}
 	if err == nil {
 		err = f.Sync()

@@ -1,12 +1,15 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"rbq/internal/dataset"
 	"rbq/internal/delta"
 	"rbq/internal/graph"
 )
@@ -38,7 +41,7 @@ func TestFreshOpenAppendReopen(t *testing.T) {
 	if !s.Stats().FreshDir {
 		t.Fatal("fresh dir not reported fresh")
 	}
-	if g, _, seq := s.Base(); g != nil || seq != 0 {
+	if g, seq := s.Base(); g != nil || seq != 0 {
 		t.Fatal("fresh dir has a base")
 	}
 	for i := 0; i < 3; i++ {
@@ -114,7 +117,7 @@ func TestWriteBaseTruncatesWAL(t *testing.T) {
 
 	s2 := openT(t, dir, Options{})
 	defer s2.Close()
-	bg, _, seq := s2.Base()
+	bg, seq := s2.Base()
 	if bg == nil || seq != 1 {
 		t.Fatalf("base seq = %d (nil=%v), want 1", seq, bg == nil)
 	}
@@ -264,28 +267,165 @@ func TestBitFlipTruncatesAtDamage(t *testing.T) {
 	}
 }
 
-func TestBaseImageDamageIsHardError(t *testing.T) {
-	dir := t.TempDir()
-	g, aux := testGraph()
+// multiLabelGraph has some structure worth a round trip: cycles,
+// isolated nodes (6 and 7), label skew.
+func multiLabelGraph() *graph.Graph {
+	labels := []string{"A", "B", "C", "A", "B", "A", "D", "A"}
+	edges := [][2]int{{0, 1}, {1, 2}, {2, 0}, {0, 3}, {3, 4}, {4, 0}, {1, 4}, {5, 0}, {5, 1}, {5, 2}}
+	return graph.FromEdges(labels, edges)
+}
+
+// requireSameGraph checks got against want array for array — label
+// table, node labels, out- and in-lists, label index, max degree — and
+// BuildAux of each, histogram for histogram and list for list.
+func requireSameGraph(t *testing.T, got, want *graph.Graph) {
+	t.Helper()
+	if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() ||
+		got.NumLabels() != want.NumLabels() || got.MaxDegree() != want.MaxDegree() {
+		t.Fatalf("shape: got |V|=%d |E|=%d %d labels max degree %d, want %d %d %d %d",
+			got.NumNodes(), got.NumEdges(), got.NumLabels(), got.MaxDegree(),
+			want.NumNodes(), want.NumEdges(), want.NumLabels(), want.MaxDegree())
+	}
+	for l := range graph.LabelID(want.NumLabels()) {
+		if got.LabelName(l) != want.LabelName(l) || !slices.Equal(got.NodesWithLabel(l), want.NodesWithLabel(l)) {
+			t.Fatalf("label %d: got %q, want %q, or its nodes differ", l, got.LabelName(l), want.LabelName(l))
+		}
+	}
+	for v := range graph.NodeID(want.NumNodes()) {
+		if got.LabelOf(v) != want.LabelOf(v) || !slices.Equal(got.Out(v), want.Out(v)) || !slices.Equal(got.In(v), want.In(v)) {
+			t.Fatalf("node %d: label or adjacency differs", v)
+		}
+	}
+	gh, wh := graph.BuildAux(got).BaseHists(), graph.BuildAux(want).BaseHists()
+	for i, pair := range [][2][]int32{{gh.OutStart, wh.OutStart}, {gh.InStart, wh.InStart}, {gh.AdjOutStart, wh.AdjOutStart}, {gh.AdjInStart, wh.AdjInStart}} {
+		if !slices.Equal(pair[0], pair[1]) {
+			t.Fatalf("aux offset array %d differs", i)
+		}
+	}
+	if !slices.Equal(gh.OutHist, wh.OutHist) || !slices.Equal(gh.InHist, wh.InHist) {
+		t.Fatal("aux histograms differ")
+	}
+	if !slices.Equal(gh.OutByLabel, wh.OutByLabel) || !slices.Equal(gh.InByLabel, wh.InByLabel) || !slices.Equal(gh.Mask, wh.Mask) {
+		t.Fatal("aux grouped lists or masks differ")
+	}
+}
+
+// writeBase writes g as the base image of a fresh store in dir and
+// returns the file's bytes.
+func writeBase(t *testing.T, dir string, g *graph.Graph) []byte {
+	t.Helper()
 	s := openT(t, dir, Options{})
-	if err := s.WriteBase(g, aux, 0); err != nil {
+	if err := s.WriteBase(g, nil, 0); err != nil {
+		t.Fatalf("WriteBase: %v", err)
+	}
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
-	path := filepath.Join(dir, baseName)
-	pristine, err := os.ReadFile(path)
+	data, err := os.ReadFile(filepath.Join(dir, baseName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, off := range []int{0, 5, 10, 17, basePrologueLen + 3, len(pristine) - 1} {
-		mut := append([]byte(nil), pristine...)
+	return data
+}
+
+// TestBaseRoundTrip: Open recovers the graph WriteBase wrote, equal to
+// it array for array, and an overlay view writes the same image as its
+// compaction.
+func TestBaseRoundTrip(t *testing.T) {
+	for name, g := range map[string]*graph.Graph{
+		"empty":       graph.NewBuilder(0, 0).Build(),
+		"multi-label": multiLabelGraph(),
+		"youtube":     dataset.YoutubeLike(2000, 1),
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			writeBase(t, dir, g)
+			s := openT(t, dir, Options{})
+			defer s.Close()
+			got, seq := s.Base()
+			if got == nil || seq != 0 {
+				t.Fatalf("base seq %d (nil=%v), want a base at 0", seq, got == nil)
+			}
+			if err := got.Validate(); err != nil {
+				t.Fatalf("recovered graph fails Validate: %v", err)
+			}
+			requireSameGraph(t, got, g)
+		})
+	}
+	t.Run("overlay", func(t *testing.T) {
+		view, err := multiLabelGraph().WithOverlay(graph.OverlayDelta{
+			NewNodeLabels: []string{"E", "A"},
+			AddEdges:      [][2]graph.NodeID{{2, 5}, {8, 0}, {7, 9}},
+			DelEdges:      [][2]graph.NodeID{{0, 1}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(writeBase(t, t.TempDir(), view), writeBase(t, t.TempDir(), view.Compact())) {
+			t.Fatal("an overlay view and its Compact() wrote different base images")
+		}
+	})
+}
+
+func TestBaseImageDamageIsHardError(t *testing.T) {
+	dir := t.TempDir()
+	g, _ := testGraph()
+	pristine := writeBase(t, dir, g)
+	path := filepath.Join(dir, baseName)
+	damage := map[string][]byte{}
+	labelTable := basePrologueLen + 12 // magic, label count, first name's length
+	lastEdge := len(pristine) - 4 - 8
+	for name, off := range map[string]int{
+		"magic": 0, "version": 5, "seq": 10, "prologue crc": 17, "graph magic": basePrologueLen + 3,
+		"label table": labelTable, "edge": lastEdge + 5, "crc trailer": len(pristine) - 1,
+	} {
+		mut := bytes.Clone(pristine)
 		mut[off] ^= 0x01
+		damage["flip in "+name] = mut
+	}
+	damage["cut by 1 byte"] = pristine[:len(pristine)-1]
+	damage["cut to the prologue"] = pristine[:basePrologueLen]
+	for name, mut := range damage {
 		if err := os.WriteFile(path, mut, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := Open(dir, Options{}); err == nil {
-			t.Fatalf("flip at %d: corrupt base image opened", off)
+			t.Fatalf("%s: corrupt base image opened", name)
 		}
+	}
+}
+
+// TestBaseImageDetectsCorruption: every single-bit flip anywhere in the
+// base image, and every truncation, makes Open fail — the prologue CRC
+// covers magic, version and seq, the trailer CRC covers the graph file.
+func TestBaseImageDetectsCorruption(t *testing.T) {
+	dir := t.TempDir()
+	pristine := writeBase(t, dir, multiLabelGraph())
+	path := filepath.Join(dir, baseName)
+	open := func(data []byte) error {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir, Options{})
+		if err == nil {
+			s.Close()
+		}
+		return err
+	}
+	for off := range pristine {
+		mut := bytes.Clone(pristine)
+		mut[off] ^= 0x40
+		if open(mut) == nil {
+			t.Fatalf("bit flip at offset %d went undetected", off)
+		}
+	}
+	for _, cut := range []int{0, 1, 4, 11, basePrologueLen, len(pristine) / 2, len(pristine) - 1} {
+		if open(pristine[:cut]) == nil {
+			t.Fatalf("truncation to %d bytes went undetected", cut)
+		}
+	}
+	if err := open(pristine); err != nil {
+		t.Fatalf("pristine image no longer opens: %v", err)
 	}
 }
 

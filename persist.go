@@ -101,7 +101,7 @@ func OpenDB(dir string, opts OpenOptions) (*DB, error) {
 		st.Close()
 		return nil, err
 	}
-	g, aux, _ := st.Base()
+	g, seq := st.Base()
 	fresh := g == nil
 	if fresh {
 		switch {
@@ -114,8 +114,8 @@ func OpenDB(dir string, opts OpenOptions) (*DB, error) {
 		default:
 			g = graph.NewBuilder(0, 0).Build()
 		}
-		aux = graph.BuildAux(g)
 	}
+	aux := graph.BuildAux(g)
 	db := &DB{
 		plans:       newPlanCache(DefaultPlanCacheCapacity),
 		compactAt:   DefaultCompactThreshold,
@@ -124,7 +124,7 @@ func OpenDB(dir string, opts OpenOptions) (*DB, error) {
 	db.snap.Store(delta.NewBase(g, aux, 0))
 	db.pending = delta.New(g, aux)
 	db.store = st
-	_, _, db.seq = st.Base()
+	db.seq = seq
 
 	if fresh {
 		// Persist the bootstrap as the first base image so the directory
