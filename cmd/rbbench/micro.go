@@ -57,6 +57,25 @@ type microResult struct {
 	// recorded counters make that auditable in the report.
 	PlanCacheHits   uint64 `json:"plan_cache_hits,omitempty"`
 	PlanCacheMisses uint64 `json:"plan_cache_misses,omitempty"`
+	// The memory ledger, recorded by the Resident1M entry alone: the
+	// resident bytes per node and per edge of the graph LoadBinary decodes
+	// (1M nodes) and of its Aux, as their ResidentBytes count them. They
+	// are exact, so -compare fails on any rise.
+	GraphBytesPerNode float64 `json:"graph_bytes_per_node,omitempty"`
+	GraphBytesPerEdge float64 `json:"graph_bytes_per_edge,omitempty"`
+	AuxBytesPerNode   float64 `json:"aux_bytes_per_node,omitempty"`
+	AuxBytesPerEdge   float64 `json:"aux_bytes_per_edge,omitempty"`
+}
+
+// residentEntry is the name of the memory-ledger entry.
+const residentEntry = "Resident1M"
+
+// ledgerNames names the figures ledger returns.
+var ledgerNames = [4]string{"graph_bytes_per_node", "graph_bytes_per_edge", "aux_bytes_per_node", "aux_bytes_per_edge"}
+
+// ledger returns the entry's memory-ledger figures.
+func (r microResult) ledger() [4]float64 {
+	return [4]float64{r.GraphBytesPerNode, r.GraphBytesPerEdge, r.AuxBytesPerNode, r.AuxBytesPerEdge}
 }
 
 // parallelBench marks suite entries whose allocation counts depend on
@@ -124,12 +143,23 @@ func effectiveTolerance(tolerance float64, b, r microResult) float64 {
 // 24% regression. The allocation gate is the machine-independent one
 // (timings shift with the host; allocation counts only shift with code,
 // so serial benchmarks get no slack and GOMAXPROCS-dependent ones get
-// proportional headroom). Benchmarks absent from the baseline are
-// skipped (new entries need a refreshed baseline, not a red build).
+// proportional headroom). The memory ledger's figures are exact too and
+// fail on any rise. Benchmarks absent from the baseline are skipped (new
+// entries need a refreshed baseline, not a red build).
 func compareBaseline(results []microResult, base map[string]microResult, baselinePath string, tolerance float64, nsGate bool, stderr io.Writer) error {
 	var regressed []string
 	for _, r := range results {
 		b, ok := base[r.Name]
+		if ok && r.Name == residentEntry {
+			for i, now := range r.ledger() {
+				was := b.ledger()[i]
+				fmt.Fprintf(stderr, "compare %-20s %s %.4f -> %.4f\n", r.Name, ledgerNames[i], was, now)
+				if now > was {
+					regressed = append(regressed, fmt.Sprintf("%s: %s %.4f -> %.4f", r.Name, ledgerNames[i], was, now))
+				}
+			}
+			continue
+		}
 		if !ok || b.NsPerOp <= 0 {
 			fmt.Fprintf(stderr, "compare %-20s no baseline entry, skipped\n", r.Name)
 			continue
@@ -422,9 +452,21 @@ func runMicro(path, comparePath string, tolerance float64, count int, nsGate boo
 		b.ResetTimer()
 	}
 
+	// loadFixture returns the binary graph file LoadBinary decodes, and the
+	// Resident1M ledger reads: the one the end-to-end benchmark's
+	// engine_heavy workload starts rbqd on (1M nodes, 2.8M edges, 26 MB),
+	// written on first use.
 	var loadOnce sync.Once
 	var loadFile []byte
 	var loadErr error
+	loadFixture := func() ([]byte, error) {
+		loadOnce.Do(func() {
+			var buf bytes.Buffer
+			loadErr = dataset.WriteBinary(&buf, dataset.YoutubeLike(1_000_000, 20140622))
+			loadFile = buf.Bytes()
+		})
+		return loadFile, loadErr
+	}
 
 	suite := []struct {
 		name string
@@ -505,20 +547,14 @@ func runMicro(path, comparePath string, tolerance float64, count int, nsGate boo
 		{"LoadBinary", func(b *testing.B) {
 			// One iteration = rbqd's time to ready minus the exec: decode
 			// the binary graph file, build the CSR and the Aux. The file
-			// is the one the end-to-end benchmark's engine_heavy workload
-			// starts rbqd on (1M nodes, 2.8M edges, 26 MB), written on the
-			// first run and the only part of the fixture kept.
-			loadOnce.Do(func() {
-				var buf bytes.Buffer
-				loadErr = dataset.WriteBinary(&buf, dataset.YoutubeLike(1_000_000, 20140622))
-				loadFile = buf.Bytes()
-			})
-			if loadErr != nil {
-				b.Fatal(loadErr)
+			// is the only part of the fixture kept.
+			file, err := loadFixture()
+			if err != nil {
+				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := rbq.Load(bytes.NewReader(loadFile)); err != nil {
+				if _, err := rbq.Load(bytes.NewReader(file)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -682,6 +718,14 @@ func runMicro(path, comparePath string, tolerance float64, count int, nsGate boo
 		results = append(results, res)
 	}
 
+	ledger, err := residentLedger(loadFixture)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stderr, "bench %-20s graph %.4f B/node %.4f B/edge, aux %.4f B/node %.4f B/edge\n", ledger.Name,
+		ledger.GraphBytesPerNode, ledger.GraphBytesPerEdge, ledger.AuxBytesPerNode, ledger.AuxBytesPerEdge)
+	results = append(results, ledger)
+
 	// The closed-loop serving entries run once, after the micro suite
 	// (they stand their own DB + HTTP stack over g, heap that must not
 	// sit resident while the engine entries are measured).
@@ -707,4 +751,28 @@ func runMicro(path, comparePath string, tolerance float64, count int, nsGate boo
 		return compareBaseline(results, base, comparePath, tolerance, nsGate, stderr)
 	}
 	return nil
+}
+
+// residentLedger decodes the 1M-node graph file as rbqd does, builds its
+// Aux and returns the Resident1M entry: their resident bytes per node and
+// per edge.
+func residentLedger(file func() ([]byte, error)) (microResult, error) {
+	data, err := file()
+	if err != nil {
+		return microResult{}, err
+	}
+	g, err := dataset.ReadBinary(bytes.NewReader(data))
+	if err != nil {
+		return microResult{}, err
+	}
+	gr, ar := g.ResidentBytes(), graph.BuildAux(g).ResidentBytes()
+	n, m := float64(g.NumNodes()), float64(g.NumEdges())
+	return microResult{
+		Name:              residentEntry,
+		Iterations:        1,
+		GraphBytesPerNode: float64(gr.NodeBytes) / n,
+		GraphBytesPerEdge: float64(gr.EdgeBytes) / m,
+		AuxBytesPerNode:   float64(ar.NodeBytes) / n,
+		AuxBytesPerEdge:   float64(ar.EdgeBytes) / m,
+	}, nil
 }

@@ -103,3 +103,25 @@ func TestCompareIgnoresDroppedBaselineEntries(t *testing.T) {
 		t.Fatalf("a dropped baseline entry must not be compared:\n%s", errb.String())
 	}
 }
+
+// TestCompareResidentLedger: the memory ledger has no ns/op, but -compare
+// gates its four figures exactly — any rise fails, a fall or no change
+// passes.
+func TestCompareResidentLedger(t *testing.T) {
+	ledger := func(gn, ge, an, ae float64) microResult {
+		return microResult{Name: residentEntry, Iterations: 1, GraphBytesPerNode: gn, GraphBytesPerEdge: ge, AuxBytesPerNode: an, AuxBytesPerEdge: ae}
+	}
+	base := map[string]microResult{residentEntry: ledger(16.1, 8.0, 12, 14.1)}
+	var errb bytes.Buffer
+	for _, ok := range []microResult{ledger(16.1, 8.0, 12, 14.1), ledger(16.1, 8.0, 12, 6.1)} {
+		if err := compareBaseline([]microResult{ok}, base, "base.json", 0.25, true, &errb); err != nil {
+			t.Fatalf("an unchanged or smaller ledger must pass: %v", err)
+		}
+	}
+	for i, bad := range []microResult{ledger(16.2, 8.0, 12, 14.1), ledger(16.1, 8.01, 12, 14.1), ledger(16.1, 8.0, 12.5, 14.1), ledger(16.1, 8.0, 12, 14.2)} {
+		err := compareBaseline([]microResult{bad}, base, "base.json", 0.25, true, &errb)
+		if err == nil || !strings.Contains(err.Error(), residentEntry) {
+			t.Fatalf("figure %d rose: the gate must fail naming %s, got %v", i, residentEntry, err)
+		}
+	}
+}

@@ -11,7 +11,11 @@
 // overflow the stack).
 package compress
 
-import "rbq/internal/graph"
+import (
+	"slices"
+
+	"rbq/internal/graph"
+)
 
 // Condensation is the DAG of strongly connected components of a graph.
 type Condensation struct {
@@ -59,18 +63,28 @@ func Condense(g *graph.Graph) *Condensation {
 	var counter int32
 	var compSizes []int32
 
-	// Explicit DFS frames: node plus position in its out-list.
+	// Explicit DFS frames: node, and where its out-list starts, is read up
+	// to and ends in byID. byID holds the open frames' out-lists, each
+	// sorted by id, as a stack: the walk — and so the component numbering
+	// — depends on the graph, not on the order it stores lists in.
 	type frame struct {
-		v   graph.NodeID
-		idx int
+		v               graph.NodeID
+		start, idx, end int
 	}
 	var frames []frame
+	var byID []graph.NodeID
+	push := func(v graph.NodeID) {
+		start := len(byID)
+		byID = append(byID, g.Out(v)...)
+		slices.Sort(byID[start:])
+		frames = append(frames, frame{v, start, start, len(byID)})
+	}
 
 	for root := 0; root < n; root++ {
 		if index[root] != unvisited {
 			continue
 		}
-		frames = append(frames[:0], frame{graph.NodeID(root), 0})
+		push(graph.NodeID(root))
 		index[root] = counter
 		lowlink[root] = counter
 		counter++
@@ -79,9 +93,8 @@ func Condense(g *graph.Graph) *Condensation {
 
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
-			out := g.Out(f.v)
-			if f.idx < len(out) {
-				w := out[f.idx]
+			if f.idx < f.end {
+				w := byID[f.idx]
 				f.idx++
 				if index[w] == unvisited {
 					index[w] = counter
@@ -89,7 +102,7 @@ func Condense(g *graph.Graph) *Condensation {
 					counter++
 					stack = append(stack, w)
 					onStack[w] = true
-					frames = append(frames, frame{w, 0})
+					push(w)
 				} else if onStack[w] {
 					if index[w] < lowlink[f.v] {
 						lowlink[f.v] = index[w]
@@ -100,6 +113,7 @@ func Condense(g *graph.Graph) *Condensation {
 			// Post-order: pop the frame, fold lowlink into the parent,
 			// and emit a component if v is a root.
 			v := f.v
+			byID = byID[:f.start]
 			frames = frames[:len(frames)-1]
 			if len(frames) > 0 {
 				p := frames[len(frames)-1].v

@@ -106,9 +106,10 @@ func (br *binaryReader) chunks(total uint64, what string, f func(chunk []byte) e
 }
 
 // ReadBinary parses the binary format; r must end after the last edge.
-// Edges in ascending (from, to) order — what WriteBinary emits — go
-// straight into the graph's CSR arrays (see graph.Builder); any other
-// order is accepted and sorted.
+// Edges in the order WriteBinary emits them — (from, label(to), to),
+// the order of Graph.Out — go straight into the graph's CSR arrays (see
+// graph.Builder); any other order, (from, to) included, is accepted and
+// sorted.
 func ReadBinary(r io.Reader) (*graph.Graph, error) {
 	br := &binaryReader{r: r, buf: make([]byte, chunkBytes)}
 	magic, err := br.read(4, "magic")

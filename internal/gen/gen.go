@@ -9,6 +9,7 @@ package gen
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"rbq/internal/graph"
 	"rbq/internal/pattern"
@@ -204,12 +205,12 @@ func sampleConnected(g *graph.Graph, rng *rand.Rand, seed graph.NodeID, want int
 		fi := rng.Intn(len(frontier))
 		v := frontier[fi]
 		var cands [][2]graph.NodeID // edge in real orientation
-		for _, w := range g.Out(v) {
+		for _, w := range byID(g.Out(v)) {
 			if !inSet[w] {
 				cands = append(cands, [2]graph.NodeID{v, w})
 			}
 		}
-		for _, w := range g.In(v) {
+		for _, w := range byID(g.In(v)) {
 			if !inSet[w] {
 				cands = append(cands, [2]graph.NodeID{w, v})
 			}
@@ -235,7 +236,7 @@ func sampleConnected(g *graph.Graph, rng *rand.Rand, seed graph.NodeID, want int
 		seen[e] = true
 	}
 	for _, v := range nodes {
-		for _, w := range g.Out(v) {
+		for _, w := range byID(g.Out(v)) {
 			e := [2]graph.NodeID{v, w}
 			if inSet[w] && !seen[e] {
 				seen[e] = true
@@ -244,6 +245,13 @@ func sampleConnected(g *graph.Graph, rng *rand.Rand, seed graph.NodeID, want int
 		}
 	}
 	return nodes, edges
+}
+
+// byID returns a copy of the neighbor list adj sorted by id. The
+// samplers draw neighbors by index from it, so what they draw depends on
+// the graph and the seed, not on the order the graph stores lists in.
+func byID(adj []graph.NodeID) []graph.NodeID {
+	return slices.Sorted(slices.Values(adj))
 }
 
 // relabel returns a copy of g in which node seed carries a fresh label not
@@ -288,7 +296,7 @@ func ReachQueries(g *graph.Graph, n int, seed int64) []ReachQuery {
 			// Forward random walk: likely reachable.
 			v = u
 			for steps := rng.Intn(8) + 1; steps > 0; steps-- {
-				outs := g.Out(v)
+				outs := byID(g.Out(v))
 				if len(outs) == 0 {
 					break
 				}

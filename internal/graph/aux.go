@@ -1,9 +1,7 @@
 package graph
 
 import (
-	"math/bits"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -16,14 +14,15 @@ import (
 // items within the paper's d_G·α|G| bound.
 //
 // Two indexes ride on Sl so that the reduction reads only the neighbours
-// a pattern can use. The label-grouped adjacency holds every node's
-// neighbour list permuted so that its neighbours of one label form one
-// contiguous block, ids ascending within it; the block boundaries are the
-// histogram's own counts, so the index costs the adjacency's bytes and no
-// offsets of its own. The presence mask is one uint32 per node: bit l%16
-// when some child carries label l, bit 16+l%16 when some parent does. A
-// clear bit proves a label absent; a set one proves it present only when
-// no other label of the alphabet shares the bit.
+// a pattern can use. The graph keeps every neighbour list in adjacency
+// order — grouped by label, blocks in ascending label order — so the
+// histogram, sorted by label, is also the directory of a list's blocks:
+// OutBlock finds the neighbours of one label at the offset the counts
+// before it sum to, and the index costs no bytes beyond the histogram.
+// The presence mask is one uint32 per node: bit l%16 when some child
+// carries label l, bit 16+l%16 when some parent does. A clear bit proves a
+// label absent; a set one proves it present only when no other label of
+// the alphabet shares the bit.
 
 // LabelCount is one entry of a node's neighborhood label summary Sl: label
 // occurs Count times among the node's parents and children (with
@@ -35,12 +34,12 @@ type LabelCount struct {
 
 // Aux is the offline auxiliary structure. It stores, for every node, the
 // (label, count) histogram of its out-neighbors and of its in-neighbors,
-// each sorted by label for binary search, the neighbor lists grouped by
-// label (see OutBlock) and the label-presence mask (see LabelMask). Build
-// time and space are O(|G|): per node, 4 bytes of mask plus 8 bytes of
-// histogram offsets; per edge, 8 bytes of grouped adjacency (4 each way)
-// plus at most 16 bytes of histogram entries. Construction is
-// parallelized across node ranges.
+// each sorted by label for binary search and doubling as the directory of
+// the graph's label blocks (see OutBlock), and the label-presence mask
+// (see LabelMask). Build time and space are O(|G|): per node, 4 bytes of
+// mask plus 8 bytes of histogram offsets; per edge, at most 16 bytes of
+// histogram entries (see ResidentBytes). Aux holds no adjacency of its
+// own. Construction is parallelized across node ranges.
 //
 // Aux also carries the per-query scratch pools (see ScratchPool) that
 // the query engines draw on to stay allocation-free in steady state. The
@@ -56,10 +55,6 @@ type Aux struct {
 	inStart  []int32
 	inHist   []LabelCount
 
-	// outByLabel and inByLabel are the graph's adjacency arrays with each
-	// node's segment — at the graph's own CSR offsets — grouped by label
-	// in histogram order, ids ascending within a block.
-	outByLabel, inByLabel []NodeID
 	// mask[v] is v's label-presence mask (see LabelMask).
 	mask []uint32
 
@@ -107,57 +102,64 @@ func (a *Aux) ScratchPool(slot int) *sync.Pool { return &a.pools[slot] }
 const auxSerialCutoff = 1 << 13
 
 // BuildAux computes the auxiliary structure for g, mirroring the paper's
-// once-for-all preprocessing step. Disjoint node ranges are processed in
-// parallel, each into an arena sized up front; the result is
-// deterministic and identical whatever the number of workers.
+// once-for-all preprocessing step. It reads the graph's lists and writes
+// histograms and masks only; see buildHists.
 func BuildAux(g *Graph) *Aux {
 	auxBuilds.Add(1)
-	n := g.NumNodes()
-	a := &Aux{
-		g:          g,
-		outStart:   make([]int32, n+1),
-		inStart:    make([]int32, n+1),
-		outByLabel: make([]NodeID, len(g.outAdj)),
-		inByLabel:  make([]NodeID, len(g.inAdj)),
-		mask:       make([]uint32, n),
-		pools:      new(scratchPools),
+	a := &Aux{g: g, mask: make([]uint32, g.NumNodes()), pools: new(scratchPools)}
+	// One histBuilder per worker, whose buffers both directions reuse.
+	hbs := make([]histBuilder, auxWorkers(g.NumNodes()))
+	for i := range hbs {
+		hbs[i].g = g
 	}
-	type chunk struct {
-		lo, hi          int
-		outHist, inHist []LabelCount
-	}
-	chunks := make([]chunk, auxWorkers(n))
-	// Each worker fills disjoint index ranges of the start arrays
-	// (chunk-local offsets for now; rebased below), of the grouped
-	// adjacency and of the masks.
-	forRanges(len(chunks), n, func(w, lo, hi int) {
-		chunks[w] = chunk{lo: lo, hi: hi}
-		chunks[w].outHist, chunks[w].inHist = buildHistRange(a, lo, hi)
-	})
-	// The start arrays hold cumulative histogram lengths relative to each
-	// chunk; turn them into global offsets and stitch the arenas together
-	// at their exact total size.
-	var outTotal, inTotal int32
-	for _, c := range chunks {
-		outTotal += int32(len(c.outHist))
-		inTotal += int32(len(c.inHist))
-	}
-	a.outHist = make([]LabelCount, 0, outTotal)
-	a.inHist = make([]LabelCount, 0, inTotal)
-	for _, c := range chunks {
-		base := a.outStart[c.lo]
-		for v := c.lo; v < c.hi; v++ {
-			a.outStart[v+1] += base
-		}
-		a.outHist = append(a.outHist, c.outHist...)
-		base = a.inStart[c.lo]
-		for v := c.lo; v < c.hi; v++ {
-			a.inStart[v+1] += base
-		}
-		a.inHist = append(a.inHist, c.inHist...)
-	}
+	a.outStart, a.outHist = buildHists(hbs, g.outStart, g.outAdj, a.mask, maskOut)
+	a.inStart, a.inHist = buildHists(hbs, g.inStart, g.inAdj, a.mask, maskIn)
 	a.bindHists()
 	return a
+}
+
+// buildHists computes the histograms of one direction's lists — adj at
+// the CSR offsets adjStart — with their start offsets, and sets the
+// lists' presence bits on the half of mask that shift selects. Disjoint
+// node ranges, one per builder in hbs, are processed in parallel into one
+// arena, sized up front by
+// a bound on what each range can write (a histogram has at most one entry
+// per neighbor and per label), each range at its bound's offset; the
+// ranges are then slid left against each other. So the arena is the only
+// histogram array ever allocated, and keeps the bound's slack as capacity.
+// The result is deterministic and identical whatever the number of
+// workers.
+func buildHists(hbs []histBuilder, adjStart []int32, adj []NodeID, mask []uint32, shift uint) (start []int32, hist []LabelCount) {
+	n, nl, workers := len(adjStart)-1, hbs[0].g.NumLabels(), len(hbs)
+	start = make([]int32, n+1)
+	ranges := make([][2]int, workers)
+	off := make([]int, workers+1) // each range's bound, then its offset
+	used := make([]int, workers)
+	forRanges(workers, n, func(w, lo, hi int) {
+		ranges[w] = [2]int{lo, hi}
+		for v := lo; v < hi; v++ {
+			off[w+1] += min(int(adjStart[v+1]-adjStart[v]), nl)
+		}
+	})
+	for w := range workers {
+		off[w+1] += off[w]
+	}
+	hist = make([]LabelCount, off[workers])
+	forRanges(workers, n, func(w, lo, hi int) {
+		// Full-capacity slice: the appends cannot outgrow the bound.
+		used[w] = len(hbs[w].appendRange(hist[off[w]:off[w]:off[w+1]], start, lo, hi, adjStart, adj, mask, shift))
+	})
+	// Each range wrote range-relative offsets into start; rebase them as
+	// the range slides into place.
+	total := 0
+	for w, r := range ranges {
+		copy(hist[total:], hist[off[w]:off[w]+used[w]])
+		for v := r[0]; v < r[1]; v++ {
+			start[v+1] += int32(total)
+		}
+		total += used[w]
+	}
+	return start, hist[:total]
 }
 
 // auxWorkers is how many node ranges an O(|G|) pass over n nodes splits
@@ -192,7 +194,7 @@ func (a *Aux) bindHists() {
 		OutStart: a.outStart, InStart: a.inStart,
 		OutHist: a.outHist, InHist: a.inHist,
 		AdjOutStart: a.g.outStart, AdjInStart: a.g.inStart,
-		OutByLabel: a.outByLabel, InByLabel: a.inByLabel,
+		AdjOut: a.g.outAdj, AdjIn: a.g.inAdj,
 		Mask: a.mask,
 	}
 }
@@ -205,181 +207,85 @@ var auxBuilds atomic.Uint64
 // tests hold each way of opening one to a single build by this count.
 func AuxBuilds() uint64 { return auxBuilds.Load() }
 
-// buildHistRange computes the histograms of nodes [lo, hi), and fills
-// their grouped adjacency and masks in a. It writes range-relative
-// cumulative offsets into a's start arrays at indices lo+1..hi (so entry
-// lo+1 starts at 0) and returns the histogram entries for the range;
-// BuildAux rebases them to global offsets afterwards.
-func buildHistRange(a *Aux, lo, hi int) (outHist, inHist []LabelCount) {
-	// A histogram has at most one entry per neighbor and per label, which
-	// bounds the arenas: the appends below never grow them.
-	g := a.g
-	nl, outCap, inCap := g.NumLabels(), 0, 0
-	for v := lo; v < hi; v++ {
-		outCap += min(g.OutDegree(NodeID(v)), nl)
-		inCap += min(g.InDegree(NodeID(v)), nl)
-	}
-	hb := newHistBuilder(g)
-	outHist = hb.appendRange(make([]LabelCount, 0, outCap), a.outStart, lo, hi, a.outSink())
-	inHist = hb.appendRange(make([]LabelCount, 0, inCap), a.inStart, lo, hi, a.inSink())
-	return outHist, inHist
-}
-
-// histBuilder accumulates one neighbor list's (label, count) histogram
-// at a time into a label-indexed counting array (no map), and groups the
-// list by label with the same array. It is the one definition of the Aux
-// histogram and grouped-list formats — sorted by label, zero counts
-// omitted — shared by the offline BuildAux scan and the per-touched-node
-// patching of Aux.PatchedFor, so the two can never drift apart.
-//
-// The labels a list touched are kept as a bitset, one word per 64
-// labels, and read back in ascending order by walking the set bits: no
-// per-node sort of labels. words lists the non-zero words, so a node
-// costs its own neighbors and not the width of the alphabet.
+// histBuilder computes (label, count) histograms. A list in adjacency
+// order holds its neighbors of one label as one run, runs in ascending
+// label order, so its histogram is the run lengths of its labels: no
+// counting array and no sort. It is the one definition of the Aux
+// histogram format — sorted by label, zero counts omitted — shared by the
+// offline BuildAux scan and the per-touched-node patching of
+// Aux.PatchedFor, so the two can never drift apart.
 type histBuilder struct {
 	g      *Graph
-	counts []int32
-	bits   []uint64
-	words  []int32
-
 	labels []LabelID // the gathered labels of a block of lists
 	ends   []int     // where each list of the block ends in labels
-}
-
-func newHistBuilder(g *Graph) *histBuilder {
-	nl := g.NumLabels()
-	nw := (nl + 63) / 64
-	buf := make([]int32, nl+nw) // counts, then room for every word's index
-	return &histBuilder{g: g, counts: buf[:nl], words: buf[nl:nl], bits: make([]uint64, nw)}
 }
 
 // histBlock is how many nodes' neighbor labels appendRange gathers before
 // it counts them.
 const histBlock = 512
 
-// gather reads the labels of s's lists of nodes [lo, hi) into hb.labels,
-// and where each list ends into hb.ends. The label reads are the cache
-// misses of a pass over the graph: gathered a block at a time in a loop
-// that does nothing else, they overlap instead of each waiting its turn
-// behind the branches that count the node before.
-func (hb *histBuilder) gather(lo, hi int, s *groupSink) {
+// gather reads the labels of the lists of nodes [lo, hi) — adj at the
+// CSR offsets adjStart — into hb.labels, and where each list ends into
+// hb.ends. The label reads are the cache misses of a pass over the graph:
+// gathered a block at a time in a loop that does nothing else, they
+// overlap instead of each waiting its turn behind the branches that count
+// the node before.
+func (hb *histBuilder) gather(lo, hi int, adjStart []int32, adj []NodeID) {
 	hb.labels, hb.ends = hb.labels[:0], hb.ends[:0]
 	for v := lo; v < hi; v++ {
-		for _, w := range s.list(NodeID(v)) {
+		for _, w := range adj[adjStart[v]:adjStart[v+1]] {
 			hb.labels = append(hb.labels, hb.g.LabelOf(w))
 		}
 		hb.ends = append(hb.ends, len(hb.labels))
 	}
 }
 
-// appendRange appends the histograms of s's lists of nodes [lo, hi) to
-// dst and records in start[v+1] where each ends; from the same gathered
-// labels it writes each list's grouped form and presence bits to s.
-func (hb *histBuilder) appendRange(dst []LabelCount, start []int32, lo, hi int, s *groupSink) []LabelCount {
+// appendRange appends the histograms of the lists of nodes [lo, hi) to
+// dst, records in start[v+1] where each ends relative to dst's start, and
+// ORs each list's presence bits into mask[v].
+func (hb *histBuilder) appendRange(dst []LabelCount, start []int32, lo, hi int, adjStart []int32, adj []NodeID, mask []uint32, shift uint) []LabelCount {
 	for b := lo; b < hi; b += histBlock {
-		hb.gather(b, min(b+histBlock, hi), s)
+		hb.gather(b, min(b+histBlock, hi), adjStart, adj)
 		from := 0
 		for i, end := range hb.ends {
-			v := NodeID(b + i)
 			var m uint32
-			dst, m = hb.appendGrouped(dst, s.segment(v), s.list(v), hb.labels[from:end], s.shift)
-			s.mask[v] |= m
-			start[v+1] = int32(len(dst))
+			dst, m = appendHist(dst, hb.labels[from:end], shift)
+			mask[b+i] |= m
+			start[b+i+1] = int32(len(dst))
 			from = end
 		}
 	}
 	return dst
 }
 
-// appendList is appendGrouped for one list, its labels read from the
-// builder's graph.
-func (hb *histBuilder) appendList(dst []LabelCount, seg, neigh []NodeID, shift uint) ([]LabelCount, uint32) {
+// appendList appends the histogram of neigh, a list of the builder's
+// graph in adjacency order, to dst, and returns it with the list's
+// presence bits.
+func (hb *histBuilder) appendList(dst []LabelCount, neigh []NodeID, shift uint) ([]LabelCount, uint32) {
 	hb.labels = hb.labels[:0]
 	for _, w := range neigh {
 		hb.labels = append(hb.labels, hb.g.LabelOf(w))
 	}
-	return hb.appendGrouped(dst, seg, neigh, hb.labels, shift)
+	return appendHist(dst, hb.labels, shift)
 }
 
-// count adds one occurrence of l to the histogram being accumulated.
-func (hb *histBuilder) count(l LabelID) {
-	if hb.counts[l] == 0 {
-		wi := int32(l >> 6)
-		if hb.bits[wi] == 0 {
-			hb.words = append(hb.words, wi)
-		}
-		hb.bits[wi] |= 1 << (uint(l) & 63)
-	}
-	hb.counts[l]++
-}
-
-// appendGrouped appends the histogram of neigh — labels[i] is neigh[i]'s
-// label — to dst in label order, and writes neigh into seg (of neigh's
-// length) grouped by label in that order: a stable counting sort whose
-// block offsets are the histogram's counts, so ids stay ascending within
-// a block. It returns dst and the histogram's presence bits on the half
-// of the mask that shift selects.
-func (hb *histBuilder) appendGrouped(dst []LabelCount, seg, neigh []NodeID, labels []LabelID, shift uint) ([]LabelCount, uint32) {
-	if len(neigh) <= 1 { // most lists of a sparse graph: nothing to count or sort
-		if len(neigh) == 0 {
-			return dst, 0
-		}
-		seg[0] = neigh[0]
-		return append(dst, LabelCount{labels[0], 1}), maskBit(labels[0], shift)
-	}
-	for _, l := range labels {
-		hb.count(l)
-	}
-	if len(hb.words) > 1 { // only alphabets above 64 labels get here
-		slices.Sort(hb.words)
-	}
-	n := len(dst)
-	var off int32
+// appendHist appends to dst the histogram of a list whose labels, in list
+// order, are labels — runs of one label each, as adjacency order lays them
+// out — and returns dst and the histogram's presence bits on the half of
+// the mask that shift selects.
+func appendHist(dst []LabelCount, labels []LabelID, shift uint) ([]LabelCount, uint32) {
 	var m uint32
-	for _, wi := range hb.words {
-		for word := hb.bits[wi]; word != 0; word &= word - 1 {
-			l := LabelID(wi<<6) + LabelID(bits.TrailingZeros64(word))
-			c := hb.counts[l]
-			dst = append(dst, LabelCount{l, c})
-			hb.counts[l] = off // from here on, the block's write cursor
-			off += c
-			m |= maskBit(l, shift)
+	for i := 0; i < len(labels); {
+		l, j := labels[i], i+1
+		for j < len(labels) && labels[j] == l {
+			j++
 		}
-		hb.bits[wi] = 0
-	}
-	hb.words = hb.words[:0]
-	for i, w := range neigh {
-		l := labels[i]
-		seg[hb.counts[l]] = w
-		hb.counts[l]++
-	}
-	for _, e := range dst[n:] {
-		hb.counts[e.Label] = 0
+		dst = append(dst, LabelCount{l, int32(j - i)})
+		m |= maskBit(l, shift)
+		i = j
 	}
 	return dst, m
 }
-
-// groupSink is one direction of a base Aux under construction: the
-// graph's lists in that direction, and where a pass writes each node's
-// grouped list (at the graph's CSR offsets) and presence bits.
-type groupSink struct {
-	adjStart     []int32
-	adj, grouped []NodeID
-	mask         []uint32
-	shift        uint // maskOut or maskIn
-}
-
-func (a *Aux) outSink() *groupSink {
-	return &groupSink{a.g.outStart, a.g.outAdj, a.outByLabel, a.mask, maskOut}
-}
-
-func (a *Aux) inSink() *groupSink {
-	return &groupSink{a.g.inStart, a.g.inAdj, a.inByLabel, a.mask, maskIn}
-}
-
-// list and segment are v's list and where its grouped form goes.
-func (s *groupSink) list(v NodeID) []NodeID    { return s.adj[s.adjStart[v]:s.adjStart[v+1]] }
-func (s *groupSink) segment(v NodeID) []NodeID { return s.grouped[s.adjStart[v]:s.adjStart[v+1]] }
 
 // Presence-mask layout: the low half flags out-labels, the high half
 // in-labels, label l on bit l%MaskLabels of its half. Labels l and
@@ -407,8 +313,9 @@ func InMaskBit(l LabelID) uint32  { return maskBit(l, maskIn) }
 // maskBit is l's bit on the half of the mask that shift selects.
 func maskBit(l LabelID, shift uint) uint32 { return 1 << (shift + uint(l)%MaskLabels) }
 
-// block returns the label-l block of a node's grouped list seg, whose
-// blocks hist sizes in label order; nil when no neighbor carries l.
+// block returns the label-l block of a node's list seg, in adjacency
+// order, whose blocks hist sizes in label order; nil when no neighbor
+// carries l.
 func block(seg []NodeID, hist []LabelCount, l LabelID) []NodeID {
 	var off int32
 	for _, e := range hist {
@@ -482,10 +389,10 @@ func (a *Aux) InLabelCount(v NodeID, l LabelID) int32 { return lookup(a.InLabelH
 type Hists struct {
 	OutStart, InStart []int32
 	OutHist, InHist   []LabelCount
-	// AdjOutStart and AdjInStart are the graph's CSR offsets: node v's
-	// grouped list is OutByLabel[AdjOutStart[v]:AdjOutStart[v+1]].
+	// AdjOutStart/AdjOut and AdjInStart/AdjIn are the graph's own CSR
+	// arrays: node v's out-list is AdjOut[AdjOutStart[v]:AdjOutStart[v+1]].
 	AdjOutStart, AdjInStart []int32
-	OutByLabel, InByLabel   []NodeID
+	AdjOut, AdjIn           []NodeID
 	Mask                    []uint32
 }
 
@@ -513,17 +420,17 @@ func (h *Hists) InCount(v NodeID, l LabelID) int32 {
 
 // OutBlock returns the children of v labelled l, ascending.
 func (h *Hists) OutBlock(v NodeID, l LabelID) []NodeID {
-	return block(h.OutByLabel[h.AdjOutStart[v]:h.AdjOutStart[v+1]], h.OutHist[h.OutStart[v]:h.OutStart[v+1]], l)
+	return block(h.AdjOut[h.AdjOutStart[v]:h.AdjOutStart[v+1]], h.OutHist[h.OutStart[v]:h.OutStart[v+1]], l)
 }
 
 // InBlock returns the parents of v labelled l, ascending.
 func (h *Hists) InBlock(v NodeID, l LabelID) []NodeID {
-	return block(h.InByLabel[h.AdjInStart[v]:h.AdjInStart[v+1]], h.InHist[h.InStart[v]:h.InStart[v+1]], l)
+	return block(h.AdjIn[h.AdjInStart[v]:h.AdjInStart[v+1]], h.InHist[h.InStart[v]:h.InStart[v+1]], l)
 }
 
 // OutBlock returns the children of v labelled l, ascending: the block of
-// v's label-grouped list that the l entry of its histogram sizes, read
-// without touching any other neighbor. The slice is shared and must not
+// v's out-list that the l entry of its histogram sizes, read without
+// touching any other neighbor. The slice is shared and must not
 // be modified.
 func (a *Aux) OutBlock(v NodeID, l LabelID) []NodeID {
 	if a.ov != nil {
@@ -556,6 +463,18 @@ func (a *Aux) LabelMask(v NodeID) uint32 {
 // with multiplicity) carry label l — the paper's Sl lookup.
 func (a *Aux) LabelCountBoth(v NodeID, l LabelID) int32 {
 	return a.OutLabelCount(v, l) + a.InLabelCount(v, l)
+}
+
+// ResidentBytes returns the bytes the Aux's arrays hold: offsets and
+// masks per node, histogram entries per edge, the latter including the
+// slack BuildAux's arena keeps (its bound Σ min(degree, |labels|) less
+// the entries used; see buildHists). A patched view counts the base
+// arrays it shares, not its per-touched-node overrides.
+func (a *Aux) ResidentBytes() Resident {
+	return Resident{
+		NodeBytes: bytesOf(a.outStart) + bytesOf(a.inStart) + bytesOf(a.mask),
+		EdgeBytes: bytesOf(a.outHist) + bytesOf(a.inHist),
+	}
 }
 
 // Degree returns d(v) = |N(v)| with multiplicity (the paper stores it next

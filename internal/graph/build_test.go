@@ -9,12 +9,14 @@ import (
 	"testing"
 )
 
-// The loader equivalence tests: the Builder's in-place CSR for sorted
-// input and the bitset histograms of BuildAux must produce, array for
-// array, what the radix path and the sort-based histograms produce.
+// The loader equivalence tests: the Builder's in-place CSR for input in
+// adjacency order and the run-length histograms of BuildAux must produce,
+// array for array, what the radix path and the sort-based histograms
+// produce.
 
-// loaderCase is one random graph as a node-label list and a strictly
-// ascending, duplicate-free edge list.
+// loaderCase is one random graph as a node-label list and a duplicate-free
+// edge list strictly ascending in (from, label(to), to) order, the order
+// Out lists a graph's edges in.
 type loaderCase struct {
 	name   string
 	labels []string
@@ -25,8 +27,13 @@ func loaderCases() []loaderCase {
 	gen := func(name string, n, m, numLabels int, seed int64) loaderCase {
 		rng := rand.New(rand.NewSource(seed))
 		c := loaderCase{name: name}
+		id := map[string]int{} // the LabelIDs the Builder will intern
 		for v := 0; v < n; v++ {
-			c.labels = append(c.labels, fmt.Sprintf("L%d", rng.Intn(numLabels)))
+			l := fmt.Sprintf("L%d", rng.Intn(numLabels))
+			if _, ok := id[l]; !ok {
+				id[l] = len(id)
+			}
+			c.labels = append(c.labels, l)
 		}
 		seen := map[[2]int]bool{}
 		for i := 0; i < m && n > 0; i++ {
@@ -42,6 +49,9 @@ func loaderCases() []loaderCase {
 		slices.SortFunc(c.edges, func(a, b [2]int) int {
 			if a[0] != b[0] {
 				return a[0] - b[0]
+			}
+			if la, lb := id[c.labels[a[1]]], id[c.labels[b[1]]]; la != lb {
+				return la - lb
 			}
 			return a[1] - b[1]
 		})
@@ -107,7 +117,7 @@ func TestSortedBuildEqualsRadixBuild(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			sb, sorted := buildFrom(c.labels, c.edges)
 			if sb.unsorted {
-				t.Fatal("ascending input left the in-place path")
+				t.Fatal("input in adjacency order left the in-place path")
 			}
 			if err := sorted.Validate(); err != nil {
 				t.Fatal(err)
@@ -213,15 +223,15 @@ func (hb *sortHistBuilder) appendHist(dst []LabelCount, neigh []NodeID) []LabelC
 }
 
 // sortBasedHists is the reference Aux layout: histograms by sorting
-// labels, grouped lists by a stable sort of each list on label, masks by
-// reading every neighbor's label.
+// labels, the graph's lists by sorting each on id and then stably on
+// label, masks by reading every neighbor's label.
 func sortBasedHists(g *Graph) *Hists {
 	n := g.NumNodes()
 	hb := &sortHistBuilder{g: g, counts: make([]int32, g.NumLabels())}
 	h := &Hists{
 		OutStart: make([]int32, n+1), InStart: make([]int32, n+1), OutHist: []LabelCount{}, InHist: []LabelCount{},
 		AdjOutStart: g.outStart, AdjInStart: g.inStart,
-		OutByLabel: []NodeID{}, InByLabel: []NodeID{}, Mask: make([]uint32, n),
+		AdjOut: []NodeID{}, AdjIn: []NodeID{}, Mask: make([]uint32, n),
 	}
 	for v := 0; v < n; v++ {
 		id := NodeID(v)
@@ -229,16 +239,17 @@ func sortBasedHists(g *Graph) *Hists {
 		h.OutStart[v+1] = int32(len(h.OutHist))
 		h.InHist = hb.appendHist(h.InHist, g.In(id))
 		h.InStart[v+1] = int32(len(h.InHist))
-		h.OutByLabel = append(h.OutByLabel, groupedByLabel(g, g.Out(id))...)
-		h.InByLabel = append(h.InByLabel, groupedByLabel(g, g.In(id))...)
+		h.AdjOut = append(h.AdjOut, groupedByLabel(g, g.Out(id))...)
+		h.AdjIn = append(h.AdjIn, groupedByLabel(g, g.In(id))...)
 		h.Mask[v] = refMask(g, id)
 	}
 	return h
 }
 
-// groupedByLabel is a neighbor list stably sorted on label.
+// groupedByLabel is a neighbor list sorted on id, then stably on label.
 func groupedByLabel(g *Graph, neigh []NodeID) []NodeID {
 	out := slices.Clone(neigh)
+	slices.Sort(out)
 	slices.SortStableFunc(out, func(a, b NodeID) int { return int(g.LabelOf(a)) - int(g.LabelOf(b)) })
 	return out
 }
@@ -255,14 +266,18 @@ func refMask(g *Graph, v NodeID) uint32 {
 	return m
 }
 
-// requireLabelIndex checks a's grouped lists and masks, through the
-// accessors every engine reads, against neighbor lists filtered by
-// label: the check for patched views, whose overrides live per slot.
+// requireLabelIndex checks the graph's own lists against their
+// sort-based reference (groupedByLabel), and a's label blocks and masks,
+// through the accessors every engine reads, against those lists filtered
+// by label: the check for patched views, whose overrides live per slot.
 func requireLabelIndex(t *testing.T, what string, a *Aux) {
 	t.Helper()
 	g := a.Graph()
 	for v := 0; v < g.NumNodes(); v++ {
 		id := NodeID(v)
+		if !slices.Equal(g.Out(id), groupedByLabel(g, g.Out(id))) || !slices.Equal(g.In(id), groupedByLabel(g, g.In(id))) {
+			t.Fatalf("%s: node %d's lists %v / %v differ from their sort-based reference", what, v, g.Out(id), g.In(id))
+		}
 		if got, want := a.LabelMask(id), refMask(g, id); got != want {
 			t.Fatalf("%s: node %d mask %#x, want %#x", what, v, got, want)
 		}

@@ -19,7 +19,8 @@ package graph
 // Splice invariants (why the bulk copies are sound):
 //
 //   - The overlay's touched list is sorted and its per-slot adjacency is
-//     merged ascending, exactly as a from-scratch build would produce;
+//     merged in adjacency order, exactly as a from-scratch build would
+//     produce;
 //     base segments between touched nodes are already final.
 //   - New node ids exceed every base id, so their CSR segments append
 //     after the base runs and patched label lists stay sorted.
@@ -114,7 +115,7 @@ func (g *Graph) spliceCompact(spliceFrac float64) (*Graph, bool) {
 	if spliceFrac <= 0 || float64(len(ov.out)) > spliceFrac*float64(ov.nodes) {
 		return nil, false
 	}
-	n, m := ov.nodes, ov.edges
+	n := ov.nodes
 
 	// Base arrays are immutable, so without new nodes the labels and the
 	// label index are the base's, shared rather than copied.
@@ -139,8 +140,8 @@ func (g *Graph) spliceCompact(spliceFrac float64) (*Graph, bool) {
 		degCount: g.degCount[:ov.maxDegree+1],
 	}
 	ng.outStart, ng.inStart = make([]int32, n+1), make([]int32, n+1)
-	ng.outAdj = spliceAdj(g.outStart, g.outAdj, ov, ov.out, ng.outStart, m)
-	ng.inAdj = spliceAdj(g.inStart, g.inAdj, ov, ov.in, ng.inStart, m)
+	ng.outAdj = splice(g.outStart, g.outAdj, ov, ov.out, ng.outStart)
+	ng.inAdj = splice(g.inStart, g.inAdj, ov, ov.in, ng.inStart)
 	ng.labelStart, ng.labelNodes = g.labelStart, g.labelNodes
 	if n > ov.baseN {
 		ng.labelStart, ng.labelNodes = g.spliceLabelIndex(ov, n)
@@ -148,48 +149,45 @@ func (g *Graph) spliceCompact(spliceFrac float64) (*Graph, bool) {
 	return ng, true
 }
 
-// spliceAdj builds one direction's CSR for the merged view: untouched
-// base runs are bulk-copied with their offsets shifted by a per-run
-// constant, touched slots take the overlay's merged segments, and new
-// nodes append at the end. It writes the offsets to starts unless starts
-// is nil: the Aux's grouped lists are spliced at offsets the graph's
-// splice already computed.
-func spliceAdj(baseStart []int32, baseAdj []NodeID, ov *overlay, slotAdj [][]NodeID, starts []int32, m int) []NodeID {
-	adj := make([]NodeID, 0, m)
+// splice builds one array of the merged view — a direction's adjacency,
+// or of the Aux its histograms — and writes its offsets to starts:
+// untouched base runs are bulk-copied with their offsets shifted by a
+// per-run constant, touched slots take the overlay's per-slot segments,
+// and new nodes append at the end.
+func splice[T any](baseStart []int32, base []T, ov *overlay, slots [][]T, starts []int32) []T {
+	size := int(baseStart[ov.baseN])
+	for i, s := range slots {
+		size += len(s)
+		if i < len(ov.touched) {
+			v := ov.touched[i]
+			size -= int(baseStart[v+1] - baseStart[v])
+		}
+	}
+	out := make([]T, 0, size)
 	next := NodeID(0)
 	for i, v := range ov.touched {
 		lo := baseStart[next]
-		if starts != nil {
-			shift := int32(len(adj)) - lo
-			for u := next; u < v; u++ {
-				starts[u] = baseStart[u] + shift
-			}
+		shift := int32(len(out)) - lo
+		for u := next; u < v; u++ {
+			starts[u] = baseStart[u] + shift
 		}
-		adj = append(adj, baseAdj[lo:baseStart[v]]...)
-		if starts != nil {
-			starts[v] = int32(len(adj))
-		}
-		adj = append(adj, slotAdj[i]...)
+		out = append(out, base[lo:baseStart[v]]...)
+		starts[v] = int32(len(out))
+		out = append(out, slots[i]...)
 		next = v + 1
 	}
 	lo := baseStart[next]
-	if starts != nil {
-		shift := int32(len(adj)) - lo
-		for u := int(next); u < ov.baseN; u++ {
-			starts[u] = baseStart[u] + shift
-		}
+	shift := int32(len(out)) - lo
+	for u := int(next); u < ov.baseN; u++ {
+		starts[u] = baseStart[u] + shift
 	}
-	adj = append(adj, baseAdj[lo:]...)
-	for s := len(ov.touched); s < len(slotAdj); s++ {
-		if starts != nil {
-			starts[ov.baseN+s-len(ov.touched)] = int32(len(adj))
-		}
-		adj = append(adj, slotAdj[s]...)
+	out = append(out, base[lo:baseStart[ov.baseN]]...)
+	for s := len(ov.touched); s < len(slots); s++ {
+		starts[ov.baseN+s-len(ov.touched)] = int32(len(out))
+		out = append(out, slots[s]...)
 	}
-	if starts != nil {
-		starts[len(starts)-1] = int32(len(adj))
-	}
-	return adj
+	starts[len(starts)-1] = int32(len(out))
+	return out
 }
 
 // spliceLabelIndex builds the merged view's label → node CSR. Only
@@ -218,9 +216,9 @@ func (g *Graph) spliceLabelIndex(ov *overlay, n int) ([]int32, []NodeID) {
 // a standalone base Graph and base Aux in one pass: the graph arrays as
 // in CompactWith, and the Aux by splicing the base histogram arenas
 // around the per-touched-node histograms the patched view already
-// computed at seal time — so no BuildAux pass runs at all. The grouped
-// lists and presence masks splice the same way. aux must be
-// the PatchedFor view of view's overlay (the pair a Snapshot carries).
+// computed at seal time — so no BuildAux pass runs at all. The presence
+// masks splice the same way. aux must be the PatchedFor view of view's
+// overlay (the pair a Snapshot carries).
 //
 // Returns ok=false — and touches nothing — when the pair does not match
 // or the touched set exceeds spliceFrac × |V|; callers then fall back
@@ -241,11 +239,12 @@ func CompactIncremental(view *Graph, aux *Aux, spliceFrac float64) (*Graph, *Aux
 		inStart:  make([]int32, n+1),
 		pools:    aux.pools, // the spliced base continues the lineage
 	}
-	na.outHist = spliceHist(aux.outStart, aux.outHist, ov, aux.ov.outHist, na.outStart)
-	na.inHist = spliceHist(aux.inStart, aux.inHist, ov, aux.ov.inHist, na.inStart)
-	m := ng.NumEdges()
-	na.outByLabel = spliceAdj(view.outStart, aux.outByLabel, ov, aux.ov.outByLabel, nil, m)
-	na.inByLabel = spliceAdj(view.inStart, aux.inByLabel, ov, aux.ov.inByLabel, nil, m)
+	// A touched node's histogram was computed by PatchedFor with the same
+	// histBuilder BuildAux uses, against the merged view — identical to
+	// what a fresh BuildAux over the spliced base would produce, because
+	// an untouched node's adjacency and every node's label are unchanged.
+	na.outHist = splice(aux.outStart, aux.outHist, ov, aux.ov.outHist, na.outStart)
+	na.inHist = splice(aux.inStart, aux.inHist, ov, aux.ov.inHist, na.inStart)
 	na.mask = make([]uint32, n)
 	copy(na.mask, aux.mask)
 	for i, v := range ov.touched {
@@ -254,43 +253,4 @@ func CompactIncremental(view *Graph, aux *Aux, spliceFrac float64) (*Graph, *Aux
 	copy(na.mask[ov.baseN:], aux.ov.mask[len(ov.touched):])
 	na.bindHists()
 	return ng, na, CompactStats{Incremental: true, TouchedNodes: len(ov.out)}, true
-}
-
-// spliceHist is spliceAdj's shape for one direction of the Aux: int32
-// offsets, LabelCount arenas, and the patched view's per-slot histogram
-// overrides in place of the touched nodes' base segments. A touched
-// node's histogram was computed by PatchedFor with the same histBuilder
-// BuildAux uses, against the merged view — identical to what a fresh
-// BuildAux over the spliced base would produce, because an untouched
-// node's adjacency and every node's label are unchanged.
-func spliceHist(baseStart []int32, baseHist []LabelCount, ov *overlay, slotHist [][]LabelCount, starts []int32) []LabelCount {
-	extra := 0
-	for _, h := range slotHist {
-		extra += len(h)
-	}
-	hist := make([]LabelCount, 0, len(baseHist)+extra)
-	next := NodeID(0)
-	for i, v := range ov.touched {
-		lo := baseStart[next]
-		shift := int32(len(hist)) - lo
-		for u := next; u < v; u++ {
-			starts[u] = baseStart[u] + shift
-		}
-		hist = append(hist, baseHist[lo:baseStart[v]]...)
-		starts[v] = int32(len(hist))
-		hist = append(hist, slotHist[i]...)
-		next = v + 1
-	}
-	lo := baseStart[next]
-	shift := int32(len(hist)) - lo
-	for u := int(next); u < ov.baseN; u++ {
-		starts[u] = baseStart[u] + shift
-	}
-	hist = append(hist, baseHist[lo:]...)
-	for s := len(ov.touched); s < len(slotHist); s++ {
-		starts[ov.baseN+s-len(ov.touched)] = int32(len(hist))
-		hist = append(hist, slotHist[s]...)
-	}
-	starts[len(starts)-1] = int32(len(hist))
-	return hist
 }

@@ -60,9 +60,6 @@ func assertIdenticalAux(t *testing.T, want, got *Aux) {
 	if !reflect.DeepEqual(histNorm(want.inHist), histNorm(got.inHist)) {
 		t.Fatalf("inHist: got %v, want %v", got.inHist, want.inHist)
 	}
-	if !slices.Equal(want.outByLabel, got.outByLabel) || !slices.Equal(want.inByLabel, got.inByLabel) {
-		t.Fatalf("grouped lists: got %v / %v, want %v / %v", got.outByLabel, got.inByLabel, want.outByLabel, want.inByLabel)
-	}
 	if !slices.Equal(want.mask, got.mask) {
 		t.Fatalf("masks: got %x, want %x", got.mask, want.mask)
 	}

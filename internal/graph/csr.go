@@ -14,10 +14,11 @@ import "slices"
 // of the exact baselines (RegionInto) and StrongSim's balls (BallInto,
 // Graph.CSRInto) are all FragCSR views of the parent graph.
 //
-// A view built from a node list keeps a dense position index over the
-// parent's nodes, 8 bytes per node; RegionInto's walk marks its
-// discoveries in that same index. A fragment's view keeps none: the
-// fragment knows its members' positions, and PosOf asks it.
+// A view built from a node list keeps a table of its nodes' positions,
+// sized by the view and not by the parent (the posTable a Fragment keeps
+// too); RegionInto's walk marks its discoveries in that same table. A
+// fragment's view keeps none: the fragment knows its members' positions,
+// and PosOf asks it.
 //
 // A FragCSR is owned by exactly one query evaluation at a time (see the
 // scratch pools on Aux and the ball pools of the matcher packages); it is
@@ -33,43 +34,10 @@ type FragCSR struct {
 	// by the FragCSR; do not modify.
 	Orig []NodeID
 
-	index posIndex  // positions of a view built from a node list
+	index posTable  // positions of a view built from a node list
 	frag  *Fragment // the fragment a fragment view was built from, else nil
 	next  []int32   // counting-sort cursor scratch
 }
-
-// posIndex maps parent nodes to positions in a dense array,
-// epoch-stamped so reuse across queries needs no O(|V|) clear:
-// pos[v] = epoch<<32 | position.
-type posIndex struct {
-	pos   []uint64
-	epoch uint32
-}
-
-// renew empties the index for a graph of n nodes. A pooled FragCSR serves
-// successive snapshots of a growing graph: regrow with headroom, so that
-// a node added per publish does not cost 8·|V| bytes per publish.
-func (x *posIndex) renew(n int) {
-	if len(x.pos) < n {
-		x.pos = make([]uint64, n+n/8)
-		x.epoch = 0
-	}
-	x.epoch++
-	if x.epoch == 0 { // wrapped: stale stamps could collide, clear once
-		clear(x.pos)
-		x.epoch = 1
-	}
-}
-
-// get returns v's position, or -1 if v has none this epoch.
-func (x *posIndex) get(v NodeID) int32 {
-	if p := x.pos[v]; uint32(p>>32) == x.epoch {
-		return int32(uint32(p))
-	}
-	return -1
-}
-
-func (x *posIndex) set(v NodeID, p int32) { x.pos[v] = uint64(x.epoch)<<32 | uint64(uint32(p)) }
 
 // sized returns s resized to n, reallocating only on growth. Contents are
 // unspecified; callers overwrite or clear as needed.
@@ -96,9 +64,6 @@ func (c *FragCSR) PosOf(v NodeID) int32 {
 	if c.frag != nil {
 		return c.frag.PosOf(v)
 	}
-	if int(v) >= len(c.index.pos) {
-		return -1
-	}
 	return c.index.get(v)
 }
 
@@ -120,29 +85,43 @@ func (c *FragCSR) HasEdge(i, j int32) bool {
 	return containsSorted(c.Out(i), j)
 }
 
+// containsSorted reports whether v occurs in the ascending slice adj, by
+// closure-free binary search (the FragCSR edge probe sits on the VF2
+// inner loop).
+func containsSorted(adj []int32, v int32) bool {
+	lo, hi := 0, len(adj)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if adj[mid] < v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo < len(adj) && adj[lo] == v
+}
+
 // CSRInto materializes the subgraph of g induced by nodes into c, reusing
 // c's backing slices: every edge of g with both endpoints in nodes is
 // kept. Duplicate entries in nodes are ignored; position order follows the
 // first occurrence of each node. Each adjacency segment comes out sorted
-// ascending, so matchers explore candidates in a deterministic order
-// independent of how the node list was produced. A node's out-list is
-// scanned, or probed for every position when it is more than ScanRatio
-// times longer (see Fragment.InducedEdgeCost), so a hub in a small
-// subgraph costs O(|nodes|·log d), not O(d).
+// ascending by position, so matchers explore candidates in a
+// deterministic order independent of how the node list was produced. A
+// node's out-list is scanned, or probed for every position when it is
+// more than ScanRatio times longer (see Fragment.InducedEdgeCost), so a
+// hub in a small subgraph costs O(|nodes|·log d), not O(d).
 func (g *Graph) CSRInto(nodes []NodeID, c *FragCSR) {
-	c.index.renew(g.NumNodes())
+	c.index.clear()
 	// Claim positions in first-occurrence order, deduplicating via the
-	// fresh epoch stamps.
+	// emptied table.
 	if cap(c.Orig) < len(nodes) {
 		c.Orig = make([]NodeID, 0, len(nodes))
 	}
 	c.Orig = c.Orig[:0]
 	for _, v := range nodes {
-		if c.index.get(v) >= 0 {
-			continue
+		if c.index.add(v, int32(len(c.Orig))) {
+			c.Orig = append(c.Orig, v)
 		}
-		c.index.set(v, int32(len(c.Orig)))
-		c.Orig = append(c.Orig, v)
 	}
 	g.buildCSR(c)
 }
@@ -171,7 +150,7 @@ func (g *Graph) buildCSR(c *FragCSR) {
 			// A hub: probe its list for each position, which appends the
 			// segment already in position order.
 			for p, w := range c.Orig {
-				if containsSorted(out, w) {
+				if g.adjHas(out, w) {
 					c.OutAdj = append(c.OutAdj, int32(p))
 				}
 			}

@@ -147,8 +147,9 @@ func (f *Fragment) stage(v NodeID) {
 }
 
 // membersIn appends to dst the positions of the fragment nodes that occur
-// in the ascending list adj, ascending, reading whichever side is smaller,
-// and reports whether self (NoNode for none) occurs in adj too.
+// in adj, a parent list in adjacency order, ascending, reading whichever
+// side is smaller, and reports whether self (NoNode for none) occurs in
+// adj too.
 func (f *Fragment) membersIn(adj []NodeID, self NodeID, dst []int32) (_ []int32, hasSelf bool) {
 	if len(adj) <= ScanRatio*len(f.order) {
 		for _, w := range adj {
@@ -165,11 +166,11 @@ func (f *Fragment) membersIn(adj []NodeID, self NodeID, dst []int32) (_ []int32,
 		return dst, hasSelf
 	}
 	for p, w := range f.order {
-		if containsSorted(adj, w) {
+		if f.parent.adjHas(adj, w) {
 			dst = append(dst, int32(p))
 		}
 	}
-	return dst, self != NoNode && containsSorted(adj, self)
+	return dst, self != NoNode && f.parent.adjHas(adj, self)
 }
 
 // Add inserts v and its induced edges, returning the size increase
@@ -212,7 +213,7 @@ func (f *Fragment) AddCost(v NodeID) {
 
 	f.member[v>>6] |= 1 << (uint(v) & 63)
 	f.order = append(f.order, v)
-	f.index.put(v, n, f.order)
+	f.index.add(v, n)
 	l := f.parent.LabelOf(v)
 	for int(l) >= len(f.byLabel) {
 		f.byLabel = append(f.byLabel, nil)
@@ -233,14 +234,16 @@ func (f *Fragment) NodesLabeled(l LabelID) []NodeID {
 	return f.byLabel[l]
 }
 
-// posTable maps a fragment's members to their positions: open addressing
-// with linear probing over a power-of-two table kept at most half full,
-// sized by the fragment rather than by |V|. Slots are epoch-stamped, so
+// posTable maps nodes to their positions — a fragment's members, or the
+// nodes of a FragCSR view built from a node list: open addressing with
+// linear probing over a power-of-two table kept at most half full, sized
+// by the nodes it holds rather than by |V|. Slots are epoch-stamped, so
 // clear empties the table in O(1).
 type posTable struct {
 	slots []posSlot
 	shift uint8 // 32 - log2(len(slots)): hashes keep their top bits
 	epoch uint32
+	n     int // entries this epoch
 }
 
 type posSlot struct {
@@ -249,50 +252,62 @@ type posSlot struct {
 	epoch uint32
 }
 
-// minPosSlots is the smallest table; it holds a 32-node fragment.
+// minPosSlots is the smallest table; it holds 32 nodes.
 const minPosSlots = 64
 
 func (t *posTable) home(v NodeID) uint32 { return uint32(v) * 0x9E3779B1 >> t.shift }
 
-// get returns the position of the member v.
+// get returns v's position, or -1 when the table does not hold v: the
+// probe stops at the first slot empty this epoch.
 func (t *posTable) get(v NodeID) int32 {
+	if len(t.slots) == 0 {
+		return -1
+	}
 	mask := uint32(len(t.slots) - 1)
 	for i := t.home(v); ; i = (i + 1) & mask {
-		if s := &t.slots[i]; s.v == v && s.epoch == t.epoch {
+		s := &t.slots[i]
+		if s.epoch != t.epoch {
+			return -1
+		}
+		if s.v == v {
 			return s.pos
 		}
 	}
 }
 
-// put records the new member v at position pos; members lists every
-// member, v included, by position, for rehashing when the table grows.
-func (t *posTable) put(v NodeID, pos int32, members []NodeID) {
-	if 2*len(members) > len(t.slots) {
-		size := max(minPosSlots, len(t.slots))
-		for 2*len(members) > size {
-			size <<= 1
-		}
+// add records v at position pos unless the table holds v already, and
+// reports whether it did: one probe sequence both tests and claims. The
+// table doubles when it would be more than half full.
+func (t *posTable) add(v NodeID, pos int32) bool {
+	if 2*(t.n+1) > len(t.slots) {
+		old, live := t.slots, t.epoch
+		size := max(minPosSlots, 2*len(old))
 		t.slots = make([]posSlot, size)
 		t.shift = uint8(32 - bits.Len(uint(size-1)))
-		t.epoch = 1
-		for p, w := range members[:len(members)-1] {
-			t.insert(w, int32(p))
+		t.epoch, t.n = 1, 0
+		for _, s := range old {
+			if s.epoch == live {
+				t.add(s.v, s.pos)
+			}
 		}
 	}
-	t.insert(v, pos)
-}
-
-func (t *posTable) insert(v NodeID, pos int32) {
 	mask := uint32(len(t.slots) - 1)
-	i := t.home(v)
-	for t.slots[i].epoch == t.epoch {
-		i = (i + 1) & mask
+	for i := t.home(v); ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.epoch != t.epoch {
+			*s = posSlot{v: v, pos: pos, epoch: t.epoch}
+			t.n++
+			return true
+		}
+		if s.v == v {
+			return false
+		}
 	}
-	t.slots[i] = posSlot{v: v, pos: pos, epoch: t.epoch}
 }
 
 // clear empties the table, keeping its slots.
 func (t *posTable) clear() {
+	t.n = 0
 	t.epoch++
 	if t.epoch == 0 { // wrapped: stale stamps could read as live
 		clear(t.slots)

@@ -9,6 +9,12 @@
 // in-neighbor lists so that the r-hop neighborhoods N_r(v) of the paper —
 // which follow edges in either direction — can be enumerated cheaply.
 //
+// Every neighbor list is in adjacency order: grouped by the neighbor's
+// label, blocks in ascending LabelID, ids ascending within a block. The
+// blocks are what the offline histograms of Aux count (see Aux.OutBlock),
+// so the reduction reads the neighbors of one label without a second,
+// label-grouped copy of the graph.
+//
 // The paper measures |G| as the total number of nodes plus edges; Size
 // implements exactly that convention, and every resource budget α|G| in the
 // sibling packages is expressed in those units.
@@ -43,6 +49,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"unsafe"
 )
 
 // NodeID identifies a node of a Graph. IDs are dense: a graph with n nodes
@@ -72,7 +79,7 @@ type Graph struct {
 	// CSR offsets are int32: |E| < 2³¹, as every loader and Build
 	// require.
 	outStart []int32  // len = n+1; out-neighbors of v are outAdj[outStart[v]:outStart[v+1]]
-	outAdj   []NodeID // sorted ascending within each node's segment
+	outAdj   []NodeID // each node's segment in adjacency order: by label, then id
 	inStart  []int32
 	inAdj    []NodeID
 
@@ -177,8 +184,9 @@ func (g *Graph) NodesWithLabel(l LabelID) []NodeID {
 	return g.labelNodes[g.labelStart[l]:g.labelStart[l+1]]
 }
 
-// Out returns the out-neighbors (children) of v in ascending order. The
-// slice is shared with the graph and must not be modified.
+// Out returns the out-neighbors (children) of v in adjacency order —
+// grouped by label, blocks in ascending LabelID, ids ascending within a
+// block. The slice is shared with the graph and must not be modified.
 func (g *Graph) Out(v NodeID) []NodeID {
 	if g.ov == nil {
 		return g.outAdj[g.outStart[v]:g.outStart[v+1]]
@@ -195,8 +203,8 @@ func (g *Graph) outOverlay(v NodeID) []NodeID {
 	return g.outAdj[g.outStart[v]:g.outStart[v+1]]
 }
 
-// In returns the in-neighbors (parents) of v in ascending order. The slice
-// is shared with the graph and must not be modified.
+// In returns the in-neighbors (parents) of v in adjacency order (see Out).
+// The slice is shared with the graph and must not be modified.
 func (g *Graph) In(v NodeID) []NodeID {
 	if g.ov == nil {
 		return g.inAdj[g.inStart[v]:g.inStart[v+1]]
@@ -233,26 +241,32 @@ func (g *Graph) InDegree(v NodeID) int {
 // the paper's dynamic reduction.
 func (g *Graph) Degree(v NodeID) int { return g.OutDegree(v) + g.InDegree(v) }
 
-// containsSorted reports whether v occurs in the ascending slice adj, by
-// closure-free binary search (shared by the Graph and FragCSR edge probes
-// on the reduction-cost and VF2 inner loops).
-func containsSorted[T ~int32](adj []T, v T) bool {
+// adjBefore reports whether a precedes b in adjacency order.
+func (g *Graph) adjBefore(a, b NodeID) bool {
+	la, lb := g.LabelOf(a), g.LabelOf(b)
+	return la < lb || la == lb && a < b
+}
+
+// adjHas reports whether w occurs in adj, a neighbor list of g in
+// adjacency order, by binary search on the key (label, id).
+func (g *Graph) adjHas(adj []NodeID, w NodeID) bool {
+	lw := g.LabelOf(w)
 	lo, hi := 0, len(adj)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if adj[mid] < v {
+		if x := adj[mid]; g.LabelOf(x) < lw || g.LabelOf(x) == lw && x < w {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo < len(adj) && adj[lo] == v
+	return lo < len(adj) && adj[lo] == w
 }
 
 // HasEdge reports whether the edge (u, v) exists, by binary search over
-// u's sorted out-neighbor list.
+// u's out-neighbor list.
 func (g *Graph) HasEdge(u, v NodeID) bool {
-	return containsSorted(g.Out(u), v)
+	return g.adjHas(g.Out(u), v)
 }
 
 // MaxDegree returns the maximum Degree over all nodes (the paper's d_G when
@@ -260,9 +274,32 @@ func (g *Graph) HasEdge(u, v NodeID) bool {
 // at build time and returned in O(1).
 func (g *Graph) MaxDegree() int { return g.maxDegree }
 
+// Resident is what a structure holds in memory: cap × element size summed
+// over its arrays, split by what sizes each array — the node count
+// (labels, offsets, masks, the label index and other per-node tables) or
+// the edge count (neighbor lists, histograms). The label alphabet's
+// strings and map are not counted.
+type Resident struct{ NodeBytes, EdgeBytes int64 }
+
+// bytesOf is the bytes s's backing array holds.
+func bytesOf[T any](s []T) int64 {
+	var z T
+	return int64(cap(s)) * int64(unsafe.Sizeof(z))
+}
+
+// ResidentBytes returns the bytes the graph's arrays hold. An overlay
+// view counts the base arrays it shares, not its per-touched-node lists.
+func (g *Graph) ResidentBytes() Resident {
+	return Resident{
+		NodeBytes: bytesOf(g.labels) + bytesOf(g.outStart) + bytesOf(g.inStart) +
+			bytesOf(g.labelStart) + bytesOf(g.labelNodes) + bytesOf(g.degCount),
+		EdgeBytes: bytesOf(g.outAdj) + bytesOf(g.inAdj),
+	}
+}
+
 // Validate checks internal consistency (CSR monotonicity, in/out symmetry,
-// sorted adjacency, label tables). It is O(|G|) and intended for tests and
-// data loaders. Overlay views are validated through the same accessor
+// every list strictly in adjacency order, label tables). It is O(|G|) and
+// intended for tests and data loaders. Overlay views are validated through the same accessor
 // surface the engines use, so a broken merge cannot hide behind the base
 // arrays.
 func (g *Graph) Validate() error {
@@ -286,8 +323,8 @@ func (g *Graph) Validate() error {
 			if w < 0 || int(w) >= n {
 				return fmt.Errorf("graph: edge (%d,%d) out of range", v, w)
 			}
-			if i > 0 && out[i-1] >= w {
-				return fmt.Errorf("graph: out-adjacency of %d not strictly sorted", v)
+			if i > 0 && !g.adjBefore(out[i-1], w) {
+				return fmt.Errorf("graph: out-adjacency of %d not strictly in (label, id) order", v)
 			}
 		}
 		in := g.In(NodeID(v))
@@ -296,8 +333,8 @@ func (g *Graph) Validate() error {
 			if w < 0 || int(w) >= n {
 				return fmt.Errorf("graph: in-edge (%d,%d) out of range", w, v)
 			}
-			if i > 0 && in[i-1] >= w {
-				return fmt.Errorf("graph: in-adjacency of %d not strictly sorted", v)
+			if i > 0 && !g.adjBefore(in[i-1], w) {
+				return fmt.Errorf("graph: in-adjacency of %d not strictly in (label, id) order", v)
 			}
 			if !g.HasEdge(w, NodeID(v)) {
 				return fmt.Errorf("graph: in-edge (%d,%d) missing from out lists", w, v)
@@ -339,12 +376,15 @@ func (g *Graph) Validate() error {
 // Duplicate edges are coalesced; self-loops are kept (the paper's data
 // graphs permit them). Builders are not safe for concurrent use.
 //
-// Edges are held in one of two shapes. While every AddEdge so far was
-// strictly above the one before it in (from, to) order — what the codecs,
-// Save, graphgen and compaction emit — the out-CSR is written in place:
+// Edges are held in one of two shapes. While no AddEdge so far came from
+// a source below the one before it, the out-CSR is written in place:
 // outAdj holds the targets and outStart[v] the start of v's segment, for
-// every v up to the last source seen. The first edge that breaks the
-// order moves everything into edges, which Build sorts and deduplicates.
+// every v up to the last source seen. Build keeps that CSR when every
+// segment is strictly in adjacency order, by label and then id — the
+// order Out lists a graph's edges in, and so what the codecs, Save,
+// graphgen and compaction emit. An edge from a lower source, or a
+// segment out of that order at Build, moves everything into edges, which
+// Build sorts and deduplicates.
 type Builder struct {
 	labels     []LabelID
 	labelNames []string
@@ -415,10 +455,11 @@ func (b *Builder) AddEdge(from, to NodeID) {
 		panic(fmt.Sprintf("graph: AddEdge(%d,%d) with %d nodes", from, to, len(b.labels)))
 	}
 	if !b.unsorted {
-		// last is the latest source seen; its segment is never empty, so
-		// outAdj's final entry is the target to stay above.
+		// last is the latest source seen. Its segment takes targets in any
+		// order; Build checks it (see inOrder), in one pass whose label
+		// reads overlap rather than stall the decoder feeding AddEdge.
 		last := NodeID(len(b.outStart)) - 1
-		if from > last || (from == last && to > b.outAdj[len(b.outAdj)-1]) {
+		if from >= last {
 			if int(from) >= cap(b.outStart) {
 				// One entry per node is all outStart can ever hold.
 				b.outStart = slices.Grow(b.outStart, max(len(b.labels), 2*cap(b.outStart))-len(b.outStart))
@@ -432,6 +473,24 @@ func (b *Builder) AddEdge(from, to NodeID) {
 		b.spill()
 	}
 	b.edges = append(b.edges, edge{from, to})
+}
+
+// inOrder reports whether every segment written in place is strictly in
+// adjacency order.
+func (b *Builder) inOrder() bool {
+	for v, lo := range b.outStart {
+		hi := int32(len(b.outAdj))
+		if v+1 < len(b.outStart) {
+			hi = b.outStart[v+1]
+		}
+		for i := lo + 1; i < hi; i++ {
+			x, y := b.outAdj[i-1], b.outAdj[i]
+			if lx, ly := b.labels[x], b.labels[y]; lx > ly || lx == ly && x >= y {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // spill leaves the sorted shape: the CSR written so far becomes an edge
@@ -450,49 +509,49 @@ func (b *Builder) spill() {
 	b.outStart, b.outAdj, b.unsorted = nil, nil, true
 }
 
-// sortEdges sorts b.edges by (from, to) with a two-pass LSD counting sort
-// (radix on the node id): O(|V| + |E|), no comparator and no reflection,
-// which keeps Build linear on multi-million-edge graphs.
+// sortEdges sorts b.edges into (from, label(to), to) order by three
+// stable counting passes — an LSD radix sort keyed on to, on to's label,
+// then on from: O(|V| + |E|), no comparator and no reflection, which keeps
+// Build linear on multi-million-edge graphs.
 func (b *Builder) sortEdges(n int) {
-	m := len(b.edges)
-	if m < 2 {
+	if len(b.edges) < 2 {
 		return
 	}
-	tmp := make([]edge, m)
+	tmp := make([]edge, len(b.edges))
 	// int64 counters: the edge list may still hold duplicates, so its
 	// cumulative counts may exceed the int32 the deduplicated CSR fits.
-	count := make([]int64, n+1)
-	// Pass 1: stable counting sort by to.
-	for _, e := range b.edges {
-		count[e.to+1]++
-	}
-	for v := 0; v < n; v++ {
-		count[v+1] += count[v]
-	}
-	for _, e := range b.edges {
-		tmp[count[e.to]] = e
-		count[e.to]++
-	}
-	// Pass 2: stable counting sort by from; stability preserves the to
-	// order within each from segment, yielding (from, to) order overall.
+	count := make([]int64, max(n, len(b.labelNames))+1)
+	countingPass(tmp, b.edges, count[:n+1], func(e edge) int32 { return int32(e.to) })
+	countingPass(b.edges, tmp, count[:len(b.labelNames)+1], func(e edge) int32 { return int32(b.labels[e.to]) })
+	countingPass(tmp, b.edges, count[:n+1], func(e edge) int32 { return int32(e.from) })
+	b.edges = tmp
+}
+
+// countingPass writes src to dst stably sorted by key, whose values lie in
+// [0, len(count)-1).
+func countingPass(dst, src []edge, count []int64, key func(edge) int32) {
 	clear(count)
-	for _, e := range tmp {
-		count[e.from+1]++
+	for _, e := range src {
+		count[key(e)+1]++
 	}
-	for v := 0; v < n; v++ {
-		count[v+1] += count[v]
+	for k := 1; k < len(count); k++ {
+		count[k] += count[k-1]
 	}
-	for _, e := range tmp {
-		b.edges[count[e.from]] = e
-		count[e.from]++
+	for _, e := range src {
+		k := key(e)
+		dst[count[k]] = e
+		count[k]++
 	}
 }
 
 // outCSR returns the out-adjacency of the n nodes as fresh CSR arrays:
-// a copy of what AddEdge wrote in place for sorted input, and the sorted,
-// deduplicated edge list otherwise.
+// a copy of what AddEdge wrote in place for input in adjacency order, and
+// the sorted, deduplicated edge list otherwise.
 func (b *Builder) outCSR(n int) (outStart []int32, outAdj []NodeID) {
 	outStart = make([]int32, n+1)
+	if !b.unsorted && !b.inOrder() {
+		b.spill()
+	}
 	if !b.unsorted {
 		// Sources past the last one seen have empty segments.
 		k := copy(outStart, b.outStart)
@@ -539,27 +598,6 @@ func (b *Builder) Build() *Graph {
 		inAdj:      make([]NodeID, m),
 	}
 
-	// In CSR via counting sort on the target, with the counts kept one
-	// slot to the right of where the offsets end up: after the prefix sum
-	// inStart[w+1] is where w's segment starts, the scatter advances it to
-	// where the segment ends — the start of w+1's — and the array is in its
-	// final form with no separate cursor array. Sources are scanned in
-	// ascending order, so each in-segment comes out sorted.
-	inStart := make([]int32, n+2)
-	for _, w := range outAdj {
-		inStart[w+2]++
-	}
-	for v := 0; v < n; v++ {
-		inStart[v+2] += inStart[v+1]
-	}
-	for v := 0; v < n; v++ {
-		for _, w := range outAdj[outStart[v]:outStart[v+1]] {
-			g.inAdj[inStart[w+1]] = NodeID(v)
-			inStart[w+1]++
-		}
-	}
-	g.inStart = inStart[:n+1]
-
 	// Label index CSR via counting sort on the (dense) label ids; segments
 	// come out ascending because nodes are scanned in ascending order.
 	nl := len(g.labelNames)
@@ -573,16 +611,38 @@ func (b *Builder) Build() *Graph {
 	g.labelNodes = make([]NodeID, n)
 	lnext := make([]int32, nl)
 	copy(lnext, g.labelStart[:nl])
-	for v := 0; v < n; v++ {
-		l := g.labels[v]
+	for v, l := range g.labels {
 		g.labelNodes[lnext[l]] = NodeID(v)
 		lnext[l]++
-		if d := g.Degree(NodeID(v)); d > g.maxDegree {
-			g.maxDegree = d
+	}
+
+	// In CSR via counting sort on the target, with the counts kept one
+	// slot to the right of where the offsets end up: after the prefix sum
+	// inStart[w+1] is where w's segment starts, the scatter advances it to
+	// where the segment ends — the start of w+1's — and the array is in its
+	// final form with no separate cursor array. Sources are scanned in the
+	// label index's order, by label and then id, so each in-segment comes
+	// out in adjacency order.
+	inStart := make([]int32, n+2)
+	for _, w := range outAdj {
+		inStart[w+2]++
+	}
+	for v := 0; v < n; v++ {
+		inStart[v+2] += inStart[v+1]
+	}
+	for _, v := range g.labelNodes {
+		for _, w := range outAdj[outStart[v]:outStart[v+1]] {
+			g.inAdj[inStart[w+1]] = v
+			inStart[w+1]++
 		}
 	}
+	g.inStart = inStart[:n+1]
+
 	// Per-degree node counts, so overlay views can keep MaxDegree exact
 	// under deletions (see overlay.go) without rescanning the graph.
+	for v := 0; v < n; v++ {
+		g.maxDegree = max(g.maxDegree, g.Degree(NodeID(v)))
+	}
 	g.degCount = make([]int32, g.maxDegree+1)
 	for v := 0; v < n; v++ {
 		g.degCount[g.Degree(NodeID(v))]++

@@ -51,22 +51,18 @@ func (g *Graph) BFS(start NodeID, dir Direction, maxDepth int, visit func(v Node
 }
 
 // walkSeen is a walk's visited marker: a pooled Visited, or the position
-// index of the FragCSR a region is materialized into, which then records
+// table of the FragCSR a region is materialized into, which then records
 // each node's discovery position — its index in the BFS queue.
 type walkSeen struct {
 	vis *Visited
-	idx *posIndex
+	idx *posTable
 }
 
 // discover marks w, the queue's p-th node, and reports whether it was
 // unmarked.
 func (s walkSeen) discover(w NodeID, p int) bool {
 	if s.idx != nil {
-		if s.idx.get(w) >= 0 {
-			return false
-		}
-		s.idx.set(w, int32(p))
-		return true
+		return s.idx.add(w, int32(p))
 	}
 	if s.vis.Seen(w) {
 		return false
@@ -87,10 +83,10 @@ func (s walkSeen) discover(w NodeID, p int) bool {
 // neither visited nor expanded, so the walk stays inside the connected
 // part of start that carries those labels. start itself is exempt.
 //
-// A non-nil idx, renewed for g by the caller, is the visited marker: it
-// ends up mapping every discovered node to its discovery position.
+// A non-nil idx, emptied by the caller, is the visited marker: it ends up
+// mapping every discovered node to its discovery position.
 // Otherwise the walk borrows a Visited from the graph's pool.
-func (g *Graph) walk(start NodeID, dir Direction, maxDepth int, visit func(v NodeID, depth int) bool, order []NodeID, done <-chan struct{}, within []uint64, idx *posIndex) (_ []NodeID, complete bool) {
+func (g *Graph) walk(start NodeID, dir Direction, maxDepth int, visit func(v NodeID, depth int) bool, order []NodeID, done <-chan struct{}, within []uint64, idx *posTable) (_ []NodeID, complete bool) {
 	seen := walkSeen{idx: idx}
 	if idx == nil {
 		seen.vis = g.AcquireVisited()
@@ -224,9 +220,9 @@ func (g *Graph) RegionInto(v NodeID, r int, labels []LabelID, c *FragCSR, done <
 		tr.labels = labelSet(tr.labels, g.NumLabels(), labels)
 		within = tr.labels
 	}
-	// The walk claims each node's position in c's own index as it
+	// The walk claims each node's position in c's own table as it
 	// discovers it, in the order it appends the node to c.Orig.
-	c.index.renew(g.NumNodes())
+	c.index.clear()
 	if c.Orig == nil {
 		c.Orig = make([]NodeID, 0, 64)
 	}

@@ -20,7 +20,7 @@ import (
 //
 //   - The base graph is never mutated: an overlay view shares the base's
 //     CSR arrays and label tables and layers per-touched-node merged
-//     adjacency slices (sorted ascending, exactly as a from-scratch
+//     adjacency slices (in adjacency order, exactly as a from-scratch
 //     build would produce) on top. Sealing is O(delta), not O(|G|).
 //   - Node labels are immutable and nodes are never deleted, so label →
 //     node lists only ever grow (new nodes appended; their ids exceed
@@ -45,7 +45,7 @@ type overlay struct {
 	// Slot i of out/in belongs to touched[i] for i < len(touched) and to
 	// new node baseN+(i-len(touched)) beyond that. Slices for the
 	// unchanged direction of a touched node alias the base CSR (zero
-	// copy); changed directions are freshly merged, sorted ascending.
+	// copy); changed directions are freshly merged, in adjacency order.
 	touched []NodeID
 	out, in [][]NodeID
 
@@ -114,17 +114,6 @@ func sortEdgePairs(es [][2]NodeID) {
 			return int(a[0]) - int(b[0])
 		}
 		return int(a[1]) - int(b[1])
-	})
-}
-
-// sortEdgePairsByTo sorts edge pairs by (to, from), for grouping the
-// in-direction changes.
-func sortEdgePairsByTo(es [][2]NodeID) {
-	slices.SortFunc(es, func(a, b [2]NodeID) int {
-		if a[1] != b[1] {
-			return int(a[1]) - int(b[1])
-		}
-		return int(a[0]) - int(b[0])
 	})
 }
 
@@ -227,18 +216,17 @@ func (g *Graph) WithOverlay(d OverlayDelta) (*Graph, error) {
 	}
 	slices.Sort(ov.touched)
 
-	// Group the edge changes per endpoint. outAdd[v]/outDel[v] hold the
-	// targets of changed out-edges of v sorted ascending (edge pairs are
-	// (from,to)-sorted, so per-from segments come out sorted); inAdd/
-	// inDel are the mirror, built from a (to,from)-sorted copy.
-	outAdd := groupByFrom(addEdges)
-	outDel := groupByFrom(delEdges)
-	byTo := append([][2]NodeID(nil), addEdges...)
-	sortEdgePairsByTo(byTo)
-	inAdd := groupByTo(byTo)
-	byTo = append(byTo[:0], delEdges...)
-	sortEdgePairsByTo(byTo)
-	inDel := groupByTo(byTo)
+	// Group the edge changes per endpoint, each group in the view's
+	// adjacency order: outAdd[v]/outDel[v] hold the targets of changed
+	// out-edges of v, inAdd/inDel the sources of changed in-edges.
+	cmp := func(a, b NodeID) int {
+		if la, lb := labelIn(g, newLabels, a), labelIn(g, newLabels, b); la != lb {
+			return int(la) - int(lb)
+		}
+		return int(a) - int(b)
+	}
+	outAdd, outDel := groupEnds(addEdges, 0, cmp), groupEnds(delEdges, 0, cmp)
+	inAdd, inDel := groupEnds(addEdges, 1, cmp), groupEnds(delEdges, 1, cmp)
 
 	// Merge adjacency for every slot. Untouched directions alias the
 	// base CSR slice.
@@ -258,12 +246,12 @@ func (g *Graph) WithOverlay(d OverlayDelta) (*Graph, error) {
 		if a, del := outAdd[v], outDel[v]; len(a) == 0 && len(del) == 0 {
 			ov.out[i] = g.Out(v)
 		} else {
-			ov.out[i] = mergeAdj(g.Out(v), a, del)
+			ov.out[i] = mergeAdj(g.Out(v), a, del, cmp)
 		}
 		if a, del := inAdd[v], inDel[v]; len(a) == 0 && len(del) == 0 {
 			ov.in[i] = g.In(v)
 		} else {
-			ov.in[i] = mergeAdj(g.In(v), a, del)
+			ov.in[i] = mergeAdj(g.In(v), a, del, cmp)
 		}
 		degCount = bump(oldDeg, -1)
 		degCount = bump(len(ov.out[i])+len(ov.in[i]), 1)
@@ -271,7 +259,7 @@ func (g *Graph) WithOverlay(d OverlayDelta) (*Graph, error) {
 	for i := 0; i < len(newLabels); i++ {
 		v := NodeID(baseN + i)
 		s := len(ov.touched) + i
-		ov.out[s] = outAdd[v] // already sorted, possibly nil
+		ov.out[s] = outAdd[v] // already in adjacency order, possibly nil
 		ov.in[s] = inAdd[v]
 		degCount = bump(len(ov.out[s])+len(ov.in[s]), 1)
 	}
@@ -314,10 +302,19 @@ func (g *Graph) WithOverlay(d OverlayDelta) (*Graph, error) {
 	return ng, nil
 }
 
-// mergeAdj returns base + adds - dels, ascending. adds and dels are
-// sorted, disjoint, and consistent with base (adds not present, dels
-// present).
-func mergeAdj(base, adds, dels []NodeID) []NodeID {
+// labelIn is the label of v in the view WithOverlay is sealing over g,
+// whose new nodes carry newLabels.
+func labelIn(g *Graph, newLabels []LabelID, v NodeID) LabelID {
+	if int(v) < len(g.labels) {
+		return g.labels[v]
+	}
+	return newLabels[int(v)-len(g.labels)]
+}
+
+// mergeAdj returns base + adds - dels in adjacency order, which cmp
+// decides. All three lists are in that order; adds and dels are disjoint
+// and consistent with base (adds not present, dels present).
+func mergeAdj(base, adds, dels []NodeID, cmp func(a, b NodeID) int) []NodeID {
 	out := make([]NodeID, 0, len(base)+len(adds)-len(dels))
 	ai, di := 0, 0
 	for _, w := range base {
@@ -325,7 +322,7 @@ func mergeAdj(base, adds, dels []NodeID) []NodeID {
 			di++
 			continue
 		}
-		for ai < len(adds) && adds[ai] < w {
+		for ai < len(adds) && cmp(adds[ai], w) < 0 {
 			out = append(out, adds[ai])
 			ai++
 		}
@@ -335,38 +332,25 @@ func mergeAdj(base, adds, dels []NodeID) []NodeID {
 	return out
 }
 
-// groupByFrom slices (from,to)-sorted edge pairs into per-from target
-// lists (sorted ascending, inheriting the pair order).
-func groupByFrom(es [][2]NodeID) map[NodeID][]NodeID {
+// groupEnds maps the node at end at (0 for the source, 1 for the target)
+// of each edge of es to the nodes at the other end, each list sorted by
+// cmp. The lists share one backing array.
+func groupEnds(es [][2]NodeID, at int, cmp func(a, b NodeID) int) map[NodeID][]NodeID {
+	es = slices.Clone(es)
+	slices.SortFunc(es, func(x, y [2]NodeID) int { return int(x[at]) - int(y[at]) })
 	m := make(map[NodeID][]NodeID)
-	for lo := 0; lo < len(es); {
-		hi := lo
-		for hi < len(es) && es[hi][0] == es[lo][0] {
-			hi++
-		}
-		targets := make([]NodeID, 0, hi-lo)
-		for _, e := range es[lo:hi] {
-			targets = append(targets, e[1])
-		}
-		m[es[lo][0]] = targets
-		lo = hi
+	others := make([]NodeID, len(es))
+	for i, e := range es {
+		others[i] = e[1-at]
 	}
-	return m
-}
-
-// groupByTo groups (to,from)-sorted pairs by to (sources = from).
-func groupByTo(es [][2]NodeID) map[NodeID][]NodeID {
-	m := make(map[NodeID][]NodeID)
 	for lo := 0; lo < len(es); {
-		hi := lo
-		for hi < len(es) && es[hi][1] == es[lo][1] {
+		hi := lo + 1
+		for hi < len(es) && es[hi][at] == es[lo][at] {
 			hi++
 		}
-		sources := make([]NodeID, 0, hi-lo)
-		for _, e := range es[lo:hi] {
-			sources = append(sources, e[0])
-		}
-		m[es[lo][1]] = sources
+		l := others[lo:hi:hi]
+		slices.SortFunc(l, cmp)
+		m[es[lo][at]] = l
 		lo = hi
 	}
 	return m
@@ -375,13 +359,12 @@ func groupByTo(es [][2]NodeID) map[NodeID][]NodeID {
 // --- patched Aux views -------------------------------------------------
 
 // auxOverlay carries the per-touched-node overrides of a patched Aux:
-// label histograms, label-grouped lists and presence masks. Slots align
-// with the graph overlay's: touched base nodes first, new nodes after.
+// label histograms and presence masks. Slots align with the graph
+// overlay's: touched base nodes first, new nodes after.
 type auxOverlay struct {
-	ov                    *overlay
-	outHist, inHist       [][]LabelCount
-	outByLabel, inByLabel [][]NodeID
-	mask                  []uint32
+	ov              *overlay
+	outHist, inHist [][]LabelCount
+	mask            []uint32
 }
 
 // outOf / inOf are the patched-Aux slow paths of OutLabelHist /
@@ -404,14 +387,14 @@ func (p *auxOverlay) inOf(a *Aux, v NodeID) []LabelCount {
 // InBlock / LabelMask.
 func (p *auxOverlay) outBlock(a *Aux, v NodeID, l LabelID) []NodeID {
 	if s := p.ov.slotOf(v); s >= 0 {
-		return block(p.outByLabel[s], p.outHist[s], l)
+		return block(p.ov.out[s], p.outHist[s], l)
 	}
 	return a.hists.OutBlock(v, l)
 }
 
 func (p *auxOverlay) inBlock(a *Aux, v NodeID, l LabelID) []NodeID {
 	if s := p.ov.slotOf(v); s >= 0 {
-		return block(p.inByLabel[s], p.inHist[s], l)
+		return block(p.ov.in[s], p.inHist[s], l)
 	}
 	return a.hists.InBlock(v, l)
 }
@@ -444,52 +427,43 @@ func (a *Aux) PatchedFor(view *Graph) (*Aux, error) {
 	}
 	slots := len(ov.out)
 	p := &auxOverlay{
-		ov:         ov,
-		outHist:    make([][]LabelCount, slots),
-		inHist:     make([][]LabelCount, slots),
-		outByLabel: make([][]NodeID, slots),
-		inByLabel:  make([][]NodeID, slots),
-		mask:       make([]uint32, slots),
+		ov:      ov,
+		outHist: make([][]LabelCount, slots),
+		inHist:  make([][]LabelCount, slots),
+		mask:    make([]uint32, slots),
 	}
 	// The same construction BuildAux runs (see histBuilder), against the
 	// merged view's labels and adjacency, into arenas sized up front: a
 	// histogram has at most one entry per neighbor and per label.
 	nl := view.NumLabels()
-	var outEdges, inEdges, outCap, inCap int
+	var outCap, inCap int
 	for s := 0; s < slots; s++ {
-		outEdges += len(ov.out[s])
 		outCap += min(len(ov.out[s]), nl)
-		inEdges += len(ov.in[s])
 		inCap += min(len(ov.in[s]), nl)
 	}
 	outArena, inArena := make([]LabelCount, 0, outCap), make([]LabelCount, 0, inCap)
-	outGrouped, inGrouped := make([]NodeID, outEdges), make([]NodeID, inEdges)
-	hb := newHistBuilder(view)
-	build := func(arena *[]LabelCount, grouped *[]NodeID, neigh []NodeID, shift uint) ([]LabelCount, []NodeID, uint32) {
+	hb := &histBuilder{g: view}
+	build := func(arena *[]LabelCount, neigh []NodeID, shift uint) ([]LabelCount, uint32) {
 		lo := len(*arena)
-		seg := (*grouped)[:len(neigh):len(neigh)]
-		*grouped = (*grouped)[len(neigh):]
 		var m uint32
-		*arena, m = hb.appendList(*arena, seg, neigh, shift)
-		return (*arena)[lo:len(*arena):len(*arena)], seg, m
+		*arena, m = hb.appendList(*arena, neigh, shift)
+		return (*arena)[lo:len(*arena):len(*arena)], m
 	}
 	for s := 0; s < slots; s++ {
 		var outMask, inMask uint32
-		p.outHist[s], p.outByLabel[s], outMask = build(&outArena, &outGrouped, ov.out[s], maskOut)
-		p.inHist[s], p.inByLabel[s], inMask = build(&inArena, &inGrouped, ov.in[s], maskIn)
+		p.outHist[s], outMask = build(&outArena, ov.out[s], maskOut)
+		p.inHist[s], inMask = build(&inArena, ov.in[s], maskIn)
 		p.mask[s] = outMask | inMask
 	}
 	na := &Aux{
-		g:          view,
-		outStart:   a.outStart,
-		outHist:    a.outHist,
-		inStart:    a.inStart,
-		inHist:     a.inHist,
-		outByLabel: a.outByLabel,
-		inByLabel:  a.inByLabel,
-		mask:       a.mask,
-		ov:         p,
-		pools:      a.pools,
+		g:        view,
+		outStart: a.outStart,
+		outHist:  a.outHist,
+		inStart:  a.inStart,
+		inHist:   a.inHist,
+		mask:     a.mask,
+		ov:       p,
+		pools:    a.pools,
 	}
 	// The overlay's fallbacks read the base through a.hists' arrays.
 	na.hists = a.hists

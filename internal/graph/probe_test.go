@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -11,26 +10,8 @@ import (
 // about half the graph — and self-loops, so that neighbor lists of every
 // length meet node sets of every size.
 func hubGraph(rng *rand.Rand, n, labels int) *Graph {
-	b := NewBuilder(n, 0)
-	for i := 0; i < n; i++ {
-		b.AddNode(fmt.Sprintf("L%d", rng.Intn(labels)))
-	}
-	for i := 0; i < 2*n; i++ {
-		b.AddEdge(NodeID(rng.Intn(n)), NodeID(rng.Intn(n)))
-	}
-	for h := 0; h < 3; h++ {
-		hub := NodeID(rng.Intn(n))
-		for i := 0; i < n/2; i++ {
-			b.AddEdge(hub, NodeID(rng.Intn(n)))
-			b.AddEdge(NodeID(rng.Intn(n)), hub)
-		}
-		b.AddEdge(hub, hub)
-	}
-	for i := 0; i < n/10; i++ {
-		v := NodeID(rng.Intn(n))
-		b.AddEdge(v, v)
-	}
-	return b.Build()
+	_, g := buildFrom(hubEdges(rng, n, labels))
+	return g
 }
 
 // probeViews returns a hub graph and an overlay view over it.

@@ -6,7 +6,7 @@ package graph
 // queue; both are pooled on the Graph itself so steady-state traversals
 // never touch the allocator, mirroring the per-engine scratch pools that
 // Aux owns for the query engines. RegionInto and BallInto borrow only
-// the queue: their walk marks nodes in the position index of the
+// the queue: their walk marks nodes in the position table of the
 // FragCSR it fills.
 
 // Visited is a pooled, epoch-stamped per-node marker for traversals over

@@ -31,9 +31,9 @@
 // potential — in a per-query memo (one more pairTable, keyed by the list,
 // over an arena of candidates); a later round replays the recorded
 // candidates. The first scan reads only the neighbors that can pass: the
-// Aux holds every list grouped by label (graph.Aux.OutBlock), so the scan
-// guards the block of target's label and never reads the labels of the
-// rest. Scan and replay alike charge Visited the whole list at once —
+// graph holds every list grouped by label and the Aux's histogram finds
+// each label's block (graph.Aux.OutBlock), so the scan guards the block of
+// target's label and never reads the labels of the rest. Scan and replay alike charge Visited the whole list at once —
 // unless the list holds the search's stop point, which the scan then
 // finds item by item — so Visited and the stop point are those of a scan
 // of every neighbor in every round. The memo needs no invalidation: Guard
@@ -722,9 +722,9 @@ func (e *engine) pick(v graph.NodeID, target pattern.NodeID, dir graph.Direction
 
 // scan reads one adjacency list for the first time in this query. Only
 // neighbours carrying target's label can pass the guarded condition, and
-// the Aux holds each list grouped by label, so scan charges the whole list
-// at once — as a replay does — and guards only the block of target's
-// label, ascending as the list is. It appends the survivors to the arena,
+// each list is grouped by label, so scan charges the whole list at once —
+// as a replay does — and guards only the block of target's label,
+// ascending by id as the block is. It appends the survivors to the arena,
 // memoizes the list under key (a list charge refused to replay keeps its
 // first record) and returns them, or false if the search stopped
 // mid-scan.
@@ -839,7 +839,7 @@ func (e *engine) cost(v graph.NodeID, u pattern.NodeID) float64 {
 
 // hasFragCandidate reports whether some dir-neighbor of v inside the
 // current fragment carries u's label. It reads whichever side is smaller:
-// v's neighbours of that label (a block of the Aux's label-grouped list),
+// v's neighbours of that label (a block of v's list, see Aux.OutBlock),
 // or the fragment's members of that label, binary-searched in the block
 // (see graph.ScanRatio) — the fragment is capped at α|G|, so hub nodes do
 // not force a full neighborhood scan.

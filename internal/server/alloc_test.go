@@ -76,9 +76,9 @@ func TestBatchSingleTemplateOneLookup(t *testing.T) {
 
 // TestQueryAfterApplyReusesScratch: the first query of a new epoch
 // borrows the scratch the previous epoch's queries returned — on a
-// 20k-node graph a fresh bounded-run scratch is ~165 KB (the FragCSR
-// position index alone is 8·|V| bytes), and the query after an Apply
-// must allocate a small fraction of that. The collector is off for the
+// 20k-node graph the query that builds the scratch allocates about 210 KB
+// (its plan compile included), and the query after an Apply must
+// allocate less than 48 KB. The collector is off for the
 // test: a GC may empty any sync.Pool, which is not what is gated here.
 // And it runs on one P: sync.Pool.Put parks the scratch in the current
 // P's private slot, and a Get after the goroutine migrated (ReadMemStats

@@ -305,8 +305,8 @@ func requireSameGraph(t *testing.T, got, want *graph.Graph) {
 	if !slices.Equal(gh.OutHist, wh.OutHist) || !slices.Equal(gh.InHist, wh.InHist) {
 		t.Fatal("aux histograms differ")
 	}
-	if !slices.Equal(gh.OutByLabel, wh.OutByLabel) || !slices.Equal(gh.InByLabel, wh.InByLabel) || !slices.Equal(gh.Mask, wh.Mask) {
-		t.Fatal("aux grouped lists or masks differ")
+	if !slices.Equal(gh.AdjOut, wh.AdjOut) || !slices.Equal(gh.AdjIn, wh.AdjIn) || !slices.Equal(gh.Mask, wh.Mask) {
+		t.Fatal("adjacency arrays or aux masks differ")
 	}
 }
 

@@ -182,9 +182,12 @@ func (db *DB) snapshot() *delta.Snapshot { return db.snap.Load() }
 
 // Load reads a graph — in either the textual edge-list format (see Save)
 // or the compact binary format (see SaveBinary), auto-detected — and wraps
-// it in a DB. Both decoders put edges that arrive in ascending (from, to)
-// order, as Save and SaveBinary write them, straight into the graph's
-// arrays; any other order is sorted first.
+// it in a DB. Both decoders put edges that arrive in the graph's own
+// order — by source, then each source's targets grouped by label in
+// ascending label id, ids ascending within a label — as Save and
+// SaveBinary write them, straight into the graph's arrays; any other
+// order, such as a file written in plain (from, to) order, is sorted
+// first.
 func Load(r io.Reader) (*DB, error) {
 	g, err := readGraph(r)
 	if err != nil {
