@@ -13,8 +13,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -45,12 +47,12 @@ type microResult struct {
 	// -compare gate how noisy the benchmark is on the recording host, so
 	// the tolerance can tighten below the CLI default for stable entries.
 	NsSpread float64 `json:"ns_spread"`
-	// PairHighWater reports the reduction's live-pair high-water mark for
-	// the engine entries that run a dynamic reduction (PreparedRBSimQuery,
-	// PreparedRBSubQuery) —
-	// the empirical input for tuning the pair table's budget-derived size
-	// hint. Zero for entries without a reduction.
-	PairHighWater int `json:"pair_high_water,omitempty"`
+	// Work holds the reduction's counts for one run of the entry's query,
+	// recorded by the entries that run a dynamic reduction
+	// (PreparedRBSimQuery, PreparedRBSubQuery): every reduce.Stats counter
+	// of reads and steps, the live-pair high-water mark included (see
+	// workCounts). They are exact, so -compare fails on any rise.
+	Work map[string]int `json:"work,omitempty"`
 	// PlanCacheHits/PlanCacheMisses report the DB plan-cache counters
 	// after the QueryCacheHit entry's runs: the facade path being
 	// measured must be all hits after its single warm-up miss, and the
@@ -72,6 +74,17 @@ const residentEntry = "Resident1M"
 
 // ledgerNames names the figures ledger returns.
 var ledgerNames = [4]string{"graph_bytes_per_node", "graph_bytes_per_edge", "aux_bytes_per_node", "aux_bytes_per_edge"}
+
+// workCounts names the counters of s that an entry's work holds.
+func workCounts(s reduce.Stats) map[string]int {
+	return map[string]int{
+		"visited": s.Visited, "pops": s.Pops, "edge_probes": s.EdgeProbes,
+		"list_charges": s.ListCharges, "replay_charges": s.ReplayCharges,
+		"guard_calls": s.GuardCalls, "cost_reads": s.CostReads, "induced_reads": s.InducedReads,
+		"adds": s.Adds, "pushes": s.Pushes, "guard_rejects": s.GuardRejects,
+		"rounds": s.Rounds, "pair_high_water": s.PairHighWater,
+	}
+}
 
 // ledger returns the entry's memory-ledger figures.
 func (r microResult) ledger() [4]float64 {
@@ -143,13 +156,21 @@ func effectiveTolerance(tolerance float64, b, r microResult) float64 {
 // 24% regression. The allocation gate is the machine-independent one
 // (timings shift with the host; allocation counts only shift with code,
 // so serial benchmarks get no slack and GOMAXPROCS-dependent ones get
-// proportional headroom). The memory ledger's figures are exact too and
-// fail on any rise. Benchmarks absent from the baseline are skipped (new
-// entries need a refreshed baseline, not a red build).
+// proportional headroom). The memory ledger's figures and the work
+// counts are exact too and fail on any rise. Benchmarks absent from the
+// baseline are skipped (new entries need a refreshed baseline, not a red
+// build), and so are work counts a baseline entry does not record.
 func compareBaseline(results []microResult, base map[string]microResult, baselinePath string, tolerance float64, nsGate bool, stderr io.Writer) error {
 	var regressed []string
 	for _, r := range results {
 		b, ok := base[r.Name]
+		for _, name := range slices.Sorted(maps.Keys(b.Work)) {
+			was, now := b.Work[name], r.Work[name]
+			fmt.Fprintf(stderr, "compare %-20s work %s %d -> %d\n", r.Name, name, was, now)
+			if now > was {
+				regressed = append(regressed, fmt.Sprintf("%s: work %s %d -> %d", r.Name, name, was, now))
+			}
+		}
 		if ok && r.Name == residentEntry {
 			for i, now := range r.ledger() {
 				was := b.ledger()[i]
@@ -666,12 +687,12 @@ func runMicro(path, comparePath string, tolerance float64, count int, nsGate boo
 		}},
 	}
 
-	// The reduction's live-pair high-water mark is a property of the
-	// fixture query, not of timing: measure it once per engine entry so
-	// the report carries the empirical input for pair-table hint tuning.
-	pairHW := map[string]int{
-		"PreparedRBSimQuery": pl.Bounded(aux, bounded.Simulation, vp, opts, nil).Stats.PairHighWater,
-		"PreparedRBSubQuery": pl.Bounded(aux, bounded.Subgraph, vp, opts, nil).Stats.PairHighWater,
+	// The reduction's counts are a property of the fixture query, not of
+	// timing: record them once per engine entry, so -compare sees any
+	// change in what the query reads.
+	work := map[string]map[string]int{
+		"PreparedRBSimQuery": workCounts(pl.Bounded(aux, bounded.Simulation, vp, opts, nil).Stats),
+		"PreparedRBSubQuery": workCounts(pl.Bounded(aux, bounded.Subgraph, vp, opts, nil).Stats),
 	}
 
 	if count < 1 {
@@ -707,7 +728,7 @@ func runMicro(path, comparePath string, tolerance float64, count int, nsGate boo
 		if minNs > 0 {
 			res.NsSpread = (maxNs - minNs) / minNs
 		}
-		res.PairHighWater = pairHW[bench.name]
+		res.Work = work[bench.name]
 		if bench.name == "QueryCacheHit" {
 			cs := qdb.PlanCacheStats()
 			res.PlanCacheHits, res.PlanCacheMisses = cs.Hits, cs.Misses

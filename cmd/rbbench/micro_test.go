@@ -125,3 +125,33 @@ func TestCompareResidentLedger(t *testing.T) {
 		}
 	}
 }
+
+// TestCompareWorkCounts: an engine entry's work counts are exact, so
+// -compare fails on any rise, passes equal or lower counts, and skips a
+// baseline entry that records none.
+func TestCompareWorkCounts(t *testing.T) {
+	withWork := func(work map[string]int) microResult {
+		r := entry("PreparedRBSimQuery", 1000, 0, 1)
+		r.Work = work
+		return r
+	}
+	base := map[string]microResult{"PreparedRBSimQuery": withWork(map[string]int{"visited": 133, "guard_calls": 8})}
+	var errb bytes.Buffer
+	for _, ok := range []map[string]int{{"visited": 133, "guard_calls": 8}, {"visited": 120, "guard_calls": 8}} {
+		if err := compareBaseline([]microResult{withWork(ok)}, base, "base.json", 0.25, true, &errb); err != nil {
+			t.Fatalf("equal or lower work counts %v must pass: %v", ok, err)
+		}
+	}
+	err := compareBaseline([]microResult{withWork(map[string]int{"visited": 134, "guard_calls": 8})}, base, "base.json", 0.25, true, &errb)
+	if err == nil || !strings.Contains(err.Error(), "work visited 133 -> 134") {
+		t.Fatalf("a risen work count must fail naming it, got %v", err)
+	}
+	base["PreparedRBSimQuery"] = withWork(nil)
+	errb.Reset()
+	if err := compareBaseline([]microResult{withWork(map[string]int{"visited": 999})}, base, "base.json", 0.25, true, &errb); err != nil {
+		t.Fatalf("a baseline entry without work must be skipped: %v", err)
+	}
+	if strings.Contains(errb.String(), "work") {
+		t.Fatalf("no work comparison expected without a baseline:\n%s", errb.String())
+	}
+}

@@ -65,8 +65,8 @@ func TestExplainGoldenSub(t *testing.T) {
 	golden(t, "explain_sub", normalize(out.String()))
 }
 
-// TestTraceFlag: -trace streams the reduction's raw event log to
-// stderr — rounds first, stop markers bare.
+// TestTraceFlag: -trace prints the query's span tree to stderr — the
+// reduction with one line per round — and leaves stdout to the answer.
 func TestTraceFlag(t *testing.T) {
 	g, p, _ := writeFixtures(t)
 	var out, errb bytes.Buffer
@@ -74,12 +74,14 @@ func TestTraceFlag(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}
-	events := errb.String()
-	if !strings.Contains(events, "-- round with b=2") {
-		t.Fatalf("no round event in:\n%s", events)
+	spans := errb.String()
+	for _, want := range []string{"query", "  plan", "    reduce", "      round", "bound=2", "list_charges="} {
+		if !strings.Contains(spans, want) {
+			t.Fatalf("no %q in:\n%s", want, spans)
+		}
 	}
-	if !strings.Contains(events, "pop (u=") {
-		t.Fatalf("no pop events in:\n%s", events)
+	if strings.Contains(out.String(), "round") {
+		t.Fatalf("spans leaked to stdout:\n%s", out.String())
 	}
 	if !strings.Contains(out.String(), "match(es)") {
 		t.Fatalf("query output missing:\n%s", out.String())
@@ -100,7 +102,7 @@ func TestExplainComposes(t *testing.T) {
 			t.Fatalf("output missing %q:\n%s", want, s)
 		}
 	}
-	if !strings.Contains(errb.String(), "-- round with b=2") {
-		t.Fatalf("trace events missing:\n%s", errb.String())
+	if !strings.Contains(errb.String(), "bound=2") {
+		t.Fatalf("trace spans missing:\n%s", errb.String())
 	}
 }

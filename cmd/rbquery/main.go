@@ -85,7 +85,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		exact        = fs.Bool("exact", false, "also run the exact baseline and report accuracy")
 		stats        = fs.Bool("stats", false, "report the prepare/execute split of the query trace and the plan-cache counters (pattern, workload and update modes)")
 		explain      = fs.Bool("explain", false, "pattern modes: print the compiled plan (candidate counts, anchor choice, budget split) before the query and the phase breakdown after it")
-		trace        = fs.Bool("trace", false, "pattern modes: stream the raw reduction events (rounds, refinements, stops) to stderr")
+		trace        = fs.Bool("trace", false, "pattern modes: print the query's span tree (plan, reduction rounds, extraction, matching) to stderr")
 		workers      = fs.Int("workers", 0, "workload mode: batch shard width (0 = one worker per CPU)")
 		timeout      = fs.Duration("timeout", 0, "cancel query evaluation after this duration (0 = none; pattern and workload modes)")
 		from         = fs.Int("from", -1, "source node (reach mode)")
@@ -236,8 +236,9 @@ func runPattern(ctx context.Context, db *rbq.DB, mode, path string, alpha float6
 		fmt.Fprintln(stderr, "rbquery:", err)
 		return 1
 	}
-	// -stats reads the prepare/execute split off the query's trace.
-	req := rbq.Request{Alpha: alpha, WantTrace: opt.stats}
+	// -stats reads the prepare/execute split off the query's trace, and
+	// -trace prints the trace.
+	req := rbq.Request{Alpha: alpha, WantTrace: opt.stats || opt.trace}
 	if mode == "sub" {
 		req.Semantics = rbq.Subgraph
 	}
@@ -254,15 +255,15 @@ func runPattern(ctx context.Context, db *rbq.DB, mode, path string, alpha float6
 		fmt.Fprintln(stdout, "---------------")
 		req.WantTrace = true
 	}
-	if opt.trace {
-		req.Tracer = reduce.WriteTracer(stderr)
-	}
 	start := time.Now()
 	res, err := db.Query(ctx, q, req)
 	if err != nil {
 		return queryErr(err, stderr)
 	}
 	elapsed := time.Since(start)
+	if opt.trace {
+		res.Trace.WriteText(stderr)
+	}
 	fmt.Fprintf(stdout, "%d match(es) in %v; |G_Q| = %d of budget %d; visited %d items\n",
 		len(res.Matches), elapsed.Round(time.Microsecond), res.FragmentSize, res.Budget, res.Visited)
 	if opt.stats {

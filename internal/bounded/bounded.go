@@ -367,9 +367,12 @@ func (r *Runner) Run(p *pattern.Pattern, vp graph.NodeID, opts reduce.Options, m
 	if viable {
 		r.frag.CSRInto(&r.csr)
 	}
-	ext.Add("fragment_nodes", int64(stats.FragmentNodes))
-	ext.Add("fragment_edges", int64(stats.FragmentEdges))
-	ext.End()
+	if ext != nil {
+		ext.Counters = append(ext.Counters,
+			obs.Counter{Name: "fragment_nodes", Value: int64(stats.FragmentNodes)},
+			obs.Counter{Name: "fragment_edges", Value: int64(stats.FragmentEdges)})
+		ext.End()
+	}
 	if pinPos < 0 {
 		return res
 	}

@@ -42,6 +42,8 @@ type Fragment struct {
 	staged              NodeID
 	stagedIn, stagedOut []int32
 	stagedLoop          bool
+
+	reads int // what pricing insertions read since Reset; see Reads
 }
 
 // posEdge is an induced edge between two fragment positions.
@@ -68,6 +70,7 @@ func (f *Fragment) Reset() {
 	f.edges = f.edges[:0]
 	f.index.clear()
 	f.staged = NoNode
+	f.reads = 0
 }
 
 // Rebind empties the fragment and makes it a subgraph of parent — any
@@ -115,6 +118,12 @@ func (f *Fragment) NumEdges() int { return len(f.edges) }
 // Size returns |G_Q| = nodes + edges.
 func (f *Fragment) Size() int { return len(f.order) + len(f.edges) }
 
+// Reads returns what finding induced edges has read from the parent since
+// the last Reset: a list entry for each entry of a list scanned, and one
+// per binary search of a list probed for a fragment node (see
+// InducedEdgeCost).
+func (f *Fragment) Reads() int { return f.reads }
+
 // InducedEdgeCost returns the number of parent edges between v and the
 // fragment's current nodes, i.e. how many edges adding v would contribute.
 // Self-loops on v count once. Returns 0 if v is already present. Each of
@@ -152,6 +161,7 @@ func (f *Fragment) stage(v NodeID) {
 // adj too.
 func (f *Fragment) membersIn(adj []NodeID, self NodeID, dst []int32) (_ []int32, hasSelf bool) {
 	if len(adj) <= ScanRatio*len(f.order) {
+		f.reads += len(adj)
 		for _, w := range adj {
 			if f.Contains(w) {
 				dst = append(dst, f.index.get(w))
@@ -165,12 +175,17 @@ func (f *Fragment) membersIn(adj []NodeID, self NodeID, dst []int32) (_ []int32,
 		}
 		return dst, hasSelf
 	}
+	f.reads += len(f.order)
 	for p, w := range f.order {
 		if f.parent.adjHas(adj, w) {
 			dst = append(dst, int32(p))
 		}
 	}
-	return dst, self != NoNode && f.parent.adjHas(adj, self)
+	if self == NoNode {
+		return dst, false
+	}
+	f.reads++
+	return dst, f.parent.adjHas(adj, self)
 }
 
 // Add inserts v and its induced edges, returning the size increase

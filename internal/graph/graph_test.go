@@ -183,20 +183,6 @@ func TestReachable(t *testing.T) {
 	}
 }
 
-func TestDiameter(t *testing.T) {
-	g := diamond()
-	if d := g.Diameter(Forward); d != 2 {
-		t.Fatalf("directed diameter = %d, want 2", d)
-	}
-	if d := g.Diameter(Both); d != 2 {
-		t.Fatalf("undirected diameter = %d, want 2", d)
-	}
-	path := FromEdges([]string{"a", "b", "c", "d"}, [][2]int{{0, 1}, {1, 2}, {2, 3}})
-	if d := path.Diameter(Both); d != 3 {
-		t.Fatalf("path diameter = %d, want 3", d)
-	}
-}
-
 func TestCSRIntoInduced(t *testing.T) {
 	g := diamond()
 	var c FragCSR

@@ -155,33 +155,6 @@ func (g *Graph) Reachable(from, to NodeID) bool {
 	return found
 }
 
-// Eccentricity returns the longest shortest-path distance from v to any
-// node reachable from it under dir, in hops.
-func (g *Graph) Eccentricity(v NodeID, dir Direction) int {
-	max := 0
-	g.Walk(v, dir, -1, func(_ NodeID, d int) bool {
-		if d > max {
-			max = d
-		}
-		return true
-	})
-	return max
-}
-
-// Diameter returns the length of the longest shortest path between any two
-// nodes, treating edges per dir and considering only connected pairs. It is
-// O(|V|·|E|) and intended for patterns and small test graphs, matching its
-// use in the paper (d_Q is always computed on a query, never on G).
-func (g *Graph) Diameter(dir Direction) int {
-	max := 0
-	for v := 0; v < g.NumNodes(); v++ {
-		if e := g.Eccentricity(NodeID(v), dir); e > max {
-			max = e
-		}
-	}
-	return max
-}
-
 // BallInto materializes G_r(v), the subgraph induced by N_r(v) (the
 // paper's r-neighborhood graph of v), into the reusable CSR c: RegionInto
 // with no label constraint. StrongSim's per-center balls and the bench

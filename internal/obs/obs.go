@@ -63,15 +63,24 @@ func StartSpan(name string) *Span {
 
 // Child appends a new child span with the clock running. On a nil
 // receiver it returns nil, so a whole untraced call tree costs one
-// branch per touch point.
+// branch per touch point. A span's first child makes room for
+// childrenHint, so a phase's few children share one slice.
 func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
 	}
 	c := &Span{Name: name, start: time.Now()}
+	if s.Children == nil {
+		s.Children = make([]*Span, 0, childrenHint)
+	}
 	s.Children = append(s.Children, c)
 	return c
 }
+
+// childrenHint is the children capacity of a span's first Child: a query
+// span has plan and exec, an exec span reduce, extract and match, and a
+// reduce span usually two to four rounds.
+const childrenHint = 4
 
 // Add upserts delta into the named counter. No-op on nil.
 func (s *Span) Add(name string, delta int64) {
@@ -142,9 +151,15 @@ type Trace struct {
 	Root      *Span  `json:"root"`
 }
 
-// NewTrace starts a trace whose root span is already running.
+// NewTrace starts a trace whose root span is already running. The trace
+// and its root share one allocation.
 func NewTrace(name string) *Trace {
-	return &Trace{Root: StartSpan(name)}
+	t := &struct {
+		Trace
+		root Span
+	}{root: Span{Name: name, start: time.Now()}}
+	t.Root = &t.root
+	return &t.Trace
 }
 
 // Finish ends the root span. No-op on nil.

@@ -4,9 +4,13 @@ package reduce_test
 // engine this package had before Pick memoized adjacency lists — Go maps
 // for the pair sets, the pushed-set test ahead of the guard, a full sort
 // of every frontier, c(v,u) by brute force — kept here as the reference
-// the production engine must equal bit for bit: Stats, fragment insertion
-// order, the per-round span counters, and the event stream up to the
-// guard-reject events a replay does not repeat.
+// the production engine must equal bit for bit: fragment insertion order,
+// every Stats counter the two engines define alike, and the per-round
+// span counters against the reference's own tallies. The memo changes
+// only where Visited is charged, never how much: the reference charges
+// every list entry by entry, and the production engine's first-scan and
+// replay charges must add up to the same, with its four charge sites
+// summing to Visited.
 
 import (
 	"fmt"
@@ -38,7 +42,7 @@ type refCand struct {
 type refEngine struct {
 	g    *graph.Graph
 	p    *pattern.Pattern
-	sem  reduce.Semantics
+	sem  guardedSemantics
 	opts reduce.Options
 	rng  *rand.Rand
 	frag *graph.Fragment
@@ -50,9 +54,24 @@ type refEngine struct {
 	changed, exhausted                  bool
 	visitsDone, canceled                bool
 	stats                               reduce.Stats
+
+	// The reference's own tallies: per round, and the list entries its
+	// scans charged.
+	rounds      []roundTally
+	listCharges int
 }
 
-func refSearch(aux *graph.Aux, p *pattern.Pattern, vp graph.NodeID, sem reduce.Semantics, opts reduce.Options) (*graph.Fragment, reduce.Stats) {
+// roundTally is what a "round" span carries.
+type roundTally struct{ bound, pops, adds, pushes, rejects int64 }
+
+// guardedSemantics is a reduce.Semantics that also evaluates the whole
+// guarded condition, label test included, as bounded.Semantics does.
+type guardedSemantics interface {
+	reduce.Semantics
+	Guard(v graph.NodeID, u pattern.NodeID) bool
+}
+
+func refSearch(aux *graph.Aux, p *pattern.Pattern, vp graph.NodeID, sem guardedSemantics, opts reduce.Options) *refEngine {
 	g := aux.Graph()
 	e := &refEngine{g: g, p: p, sem: sem, opts: opts, frag: graph.NewFragment(g), vp: vp}
 	e.budget = int(opts.Alpha * float64(g.Size()))
@@ -77,14 +96,18 @@ func refSearch(aux *graph.Aux, p *pattern.Pattern, vp graph.NodeID, sem reduce.S
 	e.stats.BudgetExhausted = e.exhausted
 	e.stats.VisitsExhausted = e.visitsDone
 	e.stats.Canceled = e.canceled
-	return e.frag, e.stats
+	e.stats.InducedReads = e.frag.Reads()
+	for _, r := range e.rounds {
+		e.stats.Pops += int(r.pops)
+		e.stats.Adds += int(r.adds)
+		e.stats.Pushes += int(r.pushes)
+		e.stats.GuardRejects += int(r.rejects)
+	}
+	return e
 }
 
-func (e *refEngine) emit(kind reduce.EventKind, u pattern.NodeID, v graph.NodeID, w float64) {
-	if e.opts.Trace != nil {
-		e.opts.Trace(reduce.Event{Kind: kind, U: u, V: v, Weight: w, Bound: e.bound})
-	}
-}
+// tally is the current round's.
+func (e *refEngine) tally() *roundTally { return &e.rounds[len(e.rounds)-1] }
 
 func (e *refEngine) stopVisit() bool {
 	e.visited++
@@ -101,13 +124,6 @@ func (e *refEngine) stopVisit() bool {
 
 func (e *refEngine) stopped() bool { return e.visitsDone || e.canceled }
 
-func (e *refEngine) stopKind() reduce.EventKind {
-	if e.canceled {
-		return reduce.EventCanceled
-	}
-	return reduce.EventVisitStop
-}
-
 func (e *refEngine) push(k refPair) {
 	if !e.onStack[k] {
 		e.onStack[k] = true
@@ -121,7 +137,10 @@ func (e *refEngine) run() {
 	}
 	for {
 		e.stats.Rounds++
-		e.emit(reduce.EventRound, 0, 0, 0)
+		if hook := reduce.RoundHook(e.opts); hook != nil {
+			hook(e.stats.Rounds)
+		}
+		e.rounds = append(e.rounds, roundTally{bound: int64(e.bound)})
 		e.onStack, e.expanded = map[refPair]bool{}, map[refPair]bool{}
 		e.stack = e.stack[:0]
 		e.changed = false
@@ -142,24 +161,21 @@ func (e *refEngine) round() {
 	for len(e.stack) > 0 {
 		k := e.stack[len(e.stack)-1]
 		e.stack = e.stack[:len(e.stack)-1]
+		e.tally().pops++
 		if e.stopVisit() {
-			e.emit(e.stopKind(), k.u, k.v, 0)
 			return
 		}
-		e.emit(reduce.EventPop, k.u, k.v, 0)
 		if !e.frag.Contains(k.v) {
 			inc := 1 + e.frag.InducedEdgeCost(k.v)
 			if e.frag.Size()+inc > e.budget {
 				e.exhausted = true
-				e.emit(reduce.EventBudgetStop, k.u, k.v, 0)
 				continue
 			}
-			e.frag.Add(k.v)
+			e.frag.AddCost(k.v)
 			e.changed = true
-			e.emit(reduce.EventAdd, k.u, k.v, float64(inc))
+			e.tally().adds++
 			if e.frag.Size() >= e.budget {
 				e.exhausted = true
-				e.emit(reduce.EventBudgetStop, k.u, k.v, 0)
 				return
 			}
 		}
@@ -189,6 +205,7 @@ func (e *refEngine) adj(v graph.NodeID, dir graph.Direction) []graph.NodeID {
 
 func (e *refEngine) pick(v graph.NodeID, target pattern.NodeID, dir graph.Direction) {
 	if target == e.p.Personalized() {
+		e.stats.EdgeProbes++
 		if e.stopVisit() {
 			return
 		}
@@ -203,15 +220,15 @@ func (e *refEngine) pick(v graph.NodeID, target pattern.NodeID, dir graph.Direct
 	}
 	var cands []refCand
 	for _, w := range e.adj(v, dir) {
+		e.listCharges++
 		if e.stopVisit() {
-			e.emit(e.stopKind(), target, w, 0)
 			return
 		}
 		if e.onStack[refPair{target, w}] {
 			continue
 		}
 		if !e.guard(w, target) {
-			e.emit(reduce.EventGuardReject, target, w, 0)
+			e.tally().rejects++
 			continue
 		}
 		cands = append(cands, refCand{w, e.g.Degree(w), e.weight(w, target)})
@@ -227,7 +244,7 @@ func (e *refEngine) pick(v graph.NodeID, target pattern.NodeID, dir graph.Direct
 		return a.v < b.v
 	})
 	for i := min(len(cands), e.bound) - 1; i >= 0; i-- {
-		e.emit(reduce.EventPush, target, cands[i].v, cands[i].w)
+		e.tally().pushes++
 		e.push(refPair{target, cands[i].v})
 	}
 }
@@ -265,32 +282,6 @@ func (e *refEngine) weight(v graph.NodeID, u pattern.NodeID) float64 {
 	return e.sem.Potential(v, u) / float64(misses+1)
 }
 
-// roundTally is what a "round" span carries.
-type roundTally struct{ bound, pops, adds, pushes, rejects int64 }
-
-// tallyEvents aggregates an event stream the way the span bridge does.
-func tallyEvents(events []reduce.Event) []roundTally {
-	var out []roundTally
-	for _, ev := range events {
-		if ev.Kind == reduce.EventRound {
-			out = append(out, roundTally{bound: int64(ev.Bound)})
-			continue
-		}
-		r := &out[len(out)-1]
-		switch ev.Kind {
-		case reduce.EventPop:
-			r.pops++
-		case reduce.EventAdd:
-			r.adds++
-		case reduce.EventPush:
-			r.pushes++
-		case reduce.EventGuardReject:
-			r.rejects++
-		}
-	}
-	return out
-}
-
 func tallySpans(red *obs.Span) []roundTally {
 	var out []roundTally
 	for _, c := range red.Children {
@@ -308,46 +299,43 @@ func tallySpans(red *obs.Span) []roundTally {
 	return out
 }
 
-func withoutRejects(events []reduce.Event) []reduce.Event {
-	var out []reduce.Event
-	for _, ev := range events {
-		if ev.Kind != reduce.EventGuardReject {
-			out = append(out, ev)
-		}
-	}
-	return out
+// alike is s without the counters the reference defines differently:
+// where the charges fall, and the guard and cost reads it does not spare.
+func alike(s reduce.Stats) reduce.Stats {
+	s.ListCharges, s.ReplayCharges, s.GuardCalls, s.CostReads = 0, 0, 0, 0
+	return s
 }
 
 // diffCase runs both engines on one configuration and reports the first
 // divergence. sc is reused across cases, as the pooled Scratch is in
 // production: a memo surviving into the next query would show here.
-func diffCase(aux *graph.Aux, p *pattern.Pattern, vp graph.NodeID, sem reduce.Semantics, opts reduce.Options, sc *reduce.Scratch, frag *graph.Fragment) (reduce.Stats, error) {
-	var wantEvents, gotEvents []reduce.Event
-	ro := opts
-	ro.Trace = func(ev reduce.Event) { wantEvents = append(wantEvents, ev) }
-	wantFrag, want := refSearch(aux, p, vp, sem, ro)
+func diffCase(aux *graph.Aux, p *pattern.Pattern, vp graph.NodeID, sem guardedSemantics, opts reduce.Options, sc *reduce.Scratch, frag *graph.Fragment) (reduce.Stats, error) {
+	ref := refSearch(aux, p, vp, sem, opts)
+	want := ref.stats
 
 	root := obs.StartSpan("test")
 	no := opts
 	no.Obs = root
-	no.Trace = func(ev reduce.Event) { gotEvents = append(gotEvents, ev) }
 	got := reduce.SearchInto(aux, p, vp, sem, no, frag, sc)
 
-	if got != want {
+	if alike(got) != want {
 		return want, fmt.Errorf("stats diverge:\n got  %+v\n want %+v", got, want)
 	}
-	if !reflect.DeepEqual(frag.Nodes(), wantFrag.Nodes()) {
-		return want, fmt.Errorf("fragment order diverges:\n got  %v\n want %v", frag.Nodes(), wantFrag.Nodes())
+	if !reflect.DeepEqual(frag.Nodes(), ref.frag.Nodes()) {
+		return want, fmt.Errorf("fragment order diverges:\n got  %v\n want %v", frag.Nodes(), ref.frag.Nodes())
 	}
-	if g, w := tallySpans(root.Find(obs.PhaseReduce)), tallyEvents(wantEvents); !reflect.DeepEqual(g, w) {
+	if sum := got.Pops + got.EdgeProbes + got.ListCharges + got.ReplayCharges; sum != got.Visited {
+		return want, fmt.Errorf("charge sites sum to %d, Visited is %d: %+v", sum, got.Visited, got)
+	}
+	if n := got.ListCharges + got.ReplayCharges; n != ref.listCharges {
+		return want, fmt.Errorf("list charges: %d scanned + %d replayed, reference charged %d", got.ListCharges, got.ReplayCharges, ref.listCharges)
+	}
+	if g, w := tallySpans(root.Find(obs.PhaseReduce)), ref.rounds; !reflect.DeepEqual(g, w) {
 		return want, fmt.Errorf("round span counters diverge:\n got  %+v\n want %+v", g, w)
-	}
-	if g, w := withoutRejects(gotEvents), withoutRejects(wantEvents); !reflect.DeepEqual(g, w) {
-		return want, fmt.Errorf("event streams diverge (guard-rejects aside): %d vs %d events", len(g), len(w))
 	}
 	// The untraced run takes the same path: same Stats, same fragment.
 	plain := reduce.SearchInto(aux, p, vp, sem, opts, frag, sc)
-	if plain != want || !reflect.DeepEqual(frag.Nodes(), wantFrag.Nodes()) {
+	if plain != got || !reflect.DeepEqual(frag.Nodes(), ref.frag.Nodes()) {
 		return want, fmt.Errorf("untraced run diverges: %+v", plain)
 	}
 	return want, nil
@@ -355,7 +343,7 @@ func diffCase(aux *graph.Aux, p *pattern.Pattern, vp graph.NodeID, sem reduce.Se
 
 type namedSemantics struct {
 	name string
-	sem  reduce.Semantics
+	sem  guardedSemantics
 }
 
 func diffSemantics(aux *graph.Aux, p *pattern.Pattern) []namedSemantics {
@@ -487,26 +475,24 @@ func TestMemoizedPickCancelsWhereScanEveryRoundDoes(t *testing.T) {
 	}
 	sem := bounded.NewSemantics(aux, p, bounded.Simulation)
 	opts := reduce.Options{Alpha: 1, MaxBound: 6}
-	_, full := refSearch(aux, p, hub, sem, opts)
+	full := refSearch(aux, p, hub, sem, opts).stats
 	if full.Rounds < 3 || full.Visited < 4*interrupt.Stride {
 		t.Fatalf("fixture too small: %+v", full)
 	}
 	closeAtRound := func(r int) reduce.Options {
-		o, done, seen := opts, make(chan struct{}), 0
+		o, done := opts, make(chan struct{})
 		o.Interrupt = done
-		o.Trace = func(ev reduce.Event) {
-			if ev.Kind == reduce.EventRound {
-				if seen++; seen == r {
-					close(done)
-				}
+		return reduce.WithRoundHook(o, func(round int) {
+			if round == r {
+				close(done)
 			}
-		}
-		return o
+		})
 	}
 	for r := 1; r <= full.Rounds; r++ {
-		wantFrag, want := refSearch(aux, p, hub, sem, closeAtRound(r))
+		ref := refSearch(aux, p, hub, sem, closeAtRound(r))
+		want := ref.stats
 		gotFrag, got := reduce.Search(aux, p, hub, sem, closeAtRound(r))
-		if got != want || !reflect.DeepEqual(gotFrag.Nodes(), wantFrag.Nodes()) {
+		if alike(got) != want || !reflect.DeepEqual(gotFrag.Nodes(), ref.frag.Nodes()) {
 			t.Fatalf("interrupt at round %d:\n got  %+v\n want %+v", r, got, want)
 		}
 		if !want.Canceled && r < full.Rounds {

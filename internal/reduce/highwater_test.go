@@ -18,7 +18,7 @@ func newLabelSem(g *graph.Graph, p *pattern.Pattern) *labelSem {
 	return &labelSem{g: g, labels: g.InternLabels(p.Labels(), nil)}
 }
 
-func (s *labelSem) Guard(v graph.NodeID, u pattern.NodeID) bool {
+func (s *labelSem) GuardLabeled(v graph.NodeID, u pattern.NodeID) bool {
 	return s.g.LabelOf(v) == s.labels[u]
 }
 

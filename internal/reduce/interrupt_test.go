@@ -89,8 +89,8 @@ func TestInterruptStopsWithinOneStrideOfChargedVisits(t *testing.T) {
 		done := make(chan struct{})
 		_, stats := Search(aux, p, h, sem, Options{
 			Alpha: 1.0, MaxBound: 1 + rounds, Interrupt: done,
-			Trace: func(e Event) {
-				if e.Kind == EventRound && e.Bound == 2+fireAfter {
+			onRound: func(r int) {
+				if r == fireAfter+1 {
 					close(done) // fires as round fireAfter+1 begins
 				}
 			},

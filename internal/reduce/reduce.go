@@ -33,12 +33,13 @@
 // candidates. The first scan reads only the neighbors that can pass: the
 // graph holds every list grouped by label and the Aux's histogram finds
 // each label's block (graph.Aux.OutBlock), so the scan guards the block of
-// target's label and never reads the labels of the rest. Scan and replay alike charge Visited the whole list at once —
-// unless the list holds the search's stop point, which the scan then
-// finds item by item — so Visited and the stop point are those of a scan
-// of every neighbor in every round. The memo needs no invalidation: Guard
-// and Potential are pure functions of the Aux, a query runs against one
-// immutable snapshot, and the memo is emptied when the next query starts.
+// target's label and never reads the labels of the rest. Scan and replay
+// alike charge Visited the whole list at once — unless the list holds the
+// search's stop point, which the scan then finds item by item — so Visited
+// and the stop point are those of a scan of every neighbor in every round.
+// The memo needs no invalidation: GuardLabeled and Potential are pure
+// functions of the Aux, a query runs against one immutable snapshot, and
+// the memo is emptied when the next query starts.
 // What depends on the round — the pushed set, the cost c(v,u), the random
 // weight — is recomputed at replay, so a replayed round selects exactly
 // what a re-scanned one would.
@@ -73,18 +74,19 @@ import (
 // evaluated against the offline auxiliary structure, not by traversing G,
 // and the engine evaluates each (v,u) at most once per list and query.
 type Semantics interface {
-	// Guard is the guarded condition C(v,u): false means v provably
-	// cannot match u and is pruned from the search. C(v,u) includes label
-	// equality (Section 4.1), so the engine tests the label itself before
-	// asking: Guard is only called for a v that carries u's label.
-	Guard(v graph.NodeID, u pattern.NodeID) bool
+	// GuardLabeled is the guarded condition C(v,u) for a v that carries
+	// u's label: false means v provably cannot match u and is pruned from
+	// the search. C(v,u) includes label equality (Section 4.1); the engine
+	// tests the label itself, once, and asks only about the nodes that
+	// pass, so GuardLabeled need not read v's label again.
+	GuardLabeled(v graph.NodeID, u pattern.NodeID) bool
 	// Potential is p(v,u), an optimistic estimate of how many matches of
 	// u's pattern neighbors live in N(v).
 	Potential(v graph.NodeID, u pattern.NodeID) float64
 	// Labels is the pattern's label constraints resolved against the
 	// graph (Labels()[u] = interned id of the pattern's label of u,
-	// graph.NoLabel if absent). Guard and Potential compare these ids, and
-	// the engine's own label probes share the one resolution.
+	// graph.NoLabel if absent). GuardLabeled and Potential compare these
+	// ids, and the engine's own label probes share the one resolution.
 	Labels() []graph.LabelID
 }
 
@@ -134,18 +136,23 @@ type Options struct {
 	// DisableGuard drops the guarded condition to a label-only test
 	// (ablation).
 	DisableGuard bool
-	// Trace, when non-nil, receives every reduction step (see Event).
-	Trace Tracer
 	// Obs, when non-nil, is the parent span for this run's observability
-	// tree: SearchInto hangs a "reduce" child with per-round aggregate
-	// spans (bridged from the event stream, not raw events) plus summary
-	// counters off it. Nil keeps the hot path span-free.
+	// tree: SearchInto hangs a "reduce" child off it, carrying the run's
+	// Stats counters, with one "round" child per bound-escalation round
+	// carrying that round's share of Pops, Adds, Pushes and GuardRejects.
+	// The spans are a view of Stats built at round boundaries, so a traced
+	// run reads exactly the data an untraced one reads. Nil keeps the hot
+	// path span-free.
 	Obs *obs.Span
 	// Interrupt, when non-nil, is polled every interrupt.Stride visited
 	// items; once it is closed the search stops cooperatively and Stats
 	// reports Canceled. The facade passes a context's Done channel here —
 	// nil (context.Background) keeps the hot path probe-free.
 	Interrupt <-chan struct{}
+
+	// onRound, when non-nil, is called as each round starts with its
+	// 1-based number; tests use it to fire Interrupt at a chosen round.
+	onRound func(round int)
 }
 
 // Budget is the resource bound ⌊α·|G|⌋ on a graph of size |G| = size:
@@ -163,16 +170,46 @@ type Stats struct {
 	// FragmentNodes and FragmentEdges break FragmentSize down.
 	FragmentNodes, FragmentEdges int
 	// Visited counts the data items the search is charged for, the
-	// quantity Theorem 3(a) bounds by d_G·α|G|: one per pair popped; one
-	// per edge-existence probe when Pick targets the personalized node;
-	// and, for every other Pick, the whole length of the adjacency list
-	// it ranks — charged at the first scan and again at each replay,
-	// whatever the label index spared the scan from reading. Not charged
-	// are the reads that price a step: Fragment.InducedEdgeCost's for
-	// each node the fragment admits — which also records the induced
-	// edges it finds, so the fragment is materialized without reading
-	// them again — and c(v,u)'s for each candidate ranked.
+	// quantity Theorem 3(a) bounds by d_G·α|G|. It is the sum of its four
+	// charge sites, stops and cancellations included: Pops, EdgeProbes,
+	// ListCharges and ReplayCharges. Each Pick charges the whole length
+	// of the adjacency list it ranks, at the first scan and again at each
+	// replay, whatever the label index spared the scan from reading.
+	// Three kinds of reads are not charged, and GuardCalls, CostReads and
+	// InducedReads count them.
 	Visited int
+	// Pops counts the (query node, data node) pairs popped off the stack.
+	Pops int
+	// EdgeProbes counts the edge-existence probes Pick makes instead of a
+	// list scan when it targets the personalized node.
+	EdgeProbes int
+	// ListCharges counts the adjacency entries first scans charged: whole
+	// lists, and entry by entry the list that holds the stop point.
+	ListCharges int
+	// ReplayCharges counts the adjacency entries charged by replaying a
+	// list an earlier round scanned.
+	ReplayCharges int
+	// GuardCalls counts the evaluations of the guarded condition, one per
+	// neighbour of the right label the first time its list is scanned.
+	GuardCalls int
+	// CostReads counts what pricing c(v,u) read: the block entries
+	// scanned, or the binary searches made, by each fragment-candidate
+	// probe.
+	CostReads int
+	// InducedReads counts what Fragment.InducedEdgeCost read to price
+	// each node the fragment admits (see Fragment.Reads). It also records
+	// the induced edges it finds, so the fragment is materialized without
+	// reading them again.
+	InducedReads int
+	// Adds counts the nodes admitted to the fragment.
+	Adds int
+	// Pushes counts the ranked candidates Pick pushed onto the stack.
+	Pushes int
+	// GuardRejects counts the neighbours of the lists Pick ranked that
+	// failed the guarded condition, its label test included: a list's
+	// length less its guard-passing neighbours, at every scan and replay.
+	// A scan the search stops in counts the entries it got to.
+	GuardRejects int
 	// Rounds is the number of bound-escalation rounds executed.
 	Rounds int
 	// FinalBound is the fairness bound b when the search stopped.
@@ -372,20 +409,15 @@ type engine struct {
 
 	frag        *graph.Fragment
 	sc          *Scratch
-	br          *spanTracer     // round-span bridge; nil unless Options.Obs is set
 	plabels     []graph.LabelID // sem.Labels(): plabels[u] = g's id of p's label of u
 	budget      int
 	visitBudget int
-	visited     int
 	stats       Stats
 
-	vp         graph.NodeID // the pinned match of the personalized node
-	stack      []pairKey
-	changed    bool
-	exhausted  bool // size budget hit
-	visitsDone bool // visit budget hit
-	canceled   bool // Options.Interrupt fired
-	bound      int
+	vp      graph.NodeID // the pinned match of the personalized node
+	stack   []pairKey
+	changed bool
+	bound   int
 }
 
 // stopVisit accounts one examined data item and reports whether the
@@ -393,14 +425,14 @@ type engine struct {
 // (polled every interrupt.Stride visits, so it stays off the per-item
 // hot path) observed Options.Interrupt closed.
 func (e *engine) stopVisit() bool {
-	e.visited++
-	if e.visited > e.visitBudget {
-		e.visitsDone = true
+	e.stats.Visited++
+	if e.stats.Visited > e.visitBudget {
+		e.stats.VisitsExhausted = true
 		return true
 	}
-	if e.opts.Interrupt != nil && e.visited&(interrupt.Stride-1) == 0 &&
+	if e.opts.Interrupt != nil && e.stats.Visited&(interrupt.Stride-1) == 0 &&
 		interrupt.Fired(e.opts.Interrupt) {
-		e.canceled = true
+		e.stats.Canceled = true
 		return true
 	}
 	return false
@@ -413,30 +445,21 @@ func (e *engine) stopVisit() bool {
 // item by item, so the search stops at exactly the visit a scan-every-
 // round engine stops at, within one stride of charged visits.
 func (e *engine) charge(n int) bool {
-	end := e.visited + n
+	end := e.stats.Visited + n
 	if end > e.visitBudget {
 		return false
 	}
-	if e.opts.Interrupt != nil && end/interrupt.Stride != e.visited/interrupt.Stride &&
+	if e.opts.Interrupt != nil && end/interrupt.Stride != e.stats.Visited/interrupt.Stride &&
 		interrupt.Fired(e.opts.Interrupt) {
 		return false
 	}
-	e.visited = end
+	e.stats.Visited = end
 	return true
 }
 
 // stopped reports whether a visit budget or a cancellation already ended
 // the search; the traversal loops unwind when it turns true.
-func (e *engine) stopped() bool { return e.visitsDone || e.canceled }
-
-// stopKind labels a stopVisit halt for tracers: cancellation and visit
-// exhaustion are distinct stop causes.
-func (e *engine) stopKind() EventKind {
-	if e.canceled {
-		return EventCanceled
-	}
-	return EventVisitStop
-}
+func (e *engine) stopped() bool { return e.stats.VisitsExhausted || e.stats.Canceled }
 
 // Search runs the dynamic reduction of Fig. 3 from the personalized match
 // vp and returns the extracted fragment and run statistics. The fragment
@@ -462,15 +485,7 @@ func Search(aux *graph.Aux, p *pattern.Pattern, vp graph.NodeID, sem Semantics, 
 func SearchInto(aux *graph.Aux, p *pattern.Pattern, vp graph.NodeID, sem Semantics, opts Options, frag *graph.Fragment, sc *Scratch) Stats {
 	g := aux.Graph()
 	frag.Reset()
-	// Observability bridge: when a parent span is attached, aggregate the
-	// event stream into per-round child spans under a "reduce" span,
-	// teeing raw events to any user Tracer. One nil test on the trace-off
-	// path; everything below allocates only when tracing is on.
-	var br *spanTracer
-	if opts.Obs != nil {
-		br = &spanTracer{parent: opts.Obs.Child(obs.PhaseReduce), user: opts.Trace}
-		opts.Trace = br.event
-	}
+	span := opts.Obs.Child(obs.PhaseReduce) // nil when untraced
 	e := &engine{
 		g:    g,
 		aux:  aux,
@@ -479,7 +494,6 @@ func SearchInto(aux *graph.Aux, p *pattern.Pattern, vp graph.NodeID, sem Semanti
 		opts: opts,
 		frag: frag,
 		sc:   sc,
-		br:   br,
 		vp:   vp,
 		// The engine's own label probes (ablation guard, fragment-candidate
 		// scans) compare int32s instead of hashing strings per candidate.
@@ -503,21 +517,58 @@ func SearchInto(aux *graph.Aux, p *pattern.Pattern, vp graph.NodeID, sem Semanti
 		e.rng = rand.New(rand.NewSource(opts.Seed))
 	}
 	e.stack = sc.stack[:0]
-	e.run(vp)
+	e.run(vp, span)
 	sc.stack = e.stack // keep grown capacity for the next run
 	e.stats.Budget = e.budget
 	e.stats.FragmentSize = e.frag.Size()
 	e.stats.FragmentNodes = e.frag.NumNodes()
 	e.stats.FragmentEdges = e.frag.NumEdges()
-	e.stats.Visited = e.visited
+	e.stats.InducedReads = e.frag.Reads()
 	e.stats.FinalBound = e.bound
-	e.stats.BudgetExhausted = e.exhausted
-	e.stats.VisitsExhausted = e.visitsDone
-	e.stats.Canceled = e.canceled
-	if br != nil {
-		br.finish(e.stats)
+	if span != nil {
+		endReduceSpan(span, &e.stats)
 	}
 	return e.stats
+}
+
+// endReduceSpan stamps the run's Stats onto its "reduce" span and ends it.
+func endReduceSpan(span *obs.Span, s *Stats) {
+	span.Counters = append(make([]obs.Counter, 0, 15),
+		obs.Counter{Name: "rounds", Value: int64(s.Rounds)},
+		obs.Counter{Name: "visited", Value: int64(s.Visited)},
+		obs.Counter{Name: "pops", Value: int64(s.Pops)},
+		obs.Counter{Name: "edge_probes", Value: int64(s.EdgeProbes)},
+		obs.Counter{Name: "list_charges", Value: int64(s.ListCharges)},
+		obs.Counter{Name: "replay_charges", Value: int64(s.ReplayCharges)},
+		obs.Counter{Name: "guard_calls", Value: int64(s.GuardCalls)},
+		obs.Counter{Name: "cost_reads", Value: int64(s.CostReads)},
+		obs.Counter{Name: "induced_reads", Value: int64(s.InducedReads)},
+		obs.Counter{Name: "budget", Value: int64(s.Budget)},
+		obs.Counter{Name: "fragment_size", Value: int64(s.FragmentSize)},
+		obs.Counter{Name: "final_bound", Value: int64(s.FinalBound)})
+	if s.BudgetExhausted {
+		span.Counters = append(span.Counters, obs.Counter{Name: "budget_exhausted", Value: 1})
+	}
+	if s.VisitsExhausted {
+		span.Counters = append(span.Counters, obs.Counter{Name: "visits_exhausted", Value: 1})
+	}
+	if s.Canceled {
+		span.Counters = append(span.Counters, obs.Counter{Name: "canceled", Value: 1})
+	}
+	span.End()
+}
+
+// endRoundSpan stamps a round's share of the frontier counters — the
+// Stats deltas since before, taken as the round started — onto its
+// "round" span and ends it.
+func endRoundSpan(span *obs.Span, bound int, before, after *Stats) {
+	span.Counters = append(span.Counters,
+		obs.Counter{Name: "bound", Value: int64(bound)},
+		obs.Counter{Name: "pops", Value: int64(after.Pops - before.Pops)},
+		obs.Counter{Name: "adds", Value: int64(after.Adds - before.Adds)},
+		obs.Counter{Name: "pushes", Value: int64(after.Pushes - before.Pushes)},
+		obs.Counter{Name: "guard_rejects", Value: int64(after.GuardRejects - before.GuardRejects)})
+	span.End()
 }
 
 func maxInt(a, b int) int {
@@ -527,7 +578,9 @@ func maxInt(a, b int) int {
 	return b
 }
 
-func (e *engine) run(vp graph.NodeID) {
+// run is the round loop of Fig. 3. When span is non-nil, each round
+// gets a "round" child of it.
+func (e *engine) run(vp graph.NodeID, span *obs.Span) {
 	if e.budget < 1 {
 		return
 	}
@@ -538,19 +591,29 @@ func (e *engine) run(vp graph.NodeID) {
 	e.sc.resetMemo(hint)
 	for {
 		e.stats.Rounds++
-		e.emit(EventRound, 0, 0, 0)
+		if e.opts.onRound != nil {
+			e.opts.onRound(e.stats.Rounds)
+		}
+		var rs *obs.Span
+		var before Stats
+		if span != nil {
+			rs, before = span.Child(obs.PhaseRound), e.stats
+		}
 		e.sc.onStack.reset(hint)
 		e.sc.expanded.reset(hint)
 		e.stack = e.stack[:0]
 		e.changed = false
 		e.push(pairKey{e.p.Personalized(), vp})
 		e.round()
+		if rs != nil {
+			endRoundSpan(rs, e.bound, &before, &e.stats)
+		}
 		// Capture the round's live pairs before the next reset wipes them:
 		// onStack dominates expanded (every expanded pair was pushed first).
 		if hw := e.sc.onStack.live; hw > e.stats.PairHighWater {
 			e.stats.PairHighWater = hw
 		}
-		if e.exhausted || e.stopped() || !e.changed {
+		if e.stats.BudgetExhausted || e.stopped() || !e.changed {
 			return
 		}
 		if e.opts.MaxBound > 0 && e.bound >= e.opts.MaxBound {
@@ -573,11 +636,10 @@ func (e *engine) round() {
 	for len(e.stack) > 0 {
 		k := e.stack[len(e.stack)-1]
 		e.stack = e.stack[:len(e.stack)-1]
+		e.stats.Pops++
 		if e.stopVisit() { // the pop itself touches one data item
-			e.emit(e.stopKind(), k.u, k.v, 0)
 			return
 		}
-		e.emit(EventPop, k.u, k.v, 0)
 		// Line 5: add v to G_Q if absent and affordable.
 		if !e.frag.Contains(k.v) {
 			cost := e.frag.InducedEdgeCost(k.v)
@@ -585,16 +647,14 @@ func (e *engine) round() {
 			if e.frag.Size()+inc > e.budget {
 				// Cannot afford this node; the budget is effectively
 				// consumed for anything of this or larger footprint.
-				e.exhausted = true
-				e.emit(EventBudgetStop, k.u, k.v, 0)
+				e.stats.BudgetExhausted = true
 				continue
 			}
 			e.frag.AddCost(k.v)
 			e.changed = true
-			e.emit(EventAdd, k.u, k.v, float64(inc))
+			e.stats.Adds++
 			if e.frag.Size() >= e.budget {
-				e.exhausted = true
-				e.emit(EventBudgetStop, k.u, k.v, 0)
+				e.stats.BudgetExhausted = true
 				return // line 7: |G_Q| reached α|G|
 			}
 		}
@@ -666,6 +726,7 @@ func (e *engine) pick(v graph.NodeID, target pattern.NodeID, dir graph.Direction
 	// v_p (Section 2 fixes (u_p, v_p) in every match relation). A single
 	// edge-existence probe replaces the neighborhood scan.
 	if target == e.p.Personalized() {
+		e.stats.EdgeProbes++
 		if e.stopVisit() {
 			return
 		}
@@ -691,9 +752,8 @@ func (e *engine) pick(v graph.NodeID, target pattern.NodeID, dir graph.Direction
 	if li, ok := e.sc.memo.lookup(key); ok && e.charge(len(neigh)) {
 		l := e.sc.lists[li]
 		list = e.sc.arena[l.off : l.off+l.n]
-		if e.br != nil {
-			e.br.rejects += int64(len(neigh) - len(list))
-		}
+		e.stats.ReplayCharges += len(neigh)
+		e.stats.GuardRejects += len(neigh) - len(list)
 	} else if list, ok = e.scan(v, neigh, target, dir, key); !ok {
 		return
 	}
@@ -714,9 +774,9 @@ func (e *engine) pick(v graph.NodeID, target pattern.NodeID, dir graph.Direction
 	}
 	// Push in reverse so the best-ranked candidate ends on top.
 	for i := len(top) - 1; i >= 0; i-- {
-		e.emit(EventPush, target, top[i].v, top[i].w)
 		e.push(pairKey{target, top[i].v})
 	}
+	e.stats.Pushes += len(top)
 	e.sc.cands = top[:0]
 }
 
@@ -732,6 +792,7 @@ func (e *engine) scan(v graph.NodeID, neigh []graph.NodeID, target pattern.NodeI
 	if !e.charge(len(neigh)) {
 		return e.scanEach(neigh, target, key)
 	}
+	e.stats.ListCharges += len(neigh)
 	want := e.plabels[target]
 	var block []graph.NodeID
 	if dir == graph.Forward {
@@ -743,18 +804,9 @@ func (e *engine) scan(v graph.NodeID, neigh []graph.NodeID, target pattern.NodeI
 	for _, w := range block {
 		if e.admits(w, target) {
 			e.sc.arena = append(e.sc.arena, e.candidate(w, target))
-		} else {
-			e.emit(EventGuardReject, target, w, 0)
 		}
 	}
-	if e.opts.Trace != nil {
-		// The label test rejects the rest of the list.
-		for _, w := range neigh {
-			if e.g.LabelOf(w) != want {
-				e.emit(EventGuardReject, target, w, 0)
-			}
-		}
-	}
+	e.stats.GuardRejects += len(neigh) - (len(e.sc.arena) - off)
 	return e.memoize(key, off), true
 }
 
@@ -766,25 +818,30 @@ func (e *engine) scan(v graph.NodeID, neigh []graph.NodeID, target pattern.NodeI
 func (e *engine) scanEach(neigh []graph.NodeID, target pattern.NodeID, key uint64) ([]scored, bool) {
 	want := e.plabels[target]
 	off := len(e.sc.arena)
-	for _, w := range neigh {
+	for i, w := range neigh {
 		if e.stopVisit() {
+			e.stats.ListCharges += i + 1
+			e.stats.GuardRejects += i - (len(e.sc.arena) - off)
 			e.sc.arena = e.sc.arena[:off]
-			e.emit(e.stopKind(), target, w, 0)
 			return nil, false
 		}
-		if e.g.LabelOf(w) != want || !e.admits(w, target) {
-			e.emit(EventGuardReject, target, w, 0)
-			continue
+		if e.g.LabelOf(w) == want && e.admits(w, target) {
+			e.sc.arena = append(e.sc.arena, e.candidate(w, target))
 		}
-		e.sc.arena = append(e.sc.arena, e.candidate(w, target))
 	}
+	e.stats.ListCharges += len(neigh)
+	e.stats.GuardRejects += len(neigh) - (len(e.sc.arena) - off)
 	return e.memoize(key, off), true
 }
 
 // admits is C(w,target) for a w carrying target's label: the guarded
 // condition, or under DisableGuard the label test alone.
 func (e *engine) admits(w graph.NodeID, target pattern.NodeID) bool {
-	return e.opts.DisableGuard || e.sem.Guard(w, target)
+	if e.opts.DisableGuard {
+		return true
+	}
+	e.stats.GuardCalls++
+	return e.sem.GuardLabeled(w, target)
 }
 
 // candidate is the memo record of a guard-passing neighbour w.
@@ -856,17 +913,21 @@ func (e *engine) hasFragCandidate(v graph.NodeID, u pattern.NodeID, dir graph.Di
 		block = e.aux.InBlock(v, want)
 	}
 	if len(block) <= graph.ScanRatio*len(members) {
-		for _, w := range block {
+		for i, w := range block {
 			if e.frag.Contains(w) {
+				e.stats.CostReads += i + 1
 				return true
 			}
 		}
+		e.stats.CostReads += len(block)
 		return false
 	}
-	for _, w := range members {
+	for i, w := range members {
 		if _, found := slices.BinarySearch(block, w); found {
+			e.stats.CostReads += i + 1
 			return true
 		}
 	}
+	e.stats.CostReads += len(members)
 	return false
 }

@@ -17,7 +17,7 @@ type labelSemantics struct {
 	p *pattern.Pattern
 }
 
-func (s labelSemantics) Guard(v graph.NodeID, u pattern.NodeID) bool {
+func (s labelSemantics) GuardLabeled(v graph.NodeID, u pattern.NodeID) bool {
 	return s.g.Label(v) == s.p.Label(u)
 }
 

@@ -93,17 +93,10 @@ type Request struct {
 	// with one summary span per anchor run. Off by default; when off the
 	// execution path is bit-for-bit and allocation-identical to a
 	// traceless build (every engine touch point is a nil check, the same
-	// discipline as the interrupt probes).
+	// discipline as the interrupt probes). The reduction's spans are
+	// built from its counters at round boundaries, so a traced run reads
+	// exactly the data an untraced one reads.
 	WantTrace bool
-	// Tracer, when non-nil, receives the dynamic reduction's raw event
-	// stream (every pop, ranked push and fragment insertion, in order,
-	// and every guarded rejection the first time its adjacency list is
-	// read — the paper's Example 4 made observable; see
-	// reduce.WriteTracer for a textual renderer). The tracer runs inline
-	// with the search, so it requires Bounded or Unanchored mode and
-	// refuses the batch entry points, whose items run concurrently.
-	// Independent of WantTrace, which aggregates instead of streaming.
-	Tracer ReduceTracer
 }
 
 // Pin returns Request.Anchor pinning the personalized node to v.
@@ -143,15 +136,8 @@ func (req Request) validate() error {
 	if req.MaxSteps != 0 && req.Semantics != Subgraph {
 		return fmt.Errorf("%w: MaxSteps applies to Subgraph semantics only", ErrBadRequest)
 	}
-	if req.Tracer != nil && req.Mode == Exact {
-		return fmt.Errorf("%w: Tracer observes the dynamic reduction, which Exact mode does not run", ErrBadRequest)
-	}
 	return nil
 }
-
-// ReduceTracer receives the dynamic reduction's raw event stream (see
-// Request.Tracer); an alias of the reduce engine's Tracer.
-type ReduceTracer = reduce.Tracer
 
 // Trace is the structured span tree attached to a Result when
 // Request.WantTrace is set: phases with wall time and counters (see
@@ -328,8 +314,7 @@ func (pq *PreparedQuery) QueryBatch(ctx context.Context, pins []NodeID, req Requ
 }
 
 // validateBatch is validate plus the shape a batch entry point needs:
-// an anchored mode, no request-level anchor (items carry their own) and
-// no serial tracer.
+// an anchored mode and no request-level anchor (items carry their own).
 func (req Request) validateBatch() error {
 	if err := req.validate(); err != nil {
 		return err
@@ -339,9 +324,6 @@ func (req Request) validateBatch() error {
 	}
 	if req.Anchor != nil {
 		return fmt.Errorf("%w: QueryBatch items carry their own anchors", ErrBadRequest)
-	}
-	if req.Tracer != nil {
-		return fmt.Errorf("%w: Tracer is a serial stream; batch items run concurrently", ErrBadRequest)
 	}
 	return nil
 }
@@ -406,7 +388,7 @@ func runRequest(ctx context.Context, pl *plan.Plan, snap *delta.Snapshot, req Re
 	if class == bounded.Subgraph {
 		mopts = subOpts(req.MaxSteps, done)
 	}
-	ropts := reduce.Options{Alpha: req.Alpha, Interrupt: done, Trace: req.Tracer, Obs: execSpan}
+	ropts := reduce.Options{Alpha: req.Alpha, Interrupt: done, Obs: execSpan}
 
 	if req.Mode == Unanchored {
 		r := pl.Unanchored(aux, class, rbany.Options{Alpha: req.Alpha, Reduce: ropts}, mopts)

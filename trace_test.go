@@ -9,7 +9,6 @@ import (
 	"rbq/internal/gen"
 	"rbq/internal/graph"
 	"rbq/internal/obs"
-	"rbq/internal/reduce"
 )
 
 // traceFixture builds the standard warm-DB fixture the alloc tests use.
@@ -65,7 +64,8 @@ func TestTraceBoundedStructure(t *testing.T) {
 	if v, ok := res.Trace.Find(obs.PhasePlan).Counter("cache_hit"); !ok || v != 1 {
 		t.Errorf("plan span cache_hit = %d,%v, want 1", v, ok)
 	}
-	// Reduction rounds bridge into round child spans with a bound.
+	// The reduce span carries the run's counters, with a round child span
+	// per bound-escalation round.
 	rs := res.Trace.Find(obs.PhaseReduce)
 	if rounds, ok := rs.Counter("rounds"); !ok || rounds < 1 {
 		t.Fatalf("reduce span rounds = %d,%v", rounds, ok)
@@ -79,6 +79,17 @@ func TestTraceBoundedStructure(t *testing.T) {
 	}
 	if v, ok := rs.Counter("visited"); !ok || int(v) != res.Visited {
 		t.Errorf("reduce visited counter = %d, Result.Visited = %d", v, res.Visited)
+	}
+	var charged int64
+	for _, site := range []string{"pops", "edge_probes", "list_charges", "replay_charges"} {
+		n, ok := rs.Counter(site)
+		if !ok {
+			t.Errorf("reduce span has no %s counter", site)
+		}
+		charged += n
+	}
+	if int(charged) != res.Visited {
+		t.Errorf("reduce span charge sites sum to %d, Result.Visited = %d", charged, res.Visited)
 	}
 	// The text rendering covers every phase.
 	var sb strings.Builder
@@ -163,68 +174,6 @@ func TestTraceBatchShards(t *testing.T) {
 		}
 		if w, ok := r.Trace.Root.Counter("batch_workers"); !ok || w < 1 {
 			t.Fatalf("item %d batch_workers = %d,%v", i, w, ok)
-		}
-	}
-}
-
-// Request.Tracer streams the raw reduction events; validation rejects
-// the combinations that would run it concurrently or not at all.
-func TestRequestTracer(t *testing.T) {
-	db, q, vp := traceFixture(t)
-	ctx := context.Background()
-	var kinds []reduce.EventKind
-	req := Request{Anchor: &vp, Alpha: 0.01, Tracer: func(e reduce.Event) {
-		kinds = append(kinds, e.Kind)
-	}}
-	if _, err := db.Query(ctx, q, req); err != nil {
-		t.Fatal(err)
-	}
-	if len(kinds) == 0 {
-		t.Fatal("tracer received no events")
-	}
-	if kinds[0] != reduce.EventRound {
-		t.Fatalf("first event %v, want round", kinds[0])
-	}
-
-	// Tracing and the span layer compose: the bridge tees.
-	kinds = kinds[:0]
-	req.WantTrace = true
-	res, err := db.Query(ctx, q, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(kinds) == 0 || res.Trace == nil {
-		t.Fatal("tracer and trace must both be served")
-	}
-
-	bad := []Request{
-		{Anchor: &vp, Mode: Exact, Tracer: func(reduce.Event) {}},
-	}
-	for i, b := range bad {
-		if _, err := db.Query(ctx, q, b); err == nil {
-			t.Errorf("bad request %d accepted", i)
-		}
-	}
-	if _, err := db.QueryBatch(ctx, []AnchoredQuery{{Q: q, At: vp}},
-		Request{Alpha: 0.01, Tracer: func(reduce.Event) {}}, 2); err == nil {
-		t.Error("batch with Tracer accepted")
-	}
-}
-
-// WriteTracer renders stop events without the meaningless pair suffix.
-func TestWriteTracerStopEvents(t *testing.T) {
-	var sb strings.Builder
-	tr := reduce.WriteTracer(&sb)
-	tr(reduce.Event{Kind: reduce.EventCanceled})
-	tr(reduce.Event{Kind: reduce.EventVisitStop})
-	tr(reduce.Event{Kind: reduce.EventBudgetStop})
-	out := sb.String()
-	if strings.Contains(out, "u=") || strings.Contains(out, "v=") {
-		t.Fatalf("stop events still print a pair suffix:\n%s", out)
-	}
-	for _, want := range []string{"canceled", "visit-stop", "budget-stop"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("missing %q in:\n%s", want, out)
 		}
 	}
 }
