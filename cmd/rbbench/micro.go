@@ -94,13 +94,11 @@ func (r microResult) ledger() [4]float64 {
 // parallelBench marks suite entries whose allocation counts depend on
 // GOMAXPROCS (one chunk of buffers per worker), so their alloc gate gets
 // headroom for differing core counts instead of the exact-count gate the
-// serial hot paths use. CompactSwap rebuilds the Aux, whose construction
-// parallelizes the same way; the W4 worker-pool entries spawn goroutines
-// and per-worker pooled scratch.
+// serial hot paths use. The W4 worker-pool entries spawn goroutines and
+// per-worker pooled scratch.
 var parallelBench = map[string]bool{
 	"BuildAux":            true,
 	"LoadBinary":          true,
-	"CompactSwap":         true,
 	"ParallelExactW4":     true,
 	"QueryBatchShardedW4": true,
 }
@@ -316,9 +314,9 @@ func runMicro(path, comparePath string, tolerance float64, count int, nsGate boo
 	// Mutation fixtures: a batch of net-new edges over g (and its exact
 	// inverse), drawn deterministically, so ApplyEdges can oscillate the
 	// live delta without drifting and OverlayQuery can run the QueryCacheHit
-	// fixture against a snapshot with a live overlay. The three DBs are
-	// built lazily, on the first run of the first mutation entry: they
-	// add ~3 graph-sized structures of live heap, which must not sit in
+	// fixture against a snapshot with a live overlay. The DBs are built
+	// lazily, on the first run of the first mutation entry: they add
+	// graph-sized structures of live heap, which must not sit in
 	// memory while the engine entries are measured (GC and cache
 	// pressure from fixture state is not a property of the hot paths).
 	// The mutation entries therefore sit LAST in the suite — keep them
@@ -326,7 +324,7 @@ func runMicro(path, comparePath string, tolerance float64, count int, nsGate boo
 	const mutBatch = 64
 	sweepSizes := []int{64, 512, 4096}
 	var mutAdd, mutDel []rbq.Op
-	var adb, odb, cdb, idb *rbq.DB
+	var adb, odb *rbq.DB
 	sweepAdd := make(map[int][]rbq.Op, len(sweepSizes))
 	sweepDel := make(map[int][]rbq.Op, len(sweepSizes))
 	sweepDB := make(map[int]*rbq.DB, len(sweepSizes))
@@ -360,22 +358,9 @@ func runMicro(path, comparePath string, tolerance float64, count int, nsGate boo
 				mutErr = err
 				return
 			}
-			// CompactSwap alternates one-op deltas with forced compactions,
-			// so each iteration measures two full rebuild-and-swap cycles of
-			// CSR + Aux at the 30k-node scale. Splicing is pinned off: this
-			// entry is the full-rebuild reference IncrementalCompact is
-			// judged against.
-			cdb = rbq.NewDB(g)
-			cdb.SetCompactSpliceFraction(0)
-			// IncrementalCompact runs the same cadence over a 64-edge delta
-			// at the default splice fraction (~128 touched of 30k nodes, far
-			// under the fallback threshold, so every compaction splices).
-			idb = rbq.NewDB(g)
 			// CompactSweep measures how splice cost scales with delta size:
-			// nested prefixes of one deterministic net-new edge pool, with
-			// the fraction forced to 1 so even the 4096-edge delta (~8k
-			// touched nodes, past the default 25% fallback) stays on the
-			// splice path.
+			// nested prefixes of one deterministic net-new edge pool, from
+			// ~128 to ~8k touched nodes of 30k.
 			srng := rand.New(rand.NewSource(13))
 			sweepSeen := make(map[[2]int]bool)
 			maxSweep := sweepSizes[len(sweepSizes)-1]
@@ -391,9 +376,7 @@ func runMicro(path, comparePath string, tolerance float64, count int, nsGate boo
 			}
 			for _, n := range sweepSizes {
 				sweepAdd[n], sweepDel[n] = poolAdd[:n], poolDel[:n]
-				db := rbq.NewDB(g)
-				db.SetCompactSpliceFraction(1)
-				sweepDB[n] = db
+				sweepDB[n] = rbq.NewDB(g)
 			}
 		})
 		if mutErr != nil {
@@ -603,19 +586,6 @@ func runMicro(path, comparePath string, tolerance float64, count int, nsGate boo
 			for i := 0; i < b.N; i++ {
 				odb.Query(context.Background(), q, qreq)
 			}
-		}},
-		{"CompactSwap", func(b *testing.B) {
-			// Full-rebuild reference: splicing pinned off, one-op deltas,
-			// each iteration rebuilding CSR + Aux twice at 30k nodes.
-			mutSetup(b)
-			compactCycle(b, cdb, mutAdd[:1], mutDel[:1])
-		}},
-		{"IncrementalCompact", func(b *testing.B) {
-			// CompactSwap's cadence with a 64-edge delta on the splice
-			// path: each compaction copies only the ~128 touched nodes'
-			// CSR segments and histograms and memmoves the untouched runs.
-			mutSetup(b)
-			compactCycle(b, idb, mutAdd, mutDel)
 		}},
 		{"CompactSweep64", func(b *testing.B) {
 			mutSetup(b)

@@ -90,7 +90,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		timeout      = fs.Duration("timeout", 0, "cancel query evaluation after this duration (0 = none; pattern and workload modes)")
 		from         = fs.Int("from", -1, "source node (reach mode)")
 		to           = fs.Int("to", -1, "target node (reach mode)")
-		indexPath    = fs.String("index", "", "reach mode: load the oracle from this file if it exists, else build and save it there")
+		indexPath    = fs.String("index", "", "reach mode: load the oracle from this file if it exists (it must have been built from the same graph), else build and save it there")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -331,7 +331,7 @@ func obtainOracle(db *rbq.DB, alpha float64, indexPath string) (*rbq.ReachOracle
 	if indexPath != "" {
 		if f, err := os.Open(indexPath); err == nil {
 			defer f.Close()
-			oracle, err := rbq.LoadReachOracle(f)
+			oracle, err := db.LoadReachOracle(f)
 			if err != nil {
 				return nil, "", fmt.Errorf("loading %s: %w", indexPath, err)
 			}

@@ -318,6 +318,28 @@ func TestRunReachModeWithPersistedIndex(t *testing.T) {
 	if !strings.Contains(out2.String(), "reachable(0, 3) = true") {
 		t.Fatalf("wrong answer from persisted index:\n%s", out2.String())
 	}
+	// The index answers for the graph it was built from: a graph of the
+	// same size with one edge reversed, or a larger one queried at a node
+	// the index has never seen, is refused with exit 1 before any query.
+	text, err := os.ReadFile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range map[string]struct{ text, from string }{
+		"same size": {strings.Replace(string(text), "edge 2 3\n", "edge 3 2\n", 1), "0"},
+		"larger":    {string(text) + "node 7 X\n", "7"},
+	} {
+		other := filepath.Join(t.TempDir(), "other.graph")
+		if err := os.WriteFile(other, []byte(tc.text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out, errb bytes.Buffer
+		code := run([]string{"-graph", other, "-mode", "reach", "-alpha", "0.9",
+			"-from", tc.from, "-to", "3", "-exact", "-index", idx}, &out, &errb)
+		if code != 1 || !strings.Contains(errb.String(), "another graph") {
+			t.Fatalf("%s graph: exit %d, stderr %q, want exit 1 refusing the index", name, code, errb.String())
+		}
+	}
 }
 
 // TestRunUpdateMode: an op stream mutates the graph batch by batch,

@@ -17,10 +17,10 @@
 // for unsynchronized concurrent readers, which is what lets the facade
 // publish them through one atomic pointer with no reader-side locking.
 // Compaction (Snapshot.Compacted) materializes the merged view as a new
-// base CSR + Aux off the request path — spliced incrementally from the
-// overlay's merged segments when the touched set is small, rebuilt from
-// scratch past a configurable fraction of |V| — and the facade swaps it
-// in and starts an empty Delta over the new base.
+// base CSR + Aux off the request path — spliced from the overlay's
+// merged segments and the patched histograms, in time proportional to
+// what changed — and the facade swaps it in and starts an empty Delta
+// over the new base.
 package delta
 
 import (
@@ -282,42 +282,17 @@ func (s *Snapshot) Epoch() uint64 { return s.epoch }
 // for a clean (base or freshly compacted) snapshot.
 func (s *Snapshot) LiveOps() int { return s.ops }
 
-// CompactInfo reports how a Compacted call materialized the new base.
-type CompactInfo struct {
-	// Incremental is set when the base was spliced from the overlay in
-	// O(|delta| + touched-degree) rather than rebuilt in O(|G|).
-	Incremental bool
-	// TouchedNodes is the size of the overlay's touched set (changed
-	// base nodes plus new nodes); zero for a clean snapshot.
-	TouchedNodes int
-}
-
-// Compacted rebuilds the snapshot's view as a standalone base CSR with
-// its Aux, at the given epoch, run off the request path: readers keep
-// executing against the old snapshot until the facade swaps the result
-// in. A clean snapshot is re-stamped without rebuilding. Equivalent to
-// CompactedWith with graph.DefaultCompactSpliceFraction.
+// Compacted materializes the snapshot's view as a standalone base CSR
+// with its Aux, at the given epoch, run off the request path: readers
+// keep executing against the old snapshot until the facade swaps the
+// result in. The new base and Aux are spliced from the overlay's merged
+// segments and the patched histograms (graph.CompactIncremental) in
+// O(|delta| + touched-degree) plus flat array copies; no BuildAux pass
+// runs. A clean snapshot is re-stamped without compacting.
 func (s *Snapshot) Compacted(epoch uint64) *Snapshot {
-	snap, _ := s.CompactedWith(epoch, graph.DefaultCompactSpliceFraction)
-	return snap
-}
-
-// CompactedWith is Compacted with an explicit splice ceiling: when the
-// overlay's touched set is at most spliceFrac × |V|, the new base and
-// its Aux are spliced incrementally from the overlay's merged segments
-// and the patched histograms — O(|delta| + touched-degree) — and
-// otherwise (or with spliceFrac 0) rebuilt from scratch in O(|G|). Both
-// strategies produce bit-for-bit identical snapshots; the returned
-// CompactInfo says which one ran.
-func (s *Snapshot) CompactedWith(epoch uint64, spliceFrac float64) (*Snapshot, CompactInfo) {
 	if s.ops == 0 {
-		return &Snapshot{epoch: epoch, g: s.g, aux: s.aux}, CompactInfo{}
+		return &Snapshot{epoch: epoch, g: s.g, aux: s.aux}
 	}
-	if g, aux, st, ok := graph.CompactIncremental(s.g, s.aux, spliceFrac); ok {
-		return &Snapshot{epoch: epoch, g: g, aux: aux},
-			CompactInfo{Incremental: true, TouchedNodes: st.TouchedNodes}
-	}
-	g := s.g.CompactWith(0)
-	return &Snapshot{epoch: epoch, g: g, aux: graph.BuildAux(g)},
-		CompactInfo{TouchedNodes: s.g.TouchedNodes()}
+	g, aux := graph.CompactIncremental(s.g, s.aux)
+	return &Snapshot{epoch: epoch, g: g, aux: aux}
 }

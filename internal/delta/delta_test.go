@@ -2,6 +2,7 @@ package delta
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -167,49 +168,48 @@ func TestSealMatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestCompactedWithPathsAndInfo: CompactedWith reports which path ran —
-// incremental under a permissive splice fraction, full rebuild when the
-// fraction forbids splicing — and both paths land on equivalent bases.
+// TestCompactedWithPathsAndInfo: Compacted splices the sealed overlay
+// into a clean, valid base with the view's lists, and re-stamps a clean
+// snapshot without compacting. The delta leaves the last base node
+// untouched, so its run is copied and shifted.
 func TestCompactedWithPathsAndInfo(t *testing.T) {
 	g, aux := baseGraph()
 	d := New(g, aux)
-	if err := d.Apply([]Op{AddNode("E"), AddEdge(3, 1), DelEdge(1, 2)}); err != nil {
+	if err := d.Apply([]Op{AddNode("E"), AddEdge(1, 0), AddEdge(0, 2), AddEdge(4, 0)}); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := d.Seal(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	inc, info := snap.CompactedWith(2, 1)
-	if !info.Incremental || info.TouchedNodes == 0 {
-		t.Fatalf("permissive fraction did not splice: %+v", info)
-	}
-	full, finfo := snap.CompactedWith(2, 0)
-	if finfo.Incremental {
-		t.Fatalf("zero fraction spliced anyway: %+v", finfo)
-	}
-	if finfo.TouchedNodes != info.TouchedNodes {
-		t.Fatalf("touched count diverges across paths: %d vs %d",
-			finfo.TouchedNodes, info.TouchedNodes)
-	}
-	for name, c := range map[string]*Snapshot{"spliced": inc, "rebuilt": full} {
-		if c.Epoch() != 2 || c.LiveOps() != 0 || c.Graph().HasOverlay() {
-			t.Fatalf("%s snapshot still carries a delta", name)
-		}
-		if err := c.Graph().Validate(); err != nil {
-			t.Fatalf("%s base invalid: %v", name, err)
-		}
-	}
-	if inc.Graph().NumNodes() != full.Graph().NumNodes() ||
-		inc.Graph().NumEdges() != full.Graph().NumEdges() {
-		t.Fatal("spliced and rebuilt bases diverge")
+	if snap.Graph().TouchedNodes() == 0 {
+		t.Fatal("sealed overlay reports no touched nodes")
 	}
 
-	// A clean snapshot re-stamps without compacting on either path.
-	clean, cinfo := inc.CompactedWith(3, 1)
-	if cinfo.Incremental || cinfo.TouchedNodes != 0 || clean.Graph() != inc.Graph() {
-		t.Fatalf("clean snapshot compacted needlessly: %+v", cinfo)
+	inc := snap.Compacted(2)
+	if inc.Epoch() != 2 || inc.LiveOps() != 0 || inc.Graph().HasOverlay() || inc.Graph().TouchedNodes() != 0 {
+		t.Fatal("spliced snapshot still carries a delta")
+	}
+	if err := inc.Graph().Validate(); err != nil {
+		t.Fatalf("spliced base invalid: %v", err)
+	}
+	if inc.Graph().NumNodes() != snap.Graph().NumNodes() ||
+		inc.Graph().NumEdges() != snap.Graph().NumEdges() {
+		t.Fatal("spliced base diverges from the view it compacted")
+	}
+	for v := range graph.NodeID(snap.Graph().NumNodes()) {
+		if !slices.Equal(inc.Graph().Out(v), snap.Graph().Out(v)) || !slices.Equal(inc.Graph().In(v), snap.Graph().In(v)) {
+			t.Fatalf("node %d: spliced lists %v/%v, view %v/%v", v,
+				inc.Graph().Out(v), inc.Graph().In(v), snap.Graph().Out(v), snap.Graph().In(v))
+		}
+	}
+	if inc.Aux().Graph() != inc.Graph() || inc.Aux().BaseHists() == nil {
+		t.Fatal("spliced Aux is not the new base's base Aux")
+	}
+
+	// A clean snapshot re-stamps without compacting.
+	if clean := inc.Compacted(3); clean.Graph() != inc.Graph() || clean.Aux() != inc.Aux() || clean.Epoch() != 3 {
+		t.Fatal("clean snapshot compacted needlessly")
 	}
 }
 

@@ -2,19 +2,14 @@ package graph
 
 // Compaction: materializing an overlay view as a standalone base CSR.
 //
-// Two strategies, chosen by the size of the touched set:
-//
-//   - Splice (the default for bounded deltas): the overlay already holds
-//     the merged adjacency of every touched node and the patched label →
-//     node lists, so the new base is assembled by bulk-copying the
-//     untouched runs of the base arrays around them — memmove-speed
-//     work, no per-edge re-sort, no histogram reconstruction. Cost is
-//     O(|delta| + Σ degree of touched nodes) plus the flat array copies;
-//     on the bench fixture that is ~100× cheaper than a full rebuild.
-//   - Full rebuild (the fallback): re-add every node and edge through a
-//     Builder. It is O(|V|+|E|) with sorting, but it is the strategy of
-//     last resort the splice must stay bit-for-bit equal to — the
-//     property tests and FuzzSpliceCompact pin the two to each other.
+// The overlay already holds the merged adjacency of every touched node
+// and the patched label → node lists, so the new base is spliced: the
+// untouched runs of the base arrays are bulk-copied around them, with
+// no per-edge re-sort and no histogram reconstruction. Cost is
+// O(|delta| + Σ degree of touched nodes) plus the flat array copies,
+// and it stays below a from-scratch Builder rebuild however much of the
+// graph the delta touches. The tests pin the splice, array for array,
+// to that rebuild (compactFull, in the test files).
 //
 // Splice invariants (why the bulk copies are sound):
 //
@@ -29,30 +24,10 @@ package graph
 //     overlay records exactly those as non-nil patched lists.
 //   - The overlay maintains degCount/maxDegree incrementally, so the new
 //     base inherits them without a rescan.
-//
-// The fallback threshold is a *fraction of the view's node count*: when
-// the touched set (touched base nodes + new nodes) exceeds it, the
-// splice's per-run bookkeeping approaches the rebuild's linear work
-// while pinning two copies of the arrays, so the Builder path wins.
-
-// DefaultCompactSpliceFraction is the default ceiling on the touched
-// fraction of |V| up to which Compact splices instead of rebuilding;
-// see Graph.CompactWith.
-const DefaultCompactSpliceFraction = 0.25
-
-// CompactStats reports how a compaction ran.
-type CompactStats struct {
-	// Incremental is set when the base was spliced from the overlay
-	// rather than rebuilt through a Builder.
-	Incremental bool
-	// TouchedNodes is the number of overlay slots materialized: touched
-	// base nodes plus new nodes. Zero when the graph had no overlay.
-	TouchedNodes int
-}
 
 // TouchedNodes returns the number of nodes the overlay touches (changed
-// base nodes plus new nodes), or 0 for a base graph. This is the size
-// the splice-vs-rebuild decision is made on.
+// base nodes plus new nodes), or 0 for a base graph: the slots a
+// compaction materializes.
 func (g *Graph) TouchedNodes() int {
 	if g.ov == nil {
 		return 0
@@ -60,60 +35,16 @@ func (g *Graph) TouchedNodes() int {
 	return len(g.ov.out)
 }
 
-// Compact materializes the graph as a standalone base CSR: the merged
-// view of an overlay graph, or a defensive identity for a base graph
-// (returned as-is — base graphs are immutable). This is the rebuild the
-// delta layer's threshold compaction runs off the request path before
-// swapping the result in as the new base. Equivalent to CompactWith
-// with DefaultCompactSpliceFraction.
+// Compact materializes the graph as a standalone base CSR by splicing
+// the overlay onto the base arrays: the merged view of an overlay
+// graph, or a defensive identity for a base graph (returned as-is —
+// base graphs are immutable). The result has the adjacency, label
+// tables, label index and degree structure a from-scratch build of the
+// merged graph has, array for array.
 func (g *Graph) Compact() *Graph {
-	return g.CompactWith(DefaultCompactSpliceFraction)
-}
-
-// CompactWith is Compact with an explicit splice ceiling: the overlay is
-// spliced onto the base arrays when the touched node set is at most
-// spliceFrac × |V|, and rebuilt from scratch otherwise. spliceFrac 0
-// forces the full rebuild; 1 always splices (the touched set never
-// exceeds |V|). Both strategies produce equivalent graphs — same
-// adjacency, label tables, label index and degree structure.
-func (g *Graph) CompactWith(spliceFrac float64) *Graph {
-	if g.ov == nil {
-		return g
-	}
-	if ng, ok := g.spliceCompact(spliceFrac); ok {
-		return ng
-	}
-	return g.compactFull()
-}
-
-// compactFull is the Builder-based O(|V|+|E|) rebuild. The Builder is
-// seeded with the view's label table in order, so every label keeps its
-// id — including labels no node carries — exactly as the splice keeps
-// the table: label ids only ever grow by appending within a lineage.
-func (g *Graph) compactFull() *Graph {
-	b := NewBuilder(g.NumNodes(), g.NumEdges())
-	for _, name := range g.labelNames {
-		b.Intern(name)
-	}
-	for v := 0; v < g.NumNodes(); v++ {
-		b.AddLabeled(g.LabelOf(NodeID(v)))
-	}
-	for v := 0; v < g.NumNodes(); v++ {
-		for _, w := range g.Out(NodeID(v)) {
-			b.AddEdge(NodeID(v), w)
-		}
-	}
-	return b.Build()
-}
-
-// spliceCompact assembles the merged view as a standalone base by
-// splicing the overlay's per-slot adjacency into bulk copies of the
-// untouched base runs. Returns ok=false when the touched set exceeds
-// spliceFrac × |V| (the caller falls back to compactFull).
-func (g *Graph) spliceCompact(spliceFrac float64) (*Graph, bool) {
 	ov := g.ov
-	if spliceFrac <= 0 || float64(len(ov.out)) > spliceFrac*float64(ov.nodes) {
-		return nil, false
+	if ov == nil {
+		return g
 	}
 	n := ov.nodes
 
@@ -146,7 +77,7 @@ func (g *Graph) spliceCompact(spliceFrac float64) (*Graph, bool) {
 	if n > ov.baseN {
 		ng.labelStart, ng.labelNodes = g.spliceLabelIndex(ov, n)
 	}
-	return ng, true
+	return ng
 }
 
 // splice builds one array of the merged view — a direction's adjacency,
@@ -214,24 +145,18 @@ func (g *Graph) spliceLabelIndex(ov *overlay, n int) ([]int32, []NodeID) {
 
 // CompactIncremental splices the overlay view and its patched Aux into
 // a standalone base Graph and base Aux in one pass: the graph arrays as
-// in CompactWith, and the Aux by splicing the base histogram arenas
-// around the per-touched-node histograms the patched view already
-// computed at seal time — so no BuildAux pass runs at all. The presence
-// masks splice the same way. aux must be the PatchedFor view of view's
-// overlay (the pair a Snapshot carries).
-//
-// Returns ok=false — and touches nothing — when the pair does not match
-// or the touched set exceeds spliceFrac × |V|; callers then fall back
-// to CompactWith(0) + BuildAux.
-func CompactIncremental(view *Graph, aux *Aux, spliceFrac float64) (*Graph, *Aux, CompactStats, bool) {
+// in Compact, and the Aux by splicing the base histogram arenas around
+// the per-touched-node histograms the patched view already computed at
+// seal time — so no BuildAux pass runs at all. The presence masks
+// splice the same way. aux must be the PatchedFor view of view's
+// overlay (the pair a Snapshot carries); any other pairing is a
+// programming error and panics.
+func CompactIncremental(view *Graph, aux *Aux) (*Graph, *Aux) {
 	ov := view.ov
 	if ov == nil || aux == nil || aux.ov == nil || aux.ov.ov != ov {
-		return nil, nil, CompactStats{}, false
+		panic("graph: CompactIncremental needs an overlay view and the Aux patched for it")
 	}
-	ng, ok := view.spliceCompact(spliceFrac)
-	if !ok {
-		return nil, nil, CompactStats{}, false
-	}
+	ng := view.Compact()
 	n := ng.NumNodes()
 	na := &Aux{
 		g:        ng,
@@ -252,5 +177,5 @@ func CompactIncremental(view *Graph, aux *Aux, spliceFrac float64) (*Graph, *Aux
 	}
 	copy(na.mask[ov.baseN:], aux.ov.mask[len(ov.touched):])
 	na.bindHists()
-	return ng, na, CompactStats{Incremental: true, TouchedNodes: len(ov.out)}, true
+	return ng, na
 }

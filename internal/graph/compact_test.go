@@ -7,6 +7,27 @@ import (
 	"testing"
 )
 
+// compactFull is the reference the splice is tested against: the
+// Builder-based O(|V|+|E|) rebuild of the merged view. The Builder is
+// seeded with the view's label table in order, so every label keeps its
+// id — including labels no node carries — exactly as the splice keeps
+// the table: label ids only ever grow by appending within a lineage.
+func (g *Graph) compactFull() *Graph {
+	b := NewBuilder(g.NumNodes(), g.NumEdges())
+	for _, name := range g.labelNames {
+		b.Intern(name)
+	}
+	for v := 0; v < g.NumNodes(); v++ {
+		b.AddLabeled(g.LabelOf(NodeID(v)))
+	}
+	for v := 0; v < g.NumNodes(); v++ {
+		for _, w := range g.Out(NodeID(v)) {
+			b.AddEdge(NodeID(v), w)
+		}
+	}
+	return b.Build()
+}
+
 // assertIdenticalBase asserts two base graphs are bit-for-bit equal at
 // the array level — not just accessor-equivalent. The spliced compact
 // must produce exactly the arrays a Builder rebuild would, so base
@@ -74,11 +95,11 @@ func TestCompactWithSpliceMatchesFullRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: WithOverlay: %v", seed, err)
 		}
-		spliced := view.CompactWith(1) // force the splice path
+		spliced := view.Compact()
 		if spliced.HasOverlay() {
-			t.Fatalf("seed %d: CompactWith(1) returned an overlay view", seed)
+			t.Fatalf("seed %d: Compact returned an overlay view", seed)
 		}
-		assertIdenticalBase(t, view.CompactWith(0), spliced)
+		assertIdenticalBase(t, view.compactFull(), spliced)
 		assertSameGraph(t, rebuilt(g, d), spliced)
 		if err := spliced.Validate(); err != nil {
 			t.Fatalf("seed %d: spliced Validate: %v", seed, err)
@@ -129,8 +150,8 @@ func TestCompactWithSpliceEdgeCases(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			spliced := view.CompactWith(1)
-			assertIdenticalBase(t, view.CompactWith(0), spliced)
+			spliced := view.Compact()
+			assertIdenticalBase(t, view.compactFull(), spliced)
 			assertSameGraph(t, rebuilt(tc.base, tc.d), spliced)
 			if err := spliced.Validate(); err != nil {
 				t.Fatalf("Validate: %v", err)
@@ -152,41 +173,40 @@ func internedAhead() *Graph {
 	return b.Build()
 }
 
-func TestCompactWithFallsBackOnLargeTouchedSet(t *testing.T) {
+// TestCompactSplicesLargeTouchedSet: a delta touching far more of the
+// graph than a bounded delta would — over half the nodes, with untouched
+// runs between them and after them — still splices to the reference
+// rebuild's arrays, graph and Aux alike.
+func TestCompactSplicesLargeTouchedSet(t *testing.T) {
 	g := randomBase(t, 100, 300, 4, 1)
-	d := randomDelta(g, 4, 40, 20, 2)
+	d := OverlayDelta{NewNodeLabels: []string{g.LabelName(0), "NEW0"}}
+	for v := NodeID(0); v < 80; v++ {
+		if v%4 == 3 {
+			continue // leave a run untouched
+		}
+		w := (v + 8) % 80
+		if w%4 == 3 || g.HasEdge(v, w) {
+			continue
+		}
+		d.AddEdges = append(d.AddEdges, [2]NodeID{v, w})
+	}
+	d.AddEdges = append(d.AddEdges, [2]NodeID{100, 0}, [2]NodeID{101, 100})
 	view, err := g.WithOverlay(d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	touched := view.TouchedNodes()
-	if touched == 0 {
-		t.Fatal("fixture delta touched no nodes")
+	if 2*touched <= view.NumNodes() {
+		t.Fatalf("fixture touches %d of %d nodes, want over half", touched, view.NumNodes())
 	}
-	// Just below the touched fraction the splice must refuse…
-	frac := float64(touched)/float64(view.NumNodes()) - 1e-9
-	if _, ok := view.spliceCompact(frac); ok {
-		t.Fatalf("spliceCompact accepted %d touched nodes above fraction %v", touched, frac)
-	}
-	// …and at/above it, accept.
-	if _, ok := view.spliceCompact(float64(touched) / float64(view.NumNodes())); !ok {
-		t.Fatal("spliceCompact refused a touched set exactly at the fraction")
-	}
-	// CompactWith itself must still produce the right graph on both sides
-	// of the threshold.
-	assertSameGraph(t, view.CompactWith(frac), view.CompactWith(1))
-	// CompactIncremental refuses past the threshold rather than falling
-	// back internally — the delta layer owns the fallback.
+	assertIdenticalBase(t, view.compactFull(), view.Compact())
 	aux, err := BuildAux(g).PatchedFor(view)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, ok := CompactIncremental(view, aux, frac); ok {
-		t.Fatal("CompactIncremental spliced above the fraction")
-	}
-	if _, _, st, ok := CompactIncremental(view, aux, 1); !ok || !st.Incremental || st.TouchedNodes != touched {
-		t.Fatalf("CompactIncremental: ok=%v stats=%+v, want incremental with %d touched", ok, st, touched)
-	}
+	ng, na := CompactIncremental(view, aux)
+	assertIdenticalBase(t, view.compactFull(), ng)
+	assertIdenticalAux(t, BuildAux(ng), na)
 }
 
 func TestCompactIncrementalMatchesBuildAux(t *testing.T) {
@@ -202,14 +222,8 @@ func TestCompactIncrementalMatchesBuildAux(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ng, na, st, ok := CompactIncremental(view, patched, 1)
-		if !ok {
-			t.Fatalf("seed %d: CompactIncremental refused", seed)
-		}
-		if !st.Incremental || st.TouchedNodes != view.TouchedNodes() {
-			t.Fatalf("seed %d: stats %+v, want incremental with %d touched", seed, st, view.TouchedNodes())
-		}
-		assertIdenticalBase(t, view.CompactWith(0), ng)
+		ng, na := CompactIncremental(view, patched)
+		assertIdenticalBase(t, view.compactFull(), ng)
 		assertIdenticalAux(t, BuildAux(ng), na)
 		if na.Graph() != ng {
 			t.Fatalf("seed %d: spliced Aux bound to the wrong graph", seed)
@@ -227,12 +241,6 @@ func TestCompactIncrementalRejectsMismatchedPairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	baseAux := BuildAux(g)
-	if _, _, _, ok := CompactIncremental(g, baseAux, 1); ok {
-		t.Fatal("accepted a base graph")
-	}
-	if _, _, _, ok := CompactIncremental(view, baseAux, 1); ok {
-		t.Fatal("accepted an unpatched base Aux")
-	}
 	other, err := g.WithOverlay(OverlayDelta{AddEdges: [][2]NodeID{{0, 2}}})
 	if err != nil {
 		t.Fatal(err)
@@ -241,8 +249,23 @@ func TestCompactIncrementalRejectsMismatchedPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, ok := CompactIncremental(view, otherAux, 1); ok {
-		t.Fatal("accepted an Aux patched for a different overlay")
+	for _, tc := range []struct {
+		name string
+		view *Graph
+		aux  *Aux
+	}{
+		{"a base graph", g, baseAux},
+		{"an unpatched base Aux", view, baseAux},
+		{"an Aux patched for a different overlay", view, otherAux},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("accepted %s", tc.name)
+				}
+			}()
+			CompactIncremental(tc.view, tc.aux)
+		}()
 	}
 }
 
@@ -314,13 +337,15 @@ func decodeSpliceFuzz(data []byte) (*Graph, OverlayDelta, bool) {
 	return g, d, true
 }
 
-// FuzzSpliceCompact pins the CSR splicer to the Builder rebuild: any
-// sealable delta must splice to the exact arrays a full rebuild
-// produces, and the spliced Aux must match a from-scratch BuildAux.
+// FuzzSpliceCompact pins the CSR splicer to the reference rebuild: any
+// sealable delta must splice to the exact arrays compactFull produces,
+// and the spliced Aux must match a from-scratch BuildAux.
 func FuzzSpliceCompact(f *testing.F) {
 	f.Add([]byte{5, 2, 3, 0, 1, 1, 2, 2, 0, 0, 0, 0, 1, 3, 4, 3, 0, 0})
 	f.Add([]byte{1, 1, 0, 0, 5, 0})
 	f.Add([]byte{24, 4, 3, 1, 2, 3, 4, 5, 6, 0, 1, 0, 3, 1, 0, 2, 9, 9, 1, 20, 21})
+	// One added edge at the front of 6 nodes: the untouched tail shifts.
+	f.Add([]byte{5, 1, 3, 0, 1, 1, 2, 4, 5, 1, 0, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, d, ok := decodeSpliceFuzz(data)
 		if !ok {
@@ -330,8 +355,8 @@ func FuzzSpliceCompact(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoder produced an invalid delta: %v", err)
 		}
-		spliced := view.CompactWith(1)
-		assertIdenticalBase(t, view.CompactWith(0), spliced)
+		spliced := view.Compact()
+		assertIdenticalBase(t, view.compactFull(), spliced)
 		if err := spliced.Validate(); err != nil {
 			t.Fatalf("spliced Validate: %v", err)
 		}
@@ -339,10 +364,7 @@ func FuzzSpliceCompact(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ng, na, _, ok := CompactIncremental(view, patched, 1)
-		if !ok {
-			t.Fatal("CompactIncremental refused a forced splice")
-		}
+		ng, na := CompactIncremental(view, patched)
 		assertIdenticalBase(t, spliced, ng)
 		assertIdenticalAux(t, BuildAux(ng), na)
 	})

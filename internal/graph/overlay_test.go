@@ -341,10 +341,7 @@ func TestScratchFollowsTheLineage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base2, aux2, _, ok := CompactIncremental(view, patched, 1)
-	if !ok {
-		t.Fatal("CompactIncremental refused the pair")
-	}
+	base2, aux2 := CompactIncremental(view, patched)
 	for slot := 0; slot < scratchSlots; slot++ {
 		if patched.ScratchPool(slot) != aux.ScratchPool(slot) || aux2.ScratchPool(slot) != aux.ScratchPool(slot) {
 			t.Fatalf("slot %d: the view or the spliced base has pools of its own", slot)

@@ -179,6 +179,7 @@ func (pr *Prepared) Run(aux *graph.Aux, c *bounded.Compiled, opts Options, mopts
 	ws := sp.Child(obs.PhaseAnchorWave)
 	ws.Add("total_budget", int64(remaining))
 	var matches []graph.NodeID
+	var reads reduce.Stats // every anchor's read counters, summed past maxAnchorSpans
 	for i, a := range pass {
 		if remaining <= 0 {
 			break
@@ -196,6 +197,7 @@ func (pr *Prepared) Run(aux *graph.Aux, c *bounded.Compiled, opts Options, mopts
 		ropts.Budget = share
 		ar := r.Run(pr.Rooted, a.v, ropts, mopts)
 		anchorSpan(ws, res.Evaluated, a.v, share, ar.Stats, len(ar.Matches))
+		reads.AddReads(&ar.Stats)
 		res.Evaluated++
 		res.Visited += ar.Stats.Visited
 		res.FragmentSize += ar.Stats.FragmentSize
@@ -204,6 +206,9 @@ func (pr *Prepared) Run(aux *graph.Aux, c *bounded.Compiled, opts Options, mopts
 		matches = append(matches, ar.Matches...)
 	}
 	ws.Add("evaluated", int64(res.Evaluated))
+	if ws != nil {
+		ws.Counters = reads.AppendReads(ws.Counters)
+	}
 	ws.End()
 	res.Matches = sortedUnique(matches)
 	return res

@@ -4,10 +4,13 @@ package rbreach
 // once-for-all offline artifacts; a production deployment computes them
 // once per (graph, α) and serves queries from the persisted form.
 //
-// Layout (little endian): magic "RBQO", u64 budget, then two
+// Layout (little endian): magic "RBQO", u32 version, u64 budget, the
+// source graph's u64 |V|, u64 |E| and u32 CRC32C (see SourceOf), then two
 // length-prefixed sections (condensation, index). Length prefixes isolate
 // the sections so the sub-codecs' buffered readers cannot consume each
-// other's bytes.
+// other's bytes. Version 1 files had no version field and no source: the
+// budget followed the magic, and since a budget is at least 4 its low word
+// never reads as version 2, so they are refused.
 
 import (
 	"bytes"
@@ -21,17 +24,28 @@ import (
 
 var oracleMagic = [4]byte{'R', 'B', 'Q', 'O'}
 
+const oracleVersion uint32 = 2
+
+// oracleHeader is what follows the magic.
+type oracleHeader struct {
+	Version              uint32
+	Budget, Nodes, Edges uint64
+	CRC                  uint32
+}
+
 // oracleSectionLimit guards against corrupt headers allocating absurd
 // buffers (1 GiB per section).
 const oracleSectionLimit = 1 << 30
 
-// SaveOracle writes the oracle's offline state (budget, condensation,
-// index) to w.
+// SaveOracle writes the oracle's offline state (budget, source graph,
+// condensation, index) to w.
 func SaveOracle(w io.Writer, o *Oracle) error {
 	if _, err := w.Write(oracleMagic[:]); err != nil {
 		return err
 	}
-	if err := binary.Write(w, binary.LittleEndian, uint64(o.Budget)); err != nil {
+	h := oracleHeader{Version: oracleVersion, Budget: uint64(o.Budget),
+		Nodes: uint64(o.Source.Nodes), Edges: uint64(o.Source.Edges), CRC: o.Source.CRC}
+	if err := binary.Write(w, binary.LittleEndian, &h); err != nil {
 		return err
 	}
 	writeSection := func(marshal func(io.Writer) error) error {
@@ -60,9 +74,12 @@ func LoadOracle(r io.Reader) (*Oracle, error) {
 	if magic != oracleMagic {
 		return nil, fmt.Errorf("rbreach: bad magic %q", magic)
 	}
-	var budget uint64
-	if err := binary.Read(r, binary.LittleEndian, &budget); err != nil {
-		return nil, fmt.Errorf("rbreach: reading budget: %w", err)
+	var h oracleHeader
+	if err := binary.Read(r, binary.LittleEndian, &h); err != nil {
+		return nil, fmt.Errorf("rbreach: reading header: %w", err)
+	}
+	if h.Version != oracleVersion {
+		return nil, fmt.Errorf("rbreach: oracle file version %d, want %d: rebuild the index", h.Version, oracleVersion)
 	}
 	readSection := func(what string) ([]byte, error) {
 		var n uint64
@@ -94,5 +111,6 @@ func LoadOracle(r io.Reader) (*Oracle, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Oracle{Cond: cond, Index: idx, Budget: int(budget)}, nil
+	return &Oracle{Cond: cond, Index: idx, Budget: int(h.Budget),
+		Source: Source{Nodes: int(h.Nodes), Edges: int(h.Edges), CRC: h.CRC}}, nil
 }

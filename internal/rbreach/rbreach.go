@@ -16,6 +16,8 @@ package rbreach
 
 import (
 	"container/heap"
+	"encoding/binary"
+	"hash/crc32"
 
 	"rbq/internal/compress"
 	"rbq/internal/graph"
@@ -29,13 +31,48 @@ type Oracle struct {
 	// Budget is the per-query visit budget α|G| (in items); zero means
 	// α·|G| computed from BuildOptions.Alpha at construction.
 	Budget int
+	// Source identifies the graph the oracle was built from: its answers
+	// are in that graph's node ids and hold only for that graph. Zero for
+	// an oracle built by FromCondensation.
+	Source Source
+}
+
+// Source identifies a graph: its size and a CRC32C over its label table,
+// every node's label and every out-list.
+type Source struct {
+	Nodes, Edges int
+	CRC          uint32
+}
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// SourceOf computes g's Source in one pass over its nodes.
+func SourceOf(g *graph.Graph) Source {
+	crc := uint32(0)
+	for l := range g.NumLabels() {
+		crc = crc32.Update(crc, castagnoli, []byte(g.LabelName(graph.LabelID(l))))
+		crc = crc32.Update(crc, castagnoli, []byte{0})
+	}
+	var buf []byte
+	for v := range graph.NodeID(g.NumNodes()) {
+		out := g.Out(v)
+		buf = binary.LittleEndian.AppendUint32(buf[:0], uint32(g.LabelOf(v)))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(out)))
+		for _, w := range out {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(w))
+		}
+		crc = crc32.Update(crc, castagnoli, buf)
+	}
+	return Source{Nodes: g.NumNodes(), Edges: g.NumEdges(), CRC: crc}
 }
 
 // New runs the full offline pipeline of Section 5 over a (possibly cyclic)
 // graph: condense, then build the hierarchical landmark index with ratio
 // alpha. The per-query budget defaults to α·|G| of the *original* graph.
 func New(g *graph.Graph, opts landmark.BuildOptions) *Oracle {
-	return FromCondensation(compress.Condense(g), opts, g.Size())
+	o := FromCondensation(compress.Condense(g), opts, g.Size())
+	o.Source = SourceOf(g)
+	return o
 }
 
 // FromCondensation builds an oracle over an existing condensation, so

@@ -531,18 +531,37 @@ func SearchInto(aux *graph.Aux, p *pattern.Pattern, vp graph.NodeID, sem Semanti
 	return e.stats
 }
 
-// endReduceSpan stamps the run's Stats onto its "reduce" span and ends it.
-func endReduceSpan(span *obs.Span, s *Stats) {
-	span.Counters = append(make([]obs.Counter, 0, 15),
-		obs.Counter{Name: "rounds", Value: int64(s.Rounds)},
-		obs.Counter{Name: "visited", Value: int64(s.Visited)},
+// AddReads adds o's read counters — the four charge sites and the three
+// uncharged reads — into s.
+func (s *Stats) AddReads(o *Stats) {
+	s.Pops += o.Pops
+	s.EdgeProbes += o.EdgeProbes
+	s.ListCharges += o.ListCharges
+	s.ReplayCharges += o.ReplayCharges
+	s.GuardCalls += o.GuardCalls
+	s.CostReads += o.CostReads
+	s.InducedReads += o.InducedReads
+}
+
+// AppendReads appends s's read counters to cs, in the order a span
+// carries them.
+func (s *Stats) AppendReads(cs []obs.Counter) []obs.Counter {
+	return append(cs,
 		obs.Counter{Name: "pops", Value: int64(s.Pops)},
 		obs.Counter{Name: "edge_probes", Value: int64(s.EdgeProbes)},
 		obs.Counter{Name: "list_charges", Value: int64(s.ListCharges)},
 		obs.Counter{Name: "replay_charges", Value: int64(s.ReplayCharges)},
 		obs.Counter{Name: "guard_calls", Value: int64(s.GuardCalls)},
 		obs.Counter{Name: "cost_reads", Value: int64(s.CostReads)},
-		obs.Counter{Name: "induced_reads", Value: int64(s.InducedReads)},
+		obs.Counter{Name: "induced_reads", Value: int64(s.InducedReads)})
+}
+
+// endReduceSpan stamps the run's Stats onto its "reduce" span and ends it.
+func endReduceSpan(span *obs.Span, s *Stats) {
+	span.Counters = s.AppendReads(append(make([]obs.Counter, 0, 15),
+		obs.Counter{Name: "rounds", Value: int64(s.Rounds)},
+		obs.Counter{Name: "visited", Value: int64(s.Visited)}))
+	span.Counters = append(span.Counters,
 		obs.Counter{Name: "budget", Value: int64(s.Budget)},
 		obs.Counter{Name: "fragment_size", Value: int64(s.FragmentSize)},
 		obs.Counter{Name: "final_bound", Value: int64(s.FinalBound)})

@@ -263,7 +263,7 @@ func (m *metrics) render(w io.Writer, snap opSnapshot) {
 	fmt.Fprintln(w, "# TYPE rbqd_last_compact_touched_nodes gauge")
 	fmt.Fprintf(w, "rbqd_last_compact_touched_nodes %d\n", mu.LastCompactTouchedNodes)
 	if mu.Mode != "" {
-		fmt.Fprintln(w, "# HELP rbqd_compact_mode Strategy of the most recent compaction (constant 1, mode in the label).")
+		fmt.Fprintln(w, "# HELP rbqd_compact_mode Strategy of the most recent compaction, always incremental: the splice is the only one (constant 1, mode in the label).")
 		fmt.Fprintln(w, "# TYPE rbqd_compact_mode gauge")
 		fmt.Fprintf(w, "rbqd_compact_mode{mode=%q} 1\n", string(mu.Mode))
 	}

@@ -45,10 +45,10 @@ import (
 type Config struct {
 	// MaxInFlight bounds concurrently executing requests (default
 	// 4×GOMAXPROCS, minimum 1). MaxQueue bounds requests waiting for a
-	// slot (default = MaxInFlight; 0 disables queueing — saturation
-	// rejects immediately). MaxQueueWait caps how long a queued request
-	// may wait (default 2s); with the per-request deadline, it is why no
-	// request ever waits unboundedly.
+	// slot (0 means the default, MaxInFlight; a negative value disables
+	// queueing — saturation rejects immediately). MaxQueueWait caps how
+	// long a queued request may wait (default 2s); with the per-request
+	// deadline, it is why no request ever waits unboundedly.
 	MaxInFlight  int
 	MaxQueue     int
 	MaxQueueWait time.Duration

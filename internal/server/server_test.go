@@ -607,3 +607,13 @@ func TestMetricsTenantCardinalityBounded(t *testing.T) {
 		t.Fatalf("%d tenant histogram series, want ≤ %d", n, maxMetricTenants+1)
 	}
 }
+
+// TestConfigMaxQueueDefaults: MaxQueue 0 takes the default, MaxInFlight;
+// a negative value disables the queue; a positive one is kept.
+func TestConfigMaxQueueDefaults(t *testing.T) {
+	for _, tc := range []struct{ in, want int }{{0, 5}, {-1, 0}, {3, 3}} {
+		if got := (Config{MaxInFlight: 5, MaxQueue: tc.in}).withDefaults().MaxQueue; got != tc.want {
+			t.Errorf("MaxQueue %d: got %d, want %d", tc.in, got, tc.want)
+		}
+	}
+}

@@ -5,16 +5,15 @@ package rbq
 // fresh immutable snapshot; readers pin a snapshot with one atomic
 // pointer load, so queries never block on writers and always see one
 // consistent epoch end to end — and neither does anything else that
-// reads: db.mu is taken by Apply, Compact, the threshold setters and
+// reads: db.mu is taken by Apply, Compact, the threshold setter and
 // Close, and by nothing a query, a stats call or a metrics scrape
-// reaches. When the live delta crosses the
-// compaction threshold, Apply materializes the merged base CSR + Aux —
-// spliced incrementally from the overlay in O(delta) when the touched
-// set is small (see SetCompactSpliceFraction), rebuilt in O(|G|) past
-// that — off the request path: readers keep the old snapshot until the
-// swap — and starts an empty delta over the new base. Neither an Apply
-// nor a compaction touches the plan cache: a compiled plan depends on
-// the pattern and the label alphabet, not on the snapshot.
+// reaches. When the live delta crosses the compaction threshold, Apply
+// materializes the merged base CSR + Aux — spliced from the overlay in
+// time proportional to what changed, not to |G| — off the request path:
+// readers keep the old snapshot until the swap — and starts an empty
+// delta over the new base. Neither an Apply nor a compaction touches the
+// plan cache: a compiled plan depends on the pattern and the label
+// alphabet, not on the snapshot.
 //
 // Epoch/pinning invariants (the property and race tests in
 // mutation_test.go enforce them):
@@ -35,9 +34,9 @@ package rbq
 //     the spliced base of every incremental compaction share the base
 //     Aux's scratch pools, so an Apply costs readers no allocation.
 //   - Label ids only ever grow by appending: a batch's new labels take
-//     the next ids, and both compaction paths keep the view's label
-//     table as it is. Two snapshots of a lineage with equally many
-//     labels therefore have the same table.
+//     the next ids, and compaction keeps the view's label table as it
+//     is. Two snapshots of a lineage with equally many labels therefore
+//     have the same table.
 //   - A cached plan holds no snapshot: it is compiled against the label
 //     alphabet and bound to the querying snapshot's Aux per run, so it
 //     stays valid across Apply and compaction for as long as the
@@ -73,7 +72,7 @@ func AddEdge(from, to NodeID) Op { return delta.AddEdge(from, to) }
 func DelEdge(from, to NodeID) Op { return delta.DelEdge(from, to) }
 
 // DefaultCompactThreshold is the live-delta op count at which Apply
-// compacts: the merged view is rebuilt as a fresh base CSR + Aux and
+// compacts: the merged view is spliced into a fresh base CSR + Aux and
 // swapped in. See SetCompactThreshold.
 const DefaultCompactThreshold = 1 << 15
 
@@ -87,9 +86,8 @@ const DefaultCompactThreshold = 1 << 15
 // Applies (writers serialize behind a mutex). In-flight queries keep
 // the snapshot they pinned; queries issued after Apply returns see the
 // mutations. Sealing costs O(live delta); when the live delta reaches
-// the compaction threshold, Apply additionally materializes the merged
-// base before publishing (O(delta) spliced, or O(|G|) rebuilt past the
-// splice fraction) — still without blocking readers.
+// the compaction threshold, Apply additionally splices the merged base
+// before publishing — still without blocking readers.
 //
 // On a persistent DB (see OpenDB) the batch is validated first, then
 // appended to the WAL (fsync'd per the SyncPolicy), and only then
@@ -129,15 +127,13 @@ func (db *DB) Apply(ops []Op) error {
 }
 
 // Compact forces a compaction: the current snapshot's merged view is
-// materialized as a standalone base CSR + Aux — spliced incrementally
-// from the overlay when the touched set is within the splice fraction,
-// rebuilt from scratch otherwise — and swapped in, and the live delta
-// resets to empty. A no-op when there is no live delta. Apply triggers
-// the same materialization automatically at the compaction threshold;
+// spliced into a standalone base CSR + Aux and swapped in, and the live
+// delta resets to empty. A no-op when there is no live delta. Apply
+// triggers the same splice automatically at the compaction threshold;
 // Compact is for callers that want it at a quiet moment of their own
 // choosing. MutationStats reports how the last compaction ran.
 //
-// On a persistent DB compaction also writes the rebuilt base as a new
+// On a persistent DB compaction also writes the new base as a new
 // snapshot image (temp file, fsync, atomic rename) and truncates the
 // WAL. The returned error reports a failed image write; the in-memory
 // compaction still took effect and no acked batch is at risk — the WAL
@@ -171,28 +167,23 @@ func (db *DB) publishLocked(compact bool) error {
 	}
 	if compact {
 		start := time.Now()
-		var info delta.CompactInfo
-		snap, info = snap.CompactedWith(epoch, db.compactFrac)
+		db.lastCompactTouched = snap.Graph().TouchedNodes()
+		snap = snap.Compacted(epoch)
 		db.lastCompactNs = time.Since(start).Nanoseconds()
-		db.lastCompactTouched = info.TouchedNodes
-		if info.Incremental {
-			db.lastCompactMode = CompactModeIncremental
-		} else {
-			db.lastCompactMode = CompactModeFull
-		}
+		db.lastCompactMode = CompactModeIncremental
 		db.pending = delta.New(snap.Graph(), snap.Aux())
 		db.compactions++
 		if db.store != nil {
-			// Persist the rebuilt base and truncate the WAL. The spliced
-			// arrays of an incremental compaction are bit-for-bit the ones
-			// a full rebuild produces, so they stream into the image writer
-			// directly — no extra materialization, same durability ordering
-			// (temp file, fsync, atomic rename). Failure does not fail the
-			// publish: every acked batch is still in the WAL (the protocol
-			// only truncates it after the image is durable), so correctness
-			// is intact — but the store is poisoned and later Applies will
-			// surface the outage. Compact() returns this error; threshold-
-			// triggered compactions expose it via MutationStats.
+			// Persist the new base and truncate the WAL. The spliced arrays
+			// are the ones a from-scratch build of the same graph produces,
+			// so they stream into the image writer directly — no extra
+			// materialization, same durability ordering (temp file, fsync,
+			// atomic rename). Failure does not fail the publish: every
+			// acked batch is still in the WAL (the protocol only truncates
+			// it after the image is durable), so correctness is intact —
+			// but the store is poisoned and later Applies will surface the
+			// outage. Compact() returns this error; threshold-triggered
+			// compactions expose it via MutationStats.
 			db.lastBaseErr = db.store.WriteBase(snap.Graph(), snap.Aux(), db.seq)
 			if db.lastBaseErr != nil {
 				db.baseWriteErrs++
@@ -224,8 +215,9 @@ func (db *DB) publishStatsLocked() {
 
 // SetCompactThreshold sets the live-delta op count at which Apply
 // compacts (minimum 1; the default is DefaultCompactThreshold). A lower
-// threshold trades more frequent O(|G|) rebuilds for cheaper overlay
-// lookups on touched nodes; tests use it to force compaction churn.
+// threshold trades more frequent splices — each copying the flat base
+// arrays once — for cheaper overlay lookups on touched nodes; tests use
+// it to force compaction churn.
 func (db *DB) SetCompactThreshold(n int) {
 	if n < 1 {
 		n = 1
@@ -236,33 +228,14 @@ func (db *DB) SetCompactThreshold(n int) {
 	db.publishStatsLocked()
 }
 
-// SetCompactSpliceFraction sets the touched-node fraction of |V| up to
-// which compaction splices the new base incrementally from the overlay
-// (O(|delta| + touched-degree)) instead of rebuilding it from scratch
-// (O(|G|)). The default is graph.DefaultCompactSpliceFraction; 0 forces
-// every compaction down the full-rebuild path, 1 always splices. Both
-// strategies produce bit-for-bit identical bases — the knob trades the
-// splice's bulk array copies against the rebuild's re-sort, and exists
-// mainly for benchmarking and for pinning a path in tests.
-func (db *DB) SetCompactSpliceFraction(f float64) {
-	if f < 0 {
-		f = 0
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.compactFrac = f
-}
-
-// CompactMode says how a compaction materialized the new base.
+// CompactMode says how a compaction materialized the new base. The
+// splice is the only strategy, so a DB that has compacted reports
+// CompactModeIncremental.
 type CompactMode string
 
-const (
-	// CompactModeFull is the O(|G|) from-scratch rebuild.
-	CompactModeFull CompactMode = "full"
-	// CompactModeIncremental is the O(delta) splice of the overlay's
-	// merged segments onto the untouched base arrays.
-	CompactModeIncremental CompactMode = "incremental"
-)
+// CompactModeIncremental is the splice of the overlay's merged segments
+// onto the untouched base arrays.
+const CompactModeIncremental CompactMode = "incremental"
 
 // MutationStats is a snapshot of the DB's mutation-side counters.
 type MutationStats struct {
@@ -273,15 +246,15 @@ type MutationStats struct {
 	// after a compaction). Net: an add canceled by a later delete leaves
 	// no trace.
 	LiveDeltaOps int
-	// Compactions counts base rebuilds (threshold-triggered and
-	// explicit alike). CompactThreshold is the current trigger.
+	// Compactions counts compactions (threshold-triggered and explicit
+	// alike). CompactThreshold is the current trigger.
 	Compactions      uint64
 	CompactThreshold int
 	// LastCompactNs is the wall time of the most recent compaction's
-	// in-memory rebuild (excluding any base-image write);
-	// LastCompactTouchedNodes the size of the touched set it spliced (or
-	// would have spliced — also set when the fallback rebuilt in full);
-	// Mode which strategy ran, empty until the first compaction.
+	// in-memory splice (excluding any base-image write);
+	// LastCompactTouchedNodes the size of the touched set it spliced:
+	// changed base nodes plus new nodes. Mode is CompactModeIncremental,
+	// the one strategy, from the first compaction on, and empty before.
 	LastCompactNs           int64
 	LastCompactTouchedNodes int
 	Mode                    CompactMode

@@ -85,8 +85,17 @@ func (s *shadow) randomBatch(rng *rand.Rand, n int) []Op {
 }
 
 // rebuild constructs a fresh graph from the shadow.
-func (s *shadow) rebuild() *Graph {
+func (s *shadow) rebuild() *Graph { return s.rebuildInterned(nil) }
+
+// rebuildInterned is rebuild with names interned first, in order: given
+// the base's label table, the from-scratch graph numbers its labels as
+// the mutated DB's lineage does, the base's first and each new label
+// after them in order of first use.
+func (s *shadow) rebuildInterned(names []string) *Graph {
 	b := NewGraphBuilder(len(s.labels), len(s.edgeList))
+	for _, name := range names {
+		b.Intern(name)
+	}
 	for _, l := range s.labels {
 		b.AddNode(l)
 	}
@@ -223,15 +232,13 @@ func TestSnapshotEquivalentToRebuild(t *testing.T) {
 	}
 }
 
-// TestIncrementalCompactEquivalence is the incremental-compaction
-// property: three DBs walk identical random op batches — one compacting
-// every batch via CSR splicing (fraction 1), one compacting every batch
-// via full rebuild (fraction 0), and a from-scratch NewDB over the
-// shadow's rebuilt graph — and every Semantics × Mode query answer must
-// match bit for bit, every round, as must the two mutable DBs' label
-// tables. Mode telemetry must report the pinned path on both mutable DBs.
-// One input's label table is not in node order and holds a label no node
-// carries, which a full rebuild must keep as the splice does.
+// TestIncrementalCompactEquivalence is the compaction property: a DB
+// compacting every batch by splicing walks random op batches, and after
+// each one a from-scratch NewDB over the shadow's graph, with the base's
+// label table interned first, is the reference: every Semantics × Mode
+// query answer must match it bit for bit, every round, as must the label
+// table. One input's label table is not in node order and holds a label
+// no node carries, which the splice must keep.
 func TestIncrementalCompactEquivalence(t *testing.T) {
 	seeds := 3
 	if testing.Short() {
@@ -278,11 +285,8 @@ func incrementalCompactEquivalence(t *testing.T, base *Graph, seed int64) {
 	rng := rand.New(rand.NewSource(seed + 31))
 	inc := NewDB(base)
 	inc.SetCompactThreshold(1)
-	inc.SetCompactSpliceFraction(1) // splice no matter how large the delta
-	full := NewDB(base)
-	full.SetCompactThreshold(1)
-	full.SetCompactSpliceFraction(0) // always the rebuild reference
 	sh := newShadow(base)
+	baseLabels := labelTable(base)
 
 	var pats []*Pattern
 	for i := int64(0); i < 40 && len(pats) < 3; i++ {
@@ -305,18 +309,15 @@ func incrementalCompactEquivalence(t *testing.T, base *Graph, seed int64) {
 	for round := 0; round < rounds; round++ {
 		ops := sh.randomBatch(rng, 50)
 		if err := inc.Apply(ops); err != nil {
-			t.Fatalf("round %d: incremental Apply: %v", round, err)
-		}
-		if err := full.Apply(ops); err != nil {
-			t.Fatalf("round %d: full Apply: %v", round, err)
+			t.Fatalf("round %d: Apply: %v", round, err)
 		}
 		if err := inc.Graph().Validate(); err != nil {
 			t.Fatalf("round %d: spliced graph invalid: %v", round, err)
 		}
-		if it, ft := labelTable(inc.Graph()), labelTable(full.Graph()); !reflect.DeepEqual(it, ft) {
-			t.Fatalf("round %d: label tables diverge: spliced %q, rebuilt %q", round, it, ft)
+		ref := NewDB(sh.rebuildInterned(baseLabels))
+		if it, rt := labelTable(inc.Graph()), labelTable(ref.Graph()); !reflect.DeepEqual(it, rt) {
+			t.Fatalf("round %d: label tables diverge: spliced %q, from scratch %q", round, it, rt)
 		}
-		ref := NewDB(sh.rebuild())
 		for pi, q := range pats {
 			l := ref.Graph().LabelIDOf(q.Label(q.Personalized()))
 			cands := ref.Graph().NodesWithLabel(l)
@@ -325,45 +326,43 @@ func incrementalCompactEquivalence(t *testing.T, base *Graph, seed int64) {
 			}
 			pin := cands[rng.Intn(len(cands))]
 			want := queryMatrix(t, ref, q, pin, 0.05)
-			for which, db := range map[string]*DB{"incremental": inc, "full": full} {
-				got := queryMatrix(t, db, q, pin, 0.05)
-				if !reflect.DeepEqual(got, want) {
-					for i := range got {
-						if !reflect.DeepEqual(got[i], want[i]) {
-							t.Errorf("round %d pattern %d req %d: %s %+v\nrebuild %+v",
-								round, pi, i, which, got[i], want[i])
-						}
+			got := queryMatrix(t, inc, q, pin, 0.05)
+			if !reflect.DeepEqual(got, want) {
+				for i := range got {
+					if !reflect.DeepEqual(got[i], want[i]) {
+						t.Errorf("round %d pattern %d req %d: spliced %+v\nfrom scratch %+v",
+							round, pi, i, got[i], want[i])
 					}
-					t.FailNow()
 				}
+				t.FailNow()
 			}
 		}
 	}
-	ims, fms := inc.MutationStats(), full.MutationStats()
+	ims := inc.MutationStats()
 	if ims.Compactions == 0 || ims.Mode != CompactModeIncremental {
-		t.Fatalf("incremental DB did not splice: %+v", ims)
-	}
-	if fms.Compactions == 0 || fms.Mode != CompactModeFull {
-		t.Fatalf("full DB did not rebuild: %+v", fms)
+		t.Fatalf("DB did not splice: %+v", ims)
 	}
 	if ims.LastCompactTouchedNodes == 0 {
 		t.Fatalf("spliced compaction reported no touched nodes: %+v", ims)
 	}
 }
 
-// TestCompactSpliceFractionFallback: at the default fraction, a small
-// delta splices and a delta touching more than that fraction of the
-// node set falls back to a full rebuild — visible in MutationStats.
-func TestCompactSpliceFractionFallback(t *testing.T) {
+// TestCompactSplicesLargeDelta: a small delta and one touching more
+// than a quarter of the node set both compact by splicing, visible in
+// MutationStats; the spliced graph validates and answers every
+// Semantics × Mode query exactly as a fresh NewDB of the same graph.
+func TestCompactSplicesLargeDelta(t *testing.T) {
 	base := RandomGraph(400, 1000, 9, true)
 	db := NewDB(base)
 	sh := newShadow(base)
 
-	// Small delta: one fresh node plus an edge — touches far below 25%.
+	// Small delta: one fresh node plus an edge.
 	n := NodeID(len(sh.labels))
 	if err := db.Apply([]Op{AddNode(sh.labels[0]), AddEdge(n, 0)}); err != nil {
 		t.Fatal(err)
 	}
+	sh.labels = append(sh.labels, sh.labels[0])
+	sh.addEdge([2]NodeID{n, 0})
 	if err := db.Compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -375,9 +374,7 @@ func TestCompactSpliceFractionFallback(t *testing.T) {
 		t.Fatalf("splice telemetry missing: %+v", ms)
 	}
 
-	// Large delta: fan edges out of >25% of the base nodes. The touched
-	// set exceeds the default fraction, so the compactor must refuse to
-	// splice and rebuild instead — and answers must stay right.
+	// Large delta: fan edges out of over a quarter of the nodes.
 	g := db.Graph()
 	var ops []Op
 	for v := 0; v < 150; v++ {
@@ -386,22 +383,46 @@ func TestCompactSpliceFractionFallback(t *testing.T) {
 			continue
 		}
 		ops = append(ops, AddEdge(NodeID(v), w))
-	}
-	if len(ops) < 101 { // 25% of ~401 nodes
-		t.Fatalf("fixture too dense: only %d fresh edges", len(ops))
+		sh.addEdge([2]NodeID{NodeID(v), w})
 	}
 	if err := db.Apply(ops); err != nil {
 		t.Fatal(err)
+	}
+	touched := db.Graph().TouchedNodes()
+	if 4*touched <= g.NumNodes() {
+		t.Fatalf("fixture touches %d of %d nodes, want over a quarter", touched, g.NumNodes())
 	}
 	if err := db.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	ms = db.MutationStats()
-	if ms.Mode != CompactModeFull {
-		t.Fatalf("oversized delta did not fall back to full rebuild: %+v", ms)
+	if ms.Mode != CompactModeIncremental || ms.Compactions != 2 || ms.LastCompactTouchedNodes != touched {
+		t.Fatalf("large delta did not splice its %d touched nodes: %+v", touched, ms)
 	}
 	if err := db.Graph().Validate(); err != nil {
 		t.Fatal(err)
+	}
+
+	ref := NewDB(sh.rebuild())
+	rng := rand.New(rand.NewSource(9))
+	var checked int
+	for i := int64(0); i < 40 && checked < 3; i++ {
+		cand := graph.NodeID(rng.Intn(base.NumNodes()))
+		if base.Degree(cand) < 2 {
+			continue
+		}
+		q := gen.PatternAt(base, cand, gen.PatternConfig{Nodes: 4, Edges: 6, Seed: i})
+		if q == nil {
+			continue
+		}
+		checked++
+		want := queryMatrix(t, ref, q, cand, 0.05)
+		if got := queryMatrix(t, db, q, cand, 0.05); !reflect.DeepEqual(got, want) {
+			t.Fatalf("pattern %d at %d: spliced %+v\nfresh %+v", i, cand, got, want)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no patterns extracted")
 	}
 }
 
@@ -550,26 +571,16 @@ func TestPlanCacheInvalidationOnApply(t *testing.T) {
 // QueryBatch / Compact with a tiny compaction threshold, so snapshots
 // churn through overlay and rebuilt bases while readers run. The
 // assertions are weak (no torn results, valid snapshots); the value is
-// under -race, where any unsynchronized snapshot handoff bites. Runs
-// once per compaction path: splice pins every compaction incremental,
-// rebuild pins every compaction to the full-rebuild reference.
+// under -race, where any unsynchronized snapshot handoff bites. Every
+// compaction splices.
 func TestApplyQueryCompactRace(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		frac float64
-	}{
-		{"splice", 1},
-		{"rebuild", 0},
-	} {
-		t.Run(tc.name, func(t *testing.T) { applyQueryCompactRace(t, tc.frac) })
-	}
+	t.Run("splice", applyQueryCompactRace)
 }
 
-func applyQueryCompactRace(t *testing.T, spliceFrac float64) {
+func applyQueryCompactRace(t *testing.T) {
 	base := RandomGraph(300, 800, 5, true)
 	db := NewDB(base)
 	db.SetCompactThreshold(64)
-	db.SetCompactSpliceFraction(spliceFrac)
 	rng := rand.New(rand.NewSource(17))
 	var q *Pattern
 	for i := int64(0); q == nil && i < 50; i++ {

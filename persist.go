@@ -117,9 +117,8 @@ func OpenDB(dir string, opts OpenOptions) (*DB, error) {
 	}
 	aux := graph.BuildAux(g)
 	db := &DB{
-		plans:       newPlanCache(DefaultPlanCacheCapacity),
-		compactAt:   DefaultCompactThreshold,
-		compactFrac: graph.DefaultCompactSpliceFraction,
+		plans:     newPlanCache(DefaultPlanCacheCapacity),
+		compactAt: DefaultCompactThreshold,
 	}
 	db.snap.Store(delta.NewBase(g, aux, 0))
 	db.pending = delta.New(g, aux)

@@ -383,22 +383,13 @@ func TestOpenDBCorruptBaseImageFails(t *testing.T) {
 // while Close lands mid-flight. Shutdown must not tear a WAL append —
 // every batch is either acked (and recovered) or rejected with
 // ErrClosed — and the reopened DB must hold exactly the acked batches.
-// Run under -race. Runs once per compaction path (splice pins every
-// compaction incremental, rebuild pins the full-rebuild reference), so
-// the durability ordering holds for spliced base images too.
+// Run under -race. Every compaction splices, so the durability ordering
+// is checked for spliced base images.
 func TestApplyCompactCloseRacePersistent(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		frac float64
-	}{
-		{"splice", 1},
-		{"rebuild", 0},
-	} {
-		t.Run(tc.name, func(t *testing.T) { applyCompactCloseRacePersistent(t, tc.frac) })
-	}
+	t.Run("splice", applyCompactCloseRacePersistent)
 }
 
-func applyCompactCloseRacePersistent(t *testing.T, spliceFrac float64) {
+func applyCompactCloseRacePersistent(t *testing.T) {
 	dir := t.TempDir()
 	base := RandomGraph(300, 800, 5, true)
 	db, err := OpenDB(dir, OpenOptions{Bootstrap: base, Sync: SyncNone})
@@ -406,7 +397,6 @@ func applyCompactCloseRacePersistent(t *testing.T, spliceFrac float64) {
 		t.Fatal(err)
 	}
 	db.SetCompactThreshold(64)
-	db.SetCompactSpliceFraction(spliceFrac)
 	q, pin := persistPattern(t, base, 17)
 
 	hammer := 300 * time.Millisecond
@@ -517,49 +507,52 @@ func applyCompactCloseRacePersistent(t *testing.T, spliceFrac float64) {
 }
 
 // TestIncrementalCompactBaseImageIdentical: the CSR splicer produces
-// arrays bit-identical to a full Builder rebuild, so the persisted base
-// image — which serializes exactly those arrays — must be byte-for-byte
-// the same file whichever compaction path produced it.
+// the arrays a from-scratch build of the same graph has, so the base
+// image a compaction persists — which serializes exactly those arrays —
+// must hold byte for byte the graph file a fresh directory bootstrapped
+// from that graph writes.
 func TestIncrementalCompactBaseImageIdentical(t *testing.T) {
 	base := RandomGraph(200, 600, 7, true)
 	sh := newShadow(base)
 	ops := sh.randomBatch(rand.New(rand.NewSource(23)), 40)
 
-	images := make(map[string][]byte)
-	for _, tc := range []struct {
-		name string
-		frac float64
-		mode CompactMode
-	}{
-		{"splice", 1, CompactModeIncremental},
-		{"rebuild", 0, CompactModeFull},
-	} {
-		dir := t.TempDir()
-		db, err := OpenDB(dir, OpenOptions{Bootstrap: base})
-		if err != nil {
-			t.Fatal(err)
-		}
-		db.SetCompactSpliceFraction(tc.frac)
-		if err := db.Apply(ops); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Compact(); err != nil {
-			t.Fatal(err)
-		}
-		if ms := db.MutationStats(); ms.Mode != tc.mode {
-			t.Fatalf("%s path took the wrong mode: %+v", tc.name, ms)
-		}
-		if err := db.Close(); err != nil {
-			t.Fatal(err)
-		}
+	image := func(dir string) []byte {
+		t.Helper()
 		data, err := os.ReadFile(filepath.Join(dir, "base.img"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		images[tc.name] = data
+		// Past the image's 20-byte prologue, which records the seq the
+		// base folds: 1 for the compacted one, 0 for the bootstrap.
+		return data[20:]
 	}
-	if !bytes.Equal(images["splice"], images["rebuild"]) {
-		t.Fatalf("base images diverge: spliced %d bytes, rebuilt %d bytes",
-			len(images["splice"]), len(images["rebuild"]))
+	spliced := t.TempDir()
+	db, err := OpenDB(spliced, OpenOptions{Bootstrap: base})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Apply(ops); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if ms := db.MutationStats(); ms.Mode != CompactModeIncremental {
+		t.Fatalf("compaction did not splice: %+v", ms)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh := t.TempDir()
+	ref, err := OpenDB(fresh, OpenOptions{Bootstrap: sh.rebuildInterned(labelTable(base))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := image(spliced), image(fresh); !bytes.Equal(got, want) {
+		t.Fatalf("base images diverge: spliced %d bytes, from scratch %d bytes", len(got), len(want))
 	}
 }

@@ -235,8 +235,8 @@ func freshAnswer(snap *delta.Snapshot, q *Pattern, req Request) (res Result, anc
 // — a plan-cache hit unless the alphabet just grew — must equal a plan
 // compiled afresh on that snapshot's Aux and run directly. The tape makes
 // the unique personalized match ambiguous, switches both patterns'
-// unanchored anchors, grows the alphabet, deletes edges and compacts down
-// both paths; a growth costs each template exactly one recompile.
+// unanchored anchors, grows the alphabet, deletes edges and compacts; a
+// growth costs each template exactly one recompile.
 func TestCachedPlanEqualsFreshCompile(t *testing.T) {
 	steps := 48
 	if testing.Short() {
@@ -255,8 +255,8 @@ func TestCachedPlanEqualsFreshCompile(t *testing.T) {
 	// Each step's event: the mandatory ones at fixed steps, random
 	// edge churn elsewhere.
 	events := map[int]string{
-		2: "add P", 5: "add Z", 8: "add P", 11: "compact 1", 13: "add Z",
-		15: "add P", 17: "grow", 19: "compact 0", 21: "add Z", 23: "compact 1",
+		2: "add P", 5: "add Z", 8: "add P", 11: "compact", 13: "add Z",
+		15: "add P", 17: "grow", 19: "compact", 21: "add Z", 23: "compact",
 	}
 	ctx := context.Background()
 	anchors := make([]map[int]bool, len(pats))
@@ -275,8 +275,7 @@ func TestCachedPlanEqualsFreshCompile(t *testing.T) {
 			ops = []Op{AddNode(ev[len(ev)-1:]), AddEdge(g.NodesWithLabel(g.LabelIDOf("R"))[0], v)}
 		case "grow":
 			ops = []Op{AddNode(fmt.Sprintf("NEW%d", step))}
-		case "compact 0", "compact 1":
-			db.SetCompactSpliceFraction(float64(ev[len(ev)-1] - '0'))
+		case "compact":
 			if err := db.Compact(); err != nil {
 				t.Fatal(err)
 			}

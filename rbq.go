@@ -37,6 +37,7 @@ package rbq
 import (
 	"bufio"
 	"context"
+	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -138,7 +139,6 @@ type DB struct {
 	mu          sync.Mutex
 	pending     *delta.Delta // cumulative live delta over the current base
 	compactAt   int          // live-op threshold that triggers compaction
-	compactFrac float64      // splice ceiling for incremental compaction
 	compactions uint64
 
 	// Telemetry of the most recent compaction (guarded by mu).
@@ -165,9 +165,8 @@ type DB struct {
 func NewDB(g *Graph) *DB {
 	g = g.Compact() // identity for base graphs
 	db := &DB{
-		plans:       newPlanCache(DefaultPlanCacheCapacity),
-		compactAt:   DefaultCompactThreshold,
-		compactFrac: graph.DefaultCompactSpliceFraction,
+		plans:     newPlanCache(DefaultPlanCacheCapacity),
+		compactAt: DefaultCompactThreshold,
 	}
 	aux := graph.BuildAux(g)
 	db.snap.Store(delta.NewBase(g, aux, 0))
@@ -259,13 +258,20 @@ func (o *ReachOracle) IndexSize() int { return o.inner.Index.Size() }
 // preprocessing (see LoadReachOracle).
 func (o *ReachOracle) Save(w io.Writer) error { return rbreach.SaveOracle(w, o.inner) }
 
-// LoadReachOracle reads an oracle written by ReachOracle.Save. The oracle
-// is self-contained: it answers queries in the node ids of the graph it
-// was built from, without needing that graph loaded.
-func LoadReachOracle(r io.Reader) (*ReachOracle, error) {
+// LoadReachOracle reads an oracle written by ReachOracle.Save for use
+// with this DB, the counterpart of BuildReachOracle. An oracle answers in
+// the node ids of the graph it was built from and holds only for that
+// graph, so the file records the graph's size and a checksum of its
+// labels and out-lists, and LoadReachOracle refuses one built from a
+// graph other than the DB's current one.
+func (db *DB) LoadReachOracle(r io.Reader) (*ReachOracle, error) {
 	inner, err := rbreach.LoadOracle(r)
 	if err != nil {
 		return nil, err
+	}
+	if got, want := inner.Source, rbreach.SourceOf(db.snapshot().Graph()); got != want {
+		return nil, fmt.Errorf("rbq: reach oracle built for another graph (|V|=%d |E|=%d crc %08x; this graph |V|=%d |E|=%d crc %08x)",
+			got.Nodes, got.Edges, got.CRC, want.Nodes, want.Edges, want.CRC)
 	}
 	return &ReachOracle{inner: inner}, nil
 }

@@ -227,7 +227,8 @@ func TestReachOracleSaveLoad(t *testing.T) {
 	if err := orig.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadReachOracle(&buf)
+	saved := bytes.Clone(buf.Bytes())
+	loaded, err := db.LoadReachOracle(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,6 +240,18 @@ func TestReachOracleSaveLoad(t *testing.T) {
 		v := NodeID((i * 97) % g.NumNodes())
 		if orig.Reach(u, v) != loaded.Reach(u, v) {
 			t.Fatalf("answers differ on (%d,%d)", u, v)
+		}
+	}
+	// The oracle answers only for the graph it was built from: a DB over
+	// another graph of the same size, and its own DB after a mutation,
+	// refuse it.
+	other := NewDB(RandomGraph(1500, 4000, 6, true))
+	if err := db.Apply([]Op{AddNode(g.Label(0))}); err != nil {
+		t.Fatal(err)
+	}
+	for name, d := range map[string]*DB{"same size": other, "mutated": db} {
+		if _, err := d.LoadReachOracle(bytes.NewReader(saved)); err == nil || !strings.Contains(err.Error(), "another graph") {
+			t.Errorf("%s: err = %v, want the oracle refused", name, err)
 		}
 	}
 }

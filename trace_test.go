@@ -102,7 +102,9 @@ func TestTraceBoundedStructure(t *testing.T) {
 }
 
 // An unanchored query's trace covers the selectivity scan and the
-// anchor-wave phase, with one span per anchor run.
+// anchor-wave phase, with one span per anchor run up to the cap. The
+// wave span carries every anchor's read counters, summed past the cap:
+// its four charge sites add up to Result.Visited.
 func TestTraceUnanchoredStructure(t *testing.T) {
 	g := gen.Random(gen.GraphConfig{Nodes: 3000, Edges: 9000, Seed: 7, PowerLaw: true})
 	db := NewDB(g)
@@ -135,7 +137,25 @@ func TestTraceUnanchoredStructure(t *testing.T) {
 	if serial.Evaluated > 0 && serial.Trace.Find(obs.PhaseAnchor) == nil {
 		t.Error("trace missing per-anchor spans")
 	}
-
+	if anchors := len(ws.Children); serial.Evaluated <= anchors {
+		t.Fatalf("%d anchors evaluated, %d anchor spans: the fixture must pass the span cap", serial.Evaluated, anchors)
+	}
+	var charged int64
+	for _, name := range []string{"pops", "edge_probes", "list_charges", "replay_charges"} {
+		v, ok := ws.Counter(name)
+		if !ok {
+			t.Fatalf("anchor-wave span has no %s counter", name)
+		}
+		charged += v
+	}
+	if charged != int64(serial.Visited) || serial.Visited == 0 {
+		t.Fatalf("anchor-wave charges sum to %d, Result.Visited = %d", charged, serial.Visited)
+	}
+	for _, name := range []string{"guard_calls", "cost_reads", "induced_reads"} {
+		if _, ok := ws.Counter(name); !ok {
+			t.Errorf("anchor-wave span has no %s counter", name)
+		}
+	}
 }
 
 // Exact mode traces the exact phase instead of the reduction chain.
