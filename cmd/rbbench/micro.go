@@ -24,6 +24,7 @@ import (
 	"rbq"
 	"rbq/internal/bounded"
 	"rbq/internal/dataset"
+	"rbq/internal/delta"
 	"rbq/internal/gen"
 	"rbq/internal/graph"
 	"rbq/internal/landmark"
@@ -49,9 +50,10 @@ type microResult struct {
 	NsSpread float64 `json:"ns_spread"`
 	// Work holds the reduction's counts for one run of the entry's query,
 	// recorded by the entries that run a dynamic reduction
-	// (PreparedRBSimQuery, PreparedRBSubQuery): every reduce.Stats counter
-	// of reads and steps, the live-pair high-water mark included (see
-	// workCounts). They are exact, so -compare fails on any rise.
+	// (PreparedRBSimQuery, PreparedRBSubQuery, PreparedRBSimHeavy): every
+	// reduce.Stats counter of reads and steps, the live-pair high-water
+	// mark included (see workCounts). They are exact, so -compare fails
+	// on any rise.
 	Work map[string]int `json:"work,omitempty"`
 	// PlanCacheHits/PlanCacheMisses report the DB plan-cache counters
 	// after the QueryCacheHit entry's runs: the facade path being
@@ -252,6 +254,10 @@ func runMicro(path, comparePath string, tolerance float64, count int, nsGate boo
 	if err != nil {
 		return fmt.Errorf("compile benchmark pattern: %w", err)
 	}
+	heavy, heavyVP, err := heavyQuery(g, aux, opts)
+	if err != nil {
+		return err
+	}
 
 	// Materialize the d_Q-ball of v_p as a standalone Graph so the
 	// DualSimulation entry keeps measuring the same whole-(sub)graph
@@ -325,6 +331,7 @@ func runMicro(path, comparePath string, tolerance float64, count int, nsGate boo
 	sweepSizes := []int{64, 512, 4096}
 	var mutAdd, mutDel []rbq.Op
 	var adb, odb *rbq.DB
+	var spliceSnap *delta.Snapshot
 	sweepAdd := make(map[int][]rbq.Op, len(sweepSizes))
 	sweepDel := make(map[int][]rbq.Op, len(sweepSizes))
 	sweepDB := make(map[int]*rbq.DB, len(sweepSizes))
@@ -378,6 +385,15 @@ func runMicro(path, comparePath string, tolerance float64, count int, nsGate boo
 				sweepAdd[n], sweepDel[n] = poolAdd[:n], poolDel[:n]
 				sweepDB[n] = rbq.NewDB(g)
 			}
+			// CompactSplice compacts one sealed snapshot of the whole
+			// pool, the largest sweep's delta (about 22% of the nodes
+			// touched), again and again: the splice alone, with no Apply
+			// or seal in the loop.
+			d := delta.New(g, aux)
+			if mutErr = d.Apply(poolAdd); mutErr != nil {
+				return
+			}
+			spliceSnap, mutErr = d.Seal(1)
 		})
 		if mutErr != nil {
 			b.Fatalf("mutation fixture: %v", mutErr)
@@ -484,6 +500,11 @@ func runMicro(path, comparePath string, tolerance float64, count int, nsGate boo
 		{"PreparedRBSubQuery", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				pl.Bounded(aux, bounded.Subgraph, vp, opts, nil)
+			}
+		}},
+		{"PreparedRBSimHeavy", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				heavy.Bounded(aux, bounded.Simulation, heavyVP, opts, nil)
 			}
 		}},
 		{"QueryCacheHit", func(b *testing.B) {
@@ -599,6 +620,12 @@ func runMicro(path, comparePath string, tolerance float64, count int, nsGate boo
 			mutSetup(b)
 			compactCycle(b, sweepDB[4096], sweepAdd[4096], sweepDel[4096])
 		}},
+		{"CompactSplice", func(b *testing.B) {
+			mutSetup(b)
+			for i := 0; i < b.N; i++ {
+				spliceSnap.Compacted(2)
+			}
+		}},
 		{"WALAppend", func(b *testing.B) {
 			// One iteration = framing, checksumming and writing one 64-op
 			// batch record (SyncNone, so no fsync in the loop). The log is
@@ -663,6 +690,7 @@ func runMicro(path, comparePath string, tolerance float64, count int, nsGate boo
 	work := map[string]map[string]int{
 		"PreparedRBSimQuery": workCounts(pl.Bounded(aux, bounded.Simulation, vp, opts, nil).Stats),
 		"PreparedRBSubQuery": workCounts(pl.Bounded(aux, bounded.Subgraph, vp, opts, nil).Stats),
+		"PreparedRBSimHeavy": workCounts(heavy.Bounded(aux, bounded.Simulation, heavyVP, opts, nil).Stats),
 	}
 
 	if count < 1 {
@@ -742,6 +770,40 @@ func runMicro(path, comparePath string, tolerance float64, count int, nsGate boo
 		return compareBaseline(results, base, comparePath, tolerance, nsGate, stderr)
 	}
 	return nil
+}
+
+// heavyRounds is the fewest bound-escalation rounds PreparedRBSimHeavy's
+// query may run: the tail of engine_heavy's queries runs 31–66.
+const heavyRounds = 20
+
+// heavyQuery returns PreparedRBSimHeavy's query: of a fixed seeded sample
+// of (template, pin) pairs on g — 4- and 6-node templates alternating, as
+// engine_heavy mixes them — the one whose bounded simulation at opts runs
+// the most rounds, the first of them on a tie.
+func heavyQuery(g *graph.Graph, aux *graph.Aux, opts reduce.Options) (*plan.Plan, graph.NodeID, error) {
+	rng := rand.New(rand.NewSource(46))
+	var best *plan.Plan
+	var bestVP graph.NodeID
+	bestRounds := 0
+	for i := 0; i < 512; i++ {
+		vp := graph.NodeID(rng.Intn(g.NumNodes()))
+		nodes := 4 + 2*(i%2)
+		q := gen.PatternAt(g, vp, gen.PatternConfig{Nodes: nodes, Edges: 2 * nodes, Seed: int64(i)})
+		if q == nil {
+			continue
+		}
+		pl, err := plan.New(aux, q)
+		if err != nil {
+			return nil, 0, fmt.Errorf("compile heavy candidate %d: %w", i, err)
+		}
+		if r := pl.Bounded(aux, bounded.Simulation, vp, opts, nil).Stats.Rounds; r > bestRounds {
+			best, bestVP, bestRounds = pl, vp, r
+		}
+	}
+	if bestRounds < heavyRounds {
+		return nil, 0, fmt.Errorf("no sampled query runs %d rounds (most: %d)", heavyRounds, bestRounds)
+	}
+	return best, bestVP, nil
 }
 
 // residentLedger decodes the 1M-node graph file as rbqd does, builds its

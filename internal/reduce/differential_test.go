@@ -26,6 +26,8 @@ import (
 	"rbq/internal/obs"
 	"rbq/internal/pattern"
 	"rbq/internal/reduce"
+	"rbq/internal/simulation"
+	"rbq/internal/subiso"
 )
 
 type refPair struct {
@@ -499,4 +501,92 @@ func TestMemoizedPickCancelsWhereScanEveryRoundDoes(t *testing.T) {
 			t.Fatalf("interrupt at round %d of %d never observed: %+v", r, full.Rounds, want)
 		}
 	}
+}
+
+// TestScratchReuseAcrossQueries: a Scratch and a Fragment that served
+// earlier queries — other patterns, pins, semantics and strategies, on
+// the base graph and on an overlay view of it, as a pooled Scratch does —
+// must give every query what a fresh Scratch gives it: the same Stats,
+// counter for counter, the same fragment order and the same answer. A
+// memo that outlived its query would show in CostReads at least.
+func TestScratchReuseAcrossQueries(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	queries := 0
+	for gi := 0; gi < 6; gi++ {
+		n := 60 + rng.Intn(120)
+		base := gen.Random(gen.GraphConfig{
+			Nodes: n, Edges: n * (2 + rng.Intn(4)), Seed: rng.Int63(),
+			Labels: gen.DefaultAlphabet[:2+rng.Intn(3)], PowerLaw: gi%2 == 0,
+		})
+		baseAux := graph.BuildAux(base)
+		var add [][2]graph.NodeID
+		seen := map[[2]graph.NodeID]bool{}
+		for len(add) < n/4 {
+			e := [2]graph.NodeID{graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))}
+			if !seen[e] && !base.HasEdge(e[0], e[1]) {
+				seen[e] = true
+				add = append(add, e)
+			}
+		}
+		view, err := base.WithOverlay(graph.OverlayDelta{AddEdges: add})
+		if err != nil {
+			t.Fatal(err)
+		}
+		patched, err := baseAux.PatchedFor(view)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pooled, frag := reduce.NewScratch(), graph.NewFragment(view)
+		for qi := 0; qi < 24; qi++ {
+			aux := []*graph.Aux{baseAux, patched}[rng.Intn(2)]
+			g := aux.Graph()
+			vp := graph.NodeID(rng.Intn(n))
+			p := gen.PatternAt(g, vp, gen.PatternConfig{Nodes: 3 + rng.Intn(3), Edges: 4 + rng.Intn(6), Seed: rng.Int63()})
+			if p == nil {
+				continue
+			}
+			ns := diffSemantics(aux, p)[rng.Intn(2)]
+			opts := reduce.Options{
+				Alpha:        []float64{0.05, 0.2, 0.5}[rng.Intn(3)],
+				InitialBound: rng.Intn(3),
+				Strategy:     []reduce.WeightStrategy{reduce.WeightPotentialCost, reduce.WeightPotentialCost, reduce.WeightDegree}[rng.Intn(3)],
+			}
+			frag.Rebind(g)
+			got := reduce.SearchInto(aux, p, vp, ns.sem, opts, frag, pooled)
+			freshFrag := graph.NewFragment(g)
+			want := reduce.SearchInto(aux, p, vp, ns.sem, opts, freshFrag, reduce.NewScratch())
+			tag := fmt.Sprintf("graph %d query %d overlay=%v %s %+v", gi, qi, g.HasOverlay(), ns.name, opts)
+			if got != want {
+				t.Fatalf("%s: stats diverge:\n pooled %+v\n fresh  %+v", tag, got, want)
+			}
+			if !reflect.DeepEqual(frag.Nodes(), freshFrag.Nodes()) {
+				t.Fatalf("%s: fragment order diverges:\n pooled %v\n fresh  %v", tag, frag.Nodes(), freshFrag.Nodes())
+			}
+			if a, b := fragAnswer(frag, p, vp, ns), fragAnswer(freshFrag, p, vp, ns); !reflect.DeepEqual(a, b) {
+				t.Fatalf("%s: answers diverge:\n pooled %v\n fresh  %v", tag, a, b)
+			}
+			queries++
+		}
+	}
+	if queries < 100 {
+		t.Fatalf("only %d queries ran", queries)
+	}
+}
+
+// fragAnswer is the bounded answer on frag: the matches of p pinned at
+// vp under ns's semantics, nil when frag lacks vp.
+func fragAnswer(frag *graph.Fragment, p *pattern.Pattern, vp graph.NodeID, ns namedSemantics) []graph.NodeID {
+	pin := frag.PosOf(vp)
+	if pin < 0 {
+		return nil
+	}
+	var csr graph.FragCSR
+	frag.CSRInto(&csr)
+	labels := ns.sem.Labels()
+	if ns.name == "sub" {
+		m, _ := subiso.MatchFragment(&csr, p, labels, pin, nil, &subiso.Scratch{})
+		return m
+	}
+	m, _, _ := simulation.MatchFragment(&csr, p, labels, pin, &simulation.Scratch{}, nil)
+	return m
 }

@@ -42,7 +42,13 @@
 // the memo is emptied when the next query starts.
 // What depends on the round — the pushed set, the cost c(v,u), the random
 // weight — is recomputed at replay, so a replayed round selects exactly
-// what a re-scanned one would.
+// what a re-scanned one would. The cost is recomputed without re-reading
+// what an earlier probe settled: within a query the fragment only grows,
+// so a second per-query table remembers, per (v, label, direction), that
+// v has a neighbour of that label in the fragment — true for the rest of
+// the query — or how many of the fragment's members of that label were
+// found not to be v's neighbours, and a later probe checks only the
+// members added since.
 //
 // All of it lives in a Scratch that Search borrows from the Aux's scratch
 // pool (graph.ScratchReduce) and returns on exit, so steady-state
@@ -194,7 +200,9 @@ type Stats struct {
 	GuardCalls int
 	// CostReads counts what pricing c(v,u) read: the block entries
 	// scanned, or the binary searches made, by each fragment-candidate
-	// probe.
+	// probe. A probe the cost memo answers — a neighbour already found,
+	// or no member of the label added since the last miss — reads
+	// nothing.
 	CostReads int
 	// InducedReads counts what Fragment.InducedEdgeCost read to price
 	// each node the fragment admits (see Fragment.Reads). It also records
@@ -247,11 +255,11 @@ const (
 
 // pairTable is an epoch-stamped open-addressing hash table keyed by a
 // packed 64-bit pair. The engine's two per-round (u,v) sets use it as a
-// set (has/set) and the per-query list memo as a map to an int32
-// (lookup/put). A slot is live when its stamp equals the current epoch,
-// so clearing is a single epoch increment; linear probing treats stale
-// slots as empty, which is sound because an epoch bump invalidates every
-// slot at once. Key, stamp and value share one 16-byte slot, so a probe
+// set (has/set) and the per-query list and cost memos as a map to an
+// int32 (lookup/put). A slot is live when its stamp equals the current
+// epoch, so clearing is a single epoch increment; linear probing treats
+// stale slots as empty, which is sound because an epoch bump invalidates
+// every slot at once. Key, stamp and value share one 16-byte slot, so a probe
 // touches one cache line. Unlike a Go map it never hashes strings, never
 // allocates per insert, and resets in O(1).
 type pairTable struct {
@@ -314,9 +322,8 @@ func (t *pairTable) lookup(key uint64) (int32, bool) {
 	}
 }
 
-// put stores val under key; a key already present keeps its first value
-// (the engine never overwrites: sets ignore the value, the memo records a
-// list once).
+// put stores val under key, replacing the value a key already present
+// holds (sets ignore the value; the cost memo advances its count).
 func (t *pairTable) put(key uint64, val int32) {
 	if 2*t.live >= len(t.slots) {
 		t.grow()
@@ -330,6 +337,7 @@ func (t *pairTable) put(key uint64, val int32) {
 			return
 		}
 		if s.key == key {
+			s.val = val
 			return
 		}
 	}
@@ -361,6 +369,16 @@ func listKey(v graph.NodeID, target pattern.NodeID, dir graph.Direction) uint64 
 	return uint64(uint32(target)<<1|uint32(dir))<<32 | uint64(uint32(v))
 }
 
+// candKey packs the cost memo's key: v's dir-neighbours labelled l.
+func candKey(v graph.NodeID, l graph.LabelID, dir graph.Direction) uint64 {
+	return uint64(uint32(l)<<1|uint32(dir))<<32 | uint64(uint32(v))
+}
+
+// candFound is the cost memo's value for a (v, label, dir) that has a
+// neighbour in the fragment; any other value counts the fragment's
+// members of the label already found not to be such a neighbour.
+const candFound = -1
+
 // memoList is one memoized adjacency list: its guard-passing neighbors
 // are arena[off:off+n], in adjacency order; the guard rejected the rest.
 type memoList struct {
@@ -381,15 +399,22 @@ type Scratch struct {
 	memo  pairTable
 	lists []memoList
 	arena []scored
+
+	// The per-query cost memo: candKey → candFound, or how many of the
+	// label's fragment members (a prefix of Fragment.NodesLabeled) the
+	// probes have found absent from v's block.
+	fragCands pairTable
 }
 
 // NewScratch returns an empty Scratch.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// resetMemo empties the list memo for a new query, dropping an arena or
-// list index that a hub-heavy query grew beyond the pair tables' own cap.
+// resetMemo empties the list and cost memos for a new query, dropping an
+// arena or list index that a hub-heavy query grew beyond the pair tables'
+// own cap.
 func (sc *Scratch) resetMemo(hint int) {
 	sc.memo.reset(hint)
+	sc.fragCands.reset(hint)
 	sc.lists, sc.arena = sc.lists[:0], sc.arena[:0]
 	if cap(sc.lists) > maxTableEntries {
 		sc.lists = nil
@@ -804,9 +829,8 @@ func (e *engine) pick(v graph.NodeID, target pattern.NodeID, dir graph.Direction
 // each list is grouped by label, so scan charges the whole list at once —
 // as a replay does — and guards only the block of target's label,
 // ascending by id as the block is. It appends the survivors to the arena,
-// memoizes the list under key (a list charge refused to replay keeps its
-// first record) and returns them, or false if the search stopped
-// mid-scan.
+// memoizes the list under key and returns them, or false if the search
+// stopped mid-scan.
 func (e *engine) scan(v graph.NodeID, neigh []graph.NodeID, target pattern.NodeID, dir graph.Direction, key uint64) ([]scored, bool) {
 	if !e.charge(len(neigh)) {
 		return e.scanEach(neigh, target, key)
@@ -914,16 +938,24 @@ func (e *engine) cost(v graph.NodeID, u pattern.NodeID) float64 {
 }
 
 // hasFragCandidate reports whether some dir-neighbor of v inside the
-// current fragment carries u's label. It reads whichever side is smaller:
-// v's neighbours of that label (a block of v's list, see Aux.OutBlock),
-// or the fragment's members of that label, binary-searched in the block
-// (see graph.ScanRatio) — the fragment is capped at α|G|, so hub nodes do
-// not force a full neighborhood scan.
+// current fragment carries u's label. The fragment only grows within a
+// query, so the answer is remembered in the cost memo: once found it
+// stays found, and after a miss a later probe checks only the fragment's
+// members of that label added since — none added, nothing read. It reads
+// whichever side is smaller: v's neighbours of that label (a block of v's
+// list, see Aux.OutBlock), or those new members, binary-searched in the
+// block (see graph.ScanRatio) — the fragment is capped at α|G|, so hub
+// nodes do not force a full neighborhood scan.
 func (e *engine) hasFragCandidate(v graph.NodeID, u pattern.NodeID, dir graph.Direction) bool {
 	want := e.plabels[u]
 	members := e.frag.NodesLabeled(want)
 	if len(members) == 0 {
 		return false
+	}
+	key := candKey(v, want, dir)
+	checked, _ := e.sc.fragCands.lookup(key)
+	if checked == candFound || int(checked) == len(members) {
+		return checked == candFound
 	}
 	var block []graph.NodeID
 	if dir == graph.Forward {
@@ -931,7 +963,21 @@ func (e *engine) hasFragCandidate(v graph.NodeID, u pattern.NodeID, dir graph.Di
 	} else {
 		block = e.aux.InBlock(v, want)
 	}
-	if len(block) <= graph.ScanRatio*len(members) {
+	found := e.meets(block, members[checked:])
+	val := int32(len(members))
+	if found {
+		val = candFound
+	}
+	e.sc.fragCands.put(key, val)
+	return found
+}
+
+// meets reports whether block, ascending, holds one of fresh: the
+// fragment's members of block's label that no probe has checked yet. The
+// others are known not to be in block, so a scan of block may take any
+// fragment node it meets for one of fresh.
+func (e *engine) meets(block, fresh []graph.NodeID) bool {
+	if len(block) <= graph.ScanRatio*len(fresh) {
 		for i, w := range block {
 			if e.frag.Contains(w) {
 				e.stats.CostReads += i + 1
@@ -941,12 +987,12 @@ func (e *engine) hasFragCandidate(v graph.NodeID, u pattern.NodeID, dir graph.Di
 		e.stats.CostReads += len(block)
 		return false
 	}
-	for i, w := range members {
+	for i, w := range fresh {
 		if _, found := slices.BinarySearch(block, w); found {
 			e.stats.CostReads += i + 1
 			return true
 		}
 	}
-	e.stats.CostReads += len(members)
+	e.stats.CostReads += len(fresh)
 	return false
 }

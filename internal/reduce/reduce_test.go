@@ -261,6 +261,69 @@ func TestBudgetPropertyQuick(t *testing.T) {
 	}
 }
 
+// costFixtures returns the graphs the cost tests price on, as a base Aux
+// and a patched overlay view of it: iteration iter picks a small
+// alphabet, a 40-label one with hubs, or a larger graph with hubs.
+func costFixtures(t *testing.T, rng *rand.Rand, iter int) []*graph.Aux {
+	t.Helper()
+	n, labels, hubs := 30, 2, 0
+	switch iter % 3 {
+	case 1:
+		labels, hubs = 40, 2
+	case 2:
+		n, hubs = 60, 2
+	}
+	base := randomLabeled(rng, n, 4*n, labels)
+	if hubs > 0 {
+		base = withHubs(rng, base, hubs)
+	}
+	baseAux := graph.BuildAux(base)
+	view, err := base.WithOverlay(graph.OverlayDelta{
+		NewNodeLabels: []string{"a", "b"},
+		AddEdges:      [][2]graph.NodeID{{graph.NodeID(base.NumNodes()), 0}, {1, graph.NodeID(base.NumNodes() + 1)}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	patched, err := baseAux.PatchedFor(view)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []*graph.Aux{baseAux, patched}
+}
+
+// bruteHas reports whether some dir-neighbour of v in frag is labelled
+// label, by a scan of v's whole list.
+func bruteHas(g *graph.Graph, frag *graph.Fragment, v graph.NodeID, label string, dir graph.Direction) bool {
+	adj := g.Out(v)
+	if dir == graph.Backward {
+		adj = g.In(v)
+	}
+	for _, w := range adj {
+		if frag.Contains(w) && g.Label(w) == label {
+			return true
+		}
+	}
+	return false
+}
+
+// bruteCost is c(v,u) by brute force: the pattern neighbours of u with no
+// neighbour of v in frag carrying their label.
+func bruteCost(g *graph.Graph, p *pattern.Pattern, frag *graph.Fragment, v graph.NodeID, u pattern.NodeID) float64 {
+	misses := 0
+	for _, uc := range p.Out(u) {
+		if !bruteHas(g, frag, v, p.Label(uc), graph.Forward) {
+			misses++
+		}
+	}
+	for _, ua := range p.In(u) {
+		if !bruteHas(g, frag, v, p.Label(ua), graph.Backward) {
+			misses++
+		}
+	}
+	return float64(misses)
+}
+
 // Cost inversion: hasFragCandidate must agree between its two scan
 // strategies (the label block of v's list vs the fragment's members of
 // the label, binary-searched in it) and a brute-force scan of v's lists —
@@ -270,30 +333,7 @@ func TestCostAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	probed := 0
 	for iter := 0; iter < 30; iter++ {
-		n, labels, hubs := 30, 2, 0
-		switch iter % 3 {
-		case 1:
-			labels, hubs = 40, 2
-		case 2:
-			n, hubs = 60, 2
-		}
-		base := randomLabeled(rng, n, 4*n, labels)
-		if hubs > 0 {
-			base = withHubs(rng, base, hubs)
-		}
-		baseAux := graph.BuildAux(base)
-		view, err := base.WithOverlay(graph.OverlayDelta{
-			NewNodeLabels: []string{"a", "b"},
-			AddEdges:      [][2]graph.NodeID{{graph.NodeID(base.NumNodes()), 0}, {1, graph.NodeID(base.NumNodes() + 1)}},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		patched, err := baseAux.PatchedFor(view)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, aux := range []*graph.Aux{baseAux, patched} {
+		for _, aux := range costFixtures(t, rng, iter) {
 			g := aux.Graph()
 			p := chainPattern(t, "a", "b", "a")
 			e := newTestEngine(g, aux, p)
@@ -310,34 +350,8 @@ func TestCostAgainstBruteForce(t *testing.T) {
 				}
 				for u := 0; u < p.NumNodes(); u++ {
 					uq := pattern.NodeID(u)
-					got := e.cost(id, uq)
-					// Brute force: count pattern neighbors lacking a labeled
-					// fragment neighbor.
-					misses := 0
-					for _, uc := range p.Out(uq) {
-						found := false
-						for _, w := range g.Out(id) {
-							if e.frag.Contains(w) && g.Label(w) == p.Label(uc) {
-								found = true
-							}
-						}
-						if !found {
-							misses++
-						}
-					}
-					for _, ua := range p.In(uq) {
-						found := false
-						for _, w := range g.In(id) {
-							if e.frag.Contains(w) && g.Label(w) == p.Label(ua) {
-								found = true
-							}
-						}
-						if !found {
-							misses++
-						}
-					}
-					if got != float64(misses) {
-						t.Fatalf("iteration %d overlay=%v: cost(%d,%d) = %v, brute force %d", iter, g.HasOverlay(), v, u, got, misses)
+					if got, want := e.cost(id, uq), bruteCost(g, p, e.frag, id, uq); got != want {
+						t.Fatalf("iteration %d overlay=%v: cost(%d,%d) = %v, brute force %v", iter, g.HasOverlay(), v, u, got, want)
 					}
 				}
 			}
@@ -345,6 +359,74 @@ func TestCostAgainstBruteForce(t *testing.T) {
 	}
 	if probed == 0 {
 		t.Fatal("no hub list was large enough to take the probing side")
+	}
+}
+
+// TestCostMemoEqualsBruteForceAsFragmentGrows: the cost memo must answer
+// as a probe of the whole fragment does while the fragment grows under
+// it, as it does within a query. Admissions (InducedEdgeCost, then
+// AddCost) alternate with probes of every (v, pattern edge, direction),
+// so a miss is asked again after members of its label arrived — and
+// checked against those alone, by both sides of the smaller-side rule —
+// and every answer, and every c(v,u), is compared with brute force.
+func TestCostMemoEqualsBruteForceAsFragmentGrows(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	var rescans, researches, settled int
+	for iter := 0; iter < 30; iter++ {
+		for _, aux := range costFixtures(t, rng, iter) {
+			g := aux.Graph()
+			p := chainPattern(t, "a", "b", "a")
+			e := newTestEngine(g, aux, p)
+			for step := 0; step < 12; step++ {
+				for i := 1 + rng.Intn(3); i > 0; i-- {
+					if v := graph.NodeID(rng.Intn(g.NumNodes())); !e.frag.Contains(v) {
+						e.frag.InducedEdgeCost(v)
+						e.frag.AddCost(v)
+					}
+				}
+				for v := 0; v < g.NumNodes(); v++ {
+					id := graph.NodeID(v)
+					for u := 0; u < p.NumNodes(); u++ {
+						uq := pattern.NodeID(u)
+						for _, dir := range []graph.Direction{graph.Forward, graph.Backward} {
+							pn := p.Out(uq)
+							if dir == graph.Backward {
+								pn = p.In(uq)
+							}
+							for _, un := range pn {
+								want := e.plabels[un]
+								members := len(e.frag.NodesLabeled(want))
+								checked, ok := e.sc.fragCands.lookup(candKey(id, want, dir))
+								if ok && checked != candFound && int(checked) < members {
+									block := aux.OutBlock(id, want)
+									if dir == graph.Backward {
+										block = aux.InBlock(id, want)
+									}
+									if len(block) <= graph.ScanRatio*(members-int(checked)) {
+										rescans++
+									} else {
+										researches++
+									}
+								} else if ok {
+									settled++
+								}
+								if got, bf := e.hasFragCandidate(id, un, dir), bruteHas(g, e.frag, id, p.Label(un), dir); got != bf {
+									t.Fatalf("iteration %d overlay=%v step %d: hasFragCandidate(%d, %d, %v) = %v after %d of %d members checked, brute force %v",
+										iter, g.HasOverlay(), step, v, un, dir, got, checked, members, bf)
+								}
+							}
+						}
+						if got, bf := e.cost(id, uq), bruteCost(g, p, e.frag, id, uq); got != bf {
+							t.Fatalf("iteration %d overlay=%v step %d: cost(%d,%d) = %v, brute force %v", iter, g.HasOverlay(), step, v, u, got, bf)
+						}
+					}
+				}
+			}
+		}
+	}
+	if rescans == 0 || researches == 0 || settled == 0 {
+		t.Fatalf("re-probes of a miss: %d scanned the block, %d searched it for the new members; %d answered from the memo — each must be reached",
+			rescans, researches, settled)
 	}
 }
 
@@ -399,9 +481,10 @@ func TestCostHubUsesFragmentScan(t *testing.T) {
 
 // newTestEngine builds an engine the way SearchInto does, for tests that
 // exercise internal methods directly (cost/hasFragCandidate need the
-// resolved pattern labels).
+// resolved pattern labels and a Scratch whose memos a query has reset).
 func newTestEngine(g *graph.Graph, aux *graph.Aux, p *pattern.Pattern) *engine {
-	e := &engine{g: g, aux: aux, p: p, frag: graph.NewFragment(g)}
+	e := &engine{g: g, aux: aux, p: p, frag: graph.NewFragment(g), sc: NewScratch()}
+	e.sc.resetMemo(1)
 	for u := 0; u < p.NumNodes(); u++ {
 		e.plabels = append(e.plabels, g.LabelIDOf(p.Label(pattern.NodeID(u))))
 	}

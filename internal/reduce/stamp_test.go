@@ -26,9 +26,12 @@ func TestPairTableResetHidesEarlierEpochs(t *testing.T) {
 		t.Fatal("pair-table entry survived a round reset")
 	}
 	tab.put(packPair(k), 41)
-	tab.put(packPair(k), 42) // first value wins
-	if v, ok := tab.lookup(packPair(k)); !ok || v != 41 {
-		t.Fatalf("lookup = %d, %v; want 41, true", v, ok)
+	tab.put(packPair(k), 42) // the later value replaces the first
+	if v, ok := tab.lookup(packPair(k)); !ok || v != 42 {
+		t.Fatalf("lookup = %d, %v; want 42, true", v, ok)
+	}
+	if tab.live != 1 {
+		t.Fatalf("a replaced value claimed a second slot: live %d", tab.live)
 	}
 	tab.epoch = math.MaxInt32
 	tab.slots[0].stamp = 1 // a stale slot the wrapped epoch would collide with

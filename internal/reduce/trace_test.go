@@ -48,12 +48,13 @@ func TestTraceEventOrder(t *testing.T) {
 	// rejected by label — and pushes c; it pops (C,c), admits c and
 	// probes the edge back to the pinned h. Round 2 replays h's list and
 	// admits nothing, which ends the search. Ranking c reads h in c's
-	// parents once per round; admitting h searches h's children for the
-	// self-loop, and admitting c reads c's one parent.
+	// parents in round 1, and round 2 takes it from the cost memo;
+	// admitting h searches h's children for the self-loop, and admitting
+	// c reads c's one parent.
 	want := Stats{
 		Budget: 5, FragmentSize: 3, FragmentNodes: 2, FragmentEdges: 1,
 		Visited: 10, Pops: 4, EdgeProbes: 2, ListCharges: 2, ReplayCharges: 2,
-		GuardCalls: 1, CostReads: 2, InducedReads: 2,
+		GuardCalls: 1, CostReads: 1, InducedReads: 2,
 		Adds: 2, Pushes: 2, GuardRejects: 2,
 		Rounds: 2, FinalBound: 3, PairHighWater: 2,
 	}

@@ -223,8 +223,12 @@ func (db *DB) ReachExact(from, to NodeID) bool { return reach.BFS(db.snapshot().
 
 // ReachResult reports one resource-bounded reachability evaluation.
 type ReachResult struct {
-	// Answer is the verdict. True is always correct (Theorem 4(c): no
-	// false positives); false may be a false negative.
+	// Answer is the verdict on the graph the oracle was built from (the
+	// snapshot BuildReachOracle captured, or the graph a loaded oracle
+	// was saved for). On that graph true is always correct (Theorem
+	// 4(c): no false positives) and false may be a false negative. The
+	// oracle does not follow Apply: after edges are deleted, true may
+	// name a pair the DB no longer connects (ROADMAP direction 12).
 	Answer bool
 	// Visited counts index items touched, at most the oracle's budget.
 	Visited int
@@ -239,6 +243,10 @@ type ReachOracle struct {
 // BuildReachOracle runs the offline pipeline of Section 5 — condensation
 // plus hierarchical landmark indexing with resource ratio alpha — and
 // returns a query oracle. Each query then visits at most α|G| items.
+// The oracle answers for the current snapshot alone: its guarantees
+// (see ReachResult) hold on that graph and not on the DB after a later
+// Apply, which it does not observe — build it again after mutating the
+// graph (ROADMAP direction 12).
 func (db *DB) BuildReachOracle(alpha float64) *ReachOracle {
 	return &ReachOracle{inner: rbreach.New(db.snapshot().Graph(), landmark.BuildOptions{Alpha: alpha})}
 }
