@@ -12,59 +12,9 @@ import (
 	"rbq/internal/graph"
 )
 
-// TestPreparedRunAtAllocBudget: the prepared path must allocate no more
-// than the cached DB.Query path — preparation hoists work out of the
-// per-query hot path, it must never add any back — and stays within the
-// same absolute budget.
-func TestPreparedRunAtAllocBudget(t *testing.T) {
-	g := YoutubeLike(10_000, 1)
-	db := NewDB(g)
-	var q *Pattern
-	var vp NodeID
-	for seed := int64(0); seed < 50 && q == nil; seed++ {
-		cand := NodeID(int(seed*131+17) % g.NumNodes())
-		if g.Degree(cand) < 2 {
-			continue
-		}
-		q = gen.PatternAt(g, graph.NodeID(cand), gen.PatternConfig{Nodes: 4, Edges: 8, Seed: seed})
-		vp = cand
-	}
-	if q == nil {
-		t.Fatal("could not extract a test pattern")
-	}
-	pq, err := db.Prepare(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	req := Request{Anchor: &vp, Alpha: 0.001}
-	cached := func() {
-		if _, err := db.Query(ctx, q, req); err != nil {
-			t.Fatal(err)
-		}
-	}
-	prepared := func() {
-		if _, err := pq.Query(ctx, req); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 5; i++ {
-		cached()
-		prepared()
-	}
-	cachedAvg := testing.AllocsPerRun(200, cached)
-	preparedAvg := testing.AllocsPerRun(200, prepared)
-	if preparedAvg > cachedAvg {
-		t.Fatalf("PreparedQuery.Query allocates %.1f times per run, cached DB.Query %.1f — prepared must not allocate more", preparedAvg, cachedAvg)
-	}
-	if preparedAvg > 8 {
-		t.Fatalf("PreparedQuery.Query allocates %.1f times per run, want ≤ 8", preparedAvg)
-	}
-}
-
 // TestQueryCacheHitAllocBudget: a pooled resource-bounded DB.Query on a
-// warm plan cache — the request-layer hot path, and the steady state the
-// batch entry points run in under heavy traffic — stays within a small
+// warm plan cache — the request-layer hot path, and the steady state
+// QueryBatch runs in under heavy traffic — stays within a small
 // fixed allocation budget (the result slice plus bookkeeping) regardless
 // of graph size, under both semantics. This pins down that the request
 // layer (validation, cache probe, context plumbing, Result assembly) adds

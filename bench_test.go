@@ -224,9 +224,7 @@ func BenchmarkBFSOptReachQuery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := f.qs[i%len(f.qs)]
-		cu := f.oracle.Cond.ComponentOf[q.From]
-		cv := f.oracle.Cond.ComponentOf[q.To]
-		f.oracle.Cond.DAG.Reachable(cu, cv)
+		f.oracle.Cond.Reachable(q.From, q.To)
 	}
 }
 

@@ -1,7 +1,7 @@
 package main
 
 // The -json micro-benchmark mode: a fixed suite over the individual hot
-// engines (RBSim, RBSub, RBReach, DualSimulation, BuildAux), emitted as
+// engines (RBSim, RBSub, RBReach, MatchOpt, BuildAux), emitted as
 // machine-readable JSON so successive PRs can track the performance
 // trajectory of the query path. The fixtures mirror the root package's
 // micro-benchmarks (bench_test.go) so numbers are comparable with
@@ -96,12 +96,11 @@ func (r microResult) ledger() [4]float64 {
 // parallelBench marks suite entries whose allocation counts depend on
 // GOMAXPROCS (one chunk of buffers per worker), so their alloc gate gets
 // headroom for differing core counts instead of the exact-count gate the
-// serial hot paths use. The W4 worker-pool entries spawn goroutines and
+// serial hot paths use. The W4 worker-pool entry spawns goroutines and
 // per-worker pooled scratch.
 var parallelBench = map[string]bool{
 	"BuildAux":            true,
 	"LoadBinary":          true,
-	"ParallelExactW4":     true,
 	"QueryBatchShardedW4": true,
 }
 
@@ -185,13 +184,6 @@ func compareBaseline(results []microResult, base map[string]microResult, baselin
 			fmt.Fprintf(stderr, "compare %-20s no baseline entry, skipped\n", r.Name)
 			continue
 		}
-		if serveBench[r.Name] {
-			// Closed-loop latency percentiles move with the host's core
-			// count and co-tenants: report the trend, never gate on it.
-			fmt.Fprintf(stderr, "compare %-20s %8.0f -> %8.0f ns/op (%+.1f%%, report-only)\n",
-				r.Name, b.NsPerOp, r.NsPerOp, 100*(r.NsPerOp/b.NsPerOp-1))
-			continue
-		}
 		ratio := r.NsPerOp / b.NsPerOp
 		effTol := effectiveTolerance(tolerance, b, r)
 		fmt.Fprintf(stderr, "compare %-20s %8.0f -> %8.0f ns/op (%+.1f%%, tol %.0f%%), %d -> %d allocs/op\n",
@@ -259,16 +251,6 @@ func runMicro(path, comparePath string, tolerance float64, count int, nsGate boo
 		return err
 	}
 
-	// Materialize the d_Q-ball of v_p as a standalone Graph so the
-	// DualSimulation entry keeps measuring the same whole-(sub)graph
-	// fixpoint as earlier baselines; the pooled exact path (which reads
-	// only the ball's label-closed region) is measured separately by the
-	// MatchOptBall entry.
-	var ballCSR graph.FragCSR
-	g.BallInto(vp, q.Diameter(), &ballCSR, nil)
-	ballG := ballCSR.ToGraph(g)
-	bvp := graph.NodeID(ballCSR.PosOf(vp))
-
 	gr := dataset.YahooLike(20_000, 1)
 	oracle := rbreach.New(gr, landmark.BuildOptions{Alpha: 0.005})
 	reachQs := gen.ReachQueries(gr, 64, 9)
@@ -292,29 +274,28 @@ func runMicro(path, comparePath string, tolerance float64, count int, nsGate boo
 	// rarest label and runs one reduction per anchor, serially.
 	ureq := rbq.Request{Mode: rbq.Unanchored, Alpha: 1e-3}
 
-	// Parallel fixtures, exercising the two worker-pool fan-out points
-	// with a workers axis (W1 = pool of one, the inline degenerate case;
-	// W4 = four workers — speedup on a multicore host, pure pool overhead
-	// on a single-core one). ParallelExact fans MatchOpt regions over every
-	// node sharing v_p's label (capped at 48 pins), and QueryBatchSharded
-	// pushes a 128-item pinned batch through the facade pool. Both take
-	// their width directly, so the W4 entries measure 4 goroutines
-	// regardless of the host's GOMAXPROCS.
-	var exactPins []graph.NodeID
+	// The batch fixture, exercising the worker pool with a workers axis
+	// (W1 = pool of one, the inline degenerate case; W4 = four workers —
+	// speedup on a multicore host, pure pool overhead on a single-core
+	// one): QueryBatchSharded pushes a 128-item batch, pinned at the
+	// nodes sharing v_p's label (capped at 48 pins), through the facade
+	// pool. It takes its width directly, so the W4 entry measures 4
+	// goroutines regardless of the host's GOMAXPROCS.
+	var batchPins []graph.NodeID
 	for _, v := range g.NodesWithLabel(g.LabelIDOf(q.Label(q.Personalized()))) {
 		if g.Degree(v) >= 2 {
-			exactPins = append(exactPins, v)
+			batchPins = append(batchPins, v)
 		}
-		if len(exactPins) == 48 {
+		if len(batchPins) == 48 {
 			break
 		}
 	}
-	if len(exactPins) == 0 {
+	if len(batchPins) == 0 {
 		return fmt.Errorf("no pins share the benchmark pattern's personalized label")
 	}
 	batchItems := make([]rbq.AnchoredQuery, 128)
 	for i := range batchItems {
-		batchItems[i] = rbq.AnchoredQuery{Q: q, At: exactPins[i%len(exactPins)]}
+		batchItems[i] = rbq.AnchoredQuery{Q: q, At: batchPins[i%len(batchPins)]}
 	}
 
 	// Mutation fixtures: a batch of net-new edges over g (and its exact
@@ -530,24 +511,9 @@ func runMicro(path, comparePath string, tolerance float64, count int, nsGate boo
 				oracle.Query(rq.From, rq.To)
 			}
 		}},
-		{"DualSimulation", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				simulation.DualSimulation(ballG, q, bvp)
-			}
-		}},
 		{"MatchOptBall", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				simulation.MatchOpt(g, q, pl.Labels(), vp, nil)
-			}
-		}},
-		{"ParallelExactW1", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				simulation.MatchOptMany(g, q, pl.Labels(), exactPins, 1, nil)
-			}
-		}},
-		{"ParallelExactW4", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				simulation.MatchOptMany(g, q, pl.Labels(), exactPins, 4, nil)
 			}
 		}},
 		{"QueryBatchShardedW1", func(b *testing.B) {
@@ -744,15 +710,6 @@ func runMicro(path, comparePath string, tolerance float64, count int, nsGate boo
 	fmt.Fprintf(stderr, "bench %-20s graph %.4f B/node %.4f B/edge, aux %.4f B/node %.4f B/edge\n", ledger.Name,
 		ledger.GraphBytesPerNode, ledger.GraphBytesPerEdge, ledger.AuxBytesPerNode, ledger.AuxBytesPerEdge)
 	results = append(results, ledger)
-
-	// The closed-loop serving entries run once, after the micro suite
-	// (they stand their own DB + HTTP stack over g, heap that must not
-	// sit resident while the engine entries are measured).
-	serve, err := runServe(g, q, vp, stderr)
-	if err != nil {
-		return fmt.Errorf("serving benchmark: %w", err)
-	}
-	results = append(results, serve...)
 
 	out, err := json.MarshalIndent(results, "", "  ")
 	if err != nil {

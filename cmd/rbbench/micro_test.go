@@ -71,20 +71,6 @@ func TestCompareAllocGateUnchanged(t *testing.T) {
 	}
 }
 
-// TestCompareServeEntriesReportOnly: the closed-loop serving latency
-// percentiles are never gated, no matter how far they move.
-func TestCompareServeEntriesReportOnly(t *testing.T) {
-	base := map[string]microResult{"ServeQueryP99": entry("ServeQueryP99", 1000, 0, 0)}
-	fresh := []microResult{entry("ServeQueryP99", 10000, 0, 5)}
-	var errb bytes.Buffer
-	if err := compareBaseline(fresh, base, "base.json", 0.25, true, &errb); err != nil {
-		t.Fatalf("serve entries must be report-only: %v", err)
-	}
-	if !strings.Contains(errb.String(), "report-only") {
-		t.Fatalf("comparison should still report the movement:\n%s", errb.String())
-	}
-}
-
 // TestCompareIgnoresDroppedBaselineEntries: a baseline entry the fresh
 // run no longer produces (its benchmark was deleted) is not compared and
 // does not fail the gate, so -compare stays usable across the PR that

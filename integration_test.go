@@ -14,7 +14,6 @@ import (
 	"rbq/internal/landmark"
 	"rbq/internal/pattern"
 	"rbq/internal/rbreach"
-	"rbq/internal/reach"
 	"rbq/internal/simulation"
 	"rbq/internal/subiso"
 )
@@ -145,22 +144,18 @@ func TestReachabilityMonotoneAndSound(t *testing.T) {
 }
 
 // Exhaustive all-pairs check of the whole reachability pipeline on small
-// graphs: condensation + index + RBReach vs plain and bidirectional BFS.
+// graphs: condensation + index + RBReach vs plain BFS.
 func TestReachPipelineExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	for i := 0; i < 8; i++ {
 		g := randomSmall(rng, 18, 40, 1)
 		cond := compress.Condense(g)
 		oracle := rbreach.FromCondensation(cond, landmark.BuildOptions{Alpha: 1.0}, g.Size())
-		opt := reach.FromCondensation(cond)
 		for u := 0; u < g.NumNodes(); u++ {
 			for v := 0; v < g.NumNodes(); v++ {
 				uu, vv := graph.NodeID(u), graph.NodeID(v)
 				truth := g.Reachable(uu, vv)
-				if reach.Bidirectional(g, uu, vv) != truth {
-					t.Fatalf("bidirectional BFS wrong on (%d,%d)", u, v)
-				}
-				if opt.Query(uu, vv) != truth {
+				if cond.Reachable(uu, vv) != truth {
 					t.Fatalf("BFSOpt wrong on (%d,%d)", u, v)
 				}
 				if oracle.Query(uu, vv).Answer && !truth {

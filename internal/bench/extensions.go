@@ -33,7 +33,7 @@ func runExtUnanchored(w io.Writer, s Scale) error {
 		eff := effAlpha(a, d.paperSize, d.g)
 		acc, anchors, frag := 0.0, 0, 0
 		for i, q := range queries {
-			exact, _ := rbany.SimulationExact(d.g, q.P, 1, nil)
+			exact, _ := rbany.SimulationExact(d.g, q.P, nil)
 			res := wl.Plan(i).Unanchored(d.aux, bounded.Simulation, rbany.Options{Alpha: eff}, nil)
 			acc += accuracy.Matches(exact, res.Matches).F
 			anchors += res.Evaluated

@@ -11,7 +11,6 @@ import (
 	"rbq/internal/gen"
 	"rbq/internal/landmark"
 	"rbq/internal/rbreach"
-	"rbq/internal/reach"
 )
 
 // Paper sweep (Section 6, Exp-2): α from 0.01% to 0.1%.
@@ -49,7 +48,6 @@ type reachCell struct {
 func measureReach(d *ds, s Scale, alphas []float64) reachSweep {
 	cond := compress.Condense(d.g)
 	lm := landmark.BuildLM(cond.DAG, int(4*math.Log(float64(d.g.NumNodes()))), s.Seed)
-	opt := reach.FromCondensation(cond)
 	queries := gen.ReachQueries(d.g, s.ReachQueries, s.Seed+7)
 	n := time.Duration(max(len(queries), 1))
 	truth := make([]bool, len(queries))
@@ -57,8 +55,8 @@ func measureReach(d *ds, s Scale, alphas []float64) reachSweep {
 	var sw reachSweep
 	for i, q := range queries {
 		truth[i] = q.Truth
-		sw.bfs += timeIt(func() { reach.BFS(d.g, q.From, q.To) })
-		sw.bfsOpt += timeIt(func() { opt.Query(q.From, q.To) })
+		sw.bfs += timeIt(func() { d.g.Reachable(q.From, q.To) })
+		sw.bfsOpt += timeIt(func() { cond.Reachable(q.From, q.To) })
 		cu, cv := cond.ComponentOf[q.From], cond.ComponentOf[q.To]
 		sw.lm += timeIt(func() { ans[i] = lm.Query(cu, cv) })
 	}

@@ -1,20 +1,15 @@
-// Package exec is the intra-query parallel execution layer: one bounded
-// worker-pool primitive shared by every fan-out point in the engine —
-// per-center region matching in the exact simulation baseline
-// (simulation.MatchOptMany), per-pin runs in the isomorphism baseline
-// (subiso.MatchOptMany) and the facade's QueryBatch sharding.
+// Package exec is the parallel execution layer: one bounded worker-pool
+// primitive, which shards the facade's QueryBatch items.
 //
 // The pool is transient by design: Run spawns at most `workers`
 // goroutines, they drain a shared atomic cursor, and they exit when the
 // index space is exhausted or the done channel fires. Nothing persists
 // between calls — no daemon goroutines to leak from never-closed DBs, no
 // global queue to serialize unrelated queries — and a pool of size one
-// degenerates to an inline loop with zero goroutine overhead, which is
-// how the serial paths stay byte-for-byte what they were.
+// degenerates to an inline loop with zero goroutine overhead.
 //
 // Determinism is the caller's contract: eval(i) must write only to slot
-// i of its output (every call site merges per-slot results in index
-// order afterwards), so answers are independent of scheduling.
+// i of its output, so answers are independent of scheduling.
 package exec
 
 import (
@@ -66,7 +61,7 @@ func Run(done <-chan struct{}, n, workers int, eval func(i int)) {
 }
 
 // BatchWorkers resolves a QueryBatch workers argument: ≤ 0 asks for one
-// worker per CPU (the batch methods' documented default), anything else
+// worker per CPU (QueryBatch's documented default), anything else
 // passes through (Run caps at the item count).
 func BatchWorkers(workers int) int {
 	if workers <= 0 {

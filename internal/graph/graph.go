@@ -31,7 +31,7 @@
 // ball via BallInto) as plain CSR arrays, so repeated materializations
 // allocate nothing once warm; Aux carries one sync.Pool per engine
 // (Aux.ScratchPool) from which query evaluations borrow their scratch;
-// and the Graph itself pools traversal state (epoch-stamped Visited
+// and the Graph itself pools traversal state (epoch-stamped visited
 // markers, BFS queues, the region's label bitset), so Walk, Reachable and
 // region and ball extraction are allocation-free in steady state too.
 //
@@ -102,7 +102,7 @@ type Graph struct {
 
 	// Traversal scratch pools (see visit.go). Pools are safe for
 	// concurrent use and do not affect the graph's immutability contract.
-	visitPool sync.Pool // *Visited
+	visitPool sync.Pool // *visited
 	travPool  sync.Pool // *trav
 }
 

@@ -130,15 +130,15 @@ func TestSharedLabels(t *testing.T) {
 	}
 }
 
-func TestNodesWithinFollowsBothDirections(t *testing.T) {
+func TestBFSFollowsBothDirections(t *testing.T) {
 	// 0 -> 1 -> 2, and 3 -> 1. N_1(1) must include 0, 2 and 3.
 	g := FromEdges([]string{"a", "b", "c", "d"}, [][2]int{{0, 1}, {1, 2}, {3, 1}})
-	got := g.NodesWithin(1, 1)
+	got := g.BFS(1, Both, 1, nil)
 	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 	if !reflect.DeepEqual(got, []NodeID{0, 1, 2, 3}) {
 		t.Fatalf("N_1(1) = %v", got)
 	}
-	if got := g.NodesWithin(0, 0); !reflect.DeepEqual(got, []NodeID{0}) {
+	if got := g.BFS(0, Both, 0, nil); !reflect.DeepEqual(got, []NodeID{0}) {
 		t.Fatalf("N_0(0) = %v", got)
 	}
 }

@@ -23,14 +23,6 @@ const (
 	Both
 )
 
-// NodesWithin returns N_r(v): every node reachable from v by a path of at
-// most r edges, following edges in either direction (Section 2 of the
-// paper). The result includes v itself, is in BFS order, and is freshly
-// allocated (callers own it).
-func (g *Graph) NodesWithin(v NodeID, r int) []NodeID {
-	return g.BFS(v, Both, r, nil)
-}
-
 // Walk runs a breadth-first traversal from start, following dir edges, up
 // to maxDepth hops (maxDepth < 0 means unbounded), calling visit(node,
 // depth) for every discovered node; a false return stops the traversal
@@ -50,11 +42,11 @@ func (g *Graph) BFS(start NodeID, dir Direction, maxDepth int, visit func(v Node
 	return order
 }
 
-// walkSeen is a walk's visited marker: a pooled Visited, or the position
+// walkSeen is a walk's visited marker: a pooled visited, or the position
 // table of the FragCSR a region is materialized into, which then records
 // each node's discovery position — its index in the BFS queue.
 type walkSeen struct {
-	vis *Visited
+	vis *visited
 	idx *posTable
 }
 
@@ -64,11 +56,7 @@ func (s walkSeen) discover(w NodeID, p int) bool {
 	if s.idx != nil {
 		return s.idx.add(w, int32(p))
 	}
-	if s.vis.Seen(w) {
-		return false
-	}
-	s.vis.Mark(w, 0)
-	return true
+	return s.vis.mark(w)
 }
 
 // walk is the shared BFS core. When order is non-nil every discovered
@@ -85,12 +73,12 @@ func (s walkSeen) discover(w NodeID, p int) bool {
 //
 // A non-nil idx, emptied by the caller, is the visited marker: it ends up
 // mapping every discovered node to its discovery position.
-// Otherwise the walk borrows a Visited from the graph's pool.
+// Otherwise the walk borrows a visited from the graph's pool.
 func (g *Graph) walk(start NodeID, dir Direction, maxDepth int, visit func(v NodeID, depth int) bool, order []NodeID, done <-chan struct{}, within []uint64, idx *posTable) (_ []NodeID, complete bool) {
 	seen := walkSeen{idx: idx}
 	if idx == nil {
-		seen.vis = g.AcquireVisited()
-		defer g.ReleaseVisited(seen.vis)
+		seen.vis = g.acquireVisited()
+		defer g.visitPool.Put(seen.vis)
 	}
 	tr := g.acquireTrav()
 	defer g.releaseTrav(tr)

@@ -276,10 +276,10 @@ func TestOverlayTraversalAndBalls(t *testing.T) {
 	}
 	want := rebuilt(g, d)
 	for v := 0; v < view.NumNodes(); v += 7 {
-		gotN := view.NodesWithin(NodeID(v), 2)
-		wantN := want.NodesWithin(NodeID(v), 2)
+		gotN := view.BFS(NodeID(v), Both, 2, nil)
+		wantN := want.BFS(NodeID(v), Both, 2, nil)
 		if !reflect.DeepEqual(gotN, wantN) {
-			t.Fatalf("NodesWithin(%d, 2): got %v, want %v", v, gotN, wantN)
+			t.Fatalf("BFS(%d, Both, 2): got %v, want %v", v, gotN, wantN)
 		}
 		var gotC, wantC FragCSR
 		view.BallInto(NodeID(v), 2, &gotC, nil)

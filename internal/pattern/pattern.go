@@ -79,15 +79,6 @@ func (p *Pattern) HasEdge(u, w NodeID) bool {
 	return false
 }
 
-// DistinctLabels returns l, the number of distinct labels in Q.
-func (p *Pattern) DistinctLabels() int {
-	seen := make(map[string]bool, len(p.labels))
-	for _, l := range p.labels {
-		seen[l] = true
-	}
-	return len(seen)
-}
-
 // Diameter returns d_Q: the length of the longest shortest path between any
 // connected pair of query nodes, following edges in either direction. The
 // paper uses d_Q to scope the data neighborhood G_{d_Q}(v_p); taking hops in
@@ -95,12 +86,6 @@ func (p *Pattern) DistinctLabels() int {
 // It is computed once at Build and returned in O(1): the exact baselines
 // call it per query evaluation, on their allocation-free path.
 func (p *Pattern) Diameter() int { return p.diam }
-
-// UndirectedDiameter returns d, the diameter of Q treated as an undirected
-// graph — the exponent in Theorem 3(b)'s accuracy bound. For patterns this
-// coincides with Diameter; it is kept as a distinct method to mirror the
-// paper's notation (Table 1 lists d_Q and d separately).
-func (p *Pattern) UndirectedDiameter() int { return p.diam }
 
 func (p *Pattern) diameter(scratch []int32) int {
 	max := 0
@@ -138,16 +123,6 @@ func (p *Pattern) bfs(s NodeID, scratch []int32) (reached, ecc int) {
 		}
 	}
 	return reached, int(dist[queue[reached-1]])
-}
-
-// Radius returns the eccentricity of the personalized node u_p under
-// undirected hops: every query node lies within Radius hops of u_p. Because
-// matches preserve pattern paths, every match of any query node lies within
-// Radius (<= d_Q) hops of v_p; algorithms may use it as a tighter traversal
-// bound than the full diameter.
-func (p *Pattern) Radius() int {
-	_, ecc := p.bfs(p.personalized, make([]int32, 2*len(p.labels)))
-	return ecc
 }
 
 // Connected reports whether every query node is reachable from u_p by

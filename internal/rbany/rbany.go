@@ -361,42 +361,48 @@ func (pr *Prepared) PredictShares(aux *graph.Aux, c *bounded.Compiled, alpha flo
 
 // SimulationExact is the resource-unbounded reference: the union over all
 // anchor candidates v of the exact personalized answer anchored at v,
-// with the per-candidate MatchOpt regions fanned across at most `workers`
-// goroutines (≤ 1 runs them inline, in order). Per-candidate answers land
-// in candidate-order slots and the final sortedUnique canonicalizes the
-// union, so the answer does not depend on workers. A fired done channel
-// abandons the evaluation and returns nil with ok=false. Intended for
-// tests and calibration on graphs where it is affordable.
-func SimulationExact(g *graph.Graph, p *pattern.Pattern, workers int, done <-chan struct{}) ([]graph.NodeID, bool) {
+// one MatchOpt region per candidate, in candidate order. A fired done
+// channel abandons the evaluation and returns nil with ok=false.
+// Intended for tests and calibration on graphs where it is affordable.
+func SimulationExact(g *graph.Graph, p *pattern.Pattern, done <-chan struct{}) ([]graph.NodeID, bool) {
 	rooted, labels, cands := rootAtAnchor(g, p)
 	if rooted == nil {
 		return nil, true
 	}
-	per, ok := simulation.MatchOptMany(g, rooted, labels, cands, workers, done)
-	if !ok {
-		return nil, false
+	var out []graph.NodeID
+	for _, v := range cands {
+		m, ok := simulation.MatchOpt(g, rooted, labels, v, done)
+		if !ok || interrupt.Fired(done) {
+			return nil, false
+		}
+		out = append(out, m...)
 	}
-	return unionOf(per), true
+	return sortedUnique(out), true
 }
 
 // SubgraphExact is the isomorphism counterpart of SimulationExact;
-// complete is the conjunction of the per-candidate VF2 completion flags.
-func SubgraphExact(g *graph.Graph, p *pattern.Pattern, workers int, mopts *subiso.Options) ([]graph.NodeID, bool) {
+// complete is the conjunction of the per-candidate VF2 completion flags,
+// and a fired mopts.Interrupt stops the loop with complete=false.
+func SubgraphExact(g *graph.Graph, p *pattern.Pattern, mopts *subiso.Options) ([]graph.NodeID, bool) {
 	rooted, labels, cands := rootAtAnchor(g, p)
 	if rooted == nil {
 		return nil, true
 	}
-	per, complete := subiso.MatchOptMany(g, rooted, labels, cands, workers, mopts)
-	return unionOf(per), complete
-}
-
-// unionOf merges per-candidate answers into one sorted duplicate-free set.
-func unionOf(per [][]graph.NodeID) []graph.NodeID {
-	var out []graph.NodeID
-	for _, m := range per {
-		out = append(out, m...)
+	var done <-chan struct{}
+	if mopts != nil {
+		done = mopts.Interrupt
 	}
-	return sortedUnique(out)
+	var out []graph.NodeID
+	complete := true
+	for _, v := range cands {
+		m, ok := subiso.MatchOpt(g, rooted, labels, v, mopts)
+		out = append(out, m...)
+		complete = complete && ok
+		if interrupt.Fired(done) {
+			return sortedUnique(out), false
+		}
+	}
+	return sortedUnique(out), complete
 }
 
 // sortedUnique sorts ids ascending and drops duplicates in place.

@@ -108,7 +108,7 @@ func TestUnanchoredPrecision(t *testing.T) {
 		aux := graph.BuildAux(g)
 		res := evaluate(aux, p, bounded.Simulation, Options{Alpha: 0.4})
 		exact := map[graph.NodeID]bool{}
-		all, _ := SimulationExact(g, p, 1, nil)
+		all, _ := SimulationExact(g, p, nil)
 		for _, v := range all {
 			exact[v] = true
 		}
@@ -126,7 +126,7 @@ func TestUnanchoredRecallAtFullBudget(t *testing.T) {
 	g := multiMatchGraph()
 	p := abPattern(t)
 	got := evaluate(graph.BuildAux(g), p, bounded.Simulation, Options{Alpha: 1.0}).Matches
-	want, _ := SimulationExact(g, p, 1, nil)
+	want, _ := SimulationExact(g, p, nil)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %v want %v", got, want)
 	}
@@ -162,7 +162,7 @@ func TestSubgraphUnanchored(t *testing.T) {
 	if !reflect.DeepEqual(res.Matches, []graph.NodeID{0}) {
 		t.Fatalf("matches = %v (res %+v)", res.Matches, res)
 	}
-	exact, complete := SubgraphExact(g, p, 1, nil)
+	exact, complete := SubgraphExact(g, p, nil)
 	if !complete || !reflect.DeepEqual(exact, []graph.NodeID{0}) {
 		t.Fatalf("exact = %v", exact)
 	}

@@ -130,7 +130,7 @@ func TestStrongSimAllocBudget(t *testing.T) {
 	if len(want) == 0 {
 		t.Skip("no matching fixture found; nothing to measure")
 	}
-	centers := len(g.NodesWithin(vp, p.Diameter()))
+	centers := len(g.BFS(vp, graph.Both, p.Diameter(), nil))
 	avg := testing.AllocsPerRun(50, func() {
 		StrongSim(g, p, vp)
 	})

@@ -48,7 +48,7 @@ func buildRefSub(g *graph.Graph, nodes []graph.NodeID) *refSub {
 }
 
 func refBall(g *graph.Graph, v graph.NodeID, r int) *refSub {
-	return buildRefSub(g, g.NodesWithin(v, r))
+	return buildRefSub(g, g.BFS(v, graph.Both, r, nil))
 }
 
 // refMatchOpt replicates the seed's MatchOpt on the map-backed ball.
@@ -74,7 +74,7 @@ func refMatchOpt(g *graph.Graph, p *pattern.Pattern, vp graph.NodeID) []graph.No
 func refStrongSim(g *graph.Graph, p *pattern.Pattern, vp graph.NodeID) []graph.NodeID {
 	dQ := p.Diameter()
 	out := []graph.NodeID{}
-	for _, v0 := range g.NodesWithin(vp, dQ) {
+	for _, v0 := range g.BFS(vp, graph.Both, dQ, nil) {
 		ball := refBall(g, v0, dQ)
 		bvp, ok := ball.fromOrig[vp]
 		if !ok {

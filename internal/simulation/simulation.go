@@ -40,9 +40,7 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
-	"sync/atomic"
 
-	"rbq/internal/exec"
 	"rbq/internal/graph"
 	"rbq/internal/interrupt"
 	"rbq/internal/pattern"
@@ -360,28 +358,6 @@ func MatchOpt(g *graph.Graph, p *pattern.Pattern, labels []graph.LabelID, vp gra
 	}
 	m, complete, _ := MatchFragment(&bs.csr, p, labels, bs.csr.PosOf(vp), &bs.sc, done)
 	return m, complete
-}
-
-// MatchOptMany fans the MatchOpt baseline across many candidate centers:
-// out[i] is the answer anchored at vps[i], computed on at most `workers`
-// concurrent goroutines (≤ 1 runs inline, identical to a serial loop of
-// MatchOpt calls). Each worker draws its own ballScratch
-// from the package pool, so the per-ball state never crosses goroutines;
-// slot-indexed output keeps the result independent of scheduling. When
-// done fires mid-fan, ok is false and the out slots of abandoned runs
-// are nil — callers discard the batch, exactly as the single-center form.
-func MatchOptMany(g *graph.Graph, p *pattern.Pattern, labels []graph.LabelID, vps []graph.NodeID, workers int, done <-chan struct{}) (out [][]graph.NodeID, ok bool) {
-	out = make([][]graph.NodeID, len(vps))
-	var canceled atomic.Bool
-	exec.Run(done, len(vps), workers, func(i int) {
-		m, complete := MatchOpt(g, p, labels, vps[i], done)
-		if !complete {
-			canceled.Store(true)
-			return
-		}
-		out[i] = m
-	})
-	return out, !canceled.Load() && !interrupt.Fired(done)
 }
 
 // StrongSim implements the literal Section 2 semantics: the match relation

@@ -24,9 +24,7 @@ package subiso
 import (
 	"slices"
 	"sync"
-	"sync/atomic"
 
-	"rbq/internal/exec"
 	"rbq/internal/graph"
 	"rbq/internal/interrupt"
 	"rbq/internal/pattern"
@@ -161,31 +159,6 @@ func MatchOpt(g *graph.Graph, p *pattern.Pattern, labels []graph.LabelID, vp gra
 		return nil, false
 	}
 	return MatchFragment(&bs.csr, p, labels, bs.csr.PosOf(vp), opts, &bs.sc)
-}
-
-// MatchOptMany fans MatchOpt across many pins: out[i] is the answer
-// anchored at vps[i], computed on at most `workers` concurrent
-// goroutines (≤ 1 runs inline). Every run gets the same opts — each
-// maintains its own step counter, so a MaxSteps cap truncates each pin's
-// search exactly as a serial loop would — and each worker borrows its
-// own pooled ball scratch. complete is the conjunction of the per-run
-// flags, matching how the serial exact-baseline loops aggregate it; a
-// fired opts.Interrupt leaves abandoned slots nil with complete=false.
-func MatchOptMany(g *graph.Graph, p *pattern.Pattern, labels []graph.LabelID, vps []graph.NodeID, workers int, opts *Options) (out [][]graph.NodeID, complete bool) {
-	out = make([][]graph.NodeID, len(vps))
-	var truncated atomic.Bool
-	var done <-chan struct{}
-	if opts != nil {
-		done = opts.Interrupt
-	}
-	exec.Run(done, len(vps), workers, func(i int) {
-		m, ok := MatchOpt(g, p, labels, vps[i], opts)
-		if !ok {
-			truncated.Store(true)
-		}
-		out[i] = m
-	})
-	return out, !truncated.Load() && !interrupt.Fired(done)
 }
 
 // Scratch holds the reusable state of MatchFragment. A zero Scratch is

@@ -42,8 +42,6 @@ package rbq
 //     stays valid across Apply and compaction for as long as the
 //     alphabet keeps its size. A lookup at a snapshot with more labels
 //     recompiles the entry (counted in PlanCacheStats.Invalidations).
-//   - PreparedQuery pins the snapshot current at Prepare time: re-run
-//     Prepare (or use DB.Query) to observe later mutations.
 
 import (
 	"fmt"

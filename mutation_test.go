@@ -470,43 +470,6 @@ func TestApplyAtomicityAndValidation(t *testing.T) {
 	}
 }
 
-// TestPreparedQueryPinsItsSnapshot: a PreparedQuery keeps answering
-// from the snapshot current at Prepare time, while DB.Query sees the
-// mutation — the documented epoch-pinning contract.
-func TestPreparedQueryPinsItsSnapshot(t *testing.T) {
-	b := NewGraphBuilder(4, 4)
-	m := b.AddNode("M")
-	c1 := b.AddNode("C")
-	c2 := b.AddNode("C")
-	b.AddEdge(m, c1)
-	g := b.Build()
-	q, err := ParsePattern("node 0 M*\nnode 1 C!\nedge 0 1\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := NewDB(g)
-	pq, err := db.Prepare(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	res, err := pq.Query(ctx, Request{Mode: Exact})
-	if err != nil || len(res.Matches) != 1 {
-		t.Fatalf("before mutation: %v %v", res.Matches, err)
-	}
-	if err := db.Apply([]Op{AddEdge(m, c2)}); err != nil {
-		t.Fatal(err)
-	}
-	res, err = pq.Query(ctx, Request{Mode: Exact})
-	if err != nil || len(res.Matches) != 1 {
-		t.Fatalf("prepared query saw the mutation: %v %v", res.Matches, err)
-	}
-	fresh, err := db.Query(ctx, q, Request{Mode: Exact})
-	if err != nil || len(fresh.Matches) != 2 {
-		t.Fatalf("DB.Query missed the mutation: %v %v", fresh.Matches, err)
-	}
-}
-
 // TestPlanCacheInvalidationOnApply: a plan depends on the pattern and
 // the label alphabet, not on the snapshot. An Apply that adds no label
 // leaves the cached template a hit; one that grows the alphabet costs

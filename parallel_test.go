@@ -100,7 +100,11 @@ func TestParallelQueryBitForBitEqualsSerial(t *testing.T) {
 }
 
 // QueryBatch sharded across workers must equal the one-worker batch,
-// result slot for result slot, on both the DB and the prepared handle.
+// result slot for result slot, in bounded and in exact mode under both
+// semantics. Exact items run the MatchOpt/VF2Opt baselines on the
+// package-pooled region scratch, and a batch is the one place exact
+// evaluations run concurrently, so under -race this is the scratch's
+// sharing check.
 func TestQueryBatchShardedEqualsSerial(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	ctx := context.Background()
@@ -109,37 +113,23 @@ func TestQueryBatchShardedEqualsSerial(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		qs = append(qs, AnchoredQuery{Q: q, At: pins[i%len(pins)]})
 	}
-	req := Request{Alpha: 0.03}
-	want, err := db.QueryBatch(ctx, qs, req, 1)
-	if err != nil {
-		t.Fatalf("serial batch: %v", err)
-	}
-	pq, err := db.Prepare(q)
-	if err != nil {
-		t.Fatalf("Prepare: %v", err)
-	}
-	var batchPins []NodeID
-	for _, item := range qs {
-		batchPins = append(batchPins, item.At)
-	}
-	wantP, err := pq.QueryBatch(ctx, batchPins, req, 1)
-	if err != nil {
-		t.Fatalf("serial prepared batch: %v", err)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		got, err := db.QueryBatch(ctx, qs, req, workers)
+	for _, req := range []Request{
+		{Alpha: 0.03},
+		{Mode: Exact},
+		{Semantics: Subgraph, Mode: Exact, MaxSteps: 100_000},
+	} {
+		want, err := db.QueryBatch(ctx, qs, req, 1)
 		if err != nil {
-			t.Fatalf("W=%d: %v", workers, err)
+			t.Fatalf("%+v serial batch: %v", req, err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("DB.QueryBatch W=%d diverges from serial", workers)
-		}
-		gotP, err := pq.QueryBatch(ctx, batchPins, req, workers)
-		if err != nil {
-			t.Fatalf("prepared W=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(gotP, wantP) {
-			t.Errorf("PreparedQuery.QueryBatch W=%d diverges from serial", workers)
+		for _, workers := range []int{2, 4, 8} {
+			got, err := db.QueryBatch(ctx, qs, req, workers)
+			if err != nil {
+				t.Fatalf("%+v W=%d: %v", req, workers, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%+v: DB.QueryBatch W=%d diverges from serial", req, workers)
+			}
 		}
 	}
 }

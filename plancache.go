@@ -4,8 +4,7 @@ package rbq
 // plans keyed by pattern identity (the textual form of Pattern.String,
 // cached on the pattern so a hit costs no allocation). Independent
 // callers issuing the same hot template — even from pointer-distinct
-// Parse results — share one compiled plan; PreparedQuery remains the
-// explicit, cache-independent way to pin a compilation.
+// Parse results — share one compiled plan.
 //
 // A plan is compiled against the label alphabet, not a snapshot (see
 // internal/plan), so an entry outlives Apply and compaction: it holds no

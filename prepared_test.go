@@ -2,6 +2,7 @@ package rbq
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -32,17 +33,15 @@ func preparedFixture(t *testing.T, n int) (*DB, []AnchoredQuery) {
 	return NewDB(g), qs
 }
 
-// TestPreparedEquivalence: PreparedQuery.Query returns bit-for-bit the
-// same answer as DB.Query through the plan cache, for every semantics and
-// mode, across several generated patterns and resource ratios.
+// TestPreparedEquivalence: DB.Query returns bit-for-bit the same answer
+// from a cold plan cache (the template's compile miss) as from a warm
+// one, whose plan was prepared by an earlier request (a hit), for every
+// semantics and mode, across several generated patterns and resource
+// ratios.
 func TestPreparedEquivalence(t *testing.T) {
 	db, qs := preparedFixture(t, 4000)
 	ctx := context.Background()
 	for _, aq := range qs {
-		pq, err := db.Prepare(aq.Q)
-		if err != nil {
-			t.Fatal(err)
-		}
 		reqs := []Request{
 			{Mode: Exact, Anchor: Pin(aq.At)},
 			{Semantics: Subgraph, Mode: Exact, Anchor: Pin(aq.At), MaxSteps: 1_000_000},
@@ -54,88 +53,89 @@ func TestPreparedEquivalence(t *testing.T) {
 				Request{Mode: Unanchored, Alpha: alpha},
 				Request{Semantics: Subgraph, Mode: Unanchored, Alpha: alpha})
 		}
+		if _, err := db.Query(ctx, aq.Q, reqs[0]); err != nil { // warm the template
+			t.Fatal(err)
+		}
 		for _, req := range reqs {
-			got, gotErr := pq.Query(ctx, req)
+			cold := NewDB(db.Graph())
+			got, gotErr := cold.Query(ctx, aq.Q, req)
 			want, wantErr := db.Query(ctx, aq.Q, req)
 			if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
-				t.Fatalf("%+v at %d: prepared %+v (%v), cached %+v (%v)", req, aq.At, got, gotErr, want, wantErr)
+				t.Fatalf("%+v at %d: cold %+v (%v), warm %+v (%v)", req, aq.At, got, gotErr, want, wantErr)
+			}
+			if cs := cold.PlanCacheStats(); cs.Misses != 1 || cs.Hits != 0 {
+				t.Fatalf("cold cache: %+v, want one miss", cs)
 			}
 		}
 	}
+	if cs := db.PlanCacheStats(); cs.Misses != uint64(len(qs)) {
+		t.Fatalf("warm cache: %+v, want one miss per template", cs)
+	}
 }
 
-// TestPreparedRunUsesCompiledPersonalized: un-pinned requests on a pattern
-// with a unique personalized label run from the compile-time match on
-// both the prepared and the cached path, and fail with the same error
-// when the label is ambiguous.
+// TestPreparedRunUsesCompiledPersonalized: an un-pinned request on a
+// pattern with a unique personalized label runs from that unique match,
+// exactly as a request pinned there does, and one whose label is
+// ambiguous fails with the documented error.
 func TestPreparedRunUsesCompiledPersonalized(t *testing.T) {
 	g := YoutubeLike(2000, 1)
-	q, g2, _, err := ExtractPattern(g, 4, 6, 7)
+	q, g2, vp, err := ExtractPattern(g, 4, 6, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	db := NewDB(g2)
-	pq, err := db.Prepare(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vp, ok := pq.Personalized(); !ok || int(vp) < 0 {
-		t.Fatalf("Personalized() = (%d, %v), want the pinned snapshot's unique match", vp, ok)
-	}
 	ctx := context.Background()
 	for _, req := range []Request{{Alpha: 0.01}, {Mode: Exact}} {
-		got, err1 := pq.Query(ctx, req)
-		want, err2 := db.Query(ctx, q, req)
-		if err1 != nil || err2 != nil || !reflect.DeepEqual(got, want) {
-			t.Fatalf("%+v: prepared %+v (%v), cached %+v (%v)", req, got, err1, want, err2)
+		got, err1 := db.Query(ctx, q, req)
+		pinned := req
+		pinned.Anchor = Pin(vp)
+		want, err2 := db.Query(ctx, q, pinned)
+		if err1 != nil || err2 != nil || got.Personalized != vp || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v: un-pinned %+v (%v), pinned at %d %+v (%v)", req, got, err1, vp, want, err2)
 		}
 	}
 
-	// An ambiguous personalized label errors identically on both paths.
+	// An ambiguous personalized label is refused.
 	amb, _, _, err := ExtractPattern(g, 3, 4, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dbAmb := NewDB(g) // original graph: the unique label was never installed
-	pqa, err := dbAmb.Prepare(amb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, errPrep := pqa.Query(ctx, Request{Alpha: 0.01})
-	_, errShot := dbAmb.Query(ctx, amb, Request{Alpha: 0.01})
-	if errPrep == nil || errShot == nil || errPrep.Error() != errShot.Error() {
-		t.Fatalf("ambiguous-label errors differ: %v vs %v", errPrep, errShot)
+	_, err = dbAmb.Query(ctx, amb, Request{Alpha: 0.01})
+	want := fmt.Sprintf("rbq: the personalized node's label %q does not have a unique match", amb.Label(amb.Personalized()))
+	if err == nil || err.Error() != want {
+		t.Fatalf("ambiguous label: err = %v, want %q", err, want)
 	}
 }
 
-// TestPreparedRunBatch: QueryBatch over pins equals per-pin Query, with
-// zero results (carrying the pin and the epoch) for invalid pins.
+// TestPreparedRunBatch: QueryBatch over every pin of the personalized
+// label plus one invalid pin equals per-pin DB.Query, with a zero result
+// (carrying the pin and the epoch) for the invalid pin, at one worker
+// and at four.
 func TestPreparedRunBatch(t *testing.T) {
 	db, qs := preparedFixture(t, 3000)
 	q := qs[0].Q
-	pq, err := db.Prepare(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// All candidates of the personalized label, plus one invalid pin.
 	l := db.Graph().LabelIDOf(q.Label(q.Personalized()))
-	pins := append([]NodeID{}, db.Graph().NodesWithLabel(l)...)
+	var batch []AnchoredQuery
+	for _, pin := range db.Graph().NodesWithLabel(l) {
+		batch = append(batch, AnchoredQuery{Q: q, At: pin})
+	}
 	var bad NodeID
 	for bad = 0; db.Graph().LabelOf(bad) == l; bad++ {
 	}
-	pins = append(pins, bad)
+	batch = append(batch, AnchoredQuery{Q: q, At: bad})
 	for _, workers := range []int{1, 4} {
-		got, err := pq.QueryBatch(context.Background(), pins, Request{Alpha: 0.01}, workers)
-		if err != nil || len(got) != len(pins) {
-			t.Fatalf("QueryBatch returned %d results for %d pins (%v)", len(got), len(pins), err)
+		got, err := db.QueryBatch(context.Background(), batch, Request{Alpha: 0.01}, workers)
+		if err != nil || len(got) != len(batch) {
+			t.Fatalf("QueryBatch returned %d results for %d pins (%v)", len(got), len(batch), err)
 		}
-		for i, pin := range pins {
-			want, err := pq.Query(context.Background(), Request{Anchor: Pin(pin), Alpha: 0.01})
+		for i, aq := range batch {
+			want, err := db.Query(context.Background(), q, Request{Anchor: Pin(aq.At), Alpha: 0.01})
 			if err != nil {
-				want = Result{Personalized: pin, Epoch: got[i].Epoch}
+				want = Result{Personalized: aq.At, Epoch: got[i].Epoch}
 			}
 			if !reflect.DeepEqual(got[i], want) {
-				t.Fatalf("workers=%d pin %d: %+v != %+v", workers, pin, got[i], want)
+				t.Fatalf("workers=%d pin %d: %+v != %+v", workers, aq.At, got[i], want)
 			}
 		}
 		if got[len(got)-1].Matches != nil {

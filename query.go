@@ -75,7 +75,7 @@ type Request struct {
 	// Anchor pins the personalized node u_p to an explicit data node
 	// (see Pin), bypassing the unique-label lookup. Nil uses the unique
 	// match of the personalized label in the pinned snapshot. Must be nil in
-	// Unanchored mode; batch entry points supply it per item.
+	// Unanchored mode; QueryBatch supplies it per item.
 	Anchor *NodeID
 	// Alpha is the resource ratio α, normally in (0,1) (Bounded and
 	// Unanchored modes; must be zero in Exact mode). α ≥ 1 covers the
@@ -225,8 +225,14 @@ func (db *DB) Query(ctx context.Context, q *Pattern, req Request) (Result, error
 // canceled mid-batch the already-computed results are returned alongside
 // ctx.Err(), with unprocessed items left zero.
 func (db *DB) QueryBatch(ctx context.Context, qs []AnchoredQuery, req Request, workers int) ([]Result, error) {
-	if err := req.validateBatch(); err != nil {
+	if err := req.validate(); err != nil {
 		return nil, err
+	}
+	if req.Mode == Unanchored {
+		return nil, fmt.Errorf("%w: QueryBatch needs an anchored mode", ErrBadRequest)
+	}
+	if req.Anchor != nil {
+		return nil, fmt.Errorf("%w: QueryBatch items carry their own anchors", ErrBadRequest)
 	}
 	// Resolve every distinct template to its cached plan up front: one
 	// serialized cache probe per template (batches repeat a handful of
@@ -276,84 +282,38 @@ func (db *DB) QueryBatch(ctx context.Context, qs []AnchoredQuery, req Request, w
 		}
 		idx[i] = j
 	}
+	// The DB's structures are immutable and every evaluation borrows
+	// private scratch, so the items are embarrassingly parallel. An item
+	// that fails — a pin failing validation, a template that did not
+	// compile — yields a zero Result carrying only its pin and the epoch.
 	out := make([]Result, len(qs))
 	shardWorkers := exec.BatchWorkers(workers)
 	exec.Run(done, len(qs), shardWorkers, func(i int) {
 		info := infos[idx[i]]
+		out[i] = Result{Personalized: qs[i].At, Epoch: snap.Epoch()}
+		if info.pl == nil {
+			return
+		}
 		var planTime time.Duration
 		if i == info.first {
 			planTime = info.planTime
 		}
-		out[i] = runBatchItem(ctx, info.pl, snap, req, &qs[i].At, info.hit, planTime, i, shardWorkers)
+		itemReq := req
+		itemReq.Anchor = &qs[i].At
+		res, err := runRequest(ctx, info.pl, snap, itemReq, info.hit, planTime)
+		if err != nil {
+			return
+		}
+		// Each item owns its trace, so stamping the shard identity here
+		// is race-free: which slot this item ran in and how wide the
+		// batch pool fanned out.
+		if res.Trace != nil {
+			res.Trace.Root.Add("batch_index", int64(i))
+			res.Trace.Root.Add("batch_workers", int64(shardWorkers))
+		}
+		out[i] = res
 	})
 	return out, interrupt.Err(ctx)
-}
-
-// Query evaluates req through the prepared plan. The compilation was done
-// by Prepare, so the trace's plan span reports a cache hit taking no time.
-func (pq *PreparedQuery) Query(ctx context.Context, req Request) (Result, error) {
-	if err := req.validate(); err != nil {
-		return Result{}, err
-	}
-	return runRequest(ctx, pq.pl, pq.snap, req, true, 0)
-}
-
-// QueryBatch evaluates req at many pins concurrently through the
-// prepared plan (see DB.QueryBatch for the batch contract; req.Anchor
-// must be nil and Mode anchored).
-func (pq *PreparedQuery) QueryBatch(ctx context.Context, pins []NodeID, req Request, workers int) ([]Result, error) {
-	if err := req.validateBatch(); err != nil {
-		return nil, err
-	}
-	out := make([]Result, len(pins))
-	shardWorkers := exec.BatchWorkers(workers)
-	exec.Run(interrupt.Done(ctx), len(pins), shardWorkers, func(i int) {
-		out[i] = runBatchItem(ctx, pq.pl, pq.snap, req, &pins[i], true, 0, i, shardWorkers)
-	})
-	return out, interrupt.Err(ctx)
-}
-
-// validateBatch is validate plus the shape a batch entry point needs:
-// an anchored mode and no request-level anchor (items carry their own).
-func (req Request) validateBatch() error {
-	if err := req.validate(); err != nil {
-		return err
-	}
-	if req.Mode == Unanchored {
-		return fmt.Errorf("%w: QueryBatch needs an anchored mode", ErrBadRequest)
-	}
-	if req.Anchor != nil {
-		return fmt.Errorf("%w: QueryBatch items carry their own anchors", ErrBadRequest)
-	}
-	return nil
-}
-
-// runBatchItem is the per-item body of the batch entry points: req is
-// evaluated at the item's own pin through pl (nil when the item's
-// template failed to compile) against the one snapshot the batch
-// pinned. An item that fails — a pin failing validation, a template that
-// did not compile — yields a zero Result carrying only its pin and the
-// epoch, leaving the rest of the batch intact. i is the item's slot and
-// shardWorkers the width of the exec pool the batch fanned out to (the
-// DB's structures are immutable and every evaluation borrows private
-// scratch, so the items are embarrassingly parallel).
-func runBatchItem(ctx context.Context, pl *plan.Plan, snap *delta.Snapshot, req Request, at *NodeID, cacheHit bool, planTime time.Duration, i, shardWorkers int) Result {
-	if pl == nil {
-		return Result{Personalized: *at, Epoch: snap.Epoch()}
-	}
-	req.Anchor = at
-	res, err := runRequest(ctx, pl, snap, req, cacheHit, planTime)
-	if err != nil {
-		return Result{Personalized: *at, Epoch: snap.Epoch()}
-	}
-	// Each item owns its trace, so stamping the shard identity here is
-	// race-free: which slot this item ran in and how wide the batch pool
-	// fanned out.
-	if res.Trace != nil {
-		res.Trace.Root.Add("batch_index", int64(i))
-		res.Trace.Root.Add("batch_workers", int64(shardWorkers))
-	}
-	return res
 }
 
 // runRequest is the one execution core. req must be validated; snap is

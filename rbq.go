@@ -29,9 +29,7 @@
 // bounded/exact/unanchored evaluation, and the optional Anchor pins the
 // personalized node. DB.Query honors context cancellation and routes
 // compilation through a DB-level plan cache, so independent callers
-// issuing the same hot template share one compiled plan. Workloads that
-// hold a template explicitly can still compile once with DB.Prepare and
-// execute it via PreparedQuery.Query.
+// issuing the same hot template share one compiled plan.
 package rbq
 
 import (
@@ -51,7 +49,6 @@ import (
 	"rbq/internal/landmark"
 	"rbq/internal/pattern"
 	"rbq/internal/rbreach"
-	"rbq/internal/reach"
 	"rbq/internal/store"
 )
 
@@ -105,9 +102,8 @@ func MatchAccuracy(exact, approx []NodeID) Accuracy { return accuracy.Matches(ex
 // QueryBatch workers can share one DB without locking.
 //
 // Every pattern evaluation is a Request executed by the request core (see
-// Query) against the snapshot it pinned: the plan cache supplies the
-// compiled form, and PreparedQuery pins a compilation and its snapshot
-// explicitly for repeated execution.
+// Query) against the snapshot it pinned, with the compiled form supplied
+// by the plan cache.
 //
 // A DB is mutable through Apply (see mutate.go): mutations are buffered
 // in a delta over an immutable base graph and published as immutable
@@ -219,7 +215,7 @@ func (db *DB) Graph() *Graph { return db.snapshot().Graph() }
 
 // ReachExact answers a reachability query exactly by BFS over the
 // current snapshot.
-func (db *DB) ReachExact(from, to NodeID) bool { return reach.BFS(db.snapshot().Graph(), from, to) }
+func (db *DB) ReachExact(from, to NodeID) bool { return db.snapshot().Graph().Reachable(from, to) }
 
 // ReachResult reports one resource-bounded reachability evaluation.
 type ReachResult struct {
