@@ -301,17 +301,18 @@ func runMicro(path, comparePath string, tolerance float64, count int, nsGate boo
 	// Mutation fixtures: a batch of net-new edges over g (and its exact
 	// inverse), drawn deterministically, so ApplyEdges can oscillate the
 	// live delta without drifting and OverlayQuery can run the QueryCacheHit
-	// fixture against a snapshot with a live overlay. The DBs are built
-	// lazily, on the first run of the first mutation entry: they add
-	// graph-sized structures of live heap, which must not sit in
-	// memory while the engine entries are measured (GC and cache
-	// pressure from fixture state is not a property of the hot paths).
+	// fixture against a snapshot with a live overlay (OverlayQueryDeep
+	// against a deeper one). The DBs are built lazily, on the first run of
+	// the first mutation entry: they add graph-sized structures of live
+	// heap, which must not sit in memory while the engine entries are
+	// measured (GC and cache pressure from fixture state is not a property
+	// of the hot paths).
 	// The mutation entries therefore sit LAST in the suite — keep them
 	// there — and exclude the one-time setup via b.ResetTimer.
 	const mutBatch = 64
 	sweepSizes := []int{64, 512, 4096}
 	var mutAdd, mutDel []rbq.Op
-	var adb, odb *rbq.DB
+	var adb, odb, deepDB *rbq.DB
 	var spliceSnap *delta.Snapshot
 	sweepAdd := make(map[int][]rbq.Op, len(sweepSizes))
 	sweepDel := make(map[int][]rbq.Op, len(sweepSizes))
@@ -336,8 +337,9 @@ func runMicro(path, comparePath string, tolerance float64, count int, nsGate boo
 			adb = rbq.NewDB(g)
 			// OverlayQuery pins one live-delta snapshot: the same query and
 			// pin as QueryCacheHit, answered through an overlay that touches
-			// 128 nodes of 30k — the representative serving state between
-			// compactions. One warm-up takes the compile miss.
+			// 128 nodes of 30k, the state just after a compaction (a
+			// serving DB runs at thousands between compactions; see
+			// OverlayQueryDeep below). One warm-up takes the compile miss.
 			odb = rbq.NewDB(g)
 			if mutErr = odb.Apply(mutAdd); mutErr != nil {
 				return
@@ -365,6 +367,18 @@ func runMicro(path, comparePath string, tolerance float64, count int, nsGate boo
 			for _, n := range sweepSizes {
 				sweepAdd[n], sweepDel[n] = poolAdd[:n], poolDel[:n]
 				sweepDB[n] = rbq.NewDB(g)
+			}
+			// OverlayQueryDeep: OverlayQuery's query and pin through a
+			// 2,048-op live delta from the same pool (about 3.8k touched
+			// nodes), the depth a serving DB reaches between compactions
+			// at a 2,048-op threshold.
+			deepDB = rbq.NewDB(g)
+			if mutErr = deepDB.Apply(poolAdd[:2048]); mutErr != nil {
+				return
+			}
+			if _, err := deepDB.Query(context.Background(), q, qreq); err != nil {
+				mutErr = err
+				return
 			}
 			// CompactSplice compacts one sealed snapshot of the whole
 			// pool, the largest sweep's delta (about 22% of the nodes
@@ -572,6 +586,14 @@ func runMicro(path, comparePath string, tolerance float64, count int, nsGate boo
 			mutSetup(b)
 			for i := 0; i < b.N; i++ {
 				odb.Query(context.Background(), q, qreq)
+			}
+		}},
+		{"OverlayQueryDeep", func(b *testing.B) {
+			// The same, through a 2,048-op live delta: the cost of a read
+			// must not grow with the number of touched nodes.
+			mutSetup(b)
+			for i := 0; i < b.N; i++ {
+				deepDB.Query(context.Background(), q, qreq)
 			}
 		}},
 		{"CompactSweep64", func(b *testing.B) {

@@ -9,8 +9,9 @@
 // *net* difference against the base, and sealing layers it onto the
 // base as an overlay view (graph.WithOverlay) plus a patched Aux
 // (graph.Aux.PatchedFor) whose label histograms are overridden only for
-// the touched nodes. Untouched nodes — the overwhelming majority under
-// a bounded delta — stay on the allocation-free base-CSR fast path.
+// the touched nodes. A read of an untouched node — the overwhelming
+// majority under a bounded delta — costs a nil check and one bit test,
+// then takes the allocation-free base-CSR path, however large the delta.
 //
 // Concurrency contract: a Delta is owned by one writer (the facade
 // serializes Apply behind a mutex); Snapshots are immutable and safe
@@ -222,8 +223,9 @@ func (d *Delta) Apply(ops []Op) error {
 // Seal layers the delta onto its base and returns the resulting
 // immutable Snapshot at the given epoch: the overlay graph view, the
 // patched Aux, and the live op count. An empty delta seals to the base
-// itself (zero overlay, zero overhead). Sealing is O(delta), not
-// O(|G|), and leaves the Delta untouched — the facade re-seals the
+// itself (zero overlay, zero overhead). Sealing is O(delta) plus one
+// pass over the |V|/64 words of the touched bitset, not O(|G|), and
+// leaves the Delta untouched — the facade re-seals the
 // cumulative delta after every Apply.
 func (d *Delta) Seal(epoch uint64) (*Snapshot, error) {
 	if d.Ops() == 0 {

@@ -288,7 +288,9 @@ func bytesOf[T any](s []T) int64 {
 }
 
 // ResidentBytes returns the bytes the graph's arrays hold. An overlay
-// view counts the base arrays it shares, not its per-touched-node lists.
+// view counts the base arrays it shares, not what it holds per view: the
+// merged lists of its touched nodes and the touched index (bitset and
+// rank, |V|/8 + |V|/16 bytes).
 func (g *Graph) ResidentBytes() Resident {
 	return Resident{
 		NodeBytes: bytesOf(g.labels) + bytesOf(g.outStart) + bytesOf(g.inStart) +

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -12,16 +13,17 @@ import (
 // deletes — on top of an immutable base CSR. The overlay view is itself
 // a *Graph, so every engine, traversal and index in the system runs on
 // it unchanged; the accessors consult the overlay only for *touched*
-// nodes (endpoints of changed edges, plus all new nodes), so untouched
-// nodes stay on the plain base-CSR fast path and a graph with no overlay
-// pays exactly one nil check per accessor.
+// nodes (endpoints of changed edges, plus all new nodes), so an untouched
+// node costs one bit test before the plain base-CSR read and a graph with
+// no overlay pays exactly one nil check per accessor.
 //
 // Design invariants:
 //
 //   - The base graph is never mutated: an overlay view shares the base's
 //     CSR arrays and label tables and layers per-touched-node merged
 //     adjacency slices (in adjacency order, exactly as a from-scratch
-//     build would produce) on top. Sealing is O(delta), not O(|G|).
+//     build would produce) on top. Sealing is O(delta) plus one pass
+//     over the |V|/64 words of the touched bitset, not O(|G|).
 //   - Node labels are immutable and nodes are never deleted, so label →
 //     node lists only ever grow (new nodes appended; their ids exceed
 //     every base id, keeping the lists sorted), and LabelOf needs no
@@ -49,6 +51,13 @@ type overlay struct {
 	touched []NodeID
 	out, in [][]NodeID
 
+	// touchedBits has bit v set when base node v is touched, and
+	// touchedRank[w] counts the touched nodes below node 64w, so a base
+	// node's slot is a bit test and a popcount: |V|/8 + |V|/16 bytes per
+	// sealed view.
+	touchedBits []uint64
+	touchedRank []int32
+
 	// labelNodes[l] is the patched ascending node list of label l, nil
 	// for labels whose membership did not change. Indexed by the view's
 	// (possibly extended) label alphabet.
@@ -58,26 +67,17 @@ type overlay struct {
 }
 
 // slotOf returns v's overlay slot, or -1 when v is an untouched base
-// node. New nodes (v >= baseN) always have a slot.
+// node. New nodes (v >= baseN) always have a slot; a touched base node's
+// slot is its rank in touched.
 func (ov *overlay) slotOf(v NodeID) int {
 	if int(v) >= ov.baseN {
 		return len(ov.touched) + int(v) - ov.baseN
 	}
-	// Binary search over the sorted touched set; the list is small (the
-	// delta layer compacts well before it approaches |V|).
-	lo, hi := 0, len(ov.touched)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if ov.touched[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	w, bit := ov.touchedBits[v>>6], uint64(1)<<(uint(v)&63)
+	if w&bit == 0 {
+		return -1
 	}
-	if lo < len(ov.touched) && ov.touched[lo] == v {
-		return lo
-	}
-	return -1
+	return int(ov.touchedRank[v>>6]) + bits.OnesCount64(w&(bit-1))
 }
 
 // OverlayDelta is a sealed, normalized mutation set for WithOverlay:
@@ -196,25 +196,32 @@ func (g *Graph) WithOverlay(d OverlayDelta) (*Graph, error) {
 		newLabels: newLabels,
 	}
 
-	// Touched base nodes: every base endpoint of a changed edge.
-	seen := make(map[NodeID]struct{}, 2*(len(addEdges)+len(delEdges)))
+	// Touched base nodes: every base endpoint of a changed edge, marked in
+	// touchedBits; one ascending pass over the words then lists them and
+	// ranks each word.
+	words := (baseN + 63) >> 6
+	ov.touchedBits = make([]uint64, words)
+	mark := func(v NodeID) { ov.touchedBits[v>>6] |= 1 << (uint(v) & 63) }
 	for _, e := range addEdges {
 		for _, v := range e {
 			if int(v) < baseN {
-				seen[v] = struct{}{}
+				mark(v)
 			}
 		}
 	}
 	for _, e := range delEdges {
 		for _, v := range e {
-			seen[v] = struct{}{}
+			mark(v)
 		}
 	}
-	ov.touched = make([]NodeID, 0, len(seen))
-	for v := range seen {
-		ov.touched = append(ov.touched, v)
+	ov.touchedRank = make([]int32, words)
+	ov.touched = make([]NodeID, 0, min(baseN, 2*(len(addEdges)+len(delEdges))))
+	for i, w := range ov.touchedBits {
+		ov.touchedRank[i] = int32(len(ov.touched))
+		for ; w != 0; w &= w - 1 {
+			ov.touched = append(ov.touched, NodeID(i<<6|bits.TrailingZeros64(w)))
+		}
 	}
-	slices.Sort(ov.touched)
 
 	// Group the edge changes per endpoint, each group in the view's
 	// adjacency order: outAdd[v]/outDel[v] hold the targets of changed

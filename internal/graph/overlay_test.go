@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -148,10 +149,29 @@ func emptyNorm(s []NodeID) []NodeID {
 	return s
 }
 
+// deepDelta draws a delta over g, a base of a few hundred nodes, whose
+// adds touch nearly every base node, so whole words of the touched bitset
+// are set.
+func deepDelta(t *testing.T, g *Graph, seed int64) OverlayDelta {
+	t.Helper()
+	d := randomDelta(g, 10, 1000, 100, seed)
+	view, err := g.WithOverlay(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ov := view.ov; 2*len(ov.touched) <= g.NumNodes() || !slices.Contains(ov.touchedBits, ^uint64(0)) {
+		t.Fatalf("deep delta touches %d of %d nodes and sets no whole word", len(ov.touched), g.NumNodes())
+	}
+	return d
+}
+
 func TestWithOverlayMatchesRebuild(t *testing.T) {
-	for seed := int64(0); seed < 8; seed++ {
+	for seed := int64(0); seed < 9; seed++ {
 		g := randomBase(t, 200, 600, 6, seed)
 		d := randomDelta(g, 10, 60, 40, seed+100)
+		if seed == 8 {
+			d = deepDelta(t, g, seed+100)
+		}
 		view, err := g.WithOverlay(d)
 		if err != nil {
 			t.Fatalf("seed %d: WithOverlay: %v", seed, err)
@@ -164,6 +184,100 @@ func TestWithOverlayMatchesRebuild(t *testing.T) {
 		// The overlay must not have mutated the base.
 		if err := g.Validate(); err != nil {
 			t.Fatalf("seed %d: base Validate after overlay: %v", seed, err)
+		}
+	}
+}
+
+// slotBySearch is the reference slot lookup: a binary search over the
+// sorted touched set.
+func slotBySearch(ov *overlay, v NodeID) int {
+	if int(v) >= ov.baseN {
+		return len(ov.touched) + int(v) - ov.baseN
+	}
+	lo, hi := 0, len(ov.touched)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ov.touched[mid] < v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(ov.touched) && ov.touched[lo] == v {
+		return lo
+	}
+	return -1
+}
+
+// touching returns a delta over g that touches exactly the base nodes
+// vs: one new node, and an edge from each of vs to it.
+func touching(g *Graph, vs ...NodeID) OverlayDelta {
+	d := OverlayDelta{NewNodeLabels: []string{"NEW0"}}
+	for _, v := range vs {
+		d.AddEdges = append(d.AddEdges, [2]NodeID{v, NodeID(g.NumNodes())})
+	}
+	return d
+}
+
+// TestOverlaySlotMatchesSearch: the bitset-and-rank slot lookup equals
+// the binary search over the sorted touched set at every node of the
+// view, and the touched set WithOverlay lists from the bits is the sorted
+// set of base endpoints of the changed edges.
+func TestOverlaySlotMatchesSearch(t *testing.T) {
+	word := func(lo NodeID) []NodeID {
+		vs := make([]NodeID, 64)
+		for i := range vs {
+			vs[i] = lo + NodeID(i)
+		}
+		return vs
+	}
+	cases := []struct {
+		name  string
+		nodes int
+		d     func(g *Graph) OverlayDelta
+	}{
+		{"under one word, ends", 37, func(g *Graph) OverlayDelta { return touching(g, 0, 5, 36) }},
+		{"under one word, random", 37, func(g *Graph) OverlayDelta { return randomDelta(g, 3, 20, 10, 1) }},
+		{"word boundaries, partial last word", 150, func(g *Graph) OverlayDelta { return touching(g, 0, 63, 64, 149) }},
+		{"random, partial last word", 150, func(g *Graph) OverlayDelta { return randomDelta(g, 5, 60, 30, 2) }},
+		{"full word, empty word, partial last word", 200, func(g *Graph) OverlayDelta {
+			return touching(g, append(word(0), 130, 191, 192, 199)...)
+		}},
+		{"random, |V| a multiple of 64", 256, func(g *Graph) OverlayDelta { return randomDelta(g, 4, 120, 40, 3) }},
+		{"deep, whole words", 200, func(g *Graph) OverlayDelta { return deepDelta(t, g, 4) }},
+		{"new nodes only", 150, func(*Graph) OverlayDelta {
+			return OverlayDelta{NewNodeLabels: []string{"L0", "NEW0", "L1"}, AddEdges: [][2]NodeID{{150, 151}, {152, 150}}}
+		}},
+	}
+	for i, tc := range cases {
+		g := randomBase(t, tc.nodes, 3*tc.nodes, 4, int64(i))
+		d := tc.d(g)
+		view, err := g.WithOverlay(d)
+		if err != nil {
+			t.Fatalf("%s: WithOverlay: %v", tc.name, err)
+		}
+		ov := view.ov
+		var want []NodeID
+		for _, e := range append(slices.Clone(d.AddEdges), d.DelEdges...) {
+			for _, v := range e {
+				if int(v) < tc.nodes {
+					want = append(want, v)
+				}
+			}
+		}
+		slices.Sort(want)
+		if want = slices.Compact(want); !slices.Equal(ov.touched, want) {
+			t.Fatalf("%s: touched %v, want %v", tc.name, ov.touched, want)
+		}
+		for v := 0; v < view.NumNodes(); v++ {
+			id := NodeID(v)
+			s := ov.slotOf(id)
+			if ref := slotBySearch(ov, id); s != ref {
+				t.Fatalf("%s: slotOf(%d) = %d, binary search %d", tc.name, v, s, ref)
+			}
+			if v < tc.nodes && s >= 0 && ov.touched[s] != id {
+				t.Fatalf("%s: slotOf(%d) = %d holds touched node %d", tc.name, v, s, ov.touched[s])
+			}
 		}
 	}
 }
@@ -195,10 +309,13 @@ func TestCompactMatchesRebuild(t *testing.T) {
 }
 
 func TestPatchedAuxMatchesBuildAux(t *testing.T) {
-	for seed := int64(0); seed < 4; seed++ {
+	for seed := int64(0); seed < 5; seed++ {
 		g := randomBase(t, 180, 540, 6, seed)
 		baseAux := BuildAux(g)
 		d := randomDelta(g, 8, 50, 30, seed+50)
+		if seed == 4 {
+			d = deepDelta(t, g, seed+50)
+		}
 		view, err := g.WithOverlay(d)
 		if err != nil {
 			t.Fatal(err)

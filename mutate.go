@@ -212,10 +212,11 @@ func (db *DB) publishStatsLocked() {
 }
 
 // SetCompactThreshold sets the live-delta op count at which Apply
-// compacts (minimum 1; the default is DefaultCompactThreshold). A lower
-// threshold trades more frequent splices — each copying the flat base
-// arrays once — for cheaper overlay lookups on touched nodes; tests use
-// it to force compaction churn.
+// compacts (minimum 1; the default is DefaultCompactThreshold). The
+// threshold trades splice frequency — each splice copies the flat base
+// arrays once — against the cost of Seal, which re-merges the whole
+// live delta on every Apply; a read costs the same at any delta size.
+// Tests use it to force compaction churn.
 func (db *DB) SetCompactThreshold(n int) {
 	if n < 1 {
 		n = 1
